@@ -20,19 +20,17 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="directory for params/history CSVs")
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     proto = building_recovery_protocol(seed=args.seed)
-    refs = render_references(proto, workers=args.workers)
+    refs = render_references(proto)
     t0 = time.perf_counter()
 
     def progress(done, params):
         got = params.values[proto.target_ids[0]]
         print(f"  iter {done:5d}: eps_r={got[2]:8.4f} h={got[0]:.6f} l={got[1]:.6f}")
 
-    params, results, used = run_recovery(proto, refs, workers=args.workers,
-                                         progress=progress)
+    params, results, used = run_recovery(proto, refs, progress=progress)
     dt = time.perf_counter() - t0
 
     got = params.values[proto.target_ids[0]]

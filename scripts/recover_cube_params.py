@@ -22,13 +22,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="directory for params/history CSVs")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     proto = cube_recovery_protocol(seed=args.seed)
-    refs = render_references(proto, workers=args.workers)
+    refs = render_references(proto)
     t0 = time.perf_counter()
-    params, results, used = run_recovery(proto, refs, workers=args.workers)
+    params, results, used = run_recovery(proto, refs)
     dt = time.perf_counter() - t0
 
     vid = proto.target_ids[0]

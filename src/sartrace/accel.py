@@ -24,6 +24,9 @@ EPS_T = 1e-6
 # directions with a zero component get a nudged inverse for slab tests only
 _INV_DIR_NUDGE = 1e-300
 
+# rays per linear-scan batch: each batch holds (64, F, 3) float64 temporaries
+_SCAN_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class Ray:
@@ -216,8 +219,7 @@ def intersect_scene(bvh: Bvh, mesh: Mesh, ray: Ray):
     return HitRecord(facet_id=fid, t=t, m1=m1, m2=m2, point=point, cos_theta=cos_theta)
 
 
-def intersect_rays(mesh: Mesh, origins, directions, t_max=np.inf, bvh: Bvh | None = None,
-                   chunk: int = 64):
+def intersect_rays(mesh: Mesh, origins, directions, t_max=np.inf, bvh: Bvh | None = None):
     """Nearest hits for a ray batch.
 
     Returns (facet_ids, t, m1, m2, cos_theta) arrays with facet_id = -1
@@ -239,8 +241,8 @@ def intersect_rays(mesh: Mesh, origins, directions, t_max=np.inf, bvh: Bvh | Non
             if out is not None:
                 fid[i], t_hit[i], m1_hit[i], m2_hit[i] = out
     else:
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
+        for lo in range(0, n, _SCAN_CHUNK):
+            hi = min(lo + _SCAN_CHUNK, n)
             t, m1, m2 = _mt_batch(origins[lo:hi], directions[lo:hi], p1, p2, p3, t_max)
             j = np.argmin(t, axis=1)          # first occurrence = lowest facet id
             rows = np.arange(hi - lo)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from sartrace.accel import build_bvh
 from sartrace.imaging import (RadarConfig, SarImage, read_raster, render,
                               write_pgm, write_raster)
 from sartrace.learn import (LossConfig, OptimState, grad_check, learn,
@@ -299,7 +300,7 @@ def _write_manifest(out_dir, cfg: SceneConfig, inputs, outputs) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def cmd_simulate(config_path, out_dir=None, seed=None, workers=4) -> int:
+def cmd_simulate(config_path, out_dir=None, seed=None) -> int:
     cfg = parse_config(config_path)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
@@ -308,9 +309,10 @@ def cmd_simulate(config_path, out_dir=None, seed=None, workers=4) -> int:
     os.makedirs(out, exist_ok=True)
     mesh, params, radars = build_scene(cfg, base_dir)
     params.validate()
+    bvh = build_bvh(mesh)
     written = []
     for vi, radar in enumerate(radars):
-        image, _ = render(mesh, params, radar, workers=workers)
+        image, _ = render(mesh, params, radar, bvh=bvh)
         raster = os.path.join(out, f"view_{vi:03d}.sarf")
         write_raster(image, raster)
         write_pgm(image, os.path.join(out, f"view_{vi:03d}.pgm"))
@@ -323,7 +325,7 @@ def cmd_simulate(config_path, out_dir=None, seed=None, workers=4) -> int:
     return 0
 
 
-def cmd_learn(config_path, ref_paths, out_dir=None, workers=4) -> int:
+def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
     cfg = parse_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out = os.path.join(base_dir, out_dir or cfg.out_dir)
@@ -339,11 +341,12 @@ def cmd_learn(config_path, ref_paths, out_dir=None, workers=4) -> int:
     opt = make_optimizer(cfg, mesh.num_vertices)
     loss_cfg = LossConfig(lambda_sim=cfg.lambda_sim, lambda_mat=cfg.lambda_mat,
                           normalize=cfg.normalize)
-    result = learn(mesh, params, refs, opt, loss_cfg, iters=cfg.iters, workers=workers)
+    bvh = build_bvh(mesh)
+    result = learn(mesh, params, refs, opt, loss_cfg, iters=cfg.iters, bvh=bvh)
     save_param_map(result.params, os.path.join(out, "params_final.csv"))
     write_history_csv(result, os.path.join(out, "history.csv"))
     for vi, (radar, _) in enumerate(refs):
-        image, _ = render(mesh, result.params, radar, workers=workers)
+        image, _ = render(mesh, result.params, radar, bvh=bvh)
         write_raster(image, os.path.join(out, f"final_view_{vi:03d}.sarf"))
         write_pgm(image, os.path.join(out, f"final_view_{vi:03d}.pgm"))
     if result.aborted:
@@ -375,7 +378,8 @@ def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False,
     loss_cfg = LossConfig(lambda_sim=cfg.lambda_sim, lambda_mat=cfg.lambda_mat,
                           normalize=cfg.normalize)
     ref_params = _perturbed_reference_params(params)
-    refs = [render(mesh, ref_params, radar)[0].intensities for radar in radars]
+    bvh = build_bvh(mesh)
+    refs = [render(mesh, ref_params, radar, bvh=bvh)[0].intensities for radar in radars]
 
     bsdf_fn = None
     if corrupt_adjoint:
@@ -383,7 +387,7 @@ def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False,
             sigma, grads = eval_bsdf_batch(theta, values, wave)
             return sigma, grads * 1.37
     report = grad_check(mesh, params, radars, refs, loss_cfg,
-                        num_probes=probes, seed=seed, bsdf_fn=bsdf_fn)
+                        num_probes=probes, seed=seed, bvh=bvh, bsdf_fn=bsdf_fn)
     for p in report.probes:
         print(f"vertex {p.vertex:4d} {p.channel:6s} analytic {p.analytic: .6e} "
               f"fd {p.finite_diff: .6e} rel {p.rel_err:.3e}")
@@ -424,13 +428,11 @@ def main(argv=None) -> int:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--single-thread", action="store_true")
 
     p_learn = sub.add_parser("learn", help="recover parameters from reference rasters")
     p_learn.add_argument("--config", required=True)
     p_learn.add_argument("--refs", nargs="+", required=True)
     p_learn.add_argument("--out", default=None)
-    p_learn.add_argument("--single-thread", action="store_true")
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of the gradient path")
     p_gc.add_argument("--config", required=True)
@@ -455,11 +457,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            workers = 1 if args.single_thread else 4
-            return cmd_simulate(args.config, args.out, args.seed, workers=workers)
+            return cmd_simulate(args.config, args.out, args.seed)
         if args.command == "learn":
-            workers = 1 if args.single_thread else 4
-            return cmd_learn(args.config, args.refs, args.out, workers=workers)
+            return cmd_learn(args.config, args.refs, args.out)
         if args.command == "gradcheck":
             return cmd_gradcheck(args.config, args.probes, args.seed,
                                  corrupt_adjoint=args.corrupt_adjoint)

@@ -122,15 +122,14 @@ def building_recovery_protocol(view_azimuths=(0.0, 120.0, 240.0), seed=11) -> Re
         truth_hle=BUILDING_TRUTH)
 
 
-def render_references(proto: RecoveryProtocol, workers: int = 1):
-    return [(radar, render(proto.mesh, proto.truth, radar, workers=workers)[0].intensities)
+def render_references(proto: RecoveryProtocol):
+    return [(radar, render(proto.mesh, proto.truth, radar)[0].intensities)
             for radar in proto.radars]
 
 
-def run_recovery(proto: RecoveryProtocol, refs=None, workers: int = 1,
-                 progress=None):
+def run_recovery(proto: RecoveryProtocol, refs=None, progress=None):
     """Execute the protocol; returns (params, history list, iterations used)."""
-    refs = refs if refs is not None else render_references(proto, workers=workers)
+    refs = refs if refs is not None else render_references(proto)
     params = proto.init.copy()
     results = []
     used = 0
@@ -141,7 +140,7 @@ def run_recovery(proto: RecoveryProtocol, refs=None, workers: int = 1,
             freeze_channels=phase.freeze_channels, freeze_vertices=proto.frozen_ids,
             tie_groups=[proto.target_ids])
         res = learn(proto.mesh, params, refs, opt, proto.loss, iters=phase.iters,
-                    workers=workers, stop_patience=10 ** 9)
+                    stop_patience=10 ** 9)
         used += res.iterations
         results.append(res)
         if progress is not None:

@@ -15,15 +15,15 @@ at the range resolution, descending from the scene-wide maximum:
     bin = floor((range_origin - H_r) / range_res)
 
 Rows are azimuth samples; every row shares the common range window so
-pixels are comparable across the image.  Bin assignment is treated as
-non-differentiable: parameter gradients flow through the per-hit
-intensities only (geometry stays fixed).
+pixels are comparable across the image.  A view is traced, shaded and
+binned as one batch holding the rays of all its rows.  Bin assignment
+is treated as non-differentiable: parameter gradients flow through the
+per-hit intensities only (geometry stays fixed).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,41 +177,34 @@ def generate_rays(radar: RadarConfig, azimuth_index: int) -> RayFan:
     return RayFan(origins=origins, directions=directions, weights=weights, angles=angles)
 
 
-def bin_ranges_fast(ranges, intensities, range_res: float, range_origin: float,
-                    num_bins: int | None = None) -> np.ndarray:
-    """Sorted segment-sum range binning of per-hit intensities.
+def bin_ranges_fast(rows, ranges, intensities, range_res: float, range_origin: float,
+                    shape: tuple[int, int]):
+    """Whole-view range binning of per-hit intensities.
 
-    Ranges are sorted descending (stable), bins assigned by
-    floor((range_origin - r) / range_res), and equal bins summed
-    left-to-right in sorted order.  Matches a naive per-hit scatter-add
-    using the same floor and order.
+    Each hit lands in pixel (row, bin) with bin from range_bin_of, and
+    the pixels are summed with one np.bincount over row * num_bins + bin.
+    Returns (image of the given (num_rows, num_bins) shape, per-hit bins).
     """
-    ranges = np.asarray(ranges, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.int64)
     intensities = np.asarray(intensities, dtype=np.float64)
-    if ranges.shape != intensities.shape:
-        raise ValueError("ranges and intensities must have the same length")
+    if not rows.shape == np.shape(ranges) == intensities.shape:
+        raise ValueError("rows, ranges and intensities must have the same length")
     if range_res <= 0:
         raise ValueError("range_res must be positive")
-    if ranges.size == 0:
-        return np.zeros(num_bins if num_bins else 0)
-    order = np.argsort(-ranges, kind="stable")
-    bins = np.floor((range_origin - ranges[order]) / range_res).astype(np.int64)
-    if bins[0] < 0:
-        raise ValueError("range beyond range_origin (negative bin)")
-    width = int(bins[-1]) + 1
-    if num_bins is None:
-        num_bins = width
-    elif width > num_bins:
-        raise ValueError(f"bin {width - 1} outside profile of {num_bins} bins")
-    starts = np.r_[0, np.flatnonzero(np.diff(bins)) + 1]
-    sums = np.add.reduceat(intensities[order], starts)
-    profile = np.zeros(num_bins)
-    profile[bins[starts]] = sums
-    return profile
+    num_rows, num_bins = shape
+    bins = range_bin_of(ranges, range_res, range_origin)
+    if bins.size:
+        if bins.min() < 0:
+            raise ValueError(f"range beyond range_origin (negative bin {bins.min()})")
+        if bins.max() >= num_bins:
+            raise ValueError(f"bin {bins.max()} outside profile of {num_bins} bins")
+    image = np.bincount(rows * num_bins + bins, weights=intensities,
+                        minlength=num_rows * num_bins)
+    return image.reshape(num_rows, num_bins), bins
 
 
 def range_bin_of(ranges, range_res: float, range_origin: float) -> np.ndarray:
-    """Bin index per hit, same floor convention as bin_ranges_fast."""
+    """Bin index per hit: floor((range_origin - range) / range_res)."""
     return np.floor((range_origin - np.asarray(ranges, dtype=np.float64))
                     / range_res).astype(np.int64)
 
@@ -273,93 +266,57 @@ class HitLedger:
         return self.row.shape[0]
 
 
-def _trace_row(mesh, values, radar, frame, bvh, bsdf_fn, n):
-    fan = generate_rays(radar, n)
-    fid, t, m1, m2, cos_t = intersect_rays(mesh, fan.origins, fan.directions, bvh=bvh)
-    sel = np.nonzero(fid >= 0)[0]
-    if sel.size == 0:
-        return None
-    theta = np.arccos(np.clip(cos_t[sel], 0.0, 1.0))
-    vals = interpolate_at_hits(mesh, values, fid[sel], m1[sel], m2[sel])
-    sigma, grads = bsdf_fn(theta, vals, radar.wave)
-    points = fan.origins[sel] + t[sel, None] * fan.directions[sel]
-    h_r = frame.apply(points)[:, 2]
-    return {
-        "facet_id": fid[sel], "m1": m1[sel], "m2": m2[sel],
-        "weight": fan.weights[sel], "sigma": sigma, "dsigma": grads, "h_r": h_r,
-    }
-
-
 def render(mesh: Mesh, params: ParamMap, radar: RadarConfig, bvh: Bvh | None = None,
-           workers: int = 1, bsdf_fn=None, range_window: tuple[float, int] | None = None):
+           bsdf_fn=None, range_window: tuple[float, int] | None = None):
     """Render one SAR intensity image and the hit ledger behind it.
 
-    Azimuth rows are independent work units; with workers > 1 they are
-    traced on a thread pool.  Per-row jitter streams are seeded by
-    (seed, row), so the result is identical regardless of worker count.
+    The rays of every azimuth row are traced as one batch, shaded with
+    one bsdf_fn call and binned with one bin_ranges_fast call.  Per-row
+    jitter streams are seeded by (seed, row), so the result depends on
+    the seed only.
     bsdf_fn defaults to the two-scale model and can be overridden for
     diagnostics (signature: (theta, values, wave) -> (sigma, grads)).
-    By default the range window is [min, max] of the hit coordinates;
-    pass range_window=(origin, num_bins) to pin the pixel grid across
-    runs (see vertex_range_window).
+    By default the range window is [min, max] of the hit coordinates
+    (the vertex window when nothing is hit); pass
+    range_window=(origin, num_bins) to pin the pixel grid across runs
+    (see vertex_range_window).
     """
     if params.num_vertices != mesh.num_vertices:
         raise ValueError("parameter table size does not match the mesh")
     bsdf_fn = bsdf_fn or eval_bsdf_batch
-    frame = MapFrame.from_radar(radar)
     rows = radar.num_azimuth
+    fans = [generate_rays(radar, n) for n in range(rows)]
+    origins = np.concatenate([f.origins for f in fans])
+    directions = np.concatenate([f.directions for f in fans])
+    ray_row = np.repeat(np.arange(rows), [f.weights.size for f in fans])
+    weights = np.concatenate([f.weights for f in fans])
 
-    job = lambda n: _trace_row(mesh, params.values, radar, frame, bvh, bsdf_fn, n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traced = list(pool.map(job, range(rows)))
-    else:
-        traced = [job(n) for n in range(rows)]
-
-    hit_rows = [r for r in traced if r is not None]
-    if not hit_rows:
-        origin, num_bins = range_window or vertex_range_window(mesh, radar)
-        image = np.zeros((rows, num_bins))
-        empty = np.zeros(0)
-        ledger = HitLedger(
-            image_shape=(rows, num_bins),
-            row=np.zeros(0, dtype=np.int64), range_bin=np.zeros(0, dtype=np.int64),
-            facet_id=np.zeros(0, dtype=np.int64), m1=empty, m2=empty,
-            weight=empty.copy(), sigma=empty.copy(), dsigma=np.zeros((0, 4)))
-        return (SarImage(intensities=image, radar=radar, range_origin=origin,
-                         range_res=radar.range_res, azimuth_res=radar.azimuth_res),
-                ledger)
+    fid, t, m1, m2, cos_t = intersect_rays(mesh, origins, directions, bvh=bvh)
+    sel = np.nonzero(fid >= 0)[0]
+    fid, t, m1, m2, weight = fid[sel], t[sel], m1[sel], m2[sel], weights[sel]
+    theta = np.arccos(np.clip(cos_t[sel], 0.0, 1.0))
+    values = interpolate_at_hits(mesh, params.values, fid, m1, m2)
+    sigma, dsigma = bsdf_fn(theta, values, radar.wave)
+    points = origins[sel] + t[:, None] * directions[sel]
+    h_r = MapFrame.from_radar(radar).apply(points)[:, 2]
 
     if range_window is not None:
         origin, num_bins = range_window
+    elif sel.size:
+        origin = float(h_r.max())
+        num_bins = int(math.floor((origin - float(h_r.min())) / radar.range_res)) + 1
     else:
-        origin = max(float(r["h_r"].max()) for r in hit_rows)
-        lowest = min(float(r["h_r"].min()) for r in hit_rows)
-        num_bins = int(math.floor((origin - lowest) / radar.range_res)) + 1
+        origin, num_bins = vertex_range_window(mesh, radar)
     if num_bins > _MAX_RANGE_BINS:
         raise ValueError(
             f"range window spans {num_bins} bins at range_res={radar.range_res}")
 
-    image = np.zeros((rows, num_bins))
-    for n, r in enumerate(traced):
-        if r is None:
-            continue
-        image[n] = bin_ranges_fast(r["h_r"], r["weight"] * r["sigma"],
-                                   radar.range_res, origin, num_bins)
-        r["range_bin"] = range_bin_of(r["h_r"], radar.range_res, origin)
-        r["row"] = np.full(r["h_r"].shape, n, dtype=np.int64)
-
-    ledger = HitLedger(
-        image_shape=(rows, num_bins),
-        row=np.concatenate([r["row"] for r in hit_rows]),
-        range_bin=np.concatenate([r["range_bin"] for r in hit_rows]),
-        facet_id=np.concatenate([r["facet_id"] for r in hit_rows]),
-        m1=np.concatenate([r["m1"] for r in hit_rows]),
-        m2=np.concatenate([r["m2"] for r in hit_rows]),
-        weight=np.concatenate([r["weight"] for r in hit_rows]),
-        sigma=np.concatenate([r["sigma"] for r in hit_rows]),
-        dsigma=np.concatenate([r["dsigma"] for r in hit_rows]),
-    )
+    row = ray_row[sel]
+    image, range_bin = bin_ranges_fast(row, h_r, weight * sigma, radar.range_res,
+                                       origin, (rows, num_bins))
+    ledger = HitLedger(image_shape=(rows, num_bins), row=row, range_bin=range_bin,
+                       facet_id=fid, m1=m1, m2=m2, weight=weight, sigma=sigma,
+                       dsigma=dsigma)
     sar = SarImage(intensities=image, radar=radar, range_origin=origin,
                    range_res=radar.range_res, azimuth_res=radar.azimuth_res)
     return sar, ledger

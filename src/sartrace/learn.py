@@ -266,7 +266,7 @@ class LearnResult:
 
 
 def learn(mesh: Mesh, params: ParamMap, refs, opt: OptimState, cfg: LossConfig,
-          iters: int, eval_refs=None, bvh=None, workers: int = 1,
+          iters: int, eval_refs=None, bvh=None,
           eval_every: int = 1, stop_patience: int = 50, stop_tol: float = 1e-6,
           bsdf_fn=None) -> LearnResult:
     """Multi-view gradient-descent recovery of the parameter table.
@@ -295,8 +295,7 @@ def learn(mesh: Mesh, params: ParamMap, refs, opt: OptimState, cfg: LossConfig,
         grads = np.zeros_like(params.values)
         rmses = np.zeros(num_views)
         for vi, (radar, ref) in enumerate(refs):
-            image, ledger = render(mesh, params, radar, bvh=bvh, workers=workers,
-                                   bsdf_fn=bsdf_fn)
+            image, ledger = render(mesh, params, radar, bvh=bvh, bsdf_fn=bsdf_fn)
             ref_arr = _as_array(ref)
             if image.intensities.shape != ref_arr.shape:
                 raise ValueError(
@@ -314,8 +313,7 @@ def learn(mesh: Mesh, params: ParamMap, refs, opt: OptimState, cfg: LossConfig,
         ev = np.full(len(eval_refs), np.nan)
         if eval_refs and (it % eval_every == 0 or it == iters - 1):
             for ei, (radar, ref) in enumerate(eval_refs):
-                image, _ = render(mesh, params, radar, bvh=bvh, workers=workers,
-                                  bsdf_fn=bsdf_fn)
+                image, _ = render(mesh, params, radar, bvh=bvh, bsdf_fn=bsdf_fn)
                 ev[ei] = rmse_normalized(image, ref)
 
         total_hist.append(total)

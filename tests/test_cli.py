@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import sartrace.cli
+from sartrace.accel import build_bvh
 from sartrace.cli import (ConfigError, build_scene, main, parse_config,
                           serialize_config)
-from sartrace.imaging import read_raster
-from sartrace.scene import ParamMap, load_param_map, write_obj
+from sartrace.imaging import read_raster, render
+from sartrace.scene import Mesh, ParamMap, load_param_map, write_obj
 from sartrace.scenes import merge_meshes, plane_mesh
 
 CONFIG = """\
@@ -125,10 +127,8 @@ class TestSimulate:
         assert "view_000.sarf" in manifest["outputs"]
 
     def test_rerun_same_seed_identical(self, workdir):
-        main(["simulate", "--config", str(workdir / "run.ini"), "--out", "a",
-              "--single-thread"])
-        main(["simulate", "--config", str(workdir / "run.ini"), "--out", "b",
-              "--single-thread"])
+        main(["simulate", "--config", str(workdir / "run.ini"), "--out", "a"])
+        main(["simulate", "--config", str(workdir / "run.ini"), "--out", "b"])
         a = json.loads((workdir / "a" / "manifest.json").read_text())["outputs"]
         b = json.loads((workdir / "b" / "manifest.json").read_text())["outputs"]
         assert a == b
@@ -149,6 +149,30 @@ class TestSimulate:
         a = json.loads((workdir / "a" / "manifest.json").read_text())["inputs"]
         b = json.loads((workdir / "b" / "manifest.json").read_text())["inputs"]
         assert a["scene.obj"] != b["scene.obj"]
+
+    def test_large_mesh_raster_matches_bvh_render(self, workdir):
+        # a bumpy 12 x 12 grid: 288 facets, above the BVH threshold of 256
+        n = 12
+        xs = np.linspace(-2.0, 2.0, n + 1)
+        x, y = np.meshgrid(xs, xs, indexing="ij")
+        z = 0.1 * np.sin(2.0 * x) * np.cos(3.0 * y)
+        vertices = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+        corner = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n].ravel()
+        facets = np.concatenate([
+            np.stack([corner, corner + n + 1, corner + n + 2], axis=1),
+            np.stack([corner, corner + n + 2, corner + 1], axis=1)])
+        write_obj(Mesh.from_arrays(vertices, facets), workdir / "scene.obj")
+        assert main(["simulate", "--config", str(workdir / "run.ini")]) == 0
+        mesh, params, radars = build_scene(parse_config(workdir / "run.ini"), str(workdir))
+        assert mesh.num_facets == 288
+        bvh = build_bvh(mesh)
+        for vi, radar in enumerate(radars):
+            image, ledger = render(mesh, params, radar, bvh=bvh)
+            assert ledger.num_entries > 0
+            data, meta = read_raster(workdir / "out" / f"view_{vi:03d}.sarf")
+            np.testing.assert_array_equal(
+                data, image.intensities.astype("<f4").astype(np.float64))
+            assert meta["range_origin"] == image.range_origin
 
     def test_parse_error_exit_code(self, workdir):
         path = workdir / "bad.ini"
@@ -196,6 +220,35 @@ class TestLearnCommand:
         rc = main(["learn", "--config", str(workdir / "run.ini"),
                    "--refs", str(bad), str(bad), "--out", "learned"])
         assert rc == 2
+
+
+class TestOneBvhPerCommand:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        meshes = []
+
+        def counting_build_bvh(mesh, *args, **kwargs):
+            meshes.append(mesh)
+            return build_bvh(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(sartrace.cli, "build_bvh", counting_build_bvh)
+        return meshes
+
+    def test_simulate(self, workdir, built):
+        assert main(["simulate", "--config", str(workdir / "run.ini")]) == 0
+        assert len(built) == 1
+
+    def test_learn(self, workdir, built):
+        refs = TestLearnCommand().render_refs(workdir)
+        built.clear()
+        assert main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs
+                    + ["--out", "learned"]) == 0
+        assert len(built) == 1
+
+    def test_gradcheck(self, workdir, built):
+        assert main(["gradcheck", "--config", str(workdir / "run.ini"),
+                     "--probes", "2"]) == 0
+        assert len(built) == 1
 
 
 class TestGradcheckCommand:

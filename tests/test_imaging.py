@@ -129,31 +129,38 @@ class TestMapFrame:
         np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-12)
 
 
+def one_row(n):
+    return np.zeros(n, dtype=np.int64)
+
+
 class TestBinRanges:
     def test_hand_example(self):
-        profile = bin_ranges_fast([10.0, 9.4, 8.2], [1.0, 2.0, 3.0], 1.0, 10.0)
-        np.testing.assert_allclose(profile, [3.0, 3.0])
+        image, bins = bin_ranges_fast(one_row(3), [10.0, 9.4, 8.2], [1.0, 2.0, 3.0],
+                                      1.0, 10.0, (1, 2))
+        np.testing.assert_allclose(image, [[3.0, 3.0]])
+        np.testing.assert_array_equal(bins, [0, 0, 1])
 
     def test_single_hit(self):
-        profile = bin_ranges_fast([5.0], [2.5], 0.5, 6.0)
-        assert profile[2] == 2.5
-        assert profile.sum() == 2.5
+        image, _ = bin_ranges_fast(one_row(1), [5.0], [2.5], 0.5, 6.0, (1, 3))
+        assert image[0, 2] == 2.5
+        assert image.sum() == 2.5
 
     def test_all_equal_ranges(self):
-        profile = bin_ranges_fast([4.0] * 7, np.arange(7.0), 1.0, 4.0)
-        np.testing.assert_allclose(profile, [21.0])
+        image, _ = bin_ranges_fast(one_row(7), [4.0] * 7, np.arange(7.0), 1.0, 4.0, (1, 1))
+        np.testing.assert_allclose(image, [[21.0]])
 
     def test_negative_bin_rejected(self):
         with pytest.raises(ValueError, match="negative bin"):
-            bin_ranges_fast([11.0], [1.0], 1.0, 10.0)
+            bin_ranges_fast(one_row(1), [11.0], [1.0], 1.0, 10.0, (1, 1))
 
     def test_fixed_width_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            bin_ranges_fast([1.0], [1.0], 1.0, 10.0, num_bins=3)
+        with pytest.raises(ValueError, match="bin 9 outside"):
+            bin_ranges_fast(one_row(1), [1.0], [1.0], 1.0, 10.0, (1, 3))
 
     def test_empty(self):
-        np.testing.assert_array_equal(bin_ranges_fast([], [], 1.0, 10.0, num_bins=4),
-                                      np.zeros(4))
+        image, bins = bin_ranges_fast(one_row(0), [], [], 1.0, 10.0, (1, 4))
+        np.testing.assert_array_equal(image, np.zeros((1, 4)))
+        assert bins.size == 0
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
@@ -164,10 +171,11 @@ class TestBinRanges:
         origin = ranges.max()
         res = rng.uniform(0.05, 3.0)
         num_bins = int(math.floor((origin - ranges.min()) / res)) + 1
-        fast = bin_ranges_fast(ranges, intensities, res, origin, num_bins)
+        fast, bins = bin_ranges_fast(one_row(n), ranges, intensities, res, origin,
+                                     (1, num_bins))
         naive = bin_ranges_naive(ranges, intensities, res, origin, num_bins)
-        np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=1e-300)
-        bins = range_bin_of(ranges, res, origin)
+        np.testing.assert_allclose(fast[0], naive, rtol=1e-12, atol=1e-300)
+        np.testing.assert_array_equal(bins, range_bin_of(ranges, res, origin))
         assert bins.min() >= 0 and bins.max() < num_bins
 
 
@@ -227,12 +235,42 @@ class TestRender:
         b, _ = render(mesh, params, plate_radar)
         np.testing.assert_array_equal(a.intensities, b.intensities)
 
-    def test_parallel_matches_serial(self, plate_scene, plate_radar):
+    def test_image_is_ledger_scatter_add(self, plate_scene, plate_radar):
         mesh, params = plate_scene
-        serial, led_s = render(mesh, params, plate_radar, workers=1)
-        parallel, led_p = render(mesh, params, plate_radar, workers=4)
-        np.testing.assert_array_equal(serial.intensities, parallel.intensities)
-        np.testing.assert_array_equal(led_s.range_bin, led_p.range_bin)
+        image, ledger = render(mesh, params, plate_radar)
+        assert np.all(np.diff(ledger.row) >= 0)
+        expect = np.zeros(ledger.image_shape)
+        np.add.at(expect, (ledger.row, ledger.range_bin), ledger.weight * ledger.sigma)
+        np.testing.assert_allclose(image.intensities, expect, rtol=1e-12, atol=0.0)
+
+    def test_one_batch_per_view(self, plate_scene, plate_radar, monkeypatch):
+        import sartrace.imaging as imaging
+        from sartrace.scatter import eval_bsdf_batch
+        mesh, params = plate_scene
+        calls = {"intersect": 0, "bsdf": 0, "bin": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(imaging, "intersect_rays",
+                            counted("intersect", imaging.intersect_rays))
+        monkeypatch.setattr(imaging, "bin_ranges_fast",
+                            counted("bin", imaging.bin_ranges_fast))
+        render(mesh, params, plate_radar, bsdf_fn=counted("bsdf", eval_bsdf_batch))
+        assert calls == {"intersect": 1, "bsdf": 1, "bin": 1}
+
+    def test_range_window_excluding_hits_names_bin(self, plate_scene, plate_radar):
+        mesh, params = plate_scene
+        image, ledger = render(mesh, params, plate_radar)
+        short = (image.range_origin, int(ledger.range_bin.max()))
+        with pytest.raises(ValueError, match=f"bin {ledger.range_bin.max()} outside"):
+            render(mesh, params, plate_radar, range_window=short)
+        with pytest.raises(ValueError, match="negative bin"):
+            render(mesh, params, plate_radar,
+                   range_window=(image.range_origin - 1.0, image.num_range_bins))
 
     def test_intensity_linearity_in_sigma(self, plate_scene, plate_radar):
         from sartrace.scatter import eval_bsdf_batch
