@@ -2,32 +2,30 @@
 
 Forward path: triangle mesh + per-vertex roughness/permittivity table
 -> ray fans along a linear trajectory -> nearest-hit intersection ->
-two-scale (KA + SPM) backscatter per hit -> sorted range binning into
-an azimuth x range intensity image.
+two-scale (KA + SPM) backscatter per hit -> one np.bincount over the
+(azimuth row, range bin) pixel index into an azimuth x range intensity
+image.
 
 Inverse path: image-space MSE (+ total-variation smoothing) is pulled
 back through the recorded hit ledger to per-vertex parameter gradients
-and minimized with projected Adam.
+and minimized with projected Adam (sartrace.learn.learn; the function
+is not re-exported here, so the name sartrace.learn is the module).
 """
 
 from sartrace.scene import (
     Mesh, ParamMap, BsdfParams, MeshError, PARAM_CHANNELS,
     load_mesh, write_obj, save_param_map, load_param_map,
-    interpolate_params, interpolation_adjoint,
 )
-from sartrace.accel import Ray, HitRecord, Bvh, intersect_triangle, build_bvh, intersect_scene
-from sartrace.scatter import (
-    WaveConfig, SigmaGrad, ValidityReport, SPEED_OF_LIGHT,
-    fresnel_r0, fresnel_sq, psd, sigma_spm, sigma_ka, bsdf_eval, check_validity,
-)
+from sartrace.accel import Bvh, build_bvh
+from sartrace.scatter import WaveConfig, ValidityReport, SPEED_OF_LIGHT, check_validity
 from sartrace.imaging import (
     RadarConfig, MapFrame, SarImage, HitLedger, RayFan,
-    generate_rays, world_to_map, bin_ranges_fast, render,
-    write_pgm, write_raster, read_raster, write_image_csv,
+    generate_rays, bin_ranges_fast, render,
+    write_pgm, write_raster, read_raster,
 )
 from sartrace.learn import (
     LossConfig, OptimState, LearnResult,
-    loss_sim, loss_tv, backward, adam_step, learn, grad_check, rmse_normalized,
+    loss_sim, loss_tv, backward, adam_step, grad_check, rmse_normalized,
 )
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 Intersections solve o + t*d = m1*p1 + m2*p2 + (1-m1-m2)*p3 for
 (t, m1, m2); a hit requires the weights to lie in the simplex and
-t in (EPS_T, t_max].  All paths (scalar, batched linear scan, BVH
-leaves) share one kernel so nearest-hit results are bitwise identical
-regardless of traversal order; ties on t resolve to the lowest facet id.
+t > EPS_T.  Both paths (batched linear scan, BVH leaves) share one
+kernel so nearest-hit results are bitwise identical regardless of
+traversal order; ties on t resolve to the lowest facet id.
 
 Watertightness is not claimed: rays grazing a shared edge may report
 either adjacent facet.
@@ -27,34 +27,11 @@ _INV_DIR_NUDGE = 1e-300
 # rays per linear-scan batch: each batch holds (64, F, 3) float64 temporaries
 _SCAN_CHUNK = 64
 
-
-@dataclass(frozen=True)
-class Ray:
-    origin: np.ndarray      # (3,) meters
-    direction: np.ndarray   # (3,) unit vector
-    t_max: float = np.inf
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64))
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=np.float64))
-        n = np.linalg.norm(self.direction)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"ray direction must be unit length, |d| = {n}")
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+# most facets per BVH leaf
+_LEAF_SIZE = 4
 
 
-@dataclass(frozen=True)
-class HitRecord:
-    facet_id: int
-    t: float                # hit distance, meters
-    m1: float
-    m2: float
-    point: np.ndarray       # (3,) = origin + t * direction
-    cos_theta: float        # |n . d|, local incidence cosine
-
-
-def _mt_batch(origins, directions, p1, p2, p3, t_max):
+def _mt_batch(origins, directions, p1, p2, p3):
     """Moller-Trumbore solve for R rays against F triangles.
 
     origins/directions are (R, 3); p1/p2/p3 are (F, 3).  Returns
@@ -73,27 +50,9 @@ def _mt_batch(origins, directions, p1, p2, p3, t_max):
         m1 = np.einsum("rfk,rfk->rf", f1, h) * inv
         m2 = np.einsum("rfk,rfk->rf", f2, d) * inv
         t = np.einsum("rfk,fk->rf", f2, h2) * inv
-        if np.isscalar(t_max):
-            t_ok = (t > EPS_T) & (t <= t_max)
-        else:
-            t_ok = (t > EPS_T) & (t <= np.asarray(t_max)[:, None])
-        valid = (det != 0.0) & (m1 >= 0.0) & (m2 >= 0.0) & (m1 + m2 <= 1.0) & t_ok
+        valid = (det != 0.0) & (m1 >= 0.0) & (m2 >= 0.0) & (m1 + m2 <= 1.0) & (t > EPS_T)
     t = np.where(valid, t, np.inf)
     return t, m1, m2
-
-
-def intersect_triangle(ray: Ray, p1, p2, p3):
-    """Single ray vs single triangle; returns (t, m1, m2) or None."""
-    t, m1, m2 = _mt_batch(
-        ray.origin[None, :], ray.direction[None, :],
-        np.asarray(p1, dtype=np.float64)[None, :],
-        np.asarray(p2, dtype=np.float64)[None, :],
-        np.asarray(p3, dtype=np.float64)[None, :],
-        ray.t_max,
-    )
-    if not np.isfinite(t[0, 0]):
-        return None
-    return float(t[0, 0]), float(m1[0, 0]), float(m2[0, 0])
 
 
 @dataclass(frozen=True)
@@ -113,7 +72,7 @@ class Bvh:
         return self.left.shape[0]
 
 
-def build_bvh(mesh: Mesh, leaf_size: int = 4) -> Bvh:
+def build_bvh(mesh: Mesh) -> Bvh:
     """Median-split BVH on the longest centroid-bounds axis.
 
     Deterministic for a given mesh: stable sorts, fixed split at the
@@ -138,7 +97,7 @@ def build_bvh(mesh: Mesh, leaf_size: int = 4) -> Bvh:
         ids = order[lo:hi]
         box_min[node] = fmin[ids].min(axis=0)
         box_max[node] = fmax[ids].max(axis=0)
-        if hi - lo <= leaf_size:
+        if hi - lo <= _LEAF_SIZE:
             start[node] = lo
             count[node] = hi - lo
             continue
@@ -164,12 +123,11 @@ def build_bvh(mesh: Mesh, leaf_size: int = 4) -> Bvh:
     )
 
 
-def _traverse(bvh: Bvh, p1, p2, p3, origin, direction, t_max):
+def _traverse(bvh: Bvh, p1, p2, p3, origin, direction):
     """Nearest hit for one ray; returns (facet_id, t, m1, m2) or None."""
     safe_d = np.where(direction == 0.0, _INV_DIR_NUDGE, direction)
     inv_d = 1.0 / safe_d
     best = (np.inf, -1, 0.0, 0.0)   # (t, facet_id, m1, m2)
-    limit = min(t_max, np.inf)
     stack = [0]
     while stack:
         node = stack.pop()
@@ -177,14 +135,14 @@ def _traverse(bvh: Bvh, p1, p2, p3, origin, direction, t_max):
         t2 = (bvh.box_max[node] - origin) * inv_d
         tnear = np.minimum(t1, t2).max()
         tfar = np.maximum(t1, t2).min()
-        if tnear > tfar or tfar < EPS_T or tnear > min(best[0], limit):
+        if tnear > tfar or tfar < EPS_T or tnear > best[0]:
             continue
         c = bvh.count[node]
         if c > 0:
             s = bvh.start[node]
             ids = bvh.order[s:s + c]
             t, m1, m2 = _mt_batch(origin[None, :], direction[None, :],
-                                  p1[ids], p2[ids], p3[ids], t_max)
+                                  p1[ids], p2[ids], p3[ids])
             for j in range(c):
                 tj = t[0, j]
                 if np.isfinite(tj) and (tj, int(ids[j])) < (best[0], best[1]):
@@ -203,23 +161,7 @@ def _facet_arrays(mesh: Mesh):
             mesh.vertices[mesh.facets[:, 2]])
 
 
-def intersect_scene(bvh: Bvh, mesh: Mesh, ray: Ray):
-    """Nearest hit of a ray against the mesh, or None.
-
-    cos_theta is computed against the facet normal flipped to face the
-    incoming ray, so it is always in (0, 1].
-    """
-    p1, p2, p3 = _facet_arrays(mesh)
-    out = _traverse(bvh, p1, p2, p3, ray.origin, ray.direction, ray.t_max)
-    if out is None:
-        return None
-    fid, t, m1, m2 = out
-    point = ray.origin + t * ray.direction
-    cos_theta = abs(float(np.dot(mesh.facet_normals[fid], ray.direction)))
-    return HitRecord(facet_id=fid, t=t, m1=m1, m2=m2, point=point, cos_theta=cos_theta)
-
-
-def intersect_rays(mesh: Mesh, origins, directions, t_max=np.inf, bvh: Bvh | None = None):
+def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     """Nearest hits for a ray batch.
 
     Returns (facet_ids, t, m1, m2, cos_theta) arrays with facet_id = -1
@@ -237,13 +179,13 @@ def intersect_rays(mesh: Mesh, origins, directions, t_max=np.inf, bvh: Bvh | Non
 
     if bvh is not None and mesh.num_facets > 256:
         for i in range(n):
-            out = _traverse(bvh, p1, p2, p3, origins[i], directions[i], t_max)
+            out = _traverse(bvh, p1, p2, p3, origins[i], directions[i])
             if out is not None:
                 fid[i], t_hit[i], m1_hit[i], m2_hit[i] = out
     else:
         for lo in range(0, n, _SCAN_CHUNK):
             hi = min(lo + _SCAN_CHUNK, n)
-            t, m1, m2 = _mt_batch(origins[lo:hi], directions[lo:hi], p1, p2, p3, t_max)
+            t, m1, m2 = _mt_batch(origins[lo:hi], directions[lo:hi], p1, p2, p3)
             j = np.argmin(t, axis=1)          # first occurrence = lowest facet id
             rows = np.arange(hi - lo)
             tj = t[rows, j]

@@ -25,8 +25,7 @@ from sartrace.imaging import (RadarConfig, SarImage, read_raster, render,
                               write_pgm, write_raster)
 from sartrace.learn import (LossConfig, OptimState, grad_check, learn,
                             loss_sim, rmse_normalized, write_history_csv)
-from sartrace.scatter import (WaveConfig, bsdf_eval, check_validity,
-                              eval_bsdf_batch, sigma_ka, sigma_spm)
+from sartrace.scatter import WaveConfig, check_validity, eval_bsdf_batch
 from sartrace.scene import (BsdfParams, ParamMap, load_mesh, load_param_map,
                             save_param_map)
 from sartrace.scenes import multiview_radars
@@ -399,15 +398,19 @@ def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False,
 def cmd_sweep(h, l, eps_r, tau, frequency, polarization, psd,
               theta_start_deg, theta_stop_deg, num, out_path) -> int:
     wave = WaveConfig(frequency, polarization, psd)
+    ParamMap.constant(1, h, l, eps_r, tau).validate()
+    for name, deg in (("theta-start", theta_start_deg), ("theta-stop", theta_stop_deg)):
+        if not 0.0 <= deg < 90.0:
+            raise ValueError(f"{name} must lie in [0, 90) degrees, got {deg!r}")
     params = BsdfParams(h=h, l=l, eps_r=eps_r, tau=tau)
     thetas = np.linspace(math.radians(theta_start_deg), math.radians(theta_stop_deg), num)
+    # the diffuse and specular columns are the blend at tau = 0 and tau = 1
+    columns = [eval_bsdf_batch(thetas, np.tile([h, l, eps_r, t], (thetas.size, 1)), wave)[0]
+               for t in (0.0, 1.0, tau)]
     lines = ["theta_deg,sigma_spm,sigma_ka,sigma,spm_ok,ka_ok"]
-    for th in thetas:
-        s_spm = sigma_spm(float(th), params, wave)
-        s_ka = sigma_ka(float(th), params)
-        blend = bsdf_eval(float(th), params, wave).sigma
+    for th, s_spm, s_ka, blend in zip(thetas, *columns):
         report = check_validity(params, float(th), wave)
-        lines.append(f"{math.degrees(th)!r},{s_spm!r},{s_ka!r},{blend!r},"
+        lines.append(f"{math.degrees(th)!r},{float(s_spm)!r},{float(s_ka)!r},{float(blend)!r},"
                      f"{int(report.spm_ok)},{int(report.ka_ok)}")
     text = "\n".join(lines) + "\n"
     if out_path == "-":

@@ -97,32 +97,14 @@ class MapFrame:
     translation: np.ndarray  # (3,)
 
     @staticmethod
-    def from_angles(gamma: float, beta: float, origin=(0.0, 0.0, 0.0)) -> "MapFrame":
-        """Frame from relative pitch gamma and azimuth beta.
-
-        gamma is the depression angle of the fan-top ray, beta the
-        in-plane azimuth; (0, 0) is the canonical side-looking pose
-        with flight along -X and the top ray along -Y.
-        """
-        cg, sg = math.cos(gamma), math.sin(gamma)
-        cb, sb = math.cos(beta), math.sin(beta)
-        rot = np.array([
-            [-cb, -cg * sb, -sg * sb],
-            [0.0, sg, -cg],
-            [sb, -cg * cb, -sg * cb],
-        ])
-        origin = np.asarray(origin, dtype=np.float64)
-        return MapFrame(rotation=rot, translation=-rot @ origin)
-
-    @staticmethod
     def from_radar(radar: RadarConfig) -> "MapFrame":
         """Frame anchored at the first platform position.
 
         R follows the fan-top ray (the alpha1 edge); U is the track
-        direction orthogonalized against R and negated, matching the
-        sign convention of from_angles (whose canonical pose has U
-        antiparallel to the flight); V = R x U.  Range binning only
-        reads the R coordinate, so the U/V orientation is cosmetic.
+        direction orthogonalized against R and negated, so U points
+        against the flight; V = R x U completes a right-handed frame.
+        Range binning only reads the R coordinate, so the U/V
+        orientation is cosmetic.
         """
         r_axis = radar.ray_directions(radar.alpha1)[0]
         track = radar.track_dir
@@ -138,10 +120,6 @@ class MapFrame:
     def apply(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         return points @ self.rotation.T + self.translation
-
-
-def world_to_map(point, frame: MapFrame) -> np.ndarray:
-    return frame.apply(np.asarray(point, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -366,9 +344,3 @@ def read_raster(path):
             raise ValueError(f"{path}: truncated raster payload")
         data = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)
     return data, meta
-
-
-def write_image_csv(image: SarImage, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in image.intensities:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -76,74 +76,6 @@ class WaveConfig:
         return 2.0 * math.pi * self.frequency / SPEED_OF_LIGHT
 
 
-@dataclass(frozen=True)
-class SigmaGrad:
-    """Backscatter coefficient and its four parameter partials."""
-
-    sigma: float
-    d_h: float
-    d_l: float
-    d_eps: float
-    d_tau: float
-
-
-def fresnel_r0(eps_r: float) -> float:
-    """Normal-incidence Fresnel reflection coefficient, in (-1, 0]."""
-    if eps_r < 1.0:
-        raise ValueError("eps_r must be >= 1")
-    rt = math.sqrt(eps_r)
-    return (1.0 - rt) / (1.0 + rt)
-
-
-def fresnel_sq(theta: float, eps_r: float, pol: str = "HH") -> float:
-    """Squared Fresnel factor f_pq(theta) for HH or VV."""
-    if not 0.0 <= theta < math.pi / 2:
-        raise ValueError("theta must lie in [0, pi/2)")
-    if eps_r < 1.0:
-        raise ValueError("eps_r must be >= 1")
-    c = math.cos(theta)
-    s2 = math.sin(theta) ** 2
-    root = math.sqrt(eps_r - s2)
-    pol = pol.upper()
-    if pol == "HH":
-        return ((c - root) / (c + root)) ** 2
-    if pol == "VV":
-        return ((eps_r - 1.0) * (s2 - eps_r * c * c) / (eps_r * c + root) ** 2) ** 2
-    raise ValueError(f"unknown polarization {pol!r}")
-
-
-def psd(k_dx: float, k_dy: float, h: float, l: float, kind: str = "gaussian") -> float:
-    """Isotropic roughness power spectral density W(k_dx, k_dy), m^4."""
-    if h <= 0 or l <= 0:
-        raise ValueError("h and l must be positive")
-    kind = kind.lower()
-    if kind == "gaussian":
-        return (h * h * l * l / (4.0 * math.pi)) * math.exp(-(k_dx ** 2 + k_dy ** 2) * l * l / 4.0)
-    if kind == "exponential":
-        return h * h * l * l / (math.pi ** 2 * (1.0 + k_dx ** 2 * l * l) * (1.0 + k_dy ** 2 * l * l))
-    raise ValueError(f"unknown PSD kind {kind!r}")
-
-
-def sigma_spm(theta: float, params: BsdfParams, wave: WaveConfig) -> float:
-    """First-order SPM backscatter coefficient (diffuse branch)."""
-    k = wave.wavenumber
-    w = psd(2.0 * k * math.sin(theta), 0.0, params.h, params.l, wave.psd_kind)
-    f = fresnel_sq(theta, params.eps_r, wave.polarization)
-    return 8.0 * k ** 4 * math.cos(theta) ** 4 * w * f
-
-
-def sigma_ka(theta: float, params: BsdfParams) -> float:
-    """Kirchhoff backscatter coefficient (specular branch), HH == VV."""
-    if params.h <= 0 or params.l <= 0:
-        raise ValueError("h and l must be positive (slope undefined otherwise)")
-    if not 0.0 <= theta < math.pi / 2:
-        raise ValueError("theta must lie in [0, pi/2)")
-    msq2 = 4.0 * params.h ** 2 / params.l ** 2      # 2 * mean-square slope
-    r0 = fresnel_r0(params.eps_r)
-    c = math.cos(theta)
-    return r0 * r0 / (c ** 4 * msq2) * math.exp(-math.tan(theta) ** 2 / msq2)
-
-
 def eval_bsdf_batch(theta, values, wave: WaveConfig):
     """Blended sigma and analytic gradients for a batch of hits.
 
@@ -216,19 +148,6 @@ def eval_bsdf_batch(theta, values, wave: WaveConfig):
         sig_k - sig_s,
     ], axis=1)
     return sigma, grads
-
-
-def bsdf_eval(theta: float, params: BsdfParams, wave: WaveConfig) -> SigmaGrad:
-    """Blended backscatter and analytic partials at a single hit."""
-    if not 0.0 <= theta < math.pi / 2:
-        raise ValueError("theta must lie in [0, pi/2)")
-    if params.h <= 0 or params.l <= 0 or params.eps_r < 1:
-        raise ValueError("parameters outside their physical bounds")
-    sigma, grads = eval_bsdf_batch(
-        np.array([theta]), params.as_array()[None, :], wave)
-    return SigmaGrad(sigma=float(sigma[0]), d_h=float(grads[0, 0]),
-                     d_l=float(grads[0, 1]), d_eps=float(grads[0, 2]),
-                     d_tau=float(grads[0, 3]))
 
 
 @dataclass(frozen=True)

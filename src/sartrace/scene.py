@@ -45,10 +45,6 @@ class Mesh:
     def num_facets(self) -> int:
         return self.facets.shape[0]
 
-    def facet_points(self, facet_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        i, j, k = self.facets[facet_id]
-        return self.vertices[i], self.vertices[j], self.vertices[k]
-
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
@@ -137,20 +133,12 @@ def write_obj(mesh: Mesh, path) -> None:
 
 @dataclass(frozen=True)
 class BsdfParams:
-    """Scattering parameters interpolated at a single hit point."""
+    """One scattering parameter set, as check_validity reads it."""
 
     h: float
     l: float
     eps_r: float
     tau: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.h, self.l, self.eps_r, self.tau])
-
-    @staticmethod
-    def from_array(values) -> "BsdfParams":
-        h, l, eps_r, tau = (float(x) for x in values)
-        return BsdfParams(h=h, l=l, eps_r=eps_r, tau=tau)
 
 
 @dataclass
@@ -233,37 +221,6 @@ def load_param_map(path) -> ParamMap:
                 raise ValueError(f"{path}:{lineno}: vertex ids must be consecutive from 0")
             rows.append([float(x) for x in parts[1:]])
     return ParamMap(np.asarray(rows, dtype=np.float64))
-
-
-def _check_simplex(m1: float, m2: float) -> None:
-    if m1 < 0.0 or m2 < 0.0 or m1 + m2 > 1.0:
-        raise ValueError(f"barycentric weights outside the simplex: m1={m1}, m2={m2}")
-
-
-def interpolate_params(mesh: Mesh, params: ParamMap, facet_id: int,
-                       m1: float, m2: float) -> BsdfParams:
-    """Barycentric parameter interpolation at a hit point.
-
-    Weight m1 goes to the facet's first vertex, m2 to the second and
-    1 - m1 - m2 to the third, matching the intersection convention.
-    """
-    _check_simplex(m1, m2)
-    i, j, k = mesh.facets[facet_id]
-    v = params.values
-    out = m1 * v[i] + m2 * v[j] + (1.0 - m1 - m2) * v[k]
-    return BsdfParams.from_array(out)
-
-
-def interpolation_adjoint(mesh: Mesh, facet_id: int, m1: float, m2: float,
-                          d_params: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Adjoint of interpolate_params: distribute a hit-point gradient
-    onto the three facet vertices.  The returned per-vertex weights sum
-    to the incoming gradient exactly (linearity of the interpolation).
-    """
-    _check_simplex(m1, m2)
-    d = np.asarray(d_params, dtype=np.float64)
-    i, j, k = mesh.facets[facet_id]
-    return [(int(i), m1 * d), (int(j), m2 * d), (int(k), (1.0 - m1 - m2) * d)]
 
 
 def interpolate_at_hits(mesh: Mesh, values: np.ndarray, facet_ids: np.ndarray,

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sartrace.accel import (Ray, build_bvh, intersect_rays, intersect_scene,
-                            intersect_triangle)
+from sartrace.accel import build_bvh, intersect_rays
 from sartrace.scene import Mesh
 from sartrace.scenes import box_mesh
 
@@ -18,34 +17,45 @@ def random_triangles(rng, n, scale=1.0):
     return Mesh.from_arrays(vertices, facets)
 
 
+def one_facet_mesh(p1, p2, p3):
+    return Mesh.from_arrays([p1, p2, p3], [[0, 1, 2]])
+
+
+def cast(mesh, origin, direction, bvh=None):
+    """intersect_rays for a single ray -> (facet_id, t, m1, m2, cos_theta)."""
+    out = intersect_rays(mesh, np.array([origin], dtype=float),
+                         np.array([direction], dtype=float), bvh=bvh)
+    return tuple(a[0] for a in out)
+
+
 class TestIntersectTriangle:
+    """intersect_rays on a one-facet mesh."""
+
+    TRI = ([1, 0, 0], [0, 1, 0], [0, 0, 0])
+
     def test_axis_aligned_hand_solution(self):
-        ray = Ray(np.array([0.25, 0.25, 1.0]), np.array([0.0, 0.0, -1.0]))
-        out = intersect_triangle(ray, [1, 0, 0], [0, 1, 0], [0, 0, 0])
-        assert out is not None
-        t, m1, m2 = out
+        fid, t, m1, m2, cos_t = cast(one_facet_mesh(*self.TRI), [0.25, 0.25, 1.0], [0, 0, -1])
+        assert fid == 0
         assert (t, m1, m2) == pytest.approx((1.0, 0.25, 0.25), rel=1e-12)
+        assert cos_t == pytest.approx(1.0, rel=1e-12)
 
     def test_translation_along_ray(self):
-        ray = Ray(np.array([0.25, 0.25, 1.0]), np.array([0.0, 0.0, -1.0]))
-        out = intersect_triangle(ray, [1, 0, -5], [0, 1, -5], [0, 0, -5])
-        assert out[0] == pytest.approx(6.0, rel=1e-12)
+        mesh = one_facet_mesh([1, 0, -5], [0, 1, -5], [0, 0, -5])
+        fid, t, _, _, _ = cast(mesh, [0.25, 0.25, 1.0], [0, 0, -1])
+        assert fid == 0
+        assert t == pytest.approx(6.0, rel=1e-12)
 
     def test_parallel_ray_misses(self):
-        ray = Ray(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-        assert intersect_triangle(ray, [1, 0, 0], [0, 1, 0], [0, 0, 0]) is None
+        fid, t, _, _, cos_t = cast(one_facet_mesh(*self.TRI), [0.0, 0.0, 1.0], [1, 0, 0])
+        assert (fid, t, cos_t) == (-1, np.inf, 0.0)
 
     def test_behind_origin_misses(self):
-        ray = Ray(np.array([0.25, 0.25, -1.0]), np.array([0.0, 0.0, -1.0]))
-        assert intersect_triangle(ray, [1, 0, 0], [0, 1, 0], [0, 0, 0]) is None
-
-    def test_t_max_cutoff(self):
-        ray = Ray(np.array([0.25, 0.25, 1.0]), np.array([0.0, 0.0, -1.0]), t_max=0.5)
-        assert intersect_triangle(ray, [1, 0, 0], [0, 1, 0], [0, 0, 0]) is None
+        fid, t, _, _, _ = cast(one_facet_mesh(*self.TRI), [0.25, 0.25, -1.0], [0, 0, -1])
+        assert (fid, t) == (-1, np.inf)
 
     def test_outside_simplex_misses(self):
-        ray = Ray(np.array([0.9, 0.9, 1.0]), np.array([0.0, 0.0, -1.0]))
-        assert intersect_triangle(ray, [1, 0, 0], [0, 1, 0], [0, 0, 0]) is None
+        fid, t, _, _, _ = cast(one_facet_mesh(*self.TRI), [0.9, 0.9, 1.0], [0, 0, -1])
+        assert (fid, t) == (-1, np.inf)
 
 
 class TestBvhBuild:
@@ -66,7 +76,7 @@ class TestBvhBuild:
 
     def test_every_facet_in_exactly_one_leaf(self):
         mesh = random_triangles(np.random.default_rng(1), 300)
-        bvh = build_bvh(mesh, leaf_size=4)
+        bvh = build_bvh(mesh)
         assert np.all(bvh.count[bvh.count > 0] <= 4)
         seen = []
         for node in range(bvh.num_nodes):
@@ -88,46 +98,52 @@ class TestBvhBuild:
             build_bvh(mesh)
 
 
+def stacked_layers(rng, n_copies):
+    """n_copies unit triangles stacked along z at random xy offsets, so
+    a downward ray crosses several facets and the nearest one must win."""
+    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    shift = np.column_stack([rng.uniform(-0.2, 0.2, (n_copies, 2)),
+                             -np.arange(n_copies) * 0.01])
+    vertices = (tri[None, :, :] + shift[:, None, :]).reshape(-1, 3)
+    facets = np.arange(3 * n_copies).reshape(n_copies, 3)
+    return Mesh.from_arrays(vertices, facets)
+
+
 class TestIntersectScene:
+    """intersect_rays through a BVH; every mesh is above the 256-facet
+    threshold at which intersect_rays switches from the scan to the BVH."""
+
     def test_nearest_of_stacked_triangles(self):
-        vertices = [[0, 0, 0], [1, 0, 0], [0, 1, 0],
-                    [0, 0, -1], [1, 0, -1], [0, 1, -1]]
-        mesh = Mesh.from_arrays(vertices, [[0, 1, 2], [3, 4, 5]])
+        mesh = stacked_layers(np.random.default_rng(0), 300)
         bvh = build_bvh(mesh)
-        ray = Ray(np.array([0.2, 0.2, 2.0]), np.array([0.0, 0.0, -1.0]))
-        hit = intersect_scene(bvh, mesh, ray)
-        assert hit.facet_id == 0
-        assert hit.t == pytest.approx(2.0, rel=1e-12)
-        assert hit.cos_theta == pytest.approx(1.0)
+        fid, t, _, _, cos_t = cast(mesh, [0.3, 0.3, 2.0], [0, 0, -1], bvh=bvh)
+        assert fid == 0
+        assert t == pytest.approx(2.0, rel=1e-12)
+        assert cos_t == pytest.approx(1.0)
 
     def test_miss_returns_none(self):
-        mesh = Mesh.from_arrays([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+        mesh = stacked_layers(np.random.default_rng(1), 300)
         bvh = build_bvh(mesh)
-        ray = Ray(np.array([5.0, 5.0, 1.0]), np.array([0.0, 0.0, -1.0]))
-        assert intersect_scene(bvh, mesh, ray) is None
+        fid, t, m1, m2, cos_t = cast(mesh, [5.0, 5.0, 1.0], [0, 0, -1], bvh=bvh)
+        assert (fid, t, m1, m2, cos_t) == (-1, np.inf, 0.0, 0.0, 0.0)
 
     def test_point_on_ray(self):
-        mesh = random_triangles(np.random.default_rng(3), 50)
+        mesh = random_triangles(np.random.default_rng(3), 300)
         bvh = build_bvh(mesh)
         rng = np.random.default_rng(4)
         centroids = mesh.vertices[mesh.facets].mean(axis=1)
-        checked = 0
-        for _ in range(200):
-            o = rng.uniform(2.5, 4, 3) * rng.choice([-1.0, 1.0], 3)
-            target = centroids[rng.integers(len(centroids))]
-            d = target - o
-            d /= np.linalg.norm(d)
-            hit = intersect_scene(bvh, mesh, Ray(o, d))
-            if hit is None:
-                continue
-            np.testing.assert_allclose(hit.point, o + hit.t * d, atol=1e-7)
-            recon = ((1.0 - hit.m1 - hit.m2) * mesh.vertices[mesh.facets[hit.facet_id][2]]
-                     + hit.m1 * mesh.vertices[mesh.facets[hit.facet_id][0]]
-                     + hit.m2 * mesh.vertices[mesh.facets[hit.facet_id][1]])
-            np.testing.assert_allclose(recon, hit.point, atol=1e-7)
-            assert 0.0 < hit.cos_theta <= 1.0
-            checked += 1
-        assert checked > 20
+        o = rng.uniform(2.5, 4, (200, 3)) * rng.choice([-1.0, 1.0], (200, 3))
+        d = centroids[rng.integers(len(centroids), size=200)] - o
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        fid, t, m1, m2, cos_t = intersect_rays(mesh, o, d, bvh=bvh)
+        hit = fid >= 0
+        assert hit.sum() > 20
+        point = o[hit] + t[hit, None] * d[hit]
+        corners = mesh.vertices[mesh.facets[fid[hit]]]          # (k, 3, 3)
+        recon = (m1[hit, None] * corners[:, 0] + m2[hit, None] * corners[:, 1]
+                 + (1.0 - m1[hit] - m2[hit])[:, None] * corners[:, 2])
+        np.testing.assert_allclose(recon, point, atol=1e-7)
+        assert np.all((cos_t[hit] > 0.0) & (cos_t[hit] <= 1.0))
 
 
 class TestBvhAgainstLinearScan:
@@ -138,14 +154,14 @@ class TestBvhAgainstLinearScan:
         origins = rng.uniform(-2, 2, size=(300, 3))
         dirs = rng.normal(size=(300, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        for o, d in zip(origins, dirs):
+        fid, t, _, _, _ = intersect_rays(mesh, origins, dirs, bvh=bvh)
+        for i, (o, d) in enumerate(zip(origins, dirs)):
             expected = oracle_nearest_hit(mesh, o, d)
-            hit = intersect_scene(bvh, mesh, Ray(o, d))
             if expected is None:
-                assert hit is None
+                assert fid[i] == -1
             else:
-                assert hit.facet_id == expected[0]
-                assert hit.t == pytest.approx(expected[1], rel=1e-9)
+                assert fid[i] == expected[0]
+                assert t[i] == pytest.approx(expected[1], rel=1e-9)
 
     def test_batch_paths_agree(self):
         mesh = random_triangles(np.random.default_rng(7), 500)

@@ -24,6 +24,8 @@ from sartrace.scene import Mesh, ParamMap
 from sartrace.scenes import (cube_plane_scene, merge_meshes, multiview_radars,
                              plane_mesh, side_looking_radar)
 
+from conftest import rotated_radar
+
 
 def _report(num, name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
@@ -134,8 +136,6 @@ def test_04_bvh_oracle_equivalence():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     fid_scan, t_scan, _, _, _ = intersect_rays(mesh, origins, dirs)
-    fid_bvh = np.full(n_ray, -1, dtype=np.int64)
-    t_bvh = np.full(n_ray, np.inf)
     fid_bvh, t_bvh, _, _, _ = intersect_rays(mesh, origins, dirs, bvh=bvh)
 
     ids_equal = np.array_equal(fid_scan, fid_bvh)
@@ -203,8 +203,9 @@ def test_07_model_properties():
 
     worst_ortho = 0.0
     for _ in range(1000):
-        rot = MapFrame.from_angles(rng.uniform(-math.pi, math.pi),
-                                   rng.uniform(-math.pi, math.pi)).rotation
+        radar = rotated_radar(wave, rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5),
+                              rng.uniform(0.05, 1.5))
+        rot = MapFrame.from_radar(radar).rotation
         worst_ortho = max(worst_ortho, float(np.abs(rot @ rot.T - np.eye(3)).max()))
 
     proto = cube_recovery_protocol()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -266,15 +267,18 @@ class TestGradcheckCommand:
 
 
 class TestSweepCommand:
-    def run_sweep(self, tmp_path, **kw):
+    def sweep_argv(self, out, **kw):
         args = {"h": "0.002", "l": "0.01", "eps-r": "25.0", "tau": "0.5",
                 "theta-start": "10", "theta-stop": "70", "num": "13"}
         args.update({k.replace("_", "-"): v for k, v in kw.items()})
-        out = tmp_path / "sweep.csv"
         argv = ["sweep", "--out", str(out)]
         for key, val in args.items():
             argv += [f"--{key}", val]
-        assert main(argv) == 0
+        return argv
+
+    def run_sweep(self, tmp_path, **kw):
+        out = tmp_path / "sweep.csv"
+        assert main(self.sweep_argv(out, **kw)) == 0
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
         rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
@@ -301,3 +305,15 @@ class TestSweepCommand:
         _, rows = self.run_sweep(tmp_path)
         assert set(np.unique(rows[:, 4])) <= {0.0, 1.0}
         assert set(np.unique(rows[:, 5])) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("flag,value,cause", [
+        ("tau", "1.5", r"tau must lie in \[0, 1\]"),
+        ("eps_r", "0.5", r"eps_r must be >= 1"),
+        ("h", "0", r"h and l must be positive"),
+        ("theta_stop", "90", r"theta-stop must lie in \[0, 90\) degrees"),
+    ], ids=["tau", "eps_r", "h", "theta_stop"])
+    def test_rejects_out_of_domain(self, tmp_path, capsys, flag, value, cause):
+        out = tmp_path / "sweep.csv"
+        assert main(self.sweep_argv(out, **{flag: value})) == 2
+        assert re.search(cause, capsys.readouterr().err)
+        assert not out.exists()

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from sartrace.imaging import (MapFrame, RadarConfig, bin_ranges_fast,
                               generate_rays, range_bin_of, read_raster, render,
-                              world_to_map, write_image_csv, write_pgm,
-                              write_raster)
+                              write_pgm, write_raster)
 from sartrace.scatter import WaveConfig
 from sartrace.scene import Mesh, ParamMap
 from sartrace.scenes import plane_mesh, merge_meshes, side_looking_radar
+
+from conftest import map_frame_from_angles, rotated_radar
 
 
 def bin_ranges_naive(ranges, intensities, range_res, range_origin, num_bins):
@@ -87,29 +88,36 @@ class TestRadarConfig:
         np.testing.assert_allclose(steps, np.tile(steps[0], (len(steps), 1)), atol=1e-12)
 
 
-class TestMapFrame:
-    def test_zero_angles_hand_value(self):
-        # rows at (0, 0): (-1,0,0), (0,0,-1), (0,-1,0)
-        frame = MapFrame.from_angles(0.0, 0.0)
-        out = world_to_map(np.array([1.0, 2.0, 3.0]), frame)
-        np.testing.assert_allclose(out, [-1.0, -3.0, -2.0], atol=1e-15)
+radar_poses = st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.5, 1.5),
+                        st.floats(0.05, 1.5))
 
-    def test_origin_maps_to_zero(self):
-        frame = MapFrame.from_angles(0.3, 1.1, origin=(5.0, -2.0, 7.0))
-        np.testing.assert_allclose(world_to_map([5.0, -2.0, 7.0], frame),
+
+class TestMapFrame:
+    def test_zero_angles_hand_value(self, wave_hh):
+        # flight along +X, fan-top ray at 45 deg toward -Y: the rows are
+        # U = (-1, 0, 0), V = R x U = (0, s, -s), R = (0, -s, -s), s = 1/sqrt(2)
+        frame = MapFrame.from_radar(rotated_radar(wave_hh, 0.0, 0.0, math.pi / 4))
+        s = math.sqrt(0.5)
+        np.testing.assert_allclose(frame.apply(np.array([1.0, 2.0, 3.0])),
+                                   [-1.0, -s, -5 * s], atol=1e-15)
+
+    def test_origin_maps_to_zero(self, wave_hh):
+        radar = rotated_radar(wave_hh, 1.1, 0.3, 0.7, start=(5.0, -2.0, 7.0))
+        np.testing.assert_allclose(MapFrame.from_radar(radar).apply(radar.start_pos),
                                    np.zeros(3), atol=1e-12)
 
     @settings(max_examples=200)
-    @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
-    def test_orthonormal_for_any_angles(self, gamma, beta):
-        rot = MapFrame.from_angles(gamma, beta).rotation
+    @given(radar_poses)
+    def test_orthonormal_for_any_angles(self, pose):
+        wave = WaveConfig(9.6e9)
+        rot = MapFrame.from_radar(rotated_radar(wave, *pose)).rotation
         np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-12)
 
-    @given(st.floats(-1.5, 1.5), st.floats(-3.1, 3.1),
-           st.lists(st.floats(-10, 10), min_size=3, max_size=3))
-    def test_norm_preserved(self, gamma, beta, point):
-        frame = MapFrame.from_angles(gamma, beta)
-        out = world_to_map(np.asarray(point), frame)
+    @given(radar_poses, st.lists(st.floats(-10, 10), min_size=3, max_size=3))
+    def test_norm_preserved(self, pose, point):
+        wave = WaveConfig(9.6e9)
+        frame = MapFrame.from_radar(rotated_radar(wave, *pose))
+        out = frame.apply(np.asarray(point))
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(point), abs=1e-9)
 
     def test_from_radar_matches_canonical_angles(self, wave_hh):
@@ -120,9 +128,9 @@ class TestMapFrame:
             alpha0=0.4, alpha1=0.8, num_angles=4, range_res=0.1, azimuth_res=1.0)
         frame = MapFrame.from_radar(radar)
         gamma = math.pi / 2 - radar.alpha1     # depression of the fan-top ray
-        expected = MapFrame.from_angles(gamma, 0.0, origin=radar.start_pos)
-        np.testing.assert_allclose(frame.rotation, expected.rotation, atol=1e-12)
-        np.testing.assert_allclose(frame.translation, expected.translation, atol=1e-12)
+        rotation, translation = map_frame_from_angles(gamma, 0.0, origin=radar.start_pos)
+        np.testing.assert_allclose(frame.rotation, rotation, atol=1e-12)
+        np.testing.assert_allclose(frame.translation, translation, atol=1e-12)
 
     def test_from_radar_orthonormal(self, small_radar):
         rot = MapFrame.from_radar(small_radar).rotation
@@ -352,12 +360,3 @@ class TestImageFiles:
         assert len(blob) == len(header) + rows * cols * 2
         pixels = np.frombuffer(blob[len(header):], dtype=">u2").reshape(rows, cols)
         assert pixels.max() == 65535
-
-    def test_csv_export(self, plate_scene, plate_radar, tmp_path):
-        mesh, params = plate_scene
-        image, _ = render(mesh, params, plate_radar)
-        path = tmp_path / "view.csv"
-        write_image_csv(image, path)
-        back = np.array([[float(x) for x in line.split(",")]
-                         for line in path.read_text().splitlines()])
-        np.testing.assert_allclose(back, image.intensities, rtol=1e-15)

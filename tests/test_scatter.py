@@ -5,11 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sartrace.scene import BsdfParams
-from sartrace.scatter import (SPEED_OF_LIGHT, WaveConfig, bsdf_eval,
-                              check_validity, eval_bsdf_batch, fresnel_r0,
-                              fresnel_sq, psd, sigma_ka, sigma_spm)
+from sartrace.scatter import SPEED_OF_LIGHT, WaveConfig, check_validity, eval_bsdf_batch
 
 WAVE = WaveConfig(9.6e9, "HH", "gaussian")
+K = WAVE.wavenumber
+
+
+def bsdf(theta, h, l, eps_r, tau, wave=WAVE):
+    """eval_bsdf_batch at one hit -> (sigma, grads (4,))."""
+    sigma, grads = eval_bsdf_batch(np.array([theta]), np.array([[h, l, eps_r, tau]]), wave)
+    return float(sigma[0]), grads[0]
+
+
+def spm(theta, h, l, eps_r, wave=WAVE):
+    """Diffuse branch: the blend at tau = 0."""
+    return bsdf(theta, h, l, eps_r, 0.0, wave)[0]
+
+
+def ka(theta, h, l, eps_r):
+    """Specular branch: the blend at tau = 1."""
+    return bsdf(theta, h, l, eps_r, 1.0)[0]
 
 
 def transcribe_sigma_spm(theta, h, l, eps_r, frequency, pol="HH", kind="gaussian"):
@@ -57,74 +72,85 @@ class TestWaveConfig:
 
 
 class TestFresnel:
+    """Fresnel factors read back through the branches at normal incidence:
+    sigma_ka(0) = r0^2 l^2 / (4 h^2) and sigma_spm(0) = 8 k^4 W(0) f(0)."""
+
+    H, L = 0.02, 0.1
+
+    def r0_squared(self, eps_r):
+        return ka(0.0, self.H, self.L, eps_r) * 4 * self.H ** 2 / self.L ** 2
+
+    def fresnel_sq_normal(self, eps_r, pol):
+        w0 = self.H ** 2 * self.L ** 2 / (4 * math.pi)
+        return spm(0.0, self.H, self.L, eps_r, WaveConfig(9.6e9, pol)) / (8 * K ** 4 * w0)
+
     def test_matched_medium_is_zero(self):
-        assert fresnel_r0(1.0) == 0.0
+        assert ka(0.0, self.H, self.L, 1.0) == 0.0
 
     def test_hand_value_eps4(self):
-        assert fresnel_r0(4.0) == pytest.approx(-1.0 / 3.0, rel=1e-14)
+        # r0(4) = -1/3; the sign shows in d sigma_ka / d eps_r = 2 r0 r0'(eps_r) G,
+        # with r0'(4) = -1 / (2 (1 + 2)^2) = -1/18 and G = l^2 / (4 h^2)
+        assert self.r0_squared(4.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
+        _, grads = bsdf(0.0, self.H, self.L, 4.0, 1.0)
+        g_geom = self.L ** 2 / (4 * self.H ** 2)
+        assert grads[2] == pytest.approx(2 * (-1 / 3) * (-1 / 18) * g_geom, rel=1e-14)
 
     def test_hand_value_eps75(self):
         expected = (1 - math.sqrt(75)) / (1 + math.sqrt(75))
-        assert fresnel_r0(75.0) == pytest.approx(expected, rel=1e-14)
-        assert fresnel_r0(75.0) == pytest.approx(-0.79297, abs=5e-5)
-
-    def test_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            fresnel_r0(0.5)
+        assert self.r0_squared(75.0) == pytest.approx(expected ** 2, rel=1e-14)
+        assert math.sqrt(self.r0_squared(75.0)) == pytest.approx(0.79297, abs=5e-5)
 
     def test_fresnel_sq_hh_normal_incidence(self):
-        assert fresnel_sq(0.0, 4.0, "HH") == pytest.approx(1.0 / 9.0, rel=1e-13)
+        assert self.fresnel_sq_normal(4.0, "HH") == pytest.approx(1.0 / 9.0, rel=1e-13)
 
     def test_fresnel_sq_no_contrast(self):
-        assert fresnel_sq(0.7, 1.0, "HH") == pytest.approx(0.0, abs=1e-14)
-        assert fresnel_sq(0.0, 1.0, "VV") == 0.0
+        assert spm(0.7, self.H, self.L, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert self.fresnel_sq_normal(1.0, "VV") == 0.0
 
     @given(st.floats(1.0, 500.0))
     def test_normal_incidence_relation(self, eps_r):
-        assert fresnel_sq(0.0, eps_r, "HH") == pytest.approx(
-            fresnel_r0(eps_r) ** 2, rel=1e-12, abs=1e-15)
-
-    def test_theta_range_checked(self):
-        with pytest.raises(ValueError):
-            fresnel_sq(math.pi / 2, 4.0, "HH")
+        assert self.fresnel_sq_normal(eps_r, "HH") == pytest.approx(
+            self.r0_squared(eps_r), rel=1e-12, abs=1e-15)
 
 
 class TestPsd:
+    """W read back through the diffuse branch, sigma_spm / (8 k^4 cos^4 f)."""
+
+    H, L = 0.003, 0.04
+
+    def w_from_spm(self, theta, kind):
+        f = ((math.cos(theta) - math.sqrt(4 - math.sin(theta) ** 2))
+             / (math.cos(theta) + math.sqrt(4 - math.sin(theta) ** 2))) ** 2
+        sigma = spm(theta, self.H, self.L, 4.0, WaveConfig(9.6e9, "HH", kind))
+        return sigma / (8 * K ** 4 * math.cos(theta) ** 4 * f)
+
     def test_gaussian_at_origin(self):
-        h, l = 0.003, 0.04
-        assert psd(0, 0, h, l, "gaussian") == pytest.approx(
-            h * h * l * l / (4 * math.pi), rel=1e-14)
+        assert self.w_from_spm(0.0, "gaussian") == pytest.approx(
+            self.H ** 2 * self.L ** 2 / (4 * math.pi), rel=1e-13)
 
     def test_exponential_at_origin(self):
-        h, l = 0.003, 0.04
-        assert psd(0, 0, h, l, "exponential") == pytest.approx(
-            h * h * l * l / math.pi ** 2, rel=1e-14)
+        assert self.w_from_spm(0.0, "exponential") == pytest.approx(
+            self.H ** 2 * self.L ** 2 / math.pi ** 2, rel=1e-13)
 
     def test_gaussian_decay_one_over_e(self):
-        h, l = 0.003, 0.04
-        ratio = psd(2 / l, 0, h, l, "gaussian") / psd(0, 0, h, l, "gaussian")
+        # backscatter frequency 2 k sin(theta) = 2 / l
+        theta = math.asin(1 / (K * self.L))
+        ratio = self.w_from_spm(theta, "gaussian") / self.w_from_spm(0.0, "gaussian")
         assert ratio == pytest.approx(math.exp(-1), rel=1e-12)
-
-    def test_positive_arguments_required(self):
-        with pytest.raises(ValueError):
-            psd(0, 0, 0.0, 0.01)
 
 
 class TestSigmaSpm:
     def test_scales_with_h_squared(self):
-        p1 = BsdfParams(0.001, 0.01, 25.0, 0.0)
-        p2 = BsdfParams(0.002, 0.01, 25.0, 0.0)
-        r = sigma_spm(0.5, p2, WAVE) / sigma_spm(0.5, p1, WAVE)
+        r = spm(0.5, 0.002, 0.01, 25.0) / spm(0.5, 0.001, 0.01, 25.0)
         assert r == pytest.approx(4.0, rel=1e-12)
 
     def test_no_dielectric_contrast_gives_zero(self):
-        assert sigma_spm(0.5, BsdfParams(0.002, 0.01, 1.0, 0.0), WAVE) == pytest.approx(0.0, abs=1e-18)
+        assert spm(0.5, 0.002, 0.01, 1.0) == pytest.approx(0.0, abs=1e-18)
 
     def test_golden_transcription_value(self):
-        # frozen from the straight-line transcription below
+        # frozen from the straight-line transcription above
         theta = math.radians(30)
-        p = BsdfParams(0.002, 0.01, 25.0, 0.0)
-        got = sigma_spm(theta, p, WAVE)
+        got = spm(theta, 0.002, 0.01, 25.0)
         assert got == pytest.approx(0.0422223563710428, rel=1e-12)
         assert got == pytest.approx(
             transcribe_sigma_spm(theta, 0.002, 0.01, 25.0, 9.6e9), rel=1e-12)
@@ -132,7 +158,7 @@ class TestSigmaSpm:
     def test_golden_transcription_vv_exponential(self):
         wave = WaveConfig(9.6e9, "VV", "exponential")
         theta = math.radians(40)
-        got = sigma_spm(theta, BsdfParams(0.003, 0.02, 12.0, 0.0), wave)
+        got = spm(theta, 0.003, 0.02, 12.0, wave)
         assert got == pytest.approx(
             transcribe_sigma_spm(theta, 0.003, 0.02, 12.0, 9.6e9, "VV", "exponential"),
             rel=1e-12)
@@ -141,46 +167,37 @@ class TestSigmaSpm:
 class TestSigmaKa:
     def test_normal_incidence_closed_form(self):
         h, l, eps = 0.02, 0.1, 6.885
-        expected = fresnel_r0(eps) ** 2 * l * l / (4 * h * h)
-        assert sigma_ka(0.0, BsdfParams(h, l, eps, 1.0)) == pytest.approx(expected, rel=1e-12)
+        r0 = (1 - math.sqrt(eps)) / (1 + math.sqrt(eps))
+        expected = r0 ** 2 * l * l / (4 * h * h)
+        assert ka(0.0, h, l, eps) == pytest.approx(expected, rel=1e-12)
 
     def test_no_contrast_gives_zero(self):
-        assert sigma_ka(0.5, BsdfParams(0.02, 0.1, 1.0, 1.0)) == 0.0
+        assert ka(0.5, 0.02, 0.1, 1.0) == 0.0
 
     def test_golden_transcription_value(self):
-        got = sigma_ka(math.radians(45), BsdfParams(0.02, 0.1, 6.885, 1.0))
+        got = ka(math.radians(45), 0.02, 0.1, 6.885)
         assert got == pytest.approx(0.009691121085032842, rel=1e-12)
         assert got == pytest.approx(
             transcribe_sigma_ka(math.radians(45), 0.02, 0.1, 6.885), rel=1e-12)
 
-    def test_degenerate_slope_rejected(self):
-        with pytest.raises(ValueError):
-            sigma_ka(0.5, BsdfParams(0.0, 0.1, 4.0, 1.0))
-
 
 class TestBlend:
     def test_tau_zero_is_spm(self):
-        p = BsdfParams(0.002, 0.01, 25.0, 0.0)
-        out = bsdf_eval(0.6, p, WAVE)
-        assert out.sigma == pytest.approx(sigma_spm(0.6, p, WAVE), rel=1e-12)
-        assert out.d_tau == pytest.approx(
-            sigma_ka(0.6, p) - sigma_spm(0.6, p, WAVE), rel=1e-12)
+        sigma, grads = bsdf(0.6, 0.002, 0.01, 25.0, 0.0)
+        s_spm = transcribe_sigma_spm(0.6, 0.002, 0.01, 25.0, 9.6e9)
+        assert sigma == pytest.approx(s_spm, rel=1e-12)
+        assert grads[3] == pytest.approx(
+            transcribe_sigma_ka(0.6, 0.002, 0.01, 25.0) - s_spm, rel=1e-12)
 
     def test_tau_one_is_ka(self):
-        p = BsdfParams(0.002, 0.01, 25.0, 1.0)
-        assert bsdf_eval(0.6, p, WAVE).sigma == pytest.approx(sigma_ka(0.6, p), rel=1e-12)
+        sigma, _ = bsdf(0.6, 0.002, 0.01, 25.0, 1.0)
+        assert sigma == pytest.approx(transcribe_sigma_ka(0.6, 0.002, 0.01, 25.0), rel=1e-12)
 
     def test_tau_half_is_midpoint(self):
-        lo = bsdf_eval(0.6, BsdfParams(0.002, 0.01, 25.0, 0.0), WAVE).sigma
-        hi = bsdf_eval(0.6, BsdfParams(0.002, 0.01, 25.0, 1.0), WAVE).sigma
-        mid = bsdf_eval(0.6, BsdfParams(0.002, 0.01, 25.0, 0.5), WAVE).sigma
+        lo = bsdf(0.6, 0.002, 0.01, 25.0, 0.0)[0]
+        hi = bsdf(0.6, 0.002, 0.01, 25.0, 1.0)[0]
+        mid = bsdf(0.6, 0.002, 0.01, 25.0, 0.5)[0]
         assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-12)
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            bsdf_eval(-0.1, BsdfParams(0.002, 0.01, 25.0, 0.0), WAVE)
-        with pytest.raises(ValueError):
-            bsdf_eval(0.5, BsdfParams(0.002, 0.01, 0.5, 0.0), WAVE)
 
 
 def fd_partials(theta, vals, wave):
@@ -232,6 +249,28 @@ def test_sigma_nonnegative_and_tau_affine(theta, log_h, log_l, eps_r, tau, pol, 
     assert min(lo[0], hi[0]) - 1e-12 <= sigma[0] <= max(lo[0], hi[0]) + 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.53), st.floats(1e-7, 1.0), st.floats(1e-7, 10.0),
+       st.floats(1.0, 1e4), st.floats(0.0, 1.0),
+       st.sampled_from(["HH", "VV"]), st.sampled_from(["gaussian", "exponential"]))
+def test_finite_over_parameter_box(theta, h, l, eps_r, tau, pol, kind):
+    """sigma >= 0 and every partial finite, from the box edges to grazing 1.53 rad."""
+    sigma, grads = bsdf(theta, h, l, eps_r, tau, WaveConfig(9.6e9, pol, kind))
+    assert math.isfinite(sigma) and sigma >= 0.0
+    assert np.all(np.isfinite(grads))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at eps_r = 1 and theta within ~1e-9 of pi/2, sqrt(eps_r - sin^2 theta) is 0, "
+    "so the SPM Fresnel partial d_eps is -inf for HH and NaN for VV"))
+def test_no_contrast_near_grazing_partials_finite():
+    theta = math.pi / 2 - 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grads = [bsdf(theta, 0.002, 0.01, 1.0, 0.0, WaveConfig(9.6e9, pol))[1]
+                 for pol in ("HH", "VV")]
+    assert np.all(np.isfinite(grads))
+
+
 class TestValidity:
     def test_smooth_surface_spm_ok(self):
         # k = 201.2 rad/m at 9.6 GHz: kh = 0.1006, sqrt(2) h / l = 0.0141
@@ -259,7 +298,7 @@ class TestValidity:
         p = BsdfParams(0.002, 0.001, 75.0, 0.0)
         rep = check_validity(p, math.radians(45), WAVE)
         assert not rep.spm_ok
-        assert sigma_spm(math.radians(45), p, WAVE) > 0.0
+        assert spm(math.radians(45), p.h, p.l, p.eps_r) > 0.0
 
     def test_threshold_configurable(self):
         p = BsdfParams(0.0005, 0.05, 9.0, 0.0)

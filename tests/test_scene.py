@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sartrace.scene import (Mesh, MeshError, ParamMap, interpolate_params,
-                            interpolation_adjoint, interpolate_at_hits,
+from sartrace.imaging import HitLedger
+from sartrace.learn import backward
+from sartrace.scene import (Mesh, MeshError, ParamMap, interpolate_at_hits,
                             load_mesh, load_param_map, save_param_map, write_obj)
 from sartrace.scenes import box_mesh
 
@@ -71,58 +72,66 @@ def triangle_mesh():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
 
 
+def oracle_interpolate(mesh, values, facet_id, m1, m2):
+    """Scalar barycentric interpolation: m1 to the facet's first vertex,
+    m2 to the second, 1 - m1 - m2 to the third."""
+    i, j, k = mesh.facets[facet_id]
+    return m1 * values[i] + m2 * values[j] + (1.0 - m1 - m2) * values[k]
+
+
+def interp(mesh, values, m1, m2):
+    """interpolate_at_hits at one hit on facet 0 -> (4,)."""
+    return interpolate_at_hits(mesh, np.asarray(values, dtype=float), np.array([0]),
+                               np.array([m1]), np.array([m2]))[0]
+
+
+def adjoint(mesh, m1, m2, d):
+    """Interpolation adjoint through learn.backward: a one-hit ledger with
+    unit weight, dsigma = d and dL/dI = 1 pulls d back onto the vertices."""
+    ledger = HitLedger(image_shape=(1, 1), row=np.array([0]), range_bin=np.array([0]),
+                       facet_id=np.array([0]), m1=np.array([m1]), m2=np.array([m2]),
+                       weight=np.array([1.0]), sigma=np.array([0.0]),
+                       dsigma=np.asarray(d, dtype=float)[None, :])
+    return backward(ledger, np.ones((1, 1)), mesh)
+
+
 class TestInterpolation:
     def test_vertex_coincidence(self):
-        mesh = triangle_mesh()
-        pm = ParamMap(np.array([[0.001, 0.01, 2.0, 0.1],
-                                [0.002, 0.02, 4.0, 0.5],
-                                [0.003, 0.03, 8.0, 0.9]]))
-        out = interpolate_params(mesh, pm, 0, 1.0, 0.0)
-        assert (out.h, out.l, out.eps_r, out.tau) == (0.001, 0.01, 2.0, 0.1)
+        table = [[0.001, 0.01, 2.0, 0.1],
+                 [0.002, 0.02, 4.0, 0.5],
+                 [0.003, 0.03, 8.0, 0.9]]
+        out = interp(triangle_mesh(), table, 1.0, 0.0)
+        assert tuple(out) == (0.001, 0.01, 2.0, 0.1)
 
     def test_centroid(self):
-        mesh = triangle_mesh()
-        pm = ParamMap(np.array([[0.001, 0.01, 2.0, 0.0],
-                                [0.002, 0.01, 2.0, 0.0],
-                                [0.003, 0.01, 2.0, 0.0]]))
-        out = interpolate_params(mesh, pm, 0, 1 / 3, 1 / 3)
-        assert out.h == pytest.approx(0.002, rel=1e-12)
+        table = [[0.001, 0.01, 2.0, 0.0],
+                 [0.002, 0.01, 2.0, 0.0],
+                 [0.003, 0.01, 2.0, 0.0]]
+        out = interp(triangle_mesh(), table, 1 / 3, 1 / 3)
+        assert out[0] == pytest.approx(0.002, rel=1e-12)
 
     def test_hand_evaluated_combination(self):
         # 0.5*2 + 0.25*4 + 0.25*8 = 4.0
-        mesh = triangle_mesh()
-        pm = ParamMap(np.array([[0.001, 0.01, 2.0, 0.0],
-                                [0.001, 0.01, 4.0, 0.0],
-                                [0.001, 0.01, 8.0, 0.0]]))
-        out = interpolate_params(mesh, pm, 0, 0.5, 0.25)
-        assert out.eps_r == pytest.approx(4.0, rel=1e-14)
-
-    def test_rejects_outside_simplex(self):
-        mesh = triangle_mesh()
-        pm = ParamMap.constant(3, 0.001, 0.01, 2.0, 0.0)
-        with pytest.raises(ValueError):
-            interpolate_params(mesh, pm, 0, 0.7, 0.7)
-        with pytest.raises(ValueError):
-            interpolate_params(mesh, pm, 0, -0.1, 0.5)
+        table = [[0.001, 0.01, 2.0, 0.0],
+                 [0.001, 0.01, 4.0, 0.0],
+                 [0.001, 0.01, 8.0, 0.0]]
+        out = interp(triangle_mesh(), table, 0.5, 0.25)
+        assert out[2] == pytest.approx(4.0, rel=1e-14)
 
 
 class TestAdjoint:
     def test_all_on_first_vertex(self):
-        mesh = triangle_mesh()
-        out = interpolation_adjoint(mesh, 0, 1.0, 0.0, np.ones(4))
-        np.testing.assert_array_equal(out[0][1], np.ones(4))
-        np.testing.assert_array_equal(out[1][1], np.zeros(4))
+        out = adjoint(triangle_mesh(), 1.0, 0.0, np.ones(4))
+        np.testing.assert_array_equal(out[0], np.ones(4))
+        np.testing.assert_array_equal(out[1], np.zeros(4))
 
     def test_symmetric_split(self):
-        mesh = triangle_mesh()
-        out = interpolation_adjoint(mesh, 0, 1 / 3, 1 / 3, 3.0 * np.ones(4))
-        for _, g in out:
-            np.testing.assert_allclose(g, np.ones(4), rtol=1e-12)
+        out = adjoint(triangle_mesh(), 1 / 3, 1 / 3, 3.0 * np.ones(4))
+        np.testing.assert_allclose(out, np.ones((3, 4)), rtol=1e-12)
 
     def test_hand_weights(self):
-        mesh = triangle_mesh()
-        out = interpolation_adjoint(mesh, 0, 0.5, 0.25, np.ones(4))
-        np.testing.assert_allclose([g[0] for _, g in out], [0.5, 0.25, 0.25])
+        out = adjoint(triangle_mesh(), 0.5, 0.25, np.ones(4))
+        np.testing.assert_allclose(out[:, 0], [0.5, 0.25, 0.25])
 
 
 simplex = st.tuples(
@@ -140,18 +149,17 @@ def test_interpolation_is_affine(weights, va, vb, alpha, beta):
     m1, m2 = weights
     a = np.tile(np.asarray(va)[:, None], (1, 4))
     b = np.tile(np.asarray(vb)[:, None], (1, 4))
-    mix = interpolate_params(mesh, ParamMap(alpha * a + beta * b), 0, m1, m2).as_array()
-    ia = interpolate_params(mesh, ParamMap(a), 0, m1, m2).as_array()
-    ib = interpolate_params(mesh, ParamMap(b), 0, m1, m2).as_array()
+    mix = interp(mesh, alpha * a + beta * b, m1, m2)
+    ia = interp(mesh, a, m1, m2)
+    ib = interp(mesh, b, m1, m2)
     np.testing.assert_allclose(mix, alpha * ia + beta * ib, rtol=1e-9, atol=1e-9)
 
 
 @given(simplex, channel_values)
 def test_interpolation_inside_vertex_hull(weights, col):
-    mesh = triangle_mesh()
     m1, m2 = weights
     table = np.tile(np.asarray(col)[:, None], (1, 4))
-    out = interpolate_params(mesh, ParamMap(table), 0, m1, m2).as_array()
+    out = interp(triangle_mesh(), table, m1, m2)
     assert np.all(out >= min(col) - 1e-12)
     assert np.all(out <= max(col) + 1e-12)
 
@@ -160,29 +168,26 @@ def test_interpolation_inside_vertex_hull(weights, col):
        st.lists(st.floats(-5, 5), min_size=12, max_size=12),
        st.lists(st.floats(-5, 5), min_size=4, max_size=4))
 def test_adjoint_dot_product_identity(weights, perturb, d):
-    """<J dp, d> must equal <dp, J^T d> to near machine precision."""
+    """<interp(dv), d> must equal <dv, adjoint(d)> to near machine precision."""
     mesh = triangle_mesh()
     m1, m2 = weights
-    dp = np.asarray(perturb).reshape(3, 4)
+    dv = np.asarray(perturb).reshape(3, 4)
     d = np.asarray(d)
-    w = np.array([m1, m2, 1.0 - m1 - m2])
-    forward = (w[:, None] * dp).sum(axis=0)
-    lhs = float(forward @ d)
-    adj = interpolation_adjoint(mesh, 0, m1, m2, d)
-    rhs = float(sum(dp[vid] @ g for vid, g in adj))
+    lhs = float(interp(mesh, dv, m1, m2) @ d)
+    rhs = float(np.sum(dv * adjoint(mesh, m1, m2, d)))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_interpolate_at_hits_matches_scalar(two_facet_mesh):
     rng = np.random.default_rng(0)
-    pm = ParamMap(rng.uniform(0.5, 2.0, size=(6, 4)))
+    values = rng.uniform(0.5, 2.0, size=(6, 4))
     fids = np.array([0, 1, 1, 0])
     m1 = np.array([0.2, 0.0, 0.5, 1.0])
     m2 = np.array([0.3, 1.0, 0.25, 0.0])
-    batch = interpolate_at_hits(two_facet_mesh, pm.values, fids, m1, m2)
+    batch = interpolate_at_hits(two_facet_mesh, values, fids, m1, m2)
     for row, (f, a, b) in enumerate(zip(fids, m1, m2)):
-        ref = interpolate_params(two_facet_mesh, pm, int(f), float(a), float(b))
-        np.testing.assert_allclose(batch[row], ref.as_array(), rtol=1e-12)
+        ref = oracle_interpolate(two_facet_mesh, values, f, a, b)
+        np.testing.assert_allclose(batch[row], ref, rtol=1e-12)
 
 
 class TestParamMap:
