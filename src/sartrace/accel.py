@@ -2,9 +2,19 @@
 
 Intersections solve o + t*d = m1*p1 + m2*p2 + (1-m1-m2)*p3 for
 (t, m1, m2); a hit requires the weights to lie in the simplex and
-t > EPS_T.  Both paths (batched linear scan, BVH leaves) share one
-kernel so nearest-hit results are bitwise identical regardless of
-traversal order; ties on t resolve to the lowest facet id.
+t > EPS_T.  `intersect_rays` finds nearest hits one ray batch at a
+time, by one of two paths that share the Moller-Trumbore kernel `_mt`:
+
+- a linear scan that solves every (ray, facet) pair of the batch;
+- a breadth-first BVH traversal (a wavefront): every ray starts paired
+  with the root, and each step slab-tests all live (ray, node) pairs at
+  once, drops the pairs that miss or lie beyond the ray's nearest hit so
+  far, solves the (ray, facet) pairs of the leaves reached, and replaces
+  each inner-node pair by its two child pairs.
+
+Both paths keep the smallest (t, facet_id) per ray, so their results are
+bitwise identical whatever the traversal order; ties on t resolve to the
+lowest facet id.
 
 Watertightness is not claimed: rays grazing a shared edge may report
 either adjacent facet.
@@ -13,6 +23,7 @@ either adjacent facet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,32 +35,36 @@ EPS_T = 1e-6
 # directions with a zero component get a nudged inverse for slab tests only
 _INV_DIR_NUDGE = 1e-300
 
-# rays per linear-scan batch: each batch holds (64, F, 3) float64 temporaries
-_SCAN_CHUNK = 64
+# (ray, facet) pairs per linear-scan batch: each batch holds a few
+# (R, F, 3) float64 temporaries with R * F at most this
+_SCAN_PAIRS = 64 * 256
+
+# rays per BVH traversal batch; bounds the (ray, node) frontier
+_TRAVERSE_BATCH = 1024
 
 # most facets per BVH leaf
 _LEAF_SIZE = 4
 
 
-def _mt_batch(origins, directions, p1, p2, p3):
-    """Moller-Trumbore solve for R rays against F triangles.
+def _mt(origins, directions, p1, p2, p3):
+    """Moller-Trumbore solve over broadcast (..., 3) rays and triangles.
 
-    origins/directions are (R, 3); p1/p2/p3 are (F, 3).  Returns
-    (t, m1, m2) arrays of shape (R, F) with t = +inf marking misses.
+    Returns (t, m1, m2) of the broadcast leading shape, with t = +inf
+    marking misses.  The linear scan passes (R, 1, 3) rays and (F, 3)
+    triangles; the BVH leaves pass (P, 3) pairs.  Every value comes from
+    the same elementwise arithmetic in either layout.
     """
-    h1 = p1 - p3                                    # (F, 3)
+    h1 = p1 - p3
     h2 = p2 - p3
-    o = origins[:, None, :]                         # (R, 1, 3)
-    d = directions[:, None, :]
-    f1 = np.cross(d, h2[None, :, :])                # (R, F, 3)
-    det = np.einsum("rfk,fk->rf", f1, h1)           # (R, F)
-    h = o - p3[None, :, :]                          # (R, F, 3)
-    f2 = np.cross(h, h1[None, :, :])
+    f1 = np.cross(directions, h2)
+    det = np.einsum("...k,...k->...", f1, h1)
+    h = origins - p3
+    f2 = np.cross(h, h1)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / det
-        m1 = np.einsum("rfk,rfk->rf", f1, h) * inv
-        m2 = np.einsum("rfk,rfk->rf", f2, d) * inv
-        t = np.einsum("rfk,fk->rf", f2, h2) * inv
+        m1 = np.einsum("...k,...k->...", f1, h) * inv
+        m2 = np.einsum("...k,...k->...", f2, directions) * inv
+        t = np.einsum("...k,...k->...", f2, h2) * inv
         valid = (det != 0.0) & (m1 >= 0.0) & (m2 >= 0.0) & (m1 + m2 <= 1.0) & (t > EPS_T)
     t = np.where(valid, t, np.inf)
     return t, m1, m2
@@ -123,36 +138,67 @@ def build_bvh(mesh: Mesh) -> Bvh:
     )
 
 
-def _traverse(bvh: Bvh, p1, p2, p3, origin, direction):
-    """Nearest hit for one ray; returns (facet_id, t, m1, m2) or None."""
-    safe_d = np.where(direction == 0.0, _INV_DIR_NUDGE, direction)
-    inv_d = 1.0 / safe_d
-    best = (np.inf, -1, 0.0, 0.0)   # (t, facet_id, m1, m2)
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        t1 = (bvh.box_min[node] - origin) * inv_d
-        t2 = (bvh.box_max[node] - origin) * inv_d
-        tnear = np.minimum(t1, t2).max()
-        tfar = np.maximum(t1, t2).min()
-        if tnear > tfar or tfar < EPS_T or tnear > best[0]:
-            continue
-        c = bvh.count[node]
-        if c > 0:
-            s = bvh.start[node]
-            ids = bvh.order[s:s + c]
-            t, m1, m2 = _mt_batch(origin[None, :], direction[None, :],
-                                  p1[ids], p2[ids], p3[ids])
-            for j in range(c):
-                tj = t[0, j]
-                if np.isfinite(tj) and (tj, int(ids[j])) < (best[0], best[1]):
-                    best = (float(tj), int(ids[j]), float(m1[0, j]), float(m2[0, j]))
-        else:
-            stack.append(bvh.left[node])
-            stack.append(bvh.right[node])
-    if best[1] < 0:
-        return None
-    return best[1], best[0], best[2], best[3]
+def _scan(p1, p2, p3, origins, directions):
+    """Nearest hits of a ray batch against every facet.
+
+    Returns (facet_id, t, m1, m2) with facet_id = -1 and t = +inf for
+    misses.
+    """
+    t, m1, m2 = _mt(origins[:, None, :], directions[:, None, :], p1, p2, p3)
+    j = np.argmin(t, axis=1)          # first occurrence = lowest facet id
+    rows = np.arange(t.shape[0])
+    tj = t[rows, j]
+    hit = np.isfinite(tj)
+    return (np.where(hit, j, -1), tj,
+            np.where(hit, m1[rows, j], 0.0), np.where(hit, m2[rows, j], 0.0))
+
+
+def _traverse(bvh: Bvh, p1, p2, p3, origins, directions):
+    """Nearest hits of a ray batch through the BVH, one tree level per step.
+
+    The frontier is a pair of arrays (ray, node).  Returns the same
+    (facet_id, t, m1, m2) as `_scan`.
+    """
+    n = origins.shape[0]
+    fid = np.full(n, -1, dtype=np.int64)
+    t_best = np.full(n, np.inf)
+    m1_best = np.zeros(n)
+    m2_best = np.zeros(n)
+    inv_d = 1.0 / np.where(directions == 0.0, _INV_DIR_NUDGE, directions)
+    ray = np.arange(n)
+    node = np.zeros(n, dtype=np.int64)
+    while ray.size:
+        o = origins[ray]
+        t1 = (bvh.box_min[node] - o) * inv_d[ray]
+        t2 = (bvh.box_max[node] - o) * inv_d[ray]
+        tnear = np.minimum(t1, t2).max(axis=1)
+        tfar = np.maximum(t1, t2).min(axis=1)
+        keep = ~((tnear > tfar) | (tfar < EPS_T) | (tnear > t_best[ray]))
+        ray, node = ray[keep], node[keep]
+
+        count = bvh.count[node]
+        leaf = count > 0
+        if leaf.any():
+            # expand each (ray, leaf) pair into its (ray, facet) pairs
+            lcount = count[leaf]
+            pair_ray = np.repeat(ray[leaf], lcount)
+            offset = np.arange(pair_ray.size) - np.repeat(np.cumsum(lcount) - lcount, lcount)
+            ids = bvh.order[np.repeat(bvh.start[node[leaf]], lcount) + offset]
+            t, m1, m2 = _mt(origins[pair_ray], directions[pair_ray], p1[ids], p2[ids], p3[ids])
+            hit = np.isfinite(t)
+            pair_ray, ids, t, m1, m2 = pair_ray[hit], ids[hit], t[hit], m1[hit], m2[hit]
+            # each ray's smallest (t, facet_id) of this step, then against its best so far
+            first = np.lexsort((ids, t, pair_ray))
+            first = first[np.diff(pair_ray[first], prepend=-1) != 0]
+            r = pair_ray[first]
+            better = (t[first] < t_best[r]) | ((t[first] == t_best[r]) & (ids[first] < fid[r]))
+            r, first = r[better], first[better]
+            fid[r], t_best[r], m1_best[r], m2_best[r] = ids[first], t[first], m1[first], m2[first]
+
+        inner = ~leaf
+        ray = np.concatenate([ray[inner], ray[inner]])
+        node = np.concatenate([bvh.left[node[inner]], bvh.right[node[inner]]])
+    return fid, t_best, m1_best, m2_best
 
 
 def _facet_arrays(mesh: Mesh):
@@ -165,8 +211,11 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     """Nearest hits for a ray batch.
 
     Returns (facet_ids, t, m1, m2, cos_theta) arrays with facet_id = -1
-    and t = +inf for misses.  Uses a chunked linear scan unless a BVH is
-    supplied and the mesh is large enough for traversal to win.
+    and t = +inf for misses.  With a BVH and more than 256 facets, the
+    rays go through the BVH as a breadth-first wavefront in batches of
+    `_TRAVERSE_BATCH`; otherwise a linear scan solves batches of at most
+    `_SCAN_PAIRS` (ray, facet) pairs.  Both give bitwise identical
+    results.
     """
     origins = np.asarray(origins, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
@@ -178,22 +227,13 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     p1, p2, p3 = _facet_arrays(mesh)
 
     if bvh is not None and mesh.num_facets > 256:
-        for i in range(n):
-            out = _traverse(bvh, p1, p2, p3, origins[i], directions[i])
-            if out is not None:
-                fid[i], t_hit[i], m1_hit[i], m2_hit[i] = out
+        step, nearest = _TRAVERSE_BATCH, partial(_traverse, bvh)
     else:
-        for lo in range(0, n, _SCAN_CHUNK):
-            hi = min(lo + _SCAN_CHUNK, n)
-            t, m1, m2 = _mt_batch(origins[lo:hi], directions[lo:hi], p1, p2, p3)
-            j = np.argmin(t, axis=1)          # first occurrence = lowest facet id
-            rows = np.arange(hi - lo)
-            tj = t[rows, j]
-            hit = np.isfinite(tj)
-            fid[lo:hi][hit] = j[hit]
-            t_hit[lo:hi][hit] = tj[hit]
-            m1_hit[lo:hi][hit] = m1[rows, j][hit]
-            m2_hit[lo:hi][hit] = m2[rows, j][hit]
+        step, nearest = max(1, _SCAN_PAIRS // max(1, mesh.num_facets)), _scan
+    for lo in range(0, n, step):
+        batch = slice(lo, lo + step)
+        fid[batch], t_hit[batch], m1_hit[batch], m2_hit[batch] = nearest(
+            p1, p2, p3, origins[batch], directions[batch])
 
     cos_theta = np.zeros(n)
     hit = fid >= 0

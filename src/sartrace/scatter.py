@@ -105,7 +105,9 @@ def eval_bsdf_batch(theta, values, wave: WaveConfig):
         dw_dl_over_w = 2.0 / l - 2.0 * q * q * l / denom
 
     s2 = st * st
-    root = np.sqrt(eps - s2)
+    # eps - sin^2 written as (eps - 1) + cos^2: exactly cos(theta) at eps = 1,
+    # where eps - s2 rounds to 0 within ~1e-9 of grazing
+    root = np.sqrt((eps - 1.0) + ct * ct)
     if wave.polarization == "HH":
         r = (ct - root) / (ct + root)
         f = r * r

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sartrace.accel import build_bvh, intersect_rays
+from sartrace import accel
+from sartrace.accel import Bvh, build_bvh, intersect_rays
 from sartrace.scene import Mesh
 from sartrace.scenes import box_mesh
 
@@ -176,6 +177,109 @@ class TestBvhAgainstLinearScan:
         np.testing.assert_array_equal(t_a[fid_a >= 0], t_b[fid_b >= 0])
         np.testing.assert_array_equal(m1_a, m1_b)
         np.testing.assert_array_equal(cos_a, cos_b)
+
+
+def assert_bvh_matches_scan(mesh, origins, directions):
+    """The BVH wavefront and the linear scan agree bitwise on every output."""
+    assert mesh.num_facets > 256          # else intersect_rays ignores the BVH
+    scan = intersect_rays(mesh, origins, directions)
+    wave = intersect_rays(mesh, origins, directions, bvh=build_bvh(mesh))
+    for name, a, b in zip(("fid", "t", "m1", "m2", "cos_theta"), scan, wave):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b), err_msg=name)
+    return wave
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_facets=st.integers(257, 600),
+       axis_parallel=st.booleans())
+def test_bvh_wavefront_matches_scan(seed, n_facets, axis_parallel):
+    """Rays from inside the root box, from outside it, and rays that miss it."""
+    rng = np.random.default_rng(seed)
+    mesh = random_triangles(rng, n_facets)
+    n = 96
+    inside = rng.uniform(-1.0, 1.0, (n // 3, 3))
+    outside = rng.uniform(2.5, 4.0, (n - n // 3, 3)) * rng.choice([-1.0, 1.0], (n - n // 3, 3))
+    origins = np.concatenate([inside, outside])
+    directions = rng.normal(size=(n, 3))
+    # the last third of the outside rays point away from the root box
+    away = np.arange(n - n // 3, n)
+    directions[away] = np.abs(directions[away]) * np.sign(origins[away])
+    if axis_parallel:
+        # zero components take the _INV_DIR_NUDGE path of the slab test
+        directions[np.arange(n), rng.integers(3, size=n)] = 0.0
+        directions[::4, (rng.integers(3) + 1) % 3] = 0.0
+        directions[np.all(directions == 0.0, axis=1), 2] = 1.0
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    fid = assert_bvh_matches_scan(mesh, origins, directions)[0]
+    assert np.all(fid[away] == -1)
+
+
+class TestBvhWavefront:
+    def test_empty_ray_batch(self):
+        mesh = random_triangles(np.random.default_rng(9), 300)
+        out = intersect_rays(mesh, np.zeros((0, 3)), np.zeros((0, 3)), bvh=build_bvh(mesh))
+        assert [a.shape for a in out] == [(0,)] * 5
+        assert out[0].dtype == np.int64
+
+    @staticmethod
+    def with_copies(rng, n_copies, n_facets=308):
+        """Random facets plus n_copies of one flat triangle at z = 3, at
+        random ids; downward rays from z = 5 hit every copy at t = 2."""
+        copy_ids = np.sort(rng.choice(n_facets, size=n_copies, replace=False))
+        tri = np.empty((n_facets, 3, 3))
+        base = random_triangles(rng, n_facets - n_copies)
+        tri[np.setdiff1d(np.arange(n_facets), copy_ids)] = base.vertices[base.facets]
+        tri[copy_ids] = [[0.25, 0.25, 3.0], [1.25, 0.25, 3.0], [0.25, 1.25, 3.0]]
+        mesh = Mesh.from_arrays(tri.reshape(-1, 3), np.arange(3 * n_facets).reshape(n_facets, 3))
+        xy = 0.25 + rng.integers(1, 8, (50, 2)) / 32.0
+        origins = np.column_stack([xy, np.full(50, 5.0)])
+        return mesh, copy_ids, origins, np.tile([0.0, 0.0, -1.0], (50, 1))
+
+    def test_duplicate_facets_in_different_leaves_lowest_id_wins(self):
+        mesh, copy_ids, origins, directions = self.with_copies(np.random.default_rng(10), 8)
+        bvh = build_bvh(mesh)
+        leaf_of = np.empty(mesh.num_facets, dtype=np.int64)
+        for node in np.flatnonzero(bvh.count > 0):
+            leaf_of[bvh.order[bvh.start[node]:bvh.start[node] + bvh.count[node]]] = node
+        assert len(set(leaf_of[copy_ids])) >= 2     # eight copies fill at least two leaves
+        fid, t = assert_bvh_matches_scan(mesh, origins, directions)[:2]
+        assert np.all(fid == copy_ids[0])
+        assert np.all(t == 2.0)
+
+    @pytest.mark.parametrize("lowest_id_deeper", [True, False])
+    def test_tie_across_tree_levels_lowest_id_wins(self, lowest_id_deeper):
+        """A hand-built tree puts one copy in a leaf at depth 1 and the other
+        at depth 2, so the traversal meets the two equal-t hits in
+        different steps, in either order."""
+        mesh, (low, high), origins, directions = self.with_copies(np.random.default_rng(12), 2)
+        shallow, deep = (high, low) if lowest_id_deeper else (low, high)
+        rest = np.setdiff1d(np.arange(mesh.num_facets), [low, high])
+        order = np.concatenate([[shallow, deep], rest])
+        tri = mesh.vertices[mesh.facets]
+        # root -> (leaf [shallow], inner -> (leaf [deep], leaf [rest]))
+        spans = [order, order[:1], order[1:], order[1:2], order[2:]]
+        bvh = Bvh(box_min=np.array([tri[ids].min(axis=(0, 1)) for ids in spans]),
+                  box_max=np.array([tri[ids].max(axis=(0, 1)) for ids in spans]),
+                  left=np.array([1, -1, 3, -1, -1]), right=np.array([2, -1, 4, -1, -1]),
+                  start=np.array([0, 0, 1, 1, 2]), count=np.array([0, 1, 0, 1, len(rest)]),
+                  order=order)
+        fid, t, m1, m2, cos_t = intersect_rays(mesh, origins, directions, bvh=bvh)
+        assert np.all(fid == low)
+        assert np.all(t == 2.0)
+        scan = intersect_rays(mesh, origins, directions)
+        for a, b in zip(scan, (fid, t, m1, m2, cos_t)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_more_rays_than_one_traversal_batch(self):
+        rng = np.random.default_rng(11)
+        mesh = random_triangles(rng, 300)
+        n = accel._TRAVERSE_BATCH + 37
+        origins = rng.uniform(-2.0, 2.0, (n, 3))
+        directions = rng.normal(size=(n, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        fid = assert_bvh_matches_scan(mesh, origins, directions)[0]
+        assert (fid[accel._TRAVERSE_BATCH:] >= 0).any()
 
 
 @settings(max_examples=50, deadline=None)

@@ -260,15 +260,14 @@ def test_finite_over_parameter_box(theta, h, l, eps_r, tau, pol, kind):
     assert np.all(np.isfinite(grads))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "at eps_r = 1 and theta within ~1e-9 of pi/2, sqrt(eps_r - sin^2 theta) is 0, "
-    "so the SPM Fresnel partial d_eps is -inf for HH and NaN for VV"))
 def test_no_contrast_near_grazing_partials_finite():
+    # eps_r = 1 within 1e-9 of grazing, where eps_r - sin^2(theta) rounds to 0
     theta = math.pi / 2 - 1e-9
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grads = [bsdf(theta, 0.002, 0.01, 1.0, 0.0, WaveConfig(9.6e9, pol))[1]
-                 for pol in ("HH", "VV")]
-    assert np.all(np.isfinite(grads))
+    with np.errstate(divide="raise", invalid="raise"):
+        out = [bsdf(theta, 0.002, 0.01, 1.0, 0.0, WaveConfig(9.6e9, pol))
+               for pol in ("HH", "VV")]
+    assert np.all(np.isfinite([grads for _, grads in out]))
+    assert [sigma for sigma, _ in out] == [0.0, 0.0]
 
 
 class TestValidity:
