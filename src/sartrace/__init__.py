@@ -4,7 +4,8 @@ Forward path: triangle mesh + per-vertex roughness/permittivity table
 -> ray fans along a linear trajectory -> nearest-hit intersection ->
 two-scale (KA + SPM) backscatter per hit -> one np.bincount over the
 (azimuth row, range bin) pixel index into an azimuth x range intensity
-image.
+image.  trace does the geometry of a view once, shade the per-table
+rest, and render is shade(trace(...)).
 
 Inverse path: image-space MSE (+ total-variation smoothing) is pulled
 back through the recorded hit ledger to per-vertex parameter gradients
@@ -19,8 +20,8 @@ from sartrace.scene import (
 from sartrace.accel import Bvh, build_bvh
 from sartrace.scatter import WaveConfig, ValidityReport, SPEED_OF_LIGHT, check_validity
 from sartrace.imaging import (
-    RadarConfig, MapFrame, SarImage, HitLedger, RayFan,
-    generate_rays, bin_ranges_fast, render,
+    RadarConfig, MapFrame, SarImage, HitLedger, HitSet, RayFan,
+    generate_rays, bin_ranges_fast, render, trace, shade,
     write_pgm, write_raster, read_raster,
 )
 from sartrace.learn import (

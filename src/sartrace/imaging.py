@@ -15,10 +15,18 @@ at the range resolution, descending from the scene-wide maximum:
     bin = floor((range_origin - H_r) / range_res)
 
 Rows are azimuth samples; every row shares the common range window so
-pixels are comparable across the image.  A view is traced, shaded and
-binned as one batch holding the rays of all its rows.  Bin assignment
-is treated as non-differentiable: parameter gradients flow through the
-per-hit intensities only (geometry stays fixed).
+pixels are comparable across the image.
+
+Rendering a view is two steps, each one batch over the rays of all its
+rows.  trace does the geometry: ray fans, nearest hits, local incidence
+angles, quadrature weights, range coordinates and the range window,
+kept per hit in a HitSet.  shade does the parameter-dependent work:
+interpolate the parameter table at the hits, evaluate the BSDF and bin
+the intensities into the image.  render is shade(trace(...)).  Bin
+assignment is treated as non-differentiable and no parameter moves a
+hit, so a HitSet stays valid for every parameter table on its mesh:
+the inverse loop traces each view once and shades it per iteration.
+Parameter gradients flow through the per-hit intensities only.
 """
 
 from __future__ import annotations
@@ -244,24 +252,39 @@ class HitLedger:
         return self.row.shape[0]
 
 
-def render(mesh: Mesh, params: ParamMap, radar: RadarConfig, bvh: Bvh | None = None,
-           bsdf_fn=None, range_window: tuple[float, int] | None = None):
-    """Render one SAR intensity image and the hit ledger behind it.
+@dataclass(frozen=True)
+class HitSet:
+    """Geometry of one traced view: every per-hit quantity that no
+    parameter can change.
 
-    The rays of every azimuth row are traced as one batch, shaded with
-    one bsdf_fn call and binned with one bin_ranges_fast call.  Per-row
-    jitter streams are seeded by (seed, row), so the result depends on
-    the seed only.
-    bsdf_fn defaults to the two-scale model and can be overridden for
-    diagnostics (signature: (theta, values, wave) -> (sigma, grads)).
-    By default the range window is [min, max] of the hit coordinates
-    (the vertex window when nothing is hit); pass
+    Hits are in row-major ray order; weights are the angular quadrature
+    weights from the generating fan.
+    """
+
+    mesh: Mesh
+    radar: RadarConfig
+    range_origin: float                         # map-frame R coordinate of bin 0
+    image_shape: tuple[int, int]
+    row: np.ndarray = field(repr=False)         # (n,) azimuth row
+    facet_id: np.ndarray = field(repr=False)    # (n,)
+    m1: np.ndarray = field(repr=False)          # (n,) barycentric weights
+    m2: np.ndarray = field(repr=False)
+    theta: np.ndarray = field(repr=False)       # (n,) local incidence angle, rad
+    weight: np.ndarray = field(repr=False)      # (n,)
+    ranges: np.ndarray = field(repr=False)      # (n,) map-frame R coordinate
+
+
+def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
+          range_window: tuple[float, int] | None = None) -> HitSet:
+    """Trace one view's rays and keep the geometry of its hits.
+
+    The rays of every azimuth row go to intersect_rays as one batch.
+    Per-row jitter streams are seeded by (seed, row), so the hits depend
+    on the seed only.  By default the range window is [min, max] of the
+    hit coordinates (the vertex window when nothing is hit); pass
     range_window=(origin, num_bins) to pin the pixel grid across runs
     (see vertex_range_window).
     """
-    if params.num_vertices != mesh.num_vertices:
-        raise ValueError("parameter table size does not match the mesh")
-    bsdf_fn = bsdf_fn or eval_bsdf_batch
     rows = radar.num_azimuth
     fans = [generate_rays(radar, n) for n in range(rows)]
     origins = np.concatenate([f.origins for f in fans])
@@ -271,11 +294,7 @@ def render(mesh: Mesh, params: ParamMap, radar: RadarConfig, bvh: Bvh | None = N
 
     fid, t, m1, m2, cos_t = intersect_rays(mesh, origins, directions, bvh=bvh)
     sel = np.nonzero(fid >= 0)[0]
-    fid, t, m1, m2, weight = fid[sel], t[sel], m1[sel], m2[sel], weights[sel]
-    theta = np.arccos(np.clip(cos_t[sel], 0.0, 1.0))
-    values = interpolate_at_hits(mesh, params.values, fid, m1, m2)
-    sigma, dsigma = bsdf_fn(theta, values, radar.wave)
-    points = origins[sel] + t[:, None] * directions[sel]
+    points = origins[sel] + t[sel, None] * directions[sel]
     h_r = MapFrame.from_radar(radar).apply(points)[:, 2]
 
     if range_window is not None:
@@ -289,15 +308,47 @@ def render(mesh: Mesh, params: ParamMap, radar: RadarConfig, bvh: Bvh | None = N
         raise ValueError(
             f"range window spans {num_bins} bins at range_res={radar.range_res}")
 
-    row = ray_row[sel]
-    image, range_bin = bin_ranges_fast(row, h_r, weight * sigma, radar.range_res,
-                                       origin, (rows, num_bins))
-    ledger = HitLedger(image_shape=(rows, num_bins), row=row, range_bin=range_bin,
-                       facet_id=fid, m1=m1, m2=m2, weight=weight, sigma=sigma,
-                       dsigma=dsigma)
-    sar = SarImage(intensities=image, radar=radar, range_origin=origin,
+    return HitSet(mesh=mesh, radar=radar, range_origin=origin, image_shape=(rows, num_bins),
+                  row=ray_row[sel], facet_id=fid[sel], m1=m1[sel], m2=m2[sel],
+                  theta=np.arccos(np.clip(cos_t[sel], 0.0, 1.0)), weight=weights[sel],
+                  ranges=h_r)
+
+
+def shade(hits: HitSet, params: ParamMap, bsdf_fn=None):
+    """Shade a traced view with a parameter table: (SarImage, HitLedger).
+
+    One interpolate_at_hits call, one bsdf_fn call and one
+    bin_ranges_fast call.  bsdf_fn defaults to the two-scale model and
+    can be overridden for diagnostics (signature: (theta, values, wave)
+    -> (sigma, grads)).  A range window that leaves out a hit raises a
+    ValueError naming the bin.
+    """
+    if params.num_vertices != hits.mesh.num_vertices:
+        raise ValueError("parameter table size does not match the mesh")
+    bsdf_fn = bsdf_fn or eval_bsdf_batch
+    radar = hits.radar
+    values = interpolate_at_hits(hits.mesh, params.values, hits.facet_id, hits.m1, hits.m2)
+    sigma, dsigma = bsdf_fn(hits.theta, values, radar.wave)
+    image, range_bin = bin_ranges_fast(hits.row, hits.ranges, hits.weight * sigma,
+                                       radar.range_res, hits.range_origin, hits.image_shape)
+    ledger = HitLedger(image_shape=hits.image_shape, row=hits.row, range_bin=range_bin,
+                       facet_id=hits.facet_id, m1=hits.m1, m2=hits.m2, weight=hits.weight,
+                       sigma=sigma, dsigma=dsigma)
+    sar = SarImage(intensities=image, radar=radar, range_origin=hits.range_origin,
                    range_res=radar.range_res, azimuth_res=radar.azimuth_res)
     return sar, ledger
+
+
+def render(mesh: Mesh, params: ParamMap, radar: RadarConfig, bvh: Bvh | None = None,
+           bsdf_fn=None, range_window: tuple[float, int] | None = None):
+    """Render one SAR intensity image and the hit ledger behind it.
+
+    shade(trace(mesh, radar, bvh, range_window), params, bsdf_fn): see
+    trace for the rays and the range window, shade for bsdf_fn.  To
+    render one view under many parameter tables, trace it once and
+    shade the HitSet for each table.
+    """
+    return shade(trace(mesh, radar, bvh=bvh, range_window=range_window), params, bsdf_fn)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from sartrace.imaging import (MapFrame, RadarConfig, bin_ranges_fast,
                               generate_rays, range_bin_of, read_raster, render,
-                              write_pgm, write_raster)
+                              shade, trace, vertex_range_window, write_pgm,
+                              write_raster)
 from sartrace.scatter import WaveConfig
 from sartrace.scene import Mesh, ParamMap
 from sartrace.scenes import plane_mesh, merge_meshes, side_looking_radar
@@ -197,6 +198,11 @@ def plate_scene():
     return mesh, params
 
 
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def plate_radar(wave_hh):
     return side_looking_radar(wave_hh, distance=7.0, incidence=math.radians(45),
@@ -279,6 +285,25 @@ class TestRender:
         with pytest.raises(ValueError, match="negative bin"):
             render(mesh, params, plate_radar,
                    range_window=(image.range_origin - 1.0, image.num_range_bins))
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_shade_of_trace_is_render_bitwise(self, plate_scene, plate_radar, pinned):
+        mesh, params = plate_scene
+        window = vertex_range_window(mesh, plate_radar) if pinned else None
+        hits = trace(mesh, plate_radar, range_window=window)
+        other = params.copy()
+        other.values[:, 0] *= np.linspace(0.5, 2.0, mesh.num_vertices)
+        other.values[:, 2] += 4.0
+        # one HitSet serves every table: shading it is exactly a new render
+        for table in (params, other, params):
+            image, ledger = shade(hits, table)
+            ref_image, ref_ledger = render(mesh, table, plate_radar, range_window=window)
+            assert image.range_origin == ref_image.range_origin
+            assert ledger.image_shape == ref_ledger.image_shape == image.shape
+            assert_bitwise(image.intensities, ref_image.intensities)
+            for name in ("row", "range_bin", "facet_id", "m1", "m2", "weight", "sigma",
+                         "dsigma"):
+                assert_bitwise(getattr(ledger, name), getattr(ref_ledger, name))
 
     def test_intensity_linearity_in_sigma(self, plate_scene, plate_radar):
         from sartrace.scatter import eval_bsdf_batch

@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sartrace.imaging import HitLedger, render
-from sartrace.learn import (DEFAULT_LOWER, DEFAULT_UPPER, LossConfig, OptimState,
-                            adam_step, backward, grad_check, learn, loss_sim,
-                            loss_tv, rmse_normalized, validity_bounds,
-                            write_history_csv)
-from sartrace.scatter import WaveConfig
+import sartrace.imaging as imaging
+import sartrace.learn as learn_mod
+from sartrace.experiments import cube_recovery_protocol, render_references
+from sartrace.imaging import HitLedger, RadarConfig, render
+from sartrace.learn import (LossConfig, OptimState, adam_step, backward, grad_check,
+                            learn, loss_sim, loss_tv, rmse_normalized, write_history_csv)
 from sartrace.scene import Mesh, ParamMap
 from sartrace.scenes import merge_meshes, plane_mesh, side_looking_radar
 
@@ -198,14 +199,6 @@ class TestAdamStep:
         assert params.h[0] == pytest.approx(0.004 * math.exp(0.05), rel=1e-6)
 
 
-def test_validity_bounds_cap_height():
-    wave = WaveConfig(9.6e9, "HH")
-    lower, upper = validity_bounds(wave)
-    assert upper[0] == pytest.approx(0.3 / wave.wavenumber, rel=1e-12)
-    np.testing.assert_array_equal(lower, DEFAULT_LOWER)
-    assert upper[0] < DEFAULT_UPPER[0]
-
-
 @pytest.fixture
 def learn_setup(two_facet_mesh, small_radar):
     params = ParamMap.constant(two_facet_mesh.num_vertices, 0.004, 0.02, 9.0, 0.3)
@@ -276,6 +269,131 @@ class TestLearn:
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,total_loss,sim_loss,tv_loss,view_rmse_0"
         assert len(lines) == 1 + res.iterations
+
+
+def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=()):
+    """learn's loop with stopping off, rendering every view on every
+    iteration: (total_loss, view_rmse, eval_rmse)."""
+    total_hist, view_hist, eval_hist = [], [], []
+    for _ in range(iters):
+        sim_total = 0.0
+        grads = np.zeros_like(params.values)
+        rmses = np.zeros(len(refs))
+        for vi, (radar, ref) in enumerate(refs):
+            image, ledger = render(mesh, params, radar)
+            loss_v, dLdI = loss_sim(image, ref, cfg, num_views=len(refs))
+            sim_total += loss_v
+            grads += backward(ledger, dLdI, mesh)
+            rmses[vi] = rmse_normalized(image, ref)
+        tv_val, tv_grad = loss_tv(params.values, cfg.lambda_mat)
+        grads += tv_grad
+        total_hist.append(sim_total + tv_val)
+        view_hist.append(rmses)
+        eval_hist.append([rmse_normalized(render(mesh, params, radar)[0], ref)
+                          for radar, ref in eval_refs])
+        adam_step(opt, params, grads)
+    return np.array(total_hist), np.array(view_hist), np.array(eval_hist)
+
+
+def assert_learn_matches_oracle(mesh, params, refs, make_opt, cfg, iters, eval_refs=()):
+    expect_params = params.copy()
+    expect = oracle_learn(mesh, expect_params, refs, make_opt(), cfg, iters, eval_refs)
+    res = learn(mesh, params, refs, make_opt(), cfg, iters=iters,
+                eval_refs=list(eval_refs), stop_patience=10 ** 9)
+    assert res.iterations == iters and not res.aborted
+    for got, want in zip((res.total_loss, res.view_rmse, res.eval_rmse), expect):
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+    assert res.params.values.tobytes() == expect_params.values.tobytes()
+
+
+class TestTraceOnce:
+    def test_two_facet_matches_render_every_iteration(self, learn_setup):
+        mesh, truth, radar = learn_setup
+        eval_radar = dataclasses.replace(radar, seed=radar.seed + 1)
+        start = truth.copy()
+        start.values[:, 0] *= 1.7
+        start.values[:, 2] -= 3.0
+        refs = [(radar, render(mesh, truth, radar)[0].intensities)]
+        eval_refs = [(eval_radar, render(mesh, truth, eval_radar)[0].intensities)]
+        cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
+        assert_learn_matches_oracle(
+            mesh, start, refs, lambda: OptimState.create(mesh.num_vertices, lr=0.05),
+            cfg, iters=6, eval_refs=eval_refs)
+
+    def test_truncated_cube_protocol_matches_render_every_iteration(self):
+        proto = cube_recovery_protocol()
+        refs = render_references(proto)
+        params = proto.init.copy()
+        for phase in proto.phases[:2]:
+            def make_opt(phase=phase):
+                return OptimState.create(
+                    params.num_vertices, lr=phase.lr, beta1=phase.beta1, beta2=phase.beta2,
+                    eps_adam=proto.eps_adam, lr_decay=phase.lr_decay,
+                    freeze_channels=phase.freeze_channels,
+                    freeze_vertices=proto.frozen_ids, tie_groups=[proto.target_ids])
+            assert_learn_matches_oracle(proto.mesh, params, refs, make_opt, proto.loss,
+                                        iters=4)
+
+    @pytest.fixture
+    def intersect_calls(self, monkeypatch):
+        calls = []
+        intersect_rays = imaging.intersect_rays
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return intersect_rays(*args, **kwargs)
+
+        monkeypatch.setattr(imaging, "intersect_rays", counted)
+        return calls
+
+    @pytest.mark.parametrize("iters", [0, 1, 5])
+    def test_learn_traces_each_view_once(self, learn_setup, iters, intersect_calls):
+        mesh, params, radar = learn_setup
+        radars = [dataclasses.replace(radar, seed=s) for s in (3, 4, 5)]
+        refs = [(r, render(mesh, params, r)[0].intensities) for r in radars]
+        intersect_calls.clear()
+        learn(mesh, params.copy(), refs[:2], OptimState.create(mesh.num_vertices),
+              CFG_RAW, iters=iters, eval_refs=refs[2:])
+        assert len(intersect_calls) == 3
+
+    @pytest.mark.parametrize("num_probes", [0, 6])
+    def test_grad_check_traces_each_view_once(self, learn_setup, num_probes,
+                                              intersect_calls):
+        mesh, params, radar = learn_setup
+        radars = [radar, dataclasses.replace(radar, seed=4)]
+        refs = [render(mesh, params, r)[0].intensities * 0.5 for r in radars]
+        intersect_calls.clear()
+        grad_check(mesh, params, radars, refs, CFG_RAW, num_probes=num_probes)
+        assert len(intersect_calls) == 2
+
+    def test_view_without_hits(self, learn_setup, wave_hh, monkeypatch):
+        mesh, params, _ = learn_setup
+        away = RadarConfig(
+            wave=wave_hh, start_pos=[100, 50, 5], end_pos=[103, 50, 5],
+            num_azimuth=4, alpha0=0.6, alpha1=0.9, num_angles=8,
+            range_res=0.1, azimuth_res=0.75, seed=1)
+        image, ledger = render(mesh, params, away)
+        assert ledger.num_entries == 0 and not image.intensities.any()
+        ref = np.ones(image.shape)             # energy the view cannot produce
+        _, dLdI = loss_sim(image, ref, CFG_RAW)
+        grad = backward(ledger, dLdI, mesh)
+        assert np.isfinite(grad).all() and not grad.any()
+
+        seen = []
+
+        def recorded_adam_step(opt, table, grads):
+            seen.append(grads.copy())
+            return adam_step(opt, table, grads)
+
+        monkeypatch.setattr(learn_mod, "adam_step", recorded_adam_step)
+        before = params.values.copy()
+        res = learn(mesh, params, [(away, ref)], OptimState.create(mesh.num_vertices),
+                    CFG_RAW, iters=3, eval_refs=[(away, ref)], stop_patience=10 ** 9)
+        assert not res.aborted and res.iterations == len(seen) == 3
+        assert all(np.isfinite(g).all() and not g.any() for g in seen)
+        assert np.isfinite(res.total_loss).all() and (res.total_loss > 0).all()
+        assert np.isfinite(res.eval_rmse).all()
+        np.testing.assert_array_equal(res.params.values, before)
 
 
 class TestGradCheck:
