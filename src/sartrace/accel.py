@@ -1,5 +1,9 @@
 """Ray-triangle intersection and a bounding volume hierarchy.
 
+`build_bvh` builds a median-split BVH one tree level at a time: all
+nodes of a level are split in one numpy step, and nodes are numbered in
+level order, so children come after their parent.
+
 Intersections solve o + t*d = m1*p1 + m2*p2 + (1-m1-m2)*p3 for
 (t, m1, m2); a hit requires the weights to lie in the simplex and
 t > EPS_T.  `intersect_rays` finds nearest hits one ray batch at a
@@ -76,8 +80,8 @@ class Bvh:
 
     box_min: np.ndarray    # (n_nodes, 3)
     box_max: np.ndarray    # (n_nodes, 3)
-    left: np.ndarray       # (n_nodes,) child index, -1 at leaves
-    right: np.ndarray
+    left: np.ndarray       # (n_nodes,) child index, -1 at leaves; children
+    right: np.ndarray      #   are numbered after their parent
     start: np.ndarray      # (n_nodes,) leaf range start into `order`
     count: np.ndarray      # (n_nodes,) leaf facet count, 0 for inner nodes
     order: np.ndarray      # (n_facets,) facet permutation
@@ -90,52 +94,69 @@ class Bvh:
 def build_bvh(mesh: Mesh) -> Bvh:
     """Median-split BVH on the longest centroid-bounds axis.
 
-    Deterministic for a given mesh: stable sorts, fixed split at the
-    facet-count midpoint.
+    Built one tree level per step.  Each node owns a contiguous range
+    of `order`; every node of a level with more than `_LEAF_SIZE` facets
+    is split at once: range centroid bounds by `reduceat`, the axis of
+    largest extent (ties to the first axis), one `lexsort` that orders
+    every range along its own axis, stable inside each range, and a
+    split at the facet-count midpoint.  Nodes are numbered in level
+    order, so the children of the j-th inner node are nodes 2j+1 and
+    2j+2.  Leaf boxes are reduced over their ranges and inner boxes are
+    the min/max of their children's, so every box is exact.
+    Deterministic for a given mesh.
     """
-    if mesh.num_facets == 0:
+    n = mesh.num_facets
+    if n == 0:
         raise ValueError("cannot build a BVH over an empty mesh")
     tri = mesh.vertices[mesh.facets]                  # (F, 3, 3)
-    fmin = tri.min(axis=1)
-    fmax = tri.max(axis=1)
     centroids = tri.mean(axis=1)
+    order = np.arange(n, dtype=np.int64)
 
-    order = np.arange(mesh.num_facets, dtype=np.int64)
-    box_min, box_max, left, right, start, count = [], [], [], [], [], []
-
-    # (node_id, lo, hi) ranges over `order`; children appended after parent
-    stack = [(0, 0, mesh.num_facets)]
-    box_min.append(None); box_max.append(None)
-    left.append(-1); right.append(-1); start.append(0); count.append(0)
-    while stack:
-        node, lo, hi = stack.pop()
-        ids = order[lo:hi]
-        box_min[node] = fmin[ids].min(axis=0)
-        box_max[node] = fmax[ids].max(axis=0)
-        if hi - lo <= _LEAF_SIZE:
-            start[node] = lo
-            count[node] = hi - lo
-            continue
+    # (lo, hi) ranges of `order` of the nodes of each level
+    lo, hi = [np.zeros(1, dtype=np.int64)], [np.full(1, n, dtype=np.int64)]
+    while True:
+        split = hi[-1] - lo[-1] > _LEAF_SIZE
+        if not split.any():
+            break
+        a, b = lo[-1][split], hi[-1][split]
+        size = b - a
+        # the split nodes' ranges, back to back
+        first = np.cumsum(size) - size
+        seg = np.repeat(np.arange(size.size), size)
+        pos = np.arange(seg.size) + np.repeat(a - first, size)
+        ids = order[pos]
         c = centroids[ids]
-        axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
-        perm = np.argsort(c[:, axis], kind="stable")
-        order[lo:hi] = ids[perm]
-        mid = lo + (hi - lo) // 2
-        for child_lo, child_hi, side in ((lo, mid, "l"), (mid, hi, "r")):
-            child = len(left)
-            box_min.append(None); box_max.append(None)
-            left.append(-1); right.append(-1); start.append(0); count.append(0)
-            if side == "l":
-                left[node] = child
-            else:
-                right[node] = child
-            stack.append((child, child_lo, child_hi))
-    return Bvh(
-        box_min=np.asarray(box_min), box_max=np.asarray(box_max),
-        left=np.asarray(left, dtype=np.int64), right=np.asarray(right, dtype=np.int64),
-        start=np.asarray(start, dtype=np.int64), count=np.asarray(count, dtype=np.int64),
-        order=order,
-    )
+        extent = np.maximum.reduceat(c, first) - np.minimum.reduceat(c, first)
+        key = c[np.arange(seg.size), np.argmax(extent, axis=1)[seg]]
+        order[pos] = ids[np.lexsort((key, seg))]
+        mid = a + size // 2
+        # each split node's two children, side by side in the next level
+        lo.append(np.array((a, mid)).T.ravel())
+        hi.append(np.array((mid, b)).T.ravel())
+
+    level_start = np.cumsum([0] + [x.size for x in lo])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    inner = hi - lo > _LEAF_SIZE
+    left = np.full(lo.size, -1, dtype=np.int64)
+    left[inner] = 1 + 2 * np.arange(np.count_nonzero(inner))
+    right = np.where(inner, left + 1, -1)
+
+    box_min = np.empty((lo.size, 3))
+    box_max = np.empty((lo.size, 3))
+    # leaves partition `order`, so one reduceat over the leaves by range start
+    leaves = np.flatnonzero(~inner)
+    leaves = leaves[np.argsort(lo[leaves])]
+    box_min[leaves] = np.minimum.reduceat(tri.min(axis=1)[order], lo[leaves])
+    box_max[leaves] = np.maximum.reduceat(tri.max(axis=1)[order], lo[leaves])
+    # inner boxes level by level, from the deepest up
+    inner_ids = np.flatnonzero(inner)
+    cut = np.searchsorted(inner_ids, level_start)
+    for begin, end in zip(cut[-2::-1], cut[:0:-1]):
+        node = inner_ids[begin:end]
+        box_min[node] = np.minimum(box_min[left[node]], box_min[right[node]])
+        box_max[node] = np.maximum(box_max[left[node]], box_max[right[node]])
+    return Bvh(box_min=box_min, box_max=box_max, left=left, right=right,
+               start=np.where(inner, 0, lo), count=np.where(inner, 0, hi - lo), order=order)
 
 
 def _scan(p1, p2, p3, origins, directions):

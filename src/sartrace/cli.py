@@ -330,6 +330,7 @@ def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
     out = os.path.join(base_dir, out_dir or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
     mesh, params, radars = build_scene(cfg, base_dir)
+    params.validate()
     if len(ref_paths) != len(radars):
         raise ConfigError(
             f"{len(ref_paths)} reference rasters for {len(radars)} configured views")
@@ -372,6 +373,7 @@ def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False,
     cfg = parse_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     mesh, params, radars = build_scene(cfg, base_dir)
+    params.validate()
     if mesh.num_facets > 10_000:
         raise ConfigError("gradcheck wants a small scene (<= 10k facets)")
     loss_cfg = LossConfig(lambda_sim=cfg.lambda_sim, lambda_mat=cfg.lambda_mat,

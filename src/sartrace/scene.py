@@ -217,9 +217,19 @@ def load_param_map(path) -> ParamMap:
             parts = line.split(",")
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 fields")
-            if int(parts[0]) != len(rows):
+            row = []
+            for name, text, parse in zip(("vertex_id",) + PARAM_CHANNELS, parts,
+                                         (int, float, float, float, float)):
+                try:
+                    row.append(parse(text))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {name} {text.strip()!r} is not "
+                                     f"{'an integer' if parse is int else 'a number'}") from None
+            if row[0] != len(rows):
                 raise ValueError(f"{path}:{lineno}: vertex ids must be consecutive from 0")
-            rows.append([float(x) for x in parts[1:]])
+            rows.append(row[1:])
+    if not rows:
+        raise ValueError(f"{path}: no parameter rows after the header")
     return ParamMap(np.asarray(rows, dtype=np.float64))
 
 

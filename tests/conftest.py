@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sartrace import accel
 from sartrace.imaging import RadarConfig
 from sartrace.scatter import WaveConfig
 from sartrace.scene import Mesh, ParamMap
@@ -90,3 +91,45 @@ def oracle_nearest_hit(mesh, origin, direction, eps_t=1e-6):
             if best is None or (t, fid) < (best[1], best[0]):
                 best = (fid, t, m1, m2)
     return best
+
+
+def oracle_build_bvh(mesh):
+    """Independent BVH build: the same median split, one node at a time.
+
+    Pops (node, lo, hi) ranges of `order` off a stack; each node takes the
+    box of its facets, and an inner node sorts its range stably along the
+    longest axis of its centroid bounds and splits it at the midpoint.
+    Nodes are numbered in stack order.
+    """
+    tri = mesh.vertices[mesh.facets]
+    fmin = tri.min(axis=1)
+    fmax = tri.max(axis=1)
+    centroids = tri.mean(axis=1)
+
+    order = np.arange(mesh.num_facets, dtype=np.int64)
+    box_min, box_max, left, right, start, count = [None], [None], [-1], [-1], [0], [0]
+    stack = [(0, 0, mesh.num_facets)]
+    while stack:
+        node, lo, hi = stack.pop()
+        ids = order[lo:hi]
+        box_min[node] = fmin[ids].min(axis=0)
+        box_max[node] = fmax[ids].max(axis=0)
+        if hi - lo <= accel._LEAF_SIZE:
+            start[node] = lo
+            count[node] = hi - lo
+            continue
+        c = centroids[ids]
+        axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
+        order[lo:hi] = ids[np.argsort(c[:, axis], kind="stable")]
+        mid = lo + (hi - lo) // 2
+        for side, child_lo, child_hi in ((left, lo, mid), (right, mid, hi)):
+            child = len(left)
+            box_min.append(None); box_max.append(None)
+            left.append(-1); right.append(-1); start.append(0); count.append(0)
+            side[node] = child
+            stack.append((child, child_lo, child_hi))
+    return accel.Bvh(
+        box_min=np.asarray(box_min), box_max=np.asarray(box_max),
+        left=np.asarray(left, dtype=np.int64), right=np.asarray(right, dtype=np.int64),
+        start=np.asarray(start, dtype=np.int64), count=np.asarray(count, dtype=np.int64),
+        order=order)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from sartrace.accel import Bvh, build_bvh, intersect_rays
 from sartrace.scene import Mesh
 from sartrace.scenes import box_mesh
 
-from conftest import oracle_nearest_hit
+from conftest import oracle_build_bvh, oracle_nearest_hit
 
 
 def random_triangles(rng, n, scale=1.0):
@@ -89,14 +91,83 @@ class TestBvhBuild:
         mesh = random_triangles(np.random.default_rng(2), 128)
         a = build_bvh(mesh)
         b = build_bvh(mesh)
-        np.testing.assert_array_equal(a.order, b.order)
-        np.testing.assert_array_equal(a.box_min, b.box_min)
+        for field in dataclasses.fields(Bvh):
+            np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
+                                          err_msg=field.name)
 
     def test_empty_mesh_rejected(self):
         mesh = Mesh(vertices=np.zeros((3, 3)), facets=np.zeros((0, 3), dtype=np.int64),
                     facet_normals=np.zeros((0, 3)))
         with pytest.raises(ValueError):
             build_bvh(mesh)
+
+
+def node_ranges(bvh):
+    """(lo, hi) range of `order` under every node, children before parents."""
+    lo = np.empty(bvh.num_nodes, dtype=np.int64)
+    hi = np.empty(bvh.num_nodes, dtype=np.int64)
+    for node in range(bvh.num_nodes - 1, -1, -1):
+        if bvh.count[node]:
+            lo[node], hi[node] = bvh.start[node], bvh.start[node] + bvh.count[node]
+        else:
+            lo[node], hi[node] = lo[bvh.left[node]], hi[bvh.right[node]]
+    return lo, hi
+
+
+def node_map(bvh):
+    """(lo, hi, is_leaf) -> (box_min, box_max) bytes; independent of node numbering."""
+    lo, hi = node_ranges(bvh)
+    return {(int(a), int(b), bool(c)): (bvh.box_min[k].tobytes(), bvh.box_max[k].tobytes())
+            for k, (a, b, c) in enumerate(zip(lo, hi, bvh.count > 0))}
+
+
+def bvh_test_mesh(rng, n, kind):
+    """random: uniform facets; coincident: every centroid at (1, 2, 3), so
+    the split axis and every sort key tie; integer: small integer corners,
+    so many keys tie."""
+    if kind == "random":
+        return random_triangles(rng, n)
+
+    def draw():
+        if kind == "integer":
+            return rng.integers(-3, 4, (n, 3, 3)).astype(np.float64)
+        a, b = rng.integers(-3, 4, (2, n, 3)).astype(np.float64)
+        center = np.array([1.0, 2.0, 3.0])
+        return np.stack([center + a, center + b, center - a - b], axis=1)
+
+    tri = draw()
+    while True:        # redraw zero-area facets, which Mesh rejects
+        flat = np.all(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]) == 0.0, axis=1)
+        if not flat.any():
+            return Mesh.from_arrays(tri.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+        tri[flat] = draw()[flat]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n_facets=st.one_of(st.integers(1, 9), st.integers(257, 3000)),
+       kind=st.sampled_from(["random", "coincident", "integer"]))
+def test_build_matches_oracle(seed, n_facets, kind):
+    """The level-at-a-time build makes the oracle's tree, numbered in level order."""
+    mesh = bvh_test_mesh(np.random.default_rng(seed), n_facets, kind)
+    bvh = build_bvh(mesh)
+    oracle = oracle_build_bvh(mesh)
+    np.testing.assert_array_equal(bvh.order, oracle.order)
+    assert bvh.num_nodes == oracle.num_nodes
+    assert node_map(bvh) == node_map(oracle)
+
+    inner = np.flatnonzero(bvh.count == 0)
+    assert np.all(bvh.left[inner] > inner) and np.all(bvh.right[inner] > inner)
+    np.testing.assert_array_equal(
+        bvh.box_min[inner], np.minimum(bvh.box_min[bvh.left[inner]], bvh.box_min[bvh.right[inner]]))
+    np.testing.assert_array_equal(
+        bvh.box_max[inner], np.maximum(bvh.box_max[bvh.left[inner]], bvh.box_max[bvh.right[inner]]))
+    leaves = np.flatnonzero(bvh.count)
+    leaves = leaves[np.argsort(bvh.start[leaves])]
+    bounds = np.append(bvh.start[leaves], mesh.num_facets)
+    assert bounds[0] == 0
+    np.testing.assert_array_equal(np.diff(bounds), bvh.count[leaves])
+    np.testing.assert_array_equal(np.sort(bvh.order), np.arange(mesh.num_facets))
 
 
 def stacked_layers(rng, n_copies):

@@ -9,7 +9,7 @@ from sartrace.accel import build_bvh
 from sartrace.cli import (ConfigError, build_scene, main, parse_config,
                           serialize_config)
 from sartrace.imaging import read_raster, render
-from sartrace.scene import Mesh, ParamMap, load_param_map, write_obj
+from sartrace.scene import Mesh, ParamMap, load_param_map, save_param_map, write_obj
 from sartrace.scenes import merge_meshes, plane_mesh
 
 CONFIG = """\
@@ -264,6 +264,37 @@ class TestGradcheckCommand:
     def test_zero_probes_exit_zero(self, workdir):
         assert main(["gradcheck", "--config", str(workdir / "run.ini"),
                      "--probes", "0"]) == 0
+
+
+class TestNonFiniteInitTable:
+    """learn and gradcheck reject a NaN init_csv before any work, as simulate does."""
+
+    @pytest.fixture
+    def nan_config(self, workdir):
+        params = ParamMap.constant(8, 0.004, 0.02, 9.0, 0.3)
+        params.values[5, 2] = np.nan
+        save_param_map(params, workdir / "init.csv")
+        path = workdir / "nan.ini"
+        path.write_text(CONFIG.replace("init = 0.004 0.02 9.0 0.3", "init_csv = init.csv"))
+        return str(path)
+
+    def test_simulate(self, nan_config, capsys):
+        assert main(["simulate", "--config", nan_config]) == 2
+        assert "non-finite parameter value" in capsys.readouterr().err
+
+    def test_learn(self, workdir, nan_config, capsys):
+        refs = TestLearnCommand().render_refs(workdir)
+        capsys.readouterr()
+        assert main(["learn", "--config", nan_config, "--refs"] + refs
+                    + ["--out", "learned"]) == 2
+        assert "non-finite parameter value" in capsys.readouterr().err
+        assert not (workdir / "learned" / "params_final.csv").exists()
+
+    def test_gradcheck(self, nan_config, capsys):
+        assert main(["gradcheck", "--config", nan_config, "--probes", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "non-finite parameter value" in captured.err
+        assert "relative error" not in captured.out
 
 
 class TestSweepCommand:

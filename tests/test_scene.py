@@ -205,6 +205,21 @@ class TestParamMap:
         with pytest.raises(ValueError, match="header"):
             load_param_map(path)
 
+    @pytest.mark.parametrize("body, cause", [
+        ("0,0.001,0.01,2.0,0.5\n1,0.001,abc,2.0,0.5\n", r"bad\.csv:3: l 'abc' is not a number"),
+        ("x,0.001,0.01,2.0,0.5\n", r"bad\.csv:2: vertex_id 'x' is not an integer"),
+        ("0.5,0.001,0.01,2.0,0.5\n", r"bad\.csv:2: vertex_id '0\.5' is not an integer"),
+        ("0,0.001,0.01,2.0,\n", r"bad\.csv:2: tau '' is not a number"),
+        ("", r"bad\.csv: no parameter rows"),
+        ("\n\n", r"bad\.csv: no parameter rows"),
+    ], ids=["text-value", "text-id", "fractional-id", "empty-value", "header-only",
+            "blank-rows-only"])
+    def test_malformed_rows_name_line_and_field(self, tmp_path, body, cause):
+        path = tmp_path / "bad.csv"
+        path.write_text("vertex_id,h,l,eps_r,tau\n" + body)
+        with pytest.raises(ValueError, match=cause):
+            load_param_map(path)
+
     @pytest.mark.parametrize("row", [
         [0.0, 0.01, 2.0, 0.5],     # h = 0
         [0.001, -1.0, 2.0, 0.5],   # l < 0
