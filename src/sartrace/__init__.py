@@ -14,11 +14,11 @@ is not re-exported here, so the name sartrace.learn is the module).
 """
 
 from sartrace.scene import (
-    Mesh, ParamMap, BsdfParams, MeshError, PARAM_CHANNELS,
+    Mesh, ParamMap, MeshError, PARAM_CHANNELS,
     load_mesh, write_obj, save_param_map, load_param_map,
 )
 from sartrace.accel import Bvh, build_bvh
-from sartrace.scatter import WaveConfig, ValidityReport, SPEED_OF_LIGHT, check_validity
+from sartrace.scatter import WaveConfig, SPEED_OF_LIGHT, VALIDITY_CONDITIONS, validity_mask
 from sartrace.imaging import (
     RadarConfig, MapFrame, SarImage, HitLedger, HitSet, RayFan,
     generate_rays, bin_ranges_fast, render, trace, shade,

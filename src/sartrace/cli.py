@@ -25,9 +25,8 @@ from sartrace.imaging import (RadarConfig, SarImage, read_raster, render,
                               write_pgm, write_raster)
 from sartrace.learn import (LossConfig, OptimState, grad_check, learn,
                             loss_sim, rmse_normalized, write_history_csv)
-from sartrace.scatter import WaveConfig, check_validity, eval_bsdf_batch
-from sartrace.scene import (BsdfParams, ParamMap, load_mesh, load_param_map,
-                            save_param_map)
+from sartrace.scatter import WaveConfig, eval_bsdf_batch, validity_mask
+from sartrace.scene import ParamMap, load_mesh, load_param_map, save_param_map
 from sartrace.scenes import multiview_radars
 
 
@@ -305,10 +304,10 @@ def cmd_simulate(config_path, out_dir=None, seed=None) -> int:
         cfg = replace(cfg, seed=seed)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out = os.path.join(base_dir, out_dir or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
     mesh, params, radars = build_scene(cfg, base_dir)
     params.validate()
     bvh = build_bvh(mesh)
+    os.makedirs(out, exist_ok=True)
     written = []
     for vi, radar in enumerate(radars):
         image, _ = render(mesh, params, radar, bvh=bvh)
@@ -328,7 +327,6 @@ def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
     cfg = parse_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out = os.path.join(base_dir, out_dir or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
     mesh, params, radars = build_scene(cfg, base_dir)
     params.validate()
     if len(ref_paths) != len(radars):
@@ -343,6 +341,7 @@ def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
                           normalize=cfg.normalize)
     bvh = build_bvh(mesh)
     result = learn(mesh, params, refs, opt, loss_cfg, iters=cfg.iters, bvh=bvh)
+    os.makedirs(out, exist_ok=True)  # only now: learn checks the reference shapes on entry
     save_param_map(result.params, os.path.join(out, "params_final.csv"))
     write_history_csv(result, os.path.join(out, "history.csv"))
     for vi, (radar, _) in enumerate(refs):
@@ -404,16 +403,16 @@ def cmd_sweep(h, l, eps_r, tau, frequency, polarization, psd,
     for name, deg in (("theta-start", theta_start_deg), ("theta-stop", theta_stop_deg)):
         if not 0.0 <= deg < 90.0:
             raise ValueError(f"{name} must lie in [0, 90) degrees, got {deg!r}")
-    params = BsdfParams(h=h, l=l, eps_r=eps_r, tau=tau)
     thetas = np.linspace(math.radians(theta_start_deg), math.radians(theta_stop_deg), num)
     # the diffuse and specular columns are the blend at tau = 0 and tau = 1
     columns = [eval_bsdf_batch(thetas, np.tile([h, l, eps_r, t], (thetas.size, 1)), wave)[0]
                for t in (0.0, 1.0, tau)]
+    mask = validity_mask(thetas, np.tile([h, l, eps_r, tau], (thetas.size, 1)), wave)
+    flags = zip(mask[:, :3].all(axis=1), mask[:, 3:].all(axis=1))  # SPM, KA
     lines = ["theta_deg,sigma_spm,sigma_ka,sigma,spm_ok,ka_ok"]
-    for th, s_spm, s_ka, blend in zip(thetas, *columns):
-        report = check_validity(params, float(th), wave)
+    for th, s_spm, s_ka, blend, (spm_ok, ka_ok) in zip(thetas, *columns, flags):
         lines.append(f"{math.degrees(th)!r},{float(s_spm)!r},{float(s_ka)!r},{float(blend)!r},"
-                     f"{int(report.spm_ok)},{int(report.ka_ok)}")
+                     f"{int(spm_ok)},{int(ka_ok)}")
     text = "\n".join(lines) + "\n"
     if out_path == "-":
         sys.stdout.write(text)

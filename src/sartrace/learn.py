@@ -36,6 +36,9 @@ DEFAULT_UPPER = np.array([1.0, 10.0, 1e4, 1.0])
 
 _LOG_CHANNELS = np.array([True, True, True, False])  # h, l, eps_r in log space
 
+_STOP_TOL = 1e-6       # least mean training RMSE gain that resets patience
+_FD_REL_STEP = 1e-4    # grad_check central step, relative to the value
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -247,19 +250,18 @@ class LearnResult:
     sim_loss: np.ndarray
     tv_loss: np.ndarray
     view_rmse: np.ndarray        # (iters, num_train_views)
-    eval_rmse: np.ndarray        # (iters, num_eval_views), NaN when skipped
+    eval_rmse: np.ndarray        # (iters, num_eval_views)
 
 
 def learn(mesh: Mesh, params: ParamMap, refs, opt: OptimState, cfg: LossConfig,
           iters: int, eval_refs=None, bvh=None,
-          eval_every: int = 1, stop_patience: int = 50, stop_tol: float = 1e-6,
-          bsdf_fn=None) -> LearnResult:
+          stop_patience: int = 50, bsdf_fn=None) -> LearnResult:
     """Multi-view gradient-descent recovery of the parameter table.
 
     refs: list of (RadarConfig, reference image); all participate in the
     gradient.  eval_refs: optional held-out views scored by RMSE only.
     Runs at most `iters` steps, stopping early once the mean training
-    RMSE improves by less than stop_tol over stop_patience iterations.
+    RMSE improves by less than _STOP_TOL over stop_patience iterations.
     A non-finite loss aborts and returns the last finite-loss table.
     Every view is traced once, on entry; each iteration only shades the
     traced hits with the current table, since no parameter moves a hit.
@@ -298,11 +300,8 @@ def learn(mesh: Mesh, params: ParamMap, refs, opt: OptimState, cfg: LossConfig,
         grads += tv_grad
         total = sim_total + tv_val
 
-        ev = np.full(len(eval_refs), np.nan)
-        if eval_views and (it % eval_every == 0 or it == iters - 1):
-            for ei, (hits, ref) in enumerate(eval_views):
-                image, _ = shade(hits, params, bsdf_fn)
-                ev[ei] = rmse_normalized(image, ref)
+        ev = np.array([rmse_normalized(shade(hits, params, bsdf_fn)[0], ref)
+                       for hits, ref in eval_views])
 
         total_hist.append(total)
         sim_hist.append(sim_total)
@@ -319,7 +318,7 @@ def learn(mesh: Mesh, params: ParamMap, refs, opt: OptimState, cfg: LossConfig,
         adam_step(opt, params, grads)
 
         mean_rmse = float(rmses.mean())
-        if mean_rmse < best_rmse - stop_tol:
+        if mean_rmse < best_rmse - _STOP_TOL:
             best_rmse = mean_rmse
             since_best = 0
         else:
@@ -381,12 +380,11 @@ def _pipeline_loss(hitsets, params, refs, cfg, bsdf_fn):
 
 
 def grad_check(mesh: Mesh, params: ParamMap, radars, refs, cfg: LossConfig,
-               num_probes: int, seed: int = 0, bvh=None, bsdf_fn=None,
-               rel_step: float = 1e-4) -> GradCheckReport:
+               num_probes: int, seed: int = 0, bvh=None, bsdf_fn=None) -> GradCheckReport:
     """Compare ledger-assembled gradients with central finite differences.
 
     Probes num_probes random (vertex, channel) pairs of the full
-    render + loss pipeline.  Central steps are rel_step * |value| with
+    render + loss pipeline.  Central steps are _FD_REL_STEP * |value| with
     an absolute floor of 1e-8.  Probes where both sides vanish report
     zero error (unilluminated vertices).  Each view is traced once; the
     finite differences only re-shade it, since no parameter moves a hit.
@@ -407,7 +405,7 @@ def grad_check(mesh: Mesh, params: ParamMap, radars, refs, cfg: LossConfig,
         vid = int(rng.integers(mesh.num_vertices))
         ci = int(rng.integers(4))
         base = params.values[vid, ci]
-        step = max(rel_step * abs(base), 1e-8)
+        step = max(_FD_REL_STEP * abs(base), 1e-8)
         trial = params.copy()
         trial.values[vid, ci] = base + step
         up = _pipeline_loss(hitsets, trial, refs, cfg, bsdf_fn)

@@ -23,6 +23,24 @@ identical for HH and VV.  All partial derivatives w.r.t. (h, l, eps_r,
 tau) are analytic and are validated against central finite differences
 in the test suite.
 
+Each branch holds only inside its own roughness region.  validity_mask
+reports these seven conditions per hit, one column each in this order
+(VALIDITY_CONDITIONS); "much less than one" reads as < 0.3, the scale
+of the explicit slope bound:
+
+    spm_kh              k h < 0.3
+    spm_k3h2l           k^3 h^2 l < 0.3
+    spm_slope           sqrt(2) h / l < 0.3
+    ka_kl               k l > 6
+    ka_rayleigh         k h > sqrt(10) / (2 cos(theta))
+    ka_curvature        l^2 / (h sqrt(24 / pi)) > lambda
+    ka_gauss_curvature  l^2 > 2.76 h lambda
+
+The Rayleigh condition uses the backscatter convention
+|cos(theta_i) + cos(theta_s)| = 2 cos(theta); the curvature radius uses
+the Gaussian correlation fourth derivative C''''(0) = 12 / l^4.  The
+mask is a report, not a gate: hits outside the region still evaluate.
+
 Units: angles rad, lengths meters, frequency Hz; sigma is a
 dimensionless per-ray intensity weight (no absolute radiometric
 calibration).
@@ -34,8 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from sartrace.scene import BsdfParams
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -152,61 +168,28 @@ def eval_bsdf_batch(theta, values, wave: WaveConfig):
     return sigma, grads
 
 
-@dataclass(frozen=True)
-class ValidityCondition:
-    name: str
-    model: str        # "spm" or "ka"
-    value: float      # left-hand side as evaluated
-    bound: float      # right-hand side
-    satisfied: bool
+VALIDITY_CONDITIONS = ("spm_kh", "spm_k3h2l", "spm_slope", "ka_kl", "ka_rayleigh",
+                       "ka_curvature", "ka_gauss_curvature")
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    spm_ok: bool
-    ka_ok: bool
-    conditions: tuple[ValidityCondition, ...]
+def validity_mask(theta, values, wave: WaveConfig):
+    """Which validity conditions hold at each hit -> (n, 7) bool.
 
-    @property
-    def violated(self) -> tuple[ValidityCondition, ...]:
-        return tuple(c for c in self.conditions if not c.satisfied)
-
-
-def check_validity(params: BsdfParams, theta: float, wave: WaveConfig,
-                   small_threshold: float = 0.3) -> ValidityReport:
-    """Evaluate SPM and KA applicability for one parameter set.
-
-    "Much less than one" conditions are operationalized as
-    `< small_threshold` (default 0.3, the scale of the explicit slope
-    bound).  The KA Rayleigh condition uses the backscatter convention
-    |cos(theta_i) + cos(theta_s)| = 2 cos(theta); the curvature radius
-    uses the Gaussian correlation fourth derivative C''''(0) = 12 / l^4.
-    This is a report, not a gate: parameters outside the region still
-    evaluate.
+    Same inputs as eval_bsdf_batch (h and l positive); the columns
+    follow VALIDITY_CONDITIONS.  SPM applies where columns 0-2 all hold,
+    KA where columns 3-6 all hold.
     """
-    if params.h <= 0 or params.l <= 0:
-        raise ValueError("h and l must be positive")
+    values = np.asarray(values, dtype=np.float64)
+    h = values[:, 0]
+    l = values[:, 1]
     k = wave.wavenumber
     lam = wave.wavelength
-    h, l = params.h, params.l
-    ct = math.cos(theta)
-
-    curvature_radius = l * l / (h * math.sqrt(24.0 / math.pi))
-    conds = (
-        ValidityCondition("spm_kh", "spm", k * h, small_threshold,
-                          k * h < small_threshold),
-        ValidityCondition("spm_k3h2l", "spm", k ** 3 * h * h * l, small_threshold,
-                          k ** 3 * h * h * l < small_threshold),
-        ValidityCondition("spm_slope", "spm", math.sqrt(2.0) * h / l, 0.3,
-                          math.sqrt(2.0) * h / l < 0.3),
-        ValidityCondition("ka_kl", "ka", k * l, 6.0, k * l > 6.0),
-        ValidityCondition("ka_rayleigh", "ka", k * h, math.sqrt(10.0) / (2.0 * ct),
-                          k * h > math.sqrt(10.0) / (2.0 * ct)),
-        ValidityCondition("ka_curvature", "ka", curvature_radius, lam,
-                          curvature_radius > lam),
-        ValidityCondition("ka_gauss_curvature", "ka", l * l, 2.76 * h * lam,
-                          l * l > 2.76 * h * lam),
-    )
-    spm_ok = all(c.satisfied for c in conds if c.model == "spm")
-    ka_ok = all(c.satisfied for c in conds if c.model == "ka")
-    return ValidityReport(spm_ok=spm_ok, ka_ok=ka_ok, conditions=conds)
+    return np.stack([
+        k * h < 0.3,
+        k ** 3 * h * h * l < 0.3,
+        math.sqrt(2.0) * h / l < 0.3,
+        k * l > 6.0,
+        k * h > math.sqrt(10.0) / (2.0 * np.cos(theta)),
+        l * l / (h * math.sqrt(24.0 / math.pi)) > lam,
+        l * l > 2.76 * h * lam,
+    ], axis=1)

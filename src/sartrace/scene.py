@@ -131,16 +131,6 @@ def write_obj(mesh: Mesh, path) -> None:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
 
 
-@dataclass(frozen=True)
-class BsdfParams:
-    """One scattering parameter set, as check_validity reads it."""
-
-    h: float
-    l: float
-    eps_r: float
-    tau: float
-
-
 @dataclass
 class ParamMap:
     """Per-vertex scattering parameter table, shape (n_vertices, 4).
@@ -185,15 +175,21 @@ class ParamMap:
         return ParamMap(self.values.copy())
 
     def validate(self) -> None:
-        """Check physical bounds: h, l > 0, eps_r >= 1, tau in [0, 1]."""
-        if not np.isfinite(self.values).all():
-            raise ValueError("non-finite parameter value")
-        if np.any(self.h <= 0) or np.any(self.l <= 0):
-            raise ValueError("h and l must be positive")
-        if np.any(self.eps_r < 1):
-            raise ValueError("eps_r must be >= 1")
-        if np.any((self.tau < 0) | (self.tau > 1)):
-            raise ValueError("tau must lie in [0, 1]")
+        """Check physical bounds: h, l > 0, eps_r >= 1, tau in [0, 1].
+
+        The error names the first offending vertex and its channel.
+        """
+        v = self.values
+        checks = (  # (first channel, offending cells, cause)
+            (0, ~np.isfinite(v), "non-finite parameter value"),
+            (0, v[:, :2] <= 0, "h and l must be positive"),
+            (2, v[:, 2:3] < 1, "eps_r must be >= 1"),
+            (3, (v[:, 3:] < 0) | (v[:, 3:] > 1), "tau must lie in [0, 1]"),
+        )
+        for first, bad, cause in checks:
+            if bad.any():
+                vertex, col = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
+                raise ValueError(f"vertex {vertex}, {PARAM_CHANNELS[first + col]}: {cause}")
 
 
 def save_param_map(params: ParamMap, path) -> None:

@@ -214,6 +214,7 @@ class TestLearnCommand:
         rc = main(["learn", "--config", str(workdir / "run.ini"),
                    "--refs", refs[0], "--out", "learned"])
         assert rc == 2
+        assert not (workdir / "learned").exists()
 
     def test_bad_raster_magic(self, workdir):
         bad = workdir / "bad.sarf"
@@ -221,6 +222,15 @@ class TestLearnCommand:
         rc = main(["learn", "--config", str(workdir / "run.ini"),
                    "--refs", str(bad), str(bad), "--out", "learned"])
         assert rc == 2
+        assert not (workdir / "learned").exists()
+
+    def test_reference_shape_mismatch_writes_nothing(self, workdir):
+        refs = self.render_refs(workdir)
+        (workdir / "wide.ini").write_text(CONFIG.replace("range_res = 0.1", "range_res = 0.05"))
+        rc = main(["learn", "--config", str(workdir / "wide.ini"), "--refs"] + refs
+                  + ["--out", "learned"])
+        assert rc == 2
+        assert not (workdir / "learned").exists()
 
 
 class TestOneBvhPerCommand:
@@ -267,7 +277,8 @@ class TestGradcheckCommand:
 
 
 class TestNonFiniteInitTable:
-    """learn and gradcheck reject a NaN init_csv before any work, as simulate does."""
+    """Every command rejects a NaN init_csv before any work, names the
+    vertex and channel, and leaves no output directory behind."""
 
     @pytest.fixture
     def nan_config(self, workdir):
@@ -278,9 +289,12 @@ class TestNonFiniteInitTable:
         path.write_text(CONFIG.replace("init = 0.004 0.02 9.0 0.3", "init_csv = init.csv"))
         return str(path)
 
-    def test_simulate(self, nan_config, capsys):
+    def test_simulate(self, workdir, nan_config, capsys):
         assert main(["simulate", "--config", nan_config]) == 2
-        assert "non-finite parameter value" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite parameter value" in err
+        assert "vertex 5, eps_r" in err
+        assert not (workdir / "out").exists()
 
     def test_learn(self, workdir, nan_config, capsys):
         refs = TestLearnCommand().render_refs(workdir)
@@ -288,7 +302,7 @@ class TestNonFiniteInitTable:
         assert main(["learn", "--config", nan_config, "--refs"] + refs
                     + ["--out", "learned"]) == 2
         assert "non-finite parameter value" in capsys.readouterr().err
-        assert not (workdir / "learned" / "params_final.csv").exists()
+        assert not (workdir / "learned").exists()
 
     def test_gradcheck(self, nan_config, capsys):
         assert main(["gradcheck", "--config", nan_config, "--probes", "2"]) == 2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sartrace.scene import BsdfParams
-from sartrace.scatter import SPEED_OF_LIGHT, WaveConfig, check_validity, eval_bsdf_batch
+from sartrace.scatter import (SPEED_OF_LIGHT, VALIDITY_CONDITIONS, WaveConfig,
+                              eval_bsdf_batch, validity_mask)
 
 WAVE = WaveConfig(9.6e9, "HH", "gaussian")
 K = WAVE.wavenumber
@@ -270,36 +270,93 @@ def test_no_contrast_near_grazing_partials_finite():
     assert [sigma for sigma, _ in out] == [0.0, 0.0]
 
 
+def oracle_validity(theta, h, l, frequency):
+    """Scalar transcription of the seven validity conditions, in column order."""
+    k = 2.0 * math.pi * frequency / 299792458.0
+    lam = 299792458.0 / frequency
+    return (
+        k * h < 0.3,
+        k ** 3 * h * h * l < 0.3,
+        math.sqrt(2.0) * h / l < 0.3,
+        k * l > 6.0,
+        k * h > math.sqrt(10.0) / (2.0 * math.cos(theta)),
+        l * l / (h * math.sqrt(24.0 / math.pi)) > lam,
+        l * l > 2.76 * h * lam,
+    )
+
+
+def conditions(theta, h, l, wave=WAVE):
+    """validity_mask at one hit -> {condition name: bool}."""
+    row = validity_mask(np.array([theta]), np.array([[h, l, 9.0, 0.0]]), wave)[0]
+    return dict(zip(VALIDITY_CONDITIONS, row.tolist()))
+
+
+def spm_ok(theta, h, l):
+    return all(v for name, v in conditions(theta, h, l).items() if name.startswith("spm"))
+
+
 class TestValidity:
+    def test_column_names(self):
+        assert VALIDITY_CONDITIONS == ("spm_kh", "spm_k3h2l", "spm_slope", "ka_kl",
+                                       "ka_rayleigh", "ka_curvature", "ka_gauss_curvature")
+
     def test_smooth_surface_spm_ok(self):
-        # k = 201.2 rad/m at 9.6 GHz: kh = 0.1006, sqrt(2) h / l = 0.0141
-        rep = check_validity(BsdfParams(0.0005, 0.05, 9.0, 0.0), math.radians(45), WAVE)
-        assert rep.spm_ok
-        kh = next(c for c in rep.conditions if c.name == "spm_kh")
-        assert kh.value == pytest.approx(0.1006, abs=2e-4)
+        # k = 201.2011 rad/m at 9.6 GHz: k h = 0.3 at h = 1.49105e-3 m
+        assert spm_ok(math.radians(45), 0.0005, 0.05)
+        below = conditions(math.radians(45), 1.49105e-3 * (1 - 1e-4), 0.05)
+        above = conditions(math.radians(45), 1.49105e-3 * (1 + 1e-4), 0.05)
+        assert below["spm_kh"] and not above["spm_kh"]
 
     def test_steep_slope_violates_spm(self):
-        rep = check_validity(BsdfParams(0.002, 0.001, 75.0, 0.0), math.radians(45), WAVE)
-        assert not rep.spm_ok
-        names = [c.name for c in rep.violated]
-        assert "spm_slope" in names
-        slope = next(c for c in rep.violated if c.name == "spm_slope")
-        assert slope.value == pytest.approx(math.sqrt(2) * 2.0, rel=1e-12)
+        assert not spm_ok(math.radians(45), 0.002, 0.001)
+        # sqrt(2) h / l = 0.3 at h = 2.12132e-4 m for l = 1 mm
+        below = conditions(math.radians(45), 2.12132e-4 * (1 - 1e-4), 0.001)
+        above = conditions(math.radians(45), 2.12132e-4 * (1 + 1e-4), 0.001)
+        assert below["spm_slope"] and not above["spm_slope"]
 
     def test_long_correlation_flat_surface(self):
-        rep = check_validity(BsdfParams(0.001, 10.0, 9.0, 0.0), math.radians(30), WAVE)
-        ka_names = {c.name for c in rep.violated if c.model == "ka"}
-        assert "ka_kl" not in ka_names
-        assert "ka_curvature" not in ka_names
-        assert "ka_gauss_curvature" not in ka_names
+        got = conditions(math.radians(30), 0.001, 10.0)
+        assert got["ka_kl"] and got["ka_curvature"] and got["ka_gauss_curvature"]
 
     def test_report_is_not_a_gate(self):
-        p = BsdfParams(0.002, 0.001, 75.0, 0.0)
-        rep = check_validity(p, math.radians(45), WAVE)
-        assert not rep.spm_ok
-        assert spm(math.radians(45), p.h, p.l, p.eps_r) > 0.0
+        assert not spm_ok(math.radians(45), 0.002, 0.001)
+        assert spm(math.radians(45), 0.002, 0.001, 75.0) > 0.0
 
-    def test_threshold_configurable(self):
-        p = BsdfParams(0.0005, 0.05, 9.0, 0.0)
-        tight = check_validity(p, math.radians(45), WAVE, small_threshold=0.05)
-        assert not tight.spm_ok
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, math.pi / 2, exclude_max=True),
+                          st.floats(1e-7, 1.0), st.floats(1e-7, 10.0)), max_size=20),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1.2e9, 9.6e9, 35e9]), st.sampled_from(["HH", "VV"]))
+def test_validity_mask_matches_scalar_oracle(draws, seed, frequency, pol):
+    """Column by column over the box: hypothesis's draws reach the box
+    edges, and 500 log-uniform (h, l) draws per example cross every
+    threshold often enough to catch a bound that is off by 1 %."""
+    rng = np.random.default_rng(seed)
+    n = 500
+    rows = draws + list(zip(rng.uniform(0.0, math.pi / 2, n).tolist(),
+                            (10.0 ** rng.uniform(-7.0, 0.0, n)).tolist(),
+                            (10.0 ** rng.uniform(-7.0, 1.0, n)).tolist()))
+    theta = np.array([th for th, _, _ in rows])
+    values = np.array([[h, l, 9.0, 0.5] for _, h, l in rows])
+    mask = validity_mask(theta, values, WaveConfig(frequency, pol))
+    assert mask.shape == (len(rows), len(VALIDITY_CONDITIONS)) and mask.dtype == bool
+    for got, (th, h, l) in zip(mask.tolist(), rows):
+        assert tuple(got) == oracle_validity(th, h, l, frequency)
+
+
+@pytest.mark.parametrize("pol", ["HH", "VV"])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+def test_box_corners_at_grazing_and_normal_incidence(pol, kind):
+    """Tiny slopes at grazing drive the KA exp to underflow; nothing may
+    divide by zero, overflow or turn invalid."""
+    corners = [(1e-7, 10.0, 1.0 + 1e-6), (1.0, 1e-7, 1.0), (1e-7, 1e-7, 75.0)]
+    # arccos(0) is the angle trace reports when cos(theta) clips to 0
+    theta = np.repeat([np.arccos(0.0), 0.0], len(corners))
+    values = np.array([[h, l, eps_r, 0.5] for h, l, eps_r in corners] * 2)
+    wave = WaveConfig(9.6e9, pol, kind)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        sigma, grads = eval_bsdf_batch(theta, values, wave)
+        mask = validity_mask(theta, values, wave)
+    assert np.all(np.isfinite(sigma)) and np.all(np.isfinite(grads))
+    assert mask.dtype == bool and mask.shape == (len(theta), 7)

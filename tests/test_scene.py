@@ -231,6 +231,20 @@ class TestParamMap:
         with pytest.raises(ValueError):
             pm.validate()
 
+    def test_validate_names_first_vertex_and_channel(self):
+        pm = ParamMap.constant(4, 0.001, 0.01, 2.0, 0.5)
+        pm.values[3, 0] = np.nan
+        pm.values[2, 3] = 1.5
+        pm.values[1, 1] = -1.0
+        with pytest.raises(ValueError, match=r"^vertex 3, h: non-finite parameter value$"):
+            pm.validate()
+        pm.values[3, 0] = 0.001
+        with pytest.raises(ValueError, match=r"^vertex 1, l: h and l must be positive$"):
+            pm.validate()
+        pm.values[1, 1] = 0.01
+        with pytest.raises(ValueError, match=r"^vertex 2, tau: tau must lie in \[0, 1\]$"):
+            pm.validate()
+
     def test_constant_broadcast(self):
         pm = ParamMap.constant(5, 0.001, 0.01, 2.0, 0.5)
         assert pm.num_vertices == 5
