@@ -14,11 +14,12 @@ time, by one of two paths that share the Moller-Trumbore kernel `_mt`:
   with the root, and each step slab-tests all live (ray, node) pairs at
   once, drops the pairs that miss or lie beyond the ray's nearest hit so
   far, solves the (ray, facet) pairs of the leaves reached, and replaces
-  each inner-node pair by its two child pairs.
+  each inner-node pair by its two child pairs.  A step reads the
+  corners of only the facets its leaves reach, not the whole mesh.
 
 Both paths keep the smallest (t, facet_id) per ray, so their results are
 bitwise identical whatever the traversal order; ties on t resolve to the
-lowest facet id.
+lowest facet id.  `uses_bvh` says on which meshes a BVH is traversed.
 
 Watertightness is not claimed: rays grazing a shared edge may report
 either adjacent facet.
@@ -48,6 +49,9 @@ _TRAVERSE_BATCH = 1024
 
 # most facets per BVH leaf
 _LEAF_SIZE = 4
+
+# meshes of at most this many facets are scanned even when a BVH is given
+BVH_MIN_FACETS = 256
 
 
 def _mt(origins, directions, p1, p2, p3):
@@ -159,6 +163,17 @@ def build_bvh(mesh: Mesh) -> Bvh:
                start=np.where(inner, 0, lo), count=np.where(inner, 0, hi - lo), order=order)
 
 
+def uses_bvh(mesh: Mesh) -> bool:
+    """Whether intersect_rays traverses a BVH on this mesh or scans it."""
+    return mesh.num_facets > BVH_MIN_FACETS
+
+
+def _corners(mesh: Mesh, ids=slice(None)):
+    """(p1, p2, p3) corner arrays of the facets ids, each (len(ids), 3)."""
+    f = mesh.facets[ids]
+    return mesh.vertices[f[:, 0]], mesh.vertices[f[:, 1]], mesh.vertices[f[:, 2]]
+
+
 def _scan(p1, p2, p3, origins, directions):
     """Nearest hits of a ray batch against every facet.
 
@@ -174,11 +189,12 @@ def _scan(p1, p2, p3, origins, directions):
             np.where(hit, m1[rows, j], 0.0), np.where(hit, m2[rows, j], 0.0))
 
 
-def _traverse(bvh: Bvh, p1, p2, p3, origins, directions):
+def _traverse(bvh: Bvh, mesh: Mesh, origins, directions):
     """Nearest hits of a ray batch through the BVH, one tree level per step.
 
-    The frontier is a pair of arrays (ray, node).  Returns the same
-    (facet_id, t, m1, m2) as `_scan`.
+    The frontier is a pair of arrays (ray, node); only the facets of the
+    leaves reached are read.  Returns the same (facet_id, t, m1, m2) as
+    `_scan`.
     """
     n = origins.shape[0]
     fid = np.full(n, -1, dtype=np.int64)
@@ -192,8 +208,10 @@ def _traverse(bvh: Bvh, p1, p2, p3, origins, directions):
         o = origins[ray]
         t1 = (bvh.box_min[node] - o) * inv_d[ray]
         t2 = (bvh.box_max[node] - o) * inv_d[ray]
-        tnear = np.minimum(t1, t2).max(axis=1)
-        tfar = np.maximum(t1, t2).min(axis=1)
+        # elementwise over the three slabs: a length-3 axis reduction is slower
+        near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+        tnear = np.maximum(np.maximum(near[:, 0], near[:, 1]), near[:, 2])
+        tfar = np.minimum(np.minimum(far[:, 0], far[:, 1]), far[:, 2])
         keep = ~((tnear > tfar) | (tfar < EPS_T) | (tnear > t_best[ray]))
         ray, node = ray[keep], node[keep]
 
@@ -205,7 +223,7 @@ def _traverse(bvh: Bvh, p1, p2, p3, origins, directions):
             pair_ray = np.repeat(ray[leaf], lcount)
             offset = np.arange(pair_ray.size) - np.repeat(np.cumsum(lcount) - lcount, lcount)
             ids = bvh.order[np.repeat(bvh.start[node[leaf]], lcount) + offset]
-            t, m1, m2 = _mt(origins[pair_ray], directions[pair_ray], p1[ids], p2[ids], p3[ids])
+            t, m1, m2 = _mt(origins[pair_ray], directions[pair_ray], *_corners(mesh, ids))
             hit = np.isfinite(t)
             pair_ray, ids, t, m1, m2 = pair_ray[hit], ids[hit], t[hit], m1[hit], m2[hit]
             # each ray's smallest (t, facet_id) of this step, then against its best so far
@@ -222,21 +240,15 @@ def _traverse(bvh: Bvh, p1, p2, p3, origins, directions):
     return fid, t_best, m1_best, m2_best
 
 
-def _facet_arrays(mesh: Mesh):
-    return (mesh.vertices[mesh.facets[:, 0]],
-            mesh.vertices[mesh.facets[:, 1]],
-            mesh.vertices[mesh.facets[:, 2]])
-
-
 def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     """Nearest hits for a ray batch.
 
     Returns (facet_ids, t, m1, m2, cos_theta) arrays with facet_id = -1
-    and t = +inf for misses.  With a BVH and more than 256 facets, the
+    and t = +inf for misses.  With a BVH and a mesh that `uses_bvh`, the
     rays go through the BVH as a breadth-first wavefront in batches of
-    `_TRAVERSE_BATCH`; otherwise a linear scan solves batches of at most
-    `_SCAN_PAIRS` (ray, facet) pairs.  Both give bitwise identical
-    results.
+    `_TRAVERSE_BATCH`, reading only the facets the leaves reach;
+    otherwise a linear scan solves batches of at most `_SCAN_PAIRS`
+    (ray, facet) pairs.  Both give bitwise identical results.
     """
     origins = np.asarray(origins, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
@@ -245,16 +257,16 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     t_hit = np.full(n, np.inf)
     m1_hit = np.zeros(n)
     m2_hit = np.zeros(n)
-    p1, p2, p3 = _facet_arrays(mesh)
 
-    if bvh is not None and mesh.num_facets > 256:
-        step, nearest = _TRAVERSE_BATCH, partial(_traverse, bvh)
+    if bvh is not None and uses_bvh(mesh):
+        step, nearest = _TRAVERSE_BATCH, partial(_traverse, bvh, mesh)
     else:
-        step, nearest = max(1, _SCAN_PAIRS // max(1, mesh.num_facets)), _scan
+        step = max(1, _SCAN_PAIRS // max(1, mesh.num_facets))
+        nearest = partial(_scan, *_corners(mesh))
     for lo in range(0, n, step):
         batch = slice(lo, lo + step)
         fid[batch], t_hit[batch], m1_hit[batch], m2_hit[batch] = nearest(
-            p1, p2, p3, origins[batch], directions[batch])
+            origins[batch], directions[batch])
 
     cos_theta = np.zeros(n)
     hit = fid >= 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from sartrace.accel import build_bvh
+from sartrace.accel import build_bvh, uses_bvh
 from sartrace.imaging import (RadarConfig, SarImage, read_raster, render,
                               write_pgm, write_raster)
 from sartrace.learn import (LossConfig, OptimState, grad_check, learn,
@@ -306,7 +306,7 @@ def cmd_simulate(config_path, out_dir=None, seed=None) -> int:
     out = os.path.join(base_dir, out_dir or cfg.out_dir)
     mesh, params, radars = build_scene(cfg, base_dir)
     params.validate()
-    bvh = build_bvh(mesh)
+    bvh = build_bvh(mesh) if uses_bvh(mesh) else None
     os.makedirs(out, exist_ok=True)
     written = []
     for vi, radar in enumerate(radars):
@@ -339,7 +339,7 @@ def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
     opt = make_optimizer(cfg, mesh.num_vertices)
     loss_cfg = LossConfig(lambda_sim=cfg.lambda_sim, lambda_mat=cfg.lambda_mat,
                           normalize=cfg.normalize)
-    bvh = build_bvh(mesh)
+    bvh = build_bvh(mesh) if uses_bvh(mesh) else None
     result = learn(mesh, params, refs, opt, loss_cfg, iters=cfg.iters, bvh=bvh)
     os.makedirs(out, exist_ok=True)  # only now: learn checks the reference shapes on entry
     save_param_map(result.params, os.path.join(out, "params_final.csv"))
@@ -378,7 +378,7 @@ def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False,
     loss_cfg = LossConfig(lambda_sim=cfg.lambda_sim, lambda_mat=cfg.lambda_mat,
                           normalize=cfg.normalize)
     ref_params = _perturbed_reference_params(params)
-    bvh = build_bvh(mesh)
+    bvh = build_bvh(mesh) if uses_bvh(mesh) else None
     refs = [render(mesh, ref_params, radar, bvh=bvh)[0].intensities for radar in radars]
 
     bsdf_fn = None

@@ -132,7 +132,7 @@ class MapFrame:
 
 @dataclass(frozen=True)
 class RayFan:
-    """One azimuth sample's ray batch with quadrature weights."""
+    """Ray batch of one or more azimuth rows, row-major, with weights."""
 
     origins: np.ndarray      # (n, 3)
     directions: np.ndarray   # (n, 3) unit
@@ -140,25 +140,31 @@ class RayFan:
     angles: np.ndarray       # (n,) incidence angles, rad
 
 
-def generate_rays(radar: RadarConfig, azimuth_index: int) -> RayFan:
-    """Stratified jittered incidence fan at one azimuth position.
+def generate_rays(radar: RadarConfig, azimuth_index) -> RayFan:
+    """Stratified jittered incidence fans at one azimuth row (an int) or a
+    1-D int array of rows, concatenated row-major, num_angles * spua rays
+    per row.
 
-    Reproducible: the jitter stream is seeded by (seed, azimuth_index).
+    Reproducible: each row's jitter stream is seeded by (seed, row).
     With spua = 1 jitter is disabled and rays sit at bin centers.
     """
-    if not 0 <= azimuth_index < radar.num_azimuth:
+    rows = np.asarray(azimuth_index)
+    if rows.ndim > 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"azimuth index {azimuth_index!r} is not an int or a 1-D int array")
+    rows = rows.reshape(-1)
+    if rows.size and not (0 <= rows.min() and rows.max() < radar.num_azimuth):
         raise ValueError(f"azimuth index {azimuth_index} out of range")
     n_bins, spua = radar.num_angles, radar.spua
     width = (radar.alpha1 - radar.alpha0) / n_bins
     if spua == 1:
-        offsets = np.full((n_bins, 1), 0.5)
+        offsets = np.full((rows.size, n_bins, 1), 0.5)
     else:
-        rng = np.random.default_rng((radar.seed, azimuth_index))
-        offsets = (np.arange(spua)[None, :] + rng.random((n_bins, spua))) / spua
+        jitter = [np.random.default_rng((radar.seed, int(r))).random((n_bins, spua))
+                  for r in rows]
+        offsets = (np.arange(spua) + np.reshape(jitter, (rows.size, n_bins, spua))) / spua
     angles = (radar.alpha0 + width * (np.arange(n_bins)[:, None] + offsets)).ravel()
     directions = radar.ray_directions(angles)
-    pos = radar.platform_positions()[azimuth_index]
-    origins = np.broadcast_to(pos, directions.shape).copy()
+    origins = np.repeat(radar.platform_positions()[rows], n_bins * spua, axis=0)
     weights = np.full(angles.shape, width / spua)
     return RayFan(origins=origins, directions=directions, weights=weights, angles=angles)
 
@@ -278,7 +284,8 @@ def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
           range_window: tuple[float, int] | None = None) -> HitSet:
     """Trace one view's rays and keep the geometry of its hits.
 
-    The rays of every azimuth row go to intersect_rays as one batch.
+    One generate_rays call makes the rays of every azimuth row, and they
+    go to intersect_rays as one batch.
     Per-row jitter streams are seeded by (seed, row), so the hits depend
     on the seed only.  By default the range window is [min, max] of the
     hit coordinates (the vertex window when nothing is hit); pass
@@ -286,15 +293,12 @@ def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
     (see vertex_range_window).
     """
     rows = radar.num_azimuth
-    fans = [generate_rays(radar, n) for n in range(rows)]
-    origins = np.concatenate([f.origins for f in fans])
-    directions = np.concatenate([f.directions for f in fans])
-    ray_row = np.repeat(np.arange(rows), [f.weights.size for f in fans])
-    weights = np.concatenate([f.weights for f in fans])
+    fan = generate_rays(radar, np.arange(rows))
+    ray_row = np.repeat(np.arange(rows), radar.num_angles * radar.spua)
 
-    fid, t, m1, m2, cos_t = intersect_rays(mesh, origins, directions, bvh=bvh)
+    fid, t, m1, m2, cos_t = intersect_rays(mesh, fan.origins, fan.directions, bvh=bvh)
     sel = np.nonzero(fid >= 0)[0]
-    points = origins[sel] + t[sel, None] * directions[sel]
+    points = fan.origins[sel] + t[sel, None] * fan.directions[sel]
     h_r = MapFrame.from_radar(radar).apply(points)[:, 2]
 
     if range_window is not None:
@@ -310,7 +314,7 @@ def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
 
     return HitSet(mesh=mesh, radar=radar, range_origin=origin, image_shape=(rows, num_bins),
                   row=ray_row[sel], facet_id=fid[sel], m1=m1[sel], m2=m2[sel],
-                  theta=np.arccos(np.clip(cos_t[sel], 0.0, 1.0)), weight=weights[sel],
+                  theta=np.arccos(np.clip(cos_t[sel], 0.0, 1.0)), weight=fan.weights[sel],
                   ranges=h_r)
 
 
@@ -375,21 +379,36 @@ def write_raster(image: SarImage, path) -> None:
         fh.write(image.intensities.astype("<f4").tobytes())
 
 
+# SARF1 header fields after the magic: (name, parser, check, what the check asks)
+_SARF1_FIELDS = (
+    ("rows", int, lambda v: v >= 0, "a non-negative integer"),
+    ("cols", int, lambda v: v >= 0, "a non-negative integer"),
+    ("azimuth_res", float, lambda v: 0.0 < v < math.inf, "positive and finite"),
+    ("range_res", float, lambda v: 0.0 < v < math.inf, "positive and finite"),
+    ("range_origin", float, math.isfinite, "finite"),
+)
+
+
 def read_raster(path):
     """Read a raster written by write_raster.
 
-    Returns (intensities float64 (rows, cols), header dict).
+    Returns (intensities float64 (rows, cols), header dict).  A malformed
+    header raises a ValueError naming the file and the field.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
         if len(header) != 6 or header[0] != "SARF1":
             raise ValueError(f"{path}: not a SARF1 raster")
-        rows, cols = int(header[1]), int(header[2])
-        meta = {
-            "azimuth_res": float(header[3]),
-            "range_res": float(header[4]),
-            "range_origin": float(header[5]),
-        }
+        meta = {}
+        for (name, parse, ok, what), text in zip(_SARF1_FIELDS, header[1:]):
+            try:
+                value = parse(text)
+            except ValueError:
+                value = None
+            if value is None or not ok(value):
+                raise ValueError(f"{path}: SARF1 header field {name} = {text!r} is not {what}")
+            meta[name] = value
+        rows, cols = meta.pop("rows"), meta.pop("cols")
         raw = fh.read(rows * cols * 4)
         if len(raw) != rows * cols * 4:
             raise ValueError(f"{path}: truncated raster payload")

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ def stacked_layers(rng, n_copies):
     return Mesh.from_arrays(vertices, facets)
 
 
+def test_bvh_threshold(monkeypatch):
+    """intersect_rays traverses a given BVH exactly on the meshes that
+    uses_bvh names: those above 256 facets."""
+    traversed = []
+    traverse = accel._traverse
+    monkeypatch.setattr(accel, "_traverse", lambda *args: traversed.append(1) or traverse(*args))
+    for n, expect in ((256, False), (257, True)):
+        mesh = random_triangles(np.random.default_rng(2), n)
+        traversed.clear()
+        intersect_rays(mesh, np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]), bvh=build_bvh(mesh))
+        assert accel.uses_bvh(mesh) is expect
+        assert bool(traversed) is expect
+
+
 class TestIntersectScene:
     """intersect_rays through a BVH; every mesh is above the 256-facet
     threshold at which intersect_rays switches from the scan to the BVH."""
@@ -252,7 +267,7 @@ class TestBvhAgainstLinearScan:
 
 def assert_bvh_matches_scan(mesh, origins, directions):
     """The BVH wavefront and the linear scan agree bitwise on every output."""
-    assert mesh.num_facets > 256          # else intersect_rays ignores the BVH
+    assert accel.uses_bvh(mesh)           # else intersect_rays ignores the BVH
     scan = intersect_rays(mesh, origins, directions)
     wave = intersect_rays(mesh, origins, directions, bvh=build_bvh(mesh))
     for name, a, b in zip(("fid", "t", "m1", "m2", "cos_theta"), scan, wave):
@@ -341,6 +356,31 @@ class TestBvhWavefront:
         scan = intersect_rays(mesh, origins, directions)
         for a, b in zip(scan, (fid, t, m1, m2, cos_t)):
             np.testing.assert_array_equal(a, b)
+
+    def test_allocates_for_the_rays_not_the_mesh(self):
+        """16 rays into a 20k-facet grid: the traversal gathers the corners
+        of the leaves it reaches, never an (F, 3) array per corner."""
+        n = 100
+        xs = np.linspace(0.0, 10.0, n + 1)
+        x, y = np.meshgrid(xs, xs, indexing="ij")
+        vertices = np.stack([x.ravel(), y.ravel(), 0.05 * np.sin(x + 2.0 * y).ravel()], axis=1)
+        corner = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n].ravel()
+        facets = np.concatenate([np.stack([corner, corner + n + 1, corner + n + 2], axis=1),
+                                 np.stack([corner, corner + n + 2, corner + 1], axis=1)])
+        mesh = Mesh.from_arrays(vertices, facets)
+        bvh = build_bvh(mesh)
+        rng = np.random.default_rng(13)
+        origins = np.column_stack([rng.uniform(1.0, 9.0, (16, 2)), np.full(16, 5.0)])
+        directions = np.tile([0.2, 0.1, -1.0], (16, 1)) / np.linalg.norm([0.2, 0.1, -1.0])
+        tracemalloc.start()
+        try:
+            fid = intersect_rays(mesh, origins, directions, bvh=bvh)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.num_facets == 20_000
+        assert np.all(fid >= 0)
+        assert peak < mesh.num_facets * 3 * 8, f"peak {peak} bytes"
 
     def test_more_rays_than_one_traversal_batch(self):
         rng = np.random.default_rng(11)

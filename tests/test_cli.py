@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sartrace.cli
-from sartrace.accel import build_bvh
+from sartrace.accel import build_bvh, uses_bvh
 from sartrace.cli import (ConfigError, build_scene, main, parse_config,
                           serialize_config)
 from sartrace.imaging import read_raster, render
@@ -47,6 +47,21 @@ tie = true
 [output]
 dir = out
 """
+
+
+def bumpy_grid(n=12):
+    """A bumpy n x n grid: 2 n^2 facets, 288 by default, so intersect_rays uses a BVH."""
+    xs = np.linspace(-2.0, 2.0, n + 1)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    z = 0.1 * np.sin(2.0 * x) * np.cos(3.0 * y)
+    vertices = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+    corner = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n].ravel()
+    facets = np.concatenate([
+        np.stack([corner, corner + n + 1, corner + n + 2], axis=1),
+        np.stack([corner, corner + n + 2, corner + 1], axis=1)])
+    mesh = Mesh.from_arrays(vertices, facets)
+    assert uses_bvh(mesh)
+    return mesh
 
 
 @pytest.fixture
@@ -152,17 +167,7 @@ class TestSimulate:
         assert a["scene.obj"] != b["scene.obj"]
 
     def test_large_mesh_raster_matches_bvh_render(self, workdir):
-        # a bumpy 12 x 12 grid: 288 facets, above the BVH threshold of 256
-        n = 12
-        xs = np.linspace(-2.0, 2.0, n + 1)
-        x, y = np.meshgrid(xs, xs, indexing="ij")
-        z = 0.1 * np.sin(2.0 * x) * np.cos(3.0 * y)
-        vertices = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-        corner = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n].ravel()
-        facets = np.concatenate([
-            np.stack([corner, corner + n + 1, corner + n + 2], axis=1),
-            np.stack([corner, corner + n + 2, corner + 1], axis=1)])
-        write_obj(Mesh.from_arrays(vertices, facets), workdir / "scene.obj")
+        write_obj(bumpy_grid(), workdir / "scene.obj")
         assert main(["simulate", "--config", str(workdir / "run.ini")]) == 0
         mesh, params, radars = build_scene(parse_config(workdir / "run.ini"), str(workdir))
         assert mesh.num_facets == 288
@@ -234,6 +239,9 @@ class TestLearnCommand:
 
 
 class TestOneBvhPerCommand:
+    """A command builds one BVH when intersect_rays would traverse it, and
+    none on a mesh it scans."""
+
     @pytest.fixture
     def built(self, monkeypatch):
         meshes = []
@@ -245,21 +253,34 @@ class TestOneBvhPerCommand:
         monkeypatch.setattr(sartrace.cli, "build_bvh", counting_build_bvh)
         return meshes
 
-    def test_simulate(self, workdir, built):
-        assert main(["simulate", "--config", str(workdir / "run.ini")]) == 0
+    @pytest.fixture
+    def large(self, workdir):
+        write_obj(bumpy_grid(), workdir / "scene.obj")
+        return workdir
+
+    def test_simulate(self, large, built):
+        assert main(["simulate", "--config", str(large / "run.ini")]) == 0
         assert len(built) == 1
 
-    def test_learn(self, workdir, built):
-        refs = TestLearnCommand().render_refs(workdir)
+    def test_learn(self, large, built):
+        refs = TestLearnCommand().render_refs(large)
         built.clear()
-        assert main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs
+        assert main(["learn", "--config", str(large / "run.ini"), "--refs"] + refs
                     + ["--out", "learned"]) == 0
         assert len(built) == 1
 
-    def test_gradcheck(self, workdir, built):
-        assert main(["gradcheck", "--config", str(workdir / "run.ini"),
+    def test_gradcheck(self, large, built):
+        assert main(["gradcheck", "--config", str(large / "run.ini"),
                      "--probes", "2"]) == 0
         assert len(built) == 1
+
+    def test_small_mesh_builds_none(self, workdir, built):
+        refs = TestLearnCommand().render_refs(workdir)
+        assert main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs
+                    + ["--out", "learned"]) == 0
+        assert main(["gradcheck", "--config", str(workdir / "run.ini"),
+                     "--probes", "2"]) == 0
+        assert built == []
 
 
 class TestGradcheckCommand:

@@ -67,6 +67,29 @@ class TestGenerateRays:
         with pytest.raises(ValueError):
             generate_rays(small_radar, 6)
 
+    @pytest.mark.parametrize("spua", [1, 3])
+    def test_row_batch_is_concatenation_of_rows(self, small_radar, spua):
+        radar = RadarConfig(**{**small_radar.__dict__, "spua": spua})
+        n = radar.num_azimuth
+        batch = generate_rays(radar, np.arange(n))
+        rows = [generate_rays(radar, r) for r in range(n)]
+        for name in ("origins", "directions", "weights", "angles"):
+            expect = np.concatenate([getattr(f, name) for f in rows])
+            got = getattr(batch, name)
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes(), name
+        # a row's rays do not depend on the batch it comes in
+        pair = generate_rays(radar, np.array([4, 1]))
+        assert pair.angles.tobytes() == np.concatenate([rows[4].angles, rows[1].angles]).tobytes()
+
+    @pytest.mark.parametrize("index", [True, 1.7, np.array([[0, 1]]), np.array([0.0, 1.0]),
+                                       np.array([2, 6]), -1],
+                             ids=["bool", "float", "2-d", "float-array", "array-out-of-range",
+                                  "negative"])
+    def test_bad_index_named(self, small_radar, index):
+        with pytest.raises(ValueError, match=r"azimuth index .*(not an int|out of range)"):
+            generate_rays(small_radar, index)
+
 
 class TestRadarConfig:
     def test_rejects_bad_fan(self, wave_hh):
@@ -371,6 +394,24 @@ class TestImageFiles:
         path = tmp_path / "short.sarf"
         path.write_bytes(b"SARF1 2 3 0.1 0.1 0.0\n" + b"\x00" * 8)
         with pytest.raises(ValueError, match="truncated"):
+            read_raster(path)
+
+    @pytest.mark.parametrize("header, field", [
+        ("SARF1 x 3 0.1 0.1 0.0", "rows"),
+        ("SARF1 2.5 3 0.1 0.1 0.0", "rows"),
+        ("SARF1 -2 -3 0.1 0.1 0.0", "rows"),
+        ("SARF1 2 -3 0.1 0.1 0.0", "cols"),
+        ("SARF1 2 3 0.0 0.1 0.0", "azimuth_res"),
+        ("SARF1 2 3 inf 0.1 0.0", "azimuth_res"),
+        ("SARF1 2 3 0.1 -0.1 0.0", "range_res"),
+        ("SARF1 2 3 0.1 nan 0.0", "range_res"),
+        ("SARF1 2 3 0.1 0.1 nan", "range_origin"),
+        ("SARF1 2 3 0.1 0.1 -inf", "range_origin"),
+    ])
+    def test_raster_names_malformed_header_field(self, tmp_path, header, field):
+        path = tmp_path / "bad.sarf"
+        path.write_bytes(header.encode() + b"\n" + b"\x00" * 24)
+        with pytest.raises(ValueError, match=rf"bad\.sarf: SARF1 header field {field} "):
             read_raster(path)
 
     def test_pgm_header_and_size(self, plate_scene, plate_radar, tmp_path):
