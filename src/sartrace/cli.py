@@ -21,12 +21,13 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from sartrace.accel import build_bvh, uses_bvh
-from sartrace.imaging import (RadarConfig, SarImage, read_raster, render,
-                              write_pgm, write_raster)
+from sartrace.imaging import (RadarConfig, SarImage, read_raster, render, shade,
+                              trace, write_pgm, write_raster)
 from sartrace.learn import (LossConfig, OptimState, grad_check, learn,
                             loss_sim, rmse_normalized, write_history_csv)
 from sartrace.scatter import WaveConfig, eval_bsdf_batch, validity_mask
-from sartrace.scene import ParamMap, load_mesh, load_param_map, save_param_map
+from sartrace.scene import (PARAM_CHANNELS, ParamMap, load_mesh, load_param_map,
+                            save_param_map)
 from sartrace.scenes import multiview_radars
 
 
@@ -165,6 +166,11 @@ def parse_config(path) -> SceneConfig:
         WaveConfig(cfg.frequency, cfg.polarization, cfg.psd)
     except ValueError as exc:
         raise ConfigError(f"radar wave configuration: {exc}") from exc
+    unknown = [c for c in cfg.freeze_channels if c not in PARAM_CHANNELS]
+    if unknown:
+        raise ConfigError(f"optim.freeze_channels: unknown channel {unknown[0]!r}; "
+                          f"valid channels are {', '.join(PARAM_CHANNELS)}")
+    _vertex_ids(cfg.train_vertices)
     return cfg
 
 
@@ -224,16 +230,27 @@ def serialize_config(cfg: SceneConfig) -> str:
     return "\n".join(lines)
 
 
-def _parse_vertex_ranges(spec: str, num_vertices: int) -> np.ndarray:
+def _vertex_ids(spec: str) -> list[int] | None:
+    """Vertex ids of optim.train_vertices ("id" and "lo:hi" tokens); None for all."""
     if spec.strip().lower() == "all":
-        return np.arange(num_vertices)
+        return None
     ids = []
     for part in spec.replace(",", " ").split():
-        if ":" in part:
-            lo, hi = part.split(":")
-            ids.extend(range(int(lo), int(hi)))
-        else:
-            ids.append(int(part))
+        try:
+            bounds = [int(t) for t in part.split(":")]
+        except ValueError:
+            bounds = []
+        if not 1 <= len(bounds) <= 2:
+            raise ConfigError(f"optim.train_vertices: bad token {part!r}, "
+                              "want a vertex id or lo:hi")
+        ids.extend(range(*bounds) if len(bounds) == 2 else bounds)
+    return ids
+
+
+def _parse_vertex_ranges(spec: str, num_vertices: int) -> np.ndarray:
+    ids = _vertex_ids(spec)
+    if ids is None:
+        return np.arange(num_vertices)
     arr = np.unique(np.asarray(ids, dtype=np.int64))
     if arr.size and (arr[0] < 0 or arr[-1] >= num_vertices):
         raise ConfigError(f"optim.train_vertices outside [0, {num_vertices})")
@@ -332,20 +349,25 @@ def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
     if len(ref_paths) != len(radars):
         raise ConfigError(
             f"{len(ref_paths)} reference rasters for {len(radars)} configured views")
-    refs = []
-    for vi, (radar, path) in enumerate(zip(radars, ref_paths)):
-        data, _ = read_raster(path)
-        refs.append((radar, data))
+    rasters = [read_raster(path) for path in ref_paths]
     opt = make_optimizer(cfg, mesh.num_vertices)
     loss_cfg = LossConfig(lambda_sim=cfg.lambda_sim, lambda_mat=cfg.lambda_mat,
                           normalize=cfg.normalize)
     bvh = build_bvh(mesh) if uses_bvh(mesh) else None
-    result = learn(mesh, params, refs, opt, loss_cfg, iters=cfg.iters, bvh=bvh)
+    views = []
+    for vi, (radar, path, (data, meta)) in enumerate(zip(radars, ref_paths, rasters)):
+        hits = trace(mesh, radar, bvh=bvh)
+        for name, want in (("range_res", cfg.range_res), ("range_origin", hits.range_origin)):
+            if meta[name] != want:
+                raise ConfigError(f"view {vi}: reference {path} has {name} {meta[name]!r}, "
+                                  f"the configured view has {want!r}")
+        views.append((hits, data))
+    result = learn(params, views, opt, loss_cfg, iters=cfg.iters)
     os.makedirs(out, exist_ok=True)  # only now: learn checks the reference shapes on entry
     save_param_map(result.params, os.path.join(out, "params_final.csv"))
     write_history_csv(result, os.path.join(out, "history.csv"))
-    for vi, (radar, _) in enumerate(refs):
-        image, _ = render(mesh, result.params, radar, bvh=bvh)
+    for vi, (hits, _) in enumerate(views):
+        image, _ = shade(hits, result.params)
         write_raster(image, os.path.join(out, f"final_view_{vi:03d}.sarf"))
         write_pgm(image, os.path.join(out, f"final_view_{vi:03d}.pgm"))
     if result.aborted:
@@ -379,15 +401,16 @@ def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False,
                           normalize=cfg.normalize)
     ref_params = _perturbed_reference_params(params)
     bvh = build_bvh(mesh) if uses_bvh(mesh) else None
-    refs = [render(mesh, ref_params, radar, bvh=bvh)[0].intensities for radar in radars]
+    hitsets = [trace(mesh, radar, bvh=bvh) for radar in radars]
+    views = [(hits, shade(hits, ref_params)[0].intensities) for hits in hitsets]
 
     bsdf_fn = None
     if corrupt_adjoint:
         def bsdf_fn(theta, values, wave):
             sigma, grads = eval_bsdf_batch(theta, values, wave)
             return sigma, grads * 1.37
-    report = grad_check(mesh, params, radars, refs, loss_cfg,
-                        num_probes=probes, seed=seed, bvh=bvh, bsdf_fn=bsdf_fn)
+    report = grad_check(params, views, loss_cfg, num_probes=probes, seed=seed,
+                        bsdf_fn=bsdf_fn)
     for p in report.probes:
         print(f"vertex {p.vertex:4d} {p.channel:6s} analytic {p.analytic: .6e} "
               f"fd {p.finite_diff: .6e} rel {p.rel_err:.3e}")

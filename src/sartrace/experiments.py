@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sartrace.imaging import render
+from sartrace.imaging import render, trace
 from sartrace.learn import LossConfig, OptimState, learn
 from sartrace.scatter import WaveConfig
 from sartrace.scene import ParamMap
@@ -128,8 +128,9 @@ def render_references(proto: RecoveryProtocol):
 
 
 def run_recovery(proto: RecoveryProtocol, refs=None, progress=None):
-    """Execute the protocol; returns (params, history list, iterations used)."""
+    """Run the protocol, each view traced once; returns (params, histories, iterations)."""
     refs = refs if refs is not None else render_references(proto)
+    views = [(trace(proto.mesh, radar), ref) for radar, ref in refs]
     params = proto.init.copy()
     results = []
     used = 0
@@ -139,8 +140,7 @@ def run_recovery(proto: RecoveryProtocol, refs=None, progress=None):
             eps_adam=proto.eps_adam, lr_decay=phase.lr_decay,
             freeze_channels=phase.freeze_channels, freeze_vertices=proto.frozen_ids,
             tie_groups=[proto.target_ids])
-        res = learn(proto.mesh, params, refs, opt, proto.loss, iters=phase.iters,
-                    stop_patience=10 ** 9)
+        res = learn(params, views, opt, proto.loss, iters=phase.iters, stop_patience=10 ** 9)
         used += res.iterations
         results.append(res)
         if progress is not None:

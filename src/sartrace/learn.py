@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sartrace.imaging import HitLedger, SarImage, shade, trace
+from sartrace.imaging import HitLedger, SarImage, shade
 # the benchmark's traced run wraps this module's `render` by name
 from sartrace.imaging import render  # noqa: F401
 from sartrace.scene import Mesh, ParamMap, PARAM_CHANNELS
@@ -235,6 +235,8 @@ def rmse_normalized(image, ref) -> float:
     """Root-mean-square error on max(ref)-normalized intensities."""
     data = _as_array(image)
     ref = _as_array(ref)
+    if data.shape != ref.shape:
+        raise ValueError(f"image shape {data.shape} != reference shape {ref.shape}")
     scale = ref.max()
     if scale <= 0:
         scale = 1.0
@@ -253,29 +255,49 @@ class LearnResult:
     eval_rmse: np.ndarray        # (iters, num_eval_views)
 
 
-def learn(mesh: Mesh, params: ParamMap, refs, opt: OptimState, cfg: LossConfig,
-          iters: int, eval_refs=None, bvh=None,
-          stop_patience: int = 50, bsdf_fn=None) -> LearnResult:
-    """Multi-view gradient-descent recovery of the parameter table.
-
-    refs: list of (RadarConfig, reference image); all participate in the
-    gradient.  eval_refs: optional held-out views scored by RMSE only.
-    Runs at most `iters` steps, stopping early once the mean training
-    RMSE improves by less than _STOP_TOL over stop_patience iterations.
-    A non-finite loss aborts and returns the last finite-loss table.
-    Every view is traced once, on entry; each iteration only shades the
-    traced hits with the current table, since no parameter moves a hit.
-    """
-    if not refs:
-        raise ValueError("need at least one reference view")
-    eval_refs = eval_refs or []
-    num_views = len(refs)
-    views = [(trace(mesh, radar, bvh=bvh), _as_array(ref)) for radar, ref in refs]
+def _checked(views, what: str = "view"):
+    """(HitSet, reference array) pairs, each reference the traced shape."""
+    views = [(hits, _as_array(ref)) for hits, ref in views]
     for vi, (hits, ref) in enumerate(views):
         if hits.image_shape != ref.shape:
-            raise ValueError(f"view {vi}: rendered shape {hits.image_shape} != "
+            raise ValueError(f"{what} {vi}: rendered shape {hits.image_shape} != "
                              f"reference shape {ref.shape}")
-    eval_views = [(trace(mesh, radar, bvh=bvh), ref) for radar, ref in eval_refs]
+    return views
+
+
+def _objective(params: ParamMap, views, cfg: LossConfig, bsdf_fn=None):
+    """One learn iteration's (total, sim, tv, d(total)/d(params), per-view
+    RMSE): views summed in order, then the TV term."""
+    sim = 0.0
+    grads = np.zeros_like(params.values)
+    rmses = np.zeros(len(views))
+    for vi, (hits, ref) in enumerate(views):
+        image, ledger = shade(hits, params, bsdf_fn)
+        loss_v, dLdI = loss_sim(image, ref, cfg, num_views=len(views))
+        sim += loss_v
+        grads += backward(ledger, dLdI, hits.mesh)
+        rmses[vi] = rmse_normalized(image, ref)
+    tv, tv_grad = loss_tv(params.values, cfg.lambda_mat)
+    grads += tv_grad
+    return sim + tv, sim, tv, grads, rmses
+
+
+def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
+          eval_views=(), stop_patience: int = 50) -> LearnResult:
+    """Multi-view gradient-descent recovery of the parameter table.
+
+    views: (HitSet, reference image) pairs from imaging.trace; all enter
+    the gradient, and each iteration only re-shades them, since no
+    parameter moves a hit.  eval_views: held-out pairs scored by RMSE
+    only.  Runs at most `iters` steps, stopping early once the mean
+    training RMSE improves by less than _STOP_TOL over stop_patience
+    iterations.  A non-finite loss aborts and returns the last
+    finite-loss table.
+    """
+    if not views:
+        raise ValueError("need at least one reference view")
+    views = _checked(views)
+    eval_views = _checked(eval_views, "eval view")
     opt.project(params)
     last_good = params.copy()
 
@@ -286,26 +308,13 @@ def learn(mesh: Mesh, params: ParamMap, refs, opt: OptimState, cfg: LossConfig,
     aborted = False
 
     for it in range(iters):
-        sim_total = 0.0
-        grads = np.zeros_like(params.values)
-        rmses = np.zeros(num_views)
-        for vi, (hits, ref) in enumerate(views):
-            image, ledger = shade(hits, params, bsdf_fn)
-            loss_v, dLdI = loss_sim(image, ref, cfg, num_views=num_views)
-            sim_total += loss_v
-            grads += backward(ledger, dLdI, mesh)
-            rmses[vi] = rmse_normalized(image, ref)
-
-        tv_val, tv_grad = loss_tv(params.values, cfg.lambda_mat)
-        grads += tv_grad
-        total = sim_total + tv_val
-
-        ev = np.array([rmse_normalized(shade(hits, params, bsdf_fn)[0], ref)
+        total, sim, tv, grads, rmses = _objective(params, views, cfg)
+        ev = np.array([rmse_normalized(shade(hits, params)[0], ref)
                        for hits, ref in eval_views])
 
         total_hist.append(total)
-        sim_hist.append(sim_total)
-        tv_hist.append(tv_val)
+        sim_hist.append(sim)
+        tv_hist.append(tv)
         view_hist.append(rmses)
         eval_hist.append(ev)
 
@@ -326,13 +335,12 @@ def learn(mesh: Mesh, params: ParamMap, refs, opt: OptimState, cfg: LossConfig,
             if since_best >= stop_patience:
                 break
 
-    done = len(total_hist)
     return LearnResult(
-        params=params, iterations=done, aborted=aborted,
+        params=params, iterations=len(total_hist), aborted=aborted,
         total_loss=np.asarray(total_hist), sim_loss=np.asarray(sim_hist),
         tv_loss=np.asarray(tv_hist),
-        view_rmse=np.asarray(view_hist) if view_hist else np.zeros((0, num_views)),
-        eval_rmse=np.asarray(eval_hist) if eval_hist else np.zeros((0, len(eval_refs))),
+        view_rmse=np.asarray(view_hist) if view_hist else np.zeros((0, len(views))),
+        eval_rmse=np.asarray(eval_hist) if eval_hist else np.zeros((0, len(eval_views))),
     )
 
 
@@ -369,48 +377,30 @@ class GradCheckReport:
     median_rel_err: float
 
 
-def _pipeline_loss(hitsets, params, refs, cfg, bsdf_fn):
-    total = 0.0
-    for hits, ref in zip(hitsets, refs):
-        image, _ = shade(hits, params, bsdf_fn)
-        loss_v, _ = loss_sim(image, ref, cfg, num_views=len(hitsets))
-        total += loss_v
-    tv_val, _ = loss_tv(params.values, cfg.lambda_mat)
-    return total + tv_val
+def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
+               seed: int = 0, bsdf_fn=None) -> GradCheckReport:
+    """Compare learn's gradient with central finite differences of its loss.
 
-
-def grad_check(mesh: Mesh, params: ParamMap, radars, refs, cfg: LossConfig,
-               num_probes: int, seed: int = 0, bvh=None, bsdf_fn=None) -> GradCheckReport:
-    """Compare ledger-assembled gradients with central finite differences.
-
-    Probes num_probes random (vertex, channel) pairs of the full
-    render + loss pipeline.  Central steps are _FD_REL_STEP * |value| with
-    an absolute floor of 1e-8.  Probes where both sides vanish report
-    zero error (unilluminated vertices).  Each view is traced once; the
-    finite differences only re-shade it, since no parameter moves a hit.
+    views: (HitSet, reference image) pairs, as for learn.  Probes
+    num_probes random (vertex, channel) pairs.  Central steps are
+    _FD_REL_STEP * |value| with an absolute floor of 1e-8.  Probes where
+    both sides vanish report zero error (unilluminated vertices).
     """
-    hitsets = [trace(mesh, radar, bvh=bvh) for radar in radars]
-    refs = [_as_array(r) for r in refs]
-    num_views = len(hitsets)
-
-    grads = loss_tv(params.values, cfg.lambda_mat)[1]
-    for hits, ref in zip(hitsets, refs):
-        image, ledger = shade(hits, params, bsdf_fn)
-        _, dLdI = loss_sim(image, ref, cfg, num_views=num_views)
-        grads += backward(ledger, dLdI, mesh)
+    views = _checked(views)
+    grads = _objective(params, views, cfg, bsdf_fn)[3]
 
     rng = np.random.default_rng(seed)
     probes = []
     for _ in range(num_probes):
-        vid = int(rng.integers(mesh.num_vertices))
+        vid = int(rng.integers(params.num_vertices))
         ci = int(rng.integers(4))
         base = params.values[vid, ci]
         step = max(_FD_REL_STEP * abs(base), 1e-8)
         trial = params.copy()
         trial.values[vid, ci] = base + step
-        up = _pipeline_loss(hitsets, trial, refs, cfg, bsdf_fn)
+        up = _objective(trial, views, cfg, bsdf_fn)[0]
         trial.values[vid, ci] = base - step
-        down = _pipeline_loss(hitsets, trial, refs, cfg, bsdf_fn)
+        down = _objective(trial, views, cfg, bsdf_fn)[0]
         fd = (up - down) / (2.0 * step)
         analytic = float(grads[vid, ci])
         denom = max(abs(analytic), abs(fd))

@@ -6,7 +6,8 @@ import pytest
 from sartrace import accel
 from sartrace.imaging import RadarConfig
 from sartrace.scatter import WaveConfig
-from sartrace.scene import Mesh, ParamMap
+from sartrace.scene import Mesh, ParamMap, write_obj
+from sartrace.scenes import merge_meshes, plane_mesh
 
 
 @pytest.fixture
@@ -33,6 +34,52 @@ def small_radar(wave_hh):
         start_pos=np.array([-0.5, 4.0, 4.0]), end_pos=np.array([2.5, 4.0, 4.0]),
         num_azimuth=6, alpha0=math.radians(35.0), alpha1=math.radians(55.0),
         num_angles=10, range_res=0.1, azimuth_res=0.5, spua=2, seed=3)
+
+
+# two-view experiment config over the mesh the workdir fixture writes
+CONFIG = """\
+[scene]
+mesh = scene.obj
+init = 0.004 0.02 9.0 0.3
+
+[radar]
+frequency_hz = 9.6e9
+polarization = HH
+psd = gaussian
+start = -1.5 4.0 4.0
+end = 1.5 4.0 4.0
+num_azimuth = 6
+alpha_start_deg = 35
+alpha_stop_deg = 55
+num_angles = 10
+range_res = 0.1
+azimuth_res = 0.6
+spua = 2
+seed = 3
+view_azimuths_deg = 0 180
+scene_center = 0 0 0
+
+[loss]
+lambda_sim = 1.0
+lambda_mat = 0.0
+normalize = true
+
+[optim]
+lr = 0.05
+iters = 4
+tie = true
+
+[output]
+dir = out
+"""
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    mesh = merge_meshes([plane_mesh(4.0, 4.0, z=0.0), plane_mesh(1.0, 1.0, z=0.5)])
+    write_obj(mesh, tmp_path / "scene.obj")
+    (tmp_path / "run.ini").write_text(CONFIG)
+    return tmp_path
 
 
 def rotated_radar(wave, yaw, pitch, alpha1, start=(0.0, 0.0, 0.0)):

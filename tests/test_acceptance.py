@@ -15,7 +15,7 @@ from sartrace.accel import build_bvh, intersect_rays
 from sartrace.experiments import (building_recovery_protocol,
                                   cube_recovery_protocol, recovered_errors,
                                   render_references, run_recovery)
-from sartrace.imaging import (MapFrame, bin_ranges_fast, range_bin_of, render,
+from sartrace.imaging import (MapFrame, bin_ranges_fast, range_bin_of, render, trace,
                               vertex_range_window)
 from sartrace.learn import (LossConfig, OptimState, backward, grad_check, learn,
                             loss_sim, rmse_normalized)
@@ -80,10 +80,10 @@ def test_02_end_to_end_gradient(two_facet_mesh, small_radar):
     ref_params = params.copy()
     ref_params.values[:, 0] *= 1.5
     ref_params.values[:, 2] += 4.0
-    refs = [render(two_facet_mesh, ref_params, small_radar)[0].intensities]
+    hits = trace(two_facet_mesh, small_radar)
+    ref = render(two_facet_mesh, ref_params, small_radar)[0].intensities
     cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-4, normalize=True)
-    report = grad_check(two_facet_mesh, params, [small_radar], refs, cfg,
-                        num_probes=20, seed=5)
+    report = grad_check(params, [(hits, ref)], cfg, num_probes=20, seed=5)
     elapsed = time.perf_counter() - t0
     ok = report.max_rel_err < 1e-3 and elapsed < 60.0
     assert _report(2, "end-to-end gradient vs finite differences", ok,
@@ -247,6 +247,7 @@ def test_08_visibility_and_multiview_benefit():
                                    multiview_radars(proto.radars[0], (0, 60, 120, 240)))}
     refs = {a: render(proto.mesh, proto.truth, r)[0].intensities
             for a, r in radars.items()}
+    hits = {a: trace(proto.mesh, radars[a]) for a in (0, 120, 240)}
 
     def train(azimuths):
         params = proto.truth.copy()
@@ -254,7 +255,7 @@ def test_08_visibility_and_multiview_benefit():
         opt = OptimState.create(params.num_vertices, lr=0.05, beta2=0.99,
                                 freeze_channels=("tau",),
                                 freeze_vertices=proto.frozen_ids)
-        res = learn(proto.mesh, params, [(radars[a], refs[a]) for a in azimuths],
+        res = learn(params, [(hits[a], refs[a]) for a in azimuths],
                     opt, LossConfig(1.0, 1e-4, True), iters=150,
                     stop_patience=10 ** 6)
         held, _ = render(proto.mesh, params, radars[60])

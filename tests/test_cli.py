@@ -12,41 +12,7 @@ from sartrace.imaging import read_raster, render
 from sartrace.scene import Mesh, ParamMap, load_param_map, save_param_map, write_obj
 from sartrace.scenes import merge_meshes, plane_mesh
 
-CONFIG = """\
-[scene]
-mesh = scene.obj
-init = 0.004 0.02 9.0 0.3
-
-[radar]
-frequency_hz = 9.6e9
-polarization = HH
-psd = gaussian
-start = -1.5 4.0 4.0
-end = 1.5 4.0 4.0
-num_azimuth = 6
-alpha_start_deg = 35
-alpha_stop_deg = 55
-num_angles = 10
-range_res = 0.1
-azimuth_res = 0.6
-spua = 2
-seed = 3
-view_azimuths_deg = 0 180
-scene_center = 0 0 0
-
-[loss]
-lambda_sim = 1.0
-lambda_mat = 0.0
-normalize = true
-
-[optim]
-lr = 0.05
-iters = 4
-tie = true
-
-[output]
-dir = out
-"""
+from conftest import CONFIG
 
 
 def bumpy_grid(n=12):
@@ -62,14 +28,6 @@ def bumpy_grid(n=12):
     mesh = Mesh.from_arrays(vertices, facets)
     assert uses_bvh(mesh)
     return mesh
-
-
-@pytest.fixture
-def workdir(tmp_path):
-    mesh = merge_meshes([plane_mesh(4.0, 4.0, z=0.0), plane_mesh(1.0, 1.0, z=0.5)])
-    write_obj(mesh, tmp_path / "scene.obj")
-    (tmp_path / "run.ini").write_text(CONFIG)
-    return tmp_path
 
 
 class TestConfig:
@@ -104,6 +62,21 @@ class TestConfig:
         path.write_text(CONFIG.replace("polarization = HH", "polarization = HV"))
         with pytest.raises(ConfigError, match="wave"):
             parse_config(path)
+
+    @pytest.mark.parametrize("line,cause", [
+        ("freeze_channels = tua", r"optim\.freeze_channels: unknown channel 'tua'; "
+                                  r"valid channels are h, l, eps_r, tau"),
+        ("train_vertices = 1:2:3", r"optim\.train_vertices: bad token '1:2:3'"),
+        ("train_vertices = 0 a", r"optim\.train_vertices: bad token 'a'"),
+        ("train_vertices = 2:", r"optim\.train_vertices: bad token '2:'"),
+    ], ids=["channel", "three_bounds", "not_int", "open_range"])
+    def test_optim_error_names_field_and_token(self, workdir, capsys, line, cause):
+        path = workdir / "bad.ini"
+        path.write_text(CONFIG.replace("tie = true", f"tie = true\n{line}"))
+        with pytest.raises(ConfigError, match=cause):
+            parse_config(path)
+        assert main(["gradcheck", "--config", str(path), "--probes", "1"]) == 2
+        assert re.search(cause, capsys.readouterr().err)
 
     def test_init_or_csv_required(self, workdir):
         path = workdir / "bad.ini"
@@ -227,6 +200,30 @@ class TestLearnCommand:
         rc = main(["learn", "--config", str(workdir / "run.ini"),
                    "--refs", str(bad), str(bad), "--out", "learned"])
         assert rc == 2
+        assert not (workdir / "learned").exists()
+
+    @pytest.mark.parametrize("line,other,field", [
+        ("seed = 3", "seed = 9", "range_origin"),       # same shape, shifted range grid
+        ("range_res = 0.1", "range_res = 0.1000001", "range_res"),
+    ])
+    def test_reference_grid_mismatch_writes_nothing(self, workdir, capsys, line, other,
+                                                    field):
+        (workdir / "other.ini").write_text(CONFIG.replace(line, other))
+        main(["simulate", "--config", str(workdir / "other.ini"), "--out", "refs"])
+        refs = [str(workdir / "refs" / f"view_{vi:03d}.sarf") for vi in range(2)]
+        data, meta = read_raster(refs[0])
+        mesh, params, radars = build_scene(parse_config(workdir / "run.ini"), str(workdir))
+        image, _ = render(mesh, params, radars[0])
+        assert data.shape == image.shape            # only the header tells them apart
+        want = {"range_origin": image.range_origin, "range_res": 0.1}[field]
+        assert meta[field] != want
+        capsys.readouterr()
+        rc = main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs
+                  + ["--out", "learned"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"view 0: reference {refs[0]} has {field} {meta[field]!r}" in err
+        assert f"the configured view has {want!r}" in err
         assert not (workdir / "learned").exists()
 
     def test_reference_shape_mismatch_writes_nothing(self, workdir):

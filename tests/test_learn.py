@@ -6,14 +6,22 @@ import pytest
 
 import sartrace.imaging as imaging
 import sartrace.learn as learn_mod
-from sartrace.experiments import cube_recovery_protocol, render_references
-from sartrace.imaging import HitLedger, RadarConfig, render
+from sartrace.cli import main
+from sartrace.experiments import cube_recovery_protocol, render_references, run_recovery
+from sartrace.imaging import HitLedger, RadarConfig, render, trace
 from sartrace.learn import (LossConfig, OptimState, adam_step, backward, grad_check,
                             learn, loss_sim, loss_tv, rmse_normalized, write_history_csv)
-from sartrace.scene import Mesh, ParamMap
+from sartrace.scene import PARAM_CHANNELS, Mesh, ParamMap
 from sartrace.scenes import merge_meshes, plane_mesh, side_looking_radar
 
+from conftest import CONFIG
+
 CFG_RAW = LossConfig(lambda_sim=1.0, lambda_mat=0.0, normalize=False)
+
+
+def traced(mesh, refs):
+    """(HitSet, reference) views of (RadarConfig, reference) pairs."""
+    return [(trace(mesh, radar), ref) for radar, ref in refs]
 
 
 class TestLossSim:
@@ -212,7 +220,7 @@ class TestLearn:
         refs = [(radar, ref.intensities)]
         opt = OptimState.create(mesh.num_vertices, lr=0.05)
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
-        res = learn(mesh, params.copy(), refs, opt, cfg, iters=5)
+        res = learn(params.copy(), traced(mesh, refs), opt, cfg, iters=5)
         assert res.sim_loss[0] == 0.0
         assert res.total_loss[0] == pytest.approx(res.tv_loss[0])
         assert res.tv_loss[0] == 0.0          # constant map
@@ -227,7 +235,7 @@ class TestLearn:
                                 freeze_channels=("l", "eps_r", "tau"),
                                 tie_groups=[np.arange(mesh.num_vertices)])
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=0.0, normalize=True)
-        res = learn(mesh, start, [(radar, ref.intensities)], opt, cfg, iters=120,
+        res = learn(start, traced(mesh, [(radar, ref.intensities)]), opt, cfg, iters=120,
                     stop_patience=1000)
         assert res.params.h[0] == pytest.approx(0.004, rel=0.02)
 
@@ -236,7 +244,17 @@ class TestLearn:
         refs = [(radar, np.zeros((1, 1)))]
         opt = OptimState.create(mesh.num_vertices)
         with pytest.raises(ValueError, match="view 0"):
-            learn(mesh, params, refs, opt, CFG_RAW, iters=1)
+            learn(params, traced(mesh, refs), opt, CFG_RAW, iters=1)
+
+    def test_eval_shape_mismatch_names_view(self, learn_setup):
+        mesh, params, radar = learn_setup
+        ref, _ = render(mesh, params, radar)
+        views = traced(mesh, [(radar, ref.intensities)])
+        row = [(views[0][0], ref.intensities[0])]      # would broadcast against the image
+        with pytest.raises(ValueError, match=r"eval view 0: rendered shape \(6, \d+\) != "
+                                             r"reference shape \(\d+,\)"):
+            learn(params, views, OptimState.create(mesh.num_vertices), CFG_RAW, iters=1,
+                  eval_views=row)
 
     def test_non_finite_loss_aborts_with_last_good(self, learn_setup):
         mesh, params, radar = learn_setup
@@ -245,7 +263,7 @@ class TestLearn:
         bad[0, 0] = np.nan
         before = params.values.copy()
         opt = OptimState.create(mesh.num_vertices)
-        res = learn(mesh, params, [(radar, bad)], opt, CFG_RAW, iters=3)
+        res = learn(params, traced(mesh, [(radar, bad)]), opt, CFG_RAW, iters=3)
         assert res.aborted
         assert res.iterations == 1
         np.testing.assert_array_equal(res.params.values, before)
@@ -253,16 +271,16 @@ class TestLearn:
     def test_eval_refs_scored_not_trained(self, learn_setup):
         mesh, params, radar = learn_setup
         ref, _ = render(mesh, params, radar)
-        res = learn(mesh, params.copy(), [(radar, ref.intensities)],
-                    OptimState.create(mesh.num_vertices),
-                    CFG_RAW, iters=2, eval_refs=[(radar, ref.intensities)])
+        views = traced(mesh, [(radar, ref.intensities)])
+        res = learn(params.copy(), views, OptimState.create(mesh.num_vertices),
+                    CFG_RAW, iters=2, eval_views=views)
         assert res.eval_rmse.shape == (2, 1)
         assert res.eval_rmse[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_history_csv(self, learn_setup, tmp_path):
         mesh, params, radar = learn_setup
         ref, _ = render(mesh, params, radar)
-        res = learn(mesh, params.copy(), [(radar, ref.intensities)],
+        res = learn(params.copy(), traced(mesh, [(radar, ref.intensities)]),
                     OptimState.create(mesh.num_vertices), CFG_RAW, iters=3)
         path = tmp_path / "history.csv"
         write_history_csv(res, path)
@@ -298,8 +316,8 @@ def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=()):
 def assert_learn_matches_oracle(mesh, params, refs, make_opt, cfg, iters, eval_refs=()):
     expect_params = params.copy()
     expect = oracle_learn(mesh, expect_params, refs, make_opt(), cfg, iters, eval_refs)
-    res = learn(mesh, params, refs, make_opt(), cfg, iters=iters,
-                eval_refs=list(eval_refs), stop_patience=10 ** 9)
+    res = learn(params, traced(mesh, refs), make_opt(), cfg, iters=iters,
+                eval_views=traced(mesh, eval_refs), stop_patience=10 ** 9)
     assert res.iterations == iters and not res.aborted
     for got, want in zip((res.total_loss, res.view_rmse, res.eval_rmse), expect):
         assert got.tobytes() == want.reshape(got.shape).tobytes()
@@ -347,24 +365,51 @@ class TestTraceOnce:
         return calls
 
     @pytest.mark.parametrize("iters", [0, 1, 5])
-    def test_learn_traces_each_view_once(self, learn_setup, iters, intersect_calls):
-        mesh, params, radar = learn_setup
-        radars = [dataclasses.replace(radar, seed=s) for s in (3, 4, 5)]
-        refs = [(r, render(mesh, params, r)[0].intensities) for r in radars]
+    def test_learn_traces_each_view_once(self, workdir, iters, intersect_calls):
+        """`sartrace learn` traces each of its two views once: training and
+        the final images shade the same hits."""
+        assert main(["simulate", "--config", str(workdir / "run.ini"), "--out", "refs"]) == 0
+        refs = [str(workdir / "refs" / f"view_{vi:03d}.sarf") for vi in range(2)]
+        (workdir / "run.ini").write_text(CONFIG.replace("iters = 4", f"iters = {iters}"))
         intersect_calls.clear()
-        learn(mesh, params.copy(), refs[:2], OptimState.create(mesh.num_vertices),
-              CFG_RAW, iters=iters, eval_refs=refs[2:])
-        assert len(intersect_calls) == 3
+        assert main(["learn", "--config", str(workdir / "run.ini"), "--refs", *refs,
+                     "--out", "learned"]) == 0
+        assert len(intersect_calls) == 2
 
     @pytest.mark.parametrize("num_probes", [0, 6])
-    def test_grad_check_traces_each_view_once(self, learn_setup, num_probes,
-                                              intersect_calls):
-        mesh, params, radar = learn_setup
-        radars = [radar, dataclasses.replace(radar, seed=4)]
-        refs = [render(mesh, params, r)[0].intensities * 0.5 for r in radars]
-        intersect_calls.clear()
-        grad_check(mesh, params, radars, refs, CFG_RAW, num_probes=num_probes)
+    def test_grad_check_traces_each_view_once(self, workdir, num_probes, intersect_calls):
+        """`sartrace gradcheck` shades its references and probes the same hits."""
+        assert main(["gradcheck", "--config", str(workdir / "run.ini"),
+                     "--probes", str(num_probes)]) == 0
         assert len(intersect_calls) == 2
+
+    def test_run_recovery_traces_each_view_once(self, intersect_calls):
+        proto = cube_recovery_protocol()
+        proto = dataclasses.replace(
+            proto, phases=tuple(dataclasses.replace(p, iters=2) for p in proto.phases))
+        refs = render_references(proto)
+        intersect_calls.clear()
+        _, results, used = run_recovery(proto, refs=refs)
+        assert used == 2 * len(proto.phases) == 6
+        assert len(intersect_calls) == len(proto.radars) == 3
+
+    def test_grad_check_analytic_is_learns_first_gradient(self, learn_setup, monkeypatch):
+        mesh, params, radar = learn_setup
+        params.values[:, 0] *= np.linspace(0.8, 1.3, mesh.num_vertices)  # TV term nonzero
+        truth = params.copy()
+        truth.values[:, 2] += 4.0
+        views = traced(mesh, [(r, render(mesh, truth, r)[0].intensities)
+                              for r in (radar, dataclasses.replace(radar, seed=4))])
+        cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
+        seen = []
+        monkeypatch.setattr(learn_mod, "adam_step",
+                            lambda opt, table, grads: seen.append(grads.copy()))
+        learn(params.copy(), views, OptimState.create(mesh.num_vertices), cfg, iters=1)
+        report = grad_check(params, views, cfg, num_probes=16, seed=1)
+        assert len(seen) == 1 and np.abs(seen[0]).max() > 0.0
+        for p in report.probes:
+            want = seen[0][p.vertex, PARAM_CHANNELS.index(p.channel)]
+            assert np.float64(p.analytic).tobytes() == want.tobytes()
 
     def test_view_without_hits(self, learn_setup, wave_hh, monkeypatch):
         mesh, params, _ = learn_setup
@@ -387,8 +432,9 @@ class TestTraceOnce:
 
         monkeypatch.setattr(learn_mod, "adam_step", recorded_adam_step)
         before = params.values.copy()
-        res = learn(mesh, params, [(away, ref)], OptimState.create(mesh.num_vertices),
-                    CFG_RAW, iters=3, eval_refs=[(away, ref)], stop_patience=10 ** 9)
+        views = traced(mesh, [(away, ref)])
+        res = learn(params, views, OptimState.create(mesh.num_vertices),
+                    CFG_RAW, iters=3, eval_views=views, stop_patience=10 ** 9)
         assert not res.aborted and res.iterations == len(seen) == 3
         assert all(np.isfinite(g).all() and not g.any() for g in seen)
         assert np.isfinite(res.total_loss).all() and (res.total_loss > 0).all()
@@ -405,16 +451,16 @@ class TestGradCheck:
 
     def test_two_facet_end_to_end(self, learn_setup):
         mesh, params, radar = learn_setup
-        refs = [render(mesh, self.perturbed(params), radar)[0].intensities]
+        ref = render(mesh, self.perturbed(params), radar)[0].intensities
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-4, normalize=True)
-        report = grad_check(mesh, params, [radar], refs, cfg, num_probes=20, seed=1)
+        report = grad_check(params, traced(mesh, [(radar, ref)]), cfg, num_probes=20, seed=1)
         assert len(report.probes) == 20
         assert report.max_rel_err < 1e-3
 
     def test_zero_probes(self, learn_setup):
         mesh, params, radar = learn_setup
-        refs = [render(mesh, self.perturbed(params), radar)[0].intensities]
-        report = grad_check(mesh, params, [radar], refs, CFG_RAW, num_probes=0)
+        ref = render(mesh, self.perturbed(params), radar)[0].intensities
+        report = grad_check(params, traced(mesh, [(radar, ref)]), CFG_RAW, num_probes=0)
         assert report.probes == []
         assert report.max_rel_err == 0.0
 
@@ -427,10 +473,9 @@ class TestGradCheck:
             grads[:, 0] = 2.0 * values[:, 0]
             return sigma, grads
 
-        refs = [render(mesh, self.perturbed(params), radar,
-                       bsdf_fn=quad_bsdf)[0].intensities]
-        report = grad_check(mesh, params, [radar], refs, CFG_RAW, num_probes=12,
-                            seed=2, bsdf_fn=quad_bsdf)
+        ref = render(mesh, self.perturbed(params), radar, bsdf_fn=quad_bsdf)[0].intensities
+        report = grad_check(params, traced(mesh, [(radar, ref)]), CFG_RAW,
+                            num_probes=12, seed=2, bsdf_fn=quad_bsdf)
         # exact chain: residual is pure finite-difference roundoff
         assert report.max_rel_err < 1e-6
 
@@ -442,9 +487,9 @@ class TestGradCheck:
             sigma, grads = eval_bsdf_batch(theta, values, wave)
             return sigma, grads * 1.4
 
-        refs = [render(mesh, self.perturbed(params), radar)[0].intensities]
-        report = grad_check(mesh, params, [radar], refs, CFG_RAW, num_probes=10,
-                            seed=3, bsdf_fn=broken)
+        ref = render(mesh, self.perturbed(params), radar)[0].intensities
+        report = grad_check(params, traced(mesh, [(radar, ref)]), CFG_RAW,
+                            num_probes=10, seed=3, bsdf_fn=broken)
         assert report.max_rel_err > 0.05
 
     def test_unilluminated_vertices_have_zero_gradient(self, wave_hh):
@@ -470,3 +515,8 @@ def test_rmse_normalized():
     b = np.array([[2.0, 4.0]])
     # normalized by max(ref)=4: diffs (-0.25, -0.5)
     assert rmse_normalized(a, b) == pytest.approx(math.sqrt((0.0625 + 0.25) / 2))
+
+
+def test_rmse_normalized_shape_mismatch():
+    with pytest.raises(ValueError, match=r"image shape \(2, 3\) != reference shape \(3,\)"):
+        rmse_normalized(np.ones((2, 3)), np.ones(3))
