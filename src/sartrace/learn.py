@@ -9,12 +9,12 @@ The gradient of the data term reaches the parameter table through the
 hit ledger: d(loss)/d(pixel) x quadrature weight x d(sigma)/d(params)
 x barycentric weights, accumulated per vertex in deterministic order.
 
-Adam runs in a reparameterized space (log for h, l and eps_r so one
-learning rate serves magnitudes from 1e-4 to 1e2; linear for tau) and
-every step ends with a componentwise projection onto the parameter
-bounds box, so the physical invariants hold at all times.  Vertices can
-be frozen, channels can be frozen, and vertex groups can be tied to a
-single shared value (gradients summed over the group).
+Adam steps a vector of unknowns: one per channel of a free vertex or of
+a tied vertex group (one shared record, gradients summed over the
+group); frozen vertices and channels are none.  It runs in a
+reparameterized space (log for h, l and eps_r so one learning rate
+serves magnitudes from 1e-4 to 1e2; linear for tau) and clips every
+value it writes into the parameter bounds box.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from sartrace.scene import Mesh, ParamMap, PARAM_CHANNELS
 DEFAULT_LOWER = np.array([1e-7, 1e-7, 1.0 + 1e-6, 0.0])
 DEFAULT_UPPER = np.array([1.0, 10.0, 1e4, 1.0])
 
-_LOG_CHANNELS = np.array([True, True, True, False])  # h, l, eps_r in log space
+_NUM_LOG = 3  # h, l and eps_r lead the table and step in log space; tau is linear
 
 _STOP_TOL = 1e-6       # least mean training RMSE gain that resets patience
 _FD_REL_STEP = 1e-4    # grad_check central step, relative to the value
@@ -134,7 +134,8 @@ def backward(ledger: HitLedger, dLdI: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 @dataclass
 class OptimState:
-    """Adam state plus projection box, channel spaces, ties and freezes."""
+    """Adam state over the k unknowns, numbered channel by channel, plus
+    the projection box and the map from table entries to unknowns."""
 
     lr: float
     beta1: float
@@ -142,12 +143,14 @@ class OptimState:
     eps_adam: float
     lr_decay: float
     step: int
-    m: np.ndarray                       # (n, 4) first moments, opt space
-    v: np.ndarray                       # (n, 4) second moments
+    m: np.ndarray                       # (k,) first moments, opt space
+    v: np.ndarray                       # (k,) second moments
     lower: np.ndarray                   # (4,)
     upper: np.ndarray                   # (4,)
-    frozen: np.ndarray = field(repr=False)   # (n, 4) bool
-    groups: np.ndarray = field(repr=False)   # (n,) int64, -1 = untied
+    entries: np.ndarray = field(repr=False)  # (e,) flat indices v * 4 + c that move, ascending
+    unknown: np.ndarray = field(repr=False)  # (e,) the unknown of each entry
+    head: np.ndarray = field(repr=False)     # (k,) one entry per unknown
+    starts: np.ndarray = field(repr=False)   # (5,) channel c owns unknowns starts[c]:starts[c+1]
 
     @staticmethod
     def create(num_vertices: int, lr: float = 0.02, beta1: float = 0.9,
@@ -155,60 +158,86 @@ class OptimState:
                bounds=None, freeze_channels=(), freeze_vertices=None,
                tie_groups=None) -> "OptimState":
         lower, upper = bounds if bounds is not None else (DEFAULT_LOWER, DEFAULT_UPPER)
-        frozen = np.zeros((num_vertices, 4), dtype=bool)
+        free = np.ones((num_vertices, 4), dtype=bool)
         for name in freeze_channels:
-            frozen[:, PARAM_CHANNELS.index(name)] = True
-        if freeze_vertices is not None:
-            frozen[np.asarray(freeze_vertices, dtype=np.int64), :] = True
-        groups = np.full(num_vertices, -1, dtype=np.int64)
-        if tie_groups is not None:
-            for gid, members in enumerate(tie_groups):
-                groups[np.asarray(members, dtype=np.int64)] = gid
+            if name not in PARAM_CHANNELS:
+                raise ValueError(f"freeze_channels: unknown channel {name!r}; "
+                                 f"expected one of {', '.join(PARAM_CHANNELS)}")
+            free[:, PARAM_CHANNELS.index(name)] = False
+        frozen = _vertex_ids(() if freeze_vertices is None else freeze_vertices,
+                             num_vertices, "freeze_vertices")
+        group = np.full(num_vertices, -1, dtype=np.int64)
+        rep = np.arange(num_vertices)       # each vertex's group representative
+        for gid, members in enumerate(() if tie_groups is None else tie_groups):
+            members = _vertex_ids(members, num_vertices, f"tie_groups[{gid}]")
+            again = members[group[members] >= 0]
+            if again.size:
+                raise ValueError(f"tie_groups: vertex {again[0]} is in groups "
+                                 f"{group[again[0]]} and {gid}")
+            group[members] = gid
+            rep[members] = members.min(initial=num_vertices)
+        both = frozen[group[frozen] >= 0]
+        if both.size:
+            raise ValueError(f"freeze_vertices: vertex {both[0]} is also tied in "
+                             f"tie_groups[{group[both[0]]}]")
+        free[frozen] = False
+        entries = np.flatnonzero(free)
+        vertex, channel = np.divmod(entries, 4)
+        key, unknown = np.unique(channel * num_vertices + rep[vertex], return_inverse=True)
+        channel, vertex = np.divmod(key, num_vertices)
         return OptimState(
             lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam, lr_decay=lr_decay,
-            step=0, m=np.zeros((num_vertices, 4)), v=np.zeros((num_vertices, 4)),
+            step=0, m=np.zeros(key.size), v=np.zeros(key.size),
             lower=np.asarray(lower, dtype=np.float64).copy(),
             upper=np.asarray(upper, dtype=np.float64).copy(),
-            frozen=frozen, groups=groups)
+            entries=entries, unknown=unknown, head=vertex * 4 + channel,
+            starts=np.searchsorted(channel, np.arange(5)))
 
     def project(self, params: ParamMap) -> None:
+        """learn's entry step: reject a tied group whose members start with
+        different values, then clip the table into the bounds box."""
+        first = self.head[self.unknown]
+        split = np.flatnonzero((params.values.take(self.entries) != params.values.take(first))
+                               & (self.entries != first))
+        if split.size:
+            a, b = first[split[0]], self.entries[split[0]]
+            raise ValueError(f"tied vertices {a // 4} and {b // 4} start with different "
+                             f"{PARAM_CHANNELS[b % 4]} values "
+                             f"({params.values.flat[a]} != {params.values.flat[b]})")
         np.clip(params.values, self.lower, self.upper, out=params.values)
 
 
-def _tie_reduce(groups: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Replace member gradients by their group sum (tied chain rule)."""
-    tied = groups >= 0
-    if not tied.any():
-        return grads
-    out = grads.copy()
-    n_groups = int(groups.max()) + 1
-    sums = np.zeros((n_groups, 4))
-    np.add.at(sums, groups[tied], grads[tied])
-    out[tied] = sums[groups[tied]]
-    return out
+def _vertex_ids(ids, num_vertices: int, what: str) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    bad = ids[(ids < 0) | (ids >= num_vertices)]
+    if bad.size:
+        raise ValueError(f"{what}: vertex {bad[0]} outside [0, {num_vertices})")
+    return ids
 
 
 def adam_step(state: OptimState, params: ParamMap, grads: np.ndarray) -> ParamMap:
-    """One projected Adam update of the parameter table, in place.
+    """One projected Adam update of the unknowns, in place.
 
-    Gradients arrive in parameter space; they are chain-ruled into the
-    optimization space (dL/d log p = p dL/dp for log channels) before
-    the moment updates.  Members of a tied group receive the summed
-    group gradient, so equal starting values stay exactly equal.
+    An unknown's gradient sums its entries of the (n, 4) table in table
+    order and is chain-ruled into the optimization space (dL/d log p =
+    p dL/dp for log channels).  Its clipped new value goes to all of its
+    entries, so a tied group stays one record.  Frozen entries are not
+    touched: they are clipped only when learn projects on entry.
     """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.values.shape:
         raise ValueError("gradient shape does not match the parameter table")
     if not np.isfinite(grads).all():
-        bad = np.nonzero(~np.isfinite(grads).all(axis=0))[0]
-        names = ", ".join(PARAM_CHANNELS[i] for i in bad)
-        raise ValueError(f"non-finite gradient in channel(s) {names}; step rejected")
+        bad = ~np.isfinite(grads)
+        vertex = int(np.flatnonzero(bad.any(axis=1))[0])
+        names = ", ".join(PARAM_CHANNELS[i] for i in np.flatnonzero(bad[vertex]))
+        raise ValueError(f"non-finite gradient at vertex {vertex}, channel(s) {names}; "
+                         "step rejected")
 
-    g = _tie_reduce(state.groups, grads)
-    values = params.values
-    g_opt = np.where(_LOG_CHANNELS[None, :], g * values, g)
-    g_opt = np.where(state.frozen, 0.0, g_opt)
-    log_cols = np.nonzero(_LOG_CHANNELS)[0]
+    x = params.values.take(state.head)
+    log = slice(0, state.starts[_NUM_LOG])
+    g_opt = np.bincount(state.unknown, weights=grads.take(state.entries), minlength=x.size)
+    g_opt[log] *= x[log]
 
     state.step += 1
     t = state.step
@@ -219,15 +248,15 @@ def adam_step(state: OptimState, params: ParamMap, grads: np.ndarray) -> ParamMa
     lr_t = state.lr * state.lr_decay ** (t - 1)
     denom = np.sqrt(v_hat) + state.eps_adam
     update = np.where(denom > 0.0, m_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
-    update = np.where(state.frozen, 0.0, update)
 
-    z = values.copy()
-    z[:, log_cols] = np.log(z[:, log_cols])
-    z -= lr_t * update
-    z[:, log_cols] = np.exp(z[:, log_cols])
-    # keep untouched entries bit-identical (log/exp round trips are lossy)
-    values[:] = np.where(update != 0.0, z, values)
-    state.project(params)
+    z = x - lr_t * update
+    z[log] = np.exp(np.log(x[log]) - lr_t * update[log])
+    # untouched unknowns keep their value: log/exp round trips are lossy
+    x = np.where(update != 0.0, z, x)
+    for c in range(4):
+        part = slice(state.starts[c], state.starts[c + 1])
+        np.clip(x[part], state.lower[c], state.upper[c], out=x[part])
+    np.put(params.values, state.entries, x[state.unknown])
     return params
 
 
@@ -292,7 +321,8 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
     only.  Runs at most `iters` steps, stopping early once the mean
     training RMSE improves by less than _STOP_TOL over stop_patience
     iterations.  A non-finite loss aborts and returns the last
-    finite-loss table.
+    finite-loss table.  opt.project runs first: a tied group whose
+    members start with different values raises ValueError.
     """
     if not views:
         raise ValueError("need at least one reference view")

@@ -187,6 +187,22 @@ class TestLearnCommand:
         assert (out / "final_view_000.sarf").exists()
         assert (out / "final_view_001.pgm").exists()
 
+    def test_unequal_tied_start_exits_2(self, workdir, capsys):
+        """tie = true trains one record: trained rows that differ are rejected
+        before any output exists."""
+        refs = self.render_refs(workdir)
+        params = ParamMap.constant(8, 0.004, 0.02, 9.0, 0.3)
+        params.values[5, 0] = 0.006
+        save_param_map(params, workdir / "init.csv")
+        (workdir / "tied.ini").write_text(
+            CONFIG.replace("init = 0.004 0.02 9.0 0.3", "init_csv = init.csv"))
+        capsys.readouterr()
+        assert main(["learn", "--config", str(workdir / "tied.ini"), "--refs"] + refs
+                    + ["--out", "learned"]) == 2
+        assert ("tied vertices 0 and 5 start with different h values (0.004 != 0.006)"
+                in capsys.readouterr().err)
+        assert not (workdir / "learned").exists()
+
     def test_ref_count_mismatch(self, workdir):
         refs = self.render_refs(workdir)
         rc = main(["learn", "--config", str(workdir / "run.ini"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import pytest
 import sartrace.imaging as imaging
 import sartrace.learn as learn_mod
 from sartrace.cli import main
-from sartrace.experiments import cube_recovery_protocol, render_references, run_recovery
+from sartrace.experiments import (building_recovery_protocol, cube_recovery_protocol,
+                                  render_references, run_recovery)
 from sartrace.imaging import HitLedger, RadarConfig, render, trace
-from sartrace.learn import (LossConfig, OptimState, adam_step, backward, grad_check,
-                            learn, loss_sim, loss_tv, rmse_normalized, write_history_csv)
+from sartrace.learn import (DEFAULT_LOWER, DEFAULT_UPPER, LossConfig, OptimState, adam_step,
+                            backward, grad_check, learn, loss_sim, loss_tv, rmse_normalized,
+                            write_history_csv)
 from sartrace.scene import PARAM_CHANNELS, Mesh, ParamMap
 from sartrace.scenes import merge_meshes, plane_mesh, side_looking_radar
 
@@ -192,11 +195,16 @@ class TestAdamStep:
         assert params.h[1] != before[1, 0]
 
     def test_non_finite_gradient_rejected(self):
-        params = ParamMap.constant(1, 0.004, 0.02, 9.0, 0.5)
-        grads = np.zeros((1, 4))
-        grads[0, 1] = np.nan
-        with pytest.raises(ValueError, match="l"):
-            adam_step(self.make_state(n=1), params, grads)
+        params = ParamMap.constant(3, 0.004, 0.02, 9.0, 0.5)
+        before = params.values.copy()
+        grads = np.zeros((3, 4))
+        grads[1, 1] = np.nan
+        grads[1, 3] = np.inf
+        grads[2, 0] = -np.inf
+        with pytest.raises(ValueError, match=r"non-finite gradient at vertex 1, "
+                                             r"channel\(s\) l, tau; step rejected"):
+            adam_step(self.make_state(n=3), params, grads)
+        np.testing.assert_array_equal(params.values, before)
 
     def test_eps_adam_zero_moves_on_tiny_gradients(self):
         params = ParamMap.constant(1, 0.004, 0.02, 9.0, 0.5)
@@ -205,6 +213,140 @@ class TestAdamStep:
         grads[0, 0] = -1e-150
         adam_step(state, params, grads)
         assert params.h[0] == pytest.approx(0.004 * math.exp(0.05), rel=1e-6)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param(dict(freeze_vertices=[-1]),
+                     r"freeze_vertices: vertex -1 outside \[0, 4\)", id="negative-id"),
+        pytest.param(dict(tie_groups=[[0, 7]]),
+                     r"tie_groups\[0\]: vertex 7 outside \[0, 4\)", id="out-of-range-member"),
+        pytest.param(dict(tie_groups=[[0, 1], [1, 2]]),
+                     "tie_groups: vertex 1 is in groups 0 and 1", id="two-groups"),
+        pytest.param(dict(freeze_channels=("tua",)),
+                     "freeze_channels: unknown channel 'tua'", id="unknown-channel"),
+        pytest.param(dict(freeze_vertices=[3], tie_groups=[[2, 3]]),
+                     r"freeze_vertices: vertex 3 is also tied in tie_groups\[0\]",
+                     id="frozen-and-tied"),
+    ])
+    def test_create_rejects_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            OptimState.create(4, **kwargs)
+
+    @pytest.mark.parametrize("make_protocol",
+                             [cube_recovery_protocol, building_recovery_protocol])
+    def test_protocols_step_three_unknowns(self, make_protocol):
+        """One tied (h, l, eps_r) record, everything else frozen."""
+        proto = make_protocol()
+        for phase in proto.phases:
+            opt = OptimState.create(proto.init.num_vertices,
+                                    freeze_channels=phase.freeze_channels,
+                                    freeze_vertices=proto.frozen_ids,
+                                    tie_groups=[proto.target_ids])
+            assert opt.m.shape == opt.v.shape == (3,)
+            assert opt.entries.size == 3 * proto.target_ids.size
+
+
+def oracle_state(n, lr=0.02, beta1=0.9, beta2=0.999, eps_adam=1e-8, lr_decay=1.0,
+                 freeze_channels=(), freeze_vertices=None, tie_groups=None):
+    """Full-table Adam state: (n, 4) moments, (n, 4) frozen mask, (n,) group ids."""
+    frozen = np.zeros((n, 4), dtype=bool)
+    for name in freeze_channels:
+        frozen[:, PARAM_CHANNELS.index(name)] = True
+    if freeze_vertices is not None:
+        frozen[np.asarray(freeze_vertices, dtype=np.int64), :] = True
+    groups = np.full(n, -1, dtype=np.int64)
+    for gid, members in enumerate(tie_groups or ()):
+        groups[np.asarray(members, dtype=np.int64)] = gid
+    return SimpleNamespace(lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam,
+                           lr_decay=lr_decay, step=0, m=np.zeros((n, 4)), v=np.zeros((n, 4)),
+                           frozen=frozen, groups=groups)
+
+
+def oracle_adam_step(state, values, grads):
+    """Projected Adam over every entry of the (n, 4) table, in place: tied
+    gradients summed with np.add.at in vertex order, frozen entries masked
+    out of the moments and the update, untouched entries restored."""
+    tied = state.groups >= 0
+    g = grads.copy()
+    if tied.any():
+        sums = np.zeros((int(state.groups.max()) + 1, 4))
+        np.add.at(sums, state.groups[tied], grads[tied])
+        g[tied] = sums[state.groups[tied]]
+    log_channel = np.array([True, True, True, False])
+    g_opt = np.where(log_channel, g * values, g)
+    g_opt = np.where(state.frozen, 0.0, g_opt)
+
+    state.step += 1
+    t = state.step
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g_opt
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g_opt * g_opt
+    m_hat = state.m / (1.0 - state.beta1 ** t)
+    v_hat = state.v / (1.0 - state.beta2 ** t)
+    lr_t = state.lr * state.lr_decay ** (t - 1)
+    denom = np.sqrt(v_hat) + state.eps_adam
+    update = np.where(denom > 0.0, m_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
+    update = np.where(state.frozen, 0.0, update)
+
+    z = values.copy()
+    z[:, log_channel] = np.log(z[:, log_channel])
+    z -= lr_t * update
+    z[:, log_channel] = np.exp(z[:, log_channel])
+    values[:] = np.where(update != 0.0, z, values)
+    np.clip(values, DEFAULT_LOWER, DEFAULT_UPPER, out=values)
+
+
+def _zero_some(grads, rng):
+    grads[2] = 0.0                               # a whole vertex
+    grads[rng.random(grads.shape) < 0.25] = 0.0  # scattered entries
+    return grads
+
+
+def _cancel_in_group(grads, rng):
+    """Large member gradients of vertices 2..11 that nearly cancel: their sum
+    is small next to its terms, so a different summation order shows."""
+    grads[2:11] *= 1e3
+    grads[11] -= grads[2:11].sum(axis=0)
+    return grads
+
+
+def _push_tau_down(grads, rng):
+    grads[:, 3] = np.abs(grads[:, 3]) + 1.0
+    return grads
+
+
+@pytest.mark.parametrize("kwargs, tweak", [
+    pytest.param({}, None, id="all-free"),
+    pytest.param(dict(freeze_channels=("l", "tau")), None, id="frozen-channels"),
+    pytest.param(dict(freeze_vertices=[0, 7, 15]), None, id="frozen-vertices"),
+    pytest.param(dict(tie_groups=[range(2, 12), [13, 15]], freeze_vertices=[0],
+                      freeze_channels=("tau",)), _cancel_in_group, id="tied-groups"),
+    pytest.param(dict(eps_adam=0.0), lambda g, rng: _zero_some(g * 1e-150, rng),
+                 id="eps-adam-zero-tiny-gradients"),
+    pytest.param(dict(lr_decay=0.9), None, id="lr-decay"),
+    pytest.param(dict(lr=0.3), _push_tau_down, id="tau-at-bound"),
+    pytest.param({}, _zero_some, id="zero-gradients"),
+])
+def test_adam_step_matches_full_table_oracle(kwargs, tweak):
+    """25 steps of the unknown-vector Adam leave the table bitwise equal to
+    the full-table oracle after every step."""
+    n = 16
+    rng = np.random.default_rng(5)
+    start = np.column_stack([10.0 ** rng.uniform(-3, -2, n), 10.0 ** rng.uniform(-2, -1, n),
+                             rng.uniform(2.0, 30.0, n), rng.uniform(0.0, 0.1, n)])
+    for members in kwargs.get("tie_groups", ()):
+        members = list(members)
+        start[members] = start[members[0]]
+    params = ParamMap(start.copy())
+    want = start.copy()
+    state, oracle = OptimState.create(n, **kwargs), oracle_state(n, **kwargs)
+    for _ in range(25):
+        # magnitudes over six decades, so the order of a group sum shows
+        grads = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-3, 3, (n, 4))
+        if tweak is not None:
+            grads = tweak(grads, rng)
+        adam_step(state, params, grads)
+        oracle_adam_step(oracle, want, grads)
+        assert params.values.tobytes() == want.tobytes()
+    assert not np.array_equal(params.values, start)
 
 
 @pytest.fixture
@@ -238,6 +380,17 @@ class TestLearn:
         res = learn(start, traced(mesh, [(radar, ref.intensities)]), opt, cfg, iters=120,
                     stop_patience=1000)
         assert res.params.h[0] == pytest.approx(0.004, rel=0.02)
+
+    def test_unequal_tied_start_rejected(self, learn_setup):
+        mesh, params, radar = learn_setup
+        ref, _ = render(mesh, params, radar)
+        params.values[3, 2] += 1.0
+        before = params.values.copy()
+        opt = OptimState.create(mesh.num_vertices, tie_groups=[[0, 2], [1, 3]])
+        with pytest.raises(ValueError, match=r"tied vertices 1 and 3 start with different "
+                                             r"eps_r values \(9\.0 != 10\.0\)"):
+            learn(params, traced(mesh, [(radar, ref.intensities)]), opt, CFG_RAW, iters=1)
+        np.testing.assert_array_equal(params.values, before)
 
     def test_shape_mismatch_names_view(self, learn_setup):
         mesh, params, radar = learn_setup
