@@ -32,6 +32,7 @@ Parameter gradients flow through the per-hit intensities only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,23 +291,29 @@ def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
     on the seed only.  By default the range window is [min, max] of the
     hit coordinates (the vertex window when nothing is hit); pass
     range_window=(origin, num_bins) to pin the pixel grid across runs
-    (see vertex_range_window).
+    (see vertex_range_window); a non-finite origin or a num_bins that is
+    not an integer from 1 to _MAX_RANGE_BINS raises a ValueError.
     """
+    if range_window is not None:
+        origin, num_bins = range_window
+        if not math.isfinite(origin):
+            raise ValueError(f"range_window origin {origin!r} is not finite")
+        if not (isinstance(num_bins, numbers.Integral) and 1 <= num_bins <= _MAX_RANGE_BINS):
+            raise ValueError(f"range_window num_bins {num_bins!r} is not an integer "
+                             f"from 1 to {_MAX_RANGE_BINS}")
     rows = radar.num_azimuth
     fan = generate_rays(radar, np.arange(rows))
     ray_row = np.repeat(np.arange(rows), radar.num_angles * radar.spua)
 
     fid, t, m1, m2, cos_t = intersect_rays(mesh, fan.origins, fan.directions, bvh=bvh)
     sel = np.nonzero(fid >= 0)[0]
-    points = fan.origins[sel] + t[sel, None] * fan.directions[sel]
+    points = fan.origins.take(sel, axis=0) + t[sel, None] * fan.directions.take(sel, axis=0)
     h_r = MapFrame.from_radar(radar).apply(points)[:, 2]
 
-    if range_window is not None:
-        origin, num_bins = range_window
-    elif sel.size:
+    if range_window is None and sel.size:
         origin = float(h_r.max())
         num_bins = int(math.floor((origin - float(h_r.min())) / radar.range_res)) + 1
-    else:
+    elif range_window is None:
         origin, num_bins = vertex_range_window(mesh, radar)
     if num_bins > _MAX_RANGE_BINS:
         raise ValueError(

@@ -127,7 +127,7 @@ def backward(ledger: HitLedger, dLdI: np.ndarray, mesh: Mesh) -> np.ndarray:
     contrib = g_sigma[:, None] * ledger.dsigma                        # (k, 4)
     bary = np.stack([ledger.m1, ledger.m2, 1.0 - ledger.m1 - ledger.m2], axis=1)
     scatter = (bary[:, :, None] * contrib[:, None, :]).reshape(-1, 4)  # (k * 3, 4)
-    vids = mesh.facets[ledger.facet_id].ravel()                       # (k * 3,)
+    vids = mesh.facets.take(ledger.facet_id, axis=0).ravel()          # (k * 3,)
     return np.stack([np.bincount(vids, weights=scatter[:, c], minlength=mesh.num_vertices)
                      for c in range(4)], axis=1)
 

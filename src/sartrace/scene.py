@@ -236,6 +236,6 @@ def interpolate_at_hits(mesh: Mesh, values: np.ndarray, facet_ids: np.ndarray,
     Hot path: assumes weights already lie in the simplex (they come
     straight from the intersector).
     """
-    vids = mesh.facets[facet_ids]             # (n, 3)
+    vids = mesh.facets.take(facet_ids, axis=0)     # (n, 3)
     w = np.stack([m1, m2, 1.0 - m1 - m2], axis=1)  # (n, 3)
-    return np.einsum("nj,njc->nc", w, values[vids])
+    return np.einsum("nj,njc->nc", w, values.take(vids, axis=0))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -304,9 +305,10 @@ def test_bvh_wavefront_matches_scan(seed, n_facets, axis_parallel):
 class TestBvhWavefront:
     def test_empty_ray_batch(self):
         mesh = random_triangles(np.random.default_rng(9), 300)
-        out = intersect_rays(mesh, np.zeros((0, 3)), np.zeros((0, 3)), bvh=build_bvh(mesh))
-        assert [a.shape for a in out] == [(0,)] * 5
-        assert out[0].dtype == np.int64
+        for bvh in (build_bvh(mesh), None):
+            out = intersect_rays(mesh, np.zeros((0, 3)), np.zeros((0, 3)), bvh=bvh)
+            assert [a.shape for a in out] == [(0,)] * 5
+            assert out[0].dtype == np.int64
 
     @staticmethod
     def with_copies(rng, n_copies, n_facets=308):
@@ -356,6 +358,20 @@ class TestBvhWavefront:
         scan = intersect_rays(mesh, origins, directions)
         for a, b in zip(scan, (fid, t, m1, m2, cos_t)):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("path", ["scan", "bvh"])
+    @pytest.mark.parametrize("origins, directions", [
+        (np.zeros((5, 3)), np.ones((4, 3))),
+        (np.zeros(3), np.ones(3)),
+        (np.zeros((4, 2)), np.ones((4, 2))),
+        (np.zeros((4, 3)), np.ones((4, 3, 1))),
+    ], ids=["different-n", "1-d", "two-columns", "3-d"])
+    def test_malformed_rays_name_both_shapes(self, path, origins, directions):
+        mesh = random_triangles(np.random.default_rng(9), 300)
+        bvh = build_bvh(mesh) if path == "bvh" else None
+        expect = f"origins {origins.shape} and directions {directions.shape} must be (n, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(expect)}"):
+            intersect_rays(mesh, origins, directions, bvh=bvh)
 
     def test_allocates_for_the_rays_not_the_mesh(self):
         """16 rays into a 20k-facet grid: the traversal gathers the corners

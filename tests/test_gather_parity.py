@@ -1,0 +1,168 @@
+"""The trace and shade paths against fancy-index references.
+
+The package reads rows with `take` on axis 0, which returns exactly the
+rows fancy indexing returns.  The linear scan and the BVH wavefront both
+read corners through `accel._corners`, so the BVH-vs-scan tests cannot
+see a change made on both sides.  These references gather with fancy
+indexing in `_corners`, `_traverse`, `intersect_rays`,
+`interpolate_at_hits` and `backward`, and every output must match them
+bitwise.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sartrace import accel
+from sartrace.accel import build_bvh, intersect_rays
+from sartrace.imaging import HitLedger, generate_rays
+from sartrace.learn import backward
+from sartrace.scatter import WaveConfig
+from sartrace.scene import Mesh, interpolate_at_hits
+from sartrace.scenes import side_looking_radar
+
+
+def fancy_corners(mesh, ids=slice(None)):
+    f = mesh.facets[ids]
+    return mesh.vertices[f[:, 0]], mesh.vertices[f[:, 1]], mesh.vertices[f[:, 2]]
+
+
+def fancy_traverse(bvh, mesh, origins, directions):
+    n = origins.shape[0]
+    fid = np.full(n, -1, dtype=np.int64)
+    t_best = np.full(n, np.inf)
+    m1_best = np.zeros(n)
+    m2_best = np.zeros(n)
+    inv_d = 1.0 / np.where(directions == 0.0, accel._INV_DIR_NUDGE, directions)
+    ray = np.arange(n)
+    node = np.zeros(n, dtype=np.int64)
+    while ray.size:
+        o = origins[ray]
+        t1 = (bvh.box_min[node] - o) * inv_d[ray]
+        t2 = (bvh.box_max[node] - o) * inv_d[ray]
+        near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+        tnear = np.maximum(np.maximum(near[:, 0], near[:, 1]), near[:, 2])
+        tfar = np.minimum(np.minimum(far[:, 0], far[:, 1]), far[:, 2])
+        keep = ~((tnear > tfar) | (tfar < accel.EPS_T) | (tnear > t_best[ray]))
+        ray, node = ray[keep], node[keep]
+
+        count = bvh.count[node]
+        leaf = count > 0
+        if leaf.any():
+            lcount = count[leaf]
+            pair_ray = np.repeat(ray[leaf], lcount)
+            offset = np.arange(pair_ray.size) - np.repeat(np.cumsum(lcount) - lcount, lcount)
+            ids = bvh.order[np.repeat(bvh.start[node[leaf]], lcount) + offset]
+            t, m1, m2 = accel._mt(origins[pair_ray], directions[pair_ray],
+                                  *fancy_corners(mesh, ids))
+            hit = np.isfinite(t)
+            pair_ray, ids, t, m1, m2 = pair_ray[hit], ids[hit], t[hit], m1[hit], m2[hit]
+            first = np.lexsort((ids, t, pair_ray))
+            first = first[np.diff(pair_ray[first], prepend=-1) != 0]
+            r = pair_ray[first]
+            better = (t[first] < t_best[r]) | ((t[first] == t_best[r]) & (ids[first] < fid[r]))
+            r, first = r[better], first[better]
+            fid[r], t_best[r], m1_best[r], m2_best[r] = ids[first], t[first], m1[first], m2[first]
+
+        inner = ~leaf
+        ray = np.concatenate([ray[inner], ray[inner]])
+        node = np.concatenate([bvh.left[node[inner]], bvh.right[node[inner]]])
+    return fid, t_best, m1_best, m2_best
+
+
+def fancy_intersect_rays(mesh, origins, directions, bvh=None):
+    """intersect_rays for at most _TRAVERSE_BATCH rays, scanned one ray per
+    batch on meshes above _SCAN_PAIRS facets."""
+    assert origins.shape[0] <= accel._TRAVERSE_BATCH and mesh.num_facets > accel._SCAN_PAIRS
+    if bvh is not None:
+        fid, t, m1, m2 = fancy_traverse(bvh, mesh, origins, directions)
+    else:
+        # the scan needs its own reference: a ray lying in a box's face plane
+        # can reach a different facet through the traversal
+        corners = fancy_corners(mesh)
+        fid, t, m1, m2 = map(np.concatenate, zip(*(
+            accel._scan(*corners, origins[i:i + 1], directions[i:i + 1])
+            for i in range(origins.shape[0]))))
+    cos_theta = np.zeros(fid.size)
+    hit = fid >= 0
+    cos_theta[hit] = np.abs(np.einsum("nk,nk->n", mesh.facet_normals[fid[hit]], directions[hit]))
+    return fid, t, m1, m2, cos_theta
+
+
+def fancy_interpolate_at_hits(mesh, values, facet_ids, m1, m2):
+    w = np.stack([m1, m2, 1.0 - m1 - m2], axis=1)
+    return np.einsum("nj,njc->nc", w, values[mesh.facets[facet_ids]])
+
+
+def fancy_backward(ledger, dLdI, mesh):
+    g_sigma = dLdI[ledger.row, ledger.range_bin] * ledger.weight
+    contrib = g_sigma[:, None] * ledger.dsigma
+    bary = np.stack([ledger.m1, ledger.m2, 1.0 - ledger.m1 - ledger.m2], axis=1)
+    scatter = (bary[:, :, None] * contrib[:, None, :]).reshape(-1, 4)
+    vids = mesh.facets[ledger.facet_id].ravel()
+    return np.stack([np.bincount(vids, weights=scatter[:, c], minlength=mesh.num_vertices)
+                     for c in range(4)], axis=1)
+
+
+def heightfield(rng, n=100, extent=20.0):
+    """n x n cells x 2 = 20,000 facets of seeded rough terrain."""
+    xs = np.linspace(-extent / 2.0, extent / 2.0, n + 1)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    z = (0.4 * np.sin(0.7 * x + rng.uniform(0.0, 6.0)) * np.cos(0.5 * y)
+         + rng.normal(0.0, 0.03, x.shape))
+    vertices = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+    corner = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n].ravel()
+    facets = np.concatenate([np.stack([corner, corner + n + 1, corner + n + 2], axis=1),
+                             np.stack([corner, corner + n + 2, corner + 1], axis=1)])
+    return Mesh.from_arrays(vertices, facets)
+
+
+@pytest.fixture(scope="module")
+def traced():
+    """A 20k-facet heightfield, 256 jittered view rays and 48 axis-parallel rays."""
+    rng = np.random.default_rng(20_260)
+    mesh = heightfield(rng)
+    radar = side_looking_radar(WaveConfig(9.6e9), distance=25.0, incidence=math.radians(40.0),
+                               track_length=12.0, num_azimuth=8,
+                               fan_halfwidth=math.radians(12.0), num_angles=16,
+                               range_res=0.1, spua=2, seed=5)
+    fan = generate_rays(radar, np.arange(radar.num_azimuth))
+    down = np.column_stack([rng.uniform(-9.0, 9.0, (32, 2)), np.full(32, 3.0)])
+    level = np.column_stack([np.full(16, -12.0), rng.uniform(-9.0, 9.0, 16),
+                             rng.uniform(-0.3, 0.3, 16)])
+    origins = np.concatenate([fan.origins, down, level])
+    directions = np.concatenate([fan.directions, np.tile([0.0, 0.0, -1.0], (32, 1)),
+                                 np.tile([1.0, 0.0, 0.0], (16, 1))])
+    return mesh, build_bvh(mesh), origins, directions
+
+
+@pytest.mark.parametrize("path", ["scan", "bvh"])
+def test_intersect_matches_fancy_gathers(traced, path):
+    mesh, bvh, origins, directions = traced
+    bvh = bvh if path == "bvh" else None
+    got = intersect_rays(mesh, origins, directions, bvh=bvh)
+    expect = fancy_intersect_rays(mesh, origins, directions, bvh=bvh)
+    assert mesh.num_facets >= 20_000 and accel.uses_bvh(mesh)
+    assert (got[0][:256] >= 0).sum() > 200 and (got[0][256:] >= 0).sum() > 40
+    for name, a, b in zip(("fid", "t", "m1", "m2", "cos_theta"), got, expect):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_shade_gathers_match_fancy(traced):
+    mesh, bvh, origins, directions = traced
+    fid, t, m1, m2, _ = intersect_rays(mesh, origins, directions, bvh=bvh)
+    hit = fid >= 0
+    fid, m1, m2 = fid[hit], m1[hit], m2[hit]
+    rng = np.random.default_rng(7)
+    values = rng.uniform(0.5, 2.0, (mesh.num_vertices, 4))
+    got = interpolate_at_hits(mesh, values, fid, m1, m2)
+    assert got.tobytes() == fancy_interpolate_at_hits(mesh, values, fid, m1, m2).tobytes()
+
+    k, shape = fid.size, (8, 40)
+    ledger = HitLedger(image_shape=shape, row=rng.integers(0, shape[0], k),
+                       range_bin=rng.integers(0, shape[1], k), facet_id=fid, m1=m1, m2=m2,
+                       weight=rng.uniform(0.0, 1.0, k), sigma=rng.uniform(0.0, 1.0, k),
+                       dsigma=rng.normal(size=(k, 4)))
+    dLdI = rng.normal(size=shape)
+    assert backward(ledger, dLdI, mesh).tobytes() == fancy_backward(ledger, dLdI, mesh).tobytes()

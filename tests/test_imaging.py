@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -308,6 +309,22 @@ class TestRender:
         with pytest.raises(ValueError, match="negative bin"):
             render(mesh, params, plate_radar,
                    range_window=(image.range_origin - 1.0, image.num_range_bins))
+
+    @pytest.mark.parametrize("field, bad", [("origin", math.nan), ("origin", math.inf),
+                                            ("num_bins", 2.5), ("num_bins", 0),
+                                            ("num_bins", -1), ("num_bins", None)])
+    def test_bad_range_window_named_up_front(self, plate_scene, plate_radar, field, bad):
+        """trace names range_window and the bad field before it traces;
+        bad=None is a valid np.int64 count."""
+        mesh, _ = plate_scene
+        origin, num_bins = vertex_range_window(mesh, plate_radar)
+        if bad is None:
+            hits = trace(mesh, plate_radar, range_window=(origin, np.int64(num_bins)))
+            assert hits.image_shape == (plate_radar.num_azimuth, num_bins)
+            return
+        window = (bad, num_bins) if field == "origin" else (origin, bad)
+        with pytest.raises(ValueError, match=f"^range_window {field} {re.escape(repr(bad))} "):
+            trace(mesh, plate_radar, range_window=window)
 
     @pytest.mark.parametrize("pinned", [False, True])
     def test_shade_of_trace_is_render_bitwise(self, plate_scene, plate_radar, pinned):
