@@ -54,16 +54,15 @@ _LEAF_SIZE = 4
 BVH_MIN_FACETS = 256
 
 
-def _mt(origins, directions, p1, p2, p3):
+def _mt(origins, directions, p3, h1, h2):
     """Moller-Trumbore solve over broadcast (..., 3) rays and triangles.
 
-    Returns (t, m1, m2) of the broadcast leading shape, with t = +inf
-    marking misses.  The linear scan passes (R, 1, 3) rays and (F, 3)
-    triangles; the BVH leaves pass (P, 3) pairs.  Every value comes from
-    the same elementwise arithmetic in either layout.
+    Triangles come as (p3, p1 - p3, p2 - p3) from `_edges`.  Returns
+    (t, m1, m2) of the broadcast leading shape, with t = +inf marking
+    misses.  The linear scan passes (R, 1, 3) rays and (F, 3) triangles;
+    the BVH leaves pass (P, 3) pairs.  Every value comes from the same
+    elementwise arithmetic in either layout.
     """
-    h1 = p1 - p3
-    h2 = p2 - p3
     f1 = np.cross(directions, h2)
     det = np.einsum("...k,...k->...", f1, h1)
     h = origins - p3
@@ -170,19 +169,20 @@ def uses_bvh(mesh: Mesh) -> bool:
     return mesh.num_facets > BVH_MIN_FACETS
 
 
-def _corners(mesh: Mesh, ids=None):
-    """(p1, p2, p3) corner arrays of the facets ids (default all), each (len(ids), 3)."""
+def _edges(mesh: Mesh, ids=None):
+    """(p3, p1 - p3, p2 - p3) of the facets ids (default all), each (len(ids), 3)."""
     f = mesh.facets if ids is None else mesh.facets.take(ids, axis=0)
-    return tuple(mesh.vertices.take(f.T, axis=0))     # (3, len(ids), 3): contiguous corners
+    p1, p2, p3 = mesh.vertices.take(f.T, axis=0)     # (3, len(ids), 3): contiguous corners
+    return p3, p1 - p3, p2 - p3
 
 
-def _scan(p1, p2, p3, origins, directions):
+def _scan(p3, h1, h2, origins, directions):
     """Nearest hits of a ray batch against every facet.
 
     Returns (facet_id, t, m1, m2) with facet_id = -1 and t = +inf for
     misses.
     """
-    t, m1, m2 = _mt(origins[:, None, :], directions[:, None, :], p1, p2, p3)
+    t, m1, m2 = _mt(origins[:, None, :], directions[:, None, :], p3, h1, h2)
     j = np.argmin(t, axis=1)          # first occurrence = lowest facet id
     rows = np.arange(t.shape[0])
     tj = t[rows, j]
@@ -226,7 +226,7 @@ def _traverse(bvh: Bvh, mesh: Mesh, origins, directions):
             offset = np.arange(pair_ray.size) - np.repeat(np.cumsum(lcount) - lcount, lcount)
             ids = bvh.order.take(np.repeat(bvh.start.take(node[leaf]), lcount) + offset)
             t, m1, m2 = _mt(origins.take(pair_ray, axis=0), directions.take(pair_ray, axis=0),
-                            *_corners(mesh, ids))
+                            *_edges(mesh, ids))
             hit = np.isfinite(t)
             pair_ray, ids, t, m1, m2 = pair_ray[hit], ids[hit], t[hit], m1[hit], m2[hit]
             # each ray's smallest (t, facet_id) of this step, then against its best so far
@@ -272,7 +272,7 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
         step, nearest = _TRAVERSE_BATCH, partial(_traverse, bvh, mesh)
     else:
         step = max(1, _SCAN_PAIRS // max(1, mesh.num_facets))
-        nearest = partial(_scan, *_corners(mesh))
+        nearest = partial(_scan, *_edges(mesh))    # edges once per call, not per batch
     for lo in range(0, n, step):
         batch = slice(lo, lo + step)
         fid[batch], t_hit[batch], m1_hit[batch], m2_hit[batch] = nearest(

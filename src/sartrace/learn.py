@@ -6,8 +6,20 @@ over the per-vertex parameter table (viewed as a near-square grid in
 vertex order) regularizes spatially varying recoveries.
 
 The gradient of the data term reaches the parameter table through the
-hit ledger: d(loss)/d(pixel) x quadrature weight x d(sigma)/d(params)
-x barycentric weights, accumulated per vertex in deterministic order.
+hits: d(loss)/d(pixel) x quadrature weight x d(sigma)/d(params) x
+barycentric weights, accumulated per vertex in deterministic order.
+
+learn and grad_check stack their traced views once per call: every
+hit's flat pixel index, facet vertex ids, barycentric row, incidence
+angle and weight, concatenated over the views.  A hit is live when its
+facet touches a vertex with an unknown; the others are shaded once, on
+entry, since Adam never writes their vertices.  An iteration is then one
+gather and einsum over the live hits, one BSDF call per distinct wave,
+one np.bincount for every view's pixels, the per-view losses, and one
+np.bincount that pulls the training views' gradient back into per-view
+blocks over the touched vertices.  The blocks are summed in view order,
+so every unknown's gradient is bitwise the one-view-at-a-time sum
+(backward, view by view).
 
 Adam steps a vector of unknowns: one per channel of a free vertex or of
 a tied vertex group (one shared record, gradients summed over the
@@ -24,9 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sartrace.imaging import HitLedger, SarImage, shade
+from sartrace.imaging import HitLedger, SarImage, range_bin_of
 # the benchmark's traced run wraps this module's `render` by name
 from sartrace.imaging import render  # noqa: F401
+from sartrace.scatter import eval_bsdf_batch
 from sartrace.scene import Mesh, ParamMap, PARAM_CHANNELS
 
 # wide physical box: positivity for h and l, eps_r nudged inside 1 so
@@ -285,29 +298,156 @@ class LearnResult:
 
 
 def _checked(views, what: str = "view"):
-    """(HitSet, reference array) pairs, each reference the traced shape."""
-    views = [(hits, _as_array(ref)) for hits, ref in views]
+    """(HitSet, reference array, flat pixel per hit) triples: each reference
+    the traced shape, each hit inside its view's range window."""
+    checked = []
     for vi, (hits, ref) in enumerate(views):
+        ref = _as_array(ref)
         if hits.image_shape != ref.shape:
             raise ValueError(f"{what} {vi}: rendered shape {hits.image_shape} != "
                              f"reference shape {ref.shape}")
-    return views
+        num_bins = ref.shape[1]
+        bins = range_bin_of(hits.ranges, hits.radar.range_res, hits.range_origin)
+        bad = bins[(bins < 0) | (bins >= num_bins)]
+        if bad.size:
+            raise ValueError(f"{what} {vi}: bin {bad[0]} outside profile of {num_bins} bins")
+        checked.append((hits, ref, hits.row * num_bins + bins))
+    return checked
 
 
-def _objective(params: ParamMap, views, cfg: LossConfig, bsdf_fn=None):
-    """One learn iteration's (total, sim, tv, d(total)/d(params), per-view
-    RMSE): views summed in order, then the TV term."""
+def _by_wave(waves, wave_id):
+    """(WaveConfig, rows) per wave the hits use; rows = all rows for one wave."""
+    ids = np.flatnonzero(np.bincount(wave_id, minlength=len(waves)))
+    if ids.size == 1:
+        return [(waves[ids[0]], slice(None))]
+    return [(waves[w], np.flatnonzero(wave_id == w)) for w in ids]
+
+
+def _shade_hits(bsdf_fn, groups, bary, vids, theta, params: ParamMap):
+    """sigma (h,) and dsigma (h, 4) of hits: one gather and einsum, then
+    one bsdf_fn call per wave."""
+    values = np.einsum("nj,njc->nc", bary, params.values.take(vids, axis=0))
+    sigma, dsigma = np.empty(theta.size), np.empty((theta.size, 4))
+    for wave, rows in groups:
+        sigma[rows], dsigma[rows] = (bsdf_fn or eval_bsdf_batch)(theta[rows], values[rows], wave)
+    return sigma, dsigma
+
+
+@dataclass
+class _Stack:
+    """Every view's hits concatenated, with the per-hit operators that no
+    parameter changes; training views first.  Live hits, whose facet
+    touches a vertex with an unknown, are shaded per iteration; the others
+    keep the intensity shaded when the stack was built."""
+
+    refs: list                    # reference arrays
+    spans: np.ndarray             # (views + 1,) view v owns pixels spans[v]:spans[v + 1]
+    num_train: int
+    pixel: np.ndarray             # (H,) flat pixel of every hit
+    intensity: np.ndarray         # (H,) weight * sigma, filled in for the frozen hits
+    live: np.ndarray              # (L,) positions of the live hits
+    vids: np.ndarray              # (L, 3) their facets' vertex ids
+    bary: np.ndarray              # (L, 3) their barycentric rows (m1, m2, 1 - m1 - m2)
+    theta: np.ndarray             # (L,)
+    weight: np.ndarray            # (L,)
+    groups: list                  # (WaveConfig, live rows) per distinct wave
+    train_pixel: np.ndarray       # (Lt,) pixel of each live hit of a training view
+    touched: np.ndarray           # (T,) vertices with unknowns that those hits reach
+    slot: np.ndarray              # (Lt * 12,) adjoint bin (view * T + touched) * 4 + channel
+
+
+def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
+    """Stack _checked views, training views first.  entries: the flat table
+    indices v * 4 + c that may move (None: all).  Hits touching no vertex
+    with an entry are shaded here, once, with params."""
+    n = params.num_vertices
+    hitsets = [hits for hits, _, _ in views]
+    for vi, hits in enumerate(hitsets):
+        if hits.mesh.num_vertices != n:
+            raise ValueError(f"view {vi}: parameter table size {n} does not match "
+                             f"the mesh's {hits.mesh.num_vertices} vertices")
+
+    def cat(arrays, empty=np.zeros(0)):
+        return np.concatenate(list(arrays) + [empty])
+
+    spans = np.cumsum([0] + [ref.size for _, ref, _ in views])
+    counts = [hits.row.size for hits in hitsets]
+    pixel = cat((pix + lo for (_, _, pix), lo in zip(views, spans)), np.zeros(0, np.int64))
+    vids = cat((hits.mesh.facets.take(hits.facet_id, axis=0) for hits in hitsets),
+               np.zeros((0, 3), np.int64))
+    m1, m2, theta, weight = (cat(getattr(hits, name) for hits in hitsets)
+                             for name in ("m1", "m2", "theta", "weight"))
+    bary = np.stack([m1, m2, 1.0 - m1 - m2], axis=1)
+    view_id = np.repeat(np.arange(len(views)), counts)
+    waves = list(dict.fromkeys(hits.radar.wave for hits in hitsets))
+    wave_id = np.repeat(np.array([waves.index(hits.radar.wave) for hits in hitsets],
+                                 dtype=np.int64), counts)
+
+    movable = (np.ones(n, dtype=bool) if entries is None
+               else np.bincount(np.asarray(entries) // 4, minlength=n) > 0)
+    reach = movable.take(vids)                       # (H, 3)
+    is_live = reach.any(axis=1)
+    live, frozen = np.flatnonzero(is_live), np.flatnonzero(~is_live)
+    intensity = np.zeros(pixel.size)
+    if frozen.size:
+        intensity[frozen] = weight[frozen] * _shade_hits(
+            None, _by_wave(waves, wave_id[frozen]), bary[frozen], vids[frozen],
+            theta[frozen], params)[0]
+
+    train = live[:np.searchsorted(live, sum(counts[:num_train]))]
+    corner = vids[train]
+    mark = np.zeros(n, dtype=bool)
+    mark[corner[reach[train]]] = True
+    touched = np.flatnonzero(mark)
+    slot = np.where(reach[train], view_id[train, None] * touched.size
+                    + np.searchsorted(touched, corner), num_train * touched.size)
+    return _Stack(
+        refs=[ref for _, ref, _ in views], spans=spans, num_train=num_train, pixel=pixel,
+        intensity=intensity, live=live, vids=vids[live], bary=bary[live], theta=theta[live],
+        weight=weight[live], groups=_by_wave(waves, wave_id[live]),
+        train_pixel=pixel[train], touched=touched,
+        slot=(slot[:, :, None] * 4 + np.arange(4)).ravel())
+
+
+def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None,
+               loss_only: bool = False):
+    """One learn iteration: (total, sim, tv, d(total)/d(params), per-view
+    RMSE), or the total alone when loss_only.  Views' data terms are summed
+    in order, then the TV term.  The gradient is exact at every vertex with
+    an unknown; elsewhere it holds the TV term only."""
+    sigma, dsigma = _shade_hits(bsdf_fn, stack.groups, stack.bary, stack.vids, stack.theta,
+                                params)
+    intensity = stack.intensity.copy()
+    intensity[stack.live] = stack.weight * sigma
+    image = np.bincount(stack.pixel, weights=intensity, minlength=stack.spans[-1])
+
     sim = 0.0
-    grads = np.zeros_like(params.values)
-    rmses = np.zeros(len(views))
-    for vi, (hits, ref) in enumerate(views):
-        image, ledger = shade(hits, params, bsdf_fn)
-        loss_v, dLdI = loss_sim(image, ref, cfg, num_views=len(views))
-        sim += loss_v
-        grads += backward(ledger, dLdI, hits.mesh)
-        rmses[vi] = rmse_normalized(image, ref)
-    tv, tv_grad = loss_tv(params.values, cfg.lambda_mat)
-    grads += tv_grad
+    rmses = np.zeros(len(stack.refs))
+    dLdI = np.empty(stack.spans[stack.num_train])
+    for vi, ref in enumerate(stack.refs):
+        lo, hi = stack.spans[vi], stack.spans[vi + 1]
+        view = image[lo:hi].reshape(ref.shape)
+        if vi < stack.num_train:
+            loss_v, grad_v = loss_sim(view, ref, cfg, num_views=stack.num_train)
+            sim += loss_v
+            dLdI[lo:hi] = grad_v.ravel()
+        if not loss_only:
+            rmses[vi] = rmse_normalized(view, ref)
+    tv, grads = loss_tv(params.values, cfg.lambda_mat)
+    if loss_only:
+        return sim + tv
+
+    # backward over the training views' live hits, each view into its own block
+    num = stack.train_pixel.size
+    g_sigma = dLdI.take(stack.train_pixel) * stack.weight[:num]
+    contrib = g_sigma[:, None] * dsigma[:num]
+    scatter = stack.bary[:num, :, None] * contrib[:, None, :]      # (Lt, 3, 4)
+    size = stack.touched.size * 4
+    blocks = np.bincount(stack.slot, weights=scatter.ravel(), minlength=stack.num_train * size + 4)
+    adjoint = np.zeros(size)
+    for vi in range(stack.num_train):           # the views' sums in order, as one view at a time
+        adjoint += blocks[vi * size:(vi + 1) * size]
+    grads[stack.touched] += adjoint.reshape(-1, 4)
     return sim + tv, sim, tv, grads, rmses
 
 
@@ -321,14 +461,21 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
     only.  Runs at most `iters` steps, stopping early once the mean
     training RMSE improves by less than _STOP_TOL over stop_patience
     iterations.  A non-finite loss aborts and returns the last
-    finite-loss table.  opt.project runs first: a tied group whose
-    members start with different values raises ValueError.
+    finite-loss table.  On entry, a view whose range window leaves out
+    a hit raises ValueError naming the view and the bin; then
+    opt.project runs (a tied group whose members start with different
+    values raises ValueError) and the views are stacked: hits that
+    touch no vertex with an unknown are shaded once, and only the
+    others on every iteration.  The gradient handed to adam_step is
+    exact at every vertex with an unknown, so a non-finite partial
+    stops learn only on a hit that reaches one.
     """
     if not views:
         raise ValueError("need at least one reference view")
     views = _checked(views)
     eval_views = _checked(eval_views, "eval view")
     opt.project(params)
+    stack = _stack(params, views + eval_views, len(views), opt.entries)
     last_good = params.copy()
 
     total_hist, sim_hist, tv_hist = [], [], []
@@ -338,9 +485,8 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
     aborted = False
 
     for it in range(iters):
-        total, sim, tv, grads, rmses = _objective(params, views, cfg)
-        ev = np.array([rmse_normalized(shade(hits, params)[0], ref)
-                       for hits, ref in eval_views])
+        total, sim, tv, grads, rmses = _objective(stack, params, cfg)
+        rmses, ev = rmses[:len(views)], rmses[len(views):]
 
         total_hist.append(total)
         sim_hist.append(sim)
@@ -411,13 +557,16 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
                seed: int = 0, bsdf_fn=None) -> GradCheckReport:
     """Compare learn's gradient with central finite differences of its loss.
 
-    views: (HitSet, reference image) pairs, as for learn.  Probes
-    num_probes random (vertex, channel) pairs.  Central steps are
-    _FD_REL_STEP * |value| with an absolute floor of 1e-8.  Probes where
-    both sides vanish report zero error (unilluminated vertices).
+    views: (HitSet, reference image) pairs, as for learn; every hit is
+    live, and one stack serves the gradient and every probe.  Probes
+    num_probes random (vertex, channel) pairs; each side of a probe
+    evaluates the loss only.  Central steps are _FD_REL_STEP * |value|
+    with an absolute floor of 1e-8.  Probes where both sides vanish
+    report zero error (unilluminated vertices).
     """
     views = _checked(views)
-    grads = _objective(params, views, cfg, bsdf_fn)[3]
+    stack = _stack(params, views, len(views))
+    grads = _objective(stack, params, cfg, bsdf_fn)[3]
 
     rng = np.random.default_rng(seed)
     probes = []
@@ -428,9 +577,9 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
         step = max(_FD_REL_STEP * abs(base), 1e-8)
         trial = params.copy()
         trial.values[vid, ci] = base + step
-        up = _objective(trial, views, cfg, bsdf_fn)[0]
+        up = _objective(stack, trial, cfg, bsdf_fn, loss_only=True)
         trial.values[vid, ci] = base - step
-        down = _objective(trial, views, cfg, bsdf_fn)[0]
+        down = _objective(stack, trial, cfg, bsdf_fn, loss_only=True)
         fd = (up - down) / (2.0 * step)
         analytic = float(grads[vid, ci])
         denom = max(abs(analytic), abs(fd))

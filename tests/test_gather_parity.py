@@ -2,9 +2,9 @@
 
 The package reads rows with `take` on axis 0, which returns exactly the
 rows fancy indexing returns.  The linear scan and the BVH wavefront both
-read corners through `accel._corners`, so the BVH-vs-scan tests cannot
+read corners through `accel._edges`, so the BVH-vs-scan tests cannot
 see a change made on both sides.  These references gather with fancy
-indexing in `_corners`, `_traverse`, `intersect_rays`,
+indexing in `_edges`, `_traverse`, `intersect_rays`,
 `interpolate_at_hits` and `backward`, and every output must match them
 bitwise.
 """
@@ -23,9 +23,10 @@ from sartrace.scene import Mesh, interpolate_at_hits
 from sartrace.scenes import side_looking_radar
 
 
-def fancy_corners(mesh, ids=slice(None)):
+def fancy_edges(mesh, ids=slice(None)):
     f = mesh.facets[ids]
-    return mesh.vertices[f[:, 0]], mesh.vertices[f[:, 1]], mesh.vertices[f[:, 2]]
+    p1, p2, p3 = mesh.vertices[f[:, 0]], mesh.vertices[f[:, 1]], mesh.vertices[f[:, 2]]
+    return p3, p1 - p3, p2 - p3
 
 
 def fancy_traverse(bvh, mesh, origins, directions):
@@ -55,7 +56,7 @@ def fancy_traverse(bvh, mesh, origins, directions):
             offset = np.arange(pair_ray.size) - np.repeat(np.cumsum(lcount) - lcount, lcount)
             ids = bvh.order[np.repeat(bvh.start[node[leaf]], lcount) + offset]
             t, m1, m2 = accel._mt(origins[pair_ray], directions[pair_ray],
-                                  *fancy_corners(mesh, ids))
+                                  *fancy_edges(mesh, ids))
             hit = np.isfinite(t)
             pair_ray, ids, t, m1, m2 = pair_ray[hit], ids[hit], t[hit], m1[hit], m2[hit]
             first = np.lexsort((ids, t, pair_ray))
@@ -80,9 +81,9 @@ def fancy_intersect_rays(mesh, origins, directions, bvh=None):
     else:
         # the scan needs its own reference: a ray lying in a box's face plane
         # can reach a different facet through the traversal
-        corners = fancy_corners(mesh)
+        edges = fancy_edges(mesh)
         fid, t, m1, m2 = map(np.concatenate, zip(*(
-            accel._scan(*corners, origins[i:i + 1], directions[i:i + 1])
+            accel._scan(*edges, origins[i:i + 1], directions[i:i + 1])
             for i in range(origins.shape[0]))))
     cos_theta = np.zeros(fid.size)
     hit = fid >= 0

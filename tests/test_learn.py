@@ -14,6 +14,7 @@ from sartrace.imaging import HitLedger, RadarConfig, render, trace
 from sartrace.learn import (DEFAULT_LOWER, DEFAULT_UPPER, LossConfig, OptimState, adam_step,
                             backward, grad_check, learn, loss_sim, loss_tv, rmse_normalized,
                             write_history_csv)
+from sartrace.scatter import WaveConfig, eval_bsdf_batch
 from sartrace.scene import PARAM_CHANNELS, Mesh, ParamMap
 from sartrace.scenes import merge_meshes, plane_mesh, side_looking_radar
 
@@ -442,9 +443,10 @@ class TestLearn:
         assert len(lines) == 1 + res.iterations
 
 
-def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=()):
+def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=(), seen=None):
     """learn's loop with stopping off, rendering every view on every
-    iteration: (total_loss, view_rmse, eval_rmse)."""
+    iteration: (total_loss, view_rmse, eval_rmse).  Each full-table
+    gradient handed to adam_step is appended to `seen` when given."""
     total_hist, view_hist, eval_hist = [], [], []
     for _ in range(iters):
         sim_total = 0.0
@@ -462,6 +464,8 @@ def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=()):
         view_hist.append(rmses)
         eval_hist.append([rmse_normalized(render(mesh, params, radar)[0], ref)
                           for radar, ref in eval_refs])
+        if seen is not None:
+            seen.append(grads.copy())
         adam_step(opt, params, grads)
     return np.array(total_hist), np.array(view_hist), np.array(eval_hist)
 
@@ -594,6 +598,192 @@ class TestTraceOnce:
         assert np.isfinite(res.eval_rmse).all()
         np.testing.assert_array_equal(res.params.values, before)
 
+
+class RecordedCalls:
+    """Wraps learn's BSDF and adam_step with recorders: events lists
+    ("bsdf", theta) and ("adam", gradient table) in call order."""
+
+    def __init__(self, monkeypatch):
+        self.events = []
+        step = learn_mod.adam_step
+
+        def recorded_bsdf(theta, values, wave):
+            self.events.append(("bsdf", theta.copy()))
+            return eval_bsdf_batch(theta, values, wave)
+
+        def recorded_step(opt, table, grads):
+            self.events.append(("adam", grads.copy()))
+            return step(opt, table, grads)
+
+        monkeypatch.setattr(learn_mod, "eval_bsdf_batch", recorded_bsdf)
+        monkeypatch.setattr(learn_mod, "adam_step", recorded_step)
+
+    def iterations(self):
+        """[(thetas of the BSDF calls since the previous adam_step, the
+        gradient table)] per adam_step call."""
+        out, thetas = [], []
+        for kind, value in self.events:
+            if kind == "bsdf":
+                thetas.append(value)
+            else:
+                out.append((thetas, value))
+                thetas = []
+        return out
+
+
+def _on_facets(hits, facets):
+    return np.isin(hits.facet_id, facets)
+
+
+class TestStackedObjective:
+    """learn shades all views as one stack, re-shading only the hits
+    whose facet touches a vertex with an unknown."""
+
+    @staticmethod
+    def cube_phase(proto, phase):
+        return OptimState.create(
+            proto.init.num_vertices, lr=phase.lr, beta1=phase.beta1, beta2=phase.beta2,
+            eps_adam=proto.eps_adam, lr_decay=phase.lr_decay,
+            freeze_channels=phase.freeze_channels, freeze_vertices=proto.frozen_ids,
+            tie_groups=[proto.target_ids])
+
+    def test_cube_iteration_makes_one_bsdf_call(self, monkeypatch):
+        proto = cube_recovery_protocol()
+        refs = render_references(proto)
+        views = traced(proto.mesh, refs)
+        cube_facets = np.flatnonzero(np.isin(proto.mesh.facets, proto.target_ids).all(axis=1))
+        plane_facets = np.flatnonzero(np.isin(proto.mesh.facets, proto.frozen_ids).all(axis=1))
+        assert cube_facets.size + plane_facets.size == proto.mesh.num_facets
+        on_cube = np.concatenate([h.theta[_on_facets(h, cube_facets)] for h, _ in views])
+        on_plane = np.concatenate([h.theta[_on_facets(h, plane_facets)] for h, _ in views])
+        assert on_cube.size > 100 and on_plane.size > 100
+
+        calls = RecordedCalls(monkeypatch)
+        opt = self.cube_phase(proto, proto.phases[0])
+        res = learn(proto.init.copy(), views, opt, proto.loss, iters=3, stop_patience=10 ** 9)
+        assert res.iterations == 3 and not res.aborted
+        # the plane's hits are shaded once, on entry; each iteration shades the cube's
+        thetas = [t for t, _ in calls.iterations()]
+        assert [len(t) for t in thetas] == [2, 1, 1]
+        assert thetas[0][0].tobytes() == on_plane.tobytes()
+        assert all(t[-1].tobytes() == on_cube.tobytes() for t in thetas)
+
+    @pytest.fixture
+    def mixed_views(self, learn_setup, wave_hh):
+        """An HH view, a VV view, a view that hits nothing and a second HH
+        view, plus an HH eval view, of the two-facet mesh."""
+        mesh, truth, radar = learn_setup
+        vv = dataclasses.replace(radar, wave=WaveConfig(9.6e9, "VV", "gaussian"), seed=8)
+        away = RadarConfig(wave=wave_hh, start_pos=[100, 50, 5], end_pos=[103, 50, 5],
+                           num_azimuth=4, alpha0=0.6, alpha1=0.9, num_angles=8,
+                           range_res=0.1, azimuth_res=0.75, seed=1)
+        truth.values[3:, 2] = 14.0
+        hh = dataclasses.replace(radar, end_pos=[2.2, 4.0, 4.0], seed=9)
+        refs = [(r, render(mesh, truth, r)[0].intensities) for r in (radar, vv, away, hh)]
+        eval_radar = dataclasses.replace(radar, seed=radar.seed + 1)
+        eval_refs = [(eval_radar, render(mesh, truth, eval_radar)[0].intensities)]
+        hits = [trace(mesh, r) for r, _ in refs]
+        assert all(_on_facets(h, [0]).any() and _on_facets(h, [1]).any()
+                   for h in hits[:2] + hits[3:])
+        assert hits[2].row.size == 0
+        start = truth.copy()
+        start.values[3:, 0] *= 1.6
+        start.values[3:, 2] = 10.0
+        return mesh, start, refs, eval_refs
+
+    @pytest.mark.parametrize("kwargs, entry_calls", [
+        pytest.param(dict(freeze_vertices=[0, 1, 2]), 2, id="frozen-facet"),
+        pytest.param(dict(freeze_vertices=[0, 1], tie_groups=[[3, 4]],
+                          freeze_channels=("tau",)), 0, id="frozen-corners-tied"),
+        pytest.param({}, 0, id="all-free"),
+    ])
+    def test_mixed_stack_matches_render_every_iteration(self, mixed_views, kwargs,
+                                                        entry_calls, monkeypatch):
+        """Histories, final tables and every unknown's gradient are bitwise
+        the render-every-iteration oracle's; one BSDF call per wave and
+        iteration, plus one per wave on entry for a wholly frozen facet."""
+        mesh, start, refs, eval_refs = mixed_views
+        cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
+        make_opt = lambda: OptimState.create(mesh.num_vertices, lr=0.05, **kwargs)
+        want = []
+        oracle_learn(mesh, start.copy(), refs, make_opt(), cfg, 5, eval_refs, seen=want)
+        calls = RecordedCalls(monkeypatch)
+        assert_learn_matches_oracle(mesh, start, refs, make_opt, cfg, iters=5,
+                                    eval_refs=eval_refs)
+        entries = make_opt().entries
+        iterations = calls.iterations()
+        assert len(iterations) == len(want) == 5
+        assert [len(t) for t, _ in iterations] == [entry_calls + 2] + [2] * 4   # HH, VV
+        for (_, got), expect in zip(iterations, want):
+            assert got.take(entries).tobytes() == expect.take(entries).tobytes()
+            assert np.abs(got.take(entries)).max() > 0.0
+
+    @pytest.mark.parametrize("nan_facet, raises", [(0, False), (1, True)])
+    def test_non_finite_partial_reaches_adam_only_through_an_unknown(
+            self, learn_setup, monkeypatch, nan_facet, raises):
+        """A NaN partial on a hit whose vertices are all frozen is never
+        assembled (the full-table adjoint used to reject the step for it);
+        one on a hit that touches an unknown still stops learn."""
+        mesh, params, radar = learn_setup
+        params.values[:3, 3] = 0.3           # facet 0's vertices, frozen
+        params.values[3:, 3] = 0.05          # facet 1's, free
+        ref = render(mesh, params, radar)[0].intensities * 1.1
+
+        def nan_partials(theta, values, wave):
+            sigma, grads = eval_bsdf_batch(theta, values, wave)
+            on_facet_0 = values[:, 3] > 0.2
+            grads[on_facet_0 if nan_facet == 0 else ~on_facet_0] = np.nan
+            return sigma, grads
+
+        monkeypatch.setattr(learn_mod, "eval_bsdf_batch", nan_partials)
+        opt = OptimState.create(mesh.num_vertices, freeze_vertices=[0, 1, 2])
+        before = params.values.copy()
+        views = traced(mesh, [(radar, ref)])
+        if raises:
+            with pytest.raises(ValueError, match=r"non-finite gradient at vertex 3, "
+                                                 r"channel\(s\) h, l, eps_r, tau"):
+                learn(params, views, opt, CFG_RAW, iters=2)
+            return
+        res = learn(params, views, opt, CFG_RAW, iters=2, stop_patience=10 ** 9)
+        assert res.iterations == 2 and not res.aborted
+        assert np.isfinite(res.total_loss).all()
+        np.testing.assert_array_equal(res.params.values[:3], before[:3])
+        assert not np.array_equal(res.params.values[3:], before[3:])
+
+    @pytest.mark.parametrize("shift, num_bins, bin_pattern", [
+        (0.0, 2, r"\d+"), (-1.0, None, r"-\d+")])
+    def test_range_window_leaving_out_a_hit_raises_on_entry(
+            self, learn_setup, monkeypatch, shift, num_bins, bin_pattern):
+        mesh, params, radar = learn_setup
+        origin, bins = imaging.vertex_range_window(mesh, radar)
+        window = (origin + shift, num_bins or bins)
+        good = traced(mesh, [(radar, render(mesh, params, radar)[0].intensities)])[0]
+        narrow = trace(mesh, radar, range_window=window)
+        assert narrow.row.size > 0
+        bad = (narrow, np.zeros(narrow.image_shape))
+        calls = RecordedCalls(monkeypatch)
+        before = params.values.copy()
+        message = rf"view 1: bin {bin_pattern} outside profile of {window[1]} bins"
+        with pytest.raises(ValueError, match=message):
+            learn(params, [good, bad], OptimState.create(mesh.num_vertices), CFG_RAW, iters=2)
+        with pytest.raises(ValueError, match="eval " + message):
+            learn(params, [good], OptimState.create(mesh.num_vertices), CFG_RAW, iters=2,
+                  eval_views=[good, bad])
+        with pytest.raises(ValueError, match=message):
+            grad_check(params, [good, bad], CFG_RAW, num_probes=2)
+        assert calls.events == []
+        np.testing.assert_array_equal(params.values, before)
+
+
+    def test_table_size_names_the_view(self, learn_setup):
+        mesh, params, radar = learn_setup
+        views = traced(mesh, [(radar, render(mesh, params, radar)[0].intensities)])
+        wider = ParamMap(np.vstack([params.values, params.values[:1]]))
+        message = r"view 0: parameter table size 7 does not match the mesh's 6 vertices"
+        with pytest.raises(ValueError, match=message):
+            learn(wider, views, OptimState.create(7), CFG_RAW, iters=1)
+        with pytest.raises(ValueError, match=message):
+            grad_check(wider, views, CFG_RAW, num_probes=1)
 
 class TestGradCheck:
     def perturbed(self, params):
