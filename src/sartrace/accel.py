@@ -6,8 +6,10 @@ level order, so children come after their parent.
 
 Intersections solve o + t*d = m1*p1 + m2*p2 + (1-m1-m2)*p3 for
 (t, m1, m2); a hit requires the weights to lie in the simplex and
-t > EPS_T.  `intersect_rays` finds nearest hits one ray batch at a
-time, by one of two paths that share the Moller-Trumbore kernel `_mt`:
+t > EPS_T.  The Moller-Trumbore kernel `_mt` works one coordinate plane
+at a time: each cross and dot product is a few elementwise numpy ops on
+the x, y and z views of its operands.  `intersect_rays` finds nearest
+hits one ray batch at a time, by one of two paths that share `_mt`:
 
 - a linear scan that solves every (ray, facet) pair of the batch;
 - a breadth-first BVH traversal (a wavefront): every ray starts paired
@@ -40,8 +42,8 @@ EPS_T = 1e-6
 # directions with a zero component get a nudged inverse for slab tests only
 _INV_DIR_NUDGE = 1e-300
 
-# (ray, facet) pairs per linear-scan batch: each batch holds a few
-# (R, F, 3) float64 temporaries with R * F at most this
+# (ray, facet) pairs per linear-scan batch: `_mt` keeps at most about ten
+# (R, F) float64 temporaries alive at once, with R * F at most this
 _SCAN_PAIRS = 64 * 256
 
 # rays per BVH traversal batch; bounds the (ray, node) frontier
@@ -55,25 +57,52 @@ BVH_MIN_FACETS = 256
 
 
 def _mt(origins, directions, p3, h1, h2):
-    """Moller-Trumbore solve over broadcast (..., 3) rays and triangles.
+    """Moller-Trumbore solve over broadcast rays and triangles, one
+    coordinate plane at a time.
 
     Triangles come as (p3, p1 - p3, p2 - p3) from `_edges`.  Returns
     (t, m1, m2) of the broadcast leading shape, with t = +inf marking
-    misses.  The linear scan passes (R, 1, 3) rays and (F, 3) triangles;
-    the BVH leaves pass (P, 3) pairs.  Every value comes from the same
+    misses.  The linear scan passes (R, 1, 3) rays and (F, 3) triangles,
+    so every product below is an (R, F) array; the BVH leaves pass (P, 3)
+    pairs and every product is (P,).  Every value comes from the same
     elementwise arithmetic in either layout.
+
+    The cross and dot products are written out on the (..., 3) arrays'
+    component views.  Their values are bitwise those of np.cross and of
+    np.einsum("...k,...k->...") on the same operands: np.cross computes
+    each component as a1*b2 - a2*b1, and numpy's einsum sums three
+    products as (x0*y0 + x2*y2) + x1*y1.  Temporaries are dropped as
+    soon as they are used up, to keep the scan's peak memory down.
     """
-    f1 = np.cross(directions, h2)
-    det = np.einsum("...k,...k->...", f1, h1)
-    h = origins - p3
-    f2 = np.cross(h, h1)
+    dx, dy, dz = np.moveaxis(directions, -1, 0)
+    ax, ay, az = np.moveaxis(h1, -1, 0)
+    bx, by, bz = np.moveaxis(h2, -1, 0)
+    # f1 = d x h2
+    f1x = dy * bz - dz * by
+    f1y = dz * bx - dx * bz
+    f1z = dx * by - dy * bx
+    det = (f1x * ax + f1z * az) + f1y * ay
+    # h = o - p3
+    ox, oy, oz = np.moveaxis(origins, -1, 0)
+    px, py, pz = np.moveaxis(p3, -1, 0)
+    hx, hy, hz = ox - px, oy - py, oz - pz
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / det
-        m1 = np.einsum("...k,...k->...", f1, h) * inv
-        m2 = np.einsum("...k,...k->...", f2, directions) * inv
-        t = np.einsum("...k,...k->...", f2, h2) * inv
-        valid = (det != 0.0) & (m1 >= 0.0) & (m2 >= 0.0) & (m1 + m2 <= 1.0) & (t > EPS_T)
-    t = np.where(valid, t, np.inf)
+        valid = det != 0.0
+        inv = np.divide(1.0, det, out=det)
+        m1 = (f1x * hx + f1z * hz) + f1y * hy
+        m1 *= inv
+        del f1x, f1y, f1z
+        # f2 = h x h1
+        f2x = hy * az - hz * ay
+        f2y = hz * ax - hx * az
+        f2z = hx * ay - hy * ax
+        del hx, hy, hz
+        m2 = (f2x * dx + f2z * dz) + f2y * dy
+        m2 *= inv
+        t = (f2x * bx + f2z * bz) + f2y * by
+        t *= inv
+        valid &= (m1 >= 0.0) & (m2 >= 0.0) & (m1 + m2 <= 1.0) & (t > EPS_T)
+    t[~valid] = np.inf
     return t, m1, m2
 
 
@@ -184,11 +213,12 @@ def _scan(p3, h1, h2, origins, directions):
     """
     t, m1, m2 = _mt(origins[:, None, :], directions[:, None, :], p3, h1, h2)
     j = np.argmin(t, axis=1)          # first occurrence = lowest facet id
-    rows = np.arange(t.shape[0])
-    tj = t[rows, j]
+    # the winning column of each (R, F) row, as one flat take
+    flat = np.arange(0, t.size, t.shape[1]) + j
+    tj = t.take(flat)
     hit = np.isfinite(tj)
     return (np.where(hit, j, -1), tj,
-            np.where(hit, m1[rows, j], 0.0), np.where(hit, m2[rows, j], 0.0))
+            np.where(hit, m1.take(flat), 0.0), np.where(hit, m2.take(flat), 0.0))
 
 
 def _traverse(bvh: Bvh, mesh: Mesh, origins, directions):
@@ -273,7 +303,8 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     else:
         step = max(1, _SCAN_PAIRS // max(1, mesh.num_facets))
         nearest = partial(_scan, *_edges(mesh))    # edges once per call, not per batch
-    for lo in range(0, n, step):
+    # a mesh without facets is missed by every ray
+    for lo in range(0, n if mesh.num_facets else 0, step):
         batch = slice(lo, lo + step)
         fid[batch], t_hit[batch], m1_hit[batch], m2_hit[batch] = nearest(
             origins[batch], directions[batch])

@@ -66,12 +66,18 @@ class RadarConfig:
         object.__setattr__(self, "end_pos", np.asarray(self.end_pos, dtype=np.float64))
         if self.start_pos.shape != (3,) or self.end_pos.shape != (3,):
             raise ValueError("start_pos and end_pos must be 3-vectors")
+        for name in ("start_pos", "end_pos"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} {getattr(self, name).tolist()} is not finite")
         if not (0.0 <= self.alpha0 < self.alpha1 < math.pi / 2):
             raise ValueError("need 0 <= alpha0 < alpha1 < pi/2")
-        if self.range_res <= 0 or self.azimuth_res <= 0:
-            raise ValueError("resolutions must be positive")
-        if self.spua < 1 or self.num_azimuth < 1 or self.num_angles < 1:
-            raise ValueError("spua, num_azimuth and num_angles must be >= 1")
+        for name in ("range_res", "azimuth_res"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} {getattr(self, name)!r} is not positive and finite")
+        for name in ("num_azimuth", "num_angles", "spua"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} {value!r} is not an integer >= 1")
         track = self.end_pos - self.start_pos
         if np.linalg.norm(track) == 0:
             raise ValueError("start_pos and end_pos must differ")
@@ -193,6 +199,7 @@ def bin_ranges_fast(rows, ranges, intensities, range_res: float, range_origin: f
             raise ValueError(f"bin {bins.max()} outside profile of {num_bins} bins")
     image = np.bincount(rows * num_bins + bins, weights=intensities,
                         minlength=num_rows * num_bins)
+    image = image.astype(np.float64, copy=False)    # bincount gives int64 when no hit
     return image.reshape(num_rows, num_bins), bins
 
 

@@ -310,6 +310,16 @@ class TestBvhWavefront:
             assert [a.shape for a in out] == [(0,)] * 5
             assert out[0].dtype == np.int64
 
+    def test_mesh_without_facets_misses_every_ray(self):
+        mesh = Mesh.from_arrays(np.eye(3), np.zeros((0, 3), dtype=np.int64))
+        origins = np.array([[0.2, 0.2, 1.0], [0.0, 0.0, 0.0], [5.0, -1.0, 2.0]])
+        directions = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
+        fid, t, m1, m2, cos_theta = intersect_rays(mesh, origins, directions)
+        assert fid.dtype == np.int64 and fid.tolist() == [-1, -1, -1]
+        assert np.all(t == np.inf)
+        for a in (m1, m2, cos_theta):
+            assert a.dtype == np.float64 and a.tolist() == [0.0, 0.0, 0.0]
+
     @staticmethod
     def with_copies(rng, n_copies, n_facets=308):
         """Random facets plus n_copies of one flat triangle at z = 3, at

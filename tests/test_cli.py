@@ -158,6 +158,21 @@ class TestSimulate:
         path.write_text(CONFIG.replace("alpha_start_deg = 35", "alpha_start_deg = 75"))
         assert main(["simulate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("line, field", [
+        ("range_res = nan", "range_res"),
+        ("range_res = inf", "range_res"),
+        ("azimuth_res = nan", "azimuth_res"),
+        ("start = -1.5 nan 4.0", "start_pos"),
+    ])
+    def test_non_finite_radar_field_exit_code(self, workdir, capsys, line, field):
+        key = line.split()[0]
+        old = next(row for row in CONFIG.splitlines() if row.startswith(key + " "))
+        path = workdir / "bad.ini"
+        path.write_text(CONFIG.replace(old, line))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
 
 class TestLearnCommand:
     def render_refs(self, workdir):

@@ -1,12 +1,13 @@
-"""The trace and shade paths against fancy-index references.
+"""The trace and shade paths against fancy-index and np.cross references.
 
 The package reads rows with `take` on axis 0, which returns exactly the
 rows fancy indexing returns.  The linear scan and the BVH wavefront both
-read corners through `accel._edges`, so the BVH-vs-scan tests cannot
-see a change made on both sides.  These references gather with fancy
-indexing in `_edges`, `_traverse`, `intersect_rays`,
-`interpolate_at_hits` and `backward`, and every output must match them
-bitwise.
+read corners through `accel._edges` and solve through `accel._mt`, so
+the BVH-vs-scan tests cannot see a change made on both sides.  These
+references gather with fancy indexing in `_edges`, `_traverse`,
+`intersect_rays`, `interpolate_at_hits` and `backward`, and solve with
+the np.cross / np.einsum Moller-Trumbore kernel that `_mt` replaced;
+every output must match them bitwise.
 """
 
 import math
@@ -21,6 +22,23 @@ from sartrace.learn import backward
 from sartrace.scatter import WaveConfig
 from sartrace.scene import Mesh, interpolate_at_hits
 from sartrace.scenes import side_looking_radar
+
+
+def cross_mt(origins, directions, p3, h1, h2):
+    """The Moller-Trumbore kernel on (..., 3) operands, by np.cross and np.einsum."""
+    f1 = np.cross(directions, h2)
+    det = np.einsum("...k,...k->...", f1, h1)
+    h = origins - p3
+    f2 = np.cross(h, h1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / det
+        m1 = np.einsum("...k,...k->...", f1, h) * inv
+        m2 = np.einsum("...k,...k->...", f2, directions) * inv
+        t = np.einsum("...k,...k->...", f2, h2) * inv
+        valid = ((det != 0.0) & (m1 >= 0.0) & (m2 >= 0.0) & (m1 + m2 <= 1.0)
+                 & (t > accel.EPS_T))
+    t = np.where(valid, t, np.inf)
+    return t, m1, m2
 
 
 def fancy_edges(mesh, ids=slice(None)):
@@ -55,8 +73,8 @@ def fancy_traverse(bvh, mesh, origins, directions):
             pair_ray = np.repeat(ray[leaf], lcount)
             offset = np.arange(pair_ray.size) - np.repeat(np.cumsum(lcount) - lcount, lcount)
             ids = bvh.order[np.repeat(bvh.start[node[leaf]], lcount) + offset]
-            t, m1, m2 = accel._mt(origins[pair_ray], directions[pair_ray],
-                                  *fancy_edges(mesh, ids))
+            t, m1, m2 = cross_mt(origins[pair_ray], directions[pair_ray],
+                                 *fancy_edges(mesh, ids))
             hit = np.isfinite(t)
             pair_ray, ids, t, m1, m2 = pair_ray[hit], ids[hit], t[hit], m1[hit], m2[hit]
             first = np.lexsort((ids, t, pair_ray))
@@ -167,3 +185,78 @@ def test_shade_gathers_match_fancy(traced):
                        dsigma=rng.normal(size=(k, 4)))
     dLdI = rng.normal(size=shape)
     assert backward(ledger, dLdI, mesh).tobytes() == fancy_backward(ledger, dLdI, mesh).tobytes()
+
+
+def assert_mt_matches_cross(origins, directions, triangles):
+    """`_mt` against `cross_mt` on the scan's (R, 1, 3) x (F, 3) layout and on
+    the BVH leaves' (P, 3) pair layout of every (ray, facet) pair: t bitwise
+    everywhere, m1 and m2 bitwise wherever t is finite.  Returns the (R, F) t."""
+    p3 = triangles[:, 2]
+    edges = (p3, triangles[:, 0] - p3, triangles[:, 1] - p3)
+    r, f = origins.shape[0], triangles.shape[0]
+    pair_ray, pair_facet = np.repeat(np.arange(r), f), np.tile(np.arange(f), r)
+    layouts = [
+        ((origins[:, None, :], directions[:, None, :]) + edges, (r, f)),
+        ((origins[pair_ray], directions[pair_ray]) + tuple(e[pair_facet] for e in edges),
+         (r * f,)),
+    ]
+    for args, shape in layouts:
+        got, expect = accel._mt(*args), cross_mt(*args)
+        assert got[0].shape == shape and got[0].dtype == np.float64
+        assert got[0].tobytes() == expect[0].tobytes(), "t"
+        finite = np.isfinite(expect[0])
+        for name, a, b in zip(("m1", "m2"), got[1:], expect[1:]):
+            assert a.shape == shape and a[finite].tobytes() == b[finite].tobytes(), name
+    return expect[0].reshape(r, f)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mt_matches_cross_on_random_inputs(seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(1, 3))
+    origins = rng.normal(size=(97, 3)) * scale
+    directions = rng.normal(size=(97, 3))
+    triangles = rng.normal(size=(23, 3, 3)) * scale
+    assert_mt_matches_cross(origins, directions, triangles)
+    # a near-flat patch under a downward fan, so that most pairs hit
+    base = np.column_stack([rng.uniform(-1.0, 1.0, (40, 2)), rng.normal(0.0, 0.01, 40)])
+    triangles = base[:, None, :] + rng.uniform(-1.5, 1.5, (40, 3, 3)) * [1.0, 1.0, 0.02]
+    origins = np.column_stack([rng.uniform(-1.0, 1.0, (64, 2)), rng.uniform(1.0, 3.0, 64)])
+    directions = np.column_stack([rng.normal(0.0, 0.2, (64, 2)), -np.ones(64)])
+    t = assert_mt_matches_cross(origins, directions, triangles)
+    assert np.isfinite(t).sum() > 150
+
+
+def test_mt_matches_cross_on_edge_cases():
+    # two facets of the unit square in z = 0, sharing the edge (1, 0, 0)-(0, 1, 0)
+    square = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                       [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]])
+    down = [0.0, 0.0, -1.0]
+    eps = accel.EPS_T
+    rays = [
+        ([0.25, 0.25, 1.0], down),                          # inside the first facet
+        ([0.3, 0.2, 0.0], [1.0, 0.0, 0.0]),                 # in the plane: det = 0
+        ([-1.0, 0.5, 0.0], [0.6, 0.8, 0.0]),                # in the plane: det = 0
+        ([0.0, 0.0, 2.0], down),                            # through a vertex
+        ([1.0, 0.0, 2.0], down),                            # through a shared vertex
+        ([1.0, 1.0, 0.5], down),                            # through a vertex, t = 0.5
+        ([0.5, 0.5, 1.0], down),                            # through the shared edge
+        ([0.25, 0.75, 3.0], down),                          # through the shared edge
+        ([0.5, 0.0, 1.0], down),                            # through an outer edge
+        ([0.2, 0.3, eps], down),                            # t = EPS_T
+        ([0.2, 0.3, eps * (1.0 + 1e-9)], down),             # t just above EPS_T
+        ([0.2, 0.3, eps * (1.0 - 1e-9)], down),             # t just below EPS_T
+        ([0.2, 0.3, 2.0 * eps], [0.0, 0.0, -2.0]),          # t = EPS_T, |d| = 2
+        ([0.2, 0.3, -1.0], down),                           # facet behind the ray
+        ([0.2, 0.3, 1.0], [0.0, 0.0, 0.0]),                 # zero direction
+        ([-0.5, 0.4, 1.0], [0.8, 0.0, -0.6]),               # zero y component
+        ([0.4, -0.5, 1.0], [0.0, 0.8, -0.6]),               # zero x component
+        ([np.nan, 0.3, 1.0], down),                         # NaN origin
+        ([0.2, 0.3, np.nan], down),                         # NaN origin
+        ([0.2, 0.3, 1.0], [np.nan, 0.0, -1.0]),             # NaN direction
+    ]
+    origins, directions = (np.array(a, dtype=np.float64) for a in zip(*rays))
+    t = assert_mt_matches_cross(origins, directions, square)
+    hit = np.isfinite(t)
+    assert hit[[0, 3, 4, 5, 6, 7, 8, 10, 15, 16]].any(axis=1).all()
+    assert not hit[[1, 2, 9, 11, 12, 13, 14, 17, 18, 19]].any()

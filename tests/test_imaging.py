@@ -105,6 +105,22 @@ class TestRadarConfig:
                         num_azimuth=2, alpha0=0.5, alpha1=0.9, num_angles=4,
                         range_res=0.1, azimuth_res=0.1)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("range_res", math.nan), ("range_res", math.inf), ("range_res", 0.0),
+        ("azimuth_res", math.nan), ("azimuth_res", math.inf), ("azimuth_res", -0.5),
+        ("start_pos", [-0.5, math.nan, 4.0]), ("end_pos", [2.5, 4.0, math.inf]),
+        ("num_azimuth", 6.0), ("num_azimuth", True), ("num_angles", 2.5), ("spua", 2.0),
+        ("spua", "2"), ("spua", 0),
+    ])
+    def test_bad_field_named(self, small_radar, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            RadarConfig(**{**small_radar.__dict__, field: bad})
+
+    def test_numpy_integer_counts_accepted(self, small_radar):
+        radar = RadarConfig(**{**small_radar.__dict__, "num_azimuth": np.int64(6),
+                               "spua": np.int32(2)})
+        assert generate_rays(radar, np.arange(6)).origins.shape == (6 * 10 * 2, 3)
+
     def test_positions_interpolate(self, small_radar):
         pos = small_radar.platform_positions()
         np.testing.assert_allclose(pos[0], small_radar.start_pos)
@@ -246,6 +262,17 @@ class TestRender:
         assert image.intensities.shape[0] == 4
         assert np.all(image.intensities == 0.0)
         assert ledger.num_entries == 0
+
+    def test_mesh_without_facets_gives_zero_image(self, plate_scene, plate_radar):
+        mesh, params = plate_scene
+        bare = Mesh.from_arrays(mesh.vertices, np.zeros((0, 3), dtype=np.int64))
+        image, ledger = render(bare, params, plate_radar)
+        origin, num_bins = vertex_range_window(bare, plate_radar)
+        assert image.range_origin == origin
+        assert_bitwise(image.intensities, np.zeros((plate_radar.num_azimuth, num_bins)))
+        assert ledger.num_entries == 0
+        hits = trace(bare, plate_radar)
+        assert hits.facet_id.size == 0 and hits.image_shape == image.shape
 
     def test_energy_bookkeeping(self, plate_scene, plate_radar):
         mesh, params = plate_scene
