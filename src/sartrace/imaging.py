@@ -45,6 +45,13 @@ _WORLD_UP = np.array([0.0, 0.0, 1.0])
 _MAX_RANGE_BINS = 10_000_000
 
 
+def _cross(a, b) -> np.ndarray:
+    """np.cross of two 3-vectors, bitwise: each component is a1*b2 - a2*b1,
+    as np.cross computes it, without np.cross's per-call overhead."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 @dataclass(frozen=True)
 class RadarConfig:
     """Observation description for one rendered image."""
@@ -60,6 +67,9 @@ class RadarConfig:
     azimuth_res: float           # m
     spua: int = 1                # Monte Carlo subsamples per fan bin
     seed: int = 0
+    # unit track and side-looking directions, derived once per config
+    track_dir: np.ndarray = field(init=False, repr=False, compare=False)
+    side_dir: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start_pos", np.asarray(self.start_pos, dtype=np.float64))
@@ -74,25 +84,21 @@ class RadarConfig:
         for name in ("range_res", "azimuth_res"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} {getattr(self, name)!r} is not positive and finite")
-        for name in ("num_azimuth", "num_angles", "spua"):
+        for name, least in (("num_azimuth", 1), ("num_angles", 1), ("spua", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} {value!r} is not an integer >= 1")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} {value!r} is not an integer >= {least}")
         track = self.end_pos - self.start_pos
-        if np.linalg.norm(track) == 0:
+        length = np.linalg.norm(track)
+        if length == 0:
             raise ValueError("start_pos and end_pos must differ")
-        if np.linalg.norm(np.cross(track, _WORLD_UP)) < 1e-12 * np.linalg.norm(track):
+        if np.linalg.norm(_cross(track, _WORLD_UP)) < 1e-12 * length:
             raise ValueError("vertical trajectories are not supported")
-
-    @property
-    def track_dir(self) -> np.ndarray:
-        t = self.end_pos - self.start_pos
-        return t / np.linalg.norm(t)
-
-    @property
-    def side_dir(self) -> np.ndarray:
-        s = np.cross(self.track_dir, _WORLD_UP)
-        return s / np.linalg.norm(s)
+        track_dir = track / length
+        side = _cross(track_dir, _WORLD_UP)
+        for name, value in (("track_dir", track_dir), ("side_dir", side / np.linalg.norm(side))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def platform_positions(self) -> np.ndarray:
         return np.linspace(self.start_pos, self.end_pos, self.num_azimuth)
@@ -128,7 +134,7 @@ class MapFrame:
         if n < 1e-12:
             raise ValueError("track direction is parallel to the fan-top ray")
         u_axis = -u_axis / n
-        v_axis = np.cross(r_axis, u_axis)
+        v_axis = _cross(r_axis, u_axis)
         rot = np.stack([u_axis, v_axis, r_axis])
         return MapFrame(rotation=rot, translation=-rot @ radar.start_pos)
 

@@ -22,6 +22,17 @@ def random_triangles(rng, n, scale=1.0):
     return Mesh.from_arrays(vertices, facets)
 
 
+def grid_mesh(n, extent=10.0):
+    """n x n cells x 2 facets of a gently rippled grid over [0, extent]^2."""
+    xs = np.linspace(0.0, extent, n + 1)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.stack([x.ravel(), y.ravel(), 0.05 * np.sin(x + 2.0 * y).ravel()], axis=1)
+    corner = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n].ravel()
+    facets = np.concatenate([np.stack([corner, corner + n + 1, corner + n + 2], axis=1),
+                             np.stack([corner, corner + n + 2, corner + 1], axis=1)])
+    return Mesh.from_arrays(vertices, facets)
+
+
 def one_facet_mesh(p1, p2, p3):
     return Mesh.from_arrays([p1, p2, p3], [[0, 1, 2]])
 
@@ -407,6 +418,21 @@ class TestBvhWavefront:
         assert mesh.num_facets == 20_000
         assert np.all(fid >= 0)
         assert peak < mesh.num_facets * 3 * 8, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("built, used", [(20, 40), (40, 20)])
+    def test_bvh_of_another_mesh_rejected(self, built, used):
+        """A BVH over 800 facets used with 3,200 (and the reverse) would miss
+        rays the scan hits, or index past the mesh."""
+        bvh = build_bvh(grid_mesh(built))
+        mesh = grid_mesh(used)
+        rng = np.random.default_rng(14)
+        origins = np.column_stack([rng.uniform(1.0, 9.0, (50, 2)), np.full(50, 5.0)])
+        directions = np.tile([0.0, 0.0, -1.0], (50, 1))
+        assert np.all(intersect_rays(mesh, origins, directions)[0] >= 0)
+        expect = (f"BVH over {2 * built ** 2} facets does not fit a mesh of "
+                  f"{2 * used ** 2} facets")
+        with pytest.raises(ValueError, match=f"^{expect}$"):
+            intersect_rays(mesh, origins, directions, bvh=bvh)
 
     def test_more_rays_than_one_traversal_batch(self):
         rng = np.random.default_rng(11)

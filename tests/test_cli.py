@@ -173,6 +173,16 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+    def test_negative_seed_exit_code(self, workdir, capsys, by_flag):
+        argv = ["simulate", "--config", str(workdir / "run.ini"), "--seed", "-1"]
+        if not by_flag:
+            (workdir / "bad.ini").write_text(CONFIG.replace("seed = 3", "seed = -1"))
+            argv = ["simulate", "--config", str(workdir / "bad.ini")]
+        assert main(argv) == 2
+        assert "seed -1" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
 
 class TestLearnCommand:
     def render_refs(self, workdir):

@@ -7,7 +7,9 @@ the BVH-vs-scan tests cannot see a change made on both sides.  These
 references gather with fancy indexing in `_edges`, `_traverse`,
 `intersect_rays`, `interpolate_at_hits` and `backward`, and solve with
 the np.cross / np.einsum Moller-Trumbore kernel that `_mt` replaced;
-every output must match them bitwise.
+every output must match them bitwise.  The traversal reference goes down
+one tree level per step, through `left` and `right`, where `_traverse`
+goes down two through `Bvh.grandchild`.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from sartrace import accel
-from sartrace.accel import build_bvh, intersect_rays
+from sartrace.accel import Bvh, build_bvh, intersect_rays
 from sartrace.imaging import HitLedger, generate_rays
 from sartrace.learn import backward
 from sartrace.scatter import WaveConfig
@@ -48,6 +50,8 @@ def fancy_edges(mesh, ids=slice(None)):
 
 
 def fancy_traverse(bvh, mesh, origins, directions):
+    """The wavefront one tree level per step: each inner-node pair becomes
+    its two child pairs, and tnear > t_best is tested from the first step."""
     n = origins.shape[0]
     fid = np.full(n, -1, dtype=np.int64)
     t_best = np.full(n, np.inf)
@@ -260,3 +264,158 @@ def test_mt_matches_cross_on_edge_cases():
     hit = np.isfinite(t)
     assert hit[[0, 3, 4, 5, 6, 7, 8, 10, 15, 16]].any(axis=1).all()
     assert not hit[[1, 2, 9, 11, 12, 13, 14, 17, 18, 19]].any()
+
+
+def grandchild_oracle(bvh):
+    """Bvh.grandchild by a loop over the nodes."""
+    rows = []
+    for j in range(bvh.num_nodes):
+        row = []
+        if bvh.count[j] == 0:
+            for c in (bvh.left[j], bvh.right[j]):
+                row += [c, -1] if bvh.count[c] > 0 else [bvh.left[c], bvh.right[c]]
+        rows.append(row + [-1] * (4 - len(row)))
+    return np.array(rows, dtype=np.int64)
+
+
+def hand_bvh(mesh, tree):
+    """A Bvh over a nested tree: a leaf is an array of facet ids, an inner
+    node a (left, right) tuple.  Nodes are numbered in level order and
+    every box is the exact bound of the facets below it."""
+    queue, left = [tree], []
+    for sub in queue:                      # the queue grows while it is read
+        if isinstance(sub, tuple):
+            left.append(len(queue))
+            queue.extend(sub)
+        else:
+            left.append(-1)
+
+    def below(sub):
+        return np.concatenate([below(s) for s in sub]) if isinstance(sub, tuple) else sub
+
+    left = np.array(left)
+    count = np.array([0 if isinstance(s, tuple) else len(s) for s in queue])
+    tri = mesh.vertices[mesh.facets]
+    corners = [tri[np.asarray(below(s), dtype=np.int64)] for s in queue]
+    return Bvh(box_min=np.array([c.min(axis=(0, 1)) for c in corners]),
+               box_max=np.array([c.max(axis=(0, 1)) for c in corners]),
+               left=left, right=np.where(left >= 0, left + 1, -1),
+               start=np.where(count > 0, np.cumsum(count) - count, 0), count=count,
+               order=np.concatenate([s for s in queue if not isinstance(s, tuple)]))
+
+
+def soup(rng, n):
+    """n random triangles in [-1, 1]^3, edges up to 0.3."""
+    base = rng.uniform(-1.0, 1.0, (n, 1, 3))
+    tri = np.concatenate([base, base + rng.uniform(-0.3, 0.3, (n, 2, 3))], axis=1)
+    return Mesh.from_arrays(tri.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+
+
+def probe_rays(rng, mesh, n=160):
+    """Rays aimed at random points of random facets, axis-parallel rays
+    (zero direction components) through the mesh's box, rays that miss
+    the whole box and rays with NaN origins."""
+    lo, hi = mesh.bbox()
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0 + 1.0
+    origins = mid + half * rng.uniform(-1.5, 1.5, (n, 3))
+    corners = mesh.vertices[mesh.facets[rng.integers(mesh.num_facets, size=n)]]
+    directions = np.einsum("nj,njk->nk", rng.dirichlet(np.ones(3), n), corners) - origins
+    axis = rng.integers(3, size=n // 4)
+    para_o = rng.uniform(lo, hi, (n // 4, 3))
+    para_o[np.arange(n // 4), axis] = lo[axis] - 1.0
+    para_d = np.zeros((n // 4, 3))
+    para_d[np.arange(n // 4), axis] = 1.0
+    away_o = hi + rng.uniform(1.0, 2.0, (n // 8, 3))
+    away_d = rng.uniform(0.1, 1.0, (n // 8, 3))
+    nan_o = rng.uniform(lo, hi, (8, 3)) + [0.0, 0.0, 3.0]
+    nan_o[np.arange(8), np.arange(8) % 3] = np.nan
+    nan_d = np.tile([0.1, 0.2, -1.0], (8, 1))
+    return (np.concatenate([origins, para_o, away_o, nan_o]),
+            np.concatenate([directions, para_d, away_d, nan_d]))
+
+
+def copies(rng, n_facets=60, n_copies=6):
+    """A soup holding n_copies of one flat triangle at z = 3 at random ids,
+    so downward rays meet equal-t hits on different facets."""
+    mesh = soup(rng, n_facets)
+    copy_ids = np.sort(rng.choice(n_facets, size=n_copies, replace=False))
+    tri = mesh.vertices[mesh.facets]
+    tri[copy_ids] = [[0.25, 0.25, 3.0], [1.25, 0.25, 3.0], [0.25, 1.25, 3.0]]
+    return Mesh.from_arrays(tri.reshape(-1, 3), mesh.facets), copy_ids
+
+
+def split(ids, sizes):
+    return np.split(np.asarray(ids, dtype=np.int64), np.cumsum(sizes)[:-1])
+
+
+# leaves at depths 1, 2 and 3, in either order under the root
+HAND_SHAPES = {
+    "depths-1-2-3": lambda ids: (lambda a, b, c, d: (a, (b, (c, d))))(*split(ids, [3, 5, 4, 8])),
+    "depths-3-2-1": lambda ids: (lambda a, b, c, d: (((a, b), c), d))(*split(ids, [6, 2, 7, 5])),
+    "depths-3-2-3": lambda ids: (lambda a, b, c, d, e, f, g: (((a, b), c), ((d, e), (f, g))))(
+        *split(ids, [2, 3, 4, 3, 2, 3, 3])),
+}
+
+
+def traverse_cases():
+    """(name, mesh, bvh, origins, directions) of every parity case."""
+    rng = np.random.default_rng(20_261)
+    mesh = soup(rng, 3000)
+    yield "soup", mesh, build_bvh(mesh), *probe_rays(rng, mesh)
+    for name, shape in HAND_SHAPES.items():
+        mesh = soup(rng, 20)
+        yield name, mesh, hand_bvh(mesh, shape(rng.permutation(20))), *probe_rays(rng, mesh)
+    mesh, copy_ids = copies(rng)
+    rest = np.setdiff1d(np.arange(mesh.num_facets), copy_ids)
+    down = (np.column_stack([0.3 + rng.integers(0, 12, (48, 2)) / 32.0, np.full(48, 5.0)]),
+            np.tile([0.0, 0.0, -1.0], (48, 1)))
+    yield "copies-built", mesh, build_bvh(mesh), *down
+    # the copies in leaves at depths 1, 2 and 3, the lowest id deepest
+    tree = ([copy_ids[5], copy_ids[4]], (list(copy_ids[2:4]) + list(rest[:30]),
+                                         (copy_ids[:2], rest[30:])))
+    yield "copies-hand", mesh, hand_bvh(mesh, tree), *down
+
+
+@pytest.mark.parametrize("case", traverse_cases(), ids=lambda case: case[0])
+def test_traverse_matches_one_level_oracle(case):
+    _, mesh, bvh, origins, directions = case
+    assert origins.shape[0] <= accel._TRAVERSE_BATCH
+    got = accel._traverse(bvh, mesh, origins, directions)
+    expect = fancy_traverse(bvh, mesh, origins, directions)
+    assert (got[0] >= 0).sum() >= 20
+    for name, a, b in zip(("fid", "t", "m1", "m2"), got, expect):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_traverse_matches_one_level_oracle_on_heightfield(traced):
+    mesh, bvh, origins, directions = traced
+    probe_o, probe_d = probe_rays(np.random.default_rng(3), mesh)
+    origins, directions = np.concatenate([origins, probe_o]), np.concatenate([directions, probe_d])
+    assert origins.shape[0] <= accel._TRAVERSE_BATCH
+    got = accel._traverse(bvh, mesh, origins, directions)
+    expect = fancy_traverse(bvh, mesh, origins, directions)
+    for name, a, b in zip(("fid", "t", "m1", "m2"), got, expect):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_copies_tie_to_the_lowest_id():
+    case = {c[0]: c for c in traverse_cases()}
+    for name in ("copies-built", "copies-hand"):
+        _, mesh, bvh, origins, directions = case[name]
+        fid, t = accel._traverse(bvh, mesh, origins, directions)[:2]
+        lowest = np.flatnonzero(mesh.vertices[mesh.facets][:, 0, 2] == 3.0)[0]
+        assert np.all(fid == lowest) and np.all(t == 2.0), name
+
+
+def test_derived_arrays_match_the_tree(traced):
+    """`grandchild` against a loop; `slabs` holds the boxes, zero-padded."""
+    rng = np.random.default_rng(20_262)
+    trees = [traced[1], build_bvh(soup(rng, 3000)), build_bvh(soup(rng, 1)),
+             build_bvh(soup(rng, 5)), build_bvh(soup(rng, 9))]
+    trees += [case[2] for case in traverse_cases()]
+    for bvh in trees:
+        assert bvh.grandchild.dtype == np.int64 and bvh.grandchild.shape == (bvh.num_nodes, 4)
+        assert np.array_equal(bvh.grandchild, grandchild_oracle(bvh))
+        assert bvh.slabs.shape == (2, bvh.num_nodes, 4) and np.all(bvh.slabs[..., 3] == 0.0)
+        assert bvh.box_min.shape == bvh.box_max.shape == (bvh.num_nodes, 3)
+        assert np.array_equal(bvh.slabs[..., :3], np.stack([bvh.box_min, bvh.box_max]))

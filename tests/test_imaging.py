@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sartrace.imaging import (MapFrame, RadarConfig, bin_ranges_fast,
+from sartrace.imaging import (MapFrame, RadarConfig, _cross, bin_ranges_fast,
                               generate_rays, range_bin_of, read_raster, render,
                               shade, trace, vertex_range_window, write_pgm,
                               write_raster)
@@ -28,7 +29,7 @@ def bin_ranges_naive(ranges, intensities, range_res, range_origin, num_bins):
 
 class TestGenerateRays:
     def test_spua_one_hits_bin_centers(self, small_radar):
-        radar = RadarConfig(**{**small_radar.__dict__, "spua": 1})
+        radar = dataclasses.replace(small_radar, spua=1)
         fan = generate_rays(radar, 0)
         assert len(fan.angles) == radar.num_angles
         width = (radar.alpha1 - radar.alpha0) / radar.num_angles
@@ -70,7 +71,7 @@ class TestGenerateRays:
 
     @pytest.mark.parametrize("spua", [1, 3])
     def test_row_batch_is_concatenation_of_rows(self, small_radar, spua):
-        radar = RadarConfig(**{**small_radar.__dict__, "spua": spua})
+        radar = dataclasses.replace(small_radar, spua=spua)
         n = radar.num_azimuth
         batch = generate_rays(radar, np.arange(n))
         rows = [generate_rays(radar, r) for r in range(n)]
@@ -110,16 +111,43 @@ class TestRadarConfig:
         ("azimuth_res", math.nan), ("azimuth_res", math.inf), ("azimuth_res", -0.5),
         ("start_pos", [-0.5, math.nan, 4.0]), ("end_pos", [2.5, 4.0, math.inf]),
         ("num_azimuth", 6.0), ("num_azimuth", True), ("num_angles", 2.5), ("spua", 2.0),
-        ("spua", "2"), ("spua", 0),
+        ("spua", "2"), ("spua", 0), ("seed", -1), ("seed", 1.5), ("seed", 2.0), ("seed", True),
+        ("seed", None),
     ])
     def test_bad_field_named(self, small_radar, field, bad):
         with pytest.raises(ValueError, match=f"^{field} "):
-            RadarConfig(**{**small_radar.__dict__, field: bad})
+            dataclasses.replace(small_radar, **{field: bad})
 
     def test_numpy_integer_counts_accepted(self, small_radar):
-        radar = RadarConfig(**{**small_radar.__dict__, "num_azimuth": np.int64(6),
-                               "spua": np.int32(2)})
+        radar = dataclasses.replace(small_radar, num_azimuth=np.int64(6), spua=np.int32(2))
         assert generate_rays(radar, np.arange(6)).origins.shape == (6 * 10 * 2, 3)
+
+    @pytest.mark.parametrize("spua", [1, 2])
+    def test_seed_checked_whatever_spua(self, small_radar, spua):
+        """The seed only draws jitter when spua > 1; it is checked either way."""
+        with pytest.raises(ValueError, match="^seed -1 is not an integer >= 0$"):
+            dataclasses.replace(small_radar, spua=spua, seed=-1)
+        radar = dataclasses.replace(small_radar, spua=spua, seed=np.uint64(2 ** 63))
+        assert generate_rays(radar, 0).origins.shape == (10 * spua, 3)
+
+    def test_cross_is_np_cross_bitwise(self):
+        rng = np.random.default_rng(21)
+        vectors = rng.normal(size=(500, 2, 3)) * 10.0 ** rng.uniform(-8, 8, (500, 2, 1))
+        vectors[:50, 1] = [0.0, 0.0, 1.0]
+        for a, b in vectors:
+            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    def test_unit_axes_derived_once(self, small_radar):
+        track = small_radar.end_pos - small_radar.start_pos
+        track_dir = track / np.linalg.norm(track)
+        side = np.cross(track_dir, [0.0, 0.0, 1.0])
+        assert small_radar.track_dir.tobytes() == track_dir.tobytes()
+        assert small_radar.side_dir.tobytes() == (side / np.linalg.norm(side)).tobytes()
+        assert small_radar.side_dir is small_radar.side_dir
+        with pytest.raises(ValueError):
+            small_radar.track_dir[0] = 0.0
+        moved = dataclasses.replace(small_radar, end_pos=small_radar.end_pos + [0.0, 1.0, 0.0])
+        assert not np.array_equal(moved.track_dir, small_radar.track_dir)
 
     def test_positions_interpolate(self, small_radar):
         pos = small_radar.platform_positions()
