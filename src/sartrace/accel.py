@@ -21,9 +21,13 @@ hits one ray batch at a time, by one of two paths that share `_mt`:
   levels.  A step reads the corners of only the facets its leaves
   reach, not the whole mesh.
 
-Both paths keep the smallest (t, facet_id) per ray, so their results are
-bitwise identical whatever the traversal order; ties on t resolve to the
-lowest facet id.  `uses_bvh` says on which meshes a BVH is traversed.
+Both paths keep the smallest (t, facet_id) per ray, whatever the
+traversal order; ties on t resolve to the lowest facet id.  They agree
+bitwise on every pair both solve, but the slab test is not conservative:
+a ray with a zero direction component whose origin lies on a box face
+(a track aligned with a grid's lines) can lose boxes it touches, so its
+BVH facet can differ from the scan's.  `uses_bvh` says on which meshes a
+BVH is traversed.
 
 Watertightness is not claimed: rays grazing a shared edge may report
 either adjacent facet.
@@ -344,7 +348,9 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     in batches of `_TRAVERSE_BATCH`, reading only the facets the leaves
     reach; otherwise a linear scan solves batches of at most
     `_SCAN_PAIRS` (ray, facet) pairs.  Both give bitwise identical
-    results.
+    results, except that the BVH can miss a facet for a ray with a zero
+    direction component whose origin lies on a box face (see the module
+    docstring).
     """
     origins = np.asarray(origins, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)

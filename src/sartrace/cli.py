@@ -16,15 +16,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, asdict, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from sartrace.accel import build_bvh, uses_bvh
-from sartrace.imaging import (RadarConfig, SarImage, read_raster, render, shade,
-                              trace, write_pgm, write_raster)
-from sartrace.learn import (LossConfig, OptimState, grad_check, learn,
-                            loss_sim, rmse_normalized, write_history_csv)
+from sartrace.imaging import (RadarConfig, read_raster, render, shade, trace, write_pgm,
+                              write_raster)
+from sartrace.learn import LossConfig, OptimState, grad_check, learn, write_history_csv
 from sartrace.scatter import WaveConfig, eval_bsdf_batch, validity_mask
 from sartrace.scene import (PARAM_CHANNELS, ParamMap, load_mesh, load_param_map,
                             save_param_map)
@@ -35,57 +34,12 @@ class ConfigError(ValueError):
     """Configuration file problem, message names the offending field."""
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    """Parsed experiment description (plain types, round-trip stable)."""
-
-    mesh_path: str
-    init: tuple[float, float, float, float] | None
-    init_csv: str | None
-    frequency: float
-    polarization: str
-    psd: str
-    start: tuple[float, float, float]
-    end: tuple[float, float, float]
-    num_azimuth: int
-    alpha_start_deg: float
-    alpha_stop_deg: float
-    num_angles: int
-    range_res: float
-    azimuth_res: float
-    spua: int
-    seed: int
-    view_azimuths_deg: tuple[float, ...]
-    scene_center: tuple[float, float, float] | None
-    lambda_sim: float
-    lambda_mat: float
-    normalize: bool
-    lr: float
-    iters: int
-    beta1: float
-    beta2: float
-    eps_adam: float
-    lr_decay: float
-    train_vertices: str
-    tie: bool
-    freeze_channels: tuple[str, ...]
-    out_dir: str
-
-
-def _get(section, key, cast, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing field {section.name}.{key}")
-        return default
-    raw = section[key]
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {section.name}.{key}: {raw!r}") from exc
+def _words(raw: str) -> tuple[str, ...]:
+    return tuple(raw.replace(",", " ").split())
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in raw.replace(",", " ").split())
+    return tuple(float(t) for t in _words(raw))
 
 
 def _bool(raw: str) -> bool:
@@ -97,71 +51,87 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _ini(section: str, key: str, parse=str, default=MISSING):
+    """A SceneConfig field read from `key` in `[section]` by `parse`; a
+    field without a default is required."""
+    return field(metadata={"ini": (section, key, parse, default)})
+
+
+@dataclass(frozen=True)
+class SceneConfig:
+    """Parsed experiment description (plain types, round-trip stable).
+
+    Each field declares its INI section, key, parser and default;
+    parse_config and serialize_config go through the fields in order.
+    """
+
+    mesh_path: str = _ini("scene", "mesh")
+    init: tuple[float, float, float, float] | None = _ini("scene", "init", _floats, None)
+    init_csv: str | None = _ini("scene", "init_csv", str, None)
+    frequency: float = _ini("radar", "frequency_hz", float)
+    polarization: str = _ini("radar", "polarization", str, "HH")
+    psd: str = _ini("radar", "psd", str, "gaussian")
+    start: tuple[float, float, float] = _ini("radar", "start", _floats)
+    end: tuple[float, float, float] = _ini("radar", "end", _floats)
+    num_azimuth: int = _ini("radar", "num_azimuth", int)
+    alpha_start_deg: float = _ini("radar", "alpha_start_deg", float)
+    alpha_stop_deg: float = _ini("radar", "alpha_stop_deg", float)
+    num_angles: int = _ini("radar", "num_angles", int)
+    range_res: float = _ini("radar", "range_res", float)
+    azimuth_res: float = _ini("radar", "azimuth_res", float)
+    spua: int = _ini("radar", "spua", int, 1)
+    seed: int = _ini("radar", "seed", int, 0)
+    view_azimuths_deg: tuple[float, ...] = _ini("radar", "view_azimuths_deg", _floats, (0.0,))
+    scene_center: tuple[float, float, float] | None = _ini("radar", "scene_center", _floats, None)
+    lambda_sim: float = _ini("loss", "lambda_sim", float, 1.0)
+    lambda_mat: float = _ini("loss", "lambda_mat", float, 1e-3)
+    normalize: bool = _ini("loss", "normalize", _bool, True)
+    lr: float = _ini("optim", "lr", float, 0.02)
+    iters: int = _ini("optim", "iters", int, 200)
+    beta1: float = _ini("optim", "beta1", float, 0.9)
+    beta2: float = _ini("optim", "beta2", float, 0.999)
+    eps_adam: float = _ini("optim", "eps_adam", float, 1e-8)
+    lr_decay: float = _ini("optim", "lr_decay", float, 1.0)
+    train_vertices: str = _ini("optim", "train_vertices", str, "all")
+    tie: bool = _ini("optim", "tie", _bool, False)
+    freeze_channels: tuple[str, ...] = _ini("optim", "freeze_channels", _words, ())
+    out_dir: str = _ini("output", "dir")
+
+
 def parse_config(path) -> SceneConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     for name in ("scene", "radar", "optim", "output"):
         if name not in parser:
             raise ConfigError(f"missing section [{name}]")
-    scene = parser["scene"]
-    radar = parser["radar"]
-    loss = parser["loss"] if "loss" in parser else parser["DEFAULT"]
-    optim = parser["optim"]
-    output = parser["output"]
+    sections = {name: parser[name] for name in parser}
+    values = {}
+    for f in fields(SceneConfig):
+        name, key, parse, default = f.metadata["ini"]
+        section = sections.get(name, sections["DEFAULT"])  # [loss] is optional
+        if key not in section:
+            if default is MISSING:
+                raise ConfigError(f"missing field {name}.{key}")
+            values[f.name] = default
+            continue
+        raw = section[key]
+        try:
+            values[f.name] = parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {section.name}.{key}: {raw!r}") from exc
+    cfg = SceneConfig(**values)
 
-    init = None
-    if "init" in scene:
-        init = _get(scene, "init", _floats, required=True)
-        if len(init) != 4:
-            raise ConfigError("scene.init needs 4 values: h l eps_r tau")
-    init_csv = _get(scene, "init_csv", str)
-    if init is None and init_csv is None:
+    if cfg.init is not None and len(cfg.init) != 4:
+        raise ConfigError("scene.init needs 4 values: h l eps_r tau")
+    if cfg.init is None and cfg.init_csv is None:
         raise ConfigError("scene needs either init or init_csv")
-
-    start = _get(radar, "start", _floats, required=True)
-    end = _get(radar, "end", _floats, required=True)
-    if len(start) != 3 or len(end) != 3:
+    if len(cfg.start) != 3 or len(cfg.end) != 3:
         raise ConfigError("radar.start and radar.end need 3 coordinates")
-    a0 = _get(radar, "alpha_start_deg", float, required=True)
-    a1 = _get(radar, "alpha_stop_deg", float, required=True)
-    if not a0 < a1:
+    if not cfg.alpha_start_deg < cfg.alpha_stop_deg:
         raise ConfigError("radar.alpha_start_deg must be < radar.alpha_stop_deg")
-    center = _get(radar, "scene_center", _floats)
-    if center is not None and len(center) != 3:
+    if cfg.scene_center is not None and len(cfg.scene_center) != 3:
         raise ConfigError("radar.scene_center needs 3 coordinates")
-
-    cfg = SceneConfig(
-        mesh_path=_get(scene, "mesh", str, required=True),
-        init=init, init_csv=init_csv,
-        frequency=_get(radar, "frequency_hz", float, required=True),
-        polarization=_get(radar, "polarization", str, "HH"),
-        psd=_get(radar, "psd", str, "gaussian"),
-        start=start, end=end,
-        num_azimuth=_get(radar, "num_azimuth", int, required=True),
-        alpha_start_deg=a0, alpha_stop_deg=a1,
-        num_angles=_get(radar, "num_angles", int, required=True),
-        range_res=_get(radar, "range_res", float, required=True),
-        azimuth_res=_get(radar, "azimuth_res", float, required=True),
-        spua=_get(radar, "spua", int, 1),
-        seed=_get(radar, "seed", int, 0),
-        view_azimuths_deg=_get(radar, "view_azimuths_deg", _floats, (0.0,)),
-        scene_center=center,
-        lambda_sim=_get(loss, "lambda_sim", float, 1.0),
-        lambda_mat=_get(loss, "lambda_mat", float, 1e-3),
-        normalize=_get(loss, "normalize", _bool, True),
-        lr=_get(optim, "lr", float, 0.02),
-        iters=_get(optim, "iters", int, 200),
-        beta1=_get(optim, "beta1", float, 0.9),
-        beta2=_get(optim, "beta2", float, 0.999),
-        eps_adam=_get(optim, "eps_adam", float, 1e-8),
-        lr_decay=_get(optim, "lr_decay", float, 1.0),
-        train_vertices=_get(optim, "train_vertices", str, "all"),
-        tie=_get(optim, "tie", _bool, False),
-        freeze_channels=tuple(
-            t for t in _get(optim, "freeze_channels", str, "").replace(",", " ").split()),
-        out_dir=_get(output, "dir", str, required=True),
-    )
     try:
         WaveConfig(cfg.frequency, cfg.polarization, cfg.psd)
     except ValueError as exc:
@@ -174,64 +144,34 @@ def parse_config(path) -> SceneConfig:
     return cfg
 
 
-def serialize_config(cfg: SceneConfig) -> str:
-    def fmt(value):
-        if isinstance(value, tuple):
-            return " ".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return " ".join(_format(v) for v in value)
+    return str(value)
 
-    lines = ["[scene]", f"mesh = {cfg.mesh_path}"]
-    if cfg.init is not None:
-        lines.append(f"init = {fmt(cfg.init)}")
-    if cfg.init_csv is not None:
-        lines.append(f"init_csv = {cfg.init_csv}")
-    lines += [
-        "", "[radar]",
-        f"frequency_hz = {fmt(cfg.frequency)}",
-        f"polarization = {cfg.polarization}",
-        f"psd = {cfg.psd}",
-        f"start = {fmt(cfg.start)}",
-        f"end = {fmt(cfg.end)}",
-        f"num_azimuth = {cfg.num_azimuth}",
-        f"alpha_start_deg = {fmt(cfg.alpha_start_deg)}",
-        f"alpha_stop_deg = {fmt(cfg.alpha_stop_deg)}",
-        f"num_angles = {cfg.num_angles}",
-        f"range_res = {fmt(cfg.range_res)}",
-        f"azimuth_res = {fmt(cfg.azimuth_res)}",
-        f"spua = {cfg.spua}",
-        f"seed = {cfg.seed}",
-        f"view_azimuths_deg = {fmt(cfg.view_azimuths_deg)}",
-    ]
-    if cfg.scene_center is not None:
-        lines.append(f"scene_center = {fmt(cfg.scene_center)}")
-    lines += [
-        "", "[loss]",
-        f"lambda_sim = {fmt(cfg.lambda_sim)}",
-        f"lambda_mat = {fmt(cfg.lambda_mat)}",
-        f"normalize = {fmt(cfg.normalize)}",
-        "", "[optim]",
-        f"lr = {fmt(cfg.lr)}",
-        f"iters = {cfg.iters}",
-        f"beta1 = {fmt(cfg.beta1)}",
-        f"beta2 = {fmt(cfg.beta2)}",
-        f"eps_adam = {fmt(cfg.eps_adam)}",
-        f"lr_decay = {fmt(cfg.lr_decay)}",
-        f"train_vertices = {cfg.train_vertices}",
-        f"tie = {fmt(cfg.tie)}",
-        f"freeze_channels = {' '.join(cfg.freeze_channels)}",
-        "", "[output]",
-        f"dir = {cfg.out_dir}",
-        "",
-    ]
-    return "\n".join(lines)
+
+def serialize_config(cfg: SceneConfig) -> str:
+    """INI text that parse_config reads back to cfg; None fields are left out."""
+    lines, section = [], None
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        name, key = f.metadata["ini"][:2]
+        if name != section:
+            lines += ["", f"[{name}]"]
+            section = name
+        lines.append(f"{key} = {_format(value)}")
+    return "\n".join(lines[1:] + [""])
 
 
 def _vertex_ids(spec: str) -> list[int] | None:
-    """Vertex ids of optim.train_vertices ("id" and "lo:hi" tokens); None for all."""
+    """Vertex ids of optim.train_vertices ("id" and "lo:hi" tokens, lo < hi);
+    None for all."""
     if spec.strip().lower() == "all":
         return None
     ids = []
@@ -240,27 +180,16 @@ def _vertex_ids(spec: str) -> list[int] | None:
             bounds = [int(t) for t in part.split(":")]
         except ValueError:
             bounds = []
-        if not 1 <= len(bounds) <= 2:
+        if not (len(bounds) == 1 or len(bounds) == 2 and bounds[0] < bounds[1]):
             raise ConfigError(f"optim.train_vertices: bad token {part!r}, "
                               "want a vertex id or lo:hi")
         ids.extend(range(*bounds) if len(bounds) == 2 else bounds)
     return ids
 
 
-def _parse_vertex_ranges(spec: str, num_vertices: int) -> np.ndarray:
-    ids = _vertex_ids(spec)
-    if ids is None:
-        return np.arange(num_vertices)
-    arr = np.unique(np.asarray(ids, dtype=np.int64))
-    if arr.size and (arr[0] < 0 or arr[-1] >= num_vertices):
-        raise ConfigError(f"optim.train_vertices outside [0, {num_vertices})")
-    return arr
-
-
 def build_scene(cfg: SceneConfig, base_dir="."):
     """Instantiate mesh, parameter table and per-view radar configs."""
-    mesh_path = os.path.join(base_dir, cfg.mesh_path)
-    mesh = load_mesh(mesh_path)
+    mesh = load_mesh(os.path.join(base_dir, cfg.mesh_path))
     if cfg.init_csv is not None:
         params = load_param_map(os.path.join(base_dir, cfg.init_csv))
         if params.num_vertices != mesh.num_vertices:
@@ -268,10 +197,9 @@ def build_scene(cfg: SceneConfig, base_dir="."):
                 f"init_csv has {params.num_vertices} rows, mesh has {mesh.num_vertices} vertices")
     else:
         params = ParamMap.constant(mesh.num_vertices, *cfg.init)
-    wave = WaveConfig(cfg.frequency, cfg.polarization, cfg.psd)
     base = RadarConfig(
-        wave=wave, start_pos=np.asarray(cfg.start), end_pos=np.asarray(cfg.end),
-        num_azimuth=cfg.num_azimuth,
+        wave=WaveConfig(cfg.frequency, cfg.polarization, cfg.psd),
+        start_pos=np.asarray(cfg.start), end_pos=np.asarray(cfg.end), num_azimuth=cfg.num_azimuth,
         alpha0=math.radians(cfg.alpha_start_deg), alpha1=math.radians(cfg.alpha_stop_deg),
         num_angles=cfg.num_angles, range_res=cfg.range_res, azimuth_res=cfg.azimuth_res,
         spua=cfg.spua, seed=cfg.seed)
@@ -285,7 +213,11 @@ def build_scene(cfg: SceneConfig, base_dir="."):
 
 
 def make_optimizer(cfg: SceneConfig, num_vertices: int) -> OptimState:
-    trained = _parse_vertex_ranges(cfg.train_vertices, num_vertices)
+    ids = _vertex_ids(cfg.train_vertices)
+    trained = (np.arange(num_vertices) if ids is None
+               else np.unique(np.asarray(ids, dtype=np.int64)))
+    if trained.size and (trained[0] < 0 or trained[-1] >= num_vertices):
+        raise ConfigError(f"optim.train_vertices outside [0, {num_vertices})")
     mask = np.ones(num_vertices, dtype=bool)
     mask[trained] = False
     frozen_vertices = np.nonzero(mask)[0]
@@ -315,15 +247,29 @@ def _write_manifest(out_dir, cfg: SceneConfig, inputs, outputs) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def cmd_simulate(config_path, out_dir=None, seed=None) -> int:
+def _load(config_path, seed=None):
+    """A command's experiment: (cfg, base_dir, mesh, params, radars, bvh).
+
+    seed overrides radar.seed; the table is validated, and the BVH is
+    built once, when intersect_rays would traverse it.
+    """
     cfg = parse_config(config_path)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     base_dir = os.path.dirname(os.path.abspath(config_path))
-    out = os.path.join(base_dir, out_dir or cfg.out_dir)
     mesh, params, radars = build_scene(cfg, base_dir)
     params.validate()
     bvh = build_bvh(mesh) if uses_bvh(mesh) else None
+    return cfg, base_dir, mesh, params, radars, bvh
+
+
+def _loss_config(cfg: SceneConfig) -> LossConfig:
+    return LossConfig(cfg.lambda_sim, cfg.lambda_mat, cfg.normalize)
+
+
+def cmd_simulate(config_path, out_dir=None, seed=None) -> int:
+    cfg, base_dir, mesh, params, radars, bvh = _load(config_path, seed)
+    out = os.path.join(base_dir, out_dir or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
     written = []
     for vi, radar in enumerate(radars):
@@ -333,27 +279,19 @@ def cmd_simulate(config_path, out_dir=None, seed=None) -> int:
         write_pgm(image, os.path.join(out, f"view_{vi:03d}.pgm"))
         written += [raster, os.path.join(out, f"view_{vi:03d}.pgm")]
         print(f"view {vi}: {image.shape[0]} x {image.shape[1]} px -> {raster}")
-    inputs = [os.path.join(base_dir, cfg.mesh_path)]
-    if cfg.init_csv:
-        inputs.append(os.path.join(base_dir, cfg.init_csv))
+    inputs = [os.path.join(base_dir, p) for p in (cfg.mesh_path, cfg.init_csv) if p]
     _write_manifest(out, cfg, inputs, written)
     return 0
 
 
 def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
-    cfg = parse_config(config_path)
-    base_dir = os.path.dirname(os.path.abspath(config_path))
-    out = os.path.join(base_dir, out_dir or cfg.out_dir)
-    mesh, params, radars = build_scene(cfg, base_dir)
-    params.validate()
+    cfg, base_dir, mesh, params, radars, bvh = _load(config_path)
     if len(ref_paths) != len(radars):
         raise ConfigError(
             f"{len(ref_paths)} reference rasters for {len(radars)} configured views")
     rasters = [read_raster(path) for path in ref_paths]
     opt = make_optimizer(cfg, mesh.num_vertices)
-    loss_cfg = LossConfig(lambda_sim=cfg.lambda_sim, lambda_mat=cfg.lambda_mat,
-                          normalize=cfg.normalize)
-    bvh = build_bvh(mesh) if uses_bvh(mesh) else None
+    loss_cfg = _loss_config(cfg)
     views = []
     for vi, (radar, path, (data, meta)) in enumerate(zip(radars, ref_paths, rasters)):
         hits = trace(mesh, radar, bvh=bvh)
@@ -363,6 +301,7 @@ def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
                                   f"the configured view has {want!r}")
         views.append((hits, data))
     result = learn(params, views, opt, loss_cfg, iters=cfg.iters)
+    out = os.path.join(base_dir, out_dir or cfg.out_dir)
     os.makedirs(out, exist_ok=True)  # only now: learn checks the reference shapes on entry
     save_param_map(result.params, os.path.join(out, "params_final.csv"))
     write_history_csv(result, os.path.join(out, "history.csv"))
@@ -391,16 +330,11 @@ def _perturbed_reference_params(params: ParamMap) -> ParamMap:
 
 def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False,
                   threshold=1e-3) -> int:
-    cfg = parse_config(config_path)
-    base_dir = os.path.dirname(os.path.abspath(config_path))
-    mesh, params, radars = build_scene(cfg, base_dir)
-    params.validate()
+    cfg, _, mesh, params, radars, bvh = _load(config_path)
     if mesh.num_facets > 10_000:
         raise ConfigError("gradcheck wants a small scene (<= 10k facets)")
-    loss_cfg = LossConfig(lambda_sim=cfg.lambda_sim, lambda_mat=cfg.lambda_mat,
-                          normalize=cfg.normalize)
+    loss_cfg = _loss_config(cfg)
     ref_params = _perturbed_reference_params(params)
-    bvh = build_bvh(mesh) if uses_bvh(mesh) else None
     hitsets = [trace(mesh, radar, bvh=bvh) for radar in radars]
     views = [(hits, shade(hits, ref_params)[0].intensities) for hits in hitsets]
 

@@ -338,21 +338,18 @@ def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
                   ranges=h_r)
 
 
-def shade(hits: HitSet, params: ParamMap, bsdf_fn=None):
+def shade(hits: HitSet, params: ParamMap):
     """Shade a traced view with a parameter table: (SarImage, HitLedger).
 
-    One interpolate_at_hits call, one bsdf_fn call and one
-    bin_ranges_fast call.  bsdf_fn defaults to the two-scale model and
-    can be overridden for diagnostics (signature: (theta, values, wave)
-    -> (sigma, grads)).  A range window that leaves out a hit raises a
+    One interpolate_at_hits call, one eval_bsdf_batch call and one
+    bin_ranges_fast call.  A range window that leaves out a hit raises a
     ValueError naming the bin.
     """
     if params.num_vertices != hits.mesh.num_vertices:
         raise ValueError("parameter table size does not match the mesh")
-    bsdf_fn = bsdf_fn or eval_bsdf_batch
     radar = hits.radar
     values = interpolate_at_hits(hits.mesh, params.values, hits.facet_id, hits.m1, hits.m2)
-    sigma, dsigma = bsdf_fn(hits.theta, values, radar.wave)
+    sigma, dsigma = eval_bsdf_batch(hits.theta, values, radar.wave)
     image, range_bin = bin_ranges_fast(hits.row, hits.ranges, hits.weight * sigma,
                                        radar.range_res, hits.range_origin, hits.image_shape)
     ledger = HitLedger(image_shape=hits.image_shape, row=hits.row, range_bin=range_bin,
@@ -364,15 +361,14 @@ def shade(hits: HitSet, params: ParamMap, bsdf_fn=None):
 
 
 def render(mesh: Mesh, params: ParamMap, radar: RadarConfig, bvh: Bvh | None = None,
-           bsdf_fn=None, range_window: tuple[float, int] | None = None):
+           range_window: tuple[float, int] | None = None):
     """Render one SAR intensity image and the hit ledger behind it.
 
-    shade(trace(mesh, radar, bvh, range_window), params, bsdf_fn): see
-    trace for the rays and the range window, shade for bsdf_fn.  To
-    render one view under many parameter tables, trace it once and
-    shade the HitSet for each table.
+    shade(trace(mesh, radar, bvh, range_window), params): see trace for
+    the rays and the range window.  To render one view under many
+    parameter tables, trace it once and shade the HitSet for each table.
     """
-    return shade(trace(mesh, radar, bvh=bvh, range_window=range_window), params, bsdf_fn)
+    return shade(trace(mesh, radar, bvh=bvh, range_window=range_window), params)
 
 
 # ----------------------------------------------------------------------

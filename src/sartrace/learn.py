@@ -168,9 +168,7 @@ class OptimState:
     @staticmethod
     def create(num_vertices: int, lr: float = 0.02, beta1: float = 0.9,
                beta2: float = 0.999, eps_adam: float = 1e-8, lr_decay: float = 1.0,
-               bounds=None, freeze_channels=(), freeze_vertices=None,
-               tie_groups=None) -> "OptimState":
-        lower, upper = bounds if bounds is not None else (DEFAULT_LOWER, DEFAULT_UPPER)
+               freeze_channels=(), freeze_vertices=None, tie_groups=None) -> "OptimState":
         free = np.ones((num_vertices, 4), dtype=bool)
         for name in freeze_channels:
             if name not in PARAM_CHANNELS:
@@ -201,8 +199,7 @@ class OptimState:
         return OptimState(
             lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam, lr_decay=lr_decay,
             step=0, m=np.zeros(key.size), v=np.zeros(key.size),
-            lower=np.asarray(lower, dtype=np.float64).copy(),
-            upper=np.asarray(upper, dtype=np.float64).copy(),
+            lower=DEFAULT_LOWER.copy(), upper=DEFAULT_UPPER.copy(),
             entries=entries, unknown=unknown, head=vertex * 4 + channel,
             starts=np.searchsorted(channel, np.arange(5)))
 
@@ -249,7 +246,8 @@ def adam_step(state: OptimState, params: ParamMap, grads: np.ndarray) -> ParamMa
 
     x = params.values.take(state.head)
     log = slice(0, state.starts[_NUM_LOG])
-    g_opt = np.bincount(state.unknown, weights=grads.take(state.entries), minlength=x.size)
+    g_opt = np.bincount(state.unknown, weights=grads.take(state.entries),
+                        minlength=x.size).astype(np.float64, copy=False)  # int64 when k = 0
     g_opt[log] *= x[log]
 
     state.step += 1

@@ -9,6 +9,7 @@ about the vertical axis through the scene center.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -117,13 +118,8 @@ def rotate_radar(radar: RadarConfig, azimuth: float, center=(0.0, 0.0, 0.0)) -> 
     c, s = math.cos(azimuth), math.sin(azimuth)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     center = np.asarray(center, dtype=np.float64)
-    return RadarConfig(
-        wave=radar.wave,
-        start_pos=rot @ (radar.start_pos - center) + center,
-        end_pos=rot @ (radar.end_pos - center) + center,
-        num_azimuth=radar.num_azimuth, alpha0=radar.alpha0, alpha1=radar.alpha1,
-        num_angles=radar.num_angles, range_res=radar.range_res,
-        azimuth_res=radar.azimuth_res, spua=radar.spua, seed=radar.seed)
+    return replace(radar, start_pos=rot @ (radar.start_pos - center) + center,
+                   end_pos=rot @ (radar.end_pos - center) + center)
 
 
 def multiview_radars(base: RadarConfig, azimuths_deg, center=(0.0, 0.0, 0.0)):

@@ -1,4 +1,7 @@
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +75,58 @@ tie = true
 [output]
 dir = out
 """
+
+
+# the config that scripts/make_demo_scene.py writes, as serialize_config formats it
+DEMO_CONFIG = """\
+[scene]
+mesh = scene.obj
+init = 0.005 0.01 25.0 0.05
+
+[radar]
+frequency_hz = 9600000000.0
+polarization = HH
+psd = exponential
+start = -1.25 4.243 4.243
+end = 1.25 4.243 4.243
+num_azimuth = 16
+alpha_start_deg = 25.0
+alpha_stop_deg = 65.0
+num_angles = 24
+range_res = 0.05
+azimuth_res = 0.1667
+spua = 2
+seed = 7
+view_azimuths_deg = 0.0 120.0 240.0
+scene_center = 0.0 0.0 0.0
+
+[loss]
+lambda_sim = 1.0
+lambda_mat = 0.0
+normalize = true
+
+[optim]
+lr = 0.05
+iters = 150
+beta1 = 0.9
+beta2 = 0.99
+eps_adam = 1e-08
+lr_decay = 1.0
+train_vertices = 4:12
+tie = true
+freeze_channels = tau
+
+[output]
+dir = out
+"""
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name, *args):
+    """Run scripts/<name> in this process with the given arguments."""
+    monkeypatch.setattr(sys, "argv", [name, *map(str, args)])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
 
 
 @pytest.fixture

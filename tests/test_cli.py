@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -6,13 +7,13 @@ import pytest
 
 import sartrace.cli
 from sartrace.accel import build_bvh, uses_bvh
-from sartrace.cli import (ConfigError, build_scene, main, parse_config,
+from sartrace.cli import (ConfigError, SceneConfig, build_scene, main, parse_config,
                           serialize_config)
 from sartrace.imaging import read_raster, render
 from sartrace.scene import Mesh, ParamMap, load_param_map, save_param_map, write_obj
 from sartrace.scenes import merge_meshes, plane_mesh
 
-from conftest import CONFIG
+from conftest import CONFIG, DEMO_CONFIG, run_script
 
 
 def bumpy_grid(n=12):
@@ -69,7 +70,10 @@ class TestConfig:
         ("train_vertices = 1:2:3", r"optim\.train_vertices: bad token '1:2:3'"),
         ("train_vertices = 0 a", r"optim\.train_vertices: bad token 'a'"),
         ("train_vertices = 2:", r"optim\.train_vertices: bad token '2:'"),
-    ], ids=["channel", "three_bounds", "not_int", "open_range"])
+        ("train_vertices = 5:3", r"optim\.train_vertices: bad token '5:3'"),
+        ("train_vertices = 0 4:4", r"optim\.train_vertices: bad token '4:4'"),
+    ], ids=["channel", "three_bounds", "not_int", "open_range", "reversed_range",
+            "empty_range"])
     def test_optim_error_names_field_and_token(self, workdir, capsys, line, cause):
         path = workdir / "bad.ini"
         path.write_text(CONFIG.replace("tie = true", f"tie = true\n{line}"))
@@ -101,6 +105,121 @@ class TestConfig:
         path.write_text(text)
         with pytest.raises(ConfigError, match="rows"):
             build_scene(parse_config(path), str(workdir))
+
+
+# serialize_config of conftest.CONFIG; the line "freeze_channels = " ends in a space
+CONFIG_TEXT = """\
+[scene]
+mesh = scene.obj
+init = 0.004 0.02 9.0 0.3
+
+[radar]
+frequency_hz = 9600000000.0
+polarization = HH
+psd = gaussian
+start = -1.5 4.0 4.0
+end = 1.5 4.0 4.0
+num_azimuth = 6
+alpha_start_deg = 35.0
+alpha_stop_deg = 55.0
+num_angles = 10
+range_res = 0.1
+azimuth_res = 0.6
+spua = 2
+seed = 3
+view_azimuths_deg = 0.0 180.0
+scene_center = 0.0 0.0 0.0
+
+[loss]
+lambda_sim = 1.0
+lambda_mat = 0.0
+normalize = true
+
+[optim]
+lr = 0.05
+iters = 4
+beta1 = 0.9
+beta2 = 0.999
+eps_adam = 1e-08
+lr_decay = 1.0
+train_vertices = all
+tie = true
+freeze_channels =\x20
+
+[output]
+dir = out
+"""
+
+# (field, section, key) of every key without a default
+REQUIRED_KEYS = [
+    ("mesh_path", "scene", "mesh"), ("frequency", "radar", "frequency_hz"),
+    ("start", "radar", "start"), ("end", "radar", "end"),
+    ("num_azimuth", "radar", "num_azimuth"), ("alpha_start_deg", "radar", "alpha_start_deg"),
+    ("alpha_stop_deg", "radar", "alpha_stop_deg"), ("num_angles", "radar", "num_angles"),
+    ("range_res", "radar", "range_res"), ("azimuth_res", "radar", "azimuth_res"),
+    ("out_dir", "output", "dir"),
+]
+# (field, key, default) of every optional key; init and init_csv need one another
+OPTIONAL_KEYS = [
+    ("init", "init", None), ("init_csv", "init_csv", None),
+    ("polarization", "polarization", "HH"), ("psd", "psd", "gaussian"), ("spua", "spua", 1),
+    ("seed", "seed", 0), ("view_azimuths_deg", "view_azimuths_deg", (0.0,)),
+    ("scene_center", "scene_center", None), ("lambda_sim", "lambda_sim", 1.0),
+    ("lambda_mat", "lambda_mat", 1e-3), ("normalize", "normalize", True), ("lr", "lr", 0.02),
+    ("iters", "iters", 200), ("beta1", "beta1", 0.9), ("beta2", "beta2", 0.999),
+    ("eps_adam", "eps_adam", 1e-8), ("lr_decay", "lr_decay", 1.0),
+    ("train_vertices", "train_vertices", "all"), ("tie", "tie", False),
+    ("freeze_channels", "freeze_channels", ()),
+]
+# the demo config with every key set off its default; parse does not read init_csv
+FULL_CONFIG = DEMO_CONFIG
+for _old, _new in [
+        ("init = 0.005 0.01 25.0 0.05", "init = 0.005 0.01 25.0 0.05\ninit_csv = p.csv"),
+        ("polarization = HH", "polarization = VV"), ("lambda_sim = 1.0", "lambda_sim = 2.0"),
+        ("normalize = true", "normalize = false"), ("beta1 = 0.9", "beta1 = 0.8"),
+        ("eps_adam = 1e-08", "eps_adam = 1e-07"), ("lr_decay = 1.0", "lr_decay = 0.99")]:
+    FULL_CONFIG = FULL_CONFIG.replace(_old, _new)
+
+
+def without_key(text, key):
+    lines = text.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(key + " = ")]
+    assert len(kept) == len(lines) - 1, key
+    return "".join(kept)
+
+
+class TestSchema:
+    """The INI schema of SceneConfig: its text, its required keys and its defaults."""
+
+    def test_demo_script_writes_pinned_text(self, tmp_path, monkeypatch):
+        run_script(monkeypatch, "make_demo_scene.py", tmp_path)
+        assert (tmp_path / "run.ini").read_text() == DEMO_CONFIG
+        assert serialize_config(parse_config(tmp_path / "run.ini")) == DEMO_CONFIG
+
+    def test_conftest_config_text(self, workdir):
+        assert serialize_config(parse_config(workdir / "run.ini")) == CONFIG_TEXT
+
+    def test_every_field_is_listed(self):
+        listed = [f for f, _, _ in REQUIRED_KEYS] + [f for f, _, _ in OPTIONAL_KEYS]
+        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(SceneConfig))
+
+    @pytest.mark.parametrize("field, section, key", REQUIRED_KEYS,
+                             ids=[f for f, _, _ in REQUIRED_KEYS])
+    def test_missing_required_key_is_named(self, tmp_path, field, section, key):
+        path = tmp_path / "run.ini"
+        path.write_text(without_key(FULL_CONFIG, key))
+        with pytest.raises(ConfigError, match=f"^missing field {section}.{key}$"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("field, key, default", OPTIONAL_KEYS,
+                             ids=[f for f, _, _ in OPTIONAL_KEYS])
+    def test_missing_optional_key_takes_default(self, tmp_path, field, key, default):
+        (tmp_path / "full.ini").write_text(FULL_CONFIG)
+        full = parse_config(tmp_path / "full.ini")
+        path = tmp_path / "run.ini"
+        path.write_text(without_key(FULL_CONFIG, key))
+        assert getattr(full, field) != default
+        assert parse_config(path) == dataclasses.replace(full, **{field: default})
 
 
 class TestSimulate:
@@ -227,6 +346,19 @@ class TestLearnCommand:
         assert ("tied vertices 0 and 5 start with different h values (0.004 != 0.006)"
                 in capsys.readouterr().err)
         assert not (workdir / "learned").exists()
+
+    def test_all_channels_frozen_leaves_table(self, workdir):
+        """No unknown to train: the run writes its history and the start table."""
+        refs = self.render_refs(workdir)
+        (workdir / "frozen.ini").write_text(
+            CONFIG.replace("tie = true", "tie = true\nfreeze_channels = h l eps_r tau"))
+        rc = main(["learn", "--config", str(workdir / "frozen.ini"), "--refs"] + refs
+                  + ["--out", "learned"])
+        assert rc == 0
+        out = workdir / "learned"
+        assert len((out / "history.csv").read_text().splitlines()) == 1 + 4
+        got = load_param_map(out / "params_final.csv")
+        np.testing.assert_array_equal(got.values, np.tile([0.004, 0.02, 9.0, 0.3], (8, 1)))
 
     def test_ref_count_mismatch(self, workdir):
         refs = self.render_refs(workdir)

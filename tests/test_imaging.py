@@ -352,7 +352,8 @@ class TestRender:
                             counted("intersect", imaging.intersect_rays))
         monkeypatch.setattr(imaging, "bin_ranges_fast",
                             counted("bin", imaging.bin_ranges_fast))
-        render(mesh, params, plate_radar, bsdf_fn=counted("bsdf", eval_bsdf_batch))
+        monkeypatch.setattr(imaging, "eval_bsdf_batch", counted("bsdf", eval_bsdf_batch))
+        render(mesh, params, plate_radar)
         assert calls == {"intersect": 1, "bsdf": 1, "bin": 1}
 
     def test_range_window_excluding_hits_names_bin(self, plate_scene, plate_radar):
@@ -400,7 +401,8 @@ class TestRender:
                          "dsigma"):
                 assert_bitwise(getattr(ledger, name), getattr(ref_ledger, name))
 
-    def test_intensity_linearity_in_sigma(self, plate_scene, plate_radar):
+    def test_intensity_linearity_in_sigma(self, plate_scene, plate_radar, monkeypatch):
+        import sartrace.imaging as imaging
         from sartrace.scatter import eval_bsdf_batch
         mesh, params = plate_scene
         base, _ = render(mesh, params, plate_radar)
@@ -409,7 +411,8 @@ class TestRender:
             sigma, grads = eval_bsdf_batch(theta, values, wave)
             return 3.0 * sigma, grads
 
-        tripled, _ = render(mesh, params, plate_radar, bsdf_fn=scaled)
+        monkeypatch.setattr(imaging, "eval_bsdf_batch", scaled)
+        tripled, _ = render(mesh, params, plate_radar)
         np.testing.assert_allclose(tripled.intensities, 3.0 * base.intensities,
                                    rtol=1e-12)
 

@@ -431,6 +431,23 @@ class TestLearn:
         assert res.eval_rmse.shape == (2, 1)
         assert res.eval_rmse[0, 0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_unknowns_records_history_and_keeps_table(self, learn_setup):
+        """With every channel frozen there is nothing to step: the run still
+        scores each iteration and leaves the table bitwise as it was."""
+        mesh, params, radar = learn_setup
+        ref, _ = render(mesh, params, radar)
+        start = params.copy()
+        start.values[:, 0] *= 2.0
+        before = start.values.copy()
+        opt = OptimState.create(mesh.num_vertices, freeze_channels=PARAM_CHANNELS)
+        assert opt.m.size == 0
+        res = learn(start, traced(mesh, [(radar, ref.intensities)]), opt, CFG_RAW, iters=3)
+        assert not res.aborted
+        assert res.iterations == 3
+        assert res.view_rmse.shape == (3, 1)
+        assert np.all(res.sim_loss == res.sim_loss[0]) and res.sim_loss[0] > 0.0
+        np.testing.assert_array_equal(res.params.values, before)
+
     def test_history_csv(self, learn_setup, tmp_path):
         mesh, params, radar = learn_setup
         ref, _ = render(mesh, params, radar)
@@ -807,7 +824,7 @@ class TestGradCheck:
         assert report.probes == []
         assert report.max_rel_err == 0.0
 
-    def test_quadratic_bsdf_exact(self, learn_setup):
+    def test_quadratic_bsdf_exact(self, learn_setup, monkeypatch):
         mesh, params, radar = learn_setup
 
         def quad_bsdf(theta, values, wave):
@@ -816,7 +833,9 @@ class TestGradCheck:
             grads[:, 0] = 2.0 * values[:, 0]
             return sigma, grads
 
-        ref = render(mesh, self.perturbed(params), radar, bsdf_fn=quad_bsdf)[0].intensities
+        with monkeypatch.context() as patch:
+            patch.setattr(imaging, "eval_bsdf_batch", quad_bsdf)
+            ref = render(mesh, self.perturbed(params), radar)[0].intensities
         report = grad_check(params, traced(mesh, [(radar, ref)]), CFG_RAW,
                             num_probes=12, seed=2, bsdf_fn=quad_bsdf)
         # exact chain: residual is pure finite-difference roundoff

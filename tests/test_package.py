@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -10,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import sartrace
+from sartrace.cli import parse_config
+
+from conftest import run_script
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -31,6 +35,39 @@ def test_readme_library_use_snippet_runs():
     exec(compile(code, f"{README}:Library use", "exec"), namespace)
     assert namespace["image"].intensities.sum() > 0
     assert namespace["result"].iterations == 5
+
+
+def test_readme_config_block_is_the_demo_config(tmp_path, monkeypatch):
+    """The README's commented config parses to what scripts/make_demo_scene.py writes."""
+    section = README.read_text(encoding="utf-8").split("## Config format", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
+    (tmp_path / "readme.ini").write_text(block)
+    run_script(monkeypatch, "make_demo_scene.py", tmp_path / "demo")
+    assert parse_config(tmp_path / "readme.ini") == parse_config(tmp_path / "demo" / "run.ini")
+
+
+def unused_imports(path):
+    """Names a module imports and never reads, except on `# noqa: F401` lines."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "sartrace").glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_no_unused_imports(module):
+    """__init__.py re-exports, so it is left out."""
+    assert unused_imports(ROOT / "src" / "sartrace" / module) == []
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
