@@ -7,7 +7,7 @@ two-scale (KA + SPM) backscatter per hit -> one np.bincount over the
 image.  trace does the geometry of a view once, shade the per-table
 rest, and render is shade(trace(...)).
 
-Inverse path: image-space MSE (+ total-variation smoothing) is pulled
+Inverse path: image-space MSE (+ total variation over mesh edges) is pulled
 back through the recorded hit ledger to per-vertex parameter gradients
 and minimized with projected Adam (sartrace.learn.learn; the function
 is not re-exported here, so the name sartrace.learn is the module).
@@ -15,7 +15,7 @@ is not re-exported here, so the name sartrace.learn is the module).
 
 from sartrace.scene import (
     Mesh, ParamMap, MeshError, PARAM_CHANNELS,
-    load_mesh, write_obj, save_param_map, load_param_map,
+    load_mesh, mesh_edges, write_obj, save_param_map, load_param_map,
 )
 from sartrace.accel import Bvh, build_bvh
 from sartrace.scatter import WaveConfig, SPEED_OF_LIGHT, VALIDITY_CONDITIONS, validity_mask

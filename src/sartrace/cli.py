@@ -140,7 +140,7 @@ def parse_config(path) -> SceneConfig:
     if unknown:
         raise ConfigError(f"optim.freeze_channels: unknown channel {unknown[0]!r}; "
                           f"valid channels are {', '.join(PARAM_CHANNELS)}")
-    _vertex_ids(cfg.train_vertices)
+    _vertex_ranges(cfg.train_vertices)
     return cfg
 
 
@@ -169,12 +169,12 @@ def serialize_config(cfg: SceneConfig) -> str:
     return "\n".join(lines[1:] + [""])
 
 
-def _vertex_ids(spec: str) -> list[int] | None:
-    """Vertex ids of optim.train_vertices ("id" and "lo:hi" tokens, lo < hi);
-    None for all."""
+def _vertex_ranges(spec: str) -> list[tuple[int, int]] | None:
+    """optim.train_vertices as (lo, hi) ranges, unexpanded: "id" and
+    "lo:hi" tokens (lo < hi); None for all."""
     if spec.strip().lower() == "all":
         return None
-    ids = []
+    ranges = []
     for part in spec.replace(",", " ").split():
         try:
             bounds = [int(t) for t in part.split(":")]
@@ -183,8 +183,8 @@ def _vertex_ids(spec: str) -> list[int] | None:
         if not (len(bounds) == 1 or len(bounds) == 2 and bounds[0] < bounds[1]):
             raise ConfigError(f"optim.train_vertices: bad token {part!r}, "
                               "want a vertex id or lo:hi")
-        ids.extend(range(*bounds) if len(bounds) == 2 else bounds)
-    return ids
+        ranges.append((bounds[0], bounds[0] + 1) if len(bounds) == 1 else tuple(bounds))
+    return ranges
 
 
 def build_scene(cfg: SceneConfig, base_dir="."):
@@ -213,14 +213,13 @@ def build_scene(cfg: SceneConfig, base_dir="."):
 
 
 def make_optimizer(cfg: SceneConfig, num_vertices: int) -> OptimState:
-    ids = _vertex_ids(cfg.train_vertices)
-    trained = (np.arange(num_vertices) if ids is None
-               else np.unique(np.asarray(ids, dtype=np.int64)))
-    if trained.size and (trained[0] < 0 or trained[-1] >= num_vertices):
-        raise ConfigError(f"optim.train_vertices outside [0, {num_vertices})")
-    mask = np.ones(num_vertices, dtype=bool)
-    mask[trained] = False
-    frozen_vertices = np.nonzero(mask)[0]
+    ranges = _vertex_ranges(cfg.train_vertices)
+    frozen = np.full(num_vertices, ranges is not None)   # None: train all
+    for lo, hi in ranges or ():
+        if lo < 0 or hi > num_vertices:
+            raise ConfigError(f"optim.train_vertices outside [0, {num_vertices})")
+        frozen[lo:hi] = False
+    trained, frozen_vertices = np.flatnonzero(~frozen), np.flatnonzero(frozen)
     tie_groups = [trained] if cfg.tie and trained.size else None
     return OptimState.create(
         num_vertices, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,

@@ -2,8 +2,8 @@
 
 The data term is an image-space MSE averaged over views and pixels,
 optionally on max-normalized intensities.  A total-variation smoother
-over the per-vertex parameter table (viewed as a near-square grid in
-vertex order) regularizes spatially varying recoveries.
+over the mesh's edges regularizes spatially varying recoveries; objects
+that share no vertex do not interact through it.
 
 The gradient of the data term reaches the parameter table through the
 hits: d(loss)/d(pixel) x quadrature weight x d(sigma)/d(params) x
@@ -40,7 +40,7 @@ from sartrace.imaging import HitLedger, SarImage, range_bin_of
 # the benchmark's traced run wraps this module's `render` by name
 from sartrace.imaging import render  # noqa: F401
 from sartrace.scatter import eval_bsdf_batch
-from sartrace.scene import Mesh, ParamMap, PARAM_CHANNELS
+from sartrace.scene import Mesh, ParamMap, PARAM_CHANNELS, mesh_edges
 
 # wide physical box: positivity for h and l, eps_r nudged inside 1 so
 # the Fresnel contrast (and with it every gradient) never pins to zero
@@ -60,8 +60,9 @@ class LossConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.lambda_sim < 0 or self.lambda_mat < 0:
-            raise ValueError("loss weights must be nonnegative")
+        for name in ("lambda_sim", "lambda_mat"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must lie in [0, inf), got {getattr(self, name)!r}")
 
 
 def _as_array(image) -> np.ndarray:
@@ -90,40 +91,18 @@ def loss_sim(image, ref, cfg: LossConfig, num_views: int = 1):
     return loss, grad
 
 
-def _grid_ids(num_vertices: int):
-    """Near-square grid of vertex ids in storage order, tail replicated."""
-    height = max(1, int(math.floor(math.sqrt(num_vertices))))
-    width = (num_vertices + height - 1) // height
-    ids = np.minimum(np.arange(height * width), num_vertices - 1)
-    return ids.reshape(height, width)
-
-
-def loss_tv(values, lambda_mat: float):
-    """Anisotropic total variation over the parameter grid view.
-
-    Returns (loss, subgradient (n, 4)); sign(0) = 0.  Replicated pad
-    cells chain their gradient back to the final vertex.
-    """
+def loss_tv(values, edges, lambda_mat: float):
+    """Anisotropic total variation lambda_mat * sum |v_j - v_i| over the mesh
+    edges (i, j), (E, 2) as scene.mesh_edges gives them, and the four
+    channels.  Returns (loss, subgradient (n, 4)); sign(0) = 0."""
     values = values.values if isinstance(values, ParamMap) else np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    grad = np.zeros_like(values)
-    if lambda_mat == 0.0 or n == 0:
-        return 0.0, grad
-    ids = _grid_ids(n)
-    grid = values[ids]                      # (H, W, 4)
-    dv = grid[1:, :, :] - grid[:-1, :, :]
-    dh = grid[:, 1:, :] - grid[:, :-1, :]
-    loss = lambda_mat * float(np.abs(dv).sum() + np.abs(dh).sum())
-
-    gg = np.zeros_like(grid)
-    sv = np.sign(dv)
-    gg[1:, :, :] += sv
-    gg[:-1, :, :] -= sv
-    sh = np.sign(dh)
-    gg[:, 1:, :] += sh
-    gg[:, :-1, :] -= sh
-    np.add.at(grad, ids.ravel(), lambda_mat * gg.reshape(-1, 4))
-    return loss, grad
+    if lambda_mat == 0.0:
+        return 0.0, np.zeros_like(values)
+    diff = values.take(edges[:, 1], axis=0) - values.take(edges[:, 0], axis=0)   # (E, 4)
+    lo, hi = (np.repeat(v * 4, 4) + np.tile(np.arange(4), len(edges)) for v in edges.T)
+    sign = lambda_mat * np.sign(diff).ravel()       # per flat cell vertex * 4 + channel
+    grad = np.bincount(hi, sign, values.size) - np.bincount(lo, sign, values.size)
+    return lambda_mat * float(np.abs(diff).sum()), grad.reshape(values.shape)
 
 
 def backward(ledger: HitLedger, dLdI: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -164,6 +143,15 @@ class OptimState:
     unknown: np.ndarray = field(repr=False)  # (e,) the unknown of each entry
     head: np.ndarray = field(repr=False)     # (k,) one entry per unknown
     starts: np.ndarray = field(repr=False)   # (5,) channel c owns unknowns starts[c]:starts[c+1]
+
+    def __post_init__(self):
+        for name, ok, rule in (("lr", 0 < self.lr < math.inf, "(0, inf)"),
+                               ("beta1", 0 <= self.beta1 < 1, "[0, 1)"),
+                               ("beta2", 0 <= self.beta2 < 1, "[0, 1)"),
+                               ("eps_adam", 0 <= self.eps_adam < math.inf, "[0, inf)"),
+                               ("lr_decay", 0 < self.lr_decay < math.inf, "(0, inf)")):
+            if not ok:
+                raise ValueError(f"{name} must lie in {rule}, got {getattr(self, name)!r}")
 
     @staticmethod
     def create(num_vertices: int, lr: float = 0.02, beta1: float = 0.9,
@@ -352,18 +340,22 @@ class _Stack:
     train_pixel: np.ndarray       # (Lt,) pixel of each live hit of a training view
     touched: np.ndarray           # (T,) vertices with unknowns that those hits reach
     slot: np.ndarray              # (Lt * 12,) adjoint bin (view * T + touched) * 4 + channel
+    edges: np.ndarray             # (E, 2) the mesh's edges, the TV term's pairs
 
 
 def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
-    """Stack _checked views, training views first.  entries: the flat table
-    indices v * 4 + c that may move (None: all).  Hits touching no vertex
-    with an entry are shaded here, once, with params."""
+    """Stack _checked views of one mesh (equal facets), training views first.
+    entries: the flat table indices v * 4 + c that may move (None: all).
+    Hits touching no vertex with an entry are shaded here, once, with params."""
     n = params.num_vertices
     hitsets = [hits for hits, _, _ in views]
     for vi, hits in enumerate(hitsets):
+        name = f"view {vi}" if vi < num_train else f"eval view {vi - num_train}"
         if hits.mesh.num_vertices != n:
-            raise ValueError(f"view {vi}: parameter table size {n} does not match "
+            raise ValueError(f"{name}: parameter table size {n} does not match "
                              f"the mesh's {hits.mesh.num_vertices} vertices")
+        if not np.array_equal(hits.mesh.facets, hitsets[0].mesh.facets):
+            raise ValueError(f"{name}: traced over a different mesh than view 0")
 
     def cat(arrays, empty=np.zeros(0)):
         return np.concatenate(list(arrays) + [empty])
@@ -404,7 +396,8 @@ def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
         intensity=intensity, live=live, vids=vids[live], bary=bary[live], theta=theta[live],
         weight=weight[live], groups=_by_wave(waves, wave_id[live]),
         train_pixel=pixel[train], touched=touched,
-        slot=(slot[:, :, None] * 4 + np.arange(4)).ravel())
+        slot=(slot[:, :, None] * 4 + np.arange(4)).ravel(),
+        edges=mesh_edges(hitsets[0].mesh) if hitsets else np.zeros((0, 2), np.int64))
 
 
 def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None,
@@ -431,7 +424,7 @@ def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None,
             dLdI[lo:hi] = grad_v.ravel()
         if not loss_only:
             rmses[vi] = rmse_normalized(view, ref)
-    tv, grads = loss_tv(params.values, cfg.lambda_mat)
+    tv, grads = loss_tv(params.values, stack.edges, cfg.lambda_mat)
     if loss_only:
         return sim + tv
 

@@ -1,14 +1,15 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sartrace.cli
 from sartrace.accel import build_bvh, uses_bvh
-from sartrace.cli import (ConfigError, SceneConfig, build_scene, main, parse_config,
-                          serialize_config)
+from sartrace.cli import (ConfigError, SceneConfig, build_scene, main, make_optimizer,
+                          parse_config, serialize_config)
 from sartrace.imaging import read_raster, render
 from sartrace.scene import Mesh, ParamMap, load_param_map, save_param_map, write_obj
 from sartrace.scenes import merge_meshes, plane_mesh
@@ -81,6 +82,32 @@ class TestConfig:
             parse_config(path)
         assert main(["gradcheck", "--config", str(path), "--probes", "1"]) == 2
         assert re.search(cause, capsys.readouterr().err)
+
+    def test_train_vertices_bounds_checked_before_expanding(self, tmp_path):
+        """A huge lo:hi range is checked against the mesh as a pair, never
+        expanded into a list of ids."""
+        path = tmp_path / "huge.ini"
+        path.write_text(DEMO_CONFIG.replace("train_vertices = 4:12",
+                                            "train_vertices = 0:2000000"))
+        tracemalloc.start()
+        try:
+            cfg = parse_config(path)
+            with pytest.raises(ConfigError, match=r"optim\.train_vertices outside \[0, 12\)"):
+                make_optimizer(cfg, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_train_vertices_ranges_and_ids(self, workdir):
+        path = workdir / "ids.ini"
+        path.write_text(CONFIG.replace("tie = true", "tie = false\ntrain_vertices = 1:3, 6 2"))
+        opt = make_optimizer(parse_config(path), 8)
+        np.testing.assert_array_equal(np.unique(opt.entries // 4), [1, 2, 6])
+        for token in ("7:9", "8", "-1"):
+            path.write_text(CONFIG.replace("tie = true", f"train_vertices = {token}"))
+            with pytest.raises(ConfigError, match=r"outside \[0, 8\)"):
+                make_optimizer(parse_config(path), 8)
 
     def test_init_or_csv_required(self, workdir):
         path = workdir / "bad.ini"
@@ -397,6 +424,21 @@ class TestLearnCommand:
         err = capsys.readouterr().err
         assert f"view 0: reference {refs[0]} has {field} {meta[field]!r}" in err
         assert f"the configured view has {want!r}" in err
+        assert not (workdir / "learned").exists()
+
+    @pytest.mark.parametrize("line, bad, message", [
+        ("lambda_mat = 0.0", "lambda_mat = nan", "lambda_mat must lie in [0, inf), got nan"),
+        ("lr = 0.05", "lr = nan", "lr must lie in (0, inf), got nan"),
+        ("lr = 0.05", "lr = 0.05\nbeta1 = 1.0", "beta1 must lie in [0, 1), got 1.0"),
+    ], ids=["lambda_mat", "lr", "beta1"])
+    def test_bad_hyperparameter_exits_2_and_writes_nothing(self, workdir, capsys, line, bad,
+                                                            message):
+        refs = self.render_refs(workdir)
+        (workdir / "bad.ini").write_text(CONFIG.replace(line, bad))
+        capsys.readouterr()
+        assert main(["learn", "--config", str(workdir / "bad.ini"), "--refs"] + refs
+                    + ["--out", "learned"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "learned").exists()
 
     def test_reference_shape_mismatch_writes_nothing(self, workdir):

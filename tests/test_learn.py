@@ -15,8 +15,9 @@ from sartrace.learn import (DEFAULT_LOWER, DEFAULT_UPPER, LossConfig, OptimState
                             backward, grad_check, learn, loss_sim, loss_tv, rmse_normalized,
                             write_history_csv)
 from sartrace.scatter import WaveConfig, eval_bsdf_batch
-from sartrace.scene import PARAM_CHANNELS, Mesh, ParamMap
-from sartrace.scenes import merge_meshes, plane_mesh, side_looking_radar
+from sartrace.scene import PARAM_CHANNELS, Mesh, ParamMap, mesh_edges
+from sartrace.scenes import (building_scene, cube_plane_scene, merge_meshes, plane_mesh,
+                             side_looking_radar)
 
 from conftest import CONFIG
 
@@ -66,46 +67,65 @@ class TestLossSim:
         with pytest.raises(ValueError, match="shape"):
             loss_sim(np.zeros((2, 2)), np.zeros((2, 3)), CFG_RAW)
 
+    @pytest.mark.parametrize("name", ["lambda_sim", "lambda_mat"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-3])
+    def test_weights_must_be_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, inf\), got "):
+            LossConfig(**{name: value})
+        assert getattr(LossConfig(**{name: 0.0}), name) == 0.0
+
 
 class TestLossTv:
     def test_constant_map_is_zero(self):
-        values = np.tile([0.1, 0.2, 3.0, 0.5], (9, 1))
-        loss, grad = loss_tv(values, 1.0)
+        """Constant on each object of the cube scene: TV pairs only mesh
+        edges, and the plane and the cube share no vertex."""
+        mesh, plane_ids, cube_ids = cube_plane_scene(8.0, 2.0)
+        values = np.empty((mesh.num_vertices, 4))
+        values[plane_ids] = [0.005, 0.01, 25.0, 0.05]
+        values[cube_ids] = [0.002, 0.03, 4.0, 0.6]
+        loss, grad = loss_tv(values, mesh_edges(mesh), 1.0)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros_like(values))
 
-    def test_hand_2x2_grid(self):
-        # channel 0 grid [[1,2],[3,4]]: |3-1|+|4-2| + |2-1|+|4-3| = 6
-        values = np.zeros((4, 4))
-        values[:, 0] = [1.0, 2.0, 3.0, 4.0]
-        loss, _ = loss_tv(values, 1.0)
-        assert loss == pytest.approx(6.0)
+    def test_hand_two_facet_mesh(self, two_facet_mesh):
+        # channel 0 = [1, 2, 4 | 0, 0, 3]: |2-1|+|4-1|+|4-2| + |0-0|+|3-0|+|3-0| = 12
+        values = np.zeros((6, 4))
+        values[:, 0] = [1.0, 2.0, 4.0, 0.0, 0.0, 3.0]
+        loss, grad = loss_tv(values, mesh_edges(two_facet_mesh), 0.5)
+        assert loss == 6.0
+        # vertex 0 sits below both neighbours, vertex 5 above both, 3 and 4 tie
+        np.testing.assert_array_equal(grad[:, 0], [-1.0, 0.0, 1.0, -0.5, -0.5, 1.0])
+        assert not grad[:, 1:].any()
 
     def test_lambda_scaling(self):
-        rng = np.random.default_rng(0)
-        values = rng.uniform(0.1, 1.0, (7, 4))
-        l1, g1 = loss_tv(values, 1.0)
-        l2, g2 = loss_tv(values, 2.0)
+        mesh = cube_plane_scene(8.0, 2.0)[0]
+        values = np.random.default_rng(0).uniform(0.1, 1.0, (mesh.num_vertices, 4))
+        l1, g1 = loss_tv(values, mesh_edges(mesh), 1.0)
+        l2, g2 = loss_tv(values, mesh_edges(mesh), 2.0)
+        assert l1 > 0.0
         assert l2 == pytest.approx(2 * l1, rel=1e-12)
         np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12)
 
     def test_zero_weight_short_circuits(self):
-        loss, grad = loss_tv(np.ones((5, 4)), 0.0)
+        mesh = cube_plane_scene(8.0, 2.0)[0]
+        values = np.random.default_rng(1).uniform(0.1, 1.0, (mesh.num_vertices, 4))
+        loss, grad = loss_tv(values, mesh_edges(mesh), 0.0)
         assert loss == 0.0
-        assert not grad.any()
+        assert grad.shape == values.shape and not grad.any()
 
     def test_subgradient_matches_finite_difference(self):
+        mesh = building_scene()[0]
         rng = np.random.default_rng(3)
-        values = rng.uniform(0.5, 2.0, (6, 4))    # generic: no ties, no kinks
-        lam = 0.7
-        _, grad = loss_tv(values, lam)
+        values = rng.uniform(0.5, 2.0, (mesh.num_vertices, 4))    # generic: no ties, no kinks
+        edges, lam = mesh_edges(mesh), 0.7
+        _, grad = loss_tv(values, edges, lam)
         step = 1e-6
-        for vid, ci in [(0, 0), (3, 2), (5, 1), (2, 3)]:
+        for vid, ci in [(0, 0), (3, 2), (5, 1), (9, 3), (17, 0), (19, 2)]:
             up = values.copy()
             up[vid, ci] += step
             dn = values.copy()
             dn[vid, ci] -= step
-            fd = (loss_tv(up, lam)[0] - loss_tv(dn, lam)[0]) / (2 * step)
+            fd = (loss_tv(up, edges, lam)[0] - loss_tv(dn, edges, lam)[0]) / (2 * step)
             # abs floor covers central-difference roundoff, ~eps/step
             assert grad[vid, ci] == pytest.approx(fd, rel=1e-6, abs=5e-9)
 
@@ -231,6 +251,21 @@ class TestAdamStep:
     def test_create_rejects_bad_arguments(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             OptimState.create(4, **kwargs)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("lr", [math.nan, math.inf, 0.0, -0.1]),
+        ("beta1", [math.nan, -0.1, 1.0, 1.5]),
+        ("beta2", [math.nan, -0.1, 1.0, 1.5]),
+        ("eps_adam", [math.nan, math.inf, -1e-8]),
+        ("lr_decay", [math.nan, math.inf, 0.0, -1.0]),
+    ])
+    def test_create_rejects_bad_hyperparameters(self, name, bad):
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{name} must lie in "):
+                OptimState.create(4, **{name: value})
+
+    def test_create_accepts_edge_hyperparameters(self):
+        OptimState.create(4, lr=1e-9, beta1=0.0, beta2=0.0, eps_adam=0.0, lr_decay=1e-9)
 
     @pytest.mark.parametrize("make_protocol",
                              [cube_recovery_protocol, building_recovery_protocol])
@@ -475,7 +510,7 @@ def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=(), seen=None):
             sim_total += loss_v
             grads += backward(ledger, dLdI, mesh)
             rmses[vi] = rmse_normalized(image, ref)
-        tv_val, tv_grad = loss_tv(params.values, cfg.lambda_mat)
+        tv_val, tv_grad = loss_tv(params.values, mesh_edges(mesh), cfg.lambda_mat)
         grads += tv_grad
         total_hist.append(sim_total + tv_val)
         view_hist.append(rmses)
@@ -801,6 +836,26 @@ class TestStackedObjective:
             learn(wider, views, OptimState.create(7), CFG_RAW, iters=1)
         with pytest.raises(ValueError, match=message):
             grad_check(wider, views, CFG_RAW, num_probes=1)
+
+    def test_views_over_two_meshes_name_the_view(self, learn_setup):
+        """TV runs over one mesh's edges, so every view must trace it."""
+        mesh, params, radar = learn_setup
+        ref = render(mesh, params, radar)[0].intensities
+        other = Mesh.from_arrays(mesh.vertices, mesh.facets[::-1])  # same vertices and facets
+        good, odd = (trace(mesh, radar), ref), (trace(other, radar), ref)
+        before = params.values.copy()
+        with pytest.raises(ValueError, match="^view 1: traced over a different mesh than view 0$"):
+            learn(params, [good, odd], OptimState.create(6), CFG_RAW, iters=1)
+        with pytest.raises(ValueError, match="^eval view 0: traced over a different mesh"):
+            learn(params, [good], OptimState.create(6), CFG_RAW, iters=1, eval_views=[odd])
+        with pytest.raises(ValueError, match="^view 1: traced over a different mesh"):
+            grad_check(params, [good, odd], CFG_RAW, num_probes=1)
+        np.testing.assert_array_equal(params.values, before)
+        # an equal mesh built separately is the same mesh
+        same = Mesh.from_arrays(mesh.vertices.copy(), mesh.facets.copy())
+        res = learn(params, [good, (trace(same, radar), ref)], OptimState.create(6), CFG_RAW,
+                    iters=1)
+        assert res.iterations == 1
 
 class TestGradCheck:
     def perturbed(self, params):

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 from sartrace.imaging import HitLedger
 from sartrace.learn import backward
 from sartrace.scene import (Mesh, MeshError, ParamMap, interpolate_at_hits,
-                            load_mesh, load_param_map, save_param_map, write_obj)
-from sartrace.scenes import box_mesh
+                            load_mesh, load_param_map, mesh_edges, save_param_map, write_obj)
+from sartrace.scenes import box_mesh, building_scene, cube_plane_scene
 
 
 def write(tmp_path, text, name="mesh.obj"):
@@ -65,6 +65,30 @@ class TestLoadMesh:
     def test_vertex_order_preserved(self, tmp_path):
         mesh = load_mesh(write(tmp_path, "v 5 0 0\nv 0 7 0\nv 0 0 9\nf 1 2 3\n"))
         np.testing.assert_array_equal(mesh.vertices[1], [0, 7, 0])
+
+
+class TestMeshEdges:
+    def test_two_facet_mesh(self, two_facet_mesh):
+        edges = mesh_edges(two_facet_mesh)
+        assert edges.dtype == np.int64
+        np.testing.assert_array_equal(edges, [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]])
+
+    @pytest.mark.parametrize("mesh, count", [
+        (cube_plane_scene(8.0, 2.0)[0], 23),   # plane 5 + box 18 (12 sides, 6 face diagonals)
+        (building_scene()[0], 41),             # plane 5 + two boxes of 18
+    ], ids=["cube_plane", "building"])
+    def test_scene_edge_counts(self, mesh, count):
+        edges = mesh_edges(mesh)
+        assert edges.shape == (count, 2)
+        assert (edges[:, 0] < edges[:, 1]).all()
+        want = {tuple(sorted(pair)) for f in mesh.facets.tolist()
+                for pair in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0]))}
+        assert [tuple(e) for e in edges.tolist()] == sorted(want)
+
+    def test_mesh_without_facets(self):
+        mesh = Mesh.from_arrays(np.eye(3), np.zeros((0, 3)))
+        edges = mesh_edges(mesh)
+        assert edges.shape == (0, 2) and edges.dtype == np.int64
 
 
 def triangle_mesh():
