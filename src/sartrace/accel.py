@@ -23,11 +23,12 @@ hits one ray batch at a time, by one of two paths that share `_mt`:
 
 Both paths keep the smallest (t, facet_id) per ray, whatever the
 traversal order; ties on t resolve to the lowest facet id.  They agree
-bitwise on every pair both solve, but the slab test is not conservative:
-a ray with a zero direction component whose origin lies on a box face
-(a track aligned with a grid's lines) can lose boxes it touches, so its
-BVH facet can differ from the scan's.  `uses_bvh` says on which meshes a
-BVH is traversed.
+bitwise on every pair both solve.  A zero direction component gives
++-inf slab times, or NaN, which the slab test skips, where the origin
+lies on a face plane: a ray in a face plane (a track on a grid's lines)
+is bounded by its other axes.  Rounding can still cull a box whose face
+passes through the hit point, and then the BVH facet differs from the
+scan's.  `uses_bvh` says on which meshes a BVH is traversed.
 
 Watertightness is not claimed: rays grazing a shared edge may report
 either adjacent facet.
@@ -44,9 +45,6 @@ from sartrace.scene import Mesh
 
 # self-intersection guard along the ray, meters
 EPS_T = 1e-6
-
-# directions with a zero component get a nudged inverse for slab tests only
-_INV_DIR_NUDGE = 1e-300
 
 # (ray, facet) pairs per linear-scan batch: `_mt` keeps at most about ten
 # (R, F) float64 temporaries alive at once, with R * F at most this
@@ -283,7 +281,8 @@ def _traverse(bvh: Bvh, mesh: Mesh, origins, directions):
     t_best = np.full(n, np.inf)
     m1_best = np.zeros(n)
     m2_best = np.zeros(n)
-    inv_d = 1.0 / np.where(directions == 0.0, _INV_DIR_NUDGE, directions)
+    with np.errstate(divide="ignore"):
+        inv_d = 1.0 / directions
     # rows of four like `slabs`: the padding column's t is (0 - 0) * 1
     o_pad, inv_pad = np.zeros((n, 4)), np.ones((n, 4))
     o_pad[:, :3], inv_pad[:, :3] = origins, inv_d
@@ -294,12 +293,14 @@ def _traverse(bvh: Bvh, mesh: Mesh, origins, directions):
     solved = False
     while ray.size:
         o, inv = o_pad.take(ray, axis=0), inv_pad.take(ray, axis=0)
-        t1 = (box_lo.take(node, axis=0) - o) * inv
-        t2 = (box_hi.take(node, axis=0) - o) * inv
-        # elementwise over the three slabs: a length-3 axis reduction is slower
+        with np.errstate(invalid="ignore"):     # 0 * inf: a zero component, origin on a face
+            t1 = (box_lo.take(node, axis=0) - o) * inv
+            t2 = (box_hi.take(node, axis=0) - o) * inv
+        # elementwise over the three slabs: a length-3 axis reduction is slower;
+        # fmax and fmin skip a NaN slab, so the other axes bound that ray
         near, far = np.minimum(t1, t2), np.maximum(t1, t2)
-        tnear = np.maximum(np.maximum(near[:, 0], near[:, 1]), near[:, 2])
-        tfar = np.minimum(np.minimum(far[:, 0], far[:, 1]), far[:, 2])
+        tnear = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
+        tfar = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
         miss = (tnear > tfar) | (tfar < EPS_T)
         if solved:
             miss |= tnear > t_best.take(ray)
@@ -348,9 +349,8 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     in batches of `_TRAVERSE_BATCH`, reading only the facets the leaves
     reach; otherwise a linear scan solves batches of at most
     `_SCAN_PAIRS` (ray, facet) pairs.  Both give bitwise identical
-    results, except that the BVH can miss a facet for a ray with a zero
-    direction component whose origin lies on a box face (see the module
-    docstring).
+    results, except where rounding culls a box whose face passes through
+    the hit point (see the module docstring).
     """
     origins = np.asarray(origins, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)

@@ -70,7 +70,6 @@ class RecoveryProtocol:
     init: ParamMap
     phases: tuple[AdamPhase, ...]
     eps_adam: float
-    truth_hle: tuple[float, float, float]
     loss: LossConfig = field(default_factory=lambda: LossConfig(1.0, 0.0, True))
 
 
@@ -94,8 +93,7 @@ def cube_recovery_protocol(view_azimuths=(0.0, 120.0, 240.0), seed=7) -> Recover
     )
     return RecoveryProtocol(
         name="cube", mesh=mesh, frozen_ids=plane_ids, target_ids=cube_ids,
-        radars=radars, truth=truth, init=init, phases=phases, eps_adam=1e-8,
-        truth_hle=CUBE_TRUTH)
+        radars=radars, truth=truth, init=init, phases=phases, eps_adam=1e-8)
 
 
 def building_recovery_protocol(view_azimuths=(0.0, 120.0, 240.0), seed=11) -> RecoveryProtocol:
@@ -118,8 +116,7 @@ def building_recovery_protocol(view_azimuths=(0.0, 120.0, 240.0), seed=11) -> Re
     )
     return RecoveryProtocol(
         name="building", mesh=mesh, frozen_ids=plane_ids, target_ids=bld_ids,
-        radars=radars, truth=truth, init=init, phases=phases, eps_adam=0.0,
-        truth_hle=BUILDING_TRUTH)
+        radars=radars, truth=truth, init=init, phases=phases, eps_adam=0.0)
 
 
 def render_references(proto: RecoveryProtocol):
@@ -152,5 +149,5 @@ def recovered_errors(proto: RecoveryProtocol, params: ParamMap):
     """Relative errors (h, l, eps_r) of the recovered tied target values."""
     vid = proto.target_ids[0]
     got = params.values[vid]
-    th, tl, te = proto.truth_hle
+    th, tl, te = proto.truth.values[vid, :3]
     return (abs(got[0] - th) / th, abs(got[1] - tl) / tl, abs(got[2] - te) / te)

@@ -22,7 +22,8 @@ rows.  trace does the geometry: ray fans, nearest hits, local incidence
 angles, quadrature weights, range coordinates and the range window,
 kept per hit in a HitSet.  shade does the parameter-dependent work:
 interpolate the parameter table at the hits, evaluate the BSDF and bin
-the intensities into the image.  render is shade(trace(...)).  Bin
+the intensities into the image; its HitLedger is the HitSet plus each
+hit's range bin, sigma and dsigma.  render is shade(trace(...)).  Bin
 assignment is treated as non-differentiable and no parameter moves a
 hit, so a HitSet stays valid for every parameter table on its mesh:
 the inverse loop traces each view once and shades it per iteration.
@@ -237,8 +238,6 @@ class SarImage:
     intensities: np.ndarray   # (num_azimuth, num_range_bins), >= 0
     radar: RadarConfig
     range_origin: float       # map-frame R coordinate of bin 0
-    range_res: float
-    azimuth_res: float
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -247,29 +246,6 @@ class SarImage:
     @property
     def num_range_bins(self) -> int:
         return self.intensities.shape[1]
-
-
-@dataclass
-class HitLedger:
-    """Per-hit record of everything backward needs.
-
-    Entries are stored in deterministic row-major hit order; weights are
-    the angular quadrature weights from the generating fan.
-    """
-
-    image_shape: tuple[int, int]
-    row: np.ndarray = field(repr=False)         # (n,) azimuth row
-    range_bin: np.ndarray = field(repr=False)   # (n,)
-    facet_id: np.ndarray = field(repr=False)    # (n,)
-    m1: np.ndarray = field(repr=False)
-    m2: np.ndarray = field(repr=False)
-    weight: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    dsigma: np.ndarray = field(repr=False)      # (n, 4) partials wrt h, l, eps_r, tau
-
-    @property
-    def num_entries(self) -> int:
-        return self.row.shape[0]
 
 
 @dataclass(frozen=True)
@@ -292,6 +268,24 @@ class HitSet:
     theta: np.ndarray = field(repr=False)       # (n,) local incidence angle, rad
     weight: np.ndarray = field(repr=False)      # (n,)
     ranges: np.ndarray = field(repr=False)      # (n,) map-frame R coordinate
+
+    @property
+    def num_entries(self) -> int:
+        return self.row.shape[0]
+
+
+@dataclass(frozen=True)
+class HitLedger(HitSet):
+    """A HitSet shaded with one parameter table: everything backward needs.
+
+    shade builds it from the HitSet's own fields, so its geometry arrays
+    are the HitSet's objects; it adds each hit's range bin and its BSDF
+    value and partials.
+    """
+
+    range_bin: np.ndarray = field(repr=False)   # (n,)
+    sigma: np.ndarray = field(repr=False)       # (n,)
+    dsigma: np.ndarray = field(repr=False)      # (n, 4) partials wrt h, l, eps_r, tau
 
 
 def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
@@ -352,12 +346,9 @@ def shade(hits: HitSet, params: ParamMap):
     sigma, dsigma = eval_bsdf_batch(hits.theta, values, radar.wave)
     image, range_bin = bin_ranges_fast(hits.row, hits.ranges, hits.weight * sigma,
                                        radar.range_res, hits.range_origin, hits.image_shape)
-    ledger = HitLedger(image_shape=hits.image_shape, row=hits.row, range_bin=range_bin,
-                       facet_id=hits.facet_id, m1=hits.m1, m2=hits.m2, weight=hits.weight,
-                       sigma=sigma, dsigma=dsigma)
-    sar = SarImage(intensities=image, radar=radar, range_origin=hits.range_origin,
-                   range_res=radar.range_res, azimuth_res=radar.azimuth_res)
-    return sar, ledger
+    # hits may itself be a ledger: its shading is replaced
+    ledger = HitLedger(**{**vars(hits), "range_bin": range_bin, "sigma": sigma, "dsigma": dsigma})
+    return SarImage(intensities=image, radar=radar, range_origin=hits.range_origin), ledger
 
 
 def render(mesh: Mesh, params: ParamMap, radar: RadarConfig, bvh: Bvh | None = None,
@@ -388,7 +379,7 @@ def write_pgm(image: SarImage, path) -> None:
 def write_raster(image: SarImage, path) -> None:
     """Raw raster: one ASCII header line, then row-major float32 LE."""
     rows, cols = image.intensities.shape
-    header = (f"SARF1 {rows} {cols} {image.azimuth_res!r} {image.range_res!r} "
+    header = (f"SARF1 {rows} {cols} {image.radar.azimuth_res!r} {image.radar.range_res!r} "
               f"{image.range_origin!r}\n")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))

@@ -19,7 +19,7 @@ one np.bincount for every view's pixels, the per-view losses, and one
 np.bincount that pulls the training views' gradient back into per-view
 blocks over the touched vertices.  The blocks are summed in view order,
 so every unknown's gradient is bitwise the one-view-at-a-time sum
-(backward, view by view).
+of backward(ledger, dLdI), which reads the mesh from the ledger.
 
 Adam steps a vector of unknowns: one per channel of a free vertex or of
 a tied vertex group (one shared record, gradients summed over the
@@ -40,7 +40,7 @@ from sartrace.imaging import HitLedger, SarImage, range_bin_of
 # the benchmark's traced run wraps this module's `render` by name
 from sartrace.imaging import render  # noqa: F401
 from sartrace.scatter import eval_bsdf_batch
-from sartrace.scene import Mesh, ParamMap, PARAM_CHANNELS, mesh_edges
+from sartrace.scene import ParamMap, PARAM_CHANNELS, mesh_edges
 
 # wide physical box: positivity for h and l, eps_r nudged inside 1 so
 # the Fresnel contrast (and with it every gradient) never pins to zero
@@ -105,8 +105,9 @@ def loss_tv(values, edges, lambda_mat: float):
     return lambda_mat * float(np.abs(diff).sum()), grad.reshape(values.shape)
 
 
-def backward(ledger: HitLedger, dLdI: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Pull a per-pixel loss gradient back to the vertex table (n, 4)."""
+def backward(ledger: HitLedger, dLdI: np.ndarray) -> np.ndarray:
+    """Pull a per-pixel loss gradient back to the (n, 4) table of ledger.mesh."""
+    mesh = ledger.mesh
     dLdI = np.asarray(dLdI, dtype=np.float64)
     if dLdI.shape != ledger.image_shape:
         raise ValueError(
@@ -126,8 +127,8 @@ def backward(ledger: HitLedger, dLdI: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 @dataclass
 class OptimState:
-    """Adam state over the k unknowns, numbered channel by channel, plus
-    the projection box and the map from table entries to unknowns."""
+    """Adam state over the k unknowns, numbered channel by channel, and the
+    map from table entries to unknowns; values clip to DEFAULT_LOWER/UPPER."""
 
     lr: float
     beta1: float
@@ -137,8 +138,6 @@ class OptimState:
     step: int
     m: np.ndarray                       # (k,) first moments, opt space
     v: np.ndarray                       # (k,) second moments
-    lower: np.ndarray                   # (4,)
-    upper: np.ndarray                   # (4,)
     entries: np.ndarray = field(repr=False)  # (e,) flat indices v * 4 + c that move, ascending
     unknown: np.ndarray = field(repr=False)  # (e,) the unknown of each entry
     head: np.ndarray = field(repr=False)     # (k,) one entry per unknown
@@ -187,7 +186,6 @@ class OptimState:
         return OptimState(
             lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam, lr_decay=lr_decay,
             step=0, m=np.zeros(key.size), v=np.zeros(key.size),
-            lower=DEFAULT_LOWER.copy(), upper=DEFAULT_UPPER.copy(),
             entries=entries, unknown=unknown, head=vertex * 4 + channel,
             starts=np.searchsorted(channel, np.arange(5)))
 
@@ -202,7 +200,7 @@ class OptimState:
             raise ValueError(f"tied vertices {a // 4} and {b // 4} start with different "
                              f"{PARAM_CHANNELS[b % 4]} values "
                              f"({params.values.flat[a]} != {params.values.flat[b]})")
-        np.clip(params.values, self.lower, self.upper, out=params.values)
+        np.clip(params.values, DEFAULT_LOWER, DEFAULT_UPPER, out=params.values)
 
 
 def _vertex_ids(ids, num_vertices: int, what: str) -> np.ndarray:
@@ -254,7 +252,7 @@ def adam_step(state: OptimState, params: ParamMap, grads: np.ndarray) -> ParamMa
     x = np.where(update != 0.0, z, x)
     for c in range(4):
         part = slice(state.starts[c], state.starts[c + 1])
-        np.clip(x[part], state.lower[c], state.upper[c], out=x[part])
+        np.clip(x[part], DEFAULT_LOWER[c], DEFAULT_UPPER[c], out=x[part])
     np.put(params.values, state.entries, x[state.unknown])
     return params
 
@@ -513,11 +511,9 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
 
 def write_history_csv(result: LearnResult, path) -> None:
     """iter,total_loss,sim_loss,tv_loss,view_rmse_*,eval_rmse_* rows."""
-    n_train = result.view_rmse.shape[1] if result.view_rmse.size else 0
-    n_eval = result.eval_rmse.shape[1] if result.eval_rmse.size else 0
     cols = ["iter", "total_loss", "sim_loss", "tv_loss"]
-    cols += [f"view_rmse_{i}" for i in range(n_train)]
-    cols += [f"eval_rmse_{i}" for i in range(n_eval)]
+    cols += [f"view_rmse_{i}" for i in range(result.view_rmse.shape[1])]
+    cols += [f"eval_rmse_{i}" for i in range(result.eval_rmse.shape[1])]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for it in range(result.iterations):

@@ -168,6 +168,17 @@ def flat_params(two_facet_mesh):
     return ParamMap.constant(two_facet_mesh.num_vertices, 0.004, 0.02, 9.0, 0.3)
 
 
+def grid_mesh(n, extent=10.0):
+    """n x n cells x 2 facets of a gently rippled grid over [0, extent]^2."""
+    xs = np.linspace(0.0, extent, n + 1)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.stack([x.ravel(), y.ravel(), 0.05 * np.sin(x + 2.0 * y).ravel()], axis=1)
+    corner = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n].ravel()
+    facets = np.concatenate([np.stack([corner, corner + n + 1, corner + n + 2], axis=1),
+                             np.stack([corner, corner + n + 2, corner + 1], axis=1)])
+    return Mesh.from_arrays(vertices, facets)
+
+
 def oracle_nearest_hit(mesh, origin, direction, eps_t=1e-6):
     """Independent linear-scan nearest hit used as the traversal oracle.
 

@@ -11,7 +11,7 @@ from sartrace.accel import Bvh, build_bvh, intersect_rays
 from sartrace.scene import Mesh
 from sartrace.scenes import box_mesh
 
-from conftest import oracle_build_bvh, oracle_nearest_hit
+from conftest import grid_mesh, oracle_build_bvh, oracle_nearest_hit
 
 
 def random_triangles(rng, n, scale=1.0):
@@ -19,17 +19,6 @@ def random_triangles(rng, n, scale=1.0):
     edges = rng.uniform(-0.3 * scale, 0.3 * scale, size=(n, 2, 3))
     vertices = np.concatenate([base, base + edges[:, 0], base + edges[:, 1]])
     facets = np.stack([np.arange(n), np.arange(n) + n, np.arange(n) + 2 * n], axis=1)
-    return Mesh.from_arrays(vertices, facets)
-
-
-def grid_mesh(n, extent=10.0):
-    """n x n cells x 2 facets of a gently rippled grid over [0, extent]^2."""
-    xs = np.linspace(0.0, extent, n + 1)
-    x, y = np.meshgrid(xs, xs, indexing="ij")
-    vertices = np.stack([x.ravel(), y.ravel(), 0.05 * np.sin(x + 2.0 * y).ravel()], axis=1)
-    corner = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n].ravel()
-    facets = np.concatenate([np.stack([corner, corner + n + 1, corner + n + 2], axis=1),
-                             np.stack([corner, corner + n + 2, corner + 1], axis=1)])
     return Mesh.from_arrays(vertices, facets)
 
 
@@ -304,13 +293,52 @@ def test_bvh_wavefront_matches_scan(seed, n_facets, axis_parallel):
     away = np.arange(n - n // 3, n)
     directions[away] = np.abs(directions[away]) * np.sign(origins[away])
     if axis_parallel:
-        # zero components take the _INV_DIR_NUDGE path of the slab test
+        # zero components give +-inf slab times, NaN where an origin is on a face
         directions[np.arange(n), rng.integers(3, size=n)] = 0.0
         directions[::4, (rng.integers(3) + 1) % 3] = 0.0
         directions[np.all(directions == 0.0, axis=1), 2] = 1.0
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     fid = assert_bvh_matches_scan(mesh, origins, directions)[0]
     assert np.all(fid[away] == -1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 24))
+def test_bvh_matches_scan_on_rays_in_face_planes(seed, n):
+    """Rays with a zero direction component whose origin lies in a box face
+    plane: side-looking tracks along x or y with rows on grid lines, and
+    rays through a random BVH box in the plane of one of its faces."""
+    rng = np.random.default_rng(seed)
+    grid = grid_mesh(n)
+    vertices = grid.vertices.copy()             # seeded heights; x and y stay on the lines
+    vertices[:, 2] += rng.normal(0.0, 0.1, grid.num_vertices)
+    mesh, lines = Mesh.from_arrays(vertices, grid.facets), np.linspace(0.0, 10.0, n + 1)
+    bvh = build_bvh(mesh)
+    # tracks: the fan of each row lies in the plane of a grid line
+    rows = rng.choice(lines, 24)
+    along = rng.integers(2, size=24)            # 0: track along x, 1: along y
+    angle = rng.uniform(0.2, 1.3, 24)
+    side = np.sin(angle) * rng.choice([-1.0, 1.0], 24)
+    track_o = np.column_stack([rows, np.where(side > 0, -5.0, 15.0), np.full(24, 6.0)])
+    track_d = np.column_stack([np.where(rng.random(24) < 0.5, 0.0, -0.0), side,
+                               -np.cos(angle)])
+    track_o[along == 1] = track_o[along == 1][:, [1, 0, 2]]
+    track_d[along == 1] = track_d[along == 1][:, [1, 0, 2]]
+    # boxes: a random face of a random node, crossed by a ray lying in its plane
+    node = rng.integers(bvh.num_nodes, size=40)
+    axis = rng.integers(3, size=40)
+    lo, hi = bvh.box_min[node], bvh.box_max[node]
+    target = lo + rng.random((40, 3)) * (hi - lo)
+    face = np.where(rng.random((40, 1)) < 0.5, lo, hi)[np.arange(40), axis]
+    target[np.arange(40), axis] = face
+    box_d = rng.normal(size=(40, 3)) * [1.0, 1.0, 2.0] - [0.0, 0.0, 1.0]
+    box_d[np.arange(40), axis] = 0.0
+    box_d /= np.linalg.norm(box_d, axis=1, keepdims=True)
+    box_o = target - 3.0 * box_d
+    assert np.all(box_o[np.arange(40), axis] == face)
+    fid = assert_bvh_matches_scan(mesh, np.concatenate([track_o, box_o]),
+                                  np.concatenate([track_d, box_d]))[0]
+    assert (fid >= 0).sum() >= 20
 
 
 class TestBvhWavefront:

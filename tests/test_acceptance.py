@@ -238,7 +238,7 @@ def test_08_visibility_and_multiview_benefit():
         image, ledger = render(mesh, params, radar)
         _, dLdI = loss_sim(image, 0.5 * image.intensities,
                            LossConfig(1.0, 0.0, False))
-        grad = backward(ledger, dLdI, mesh)
+        grad = backward(ledger, dLdI)
         zero_grad &= bool(np.all(grad[4:8] == 0.0)) and bool(np.any(grad[:4] != 0.0))
 
     # part 2: held-out view RMSE, 3 training views vs 1 (per-vertex learning)

@@ -346,6 +346,17 @@ class TestLearnCommand:
         np.testing.assert_allclose(got.values,
                                    np.tile([0.004, 0.02, 9.0, 0.3], (8, 1)))
 
+    def test_zero_iterations_on_the_demo_writes_the_full_header(self, tmp_path, monkeypatch):
+        run_script(monkeypatch, "make_demo_scene.py", tmp_path)
+        config = tmp_path / "run.ini"
+        assert main(["simulate", "--config", str(config), "--out", "refs"]) == 0
+        config.write_text(DEMO_CONFIG.replace("iters = 150", "iters = 0"))
+        refs = [str(tmp_path / "refs" / f"view_{vi:03d}.sarf") for vi in range(3)]
+        assert main(["learn", "--config", str(config), "--refs"] + refs
+                    + ["--out", "learned"]) == 0
+        assert (tmp_path / "learned" / "history.csv").read_text().splitlines() == [
+            "iter,total_loss,sim_loss,tv_loss,view_rmse_0,view_rmse_1,view_rmse_2"]
+
     def test_learning_writes_history_and_images(self, workdir):
         refs = self.render_refs(workdir)
         rc = main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sartrace.imaging import (MapFrame, RadarConfig, _cross, bin_ranges_fast,
+from sartrace.imaging import (HitSet, MapFrame, RadarConfig, _cross, bin_ranges_fast,
                               generate_rays, range_bin_of, read_raster, render,
                               shade, trace, vertex_range_window, write_pgm,
                               write_raster)
@@ -401,6 +401,24 @@ class TestRender:
                          "dsigma"):
                 assert_bitwise(getattr(ledger, name), getattr(ref_ledger, name))
 
+    def test_ledger_is_its_hitset_shaded(self, plate_scene, plate_radar):
+        mesh, params = plate_scene
+        hits = trace(mesh, plate_radar)
+        image, ledger = shade(hits, params)
+        assert isinstance(ledger, HitSet) and ledger.num_entries == hits.num_entries > 0
+        for name in ("mesh", "radar", "image_shape", "row", "facet_id", "m1", "m2", "theta",
+                     "weight", "ranges"):
+            assert getattr(ledger, name) is getattr(hits, name), name
+        assert image.radar is hits.radar and image.range_origin == ledger.range_origin
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ledger.sigma = ledger.sigma
+        # a ledger is a HitSet: shading it again gives the same image and arrays
+        again_image, again = shade(ledger, params)
+        assert_bitwise(again_image.intensities, image.intensities)
+        assert again.row is hits.row
+        for name in ("range_bin", "sigma", "dsigma"):
+            assert_bitwise(getattr(again, name), getattr(ledger, name))
+
     def test_intensity_linearity_in_sigma(self, plate_scene, plate_radar, monkeypatch):
         import sartrace.imaging as imaging
         from sartrace.scatter import eval_bsdf_batch
@@ -456,7 +474,7 @@ class TestImageFiles:
         write_raster(image, path)
         data, meta = read_raster(path)
         np.testing.assert_array_equal(data, image.intensities.astype("<f4").astype(np.float64))
-        assert meta["range_res"] == image.range_res
+        assert meta["range_res"] == image.radar.range_res
         assert meta["range_origin"] == pytest.approx(image.range_origin)
 
     def test_raster_rejects_bad_magic(self, tmp_path):

@@ -130,26 +130,28 @@ class TestLossTv:
             assert grad[vid, ci] == pytest.approx(fd, rel=1e-6, abs=5e-9)
 
 
-def manual_ledger(shape, rows, bins, fids, m1, m2, weight, sigma, dsigma):
+def manual_ledger(mesh, shape, rows, bins, fids, m1, m2, weight, sigma, dsigma):
     z = np.asarray
-    return HitLedger(image_shape=shape, row=z(rows, dtype=np.int64),
-                     range_bin=z(bins, dtype=np.int64), facet_id=z(fids, dtype=np.int64),
-                     m1=z(m1, float), m2=z(m2, float), weight=z(weight, float),
-                     sigma=z(sigma, float), dsigma=np.asarray(dsigma, float))
+    return HitLedger(mesh=mesh, radar=None, range_origin=0.0, image_shape=shape,
+                     row=z(rows, dtype=np.int64), facet_id=z(fids, dtype=np.int64),
+                     m1=z(m1, float), m2=z(m2, float), theta=np.zeros(len(rows)),
+                     weight=z(weight, float), ranges=np.zeros(len(rows)),
+                     range_bin=z(bins, dtype=np.int64), sigma=z(sigma, float),
+                     dsigma=np.asarray(dsigma, float))
 
 
 class TestBackward:
     def test_zero_gradient_image(self, two_facet_mesh):
-        ledger = manual_ledger((2, 3), [0], [1], [0], [0.2], [0.3], [0.5], [1.0],
-                               [[1.0, 2.0, 3.0, 4.0]])
-        grad = backward(ledger, np.zeros((2, 3)), two_facet_mesh)
+        ledger = manual_ledger(two_facet_mesh, (2, 3), [0], [1], [0], [0.2], [0.3], [0.5],
+                               [1.0], [[1.0, 2.0, 3.0, 4.0]])
+        grad = backward(ledger, np.zeros((2, 3)))
         assert not grad.any()
 
     def test_single_hit_chain(self, two_facet_mesh):
-        ledger = manual_ledger((1, 1), [0], [0], [0], [0.5], [0.25], [2.0], [1.0],
-                               [[1.0, 10.0, 100.0, 1000.0]])
+        ledger = manual_ledger(two_facet_mesh, (1, 1), [0], [0], [0], [0.5], [0.25], [2.0],
+                               [1.0], [[1.0, 10.0, 100.0, 1000.0]])
         dLdI = np.array([[3.0]])
-        grad = backward(ledger, dLdI, two_facet_mesh)
+        grad = backward(ledger, dLdI)
         # dL/dsigma = 3 * 2 = 6; vertex weights (0.5, 0.25, 0.25)
         np.testing.assert_allclose(grad[0], 6 * 0.5 * np.array([1, 10, 100, 1000.0]))
         np.testing.assert_allclose(grad[1], 6 * 0.25 * np.array([1, 10, 100, 1000.0]))
@@ -157,10 +159,10 @@ class TestBackward:
         assert not grad[3:].any()
 
     def test_shape_mismatch_rejected(self, two_facet_mesh):
-        ledger = manual_ledger((2, 3), [0], [1], [0], [0.2], [0.3], [0.5], [1.0],
-                               [[1.0, 2.0, 3.0, 4.0]])
+        ledger = manual_ledger(two_facet_mesh, (2, 3), [0], [1], [0], [0.2], [0.3], [0.5],
+                               [1.0], [[1.0, 2.0, 3.0, 4.0]])
         with pytest.raises(ValueError, match="shape"):
-            backward(ledger, np.zeros((2, 4)), two_facet_mesh)
+            backward(ledger, np.zeros((2, 4)))
 
 
 class TestAdamStep:
@@ -494,6 +496,18 @@ class TestLearn:
         assert lines[0] == "iter,total_loss,sim_loss,tv_loss,view_rmse_0"
         assert len(lines) == 1 + res.iterations
 
+    def test_history_csv_header_without_iterations(self, learn_setup, tmp_path):
+        mesh, params, radar = learn_setup
+        ref = render(mesh, params, radar)[0].intensities
+        res = learn(params.copy(), traced(mesh, [(radar, ref)] * 3),
+                    OptimState.create(mesh.num_vertices), CFG_RAW, iters=0,
+                    eval_views=traced(mesh, [(radar, ref)]))
+        assert res.iterations == 0 and res.view_rmse.shape == (0, 3)
+        path = tmp_path / "history.csv"
+        write_history_csv(res, path)
+        assert path.read_text().splitlines() == [
+            "iter,total_loss,sim_loss,tv_loss,view_rmse_0,view_rmse_1,view_rmse_2,eval_rmse_0"]
+
 
 def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=(), seen=None):
     """learn's loop with stopping off, rendering every view on every
@@ -508,7 +522,7 @@ def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=(), seen=None):
             image, ledger = render(mesh, params, radar)
             loss_v, dLdI = loss_sim(image, ref, cfg, num_views=len(refs))
             sim_total += loss_v
-            grads += backward(ledger, dLdI, mesh)
+            grads += backward(ledger, dLdI)
             rmses[vi] = rmse_normalized(image, ref)
         tv_val, tv_grad = loss_tv(params.values, mesh_edges(mesh), cfg.lambda_mat)
         grads += tv_grad
@@ -630,7 +644,7 @@ class TestTraceOnce:
         assert ledger.num_entries == 0 and not image.intensities.any()
         ref = np.ones(image.shape)             # energy the view cannot produce
         _, dLdI = loss_sim(image, ref, CFG_RAW)
-        grad = backward(ledger, dLdI, mesh)
+        grad = backward(ledger, dLdI)
         assert np.isfinite(grad).all() and not grad.any()
 
         seen = []
@@ -922,7 +936,7 @@ class TestGradCheck:
         image, ledger = render(mesh, params, radar)
         ref = image.intensities * 0.5
         _, dLdI = loss_sim(image, ref, CFG_RAW)
-        grad = backward(ledger, dLdI, mesh)
+        grad = backward(ledger, dLdI)
         assert np.abs(grad[:4]).max() > 0.0       # top plate illuminated
         np.testing.assert_array_equal(grad[4:8], np.zeros((4, 4)))
 

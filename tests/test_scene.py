@@ -112,11 +112,12 @@ def interp(mesh, values, m1, m2):
 def adjoint(mesh, m1, m2, d):
     """Interpolation adjoint through learn.backward: a one-hit ledger with
     unit weight, dsigma = d and dL/dI = 1 pulls d back onto the vertices."""
-    ledger = HitLedger(image_shape=(1, 1), row=np.array([0]), range_bin=np.array([0]),
-                       facet_id=np.array([0]), m1=np.array([m1]), m2=np.array([m2]),
-                       weight=np.array([1.0]), sigma=np.array([0.0]),
+    ledger = HitLedger(mesh=mesh, radar=None, range_origin=0.0, image_shape=(1, 1),
+                       row=np.array([0]), facet_id=np.array([0]), m1=np.array([m1]),
+                       m2=np.array([m2]), theta=np.zeros(1), weight=np.array([1.0]),
+                       ranges=np.zeros(1), range_bin=np.array([0]), sigma=np.array([0.0]),
                        dsigma=np.asarray(d, dtype=float)[None, :])
-    return backward(ledger, np.ones((1, 1)), mesh)
+    return backward(ledger, np.ones((1, 1)))
 
 
 class TestInterpolation:
