@@ -159,7 +159,7 @@ def generate_rays(radar: RadarConfig, azimuth_index) -> RayFan:
     1-D int array of rows, concatenated row-major, num_angles * spua rays
     per row.
 
-    Reproducible: each row's jitter stream is seeded by (seed, row).
+    Reproducible: one jitter stream per view, seeded by seed; a row's rays are its slice.
     With spua = 1 jitter is disabled and rays sit at bin centers.
     """
     rows = np.asarray(azimuth_index)
@@ -173,9 +173,8 @@ def generate_rays(radar: RadarConfig, azimuth_index) -> RayFan:
     if spua == 1:
         offsets = np.full((rows.size, n_bins, 1), 0.5)
     else:
-        jitter = [np.random.default_rng((radar.seed, int(r))).random((n_bins, spua))
-                  for r in rows]
-        offsets = (np.arange(spua) + np.reshape(jitter, (rows.size, n_bins, spua))) / spua
+        jitter = np.random.default_rng(radar.seed).random((rows.max(initial=0) + 1, n_bins, spua))
+        offsets = (np.arange(spua) + jitter.take(rows, axis=0)) / spua
     angles = (radar.alpha0 + width * (np.arange(n_bins)[:, None] + offsets)).ravel()
     directions = radar.ray_directions(angles)
     origins = np.repeat(radar.platform_positions()[rows], n_bins * spua, axis=0)
@@ -294,8 +293,8 @@ def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
 
     One generate_rays call makes the rays of every azimuth row, and they
     go to intersect_rays as one batch.
-    Per-row jitter streams are seeded by (seed, row), so the hits depend
-    on the seed only.  By default the range window is [min, max] of the
+    The view's jitter stream is seeded by seed, so the hits depend on
+    the seed only.  By default the range window is [min, max] of the
     hit coordinates (the vertex window when nothing is hit); pass
     range_window=(origin, num_bins) to pin the pixel grid across runs
     (see vertex_range_window); a non-finite origin or a num_bins that is

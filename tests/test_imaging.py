@@ -84,6 +84,47 @@ class TestGenerateRays:
         pair = generate_rays(radar, np.array([4, 1]))
         assert pair.angles.tobytes() == np.concatenate([rows[4].angles, rows[1].angles]).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 20), st.sampled_from([2, 3]),
+           st.one_of(st.just(0), st.integers(0, 2 ** 63 - 1), st.just(np.uint64(2 ** 63))))
+    def test_any_rows_are_slices_of_the_view(self, data, num_azimuth, spua, seed):
+        radar = RadarConfig(
+            wave=WaveConfig(9.6e9), start_pos=[-0.5, 4.0, 4.0], end_pos=[2.5, 4.0, 4.0],
+            num_azimuth=num_azimuth, alpha0=0.6, alpha1=0.95, num_angles=7, range_res=0.1,
+            azimuth_res=0.5, spua=spua, seed=seed)
+        rows = np.array(data.draw(st.lists(st.integers(0, num_azimuth - 1), min_size=1,
+                                           max_size=30)))
+        batch = generate_rays(radar, rows)
+        singles = [generate_rays(radar, int(r)) for r in rows]
+        view = generate_rays(radar, np.arange(num_azimuth))
+        per_row = radar.num_angles * spua
+        picked = (rows[:, None] * per_row + np.arange(per_row)).ravel()
+        for name in ("origins", "directions", "weights", "angles"):
+            got = getattr(batch, name)
+            for expect in (np.concatenate([getattr(f, name) for f in singles]),
+                           getattr(view, name)[picked]):
+                assert got.shape == expect.shape
+                assert got.tobytes() == expect.tobytes(), name
+
+    @pytest.mark.parametrize("spua", [1, 3])
+    def test_no_rows_give_an_empty_fan(self, small_radar, spua):
+        fan = generate_rays(dataclasses.replace(small_radar, spua=spua), np.array([], dtype=int))
+        assert fan.origins.shape == fan.directions.shape == (0, 3)
+        assert fan.weights.shape == fan.angles.shape == (0,)
+
+    @pytest.mark.parametrize("spua, built", [(1, 0), (3, 1)])
+    def test_one_generator_per_call(self, small_radar, monkeypatch, spua, built):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        generate_rays(dataclasses.replace(small_radar, spua=spua), np.arange(6))
+        assert seeds == [small_radar.seed] * built
+
     @pytest.mark.parametrize("index", [True, 1.7, np.array([[0, 1]]), np.array([0.0, 1.0]),
                                        np.array([2, 6]), -1],
                              ids=["bool", "float", "2-d", "float-array", "array-out-of-range",

@@ -415,9 +415,11 @@ class TestLearn:
                                 freeze_channels=("l", "eps_r", "tau"),
                                 tie_groups=[np.arange(mesh.num_vertices)])
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=0.0, normalize=True)
-        res = learn(start, traced(mesh, [(radar, ref.intensities)]), opt, cfg, iters=120,
+        # 120 iterations leave h mid-oscillation, where it lands by the jitter
+        # draw; by 400 it has settled to 0.004 within 1e-7 relative for seeds 0-8
+        res = learn(start, traced(mesh, [(radar, ref.intensities)]), opt, cfg, iters=400,
                     stop_patience=1000)
-        assert res.params.h[0] == pytest.approx(0.004, rel=0.02)
+        assert res.params.h[0] == pytest.approx(0.004, rel=1e-3)
 
     def test_unequal_tied_start_rejected(self, learn_setup):
         mesh, params, radar = learn_setup
