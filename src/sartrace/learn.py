@@ -10,16 +10,21 @@ hits: d(loss)/d(pixel) x quadrature weight x d(sigma)/d(params) x
 barycentric weights, accumulated per vertex in deterministic order.
 
 learn and grad_check stack their traced views once per call: every
-hit's flat pixel index, facet vertex ids, barycentric row, incidence
-angle and weight, concatenated over the views.  A hit is live when its
-facet touches a vertex with an unknown; the others are shaded once, on
-entry, since Adam never writes their vertices.  An iteration is then one
-gather and einsum over the live hits, one BSDF call per distinct wave,
-one np.bincount for every view's pixels, the per-view losses, and one
-np.bincount that pulls the training views' gradient back into per-view
-blocks over the touched vertices.  The blocks are summed in view order,
-so every unknown's gradient is bitwise the one-view-at-a-time sum
-of backward(ledger, dLdI), which reads the mesh from the ledger.
+hit's flat pixel index, facet corner ids, barycentric row and weight,
+the BSDF's angle terms (one scatter.bsdf_angles record per wave), and
+every view's flattened reference with its peak scale per pixel,
+concatenated over the views.  A hit is live when its facet touches a
+vertex with an unknown; the others are shaded once, on entry, since
+Adam never writes their vertices.  An iteration then does only the work
+the table changes: one channel-major scene.interpolate over the live
+hits, one eval_bsdf_at call per distinct wave, one np.bincount for every
+view's pixels, one difference and one square over all of them with one
+sum per view (its loss and its RMSE), dL/dI at the pixels the live
+training hits read, and one np.bincount per channel that pulls it back
+into per-view blocks over the touched vertices.  The blocks are summed
+in view order, so losses, RMSEs and every unknown's gradient are
+bitwise the one-view-at-a-time loss_sim, rmse_normalized and sum of
+backward(ledger, dLdI), which reads the mesh from the ledger.
 
 Adam steps a vector of unknowns: one per channel of a free vertex or of
 a tied vertex group (one shared record, gradients summed over the
@@ -39,8 +44,8 @@ import numpy as np
 from sartrace.imaging import HitLedger, SarImage, range_bin_of
 # the benchmark's traced run wraps this module's `render` by name
 from sartrace.imaging import render  # noqa: F401
-from sartrace.scatter import eval_bsdf_batch
-from sartrace.scene import ParamMap, PARAM_CHANNELS, mesh_edges
+from sartrace.scatter import bsdf_angles, eval_bsdf_at
+from sartrace.scene import ParamMap, PARAM_CHANNELS, interpolate, mesh_edges
 
 # wide physical box: positivity for h and l, eps_r nudged inside 1 so
 # the Fresnel contrast (and with it every gradient) never pins to zero
@@ -250,9 +255,8 @@ def adam_step(state: OptimState, params: ParamMap, grads: np.ndarray) -> ParamMa
     z[log] = np.exp(np.log(x[log]) - lr_t * update[log])
     # untouched unknowns keep their value: log/exp round trips are lossy
     x = np.where(update != 0.0, z, x)
-    for c in range(4):
-        part = slice(state.starts[c], state.starts[c + 1])
-        np.clip(x[part], DEFAULT_LOWER[c], DEFAULT_UPPER[c], out=x[part])
+    counts = state.starts[1:] - state.starts[:-1]
+    np.clip(x, DEFAULT_LOWER.repeat(counts), DEFAULT_UPPER.repeat(counts), out=x)
     np.put(params.values, state.entries, x[state.unknown])
     return params
 
@@ -283,7 +287,7 @@ class LearnResult:
 
 def _checked(views, what: str = "view"):
     """(HitSet, reference array, flat pixel per hit) triples: each reference
-    the traced shape, each hit inside its view's range window."""
+    the traced shape and finite, each hit inside its view's range window."""
     checked = []
     for vi, (hits, ref) in enumerate(views):
         ref = _as_array(ref)
@@ -291,6 +295,10 @@ def _checked(views, what: str = "view"):
             raise ValueError(f"{what} {vi}: rendered shape {hits.image_shape} != "
                              f"reference shape {ref.shape}")
         num_bins = ref.shape[1]
+        if not np.isfinite(ref).all():
+            row, col = divmod(int(np.flatnonzero(~np.isfinite(ref))[0]), num_bins)
+            raise ValueError(f"{what} {vi}: reference pixel (row {row}, bin {col}) is "
+                             f"{float(ref[row, col])}, not a finite intensity")
         bins = range_bin_of(hits.ranges, hits.radar.range_res, hits.range_origin)
         bad = bins[(bins < 0) | (bins >= num_bins)]
         if bad.size:
@@ -299,21 +307,30 @@ def _checked(views, what: str = "view"):
     return checked
 
 
-def _by_wave(waves, wave_id):
-    """(WaveConfig, rows) per wave the hits use; rows = all rows for one wave."""
+def _by_wave(waves, wave_id, theta):
+    """(BsdfAngles, rows) per wave the hits use; rows = all rows for one wave."""
     ids = np.flatnonzero(np.bincount(wave_id, minlength=len(waves)))
     if ids.size == 1:
-        return [(waves[ids[0]], slice(None))]
-    return [(waves[w], np.flatnonzero(wave_id == w)) for w in ids]
+        return [(bsdf_angles(theta, waves[ids[0]]), slice(None))]
+    rows = [np.flatnonzero(wave_id == w) for w in ids]
+    return [(bsdf_angles(theta[r], waves[w]), r) for w, r in zip(ids, rows)]
 
 
-def _shade_hits(bsdf_fn, groups, bary, vids, theta, params: ParamMap):
-    """sigma (h,) and dsigma (h, 4) of hits: one gather and einsum, then
-    one bsdf_fn call per wave."""
-    values = np.einsum("nj,njc->nc", bary, params.values.take(vids, axis=0))
-    sigma, dsigma = np.empty(theta.size), np.empty((theta.size, 4))
-    for wave, rows in groups:
-        sigma[rows], dsigma[rows] = (bsdf_fn or eval_bsdf_batch)(theta[rows], values[rows], wave)
+def _shade_hits(bsdf_fn, groups, corners, bary, params: ParamMap):
+    """sigma (h,) and channel-major dsigma (4, h) of hits: one interpolation,
+    then one BSDF call per wave group.  bsdf_fn, if given, is called in
+    eval_bsdf_at's place with eval_bsdf_batch's arguments."""
+    values = interpolate(params.values, corners, bary).T      # (h, 4), contiguous channels
+    shaded = [(rows, eval_bsdf_at(angles, values[rows]) if bsdf_fn is None
+               else bsdf_fn(angles.theta, values[rows], angles.wave))
+              for angles, rows in groups]
+    if len(shaded) == 1:
+        sigma, grads = shaded[0][1]
+        return sigma, grads.T
+    sigma, dsigma = np.empty(values.shape[0]), np.empty((4, values.shape[0]))
+    for rows, (part, grads) in shaded:
+        sigma[rows] = part
+        dsigma[:, rows] = grads.T
     return sigma, dsigma
 
 
@@ -324,20 +341,21 @@ class _Stack:
     touches a vertex with an unknown, are shaded per iteration; the others
     keep the intensity shaded when the stack was built."""
 
-    refs: list                    # reference arrays
-    spans: np.ndarray             # (views + 1,) view v owns pixels spans[v]:spans[v + 1]
+    ref: np.ndarray               # (P,) every view's reference, flattened, end to end
+    scale: np.ndarray             # (P,) its view's reference peak, 1 where the peak is <= 0
+    spans: list                   # views + 1 ints: view v owns pixels spans[v]:spans[v + 1]
     num_train: int
     pixel: np.ndarray             # (H,) flat pixel of every hit
     intensity: np.ndarray         # (H,) weight * sigma, filled in for the frozen hits
     live: np.ndarray              # (L,) positions of the live hits
-    vids: np.ndarray              # (L, 3) their facets' vertex ids
+    corners: np.ndarray           # (3, L) their facet corners' vertex ids
     bary: np.ndarray              # (L, 3) their barycentric rows (m1, m2, 1 - m1 - m2)
-    theta: np.ndarray             # (L,)
     weight: np.ndarray            # (L,)
-    groups: list                  # (WaveConfig, live rows) per distinct wave
+    groups: list                  # (BsdfAngles, live rows) per distinct wave
     train_pixel: np.ndarray       # (Lt,) pixel of each live hit of a training view
+    train_counts: np.ndarray      # (views,) how many of those each training view has
     touched: np.ndarray           # (T,) vertices with unknowns that those hits reach
-    slot: np.ndarray              # (Lt * 12,) adjoint bin (view * T + touched) * 4 + channel
+    slot: np.ndarray              # (Lt * 3,) adjoint bin view * T + touched of each corner
     edges: np.ndarray             # (E, 2) the mesh's edges, the TV term's pairs
 
 
@@ -358,7 +376,8 @@ def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
     def cat(arrays, empty=np.zeros(0)):
         return np.concatenate(list(arrays) + [empty])
 
-    spans = np.cumsum([0] + [ref.size for _, ref, _ in views])
+    refs = [ref for _, ref, _ in views]
+    spans = np.cumsum([0] + [ref.size for ref in refs]).tolist()
     counts = [hits.row.size for hits in hitsets]
     pixel = cat((pix + lo for (_, _, pix), lo in zip(views, spans)), np.zeros(0, np.int64))
     vids = cat((hits.mesh.facets.take(hits.facet_id, axis=0) for hits in hitsets),
@@ -379,8 +398,8 @@ def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
     intensity = np.zeros(pixel.size)
     if frozen.size:
         intensity[frozen] = weight[frozen] * _shade_hits(
-            None, _by_wave(waves, wave_id[frozen]), bary[frozen], vids[frozen],
-            theta[frozen], params)[0]
+            None, _by_wave(waves, wave_id[frozen], theta[frozen]), vids[frozen].T,
+            bary[frozen].T, params)[0]
 
     train = live[:np.searchsorted(live, sum(counts[:num_train]))]
     corner = vids[train]
@@ -390,53 +409,64 @@ def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
     slot = np.where(reach[train], view_id[train, None] * touched.size
                     + np.searchsorted(touched, corner), num_train * touched.size)
     return _Stack(
-        refs=[ref for _, ref, _ in views], spans=spans, num_train=num_train, pixel=pixel,
-        intensity=intensity, live=live, vids=vids[live], bary=bary[live], theta=theta[live],
-        weight=weight[live], groups=_by_wave(waves, wave_id[live]),
-        train_pixel=pixel[train], touched=touched,
-        slot=(slot[:, :, None] * 4 + np.arange(4)).ravel(),
+        ref=cat(ref.ravel() for ref in refs),
+        scale=np.repeat([ref.max(initial=0.0) or 1.0 for ref in refs], np.diff(spans)),
+        spans=spans, num_train=num_train, pixel=pixel, intensity=intensity, live=live,
+        corners=np.ascontiguousarray(vids[live].T), bary=bary[live], weight=weight[live],
+        groups=_by_wave(waves, wave_id[live], theta[live]), train_pixel=pixel[train],
+        train_counts=np.bincount(view_id[train], minlength=num_train), touched=touched,
+        slot=slot.ravel(),
         edges=mesh_edges(hitsets[0].mesh) if hitsets else np.zeros((0, 2), np.int64))
 
 
 def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None,
                loss_only: bool = False):
     """One learn iteration: (total, sim, tv, d(total)/d(params), per-view
-    RMSE), or the total alone when loss_only.  Views' data terms are summed
-    in order, then the TV term.  The gradient is exact at every vertex with
-    an unknown; elsewhere it holds the TV term only."""
-    sigma, dsigma = _shade_hits(bsdf_fn, stack.groups, stack.bary, stack.vids, stack.theta,
-                                params)
+    RMSE), or the total alone when loss_only.  Bitwise the per-view
+    loss_sim and rmse_normalized, with views' data terms summed in order,
+    then the TV term.  The gradient is exact at every vertex with an
+    unknown; elsewhere it holds the TV term only."""
+    sigma, dsigma = _shade_hits(bsdf_fn, stack.groups, stack.corners, stack.bary.T, params)
     intensity = stack.intensity.copy()
     intensity[stack.live] = stack.weight * sigma
     image = np.bincount(stack.pixel, weights=intensity, minlength=stack.spans[-1])
 
-    sim = 0.0
-    rmses = np.zeros(len(stack.refs))
-    dLdI = np.empty(stack.spans[stack.num_train])
-    for vi, ref in enumerate(stack.refs):
-        lo, hi = stack.spans[vi], stack.spans[vi + 1]
-        view = image[lo:hi].reshape(ref.shape)
+    # every view's difference and square at once, then one sum per view
+    # (np.sum's reduction) for its RMSE and its loss; the loss takes the
+    # unscaled difference unless cfg.normalize
+    spans = stack.spans[:stack.num_train + 1] if loss_only else stack.spans
+    diff = image[:spans[-1]] - stack.ref[:spans[-1]]
+    scaled = diff / stack.scale[:spans[-1]]
+    square = scaled * scaled
+    rmses, sim, coef = np.empty(len(spans) - 1), 0.0, []
+    for vi, (lo, hi) in enumerate(zip(spans, spans[1:])):
+        total = np.add.reduce(square[lo:hi])
+        rmses[vi] = math.sqrt(total / (hi - lo))
         if vi < stack.num_train:
-            loss_v, grad_v = loss_sim(view, ref, cfg, num_views=stack.num_train)
-            sim += loss_v
-            dLdI[lo:hi] = grad_v.ravel()
-        if not loss_only:
-            rmses[vi] = rmse_normalized(view, ref)
+            norm = cfg.lambda_sim / (stack.num_train * (hi - lo))
+            sim += norm * float(total if cfg.normalize
+                                else np.add.reduce(diff[lo:hi] * diff[lo:hi]))
+            coef.append(2.0 * norm)
     tv, grads = loss_tv(params.values, stack.edges, cfg.lambda_mat)
     if loss_only:
         return sim + tv
 
-    # backward over the training views' live hits, each view into its own block
-    num = stack.train_pixel.size
-    g_sigma = dLdI.take(stack.train_pixel) * stack.weight[:num]
-    contrib = g_sigma[:, None] * dsigma[:num]
-    scatter = stack.bary[:num, :, None] * contrib[:, None, :]      # (Lt, 3, 4)
-    size = stack.touched.size * 4
-    blocks = np.bincount(stack.slot, weights=scatter.ravel(), minlength=stack.num_train * size + 4)
-    adjoint = np.zeros(size)
+    # dL/dI at the pixels the training views' live hits read, then backward
+    # over those hits, each view into its own block
+    pixel = stack.train_pixel
+    num = pixel.size
+    dLdI = np.repeat(coef, stack.train_counts) * (scaled if cfg.normalize else diff).take(pixel)
+    if cfg.normalize:
+        dLdI /= stack.scale.take(pixel)
+    g_sigma = dLdI * stack.weight[:num]
+    size = stack.touched.size
+    bary = stack.bary[:num]
+    blocks = np.stack([np.bincount(stack.slot, (bary * (g_sigma * d[:num])[:, None]).ravel(),
+                                   stack.num_train * size + 1) for d in dsigma])
+    adjoint = np.zeros((4, size))
     for vi in range(stack.num_train):           # the views' sums in order, as one view at a time
-        adjoint += blocks[vi * size:(vi + 1) * size]
-    grads[stack.touched] += adjoint.reshape(-1, 4)
+        adjoint += blocks[:, vi * size:(vi + 1) * size]
+    grads[stack.touched] += adjoint.T
     return sim + tv, sim, tv, grads, rmses
 
 
@@ -450,8 +480,9 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
     only.  Runs at most `iters` steps, stopping early once the mean
     training RMSE improves by less than _STOP_TOL over stop_patience
     iterations.  A non-finite loss aborts and returns the last
-    finite-loss table.  On entry, a view whose range window leaves out
-    a hit raises ValueError naming the view and the bin; then
+    finite-loss table.  On entry, a view whose reference holds a NaN or
+    inf pixel, or whose range window leaves out a hit, raises ValueError
+    naming the view and the (row, bin) or the bin; then
     opt.project runs (a tied group whose members start with different
     values raises ValueError) and the views are stacked: hits that
     touch no vertex with an unknown are shaded once, and only the

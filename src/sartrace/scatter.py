@@ -23,6 +23,14 @@ identical for HH and VV.  All partial derivatives w.r.t. (h, l, eps_r,
 tau) are analytic and are validated against central finite differences
 in the test suite.
 
+eval_bsdf_batch(theta, values, wave) is the composition of two parts.
+bsdf_angles computes the terms of the incidence angles alone into a
+BsdfAngles record: cos, cos^2, sin^2 and cos^4 of theta, the SPM
+frequency q = 2 k sin(theta) and its factor in dlog(W)/dl, tan^2 and the
+SPM prefactor 8 k^4 cos^4.  eval_bsdf_at evaluates sigma and its
+partials from a record and the parameter rows.  A caller that shades
+fixed hits under many parameter tables (learn) builds the record once.
+
 Each branch holds only inside its own roughness region.  validity_mask
 reports these seven conditions per hit, one column each in this order
 (VALIDITY_CONDITIONS); "much less than one" reads as < 0.3, the scale
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,44 +101,76 @@ class WaveConfig:
         return 2.0 * math.pi * self.frequency / SPEED_OF_LIGHT
 
 
+class BsdfAngles(NamedTuple):
+    """eval_bsdf_batch's angle part for a batch of hits under one wave:
+    every term the kernel computes from the incidence angles alone.  A
+    caller that shades the same hits under many parameter tables builds it
+    once and calls eval_bsdf_at per table."""
+
+    wave: WaveConfig
+    theta: np.ndarray   # (n,) local incidence angles
+    ct: np.ndarray      # cos(theta)
+    cc: np.ndarray      # cos^2(theta)
+    s2: np.ndarray      # sin^2(theta)
+    c4: np.ndarray      # cos^4(theta)
+    q: np.ndarray       # 2 k sin(theta), the backscatter spatial frequency
+    qq: np.ndarray      # the factor of l in dlog(W)/dl: q^2 (gaussian) or 2 q^2 (exponential)
+    tan2: np.ndarray    # tan^2(theta)
+    pref: np.ndarray    # 8 k^4 cos^4(theta), the SPM prefactor
+
+
+def bsdf_angles(theta, wave: WaveConfig) -> BsdfAngles:
+    """The angle terms of hits at local incidence angles theta (n,)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    k = wave.wavenumber
+    ct = np.cos(theta)
+    st = np.sin(theta)
+    c4 = ct ** 4
+    q = 2.0 * k * st
+    return BsdfAngles(wave=wave, theta=theta, ct=ct, cc=ct * ct, s2=st * st, c4=c4, q=q,
+                      qq=q * q if wave.psd_kind == "gaussian" else 2.0 * q * q,
+                      tan2=(st / ct) ** 2, pref=8.0 * k ** 4 * c4)
+
+
 def eval_bsdf_batch(theta, values, wave: WaveConfig):
     """Blended sigma and analytic gradients for a batch of hits.
 
     theta: (n,) local incidence angles; values: (n, 4) parameter rows
     (h, l, eps_r, tau).  Returns (sigma (n,), grads (n, 4)).
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    return eval_bsdf_at(bsdf_angles(theta, wave), values)
+
+
+def eval_bsdf_at(angles: BsdfAngles, values):
+    """eval_bsdf_batch's parameter part: (sigma (n,), grads (n, 4)) of the
+    hits whose angle terms are `angles`, at parameter rows values (n, 4).
+    grads is the transpose of a (4, n) array: each channel is contiguous."""
     values = np.asarray(values, dtype=np.float64)
     h = values[:, 0]
     l = values[:, 1]
     eps = values[:, 2]
     tau = values[:, 3]
-
-    k = wave.wavenumber
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    c4 = ct ** 4
+    ct, c4, q, qq, pref = angles.ct, angles.c4, angles.q, angles.qq, angles.pref
 
     # --- SPM branch ------------------------------------------------
-    q = 2.0 * k * st                      # backscatter spatial frequency
-    if wave.psd_kind == "gaussian":
+    if angles.wave.psd_kind == "gaussian":
         w = (h * h * l * l / (4.0 * math.pi)) * np.exp(-(q * l) ** 2 / 4.0)
-        dw_dl_over_w = 2.0 / l - q * q * l / 2.0
+        dw_dl_over_w = 2.0 / l - qq * l / 2.0
     else:
         denom = 1.0 + (q * l) ** 2
         w = h * h * l * l / (math.pi ** 2 * denom)
-        dw_dl_over_w = 2.0 / l - 2.0 * q * q * l / denom
+        dw_dl_over_w = 2.0 / l - qq * l / denom
 
-    s2 = st * st
     # eps - sin^2 written as (eps - 1) + cos^2: exactly cos(theta) at eps = 1,
     # where eps - s2 rounds to 0 within ~1e-9 of grazing
-    root = np.sqrt((eps - 1.0) + ct * ct)
-    if wave.polarization == "HH":
+    root = np.sqrt((eps - 1.0) + angles.cc)
+    if angles.wave.polarization == "HH":
         r = (ct - root) / (ct + root)
         f = r * r
         # dr/deps = -ct / (root (ct + root)^2)
         df_deps = 2.0 * r * (-ct / (root * (ct + root) ** 2))
     else:
+        s2 = angles.s2
         a_num = (eps - 1.0) * (s2 - eps * ct * ct)
         b_den = (eps * ct + root) ** 2
         g = a_num / b_den
@@ -138,7 +179,6 @@ def eval_bsdf_batch(theta, values, wave: WaveConfig):
         db = 2.0 * (eps * ct + root) * (ct + 1.0 / (2.0 * root))
         df_deps = 2.0 * g * (da * b_den - a_num * db) / b_den ** 2
 
-    pref = 8.0 * k ** 4 * c4
     sig_s = pref * w * f
     ds_dh = 2.0 * sig_s / h
     ds_dl = sig_s * dw_dl_over_w
@@ -148,7 +188,7 @@ def eval_bsdf_batch(theta, values, wave: WaveConfig):
     a = 4.0 * h * h / (l * l)            # 2 * mean-square slope
     rt = np.sqrt(eps)
     r0 = (1.0 - rt) / (1.0 + rt)
-    tan2 = (st / ct) ** 2
+    tan2 = angles.tan2
     g_geom = np.exp(-tan2 / a) / (c4 * a)
     sig_k = r0 * r0 * g_geom
     dk_da = sig_k * (tan2 / a - 1.0) / a
@@ -164,8 +204,8 @@ def eval_bsdf_batch(theta, values, wave: WaveConfig):
         (1.0 - tau) * ds_dl + tau * dk_dl,
         (1.0 - tau) * ds_deps + tau * dk_deps,
         sig_k - sig_s,
-    ], axis=1)
-    return sigma, grads
+    ])
+    return sigma, grads.T
 
 
 VALIDITY_CONDITIONS = ("spm_kh", "spm_k3h2l", "spm_slope", "ka_kl", "ka_rayleigh",

@@ -237,13 +237,29 @@ def load_param_map(path) -> ParamMap:
     return ParamMap(np.asarray(rows, dtype=np.float64))
 
 
+def interpolate(values: np.ndarray, corners: np.ndarray, bary) -> np.ndarray:
+    """Channel-major barycentric interpolation -> (4, n): row c holds
+    channel c at the n hits.
+
+    corners: (3, n) vertex ids of the hits' facet corners; bary: (3, n)
+    corner weights.  Three row gathers from the table, summed as
+    (b0 v0 + b1 v1) + b2 v2: bitwise np.einsum("nj,njc->nc") unless all
+    three products are -0.0 (einsum, which starts from +0.0, gives +0.0).
+    """
+    v0, v1, v2 = (values.take(ids, axis=0).T for ids in corners)    # (4, n) views
+    out = np.multiply(bary[0], v0, order="C")
+    out += np.multiply(bary[1], v1, order="C")
+    out += np.multiply(bary[2], v2, order="C")
+    return out
+
+
 def interpolate_at_hits(mesh: Mesh, values: np.ndarray, facet_ids: np.ndarray,
                         m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Vectorized interpolation for a batch of hits -> (n_hits, 4).
+    """Vectorized interpolation for a batch of hits -> (n_hits, 4), the
+    transpose of interpolate's channel-major result.
 
     Hot path: assumes weights already lie in the simplex (they come
     straight from the intersector).
     """
-    vids = mesh.facets.take(facet_ids, axis=0)     # (n, 3)
-    w = np.stack([m1, m2, 1.0 - m1 - m2], axis=1)  # (n, 3)
-    return np.einsum("nj,njc->nc", w, values.take(vids, axis=0))
+    corners = mesh.facets.take(facet_ids, axis=0).T    # (3, n)
+    return interpolate(values, corners, (m1, m2, 1.0 - m1 - m2)).T

@@ -452,6 +452,23 @@ class TestLearnCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "learned").exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_reference_pixel_exits_2_and_writes_nothing(self, workdir, capsys,
+                                                                     value):
+        refs = self.render_refs(workdir)
+        raw = bytearray(open(refs[1], "rb").read())
+        data, _ = read_raster(refs[1])
+        start = raw.index(b"\n") + 1 + (1 * data.shape[1] + 2) * 4     # row 1, bin 2
+        raw[start:start + 4] = np.array([value], dtype="<f4").tobytes()
+        open(refs[1], "wb").write(bytes(raw))
+        capsys.readouterr()
+        rc = main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs
+                  + ["--out", "learned"])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: view 1: reference pixel (row 1, bin 2) "
+                                           f"is {value}, not a finite intensity\n")
+        assert not (workdir / "learned").exists()
+
     def test_reference_shape_mismatch_writes_nothing(self, workdir):
         refs = self.render_refs(workdir)
         (workdir / "wide.ini").write_text(CONFIG.replace("range_res = 0.1", "range_res = 0.05"))

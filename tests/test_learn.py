@@ -14,7 +14,7 @@ from sartrace.imaging import HitLedger, RadarConfig, render, trace
 from sartrace.learn import (DEFAULT_LOWER, DEFAULT_UPPER, LossConfig, OptimState, adam_step,
                             backward, grad_check, learn, loss_sim, loss_tv, rmse_normalized,
                             write_history_csv)
-from sartrace.scatter import WaveConfig, eval_bsdf_batch
+from sartrace.scatter import WaveConfig, eval_bsdf_at, eval_bsdf_batch
 from sartrace.scene import PARAM_CHANNELS, Mesh, ParamMap, mesh_edges
 from sartrace.scenes import (building_scene, cube_plane_scene, merge_meshes, plane_mesh,
                              side_looking_radar)
@@ -387,6 +387,41 @@ def test_adam_step_matches_full_table_oracle(kwargs, tweak):
     assert not np.array_equal(params.values, start)
 
 
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({}, id="all-free"),
+    pytest.param(dict(tie_groups=[range(2, 12)]), id="tied-group"),
+    pytest.param(dict(freeze_channels=("l",), freeze_vertices=[0, 13]), id="frozen"),
+])
+def test_one_clip_matches_per_channel_bounds_outside_the_box(kwargs):
+    """Start values outside the box on both sides of every channel, and
+    gradients that vanish at some entries: after every step each unknown's
+    entries are bitwise the oracle's per-channel clip of the full table, and
+    frozen entries keep their out-of-box values (adam_step writes unknowns
+    only)."""
+    n = 16
+    rng = np.random.default_rng(8)
+    start = np.column_stack([10.0 ** rng.uniform(-9, 0.5, n), 10.0 ** rng.uniform(-9, 1.5, n),
+                             rng.uniform(0.5, 2e4, n), rng.uniform(-0.5, 1.5, n)])
+    start[1] = [2.0, 20.0, 0.5, -0.0]          # above, above, below the box; signed zero
+    start[13] = [1e-9, 1e-9, 3e4, 1.5]
+    for members in kwargs.get("tie_groups", ()):
+        start[list(members)] = start[members[0]]
+    params, want = ParamMap(start.copy()), start.copy()
+    state, oracle = OptimState.create(n, **kwargs), oracle_state(n, **kwargs)
+    moved = np.isin(np.arange(4 * n), state.entries).reshape(n, 4)
+    assert (~moved).any() == bool(kwargs.get("freeze_channels"))
+    for _ in range(5):
+        grads = rng.normal(size=(n, 4))
+        grads[rng.random((n, 4)) < 0.3] = 0.0
+        adam_step(state, params, grads)
+        oracle_adam_step(oracle, want, grads)
+        assert params.values[moved].tobytes() == want[moved].tobytes()
+        assert params.values[~moved].tobytes() == start[~moved].tobytes()
+    box = np.broadcast_to(DEFAULT_LOWER, (n, 4)), np.broadcast_to(DEFAULT_UPPER, (n, 4))
+    assert ((params.values >= box[0]) & (params.values <= box[1]))[moved].all()
+    assert not ((start >= box[0]) & (start <= box[1])).all(axis=0).any()
+
+
 @pytest.fixture
 def learn_setup(two_facet_mesh, small_radar):
     params = ParamMap.constant(two_facet_mesh.num_vertices, 0.004, 0.02, 9.0, 0.3)
@@ -450,16 +485,42 @@ class TestLearn:
                   eval_views=row)
 
     def test_non_finite_loss_aborts_with_last_good(self, learn_setup):
+        """A finite reference whose squared error overflows: the loss is inf."""
         mesh, params, radar = learn_setup
         ref, _ = render(mesh, params, radar)
         bad = ref.intensities.copy()
-        bad[0, 0] = np.nan
+        bad[0, 0] = 1e300
         before = params.values.copy()
         opt = OptimState.create(mesh.num_vertices)
-        res = learn(params, traced(mesh, [(radar, bad)]), opt, CFG_RAW, iters=3)
+        with np.errstate(over="ignore"):
+            res = learn(params, traced(mesh, [(radar, bad)]), opt, CFG_RAW, iters=3)
         assert res.aborted
         assert res.iterations == 1
         np.testing.assert_array_equal(res.params.values, before)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_pixel_rejected_on_entry(self, learn_setup, monkeypatch,
+                                                          value):
+        """A NaN or inf reference pixel is named by view and (row, bin) before
+        any shading, whether it sits in a training view, an eval view or a
+        grad_check view."""
+        mesh, params, radar = learn_setup
+        good = traced(mesh, [(radar, render(mesh, params, radar)[0].intensities)])[0]
+        bad_ref = good[1].copy()
+        bad_ref[2, 3] = value
+        bad = (good[0], bad_ref)
+        calls = RecordedCalls(monkeypatch)
+        before = params.values.copy()
+        message = rf"view 1: reference pixel \(row 2, bin 3\) is {value}, not a finite intensity"
+        with pytest.raises(ValueError, match="^" + message):
+            learn(params, [good, bad], OptimState.create(mesh.num_vertices), CFG_RAW, iters=2)
+        with pytest.raises(ValueError, match="^eval " + message):
+            learn(params, [good], OptimState.create(mesh.num_vertices), CFG_RAW, iters=2,
+                  eval_views=[good, bad])
+        with pytest.raises(ValueError, match="^" + message):
+            grad_check(params, [good, bad], CFG_RAW, num_probes=2)
+        assert calls.events == []
+        np.testing.assert_array_equal(params.values, before)
 
     def test_eval_refs_scored_not_trained(self, learn_setup):
         mesh, params, radar = learn_setup
@@ -668,22 +729,23 @@ class TestTraceOnce:
 
 
 class RecordedCalls:
-    """Wraps learn's BSDF and adam_step with recorders: events lists
-    ("bsdf", theta) and ("adam", gradient table) in call order."""
+    """Wraps learn's BSDF (its parameter part, eval_bsdf_at) and adam_step
+    with recorders: events lists ("bsdf", theta of the angle record) and
+    ("adam", gradient table) in call order."""
 
     def __init__(self, monkeypatch):
         self.events = []
         step = learn_mod.adam_step
 
-        def recorded_bsdf(theta, values, wave):
-            self.events.append(("bsdf", theta.copy()))
-            return eval_bsdf_batch(theta, values, wave)
+        def recorded_bsdf(angles, values):
+            self.events.append(("bsdf", angles.theta.copy()))
+            return eval_bsdf_at(angles, values)
 
         def recorded_step(opt, table, grads):
             self.events.append(("adam", grads.copy()))
             return step(opt, table, grads)
 
-        monkeypatch.setattr(learn_mod, "eval_bsdf_batch", recorded_bsdf)
+        monkeypatch.setattr(learn_mod, "eval_bsdf_at", recorded_bsdf)
         monkeypatch.setattr(learn_mod, "adam_step", recorded_step)
 
     def iterations(self):
@@ -697,6 +759,46 @@ class RecordedCalls:
                 out.append((thetas, value))
                 thetas = []
         return out
+
+
+class TestStackedLoss:
+    """One learn objective takes one difference and one square over every
+    view's pixels: its loss, RMSEs and dL/dI are bitwise the per-view
+    loss_sim and rmse_normalized, and loss_sim's gradient pulled back
+    through backward."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_matches_per_view_loss_sim_and_rmse(self, learn_setup, normalize):
+        mesh, truth, radar = learn_setup
+        other = dataclasses.replace(radar, end_pos=[2.2, 4.0, 4.0], seed=9)
+        train = [(radar, render(mesh, truth, radar)[0].intensities),
+                 (other, np.zeros(render(mesh, truth, other)[0].shape)),     # all-zero
+                 (dataclasses.replace(radar, seed=4),
+                  3.0 * render(mesh, truth, dataclasses.replace(radar, seed=4))[0].intensities)]
+        evals = [(other, render(mesh, truth, other)[0].intensities),
+                 (radar, np.zeros(render(mesh, truth, radar)[0].shape))]
+        params = truth.copy()
+        params.values[3:, 0] *= 1.6
+        params.values[:, 2] += np.arange(mesh.num_vertices)
+        cfg = LossConfig(lambda_sim=0.7, lambda_mat=0.0, normalize=normalize)
+
+        views = learn_mod._checked(traced(mesh, train))
+        eval_views = learn_mod._checked(traced(mesh, evals), "eval view")
+        stack = learn_mod._stack(params, views + eval_views, len(views))
+        total, sim, tv, grads, rmses = learn_mod._objective(stack, params, cfg)
+
+        want_sim, want_grads, want_rmses = 0.0, np.zeros_like(params.values), []
+        for r, ref in train:
+            image, ledger = render(mesh, params, r)
+            loss_v, dLdI = loss_sim(image, ref, cfg, num_views=len(train))
+            want_sim += loss_v
+            want_grads += backward(ledger, dLdI)
+            want_rmses.append(rmse_normalized(image, ref))
+        want_rmses += [rmse_normalized(render(mesh, params, r)[0], ref) for r, ref in evals]
+        assert (total, sim, tv) == (want_sim, want_sim, 0.0) and sim > 0.0
+        assert rmses.tobytes() == np.array(want_rmses).tobytes()
+        assert grads.tobytes() == want_grads.tobytes() and np.abs(grads).max() > 0.0
+        assert learn_mod._objective(stack, params, cfg, loss_only=True) == total
 
 
 def _on_facets(hits, facets):
@@ -797,13 +899,13 @@ class TestStackedObjective:
         params.values[3:, 3] = 0.05          # facet 1's, free
         ref = render(mesh, params, radar)[0].intensities * 1.1
 
-        def nan_partials(theta, values, wave):
-            sigma, grads = eval_bsdf_batch(theta, values, wave)
+        def nan_partials(angles, values):
+            sigma, grads = eval_bsdf_at(angles, values)
             on_facet_0 = values[:, 3] > 0.2
             grads[on_facet_0 if nan_facet == 0 else ~on_facet_0] = np.nan
             return sigma, grads
 
-        monkeypatch.setattr(learn_mod, "eval_bsdf_batch", nan_partials)
+        monkeypatch.setattr(learn_mod, "eval_bsdf_at", nan_partials)
         opt = OptimState.create(mesh.num_vertices, freeze_vertices=[0, 1, 2])
         before = params.values.copy()
         views = traced(mesh, [(radar, ref)])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sartrace.scatter import (SPEED_OF_LIGHT, VALIDITY_CONDITIONS, WaveConfig,
-                              eval_bsdf_batch, validity_mask)
+from sartrace.scatter import (SPEED_OF_LIGHT, VALIDITY_CONDITIONS, WaveConfig, bsdf_angles,
+                              eval_bsdf_at, eval_bsdf_batch, validity_mask)
 
 WAVE = WaveConfig(9.6e9, "HH", "gaussian")
 K = WAVE.wavenumber
@@ -360,3 +360,31 @@ def test_box_corners_at_grazing_and_normal_incidence(pol, kind):
         mask = validity_mask(theta, values, wave)
     assert np.all(np.isfinite(sigma)) and np.all(np.isfinite(grads))
     assert mask.dtype == bool and mask.shape == (len(theta), 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 30),
+       st.sampled_from(["HH", "VV"]), st.sampled_from(["gaussian", "exponential"]))
+def test_angle_record_serves_many_tables_and_any_split(seed, n, pol, kind):
+    """One angle record shades the same hits under several tables, and
+    records of a split of the hits (learn's per-wave groups) shade their
+    rows, bitwise as eval_bsdf_batch; the record is left as it was and each
+    gradient channel is contiguous."""
+    rng = np.random.default_rng(seed)
+    wave = WaveConfig(9.6e9, pol, kind)
+    theta = rng.uniform(0.0, 1.53, n)
+    angles = bsdf_angles(theta, wave)
+    before = {name: getattr(angles, name).copy() for name in angles._fields if name != "wave"}
+    rows = rng.random(n) < 0.5
+    for _ in range(3):
+        values = np.column_stack([10.0 ** rng.uniform(-7, 0, n), 10.0 ** rng.uniform(-7, 1, n),
+                                  1.0 + 10.0 ** rng.uniform(-6, 4, n), rng.random(n)])
+        sigma, grads = eval_bsdf_batch(theta, values, wave)
+        got_sigma, got_grads = eval_bsdf_at(angles, values)
+        assert got_sigma.tobytes() == sigma.tobytes() and got_grads.tobytes() == grads.tobytes()
+        assert got_grads.shape == (n, 4) and got_grads.T.flags.c_contiguous
+        for part in (rows, ~rows):
+            part_sigma, part_grads = eval_bsdf_at(bsdf_angles(theta[part], wave), values[part])
+            assert part_sigma.tobytes() == sigma[part].tobytes()
+            assert part_grads.tobytes() == grads[part].tobytes()
+    assert all(getattr(angles, name).tobytes() == v.tobytes() for name, v in before.items())

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sartrace.imaging import HitLedger
 from sartrace.learn import backward
-from sartrace.scene import (Mesh, MeshError, ParamMap, interpolate_at_hits,
+from sartrace.scene import (Mesh, MeshError, ParamMap, interpolate, interpolate_at_hits,
                             load_mesh, load_param_map, mesh_edges, save_param_map, write_obj)
 from sartrace.scenes import box_mesh, building_scene, cube_plane_scene
 
@@ -274,3 +274,33 @@ class TestParamMap:
         pm = ParamMap.constant(5, 0.001, 0.01, 2.0, 0.5)
         assert pm.num_vertices == 5
         pm.validate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 40), num_vertices=st.integers(1, 9),
+       zero_channels=st.sets(st.integers(0, 3)))
+@example(seed=0, n=0, num_vertices=1, zero_channels=set())
+@example(seed=1, n=1, num_vertices=1, zero_channels={0, 1, 2, 3})
+def test_interpolate_is_bitwise_einsum(seed, n, num_vertices, zero_channels):
+    """The channel-major kernel, and interpolate_at_hits through it, equal
+    np.einsum("nj,njc->nc") bitwise on simplex weights, values over twelve
+    decades and zero-valued channels and entries."""
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-6, 6, (num_vertices, 4))
+    values[:, sorted(zero_channels)] = 0.0
+    values[rng.random(values.shape) < 0.2] = 0.0
+    vids = rng.integers(num_vertices, size=(n, 3))
+    m1 = rng.random(n)
+    m1[rng.random(n) < 0.2] = 0.0                       # weights exactly 0 or 1
+    m1[rng.random(n) < 0.1] = 1.0
+    m2 = (1.0 - m1) * rng.random(n)
+    bary = np.stack([m1, m2, 1.0 - m1 - m2], axis=1)
+    want = np.einsum("nj,njc->nc", bary, values.take(vids, axis=0))
+    got = interpolate(values, vids.T, bary.T)
+    assert got.shape == (4, n) and got.flags.c_contiguous
+    assert got.T.tobytes() == want.tobytes()
+
+    mesh = Mesh(vertices=np.zeros((num_vertices, 3)), facets=vids,
+                facet_normals=np.zeros((n, 3)))
+    batch = interpolate_at_hits(mesh, values, np.arange(n), m1, m2)
+    assert batch.shape == (n, 4) and batch.tobytes() == want.tobytes()
