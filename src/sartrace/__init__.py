@@ -4,8 +4,9 @@ Forward path: triangle mesh + per-vertex roughness/permittivity table
 -> ray fans along a linear trajectory -> nearest-hit intersection ->
 two-scale (KA + SPM) backscatter per hit -> one np.bincount over the
 (azimuth row, range bin) pixel index into an azimuth x range intensity
-image.  trace does the geometry of a view once, shade the per-table
-rest, and render is shade(trace(...)).
+image.  trace_views does the geometry of a list of views once, as one
+ray batch, and shade_views the per-table rest; trace and shade are
+their one-view forms, and render is shade(trace(...)).
 
 Inverse path: image-space MSE (+ total variation over mesh edges) is pulled
 back through the recorded hit ledger to per-vertex parameter gradients
@@ -21,7 +22,7 @@ from sartrace.accel import Bvh, build_bvh
 from sartrace.scatter import WaveConfig, SPEED_OF_LIGHT, VALIDITY_CONDITIONS, validity_mask
 from sartrace.imaging import (
     RadarConfig, MapFrame, SarImage, HitLedger, HitSet, RayFan,
-    generate_rays, bin_ranges_fast, render, trace, shade,
+    generate_rays, bin_ranges_fast, render, trace, shade, trace_views, shade_views,
     write_pgm, write_raster, read_raster,
 )
 from sartrace.learn import (

@@ -11,7 +11,10 @@ at a time: each cross and dot product is a few elementwise numpy ops on
 the x, y and z views of its operands.  `intersect_rays` finds nearest
 hits one ray batch at a time, by one of two paths that share `_mt`:
 
-- a linear scan that solves every (ray, facet) pair of the batch;
+- a linear scan that solves every (ray, facet) pair of the batch; the
+  terms of (origin, facet) alone are solved once per run of rays with
+  one origin, such as an azimuth row, as coherent ray tracers share
+  them across a packet (Wald, Slusallek, Benthin and Wagner, 2001);
 - a breadth-first BVH traversal (a wavefront): every ray starts paired
   with the root, and each step slab-tests all live (ray, node) pairs at
   once, drops the pairs that miss or lie beyond the ray's nearest hit so
@@ -37,7 +40,6 @@ either adjacent facet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -72,10 +74,12 @@ def _mt(origins, directions, p3, h1, h2):
 
     Triangles come as (p3, p1 - p3, p2 - p3) from `_edges`.  Returns
     (t, m1, m2) of the broadcast leading shape, with t = +inf marking
-    misses.  The linear scan passes (R, 1, 3) rays and (F, 3) triangles,
-    so every product below is an (R, F) array; the BVH leaves pass (P, 3)
-    pairs and every product is (P,).  Every value comes from the same
-    elementwise arithmetic in either layout.
+    misses.  The linear scan passes (F, 3) triangles, (G, 1, 1, 3)
+    origins and (G, L, 1, 3) directions, G runs of L rays with one
+    origin: h = o - p3, f2 = h x h1 and t's numerator f2 . h2 are then
+    (G, 1, F), and only the terms that read d are (G, L, F).  The BVH
+    leaves pass (P, 3) pairs and every product is (P,).  Every value
+    comes from the same elementwise arithmetic in any layout.
 
     The cross and dot products are written out on the (..., 3) arrays'
     component views.  Their values are bitwise those of np.cross and of
@@ -109,8 +113,7 @@ def _mt(origins, directions, p3, h1, h2):
         del hx, hy, hz
         m2 = (f2x * dx + f2z * dz) + f2y * dy
         m2 *= inv
-        t = (f2x * bx + f2z * bz) + f2y * by
-        t *= inv
+        t = np.multiply((f2x * bx + f2z * bz) + f2y * by, inv, out=inv)
         valid &= (m1 >= 0.0) & (m2 >= 0.0) & (m1 + m2 <= 1.0) & (t > EPS_T)
     t[~valid] = np.inf
     return t, m1, m2
@@ -248,12 +251,14 @@ def _edges(mesh: Mesh, ids=None):
 
 
 def _scan(p3, h1, h2, origins, directions):
-    """Nearest hits of a ray batch against every facet.
+    """Nearest hits of runs of rays against every facet.
 
-    Returns (facet_id, t, m1, m2) with facet_id = -1 and t = +inf for
-    misses.
+    origins (G, 3) holds one origin per run and directions (G, L, 3) the
+    rays of each run.  Returns (facet_id, t, m1, m2) of the G * L rays in
+    order, with facet_id = -1 and t = +inf for misses.
     """
-    t, m1, m2 = _mt(origins[:, None, :], directions[:, None, :], p3, h1, h2)
+    t, m1, m2 = _mt(origins[:, None, None, :], directions[:, :, None, :], p3, h1, h2)
+    t, m1, m2 = (a.reshape(-1, a.shape[-1]) for a in (t, m1, m2))
     j = np.argmin(t, axis=1)          # first occurrence = lowest facet id
     # the winning column of each (R, F) row, as one flat take
     flat = np.arange(0, t.size, t.shape[1]) + j
@@ -261,6 +266,16 @@ def _scan(p3, h1, h2, origins, directions):
     hit = np.isfinite(tj)
     return (np.where(hit, j, -1), tj,
             np.where(hit, m1.take(flat), 0.0), np.where(hit, m2.take(flat), 0.0))
+
+
+def _run_length(origins, most: int) -> int:
+    """The largest L <= most such that the rays split into runs of L
+    consecutive rays with bit-identical origins: a divisor of the gcd of
+    the maximal runs' lengths.  +0.0 and -0.0 never share a run."""
+    bits = origins.view(np.int64)
+    starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    runs = int(np.gcd.reduce(np.diff(starts, prepend=0, append=origins.shape[0])))
+    return max(d for d in range(1, min(runs, most) + 1) if runs % d == 0)
 
 
 def _traverse(bvh: Bvh, mesh: Mesh, origins, directions):
@@ -348,9 +363,11 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     `uses_bvh`, the rays go through the BVH as a breadth-first wavefront
     in batches of `_TRAVERSE_BATCH`, reading only the facets the leaves
     reach; otherwise a linear scan solves batches of at most
-    `_SCAN_PAIRS` (ray, facet) pairs.  Both give bitwise identical
-    results, except where rounding culls a box whose face passes through
-    the hit point (see the module docstring).
+    `_SCAN_PAIRS` (ray, facet) pairs (one ray when it alone needs more)
+    in runs of rays with one origin; a ray's result does not depend on its
+    run or batch.  Both paths give bitwise identical results, except where
+    rounding culls a box whose face passes through the hit point (see the
+    module docstring).
     """
     origins = np.asarray(origins, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
@@ -367,15 +384,20 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     m2_hit = np.zeros(n)
 
     if bvh is not None and uses_bvh(mesh):
-        step, nearest = _TRAVERSE_BATCH, partial(_traverse, bvh, mesh)
-    else:
-        step = max(1, _SCAN_PAIRS // max(1, mesh.num_facets))
-        nearest = partial(_scan, *_edges(mesh))    # edges once per call, not per batch
-    # a mesh without facets is missed by every ray
-    for lo in range(0, n if mesh.num_facets else 0, step):
-        batch = slice(lo, lo + step)
-        fid[batch], t_hit[batch], m1_hit[batch], m2_hit[batch] = nearest(
-            origins[batch], directions[batch])
+        for lo in range(0, n, _TRAVERSE_BATCH):
+            batch = slice(lo, lo + _TRAVERSE_BATCH)
+            fid[batch], t_hit[batch], m1_hit[batch], m2_hit[batch] = _traverse(
+                bvh, mesh, origins[batch], directions[batch])
+    elif n and mesh.num_facets:     # a mesh without facets is missed by every ray
+        # as many whole runs per batch as _SCAN_PAIRS allows
+        rays = max(1, _SCAN_PAIRS // mesh.num_facets)
+        run = _run_length(origins, rays)
+        step = rays // run * run
+        edges = _edges(mesh)        # once per call, not per batch
+        for lo in range(0, n, step):
+            batch = slice(lo, lo + step)
+            fid[batch], t_hit[batch], m1_hit[batch], m2_hit[batch] = _scan(
+                *edges, origins[batch][::run], directions[batch].reshape(-1, run, 3))
 
     cos_theta = np.zeros(n)
     hit = fid >= 0

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sartrace.imaging import render, trace
+from sartrace.imaging import render, trace_views
 from sartrace.learn import LossConfig, OptimState, learn
 from sartrace.scatter import WaveConfig
 from sartrace.scene import ParamMap
@@ -127,7 +127,8 @@ def render_references(proto: RecoveryProtocol):
 def run_recovery(proto: RecoveryProtocol, refs=None, progress=None):
     """Run the protocol, each view traced once; returns (params, histories, iterations)."""
     refs = refs if refs is not None else render_references(proto)
-    views = [(trace(proto.mesh, radar), ref) for radar, ref in refs]
+    hitsets = trace_views(proto.mesh, [radar for radar, _ in refs])
+    views = [(hits, ref) for hits, (_, ref) in zip(hitsets, refs)]
     params = proto.init.copy()
     results = []
     used = 0

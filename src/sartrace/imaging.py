@@ -17,15 +17,17 @@ at the range resolution, descending from the scene-wide maximum:
 Rows are azimuth samples; every row shares the common range window so
 pixels are comparable across the image.
 
-Rendering a view is two steps, each one batch over the rays of all its
-rows.  trace does the geometry: ray fans, nearest hits, local incidence
-angles, quadrature weights, range coordinates and the range window,
-kept per hit in a HitSet.  shade does the parameter-dependent work:
-interpolate the parameter table at the hits, evaluate the BSDF and bin
-the intensities into the image; its HitLedger is the HitSet plus each
-hit's range bin, sigma and dsigma.  render is shade(trace(...)).  Bin
-assignment is treated as non-differentiable and no parameter moves a
-hit, so a HitSet stays valid for every parameter table on its mesh:
+Rendering is two steps, each one batch over the rays of every row of
+a list of views of one mesh.  trace_views does the geometry: ray fans,
+nearest hits, local incidence angles, quadrature weights, range
+coordinates and the range window, kept per hit in a HitSet per view.
+shade_views does the parameter-dependent work: interpolate the
+parameter table at the hits, evaluate the BSDF and bin the intensities
+into each view's image; a HitLedger is a HitSet plus each hit's range
+bin, sigma and dsigma.  trace and shade are their one-view forms, and
+render is shade(trace(...)).  Bin assignment is treated as
+non-differentiable and no parameter moves a hit, so a HitSet stays
+valid for every parameter table on its mesh:
 the inverse loop traces each view once and shades it per iteration.
 Parameter gradients flow through the per-hit intensities only.
 """
@@ -287,77 +289,117 @@ class HitLedger(HitSet):
     dsigma: np.ndarray = field(repr=False)      # (n, 4) partials wrt h, l, eps_r, tau
 
 
-def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
-          range_window: tuple[float, int] | None = None) -> HitSet:
-    """Trace one view's rays and keep the geometry of its hits.
+def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
+                range_windows=None) -> list[HitSet]:
+    """Trace views of one mesh, their rays in one intersect_rays call: one
+    HitSet per radar, bitwise what tracing each view alone gives.
 
-    One generate_rays call makes the rays of every azimuth row, and they
-    go to intersect_rays as one batch.
-    The view's jitter stream is seeded by seed, so the hits depend on
-    the seed only.  By default the range window is [min, max] of the
-    hit coordinates (the vertex window when nothing is hit); pass
-    range_window=(origin, num_bins) to pin the pixel grid across runs
-    (see vertex_range_window); a non-finite origin or a num_bins that is
-    not an integer from 1 to _MAX_RANGE_BINS raises a ValueError.
+    A view's range window is [min, max] of its hit coordinates (the vertex
+    window when nothing is hit) unless range_windows, one (origin,
+    num_bins) or None per radar, pins it (see vertex_range_window).  A
+    non-finite origin or a num_bins that is not an integer from 1 to
+    _MAX_RANGE_BINS raises a ValueError before anything is traced.
     """
-    if range_window is not None:
-        origin, num_bins = range_window
+    windows = [None] * len(radars) if range_windows is None else list(range_windows)
+    if len(windows) != len(radars):
+        raise ValueError(f"{len(windows)} range windows for {len(radars)} views")
+    for window in filter(None, windows):
+        origin, num_bins = window
         if not math.isfinite(origin):
             raise ValueError(f"range_window origin {origin!r} is not finite")
         if not (isinstance(num_bins, numbers.Integral) and 1 <= num_bins <= _MAX_RANGE_BINS):
             raise ValueError(f"range_window num_bins {num_bins!r} is not an integer "
                              f"from 1 to {_MAX_RANGE_BINS}")
-    rows = radar.num_azimuth
-    fan = generate_rays(radar, np.arange(rows))
-    ray_row = np.repeat(np.arange(rows), radar.num_angles * radar.spua)
+    if not radars:
+        return []
+    fans = [generate_rays(radar, np.arange(radar.num_azimuth)) for radar in radars]
+    fid, t, m1, m2, cos_t = intersect_rays(
+        mesh, np.concatenate([fan.origins for fan in fans]),
+        np.concatenate([fan.directions for fan in fans]), bvh=bvh)
 
-    fid, t, m1, m2, cos_t = intersect_rays(mesh, fan.origins, fan.directions, bvh=bvh)
-    sel = np.nonzero(fid >= 0)[0]
-    points = fan.origins.take(sel, axis=0) + t[sel, None] * fan.directions.take(sel, axis=0)
-    h_r = MapFrame.from_radar(radar).apply(points)[:, 2]
+    hitsets, start = [], 0
+    for radar, fan, window in zip(radars, fans, windows):
+        sel = np.flatnonzero(fid[start:start + fan.weights.size] >= 0)
+        hit = sel + start
+        start += fan.weights.size
+        points = fan.origins.take(sel, axis=0) + t[hit, None] * fan.directions.take(sel, axis=0)
+        h_r = MapFrame.from_radar(radar).apply(points)[:, 2]
+        if window is not None:
+            origin, num_bins = window
+        elif sel.size:
+            origin = float(h_r.max())
+            num_bins = int(math.floor((origin - float(h_r.min())) / radar.range_res)) + 1
+        else:
+            origin, num_bins = vertex_range_window(mesh, radar)
+        if num_bins > _MAX_RANGE_BINS:
+            raise ValueError(
+                f"range window spans {num_bins} bins at range_res={radar.range_res}")
+        hitsets.append(HitSet(
+            mesh=mesh, radar=radar, range_origin=origin, image_shape=(radar.num_azimuth, num_bins),
+            row=sel // (radar.num_angles * radar.spua), facet_id=fid[hit], m1=m1[hit], m2=m2[hit],
+            theta=np.arccos(np.clip(cos_t[hit], 0.0, 1.0)), weight=fan.weights[sel],
+            ranges=h_r))
+    return hitsets
 
-    if range_window is None and sel.size:
-        origin = float(h_r.max())
-        num_bins = int(math.floor((origin - float(h_r.min())) / radar.range_res)) + 1
-    elif range_window is None:
-        origin, num_bins = vertex_range_window(mesh, radar)
-    if num_bins > _MAX_RANGE_BINS:
-        raise ValueError(
-            f"range window spans {num_bins} bins at range_res={radar.range_res}")
 
-    return HitSet(mesh=mesh, radar=radar, range_origin=origin, image_shape=(rows, num_bins),
-                  row=ray_row[sel], facet_id=fid[sel], m1=m1[sel], m2=m2[sel],
-                  theta=np.arccos(np.clip(cos_t[sel], 0.0, 1.0)), weight=fan.weights[sel],
-                  ranges=h_r)
+def shade_views(hitsets, params: ParamMap):
+    """Shade traced views of one Mesh object with a table: one (SarImage,
+    HitLedger) per HitSet, bitwise what shading each view alone gives.
+
+    One interpolate_at_hits call, one eval_bsdf_batch call per distinct
+    wave and one bin_ranges_fast call per view, which raises a ValueError
+    naming the bin when a range window leaves out a hit.
+    """
+    shaded = [None] * len(hitsets)
+    if not hitsets:
+        return shaded
+    mesh = hitsets[0].mesh
+    if params.num_vertices != mesh.num_vertices:
+        raise ValueError("parameter table size does not match the mesh")
+    groups = {}       # the views of each wave; each wave's hits are one slice
+    for vi, hits in enumerate(hitsets):
+        if hits.mesh is not mesh:
+            raise ValueError(f"view {vi} was traced over another mesh than view 0")
+        groups.setdefault(hits.radar.wave, []).append(vi)
+    batch = [hitsets[vi] for views in groups.values() for vi in views]
+    facet_id, m1, m2, theta = (np.concatenate([getattr(hits, name) for hits in batch])
+                               for name in ("facet_id", "m1", "m2", "theta"))
+    values = interpolate_at_hits(mesh, params.values, facet_id, m1, m2)
+    lo = 0
+    for wave, views in groups.items():
+        hi = lo + sum(hitsets[vi].num_entries for vi in views)
+        sigma, dsigma = eval_bsdf_batch(theta[lo:hi], values[lo:hi], wave)
+        lo, stop = hi, 0
+        for vi in views:
+            hits = hitsets[vi]
+            part = slice(stop, stop + hits.num_entries)
+            stop = part.stop
+            image, range_bin = bin_ranges_fast(
+                hits.row, hits.ranges, hits.weight * sigma[part], hits.radar.range_res,
+                hits.range_origin, hits.image_shape)
+            # hits may itself be a ledger: its shading is replaced
+            ledger = HitLedger(**{**vars(hits), "range_bin": range_bin, "sigma": sigma[part],
+                                  "dsigma": dsigma[part]})
+            shaded[vi] = (SarImage(intensities=image, radar=hits.radar,
+                                   range_origin=hits.range_origin), ledger)
+    return shaded
+
+
+def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,
+          range_window: tuple[float, int] | None = None) -> HitSet:
+    """Trace one view: trace_views with one radar and its range_window."""
+    return trace_views(mesh, [radar], bvh=bvh, range_windows=[range_window])[0]
 
 
 def shade(hits: HitSet, params: ParamMap):
-    """Shade a traced view with a parameter table: (SarImage, HitLedger).
-
-    One interpolate_at_hits call, one eval_bsdf_batch call and one
-    bin_ranges_fast call.  A range window that leaves out a hit raises a
-    ValueError naming the bin.
-    """
-    if params.num_vertices != hits.mesh.num_vertices:
-        raise ValueError("parameter table size does not match the mesh")
-    radar = hits.radar
-    values = interpolate_at_hits(hits.mesh, params.values, hits.facet_id, hits.m1, hits.m2)
-    sigma, dsigma = eval_bsdf_batch(hits.theta, values, radar.wave)
-    image, range_bin = bin_ranges_fast(hits.row, hits.ranges, hits.weight * sigma,
-                                       radar.range_res, hits.range_origin, hits.image_shape)
-    # hits may itself be a ledger: its shading is replaced
-    ledger = HitLedger(**{**vars(hits), "range_bin": range_bin, "sigma": sigma, "dsigma": dsigma})
-    return SarImage(intensities=image, radar=radar, range_origin=hits.range_origin), ledger
+    """Shade one traced view: shade_views of one HitSet, (SarImage, HitLedger)."""
+    return shade_views([hits], params)[0]
 
 
 def render(mesh: Mesh, params: ParamMap, radar: RadarConfig, bvh: Bvh | None = None,
            range_window: tuple[float, int] | None = None):
-    """Render one SAR intensity image and the hit ledger behind it.
-
-    shade(trace(mesh, radar, bvh, range_window), params): see trace for
-    the rays and the range window.  To render one view under many
-    parameter tables, trace it once and shade the HitSet for each table.
-    """
+    """Render one view: (SarImage, HitLedger) of shade(trace(...)).  To
+    render a view under many tables, trace it once and shade it per table."""
     return shade(trace(mesh, radar, bvh=bvh, range_window=range_window), params)
 
 

@@ -488,3 +488,80 @@ def test_brute_batch_matches_oracle(seed):
     else:
         assert fid[0] == expected[0]
         assert t[0] == pytest.approx(expected[1], rel=1e-9)
+
+
+class TestScanRuns:
+    """The scan solves an origin's terms once per run of rays that share it;
+    no ray's result depends on the runs or batches it comes in."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), runs=st.lists(st.integers(1, 40), min_size=1,
+                                                           max_size=8),
+           n_facets=st.sampled_from([1, 40, 700, 2000]), equal=st.booleans())
+    def test_each_ray_as_if_alone(self, seed, runs, n_facets, equal):
+        """Runs of equal or unequal length, from origins that differ only in
+        the sign of a zero, with NaN directions among the rays; alone,
+        shuffled and in the batch, every output is bitwise the same.  With
+        700 or 2000 facets a scan batch holds 23 or 8 rays, so long runs are
+        split."""
+        rng = np.random.default_rng(seed)
+        mesh = random_triangles(rng, n_facets)
+        runs = [runs[0]] * len(runs) if equal else runs
+        pool = np.array([[0.0, 0.0, 3.0], [-0.0, 0.0, 3.0], [0.0, -0.0, 3.0],
+                         [1.5, -2.0, 2.5], [-1.0, 0.5, -3.0]])
+        origins = np.repeat(pool[rng.integers(len(pool), size=len(runs))], runs, axis=0)
+        n = origins.shape[0]
+        # aimed at facet centroids, so that most rays hit
+        targets = mesh.vertices.take(mesh.facets[rng.integers(n_facets, size=n)],
+                                     axis=0).mean(axis=1)
+        directions = targets + rng.normal(0.0, 0.1, (n, 3)) - origins
+        directions[rng.random(n) < 0.1, rng.integers(3)] = np.nan
+        batch = intersect_rays(mesh, origins, directions)
+        order = rng.permutation(n)
+        shuffled = intersect_rays(mesh, origins[order], directions[order])
+        for i in range(n):
+            alone = intersect_rays(mesh, origins[i:i + 1], directions[i:i + 1])
+            for name, a, b in zip(("fid", "t", "m1", "m2", "cos_theta"), batch, alone):
+                assert a[i:i + 1].tobytes() == b.tobytes(), (name, i)
+        for name, a, b in zip(("fid", "t", "m1", "m2", "cos_theta"), batch, shuffled):
+            assert a[order].tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("lengths, most, run", [
+        ([4, 4, 4], 100, 4), ([6, 4, 2], 100, 2), ([5, 3], 100, 1), ([12], 100, 12),
+        ([1, 1, 1], 100, 1), ([12, 24], 5, 4), ([7, 7], 5, 1), ([48], 1, 1)])
+    def test_run_length(self, lengths, most, run):
+        """The largest divisor, up to most, of the gcd of the runs' lengths."""
+        origins = np.repeat(np.arange(3.0 * len(lengths)).reshape(-1, 3), lengths, axis=0)
+        assert accel._run_length(origins, most) == run
+
+    def test_signed_zeros_never_share_a_run(self):
+        origins = np.array([[0.0, 1.0, 2.0]] * 2 + [[-0.0, 1.0, 2.0]] * 2)
+        assert accel._run_length(origins, 4) == 2
+        origins[1, 0] = -0.0
+        assert accel._run_length(origins, 4) == 1
+
+    @pytest.mark.parametrize("n, rows", [(20, 3), (100, 2)])
+    def test_scan_batches_bounded(self, monkeypatch, wave_hh, n, rows):
+        """Each _mt call of the scan solves at most _SCAN_PAIRS (ray, facet)
+        pairs, unless one ray alone needs more, and every pair once: on a
+        800-facet grid a row of 16 rays fits a batch, on a 20,000-facet grid
+        a batch is one ray."""
+        from sartrace.scenes import side_looking_radar
+        from sartrace.imaging import generate_rays
+        mesh = grid_mesh(n)
+        radar = side_looking_radar(wave_hh, distance=12.0, incidence=0.8, track_length=4.0,
+                                   num_azimuth=rows, fan_halfwidth=0.2, num_angles=8,
+                                   range_res=0.1, spua=2, seed=1, center=(5.0, 5.0, 0.0))
+        fan = generate_rays(radar, np.arange(rows))
+        pairs, mt = [], accel._mt
+
+        def counted(*args):
+            out = mt(*args)
+            pairs.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(accel, "_mt", counted)
+        fid = intersect_rays(mesh, fan.origins, fan.directions)[0]
+        assert (fid >= 0).all()
+        assert all(p <= accel._SCAN_PAIRS or p == mesh.num_facets for p in pairs)
+        assert sum(pairs) == fan.origins.shape[0] * mesh.num_facets

@@ -299,6 +299,39 @@ class TestSimulate:
                 data, image.intensities.astype("<f4").astype(np.float64))
             assert meta["range_origin"] == image.range_origin
 
+    def test_demo_rasters_are_one_view_renders(self, tmp_path, monkeypatch):
+        """`sartrace simulate` on the README demo writes, per configured view,
+        the float32 of that view rendered alone, with its range origin."""
+        run_script(monkeypatch, "make_demo_scene.py", tmp_path)
+        assert main(["simulate", "--config", str(tmp_path / "run.ini")]) == 0
+        mesh, params, radars = build_scene(parse_config(tmp_path / "run.ini"), str(tmp_path))
+        assert len(radars) == 3 and not uses_bvh(mesh)
+        for vi, radar in enumerate(radars):
+            image, ledger = render(mesh, params, radar)
+            assert ledger.num_entries > 0
+            path = tmp_path / "out" / f"view_{vi:03d}.sarf"
+            data, meta = read_raster(path)
+            assert meta["range_origin"] == image.range_origin
+            payload = path.read_bytes().split(b"\n", 1)[1]
+            assert payload == image.intensities.astype("<f4").tobytes()
+
+    def test_failing_view_writes_nothing(self, workdir, capsys, monkeypatch):
+        """Every view is rendered before anything is written: a second view
+        that fails leaves no output directory."""
+        import sartrace.imaging as imaging
+        bin_ranges_fast, calls = imaging.bin_ranges_fast, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("view 1 failed on purpose")
+            return bin_ranges_fast(*args, **kwargs)
+
+        monkeypatch.setattr(imaging, "bin_ranges_fast", second_fails)
+        assert main(["simulate", "--config", str(workdir / "run.ini")]) == 2
+        assert "view 1 failed on purpose" in capsys.readouterr().err
+        assert len(calls) == 2 and not (workdir / "out").exists()
+
     def test_parse_error_exit_code(self, workdir):
         path = workdir / "bad.ini"
         path.write_text(CONFIG.replace("alpha_start_deg = 35", "alpha_start_deg = 75"))

@@ -111,7 +111,7 @@ def fancy_intersect_rays(mesh, origins, directions, bvh=None):
         # another facet
         edges = fancy_edges(mesh)
         fid, t, m1, m2 = map(np.concatenate, zip(*(
-            accel._scan(*edges, origins[i:i + 1], directions[i:i + 1])
+            accel._scan(*edges, origins[i:i + 1], directions[i:i + 1, None])
             for i in range(origins.shape[0]))))
     cos_theta = np.zeros(fid.size)
     hit = fid >= 0

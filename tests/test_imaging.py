@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sartrace.imaging as imaging
+from sartrace.accel import build_bvh, uses_bvh
 from sartrace.imaging import (HitSet, MapFrame, RadarConfig, _cross, bin_ranges_fast,
                               generate_rays, range_bin_of, read_raster, render,
-                              shade, trace, vertex_range_window, write_pgm,
-                              write_raster)
+                              shade, shade_views, trace, trace_views, vertex_range_window,
+                              write_pgm, write_raster)
 from sartrace.scatter import WaveConfig
 from sartrace.scene import Mesh, ParamMap
-from sartrace.scenes import plane_mesh, merge_meshes, side_looking_radar
+from sartrace.scenes import plane_mesh, merge_meshes, rotate_radar, side_looking_radar
 
-from conftest import map_frame_from_angles, rotated_radar
+from conftest import grid_mesh, map_frame_from_angles, rotated_radar
 
 
 def bin_ranges_naive(ranges, intensities, range_res, range_origin, num_bins):
@@ -505,6 +507,104 @@ class TestRender:
         assert ledger.image_shape == image.intensities.shape
         assert ledger.range_bin.max() < image.num_range_bins
         assert ledger.row.max() < image.intensities.shape[0]
+
+
+def batch_radars(center, distance):
+    """Four views of a scene around center: two waves, three fan widths
+    (12 x 3, 7 x 2 and 12 x 1 rays a row) and one view that hits nothing."""
+    hh, vv = WaveConfig(9.6e9, "HH", "gaussian"), WaveConfig(5.4e9, "VV", "exponential")
+    base = side_looking_radar(hh, distance=distance, incidence=math.radians(45),
+                              track_length=3.0, num_azimuth=6,
+                              fan_halfwidth=math.radians(12), num_angles=12,
+                              range_res=0.1, spua=3, seed=5, center=center)
+    away = np.array([100.0, 50.0, 0.0])
+    return [
+        base,
+        rotate_radar(dataclasses.replace(base, wave=vv, num_angles=7, spua=2, seed=6),
+                     2.0 * math.pi / 3.0, center),
+        dataclasses.replace(base, start_pos=base.start_pos + away, end_pos=base.end_pos + away),
+        rotate_radar(dataclasses.replace(base, spua=1, seed=7), 4.0 * math.pi / 3.0, center),
+    ]
+
+
+HIT_ARRAYS = ("row", "facet_id", "m1", "m2", "theta", "weight", "ranges")
+
+
+class TestViewBatch:
+    """trace_views and shade_views give each view bitwise what tracing and
+    shading it alone gives."""
+
+    @pytest.fixture(params=["plate scan", "grid scan", "grid bvh"])
+    def scene(self, request, plate_scene):
+        if request.param == "plate scan":
+            (mesh, params), center, bvh = plate_scene, (0.0, 0.0, 0.0), None
+        else:
+            # 1,800 facets: a BVH is traversed, and a scan batch holds 9 rays,
+            # fewer than a row's 36
+            mesh, center = grid_mesh(30), (5.0, 5.0, 0.0)
+            assert uses_bvh(mesh)
+            rng = np.random.default_rng(3)
+            params = ParamMap(np.column_stack([
+                rng.uniform(0.002, 0.008, mesh.num_vertices),
+                rng.uniform(0.005, 0.02, mesh.num_vertices),
+                rng.uniform(3.0, 30.0, mesh.num_vertices),
+                rng.uniform(0.0, 0.3, mesh.num_vertices)]))
+            bvh = build_bvh(mesh) if request.param == "grid bvh" else None
+        return mesh, params, bvh, batch_radars(center, distance=7.0)
+
+    def test_batch_equals_one_view_at_a_time(self, scene):
+        mesh, params, bvh, radars = scene
+        windows = [None, vertex_range_window(mesh, radars[1]), None, None]
+        hitsets = trace_views(mesh, radars, bvh=bvh, range_windows=windows)
+        shaded = shade_views(hitsets, params)
+        assert len(hitsets) == len(shaded) == len(radars)
+        assert [hits.num_entries > 0 for hits in hitsets] == [True, True, False, True]
+        for radar, window, hits, (image, ledger) in zip(radars, windows, hitsets, shaded):
+            one = trace(mesh, radar, bvh=bvh, range_window=window)
+            one_image, one_ledger = shade(one, params)
+            assert hits.radar is radar and hits.mesh is mesh and ledger.radar is radar
+            assert (hits.range_origin, hits.image_shape) == (one.range_origin, one.image_shape)
+            assert image.range_origin == one_image.range_origin
+            assert_bitwise(image.intensities, one_image.intensities)
+            for name in HIT_ARRAYS:
+                assert_bitwise(getattr(hits, name), getattr(one, name))
+            for name in HIT_ARRAYS + ("range_bin", "sigma", "dsigma"):
+                assert_bitwise(getattr(ledger, name), getattr(one_ledger, name))
+
+    def test_one_call_per_stage(self, scene, monkeypatch):
+        """One intersect_rays and one interpolate_at_hits call for all views,
+        one eval_bsdf_batch call per wave and one binning call per view."""
+        mesh, params, bvh, radars = scene
+        calls = {}
+
+        for name in ("generate_rays", "intersect_rays", "interpolate_at_hits",
+                     "eval_bsdf_batch", "bin_ranges_fast"):
+            def counted(*args, fn=getattr(imaging, name), name=name, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(imaging, name, counted)
+        shade_views(trace_views(mesh, radars, bvh=bvh), params)
+        assert calls == {"generate_rays": 4, "intersect_rays": 1, "interpolate_at_hits": 1,
+                         "eval_bsdf_batch": 2, "bin_ranges_fast": 4}
+
+    def test_no_views(self, plate_scene):
+        mesh, params = plate_scene
+        assert trace_views(mesh, []) == [] and shade_views([], params) == []
+
+    def test_window_count_named(self, plate_scene, plate_radar):
+        mesh, _ = plate_scene
+        with pytest.raises(ValueError, match="^1 range windows for 2 views$"):
+            trace_views(mesh, [plate_radar, plate_radar], range_windows=[None])
+
+    def test_views_of_other_meshes_rejected(self, plate_scene, plate_radar):
+        mesh, params = plate_scene
+        copy = Mesh.from_arrays(mesh.vertices, mesh.facets)
+        hitsets = [trace(mesh, plate_radar), trace(copy, plate_radar)]
+        with pytest.raises(ValueError, match="^view 1 was traced over another mesh than view 0$"):
+            shade_views(hitsets, params)
+        # apart, each is shaded as before
+        assert_bitwise(shade(hitsets[1], params)[0].intensities,
+                       shade(hitsets[0], params)[0].intensities)
 
 
 class TestImageFiles:

@@ -640,34 +640,36 @@ class TestTraceOnce:
 
     @pytest.fixture
     def intersect_calls(self, monkeypatch):
+        """The number of rays of each intersect_rays call."""
         calls = []
         intersect_rays = imaging.intersect_rays
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return intersect_rays(*args, **kwargs)
+        def counted(mesh, origins, *args, **kwargs):
+            calls.append(len(origins))
+            return intersect_rays(mesh, origins, *args, **kwargs)
 
         monkeypatch.setattr(imaging, "intersect_rays", counted)
         return calls
 
     @pytest.mark.parametrize("iters", [0, 1, 5])
     def test_learn_traces_each_view_once(self, workdir, iters, intersect_calls):
-        """`sartrace learn` traces each of its two views once: training and
-        the final images shade the same hits."""
+        """`sartrace learn` traces each of its two views once, both in one
+        intersect_rays call of 6 rows x 10 angles x 2 subsamples each:
+        training and the final images shade the same hits."""
         assert main(["simulate", "--config", str(workdir / "run.ini"), "--out", "refs"]) == 0
         refs = [str(workdir / "refs" / f"view_{vi:03d}.sarf") for vi in range(2)]
         (workdir / "run.ini").write_text(CONFIG.replace("iters = 4", f"iters = {iters}"))
         intersect_calls.clear()
         assert main(["learn", "--config", str(workdir / "run.ini"), "--refs", *refs,
                      "--out", "learned"]) == 0
-        assert len(intersect_calls) == 2
+        assert intersect_calls == [2 * 6 * 10 * 2]
 
     @pytest.mark.parametrize("num_probes", [0, 6])
     def test_grad_check_traces_each_view_once(self, workdir, num_probes, intersect_calls):
         """`sartrace gradcheck` shades its references and probes the same hits."""
         assert main(["gradcheck", "--config", str(workdir / "run.ini"),
                      "--probes", str(num_probes)]) == 0
-        assert len(intersect_calls) == 2
+        assert intersect_calls == [2 * 6 * 10 * 2]
 
     def test_run_recovery_traces_each_view_once(self, intersect_calls):
         proto = cube_recovery_protocol()
@@ -677,7 +679,9 @@ class TestTraceOnce:
         intersect_calls.clear()
         _, results, used = run_recovery(proto, refs=refs)
         assert used == 2 * len(proto.phases) == 6
-        assert len(intersect_calls) == len(proto.radars) == 3
+        assert len(proto.radars) == 3
+        assert intersect_calls == [sum(r.num_azimuth * r.num_angles * r.spua
+                                       for r in proto.radars)]
 
     def test_grad_check_analytic_is_learns_first_gradient(self, learn_setup, monkeypatch):
         mesh, params, radar = learn_setup

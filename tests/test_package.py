@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -77,3 +78,27 @@ def test_script_help_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("parent, change, better, word, wins", [
+    # ten wins, and the medians differ by more than the parent's quartile spread
+    ([5.7, 5.8, 5.75, 5.9, 5.72, 5.78, 5.81, 5.74, 5.86, 5.77],
+     [5.0, 4.9, 5.05, 5.1, 4.95, 5.02, 4.98, 5.01, 5.07, 4.97], "lower", "gain", 10),
+    # higher is better: the same runs read the other way round
+    ([5.0, 4.9, 5.05, 5.1, 4.95, 5.02, 4.98, 5.01, 5.07, 4.97],
+     [5.7, 5.8, 5.75, 5.9, 5.72, 5.78, 5.81, 5.74, 5.86, 5.77], "higher", "gain", 10),
+    # eight wins are not nine tenths
+    ([2.0] * 10, [1.0] * 8 + [3.0] * 2, "lower", "within bound", 8),
+    ([1.0] * 10, [1.5] * 10, "lower", "worse", 0),
+    # a parent spread wider than the bound, and the sides overlap
+    ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0], [1.5] * 10, "lower", "unresolved", 5),
+    ([1.0] * 10, [1.0] * 10, "lower", "within bound", 0),
+])
+def test_bench_pairs_verdict(parent, change, better, word, wins):
+    """scripts/bench_pairs.py: ties count for neither side, a gain needs nine
+    tenths of the pairs and a median gap wider than the parent's quartiles."""
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    assert bench_pairs.verdict(parent, change, better, 0.25) == (wins, word)
