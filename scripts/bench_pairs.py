@@ -21,7 +21,11 @@ the verdict of the rule for a small sandbox:
   and not every run of the change reads better than every parent run;
 - within bound: anything else.
 
-With --out it also writes every run and the summary as JSON.
+With --out it also writes every run and the summary as JSON.  It exits
+with an error, before any run, when either checkout has a __pycache__
+under src/: bytecode left there by a test run is read even with bytecode
+writing off, so the process would skip the compile that setup_s and
+peak_rss_mb measure.
 """
 
 from __future__ import annotations
@@ -53,6 +57,14 @@ def run_once(checkout, workload, seed, seconds):
     return values, {"correct": result["correct"], "attempted": result["attempted"],
                     "failed": result["failed"], "inputs": record["inputs"],
                     "machine": record["machine"]}
+
+
+def stale_bytecode(checkout):
+    """The first __pycache__ directory under checkout's src/, or None."""
+    for dirpath, dirnames, _ in os.walk(os.path.join(checkout, "src")):
+        if "__pycache__" in dirnames:
+            return os.path.join(dirpath, "__pycache__")
+    return None
 
 
 def quartiles(values):
@@ -89,6 +101,11 @@ def main(argv=None):
     ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        found = stale_bytecode(checkout)
+        if found:
+            sys.exit(f"{found}: bytecode under src/ would be read by the runs; "
+                     "run on clean checkouts (git archive)")
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)

@@ -5,8 +5,10 @@ Forward path: triangle mesh + per-vertex roughness/permittivity table
 two-scale (KA + SPM) backscatter per hit -> one np.bincount over the
 (azimuth row, range bin) pixel index into an azimuth x range intensity
 image.  trace_views does the geometry of a list of views once, as one
-ray batch, and shade_views the per-table rest; trace and shade are
-their one-view forms, and render is shade(trace(...)).
+ray batch, range bins included; shade_views does the per-table rest
+with the kernel learn shades with, and a HitLedger is a HitSet plus
+sigma and dsigma.  trace and shade are their one-view forms, and render
+is shade(trace(...)).
 
 Inverse path: image-space MSE (+ total variation over mesh edges) is pulled
 back through the recorded hit ledger to per-vertex parameter gradients

@@ -20,20 +20,22 @@ pixels are comparable across the image.
 Rendering is two steps, each one batch over the rays of every row of
 a list of views of one mesh.  trace_views does the geometry: ray fans,
 nearest hits, local incidence angles, quadrature weights, range
-coordinates and the range window, kept per hit in a HitSet per view.
-shade_views does the parameter-dependent work: interpolate the
-parameter table at the hits, evaluate the BSDF and bin the intensities
-into each view's image; a HitLedger is a HitSet plus each hit's range
-bin, sigma and dsigma.  trace and shade are their one-view forms, and
-render is shade(trace(...)).  Bin assignment is treated as
+coordinates and bins, and the range window, kept per hit in a HitSet
+per view.  shade_views does the parameter-dependent work with the
+kernel that learn uses too: stack_views checks and stacks the views,
+shade_hits interpolates the table at every hit and evaluates the BSDF,
+and one np.bincount per view sums its image.  A HitLedger is a HitSet
+plus each hit's sigma and dsigma.  trace and shade are the one-view
+forms, and render is shade(trace(...)).  Bin assignment is treated as
 non-differentiable and no parameter moves a hit, so a HitSet stays
-valid for every parameter table on its mesh:
+valid for every parameter table on its mesh (any mesh of equal facets):
 the inverse loop traces each view once and shades it per iteration.
 Parameter gradients flow through the per-hit intensities only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -41,8 +43,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sartrace.accel import Bvh, intersect_rays
-from sartrace.scatter import WaveConfig, eval_bsdf_batch
-from sartrace.scene import Mesh, ParamMap, interpolate_at_hits
+from sartrace.scatter import WaveConfig, bsdf_angles, eval_bsdf_at
+from sartrace.scene import Mesh, ParamMap, interpolate
+# the benchmark's traced run wraps these names of this module
+from sartrace.scatter import eval_bsdf_batch  # noqa: F401
+from sartrace.scene import interpolate_at_hits  # noqa: F401
 
 _WORLD_UP = np.array([0.0, 0.0, 1.0])
 _MAX_RANGE_BINS = 10_000_000
@@ -269,6 +274,7 @@ class HitSet:
     theta: np.ndarray = field(repr=False)       # (n,) local incidence angle, rad
     weight: np.ndarray = field(repr=False)      # (n,)
     ranges: np.ndarray = field(repr=False)      # (n,) map-frame R coordinate
+    range_bin: np.ndarray = field(repr=False)   # (n,) range_bin_of its range
 
     @property
     def num_entries(self) -> int:
@@ -280,11 +286,9 @@ class HitLedger(HitSet):
     """A HitSet shaded with one parameter table: everything backward needs.
 
     shade builds it from the HitSet's own fields, so its geometry arrays
-    are the HitSet's objects; it adds each hit's range bin and its BSDF
-    value and partials.
+    are the HitSet's objects; it adds each hit's BSDF value and partials.
     """
 
-    range_bin: np.ndarray = field(repr=False)   # (n,)
     sigma: np.ndarray = field(repr=False)       # (n,)
     dsigma: np.ndarray = field(repr=False)      # (n, 4) partials wrt h, l, eps_r, tau
 
@@ -298,7 +302,8 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
     window when nothing is hit) unless range_windows, one (origin,
     num_bins) or None per radar, pins it (see vertex_range_window).  A
     non-finite origin or a num_bins that is not an integer from 1 to
-    _MAX_RANGE_BINS raises a ValueError before anything is traced.
+    _MAX_RANGE_BINS raises a ValueError before anything is traced; a
+    pinned window that leaves out a hit raises when the view is shaded.
     """
     windows = [None] * len(radars) if range_windows is None else list(range_windows)
     if len(windows) != len(radars):
@@ -338,50 +343,89 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
             mesh=mesh, radar=radar, range_origin=origin, image_shape=(radar.num_azimuth, num_bins),
             row=sel // (radar.num_angles * radar.spua), facet_id=fid[hit], m1=m1[hit], m2=m2[hit],
             theta=np.arccos(np.clip(cos_t[hit], 0.0, 1.0)), weight=fan.weights[sel],
-            ranges=h_r))
+            ranges=h_r, range_bin=range_bin_of(h_r, radar.range_res, origin)))
     return hitsets
 
 
+def stack_views(hitsets, num_vertices: int, names=None):
+    """Check traced views for shading with a table of num_vertices rows and
+    stack their hits: (starts, corners, bary, theta, waves, wave_id), where
+    view v owns hits starts[v]:starts[v + 1], corners (H, 3) are facet
+    corner ids, bary the weights (m1, m2, 1 - m1 - m2) and wave_id (H,)
+    each hit's index into the distinct waves.  A ValueError names the view
+    (names[v], else "view v") whose mesh has another vertex count, whose
+    facets differ from view 0's (equal facets make one mesh) or whose
+    range window leaves out a hit."""
+    facets = hitsets[0].mesh.facets
+    for vi, hits in enumerate(hitsets):
+        name = names[vi] if names else f"view {vi}"
+        if hits.mesh.num_vertices != num_vertices:
+            raise ValueError(f"{name}: parameter table size {num_vertices} does not match "
+                             f"the mesh's {hits.mesh.num_vertices} vertices")
+        if hits.mesh.facets is not facets and not np.array_equal(hits.mesh.facets, facets):
+            raise ValueError(f"{name}: traced over a different mesh than view 0")
+        bins, num_bins = hits.range_bin, hits.image_shape[1]
+        if bins.size and (bins.min() < 0 or bins.max() >= num_bins):
+            bad = bins[(bins < 0) | (bins >= num_bins)][0]
+            raise ValueError(f"{name}: bin {bad} outside profile of {num_bins} bins")
+    counts = [hits.num_entries for hits in hitsets]
+    facet_id, m1, m2, theta = (np.concatenate([getattr(hits, name) for hits in hitsets])
+                               for name in ("facet_id", "m1", "m2", "theta"))
+    waves = list(dict.fromkeys(hits.radar.wave for hits in hitsets))
+    wave_id = np.array([waves.index(hits.radar.wave) for hits in hitsets],
+                       dtype=np.int64).repeat(counts)
+    return (list(itertools.accumulate(counts, initial=0)), facets.take(facet_id, axis=0),
+            (m1, m2, 1.0 - m1 - m2), theta, waves, wave_id)
+
+
+def by_wave(waves, wave_id, theta):
+    """(BsdfAngles, rows) per wave the hits use; rows = all rows for one wave."""
+    ids = np.bincount(wave_id, minlength=len(waves)).nonzero()[0]
+    if ids.size == 1:
+        return [(bsdf_angles(theta, waves[ids[0]]), slice(None))]
+    rows = [np.flatnonzero(wave_id == w) for w in ids]
+    return [(bsdf_angles(theta[r], waves[w]), r) for w, r in zip(ids, rows)]
+
+
+def shade_hits(params: ParamMap, corners, bary, groups, bsdf_fn=None):
+    """sigma (h,) and channel-major dsigma (4, h) of hits: one interpolation
+    at their corners (3, h) and barycentric weights (3, h), then one BSDF
+    call per by_wave group.  bsdf_fn, if given, is called in eval_bsdf_at's
+    place with eval_bsdf_batch's arguments."""
+    values = interpolate(params.values, corners, bary).T      # (h, 4), contiguous channels
+    shaded = [(rows, eval_bsdf_at(angles, values[rows]) if bsdf_fn is None
+               else bsdf_fn(angles.theta, values[rows], angles.wave))
+              for angles, rows in groups]
+    if len(shaded) == 1:
+        sigma, grads = shaded[0][1]
+        return sigma, grads.T
+    sigma, dsigma = np.empty(values.shape[0]), np.empty((4, values.shape[0]))
+    for rows, (part, grads) in shaded:
+        sigma[rows] = part
+        dsigma[:, rows] = grads.T
+    return sigma, dsigma
+
+
 def shade_views(hitsets, params: ParamMap):
-    """Shade traced views of one Mesh object with a table: one (SarImage,
+    """Shade traced views of one mesh with a table: one (SarImage,
     HitLedger) per HitSet, bitwise what shading each view alone gives.
 
-    One interpolate_at_hits call, one eval_bsdf_batch call per distinct
-    wave and one bin_ranges_fast call per view, which raises a ValueError
-    naming the bin when a range window leaves out a hit.
+    stack_views checks and stacks the views, shade_hits shades every hit
+    at once, and one np.bincount per view sums its pixels.
     """
-    shaded = [None] * len(hitsets)
     if not hitsets:
-        return shaded
-    mesh = hitsets[0].mesh
-    if params.num_vertices != mesh.num_vertices:
-        raise ValueError("parameter table size does not match the mesh")
-    groups = {}       # the views of each wave; each wave's hits are one slice
-    for vi, hits in enumerate(hitsets):
-        if hits.mesh is not mesh:
-            raise ValueError(f"view {vi} was traced over another mesh than view 0")
-        groups.setdefault(hits.radar.wave, []).append(vi)
-    batch = [hitsets[vi] for views in groups.values() for vi in views]
-    facet_id, m1, m2, theta = (np.concatenate([getattr(hits, name) for hits in batch])
-                               for name in ("facet_id", "m1", "m2", "theta"))
-    values = interpolate_at_hits(mesh, params.values, facet_id, m1, m2)
-    lo = 0
-    for wave, views in groups.items():
-        hi = lo + sum(hitsets[vi].num_entries for vi in views)
-        sigma, dsigma = eval_bsdf_batch(theta[lo:hi], values[lo:hi], wave)
-        lo, stop = hi, 0
-        for vi in views:
-            hits = hitsets[vi]
-            part = slice(stop, stop + hits.num_entries)
-            stop = part.stop
-            image, range_bin = bin_ranges_fast(
-                hits.row, hits.ranges, hits.weight * sigma[part], hits.radar.range_res,
-                hits.range_origin, hits.image_shape)
-            # hits may itself be a ledger: its shading is replaced
-            ledger = HitLedger(**{**vars(hits), "range_bin": range_bin, "sigma": sigma[part],
-                                  "dsigma": dsigma[part]})
-            shaded[vi] = (SarImage(intensities=image, radar=hits.radar,
-                                   range_origin=hits.range_origin), ledger)
+        return []
+    starts, corners, bary, theta, waves, wave_id = stack_views(hitsets, params.num_vertices)
+    sigma, dsigma = shade_hits(params, corners.T, bary, by_wave(waves, wave_id, theta))
+    shaded = []
+    for hits, lo, hi in zip(hitsets, starts, starts[1:]):
+        num_rows, num_bins = hits.image_shape
+        image = np.bincount(hits.row * num_bins + hits.range_bin, hits.weight * sigma[lo:hi],
+                            num_rows * num_bins).astype(np.float64, copy=False)  # int64 if no hit
+        # hits may itself be a ledger: its shading is replaced
+        ledger = HitLedger(**{**vars(hits), "sigma": sigma[lo:hi], "dsigma": dsigma[:, lo:hi].T})
+        shaded.append((SarImage(intensities=image.reshape(num_rows, num_bins), radar=hits.radar,
+                                range_origin=hits.range_origin), ledger))
     return shaded
 
 

@@ -9,22 +9,20 @@ The gradient of the data term reaches the parameter table through the
 hits: d(loss)/d(pixel) x quadrature weight x d(sigma)/d(params) x
 barycentric weights, accumulated per vertex in deterministic order.
 
-learn and grad_check stack their traced views once per call: every
-hit's flat pixel index, facet corner ids, barycentric row and weight,
-the BSDF's angle terms (one scatter.bsdf_angles record per wave), and
-every view's flattened reference with its peak scale per pixel,
-concatenated over the views.  A hit is live when its facet touches a
-vertex with an unknown; the others are shaded once, on entry, since
-Adam never writes their vertices.  An iteration then does only the work
-the table changes: one channel-major scene.interpolate over the live
-hits, one eval_bsdf_at call per distinct wave, one np.bincount for every
-view's pixels, one difference and one square over all of them with one
-sum per view (its loss and its RMSE), dL/dI at the pixels the live
-training hits read, and one np.bincount per channel that pulls it back
-into per-view blocks over the touched vertices.  The blocks are summed
-in view order, so losses, RMSEs and every unknown's gradient are
-bitwise the one-view-at-a-time loss_sim, rmse_normalized and sum of
-backward(ledger, dLdI), which reads the mesh from the ledger.
+learn and grad_check stack their traced views once per call with
+imaging.stack_views, as shade_views does, and add their own: each hit's
+flat pixel and weight, and every view's flattened reference with its
+peak scale per pixel.  A hit is live when its facet touches a vertex
+with an unknown; the others are shaded once, on entry, since Adam never
+writes their vertices.  An iteration then does only the work the table
+changes: imaging.shade_hits (shade_views' kernel) over the live hits,
+one np.bincount for every view's pixels, one difference and one square
+over all of them with one sum per view (its loss and its RMSE), dL/dI
+at the pixels the live training hits read, and one np.bincount per
+channel that pulls it back into per-view blocks over the touched
+vertices.  The blocks are summed in view order, so losses, RMSEs and
+every unknown's gradient are bitwise the one-view-at-a-time loss_sim,
+rmse_normalized and sum of backward(ledger, dLdI).
 
 Adam steps a vector of unknowns: one per channel of a free vertex or of
 a tied vertex group (one shared record, gradients summed over the
@@ -41,11 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sartrace.imaging import HitLedger, SarImage, range_bin_of
+from sartrace.imaging import HitLedger, SarImage, by_wave, shade_hits, stack_views
 # the benchmark's traced run wraps this module's `render` by name
 from sartrace.imaging import render  # noqa: F401
-from sartrace.scatter import bsdf_angles, eval_bsdf_at
-from sartrace.scene import ParamMap, PARAM_CHANNELS, interpolate, mesh_edges
+from sartrace.scene import ParamMap, PARAM_CHANNELS, mesh_edges
 
 # wide physical box: positivity for h and l, eps_r nudged inside 1 so
 # the Fresnel contrast (and with it every gradient) never pins to zero
@@ -107,6 +104,7 @@ def loss_tv(values, edges, lambda_mat: float):
     lo, hi = (np.repeat(v * 4, 4) + np.tile(np.arange(4), len(edges)) for v in edges.T)
     sign = lambda_mat * np.sign(diff).ravel()       # per flat cell vertex * 4 + channel
     grad = np.bincount(hi, sign, values.size) - np.bincount(lo, sign, values.size)
+    grad = grad.astype(np.float64, copy=False)      # bincount gives int64 when no edge
     return lambda_mat * float(np.abs(diff).sum()), grad.reshape(values.shape)
 
 
@@ -286,52 +284,20 @@ class LearnResult:
 
 
 def _checked(views, what: str = "view"):
-    """(HitSet, reference array, flat pixel per hit) triples: each reference
-    the traced shape and finite, each hit inside its view's range window."""
+    """(HitSet, reference array) pairs: each reference the traced shape and
+    finite."""
     checked = []
     for vi, (hits, ref) in enumerate(views):
         ref = _as_array(ref)
         if hits.image_shape != ref.shape:
             raise ValueError(f"{what} {vi}: rendered shape {hits.image_shape} != "
                              f"reference shape {ref.shape}")
-        num_bins = ref.shape[1]
         if not np.isfinite(ref).all():
-            row, col = divmod(int(np.flatnonzero(~np.isfinite(ref))[0]), num_bins)
+            row, col = divmod(int(np.flatnonzero(~np.isfinite(ref))[0]), ref.shape[1])
             raise ValueError(f"{what} {vi}: reference pixel (row {row}, bin {col}) is "
                              f"{float(ref[row, col])}, not a finite intensity")
-        bins = range_bin_of(hits.ranges, hits.radar.range_res, hits.range_origin)
-        bad = bins[(bins < 0) | (bins >= num_bins)]
-        if bad.size:
-            raise ValueError(f"{what} {vi}: bin {bad[0]} outside profile of {num_bins} bins")
-        checked.append((hits, ref, hits.row * num_bins + bins))
+        checked.append((hits, ref))
     return checked
-
-
-def _by_wave(waves, wave_id, theta):
-    """(BsdfAngles, rows) per wave the hits use; rows = all rows for one wave."""
-    ids = np.flatnonzero(np.bincount(wave_id, minlength=len(waves)))
-    if ids.size == 1:
-        return [(bsdf_angles(theta, waves[ids[0]]), slice(None))]
-    rows = [np.flatnonzero(wave_id == w) for w in ids]
-    return [(bsdf_angles(theta[r], waves[w]), r) for w, r in zip(ids, rows)]
-
-
-def _shade_hits(bsdf_fn, groups, corners, bary, params: ParamMap):
-    """sigma (h,) and channel-major dsigma (4, h) of hits: one interpolation,
-    then one BSDF call per wave group.  bsdf_fn, if given, is called in
-    eval_bsdf_at's place with eval_bsdf_batch's arguments."""
-    values = interpolate(params.values, corners, bary).T      # (h, 4), contiguous channels
-    shaded = [(rows, eval_bsdf_at(angles, values[rows]) if bsdf_fn is None
-               else bsdf_fn(angles.theta, values[rows], angles.wave))
-              for angles, rows in groups]
-    if len(shaded) == 1:
-        sigma, grads = shaded[0][1]
-        return sigma, grads.T
-    sigma, dsigma = np.empty(values.shape[0]), np.empty((4, values.shape[0]))
-    for rows, (part, grads) in shaded:
-        sigma[rows] = part
-        dsigma[:, rows] = grads.T
-    return sigma, dsigma
 
 
 @dataclass
@@ -360,35 +326,20 @@ class _Stack:
 
 
 def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
-    """Stack _checked views of one mesh (equal facets), training views first.
+    """Stack _checked views with imaging.stack_views, training views first.
     entries: the flat table indices v * 4 + c that may move (None: all).
     Hits touching no vertex with an entry are shaded here, once, with params."""
     n = params.num_vertices
-    hitsets = [hits for hits, _, _ in views]
-    for vi, hits in enumerate(hitsets):
-        name = f"view {vi}" if vi < num_train else f"eval view {vi - num_train}"
-        if hits.mesh.num_vertices != n:
-            raise ValueError(f"{name}: parameter table size {n} does not match "
-                             f"the mesh's {hits.mesh.num_vertices} vertices")
-        if not np.array_equal(hits.mesh.facets, hitsets[0].mesh.facets):
-            raise ValueError(f"{name}: traced over a different mesh than view 0")
-
-    def cat(arrays, empty=np.zeros(0)):
-        return np.concatenate(list(arrays) + [empty])
-
-    refs = [ref for _, ref, _ in views]
+    names = [f"view {vi}" for vi in range(num_train)]
+    names += [f"eval view {vi}" for vi in range(len(views) - num_train)]
+    starts, vids, bary, theta, waves, wave_id = stack_views([hits for hits, _ in views], n, names)
+    bary = np.stack(bary, axis=1)
+    refs = [ref for _, ref in views]
     spans = np.cumsum([0] + [ref.size for ref in refs]).tolist()
-    counts = [hits.row.size for hits in hitsets]
-    pixel = cat((pix + lo for (_, _, pix), lo in zip(views, spans)), np.zeros(0, np.int64))
-    vids = cat((hits.mesh.facets.take(hits.facet_id, axis=0) for hits in hitsets),
-               np.zeros((0, 3), np.int64))
-    m1, m2, theta, weight = (cat(getattr(hits, name) for hits in hitsets)
-                             for name in ("m1", "m2", "theta", "weight"))
-    bary = np.stack([m1, m2, 1.0 - m1 - m2], axis=1)
-    view_id = np.repeat(np.arange(len(views)), counts)
-    waves = list(dict.fromkeys(hits.radar.wave for hits in hitsets))
-    wave_id = np.repeat(np.array([waves.index(hits.radar.wave) for hits in hitsets],
-                                 dtype=np.int64), counts)
+    pixel = np.concatenate([hits.row * ref.shape[1] + hits.range_bin + lo
+                            for (hits, ref), lo in zip(views, spans)])
+    weight = np.concatenate([hits.weight for hits, _ in views])
+    view_id = np.repeat(np.arange(len(views)), np.diff(starts))
 
     movable = (np.ones(n, dtype=bool) if entries is None
                else np.bincount(np.asarray(entries) // 4, minlength=n) > 0)
@@ -397,11 +348,11 @@ def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
     live, frozen = np.flatnonzero(is_live), np.flatnonzero(~is_live)
     intensity = np.zeros(pixel.size)
     if frozen.size:
-        intensity[frozen] = weight[frozen] * _shade_hits(
-            None, _by_wave(waves, wave_id[frozen], theta[frozen]), vids[frozen].T,
-            bary[frozen].T, params)[0]
+        intensity[frozen] = weight[frozen] * shade_hits(
+            params, vids[frozen].T, bary[frozen].T,
+            by_wave(waves, wave_id[frozen], theta[frozen]))[0]
 
-    train = live[:np.searchsorted(live, sum(counts[:num_train]))]
+    train = live[:np.searchsorted(live, starts[num_train])]
     corner = vids[train]
     mark = np.zeros(n, dtype=bool)
     mark[corner[reach[train]]] = True
@@ -409,14 +360,13 @@ def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
     slot = np.where(reach[train], view_id[train, None] * touched.size
                     + np.searchsorted(touched, corner), num_train * touched.size)
     return _Stack(
-        ref=cat(ref.ravel() for ref in refs),
+        ref=np.concatenate([ref.ravel() for ref in refs]),
         scale=np.repeat([ref.max(initial=0.0) or 1.0 for ref in refs], np.diff(spans)),
         spans=spans, num_train=num_train, pixel=pixel, intensity=intensity, live=live,
         corners=np.ascontiguousarray(vids[live].T), bary=bary[live], weight=weight[live],
-        groups=_by_wave(waves, wave_id[live], theta[live]), train_pixel=pixel[train],
+        groups=by_wave(waves, wave_id[live], theta[live]), train_pixel=pixel[train],
         train_counts=np.bincount(view_id[train], minlength=num_train), touched=touched,
-        slot=slot.ravel(),
-        edges=mesh_edges(hitsets[0].mesh) if hitsets else np.zeros((0, 2), np.int64))
+        slot=slot.ravel(), edges=mesh_edges(views[0][0].mesh))
 
 
 def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None,
@@ -426,7 +376,7 @@ def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None,
     loss_sim and rmse_normalized, with views' data terms summed in order,
     then the TV term.  The gradient is exact at every vertex with an
     unknown; elsewhere it holds the TV term only."""
-    sigma, dsigma = _shade_hits(bsdf_fn, stack.groups, stack.corners, stack.bary.T, params)
+    sigma, dsigma = shade_hits(params, stack.corners, stack.bary.T, stack.groups, bsdf_fn)
     intensity = stack.intensity.copy()
     intensity[stack.live] = stack.weight * sigma
     image = np.bincount(stack.pixel, weights=intensity, minlength=stack.spans[-1])
@@ -481,12 +431,13 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
     training RMSE improves by less than _STOP_TOL over stop_patience
     iterations.  A non-finite loss aborts and returns the last
     finite-loss table.  On entry, a view whose reference holds a NaN or
-    inf pixel, or whose range window leaves out a hit, raises ValueError
-    naming the view and the (row, bin) or the bin; then
+    inf pixel raises ValueError naming the view and the (row, bin); then
     opt.project runs (a tied group whose members start with different
-    values raises ValueError) and the views are stacked: hits that
-    touch no vertex with an unknown are shaded once, and only the
-    others on every iteration.  The gradient handed to adam_step is
+    values raises ValueError) and the views are stacked, which raises a
+    ValueError naming the view for a table of another size, another
+    mesh or a range window that leaves out a hit: hits that touch no
+    vertex with an unknown are shaded once, and only the others on every
+    iteration.  The gradient handed to adam_step is
     exact at every vertex with an unknown, so a non-finite partial
     stops learn only on a hit that reaches one.
     """
@@ -582,6 +533,8 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
     with an absolute floor of 1e-8.  Probes where both sides vanish
     report zero error (unilluminated vertices).
     """
+    if not views:
+        raise ValueError("need at least one reference view")
     views = _checked(views)
     stack = _stack(params, views, len(views))
     grads = _objective(stack, params, cfg, bsdf_fn)[3]

@@ -317,17 +317,18 @@ class TestSimulate:
 
     def test_failing_view_writes_nothing(self, workdir, capsys, monkeypatch):
         """Every view is rendered before anything is written: a second view
-        that fails leaves no output directory."""
+        that fails (here in range binning, which trace_views runs per view)
+        leaves no output directory."""
         import sartrace.imaging as imaging
-        bin_ranges_fast, calls = imaging.bin_ranges_fast, []
+        range_bin_of, calls = imaging.range_bin_of, []
 
         def second_fails(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
                 raise ValueError("view 1 failed on purpose")
-            return bin_ranges_fast(*args, **kwargs)
+            return range_bin_of(*args, **kwargs)
 
-        monkeypatch.setattr(imaging, "bin_ranges_fast", second_fails)
+        monkeypatch.setattr(imaging, "range_bin_of", second_fails)
         assert main(["simulate", "--config", str(workdir / "run.ini")]) == 2
         assert "view 1 failed on purpose" in capsys.readouterr().err
         assert len(calls) == 2 and not (workdir / "out").exists()

@@ -19,6 +19,34 @@ from sartrace.scenes import plane_mesh, merge_meshes, rotate_radar, side_looking
 from conftest import grid_mesh, map_frame_from_angles, rotated_radar
 
 
+def count_stages(monkeypatch):
+    """Count imaging's calls of each tracing and shading stage: calls[name]
+    for generate_rays, intersect_rays, interpolate and eval_bsdf_at, and
+    calls["bincount"] for the np.bincount calls that sum an image (the
+    ones given weights)."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name != "bincount" or len(args) > 1 or kwargs.get("weights") is not None:
+                calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("generate_rays", "intersect_rays", "interpolate", "eval_bsdf_at"):
+        monkeypatch.setattr(imaging, name, counted(name, getattr(imaging, name)))
+
+    class Numpy:
+        """imaging's numpy, with bincount counted."""
+        bincount = staticmethod(counted("bincount", np.bincount))
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(imaging, "np", Numpy())
+    return calls
+
+
 def bin_ranges_naive(ranges, intensities, range_res, range_origin, num_bins):
     """Per-hit scatter-add oracle, original hit order."""
     profile = np.zeros(num_bins)
@@ -380,34 +408,28 @@ class TestRender:
         np.testing.assert_allclose(image.intensities, expect, rtol=1e-12, atol=0.0)
 
     def test_one_batch_per_view(self, plate_scene, plate_radar, monkeypatch):
-        import sartrace.imaging as imaging
-        from sartrace.scatter import eval_bsdf_batch
         mesh, params = plate_scene
-        calls = {"intersect": 0, "bsdf": 0, "bin": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(imaging, "intersect_rays",
-                            counted("intersect", imaging.intersect_rays))
-        monkeypatch.setattr(imaging, "bin_ranges_fast",
-                            counted("bin", imaging.bin_ranges_fast))
-        monkeypatch.setattr(imaging, "eval_bsdf_batch", counted("bsdf", eval_bsdf_batch))
+        calls = count_stages(monkeypatch)
         render(mesh, params, plate_radar)
-        assert calls == {"intersect": 1, "bsdf": 1, "bin": 1}
+        assert calls == {"generate_rays": 1, "intersect_rays": 1, "interpolate": 1,
+                         "eval_bsdf_at": 1, "bincount": 1}
 
     def test_range_window_excluding_hits_names_bin(self, plate_scene, plate_radar):
+        """A pinned window is checked when the view is shaded: the first hit
+        outside it is named by its bin, past either end."""
         mesh, params = plate_scene
         image, ledger = render(mesh, params, plate_radar)
-        short = (image.range_origin, int(ledger.range_bin.max()))
-        with pytest.raises(ValueError, match=f"bin {ledger.range_bin.max()} outside"):
-            render(mesh, params, plate_radar, range_window=short)
-        with pytest.raises(ValueError, match="negative bin"):
-            render(mesh, params, plate_radar,
-                   range_window=(image.range_origin - 1.0, image.num_range_bins))
+        for window in ((image.range_origin, int(ledger.range_bin.max())),
+                       (image.range_origin - 1.0, image.num_range_bins)):
+            hits = trace(mesh, plate_radar, range_window=window)
+            bins = hits.range_bin
+            bad = bins[(bins < 0) | (bins >= window[1])]
+            assert 0 < bad.size < bins.size
+            message = f"^view 0: bin {bad[0]} outside profile of {window[1]} bins$"
+            with pytest.raises(ValueError, match=message):
+                shade(hits, params)
+            with pytest.raises(ValueError, match=message):
+                render(mesh, params, plate_radar, range_window=window)
 
     @pytest.mark.parametrize("field, bad", [("origin", math.nan), ("origin", math.inf),
                                             ("num_bins", 2.5), ("num_bins", 0),
@@ -450,7 +472,7 @@ class TestRender:
         image, ledger = shade(hits, params)
         assert isinstance(ledger, HitSet) and ledger.num_entries == hits.num_entries > 0
         for name in ("mesh", "radar", "image_shape", "row", "facet_id", "m1", "m2", "theta",
-                     "weight", "ranges"):
+                     "weight", "ranges", "range_bin"):
             assert getattr(ledger, name) is getattr(hits, name), name
         assert image.radar is hits.radar and image.range_origin == ledger.range_origin
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -458,21 +480,20 @@ class TestRender:
         # a ledger is a HitSet: shading it again gives the same image and arrays
         again_image, again = shade(ledger, params)
         assert_bitwise(again_image.intensities, image.intensities)
-        assert again.row is hits.row
-        for name in ("range_bin", "sigma", "dsigma"):
+        assert again.row is hits.row and again.range_bin is hits.range_bin
+        for name in ("sigma", "dsigma"):
             assert_bitwise(getattr(again, name), getattr(ledger, name))
 
     def test_intensity_linearity_in_sigma(self, plate_scene, plate_radar, monkeypatch):
-        import sartrace.imaging as imaging
-        from sartrace.scatter import eval_bsdf_batch
+        from sartrace.scatter import eval_bsdf_at
         mesh, params = plate_scene
         base, _ = render(mesh, params, plate_radar)
 
-        def scaled(theta, values, wave):
-            sigma, grads = eval_bsdf_batch(theta, values, wave)
+        def scaled(angles, values):
+            sigma, grads = eval_bsdf_at(angles, values)
             return 3.0 * sigma, grads
 
-        monkeypatch.setattr(imaging, "eval_bsdf_batch", scaled)
+        monkeypatch.setattr(imaging, "eval_bsdf_at", scaled)
         tripled, _ = render(mesh, params, plate_radar)
         np.testing.assert_allclose(tripled.intensities, 3.0 * base.intensities,
                                    rtol=1e-12)
@@ -527,7 +548,7 @@ def batch_radars(center, distance):
     ]
 
 
-HIT_ARRAYS = ("row", "facet_id", "m1", "m2", "theta", "weight", "ranges")
+HIT_ARRAYS = ("row", "facet_id", "m1", "m2", "theta", "weight", "ranges", "range_bin")
 
 
 class TestViewBatch:
@@ -568,24 +589,17 @@ class TestViewBatch:
             assert_bitwise(image.intensities, one_image.intensities)
             for name in HIT_ARRAYS:
                 assert_bitwise(getattr(hits, name), getattr(one, name))
-            for name in HIT_ARRAYS + ("range_bin", "sigma", "dsigma"):
+            for name in HIT_ARRAYS + ("sigma", "dsigma"):
                 assert_bitwise(getattr(ledger, name), getattr(one_ledger, name))
 
     def test_one_call_per_stage(self, scene, monkeypatch):
-        """One intersect_rays and one interpolate_at_hits call for all views,
-        one eval_bsdf_batch call per wave and one binning call per view."""
+        """One intersect_rays and one interpolate call for all views, one
+        eval_bsdf_at call per wave and one image bincount per view."""
         mesh, params, bvh, radars = scene
-        calls = {}
-
-        for name in ("generate_rays", "intersect_rays", "interpolate_at_hits",
-                     "eval_bsdf_batch", "bin_ranges_fast"):
-            def counted(*args, fn=getattr(imaging, name), name=name, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(imaging, name, counted)
+        calls = count_stages(monkeypatch)
         shade_views(trace_views(mesh, radars, bvh=bvh), params)
-        assert calls == {"generate_rays": 4, "intersect_rays": 1, "interpolate_at_hits": 1,
-                         "eval_bsdf_batch": 2, "bin_ranges_fast": 4}
+        assert calls == {"generate_rays": 4, "intersect_rays": 1, "interpolate": 1,
+                         "eval_bsdf_at": 2, "bincount": 4}
 
     def test_no_views(self, plate_scene):
         mesh, params = plate_scene
@@ -597,14 +611,51 @@ class TestViewBatch:
             trace_views(mesh, [plate_radar, plate_radar], range_windows=[None])
 
     def test_views_of_other_meshes_rejected(self, plate_scene, plate_radar):
+        """Views of one mesh share its facets: reordered facets make another mesh."""
         mesh, params = plate_scene
-        copy = Mesh.from_arrays(mesh.vertices, mesh.facets)
-        hitsets = [trace(mesh, plate_radar), trace(copy, plate_radar)]
-        with pytest.raises(ValueError, match="^view 1 was traced over another mesh than view 0$"):
+        other = Mesh.from_arrays(mesh.vertices, mesh.facets[::-1])
+        hitsets = [trace(mesh, plate_radar), trace(other, plate_radar)]
+        with pytest.raises(ValueError, match="^view 1: traced over a different mesh than view 0$"):
             shade_views(hitsets, params)
-        # apart, each is shaded as before
-        assert_bitwise(shade(hitsets[1], params)[0].intensities,
-                       shade(hitsets[0], params)[0].intensities)
+        with pytest.raises(ValueError, match="^view 2: traced over a different mesh than view 0$"):
+            shade_views([hitsets[0], hitsets[0], hitsets[1]], params)
+        # apart, each is shaded as before: the same image, from renumbered facets
+        images = [shade(hits, params)[0].intensities for hits in hitsets]
+        assert images[0].sum() > 0.0
+        assert_bitwise(images[1], images[0])
+
+    def test_equal_mesh_built_apart_is_one_mesh(self, plate_scene, plate_radar):
+        mesh, params = plate_scene
+        copy = Mesh.from_arrays(mesh.vertices.copy(), mesh.facets.copy())
+        hitsets = [trace(mesh, plate_radar), trace(copy, plate_radar)]
+        (image, ledger), (copy_image, copy_ledger) = shade_views(hitsets, params)
+        assert ledger.mesh is mesh and copy_ledger.mesh is copy
+        assert_bitwise(copy_image.intensities, image.intensities)
+        for name in HIT_ARRAYS + ("sigma", "dsigma"):
+            assert_bitwise(getattr(copy_ledger, name), getattr(ledger, name))
+
+    def test_table_size_names_the_view(self, plate_scene, plate_radar):
+        mesh, params = plate_scene
+        wider = ParamMap(np.vstack([params.values, params.values[:1]]))
+        hits = trace(mesh, plate_radar)
+        n = mesh.num_vertices
+        with pytest.raises(ValueError, match=f"^view 0: parameter table size {n + 1} does not "
+                                             f"match the mesh's {n} vertices$"):
+            shade(hits, wider)
+        ground = Mesh.from_arrays(mesh.vertices[:4], mesh.facets[:2])
+        with pytest.raises(ValueError, match=f"^view 1: parameter table size 4 does not "
+                                             f"match the mesh's {n} vertices$"):
+            shade_views([trace(ground, plate_radar), hits], ParamMap(params.values[:4]))
+
+    def test_ledger_range_bin_is_the_hitsets(self, plate_scene, plate_radar):
+        """A hit's range bin is traced once: shading keeps the HitSet's array."""
+        mesh, params = plate_scene
+        hits = trace(mesh, plate_radar)
+        assert_bitwise(hits.range_bin,
+                       range_bin_of(hits.ranges, plate_radar.range_res, hits.range_origin))
+        ledger = shade(hits, params)[1]
+        assert ledger.range_bin is hits.range_bin
+        assert shade_views([hits, ledger], params)[1][1].range_bin is hits.range_bin
 
 
 class TestImageFiles:

@@ -113,6 +113,14 @@ class TestLossTv:
         assert loss == 0.0
         assert grad.shape == values.shape and not grad.any()
 
+    def test_no_edges_give_a_float_subgradient(self):
+        """A mesh without facets has no edges: np.bincount of no weights is
+        int64, and the subgradient must still be a float table."""
+        values = np.random.default_rng(2).uniform(0.1, 1.0, (5, 4))
+        loss, grad = loss_tv(values, np.zeros((0, 2), dtype=np.int64), 0.5)
+        assert loss == 0.0
+        assert grad.dtype == np.float64 and grad.shape == values.shape and not grad.any()
+
     def test_subgradient_matches_finite_difference(self):
         mesh = building_scene()[0]
         rng = np.random.default_rng(3)
@@ -429,6 +437,21 @@ def learn_setup(two_facet_mesh, small_radar):
 
 
 class TestLearn:
+    def test_mesh_without_facets_learns_nothing(self, learn_setup):
+        """No facet: no hit and no TV edge.  Under a TV weight the loss is a
+        finite zero, and the table does not move."""
+        mesh, params, radar = learn_setup
+        bare = Mesh.from_arrays(mesh.vertices, np.zeros((0, 3), dtype=np.int64))
+        hits = trace(bare, radar)
+        assert hits.num_entries == 0
+        before = params.values.copy()
+        cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
+        res = learn(params, [(hits, np.zeros(hits.image_shape))],
+                    OptimState.create(bare.num_vertices), cfg, iters=2, stop_patience=10 ** 9)
+        assert res.iterations == 2 and not res.aborted
+        assert res.total_loss.tolist() == [0.0, 0.0]
+        np.testing.assert_array_equal(params.values, before)
+
     def test_self_consistent_refs_keep_loss_tiny(self, learn_setup):
         mesh, params, radar = learn_setup
         ref, _ = render(mesh, params, radar)
@@ -599,9 +622,13 @@ def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=(), seen=None):
     return np.array(total_hist), np.array(view_hist), np.array(eval_hist)
 
 
-def assert_learn_matches_oracle(mesh, params, refs, make_opt, cfg, iters, eval_refs=()):
+def assert_learn_matches_oracle(mesh, params, refs, make_opt, cfg, iters, eval_refs=(),
+                                calls=None):
+    """calls: a RecordedCalls, cleared after the oracle so that it holds learn's calls."""
     expect_params = params.copy()
     expect = oracle_learn(mesh, expect_params, refs, make_opt(), cfg, iters, eval_refs)
+    if calls is not None:
+        calls.events.clear()
     res = learn(params, traced(mesh, refs), make_opt(), cfg, iters=iters,
                 eval_views=traced(mesh, eval_refs), stop_patience=10 ** 9)
     assert res.iterations == iters and not res.aborted
@@ -733,9 +760,9 @@ class TestTraceOnce:
 
 
 class RecordedCalls:
-    """Wraps learn's BSDF (its parameter part, eval_bsdf_at) and adam_step
-    with recorders: events lists ("bsdf", theta of the angle record) and
-    ("adam", gradient table) in call order."""
+    """Wraps the shading kernel's BSDF (imaging's eval_bsdf_at) and learn's
+    adam_step with recorders: events lists ("bsdf", theta of the angle
+    record) and ("adam", gradient table) in call order."""
 
     def __init__(self, monkeypatch):
         self.events = []
@@ -749,7 +776,7 @@ class RecordedCalls:
             self.events.append(("adam", grads.copy()))
             return step(opt, table, grads)
 
-        monkeypatch.setattr(learn_mod, "eval_bsdf_at", recorded_bsdf)
+        monkeypatch.setattr(imaging, "eval_bsdf_at", recorded_bsdf)
         monkeypatch.setattr(learn_mod, "adam_step", recorded_step)
 
     def iterations(self):
@@ -883,7 +910,7 @@ class TestStackedObjective:
         oracle_learn(mesh, start.copy(), refs, make_opt(), cfg, 5, eval_refs, seen=want)
         calls = RecordedCalls(monkeypatch)
         assert_learn_matches_oracle(mesh, start, refs, make_opt, cfg, iters=5,
-                                    eval_refs=eval_refs)
+                                    eval_refs=eval_refs, calls=calls)
         entries = make_opt().entries
         iterations = calls.iterations()
         assert len(iterations) == len(want) == 5
@@ -909,7 +936,7 @@ class TestStackedObjective:
             grads[on_facet_0 if nan_facet == 0 else ~on_facet_0] = np.nan
             return sigma, grads
 
-        monkeypatch.setattr(learn_mod, "eval_bsdf_at", nan_partials)
+        monkeypatch.setattr(imaging, "eval_bsdf_at", nan_partials)
         opt = OptimState.create(mesh.num_vertices, freeze_vertices=[0, 1, 2])
         before = params.values.copy()
         views = traced(mesh, [(radar, ref)])
@@ -986,6 +1013,13 @@ class TestGradCheck:
         ref.values[:, 2] += 3.0
         return ref
 
+    @pytest.mark.parametrize("lambda_mat", [0.0, 1e-3])
+    def test_no_views_rejected(self, learn_setup, lambda_mat):
+        """No view is no check: grad_check raises as learn does."""
+        params = learn_setup[1]
+        with pytest.raises(ValueError, match="^need at least one reference view$"):
+            grad_check(params, [], LossConfig(lambda_mat=lambda_mat), num_probes=5)
+
     def test_two_facet_end_to_end(self, learn_setup):
         mesh, params, radar = learn_setup
         ref = render(mesh, self.perturbed(params), radar)[0].intensities
@@ -1011,7 +1045,8 @@ class TestGradCheck:
             return sigma, grads
 
         with monkeypatch.context() as patch:
-            patch.setattr(imaging, "eval_bsdf_batch", quad_bsdf)
+            patch.setattr(imaging, "eval_bsdf_at",
+                          lambda angles, values: quad_bsdf(angles.theta, values, angles.wave))
             ref = render(mesh, self.perturbed(params), radar)[0].intensities
         report = grad_check(params, traced(mesh, [(radar, ref)]), CFG_RAW,
                             num_probes=12, seed=2, bsdf_fn=quad_bsdf)

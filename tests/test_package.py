@@ -80,6 +80,15 @@ def test_script_help_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
+def bench_pairs():
+    """scripts/bench_pairs.py as a module."""
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("parent, change, better, word, wins", [
     # ten wins, and the medians differ by more than the parent's quartile spread
     ([5.7, 5.8, 5.75, 5.9, 5.72, 5.78, 5.81, 5.74, 5.86, 5.77],
@@ -97,8 +106,17 @@ def test_script_help_runs(script):
 def test_bench_pairs_verdict(parent, change, better, word, wins):
     """scripts/bench_pairs.py: ties count for neither side, a gain needs nine
     tenths of the pairs and a median gap wider than the parent's quartiles."""
-    spec = importlib.util.spec_from_file_location("bench_pairs",
-                                                  ROOT / "scripts" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
-    assert bench_pairs.verdict(parent, change, better, 0.25) == (wins, word)
+    assert bench_pairs().verdict(parent, change, better, 0.25) == (wins, word)
+
+
+@pytest.mark.parametrize("dirty", ["parent", "change"])
+def test_bench_pairs_refuses_stale_bytecode(tmp_path, dirty):
+    """scripts/bench_pairs.py names a checkout's src/ __pycache__ before it
+    reads anything else of the checkouts (these have no BENCHMARK.json)."""
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "sartrace").mkdir(parents=True)
+    cache = tmp_path / dirty / "src" / "sartrace" / "__pycache__"
+    cache.mkdir()
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs().main([str(tmp_path / "parent"), str(tmp_path / "change")])
+    assert str(exit_info.value.code).startswith(f"{cache}: bytecode under src/")
