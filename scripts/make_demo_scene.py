@@ -14,14 +14,11 @@ from sartrace.scene import write_obj
 from sartrace.scenes import cube_plane_scene
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("directory", nargs="?", default="demo")
-    args = ap.parse_args()
-    os.makedirs(args.directory, exist_ok=True)
-
+def write_demo(directory):
+    """Write scene.obj and run.ini into directory; returns (run.ini's path, mesh)."""
+    os.makedirs(directory, exist_ok=True)
     mesh, plane_ids, cube_ids = cube_plane_scene(plane_size=8.0, cube_size=2.0)
-    write_obj(mesh, os.path.join(args.directory, "scene.obj"))
+    write_obj(mesh, os.path.join(directory, "scene.obj"))
 
     cfg = SceneConfig(
         mesh_path="scene.obj", init=(0.005, 0.01, 25.0, 0.05), init_csv=None,
@@ -34,9 +31,17 @@ def main():
         lr=0.05, iters=150, beta1=0.9, beta2=0.99, eps_adam=1e-8, lr_decay=1.0,
         train_vertices=f"{plane_ids.size}:{mesh.num_vertices}", tie=True,
         freeze_channels=("tau",), out_dir="out")
-    path = os.path.join(args.directory, "run.ini")
+    path = os.path.join(directory, "run.ini")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
+    return path, mesh
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("directory", nargs="?", default="demo")
+    args = ap.parse_args()
+    path, mesh = write_demo(args.directory)
     print(f"wrote {path} and scene.obj ({mesh.num_facets} facets); try:")
     print(f"  sartrace simulate --config {path}")
 

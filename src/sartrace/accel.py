@@ -49,8 +49,10 @@ from sartrace.scene import Mesh
 EPS_T = 1e-6
 
 # (ray, facet) pairs per linear-scan batch: `_mt` keeps at most about ten
-# (R, F) float64 temporaries alive at once, with R * F at most this
-_SCAN_PAIRS = 64 * 256
+# (R, F) float64 temporaries alive at once, with R * F at most this.  Each
+# stays under 64 KiB (8 * 8000 bytes): freeing a chunk of 64 KiB or more lets
+# glibc trim the heap top, and the next batch faults those pages back in
+_SCAN_PAIRS = 8000
 
 # rays per BVH traversal batch; bounds the (ray, node) frontier, which a
 # step can grow four-fold

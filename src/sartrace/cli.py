@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -101,8 +102,13 @@ class SceneConfig:
 
 
 def parse_config(path) -> SceneConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path):
+    # raw values: a "%" is a literal, as serialize_config writes it
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    if not found:
         raise ConfigError(f"cannot read config file {path}")
     for name in ("scene", "radar", "optim", "output"):
         if name not in parser:
@@ -239,13 +245,14 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(out_dir, cfg: SceneConfig, inputs, outputs) -> None:
+    """outputs maps each written file's name to its SHA-256 hex digest."""
     manifest = {
-        "config": asdict(cfg),
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
+        "outputs": outputs,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _load(config_path, seed=None):
@@ -273,15 +280,15 @@ def cmd_simulate(config_path, out_dir=None, seed=None) -> int:
     rendered = shade_views(trace_views(mesh, radars, bvh=bvh), params)
     out = os.path.join(base_dir, out_dir or cfg.out_dir)
     os.makedirs(out, exist_ok=True)  # only now: a view that fails to render writes nothing
-    written = []
+    outputs = {}
     for vi, (image, _) in enumerate(rendered):
         raster = os.path.join(out, f"view_{vi:03d}.sarf")
-        write_raster(image, raster)
-        write_pgm(image, os.path.join(out, f"view_{vi:03d}.pgm"))
-        written += [raster, os.path.join(out, f"view_{vi:03d}.pgm")]
+        pgm = os.path.join(out, f"view_{vi:03d}.pgm")
+        outputs[os.path.basename(raster)] = write_raster(image, raster)
+        outputs[os.path.basename(pgm)] = write_pgm(image, pgm)
         print(f"view {vi}: {image.shape[0]} x {image.shape[1]} px -> {raster}")
     inputs = [os.path.join(base_dir, p) for p in (cfg.mesh_path, cfg.init_csv) if p]
-    _write_manifest(out, cfg, inputs, written)
+    _write_manifest(out, cfg, inputs, outputs)
     return 0
 
 
@@ -379,7 +386,9 @@ def cmd_sweep(h, l, eps_r, tau, frequency, polarization, psd,
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="sartrace",
         description="Ray-traced SAR intensity simulation and scattering-parameter recovery")
@@ -414,8 +423,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--theta-stop", type=float, default=85.0)
     p_sweep.add_argument("--num", type=int, default=81)
     p_sweep.add_argument("--out", default="-")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.out, args.seed)

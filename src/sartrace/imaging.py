@@ -35,6 +35,7 @@ Parameter gradients flow through the per-hit intensities only.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import numbers
@@ -450,25 +451,34 @@ def render(mesh: Mesh, params: ParamMap, radar: RadarConfig, bvh: Bvh | None = N
 # ----------------------------------------------------------------------
 # image file formats
 
-def write_pgm(image: SarImage, path) -> None:
-    """16-bit max-normalized binary PGM for quick viewing."""
+def _write(path, header: str, payload: np.ndarray) -> str:
+    """Write the ASCII header, then payload's bytes in row-major order;
+    returns the SHA-256 hex digest of what was written."""
+    head, payload = header.encode("ascii"), np.ascontiguousarray(payload)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(payload)
+    digest = hashlib.sha256(head)
+    digest.update(payload)
+    return digest.hexdigest()
+
+
+def write_pgm(image: SarImage, path) -> str:
+    """16-bit max-normalized binary PGM for quick viewing; returns its SHA-256 hex digest."""
     data = image.intensities
     peak = data.max()
     scaled = np.zeros_like(data) if peak <= 0 else data / peak
     pixels = np.round(scaled * 65535.0).astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n65535\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    return _write(path, f"P5\n{data.shape[1]} {data.shape[0]}\n65535\n", pixels)
 
 
-def write_raster(image: SarImage, path) -> None:
-    """Raw raster: one ASCII header line, then row-major float32 LE."""
+def write_raster(image: SarImage, path) -> str:
+    """Raw raster: one ASCII header line, then row-major float32 LE;
+    returns its SHA-256 hex digest."""
     rows, cols = image.intensities.shape
     header = (f"SARF1 {rows} {cols} {image.radar.azimuth_res!r} {image.radar.range_res!r} "
               f"{image.range_origin!r}\n")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(image.intensities.astype("<f4").tobytes())
+    return _write(path, header, image.intensities.astype("<f4"))
 
 
 # SARF1 header fields after the magic: (name, parser, check, what the check asks)

@@ -11,7 +11,7 @@ from sartrace.accel import Bvh, build_bvh, intersect_rays
 from sartrace.scene import Mesh
 from sartrace.scenes import box_mesh
 
-from conftest import grid_mesh, oracle_build_bvh, oracle_nearest_hit
+from conftest import grid_mesh, oracle_build_bvh, oracle_nearest_hit, run_script
 
 
 def random_triangles(rng, n, scale=1.0):
@@ -502,7 +502,7 @@ class TestScanRuns:
         """Runs of equal or unequal length, from origins that differ only in
         the sign of a zero, with NaN directions among the rays; alone,
         shuffled and in the batch, every output is bitwise the same.  With
-        700 or 2000 facets a scan batch holds 23 or 8 rays, so long runs are
+        700 or 2000 facets a scan batch holds 11 or 4 rays, so long runs are
         split."""
         rng = np.random.default_rng(seed)
         mesh = random_triangles(rng, n_facets)
@@ -525,6 +525,50 @@ class TestScanRuns:
                 assert a[i:i + 1].tobytes() == b.tobytes(), (name, i)
         for name, a, b in zip(("fid", "t", "m1", "m2", "cos_theta"), batch, shuffled):
             assert a[order].tobytes() == b.tobytes(), name
+
+    def test_scan_temporaries_stay_under_64_kib(self):
+        """A (G, L, F) float64 temporary of a full batch is one request of at
+        most 8 * _SCAN_PAIRS bytes.  glibc's chunk for a request of up to
+        65,512 bytes (plus its 8-byte header, rounded to 16) is under 64 KiB,
+        the size whose free consolidates and trims the heap."""
+        assert accel._SCAN_PAIRS * 8 <= 65_512
+
+    @pytest.mark.parametrize("scene", ["demo", "random"])
+    def test_batch_size_changes_no_result(self, monkeypatch, tmp_path, scene):
+        """The demo scene's 2,304 rays and runs of 48 rays on 200 random
+        facets give bitwise the same hits in the batches of _SCAN_PAIRS and
+        of the former 16,384 pairs."""
+        if scene == "demo":
+            from sartrace.cli import build_scene, parse_config
+            from sartrace.imaging import generate_rays
+            run_script(monkeypatch, "make_demo_scene.py", tmp_path)
+            mesh, _, radars = build_scene(parse_config(tmp_path / "run.ini"), str(tmp_path))
+            fans = [generate_rays(radar, np.arange(radar.num_azimuth)) for radar in radars]
+            origins = np.concatenate([fan.origins for fan in fans])
+            directions = np.concatenate([fan.directions for fan in fans])
+            assert origins.shape == (2304, 3)
+        else:
+            rng = np.random.default_rng(23)
+            mesh = random_triangles(rng, 200)
+            origins = np.repeat(rng.uniform(-3.0, 3.0, (40, 3)), 48, axis=0)
+            targets = mesh.vertices.take(mesh.facets[rng.integers(200, size=origins.shape[0])],
+                                         axis=0).mean(axis=1)
+            directions = targets + rng.normal(0.0, 0.1, origins.shape) - origins
+        batches, mt = [], accel._mt
+
+        def counted(*args):
+            batches[-1] += 1
+            return mt(*args)
+
+        monkeypatch.setattr(accel, "_mt", counted)
+        results = []
+        for pairs in (accel._SCAN_PAIRS, 16_384):
+            monkeypatch.setattr(accel, "_SCAN_PAIRS", pairs)
+            batches.append(0)
+            results.append(intersect_rays(mesh, origins, directions))
+        assert batches[0] > batches[1] and (results[0][0] >= 0).sum() > origins.shape[0] // 2
+        for name, a, b in zip(("fid", "t", "m1", "m2", "cos_theta"), *results):
+            assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("lengths, most, run", [
         ([4, 4, 4], 100, 4), ([6, 4, 2], 100, 2), ([5, 3], 100, 1), ([12], 100, 12),

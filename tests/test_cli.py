@@ -1,6 +1,10 @@
 import dataclasses
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +18,7 @@ from sartrace.imaging import read_raster, render
 from sartrace.scene import Mesh, ParamMap, load_param_map, save_param_map, write_obj
 from sartrace.scenes import merge_meshes, plane_mesh
 
-from conftest import CONFIG, DEMO_CONFIG, run_script
+from conftest import CONFIG, DEMO_CONFIG, SCRIPTS, run_script
 
 
 def bumpy_grid(n=12):
@@ -261,6 +265,20 @@ class TestSimulate:
         assert "scene.obj" in manifest["inputs"]
         assert "view_000.sarf" in manifest["outputs"]
 
+    def test_manifest_digests_and_config(self, workdir):
+        """Every output digest is the SHA-256 of the file on disk, and the
+        config block is the JSON of the parsed config."""
+        path = workdir / "run.ini"
+        assert main(["simulate", "--config", str(path)]) == 0
+        out = workdir / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(manifest["outputs"]) == names
+        for name, digest in manifest["outputs"].items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
+        cfg = parse_config(path)
+        assert manifest["config"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
+
     def test_rerun_same_seed_identical(self, workdir):
         main(["simulate", "--config", str(workdir / "run.ini"), "--out", "a"])
         main(["simulate", "--config", str(workdir / "run.ini"), "--out", "b"])
@@ -338,6 +356,36 @@ class TestSimulate:
         path.write_text(CONFIG.replace("alpha_start_deg = 35", "alpha_start_deg = 75"))
         assert main(["simulate", "--config", str(path)]) == 2
 
+    def test_percent_is_a_literal(self, workdir):
+        """A "%" in a value is read raw, round-trips through serialize_config
+        and names the output directory as written."""
+        path = workdir / "pct.ini"
+        path.write_text(CONFIG.replace("dir = out", "dir = out_100%"))
+        cfg = parse_config(path)
+        assert cfg.out_dir == "out_100%"
+        (workdir / "again.ini").write_text(serialize_config(cfg))
+        assert parse_config(workdir / "again.ini") == cfg
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert (workdir / "out_100%" / "view_000.sarf").exists()
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda text: "seed = 3\n" + text, "no section headers"),
+        (lambda text: text.replace("spua = 2", "spua = 2\nspua = 3"),
+         "option 'spua' in section 'radar' already exists"),
+        (lambda text: text + "\n[radar]\nseed = 4\n", "section 'radar' already exists"),
+    ], ids=["missing_section_header", "duplicate_key", "duplicate_section"])
+    def test_unparsable_ini_exit_code(self, workdir, capsys, edit, cause):
+        """configparser's own errors exit 2 with a message that names the
+        file and the cause, and write nothing."""
+        path = workdir / "bad.ini"
+        path.write_text(edit(CONFIG))
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            parse_config(path)
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse config file {path}: ") and cause in err
+        assert not (workdir / "out").exists()
+
     @pytest.mark.parametrize("line, field", [
         ("range_res = nan", "range_res"),
         ("range_res = inf", "range_res"),
@@ -362,6 +410,47 @@ class TestSimulate:
         assert main(argv) == 2
         assert "seed -1" in capsys.readouterr().err
         assert not (workdir / "out").exists()
+
+
+class TestParserPerProcess:
+    """main builds its argument parser once per process, on first use."""
+
+    def test_built_on_first_use_not_at_import(self):
+        env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+        code = "import sartrace.cli; print(sartrace.cli._parser.cache_info())"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert "currsize=0" in proc.stdout
+        assert sartrace.cli._parser() is sartrace.cli._parser()
+
+    def test_commands_share_no_state(self, workdir, capsys):
+        """simulate, sweep, then simulate with an unknown flag, in one process:
+        the first two write what separate processes write, and the last one
+        exits 2 with its usage message."""
+        config = str(workdir / "run.ini")
+        sweep = ["sweep", "--h", "0.002", "--l", "0.01", "--eps-r", "25.0", "--num", "7"]
+        env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+        for argv in (["simulate", "--config", config, "--out", "alone"],
+                     sweep + ["--out", str(workdir / "alone.csv")]):
+            subprocess.run([sys.executable, "-m", "sartrace.cli", *argv], env=env,
+                           capture_output=True, timeout=120, check=True)
+
+        assert main(["simulate", "--config", config, "--out", "shared"]) == 0
+        assert main(sweep + ["--out", str(workdir / "shared.csv")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--config", config, "--out", "bogus", "--bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sartrace ") and "unrecognized arguments: --bogus" in err
+        assert not (workdir / "bogus").exists()
+
+        names = sorted(os.listdir(workdir / "alone"))
+        assert len(names) == 5 and names == sorted(os.listdir(workdir / "shared"))
+        for name in names:
+            assert ((workdir / "alone" / name).read_bytes()
+                    == (workdir / "shared" / name).read_bytes()), name
+        assert (workdir / "alone.csv").read_bytes() == (workdir / "shared.csv").read_bytes()
 
 
 class TestLearnCommand:

@@ -120,3 +120,15 @@ def test_bench_pairs_refuses_stale_bytecode(tmp_path, dirty):
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs().main([str(tmp_path / "parent"), str(tmp_path / "change")])
     assert str(exit_info.value.code).startswith(f"{cache}: bytecode under src/")
+
+
+def test_op_faults_smoke(monkeypatch, capsys):
+    """scripts/op_faults.py prints a header and one line of medians per operation."""
+    run_script(monkeypatch, "op_faults.py", "--ops", 3)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["operation", "ops", "minflt_p50", "cpu_ms_p50"]
+    rows = {name: (int(ops), float(faults), float(cpu_ms))
+            for name, ops, faults, cpu_ms in (line.split() for line in lines[1:])}
+    assert sorted(rows) == ["learn_iteration", "simulate"]
+    for ops, faults, cpu_ms in rows.values():
+        assert ops == 3 and faults >= 0 and cpu_ms > 0
