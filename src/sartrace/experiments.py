@@ -4,7 +4,10 @@ Each protocol renders reference images from known ground-truth tables,
 re-initializes the target object's parameters, and recovers them by
 phased Adam.  References and training renders share seeds, so the loss
 at the truth is exactly zero and recovery quality measures only the
-optimizer and gradient path.
+optimizer and gradient path.  Every phase minimizes RECOVERY_LOSS (the
+normalized image loss, no material prior) with `RecoveryProtocol.optimizer`:
+tau and the plane's vertices frozen at truth, the target's vertices tied
+to one (h, l, eps_r) record.  `scripts/recover_params.py` runs a protocol.
 
 Protocol notes, learned the hard way:
 
@@ -29,7 +32,7 @@ Protocol notes, learned the hard way:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +44,7 @@ from sartrace.scenes import (building_scene, cube_plane_scene, multiview_radars,
                              side_looking_radar)
 
 PLANE_TRUTH = (0.005, 0.01, 25.0)       # h, l, eps_r of the ground plane
-CUBE_TRUTH = (0.002, 0.001, 75.0)
-CUBE_INIT = (0.005, 0.01, 25.0)
-BUILDING_TRUTH = (0.02, 0.01, 6.885)
-BUILDING_INIT = (0.0001, 0.0001, 1.0)
+RECOVERY_LOSS = LossConfig(lambda_sim=1.0, lambda_mat=0.0, normalize=True)
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class AdamPhase:
     lr_decay: float = 1.0
     beta1: float = 0.9
     beta2: float = 0.999
-    freeze_channels: tuple[str, ...] = ("tau",)
 
 
 @dataclass
@@ -70,53 +69,56 @@ class RecoveryProtocol:
     init: ParamMap
     phases: tuple[AdamPhase, ...]
     eps_adam: float
-    loss: LossConfig = field(default_factory=lambda: LossConfig(1.0, 0.0, True))
+
+    def optimizer(self, phase: AdamPhase) -> OptimState:
+        """Adam state for one phase: tau and the frozen vertices held, the target tied."""
+        return OptimState.create(
+            self.init.num_vertices, lr=phase.lr, beta1=phase.beta1, beta2=phase.beta2,
+            eps_adam=self.eps_adam, lr_decay=phase.lr_decay, freeze_channels=("tau",),
+            freeze_vertices=self.frozen_ids, tie_groups=[self.target_ids])
+
+
+def _protocol(name, scene, truth, init, tau, radar, view_azimuths, seed, phases, eps_adam):
+    """A protocol on scene = (mesh, plane ids, target ids): the plane at PLANE_TRUTH,
+    the target's (h, l, eps_r) from init to truth, tau everywhere, seen by a
+    45-degree X-band HH radar whose distance, track and fan radar holds."""
+    mesh, plane_ids, target_ids = scene
+    wave = WaveConfig(9.6e9, "HH", "exponential")
+    base = side_looking_radar(wave, incidence=math.radians(45), num_azimuth=16,
+                              range_res=0.05, spua=2, seed=seed, **radar)
+    truth_map = ParamMap.constant(mesh.num_vertices, *PLANE_TRUTH, tau)
+    truth_map.values[target_ids, :3] = truth
+    init_map = truth_map.copy()
+    init_map.values[target_ids, :3] = init
+    return RecoveryProtocol(
+        name=name, mesh=mesh, frozen_ids=plane_ids, target_ids=target_ids,
+        radars=multiview_radars(base, view_azimuths), truth=truth_map, init=init_map,
+        phases=phases, eps_adam=eps_adam)
 
 
 def cube_recovery_protocol(view_azimuths=(0.0, 120.0, 240.0), seed=7) -> RecoveryProtocol:
-    mesh, plane_ids, cube_ids = cube_plane_scene(plane_size=8.0, cube_size=2.0)
-    wave = WaveConfig(9.6e9, "HH", "exponential")
-    base = side_looking_radar(wave, distance=6.0, incidence=math.radians(45),
-                              track_length=2.5, num_azimuth=16,
-                              fan_halfwidth=math.radians(20), num_angles=24,
-                              range_res=0.05, spua=2, seed=seed)
-    radars = multiview_radars(base, view_azimuths)
-    tau = 0.05
-    truth = ParamMap.constant(mesh.num_vertices, *PLANE_TRUTH, tau)
-    truth.values[cube_ids, :3] = CUBE_TRUTH[0], CUBE_TRUTH[1], CUBE_TRUTH[2]
-    init = truth.copy()
-    init.values[cube_ids, :3] = CUBE_INIT[0], CUBE_INIT[1], CUBE_INIT[2]
-    phases = (
-        AdamPhase(lr=0.10, iters=300, beta2=0.99),
-        AdamPhase(lr=0.03, iters=150, beta2=0.99),
-        AdamPhase(lr=0.01, iters=50, lr_decay=0.95),
-    )
-    return RecoveryProtocol(
-        name="cube", mesh=mesh, frozen_ids=plane_ids, target_ids=cube_ids,
-        radars=radars, truth=truth, init=init, phases=phases, eps_adam=1e-8)
+    return _protocol(
+        "cube", cube_plane_scene(plane_size=8.0, cube_size=2.0),
+        truth=(0.002, 0.001, 75.0), init=(0.005, 0.01, 25.0), tau=0.05,
+        radar=dict(distance=6.0, track_length=2.5, fan_halfwidth=math.radians(20), num_angles=24),
+        view_azimuths=view_azimuths, seed=seed, eps_adam=1e-8, phases=(
+            AdamPhase(lr=0.10, iters=300, beta2=0.99),
+            AdamPhase(lr=0.03, iters=150, beta2=0.99),
+            AdamPhase(lr=0.01, iters=50, lr_decay=0.95),
+        ))
 
 
 def building_recovery_protocol(view_azimuths=(0.0, 120.0, 240.0), seed=11) -> RecoveryProtocol:
-    mesh, plane_ids, bld_ids = building_scene()
-    wave = WaveConfig(9.6e9, "HH", "exponential")
-    base = side_looking_radar(wave, distance=8.0, incidence=math.radians(45),
-                              track_length=3.5, num_azimuth=16,
-                              fan_halfwidth=math.radians(22), num_angles=28,
-                              range_res=0.05, spua=2, seed=seed)
-    radars = multiview_radars(base, view_azimuths)
-    truth = ParamMap.constant(mesh.num_vertices, *PLANE_TRUTH, 0.0)
-    truth.values[bld_ids, :3] = BUILDING_TRUTH[0], BUILDING_TRUTH[1], BUILDING_TRUTH[2]
-    init = truth.copy()
-    init.values[bld_ids, :3] = BUILDING_INIT[0], BUILDING_INIT[1], BUILDING_INIT[2]
-    phases = (
-        AdamPhase(lr=0.15, iters=120, beta1=0.85, beta2=0.99),
-        AdamPhase(lr=0.10, iters=1200, beta1=0.95, beta2=0.99),
-        AdamPhase(lr=0.02, iters=200),
-        AdamPhase(lr=0.005, iters=80, lr_decay=0.97),
-    )
-    return RecoveryProtocol(
-        name="building", mesh=mesh, frozen_ids=plane_ids, target_ids=bld_ids,
-        radars=radars, truth=truth, init=init, phases=phases, eps_adam=0.0)
+    return _protocol(
+        "building", building_scene(),
+        truth=(0.02, 0.01, 6.885), init=(0.0001, 0.0001, 1.0), tau=0.0,
+        radar=dict(distance=8.0, track_length=3.5, fan_halfwidth=math.radians(22), num_angles=28),
+        view_azimuths=view_azimuths, seed=seed, eps_adam=0.0, phases=(
+            AdamPhase(lr=0.15, iters=120, beta1=0.85, beta2=0.99),
+            AdamPhase(lr=0.10, iters=1200, beta1=0.95, beta2=0.99),
+            AdamPhase(lr=0.02, iters=200),
+            AdamPhase(lr=0.005, iters=80, lr_decay=0.97),
+        ))
 
 
 def render_references(proto: RecoveryProtocol):
@@ -129,16 +131,10 @@ def run_recovery(proto: RecoveryProtocol, refs=None, progress=None):
     refs = refs if refs is not None else render_references(proto)
     hitsets = trace_views(proto.mesh, [radar for radar, _ in refs])
     views = [(hits, ref) for hits, (_, ref) in zip(hitsets, refs)]
-    params = proto.init.copy()
-    results = []
-    used = 0
+    params, results, used = proto.init.copy(), [], 0
     for phase in proto.phases:
-        opt = OptimState.create(
-            params.num_vertices, lr=phase.lr, beta1=phase.beta1, beta2=phase.beta2,
-            eps_adam=proto.eps_adam, lr_decay=phase.lr_decay,
-            freeze_channels=phase.freeze_channels, freeze_vertices=proto.frozen_ids,
-            tie_groups=[proto.target_ids])
-        res = learn(params, views, opt, proto.loss, iters=phase.iters, stop_patience=10 ** 9)
+        res = learn(params, views, proto.optimizer(phase), RECOVERY_LOSS, iters=phase.iters,
+                    stop_patience=10 ** 9)
         used += res.iterations
         results.append(res)
         if progress is not None:
@@ -149,6 +145,5 @@ def run_recovery(proto: RecoveryProtocol, refs=None, progress=None):
 def recovered_errors(proto: RecoveryProtocol, params: ParamMap):
     """Relative errors (h, l, eps_r) of the recovered tied target values."""
     vid = proto.target_ids[0]
-    got = params.values[vid]
-    th, tl, te = proto.truth.values[vid, :3]
-    return (abs(got[0] - th) / th, abs(got[1] - tl) / tl, abs(got[2] - te) / te)
+    truth = proto.truth.values[vid, :3]
+    return tuple(abs(params.values[vid, :3] - truth) / truth)

@@ -39,6 +39,7 @@ import hashlib
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -511,8 +512,8 @@ def read_raster(path):
                 raise ValueError(f"{path}: SARF1 header field {name} = {text!r} is not {what}")
             meta[name] = value
         rows, cols = meta.pop("rows"), meta.pop("cols")
-        raw = fh.read(rows * cols * 4)
-        if len(raw) != rows * cols * 4:
-            raise ValueError(f"{path}: truncated raster payload")
-        data = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)
+        size, left = rows * cols * 4, os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:
+            raise ValueError(f"{path}: truncated raster payload: needs {size} bytes, has {left}")
+        data = np.frombuffer(fh.read(size), dtype="<f4").reshape(rows, cols).astype(np.float64)
     return data, meta

@@ -127,7 +127,10 @@ def load_mesh(path) -> Mesh:
         raise MeshError(f"{path}: no vertices found")
     if not facets:
         raise MeshError(f"{path}: no facets found")
-    return Mesh.from_arrays(vertices, facets)
+    try:
+        return Mesh.from_arrays(vertices, facets)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
 
 
 def write_obj(mesh: Mesh, path) -> None:

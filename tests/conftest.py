@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import runpy
 import sys
@@ -121,6 +122,14 @@ dir = out
 """
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """scripts/<name> as a module; its main() is not run."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(monkeypatch, name, *args):

@@ -587,9 +587,9 @@ class TestScanRuns:
     @pytest.mark.parametrize("n, rows", [(20, 3), (100, 2)])
     def test_scan_batches_bounded(self, monkeypatch, wave_hh, n, rows):
         """Each _mt call of the scan solves at most _SCAN_PAIRS (ray, facet)
-        pairs, unless one ray alone needs more, and every pair once: on a
-        800-facet grid a row of 16 rays fits a batch, on a 20,000-facet grid
-        a batch is one ray."""
+        pairs, unless one ray alone needs more, and every pair once: on an
+        800-facet grid at most 10 rays fit a batch, so a row of 16 is split
+        into batches of 8, and on a 20,000-facet grid a batch is one ray."""
         from sartrace.scenes import side_looking_radar
         from sartrace.imaging import generate_rays
         mesh = grid_mesh(n)

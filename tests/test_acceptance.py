@@ -9,22 +9,19 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from sartrace.accel import build_bvh, intersect_rays
 from sartrace.experiments import (building_recovery_protocol,
                                   cube_recovery_protocol, recovered_errors,
                                   render_references, run_recovery)
-from sartrace.imaging import (MapFrame, bin_ranges_fast, range_bin_of, render, trace,
-                              vertex_range_window)
+from sartrace.imaging import MapFrame, bin_ranges_fast, range_bin_of, render, trace
 from sartrace.learn import (LossConfig, OptimState, backward, grad_check, learn,
                             loss_sim, rmse_normalized)
 from sartrace.scatter import WaveConfig, eval_bsdf_batch
 from sartrace.scene import Mesh, ParamMap
-from sartrace.scenes import (cube_plane_scene, merge_meshes, multiview_radars,
-                             plane_mesh, side_looking_radar)
+from sartrace.scenes import merge_meshes, multiview_radars, plane_mesh, side_looking_radar
 
-from conftest import rotated_radar
+from conftest import load_script, rotated_radar
 
 
 def _report(num, name, ok, detail=""):
@@ -270,29 +267,13 @@ def test_08_visibility_and_multiview_benefit():
 
 
 def test_09_sampling_convergence():
-    """Doubling-distance RMSE decreases with ray density (median of 5 seeds)."""
-    mesh, plane_ids, cube_ids = cube_plane_scene(plane_size=8.0, cube_size=2.0)
-    params = ParamMap.constant(mesh.num_vertices, 0.005, 0.01, 25.0, 0.1)
-    params.values[cube_ids, :3] = [0.002, 0.001, 75.0]
-    wave = WaveConfig(9.6e9, "HH", "exponential")
-
-    def radar(spua, seed):
-        return side_looking_radar(wave, distance=6.0, incidence=math.radians(45),
-                                  track_length=2.5, num_azimuth=8,
-                                  fan_halfwidth=math.radians(20), num_angles=16,
-                                  range_res=0.05, spua=spua, seed=seed)
-
-    window = vertex_range_window(mesh, radar(1, 0))
-    medians = []
-    for s in (8, 16, 32, 64):
-        rmses = []
-        for seed in (101, 102, 103, 104, 105):
-            coarse, _ = render(mesh, params, radar(s, seed), range_window=window)
-            fine, _ = render(mesh, params, radar(2 * s, seed), range_window=window)
-            rmses.append(rmse_normalized(coarse.intensities, fine.intensities))
-        medians.append(float(np.median(rmses)))
+    """Doubling-distance RMSE decreases with ray density (median of 5 seeds),
+    as scripts/sampling_convergence.py computes it."""
+    table = load_script("sampling_convergence.py").doubling_rmse()
+    assert [s for s, _, _ in table] == [8, 16, 32, 64]
+    medians = [m for _, m, _ in table]
     ok = all(a > b for a, b in zip(medians, medians[1:]))
-    detail = ", ".join(f"s={s}: {m:.4f}" for s, m in zip((8, 16, 32, 64), medians))
+    detail = ", ".join(f"s={s}: {m:.4f}" for s, m, _ in table)
     assert _report(9, "sampling doubling-distance decreases", ok, detail)
 
 

@@ -536,6 +536,16 @@ class TestLearnCommand:
         assert rc == 2
         assert not (workdir / "learned").exists()
 
+    def test_oversized_raster_header_exits_2(self, workdir, capsys):
+        huge = workdir / "huge.sarf"
+        huge.write_bytes(b"SARF1 10000000000 10000000000 0.1 0.1 0.0\n")
+        capsys.readouterr()
+        rc = main(["learn", "--config", str(workdir / "run.ini"),
+                   "--refs", str(huge), str(huge), "--out", "learned"])
+        assert rc == 2
+        assert f"{huge}: truncated raster payload" in capsys.readouterr().err
+        assert not (workdir / "learned").exists()
+
     @pytest.mark.parametrize("line,other,field", [
         ("seed = 3", "seed = 9", "range_origin"),       # same shape, shifted range grid
         ("range_res = 0.1", "range_res = 0.1000001", "range_res"),

@@ -681,6 +681,16 @@ class TestImageFiles:
         with pytest.raises(ValueError, match="truncated"):
             read_raster(path)
 
+    def test_raster_rejects_payload_larger_than_file(self, tmp_path):
+        """The payload size is checked against the file before any read, so a
+        header asking for 4e20 bytes raises ValueError, not OverflowError."""
+        path = tmp_path / "huge.sarf"
+        path.write_bytes(b"SARF1 10000000000 10000000000 0.1 0.1 0.0\n")
+        with pytest.raises(ValueError) as info:
+            read_raster(path)
+        assert str(info.value) == (
+            f"{path}: truncated raster payload: needs 400000000000000000000 bytes, has 0")
+
     @pytest.mark.parametrize("header, field", [
         ("SARF1 x 3 0.1 0.1 0.0", "rows"),
         ("SARF1 2.5 3 0.1 0.1 0.0", "rows"),

@@ -8,8 +8,8 @@ import pytest
 import sartrace.imaging as imaging
 import sartrace.learn as learn_mod
 from sartrace.cli import main
-from sartrace.experiments import (building_recovery_protocol, cube_recovery_protocol,
-                                  render_references, run_recovery)
+from sartrace.experiments import (RECOVERY_LOSS, building_recovery_protocol,
+                                  cube_recovery_protocol, render_references, run_recovery)
 from sartrace.imaging import HitLedger, RadarConfig, render, trace
 from sartrace.learn import (DEFAULT_LOWER, DEFAULT_UPPER, LossConfig, OptimState, adam_step,
                             backward, grad_check, learn, loss_sim, loss_tv, rmse_normalized,
@@ -283,10 +283,7 @@ class TestAdamStep:
         """One tied (h, l, eps_r) record, everything else frozen."""
         proto = make_protocol()
         for phase in proto.phases:
-            opt = OptimState.create(proto.init.num_vertices,
-                                    freeze_channels=phase.freeze_channels,
-                                    freeze_vertices=proto.frozen_ids,
-                                    tie_groups=[proto.target_ids])
+            opt = proto.optimizer(phase)
             assert opt.m.shape == opt.v.shape == (3,)
             assert opt.entries.size == 3 * proto.target_ids.size
 
@@ -656,14 +653,9 @@ class TestTraceOnce:
         refs = render_references(proto)
         params = proto.init.copy()
         for phase in proto.phases[:2]:
-            def make_opt(phase=phase):
-                return OptimState.create(
-                    params.num_vertices, lr=phase.lr, beta1=phase.beta1, beta2=phase.beta2,
-                    eps_adam=proto.eps_adam, lr_decay=phase.lr_decay,
-                    freeze_channels=phase.freeze_channels,
-                    freeze_vertices=proto.frozen_ids, tie_groups=[proto.target_ids])
-            assert_learn_matches_oracle(proto.mesh, params, refs, make_opt, proto.loss,
-                                        iters=4)
+            assert_learn_matches_oracle(proto.mesh, params, refs,
+                                        lambda phase=phase: proto.optimizer(phase),
+                                        RECOVERY_LOSS, iters=4)
 
     @pytest.fixture
     def intersect_calls(self, monkeypatch):
@@ -840,14 +832,6 @@ class TestStackedObjective:
     """learn shades all views as one stack, re-shading only the hits
     whose facet touches a vertex with an unknown."""
 
-    @staticmethod
-    def cube_phase(proto, phase):
-        return OptimState.create(
-            proto.init.num_vertices, lr=phase.lr, beta1=phase.beta1, beta2=phase.beta2,
-            eps_adam=proto.eps_adam, lr_decay=phase.lr_decay,
-            freeze_channels=phase.freeze_channels, freeze_vertices=proto.frozen_ids,
-            tie_groups=[proto.target_ids])
-
     def test_cube_iteration_makes_one_bsdf_call(self, monkeypatch):
         proto = cube_recovery_protocol()
         refs = render_references(proto)
@@ -860,8 +844,8 @@ class TestStackedObjective:
         assert on_cube.size > 100 and on_plane.size > 100
 
         calls = RecordedCalls(monkeypatch)
-        opt = self.cube_phase(proto, proto.phases[0])
-        res = learn(proto.init.copy(), views, opt, proto.loss, iters=3, stop_patience=10 ** 9)
+        opt = proto.optimizer(proto.phases[0])
+        res = learn(proto.init.copy(), views, opt, RECOVERY_LOSS, iters=3, stop_patience=10 ** 9)
         assert res.iterations == 3 and not res.aborted
         # the plane's hits are shaded once, on entry; each iteration shades the cube's
         thetas = [t for t, _ in calls.iterations()]

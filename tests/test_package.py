@@ -1,6 +1,6 @@
 import ast
+import dataclasses
 import importlib
-import importlib.util
 import os
 import pkgutil
 import re
@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import sartrace
+from sartrace import experiments
 from sartrace.cli import parse_config
 
-from conftest import run_script
+from conftest import load_script, run_script
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -45,6 +46,13 @@ def test_readme_config_block_is_the_demo_config(tmp_path, monkeypatch):
     (tmp_path / "readme.ini").write_text(block)
     run_script(monkeypatch, "make_demo_scene.py", tmp_path / "demo")
     assert parse_config(tmp_path / "readme.ini") == parse_config(tmp_path / "demo" / "run.ini")
+
+
+def test_readme_lists_every_script():
+    """The README's "Experiment scripts" list names exactly the files in scripts/."""
+    section = README.read_text(encoding="utf-8").split("## Experiment scripts", 1)[1]
+    listed = re.findall(r"^\* `scripts/([^` ]+)", section.split("\n## ", 1)[0], re.MULTILINE)
+    assert sorted(listed) == sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(path):
@@ -80,15 +88,6 @@ def test_script_help_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def bench_pairs():
-    """scripts/bench_pairs.py as a module."""
-    spec = importlib.util.spec_from_file_location("bench_pairs",
-                                                  ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("parent, change, better, word, wins", [
     # ten wins, and the medians differ by more than the parent's quartile spread
     ([5.7, 5.8, 5.75, 5.9, 5.72, 5.78, 5.81, 5.74, 5.86, 5.77],
@@ -106,7 +105,7 @@ def bench_pairs():
 def test_bench_pairs_verdict(parent, change, better, word, wins):
     """scripts/bench_pairs.py: ties count for neither side, a gain needs nine
     tenths of the pairs and a median gap wider than the parent's quartiles."""
-    assert bench_pairs().verdict(parent, change, better, 0.25) == (wins, word)
+    assert load_script("bench_pairs.py").verdict(parent, change, better, 0.25) == (wins, word)
 
 
 @pytest.mark.parametrize("dirty", ["parent", "change"])
@@ -118,7 +117,7 @@ def test_bench_pairs_refuses_stale_bytecode(tmp_path, dirty):
     cache = tmp_path / dirty / "src" / "sartrace" / "__pycache__"
     cache.mkdir()
     with pytest.raises(SystemExit) as exit_info:
-        bench_pairs().main([str(tmp_path / "parent"), str(tmp_path / "change")])
+        load_script("bench_pairs.py").main([str(tmp_path / "parent"), str(tmp_path / "change")])
     assert str(exit_info.value.code).startswith(f"{cache}: bytecode under src/")
 
 
@@ -132,3 +131,33 @@ def test_op_faults_smoke(monkeypatch, capsys):
     assert sorted(rows) == ["learn_iteration", "simulate"]
     for ops, faults, cpu_ms in rows.values():
         assert ops == 3 and faults >= 0 and cpu_ms > 0
+
+
+@pytest.mark.parametrize("protocol", ["cube", "building"])
+def test_recover_params_smoke(monkeypatch, capsys, protocol):
+    """scripts/recover_params.py prints, per phase and per parameter, what
+    run_recovery and recovered_errors give; each phase is cut to 2 iterations."""
+    make = getattr(experiments, f"{protocol}_recovery_protocol")
+
+    def truncated(**kwargs):
+        proto = make(**kwargs)
+        return dataclasses.replace(
+            proto, phases=tuple(dataclasses.replace(p, iters=2) for p in proto.phases))
+
+    monkeypatch.setattr(experiments, f"{protocol}_recovery_protocol", truncated)
+    run_script(monkeypatch, "recover_params.py", "--protocol", protocol)
+    lines = capsys.readouterr().out.splitlines()
+
+    proto = truncated()
+    params, _, used = experiments.run_recovery(proto)
+    errors = experiments.recovered_errors(proto, params)
+    vid = proto.target_ids[0]
+    phases = len(proto.phases)
+    assert [line.split(":")[0].split() for line in lines[:phases]] == [
+        ["iter", str(2 * (i + 1))] for i in range(phases)]
+    assert lines[phases].startswith(f"finished {used} Adam iterations in ")
+    assert lines[phases + 1].split() == ["parameter", "init", "recovered", "truth", "err"]
+    rows = {line[:10].strip(): line[10:].split() for line in lines[phases + 2:]}
+    assert rows == {name: [f"{proto.init.values[vid, c]:.4g}", f"{params.values[vid, c]:.6g}",
+                           f"{proto.truth.values[vid, c]:.4g}", f"{errors[c] * 100:.2f}%"]
+                    for name, c in (("eps_r", 2), ("h (m)", 0), ("l (m)", 1))}

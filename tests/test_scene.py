@@ -47,6 +47,19 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match="non-finite"):
             load_mesh(write(tmp_path, "v 0 0 nan\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"))
 
+    @pytest.mark.parametrize("text, cause", [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 5\n",
+         "facet 0 references vertex outside [0, 3): [0, 1, 4]"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 1 2\n", "facet 1 has zero area"),
+        ("v 0 0 nan\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "non-finite vertex coordinate"),
+    ], ids=["index", "zero-area", "non-finite"])
+    def test_mesh_error_names_file(self, tmp_path, text, cause):
+        """Errors of Mesh.from_arrays name the file, as parse errors do."""
+        path = write(tmp_path, text)
+        with pytest.raises(MeshError) as info:
+            load_mesh(path)
+        assert str(info.value) == f"{path}: {cause}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_mesh(tmp_path / "absent.obj")
