@@ -32,6 +32,8 @@ from sartrace.scene import (PARAM_CHANNELS, ParamMap, load_mesh, load_param_map,
                             save_param_map)
 from sartrace.scenes import multiview_radars
 
+_GRADCHECK_TOL = 1e-3   # gradcheck exits 1 when a probe's relative error exceeds it
+
 
 class ConfigError(ValueError):
     """Configuration file problem, message names the offending field."""
@@ -334,8 +336,9 @@ def _perturbed_reference_params(params: ParamMap) -> ParamMap:
     return ref
 
 
-def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False,
-                  threshold=1e-3) -> int:
+def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False) -> int:
+    if probes < 1:
+        raise ConfigError(f"--probes must be at least 1, got {probes}")
     cfg, _, mesh, params, radars, bvh = _load(config_path)
     if mesh.num_facets > 10_000:
         raise ConfigError("gradcheck wants a small scene (<= 10k facets)")
@@ -357,7 +360,7 @@ def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False,
               f"fd {p.finite_diff: .6e} rel {p.rel_err:.3e}")
     print(f"max relative error:    {report.max_rel_err:.3e}")
     print(f"median relative error: {report.median_rel_err:.3e}")
-    return 0 if report.max_rel_err <= threshold else 1
+    return 0 if report.max_rel_err <= _GRADCHECK_TOL else 1
 
 
 def cmd_sweep(h, l, eps_r, tau, frequency, polarization, psd,

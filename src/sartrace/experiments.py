@@ -60,7 +60,6 @@ class AdamPhase:
 class RecoveryProtocol:
     """Everything needed to reproduce one closed-loop recovery."""
 
-    name: str
     mesh: object
     frozen_ids: np.ndarray          # vertices held at truth
     target_ids: np.ndarray          # tied group being recovered
@@ -78,10 +77,11 @@ class RecoveryProtocol:
             freeze_vertices=self.frozen_ids, tie_groups=[self.target_ids])
 
 
-def _protocol(name, scene, truth, init, tau, radar, view_azimuths, seed, phases, eps_adam):
+def _protocol(scene, truth, init, tau, radar, seed, phases, eps_adam):
     """A protocol on scene = (mesh, plane ids, target ids): the plane at PLANE_TRUTH,
-    the target's (h, l, eps_r) from init to truth, tau everywhere, seen by a
-    45-degree X-band HH radar whose distance, track and fan radar holds."""
+    the target's (h, l, eps_r) from init to truth, tau everywhere, seen from
+    azimuths 0, 120 and 240 degrees by a 45-degree X-band HH radar whose
+    distance, track and fan radar holds."""
     mesh, plane_ids, target_ids = scene
     wave = WaveConfig(9.6e9, "HH", "exponential")
     base = side_looking_radar(wave, incidence=math.radians(45), num_azimuth=16,
@@ -91,29 +91,29 @@ def _protocol(name, scene, truth, init, tau, radar, view_azimuths, seed, phases,
     init_map = truth_map.copy()
     init_map.values[target_ids, :3] = init
     return RecoveryProtocol(
-        name=name, mesh=mesh, frozen_ids=plane_ids, target_ids=target_ids,
-        radars=multiview_radars(base, view_azimuths), truth=truth_map, init=init_map,
+        mesh=mesh, frozen_ids=plane_ids, target_ids=target_ids,
+        radars=multiview_radars(base, (0.0, 120.0, 240.0)), truth=truth_map, init=init_map,
         phases=phases, eps_adam=eps_adam)
 
 
-def cube_recovery_protocol(view_azimuths=(0.0, 120.0, 240.0), seed=7) -> RecoveryProtocol:
+def cube_recovery_protocol(seed=7) -> RecoveryProtocol:
     return _protocol(
-        "cube", cube_plane_scene(plane_size=8.0, cube_size=2.0),
+        cube_plane_scene(plane_size=8.0, cube_size=2.0),
         truth=(0.002, 0.001, 75.0), init=(0.005, 0.01, 25.0), tau=0.05,
         radar=dict(distance=6.0, track_length=2.5, fan_halfwidth=math.radians(20), num_angles=24),
-        view_azimuths=view_azimuths, seed=seed, eps_adam=1e-8, phases=(
+        seed=seed, eps_adam=1e-8, phases=(
             AdamPhase(lr=0.10, iters=300, beta2=0.99),
             AdamPhase(lr=0.03, iters=150, beta2=0.99),
             AdamPhase(lr=0.01, iters=50, lr_decay=0.95),
         ))
 
 
-def building_recovery_protocol(view_azimuths=(0.0, 120.0, 240.0), seed=11) -> RecoveryProtocol:
+def building_recovery_protocol(seed=11) -> RecoveryProtocol:
     return _protocol(
-        "building", building_scene(),
+        building_scene(),
         truth=(0.02, 0.01, 6.885), init=(0.0001, 0.0001, 1.0), tau=0.0,
         radar=dict(distance=8.0, track_length=3.5, fan_halfwidth=math.radians(22), num_angles=28),
-        view_azimuths=view_azimuths, seed=seed, eps_adam=0.0, phases=(
+        seed=seed, eps_adam=0.0, phases=(
             AdamPhase(lr=0.15, iters=120, beta1=0.85, beta2=0.99),
             AdamPhase(lr=0.10, iters=1200, beta1=0.95, beta2=0.99),
             AdamPhase(lr=0.02, iters=200),

@@ -349,27 +349,26 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
     return hitsets
 
 
-def stack_views(hitsets, num_vertices: int, names=None):
+def stack_views(hitsets, num_vertices: int):
     """Check traced views for shading with a table of num_vertices rows and
     stack their hits: (starts, corners, bary, theta, waves, wave_id), where
     view v owns hits starts[v]:starts[v + 1], corners (H, 3) are facet
     corner ids, bary the weights (m1, m2, 1 - m1 - m2) and wave_id (H,)
     each hit's index into the distinct waves.  A ValueError names the view
-    (names[v], else "view v") whose mesh has another vertex count, whose
-    facets differ from view 0's (equal facets make one mesh) or whose
-    range window leaves out a hit."""
+    ("view v") whose mesh has another vertex count, whose facets differ
+    from view 0's (equal facets make one mesh) or whose range window
+    leaves out a hit."""
     facets = hitsets[0].mesh.facets
     for vi, hits in enumerate(hitsets):
-        name = names[vi] if names else f"view {vi}"
         if hits.mesh.num_vertices != num_vertices:
-            raise ValueError(f"{name}: parameter table size {num_vertices} does not match "
+            raise ValueError(f"view {vi}: parameter table size {num_vertices} does not match "
                              f"the mesh's {hits.mesh.num_vertices} vertices")
         if hits.mesh.facets is not facets and not np.array_equal(hits.mesh.facets, facets):
-            raise ValueError(f"{name}: traced over a different mesh than view 0")
+            raise ValueError(f"view {vi}: traced over a different mesh than view 0")
         bins, num_bins = hits.range_bin, hits.image_shape[1]
         if bins.size and (bins.min() < 0 or bins.max() >= num_bins):
             bad = bins[(bins < 0) | (bins >= num_bins)][0]
-            raise ValueError(f"{name}: bin {bad} outside profile of {num_bins} bins")
+            raise ValueError(f"view {vi}: bin {bad} outside profile of {num_bins} bins")
     counts = [hits.num_entries for hits in hitsets]
     facet_id, m1, m2, theta = (np.concatenate([getattr(hits, name) for hits in hitsets])
                                for name in ("facet_id", "m1", "m2", "theta"))

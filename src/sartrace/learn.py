@@ -18,11 +18,13 @@ writes their vertices.  An iteration then does only the work the table
 changes: imaging.shade_hits (shade_views' kernel) over the live hits,
 one np.bincount for every view's pixels, one difference and one square
 over all of them with one sum per view (its loss and its RMSE), dL/dI
-at the pixels the live training hits read, and one np.bincount per
-channel that pulls it back into per-view blocks over the touched
-vertices.  The blocks are summed in view order, so losses, RMSEs and
-every unknown's gradient are bitwise the one-view-at-a-time loss_sim,
-rmse_normalized and sum of backward(ledger, dLdI).
+at the pixels the live hits read, and one np.bincount per channel that
+pulls it back into per-view blocks over the touched vertices.  The
+blocks are summed in view order, so losses, RMSEs and every unknown's
+gradient are bitwise the one-view-at-a-time loss_sim, rmse_normalized
+and sum of backward(ledger, dLdI).  grad_check's finite differences
+take the total of this same objective, so the gradient it checks is
+the one learn steps with.
 
 Adam steps a vector of unknowns: one per channel of a free vertex or of
 a tied vertex group (one shared record, gradients summed over the
@@ -51,7 +53,7 @@ DEFAULT_UPPER = np.array([1.0, 10.0, 1e4, 1.0])
 
 _NUM_LOG = 3  # h, l and eps_r lead the table and step in log space; tau is linear
 
-_STOP_TOL = 1e-6       # least mean training RMSE gain that resets patience
+_STOP_TOL = 1e-6       # least mean view RMSE gain that resets patience
 _FD_REL_STEP = 1e-4    # grad_check central step, relative to the value
 
 
@@ -279,22 +281,21 @@ class LearnResult:
     total_loss: np.ndarray       # (iters,)
     sim_loss: np.ndarray
     tv_loss: np.ndarray
-    view_rmse: np.ndarray        # (iters, num_train_views)
-    eval_rmse: np.ndarray        # (iters, num_eval_views)
+    view_rmse: np.ndarray        # (iters, num_views)
 
 
-def _checked(views, what: str = "view"):
+def _checked(views):
     """(HitSet, reference array) pairs: each reference the traced shape and
     finite."""
     checked = []
     for vi, (hits, ref) in enumerate(views):
         ref = _as_array(ref)
         if hits.image_shape != ref.shape:
-            raise ValueError(f"{what} {vi}: rendered shape {hits.image_shape} != "
+            raise ValueError(f"view {vi}: rendered shape {hits.image_shape} != "
                              f"reference shape {ref.shape}")
         if not np.isfinite(ref).all():
             row, col = divmod(int(np.flatnonzero(~np.isfinite(ref))[0]), ref.shape[1])
-            raise ValueError(f"{what} {vi}: reference pixel (row {row}, bin {col}) is "
+            raise ValueError(f"view {vi}: reference pixel (row {row}, bin {col}) is "
                              f"{float(ref[row, col])}, not a finite intensity")
         checked.append((hits, ref))
     return checked
@@ -303,14 +304,13 @@ def _checked(views, what: str = "view"):
 @dataclass
 class _Stack:
     """Every view's hits concatenated, with the per-hit operators that no
-    parameter changes; training views first.  Live hits, whose facet
-    touches a vertex with an unknown, are shaded per iteration; the others
-    keep the intensity shaded when the stack was built."""
+    parameter changes.  Live hits, whose facet touches a vertex with an
+    unknown, are shaded per iteration; the others keep the intensity
+    shaded when the stack was built."""
 
     ref: np.ndarray               # (P,) every view's reference, flattened, end to end
     scale: np.ndarray             # (P,) its view's reference peak, 1 where the peak is <= 0
     spans: list                   # views + 1 ints: view v owns pixels spans[v]:spans[v + 1]
-    num_train: int
     pixel: np.ndarray             # (H,) flat pixel of every hit
     intensity: np.ndarray         # (H,) weight * sigma, filled in for the frozen hits
     live: np.ndarray              # (L,) positions of the live hits
@@ -318,21 +318,19 @@ class _Stack:
     bary: np.ndarray              # (L, 3) their barycentric rows (m1, m2, 1 - m1 - m2)
     weight: np.ndarray            # (L,)
     groups: list                  # (BsdfAngles, live rows) per distinct wave
-    train_pixel: np.ndarray       # (Lt,) pixel of each live hit of a training view
-    train_counts: np.ndarray      # (views,) how many of those each training view has
-    touched: np.ndarray           # (T,) vertices with unknowns that those hits reach
-    slot: np.ndarray              # (Lt * 3,) adjoint bin view * T + touched of each corner
+    live_pixel: np.ndarray        # (L,) pixel of each live hit
+    live_counts: np.ndarray       # (views,) how many live hits each view has
+    touched: np.ndarray           # (T,) vertices with unknowns that live hits reach
+    slot: np.ndarray              # (L * 3,) adjoint bin view * T + touched of each corner
     edges: np.ndarray             # (E, 2) the mesh's edges, the TV term's pairs
 
 
-def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
-    """Stack _checked views with imaging.stack_views, training views first.
+def _stack(params: ParamMap, views, entries=None) -> _Stack:
+    """Stack _checked views with imaging.stack_views.
     entries: the flat table indices v * 4 + c that may move (None: all).
     Hits touching no vertex with an entry are shaded here, once, with params."""
     n = params.num_vertices
-    names = [f"view {vi}" for vi in range(num_train)]
-    names += [f"eval view {vi}" for vi in range(len(views) - num_train)]
-    starts, vids, bary, theta, waves, wave_id = stack_views([hits for hits, _ in views], n, names)
+    starts, vids, bary, theta, waves, wave_id = stack_views([hits for hits, _ in views], n)
     bary = np.stack(bary, axis=1)
     refs = [ref for _, ref in views]
     spans = np.cumsum([0] + [ref.size for ref in refs]).tolist()
@@ -352,30 +350,27 @@ def _stack(params: ParamMap, views, num_train: int, entries=None) -> _Stack:
             params, vids[frozen].T, bary[frozen].T,
             by_wave(waves, wave_id[frozen], theta[frozen]))[0]
 
-    train = live[:np.searchsorted(live, starts[num_train])]
-    corner = vids[train]
+    corner, reached = vids[live], reach[live]
     mark = np.zeros(n, dtype=bool)
-    mark[corner[reach[train]]] = True
+    mark[corner[reached]] = True
     touched = np.flatnonzero(mark)
-    slot = np.where(reach[train], view_id[train, None] * touched.size
-                    + np.searchsorted(touched, corner), num_train * touched.size)
+    slot = np.where(reached, view_id[live, None] * touched.size
+                    + np.searchsorted(touched, corner), len(views) * touched.size)
     return _Stack(
         ref=np.concatenate([ref.ravel() for ref in refs]),
         scale=np.repeat([ref.max(initial=0.0) or 1.0 for ref in refs], np.diff(spans)),
-        spans=spans, num_train=num_train, pixel=pixel, intensity=intensity, live=live,
-        corners=np.ascontiguousarray(vids[live].T), bary=bary[live], weight=weight[live],
-        groups=by_wave(waves, wave_id[live], theta[live]), train_pixel=pixel[train],
-        train_counts=np.bincount(view_id[train], minlength=num_train), touched=touched,
+        spans=spans, pixel=pixel, intensity=intensity, live=live,
+        corners=np.ascontiguousarray(corner.T), bary=bary[live], weight=weight[live],
+        groups=by_wave(waves, wave_id[live], theta[live]), live_pixel=pixel[live],
+        live_counts=np.bincount(view_id[live], minlength=len(views)), touched=touched,
         slot=slot.ravel(), edges=mesh_edges(views[0][0].mesh))
 
 
-def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None,
-               loss_only: bool = False):
+def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None):
     """One learn iteration: (total, sim, tv, d(total)/d(params), per-view
-    RMSE), or the total alone when loss_only.  Bitwise the per-view
-    loss_sim and rmse_normalized, with views' data terms summed in order,
-    then the TV term.  The gradient is exact at every vertex with an
-    unknown; elsewhere it holds the TV term only."""
+    RMSE).  Bitwise the per-view loss_sim and rmse_normalized, with views'
+    data terms summed in order, then the TV term.  The gradient is exact
+    at every vertex with an unknown; elsewhere it holds the TV term only."""
     sigma, dsigma = shade_hits(params, stack.corners, stack.bary.T, stack.groups, bsdf_fn)
     intensity = stack.intensity.copy()
     intensity[stack.live] = stack.weight * sigma
@@ -384,86 +379,75 @@ def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None,
     # every view's difference and square at once, then one sum per view
     # (np.sum's reduction) for its RMSE and its loss; the loss takes the
     # unscaled difference unless cfg.normalize
-    spans = stack.spans[:stack.num_train + 1] if loss_only else stack.spans
-    diff = image[:spans[-1]] - stack.ref[:spans[-1]]
-    scaled = diff / stack.scale[:spans[-1]]
+    spans, num_views = stack.spans, len(stack.spans) - 1
+    diff = image - stack.ref
+    scaled = diff / stack.scale
     square = scaled * scaled
-    rmses, sim, coef = np.empty(len(spans) - 1), 0.0, []
+    rmses, sim, coef = np.empty(num_views), 0.0, []
     for vi, (lo, hi) in enumerate(zip(spans, spans[1:])):
         total = np.add.reduce(square[lo:hi])
         rmses[vi] = math.sqrt(total / (hi - lo))
-        if vi < stack.num_train:
-            norm = cfg.lambda_sim / (stack.num_train * (hi - lo))
-            sim += norm * float(total if cfg.normalize
-                                else np.add.reduce(diff[lo:hi] * diff[lo:hi]))
-            coef.append(2.0 * norm)
+        norm = cfg.lambda_sim / (num_views * (hi - lo))
+        sim += norm * float(total if cfg.normalize else np.add.reduce(diff[lo:hi] * diff[lo:hi]))
+        coef.append(2.0 * norm)
     tv, grads = loss_tv(params.values, stack.edges, cfg.lambda_mat)
-    if loss_only:
-        return sim + tv
 
-    # dL/dI at the pixels the training views' live hits read, then backward
-    # over those hits, each view into its own block
-    pixel = stack.train_pixel
-    num = pixel.size
-    dLdI = np.repeat(coef, stack.train_counts) * (scaled if cfg.normalize else diff).take(pixel)
+    # dL/dI at the pixels the live hits read, then backward over those
+    # hits, each view into its own block
+    pixel = stack.live_pixel
+    dLdI = np.repeat(coef, stack.live_counts) * (scaled if cfg.normalize else diff).take(pixel)
     if cfg.normalize:
         dLdI /= stack.scale.take(pixel)
-    g_sigma = dLdI * stack.weight[:num]
+    g_sigma = dLdI * stack.weight
     size = stack.touched.size
-    bary = stack.bary[:num]
-    blocks = np.stack([np.bincount(stack.slot, (bary * (g_sigma * d[:num])[:, None]).ravel(),
-                                   stack.num_train * size + 1) for d in dsigma])
+    blocks = np.stack([np.bincount(stack.slot, (stack.bary * (g_sigma * d)[:, None]).ravel(),
+                                   num_views * size + 1) for d in dsigma])
     adjoint = np.zeros((4, size))
-    for vi in range(stack.num_train):           # the views' sums in order, as one view at a time
+    for vi in range(num_views):                 # the views' sums in order, as one view at a time
         adjoint += blocks[:, vi * size:(vi + 1) * size]
     grads[stack.touched] += adjoint.T
     return sim + tv, sim, tv, grads, rmses
 
 
 def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
-          eval_views=(), stop_patience: int = 50) -> LearnResult:
+          stop_patience: int = 50) -> LearnResult:
     """Multi-view gradient-descent recovery of the parameter table.
 
     views: (HitSet, reference image) pairs from imaging.trace; all enter
     the gradient, and each iteration only re-shades them, since no
-    parameter moves a hit.  eval_views: held-out pairs scored by RMSE
-    only.  Runs at most `iters` steps, stopping early once the mean
-    training RMSE improves by less than _STOP_TOL over stop_patience
-    iterations.  A non-finite loss aborts and returns the last
-    finite-loss table.  On entry, a view whose reference holds a NaN or
-    inf pixel raises ValueError naming the view and the (row, bin); then
-    opt.project runs (a tied group whose members start with different
-    values raises ValueError) and the views are stacked, which raises a
-    ValueError naming the view for a table of another size, another
-    mesh or a range window that leaves out a hit: hits that touch no
-    vertex with an unknown are shaded once, and only the others on every
-    iteration.  The gradient handed to adam_step is
-    exact at every vertex with an unknown, so a non-finite partial
-    stops learn only on a hit that reaches one.
+    parameter moves a hit.  Runs at most `iters` steps, stopping early
+    once the mean view RMSE improves by less than _STOP_TOL over
+    stop_patience iterations.  A non-finite loss aborts and returns the
+    last finite-loss table.  On entry, a view whose reference holds a NaN
+    or inf pixel raises ValueError naming the view and the (row, bin);
+    then opt.project runs (a tied group whose members start with
+    different values raises ValueError) and the views are stacked, which
+    raises a ValueError naming the view for a table of another size,
+    another mesh or a range window that leaves out a hit: hits that
+    touch no vertex with an unknown are shaded once, and only the others
+    on every iteration.  The gradient handed to adam_step is exact at
+    every vertex with an unknown, so a non-finite partial stops learn
+    only on a hit that reaches one.
     """
     if not views:
         raise ValueError("need at least one reference view")
     views = _checked(views)
-    eval_views = _checked(eval_views, "eval view")
     opt.project(params)
-    stack = _stack(params, views + eval_views, len(views), opt.entries)
+    stack = _stack(params, views, opt.entries)
     last_good = params.copy()
 
-    total_hist, sim_hist, tv_hist = [], [], []
-    view_hist, eval_hist = [], []
+    total_hist, sim_hist, tv_hist, view_hist = [], [], [], []
     best_rmse = np.inf
     since_best = 0
     aborted = False
 
     for it in range(iters):
         total, sim, tv, grads, rmses = _objective(stack, params, cfg)
-        rmses, ev = rmses[:len(views)], rmses[len(views):]
 
         total_hist.append(total)
         sim_hist.append(sim)
         tv_hist.append(tv)
         view_hist.append(rmses)
-        eval_hist.append(ev)
 
         if not math.isfinite(total):
             aborted = True
@@ -487,22 +471,19 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
         total_loss=np.asarray(total_hist), sim_loss=np.asarray(sim_hist),
         tv_loss=np.asarray(tv_hist),
         view_rmse=np.asarray(view_hist) if view_hist else np.zeros((0, len(views))),
-        eval_rmse=np.asarray(eval_hist) if eval_hist else np.zeros((0, len(eval_views))),
     )
 
 
 def write_history_csv(result: LearnResult, path) -> None:
-    """iter,total_loss,sim_loss,tv_loss,view_rmse_*,eval_rmse_* rows."""
+    """iter,total_loss,sim_loss,tv_loss,view_rmse_* rows."""
     cols = ["iter", "total_loss", "sim_loss", "tv_loss"]
     cols += [f"view_rmse_{i}" for i in range(result.view_rmse.shape[1])]
-    cols += [f"eval_rmse_{i}" for i in range(result.eval_rmse.shape[1])]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for it in range(result.iterations):
             row = [str(it), repr(float(result.total_loss[it])),
                    repr(float(result.sim_loss[it])), repr(float(result.tv_loss[it]))]
             row += [repr(float(v)) for v in result.view_rmse[it]]
-            row += [repr(float(v)) for v in result.eval_rmse[it]]
             fh.write(",".join(row) + "\n")
 
 
@@ -528,15 +509,18 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
 
     views: (HitSet, reference image) pairs, as for learn; every hit is
     live, and one stack serves the gradient and every probe.  Probes
-    num_probes random (vertex, channel) pairs; each side of a probe
-    evaluates the loss only.  Central steps are _FD_REL_STEP * |value|
-    with an absolute floor of 1e-8.  Probes where both sides vanish
-    report zero error (unilluminated vertices).
+    num_probes >= 0 random (vertex, channel) pairs; each side of a probe
+    is the total loss of one learn iteration at the stepped table.
+    Central steps are _FD_REL_STEP * |value| with an absolute floor of
+    1e-8.  Probes where both sides vanish report zero error
+    (unilluminated vertices).
     """
     if not views:
         raise ValueError("need at least one reference view")
+    if num_probes < 0:
+        raise ValueError(f"num_probes must be >= 0, got {num_probes}")
     views = _checked(views)
-    stack = _stack(params, views, len(views))
+    stack = _stack(params, views)
     grads = _objective(stack, params, cfg, bsdf_fn)[3]
 
     rng = np.random.default_rng(seed)
@@ -548,9 +532,9 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
         step = max(_FD_REL_STEP * abs(base), 1e-8)
         trial = params.copy()
         trial.values[vid, ci] = base + step
-        up = _objective(stack, trial, cfg, bsdf_fn, loss_only=True)
+        up = _objective(stack, trial, cfg, bsdf_fn)[0]
         trial.values[vid, ci] = base - step
-        down = _objective(stack, trial, cfg, bsdf_fn, loss_only=True)
+        down = _objective(stack, trial, cfg, bsdf_fn)[0]
         fd = (up - down) / (2.0 * step)
         analytic = float(grads[vid, ci])
         denom = max(abs(analytic), abs(fd))

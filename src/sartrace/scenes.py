@@ -27,14 +27,10 @@ _BOX_FACETS = np.array([
 ], dtype=np.int64)
 
 
-def plane_mesh(size_x: float, size_y: float, z: float = 0.0, center=(0.0, 0.0)) -> Mesh:
-    """Two-triangle horizontal rectangle."""
-    cx, cy = center
+def plane_mesh(size_x: float, size_y: float, z: float = 0.0) -> Mesh:
+    """Two-triangle horizontal rectangle centered on the z axis."""
     hx, hy = size_x / 2.0, size_y / 2.0
-    vertices = np.array([
-        [cx - hx, cy - hy, z], [cx + hx, cy - hy, z],
-        [cx + hx, cy + hy, z], [cx - hx, cy + hy, z],
-    ])
+    vertices = np.array([[-hx, -hy, z], [hx, -hy, z], [hx, hy, z], [-hx, hy, z]])
     facets = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
     return Mesh.from_arrays(vertices, facets)
 
@@ -77,12 +73,12 @@ def cube_plane_scene(plane_size: float = 10.0, cube_size: float = 1.0):
     return mesh, plane_ids, cube_ids
 
 
-def building_scene(plane_size: float = 14.0):
-    """Ground plane with a simplified two-block building.
+def building_scene():
+    """14 m square ground plane with a simplified two-block building.
 
     Returns (mesh, plane_vertex_ids, building_vertex_ids).
     """
-    plane = plane_mesh(plane_size, plane_size)
+    plane = plane_mesh(14.0, 14.0)
     base = box_mesh((3.0, 2.0, 1.5), center=(0.0, 0.0, 0.75))
     tower = box_mesh((1.2, 1.0, 0.8), center=(-0.5, 0.2, 1.9))
     mesh = merge_meshes([plane, base, tower])

@@ -665,9 +665,15 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", str(workdir / "run.ini"),
                      "--probes", "8", "--corrupt-adjoint"]) == 1
 
-    def test_zero_probes_exit_zero(self, workdir):
-        assert main(["gradcheck", "--config", str(workdir / "run.ini"),
-                     "--probes", "0"]) == 0
+    @pytest.mark.parametrize("argv", [["--probes", "0"], ["--probes", "-3"],
+                                      ["--probes", "0", "--corrupt-adjoint"]],
+                             ids=["0", "-3", "0-corrupt-adjoint"])
+    def test_probes_below_one_exit_2(self, workdir, capsys, argv):
+        """A check of no probe checks nothing, so it neither passes nor fails."""
+        assert main(["gradcheck", "--config", str(workdir / "run.ini")] + argv) == 2
+        captured = capsys.readouterr()
+        assert "--probes must be at least 1" in captured.err
+        assert "relative error" not in captured.out
 
 
 class TestNonFiniteInitTable:

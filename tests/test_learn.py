@@ -494,15 +494,14 @@ class TestLearn:
         with pytest.raises(ValueError, match="view 0"):
             learn(params, traced(mesh, refs), opt, CFG_RAW, iters=1)
 
-    def test_eval_shape_mismatch_names_view(self, learn_setup):
+    def test_row_reference_names_view_and_shapes(self, learn_setup):
         mesh, params, radar = learn_setup
         ref, _ = render(mesh, params, radar)
         views = traced(mesh, [(radar, ref.intensities)])
         row = [(views[0][0], ref.intensities[0])]      # would broadcast against the image
-        with pytest.raises(ValueError, match=r"eval view 0: rendered shape \(6, \d+\) != "
-                                             r"reference shape \(\d+,\)"):
-            learn(params, views, OptimState.create(mesh.num_vertices), CFG_RAW, iters=1,
-                  eval_views=row)
+        with pytest.raises(ValueError, match=r"^view 0: rendered shape \(6, \d+\) != "
+                                             r"reference shape \(\d+,\)$"):
+            learn(params, row, OptimState.create(mesh.num_vertices), CFG_RAW, iters=1)
 
     def test_non_finite_loss_aborts_with_last_good(self, learn_setup):
         """A finite reference whose squared error overflows: the loss is inf."""
@@ -522,8 +521,7 @@ class TestLearn:
     def test_non_finite_reference_pixel_rejected_on_entry(self, learn_setup, monkeypatch,
                                                           value):
         """A NaN or inf reference pixel is named by view and (row, bin) before
-        any shading, whether it sits in a training view, an eval view or a
-        grad_check view."""
+        any shading, whether it sits in a learn view or a grad_check view."""
         mesh, params, radar = learn_setup
         good = traced(mesh, [(radar, render(mesh, params, radar)[0].intensities)])[0]
         bad_ref = good[1].copy()
@@ -534,22 +532,10 @@ class TestLearn:
         message = rf"view 1: reference pixel \(row 2, bin 3\) is {value}, not a finite intensity"
         with pytest.raises(ValueError, match="^" + message):
             learn(params, [good, bad], OptimState.create(mesh.num_vertices), CFG_RAW, iters=2)
-        with pytest.raises(ValueError, match="^eval " + message):
-            learn(params, [good], OptimState.create(mesh.num_vertices), CFG_RAW, iters=2,
-                  eval_views=[good, bad])
         with pytest.raises(ValueError, match="^" + message):
             grad_check(params, [good, bad], CFG_RAW, num_probes=2)
         assert calls.events == []
         np.testing.assert_array_equal(params.values, before)
-
-    def test_eval_refs_scored_not_trained(self, learn_setup):
-        mesh, params, radar = learn_setup
-        ref, _ = render(mesh, params, radar)
-        views = traced(mesh, [(radar, ref.intensities)])
-        res = learn(params.copy(), views, OptimState.create(mesh.num_vertices),
-                    CFG_RAW, iters=2, eval_views=views)
-        assert res.eval_rmse.shape == (2, 1)
-        assert res.eval_rmse[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_unknowns_records_history_and_keeps_table(self, learn_setup):
         """With every channel frozen there is nothing to step: the run still
@@ -583,20 +569,19 @@ class TestLearn:
         mesh, params, radar = learn_setup
         ref = render(mesh, params, radar)[0].intensities
         res = learn(params.copy(), traced(mesh, [(radar, ref)] * 3),
-                    OptimState.create(mesh.num_vertices), CFG_RAW, iters=0,
-                    eval_views=traced(mesh, [(radar, ref)]))
+                    OptimState.create(mesh.num_vertices), CFG_RAW, iters=0)
         assert res.iterations == 0 and res.view_rmse.shape == (0, 3)
         path = tmp_path / "history.csv"
         write_history_csv(res, path)
         assert path.read_text().splitlines() == [
-            "iter,total_loss,sim_loss,tv_loss,view_rmse_0,view_rmse_1,view_rmse_2,eval_rmse_0"]
+            "iter,total_loss,sim_loss,tv_loss,view_rmse_0,view_rmse_1,view_rmse_2"]
 
 
-def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=(), seen=None):
+def oracle_learn(mesh, params, refs, opt, cfg, iters, seen=None):
     """learn's loop with stopping off, rendering every view on every
-    iteration: (total_loss, view_rmse, eval_rmse).  Each full-table
-    gradient handed to adam_step is appended to `seen` when given."""
-    total_hist, view_hist, eval_hist = [], [], []
+    iteration: (total_loss, view_rmse).  Each full-table gradient handed
+    to adam_step is appended to `seen` when given."""
+    total_hist, view_hist = [], []
     for _ in range(iters):
         sim_total = 0.0
         grads = np.zeros_like(params.values)
@@ -611,25 +596,22 @@ def oracle_learn(mesh, params, refs, opt, cfg, iters, eval_refs=(), seen=None):
         grads += tv_grad
         total_hist.append(sim_total + tv_val)
         view_hist.append(rmses)
-        eval_hist.append([rmse_normalized(render(mesh, params, radar)[0], ref)
-                          for radar, ref in eval_refs])
         if seen is not None:
             seen.append(grads.copy())
         adam_step(opt, params, grads)
-    return np.array(total_hist), np.array(view_hist), np.array(eval_hist)
+    return np.array(total_hist), np.array(view_hist)
 
 
-def assert_learn_matches_oracle(mesh, params, refs, make_opt, cfg, iters, eval_refs=(),
-                                calls=None):
+def assert_learn_matches_oracle(mesh, params, refs, make_opt, cfg, iters, calls=None):
     """calls: a RecordedCalls, cleared after the oracle so that it holds learn's calls."""
     expect_params = params.copy()
-    expect = oracle_learn(mesh, expect_params, refs, make_opt(), cfg, iters, eval_refs)
+    expect = oracle_learn(mesh, expect_params, refs, make_opt(), cfg, iters)
     if calls is not None:
         calls.events.clear()
     res = learn(params, traced(mesh, refs), make_opt(), cfg, iters=iters,
-                eval_views=traced(mesh, eval_refs), stop_patience=10 ** 9)
+                stop_patience=10 ** 9)
     assert res.iterations == iters and not res.aborted
-    for got, want in zip((res.total_loss, res.view_rmse, res.eval_rmse), expect):
+    for got, want in zip((res.total_loss, res.view_rmse), expect):
         assert got.tobytes() == want.reshape(got.shape).tobytes()
     assert res.params.values.tobytes() == expect_params.values.tobytes()
 
@@ -637,16 +619,15 @@ def assert_learn_matches_oracle(mesh, params, refs, make_opt, cfg, iters, eval_r
 class TestTraceOnce:
     def test_two_facet_matches_render_every_iteration(self, learn_setup):
         mesh, truth, radar = learn_setup
-        eval_radar = dataclasses.replace(radar, seed=radar.seed + 1)
         start = truth.copy()
         start.values[:, 0] *= 1.7
         start.values[:, 2] -= 3.0
-        refs = [(radar, render(mesh, truth, radar)[0].intensities)]
-        eval_refs = [(eval_radar, render(mesh, truth, eval_radar)[0].intensities)]
+        refs = [(r, render(mesh, truth, r)[0].intensities)
+                for r in (radar, dataclasses.replace(radar, seed=radar.seed + 1))]
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
         assert_learn_matches_oracle(
             mesh, start, refs, lambda: OptimState.create(mesh.num_vertices, lr=0.05),
-            cfg, iters=6, eval_refs=eval_refs)
+            cfg, iters=6)
 
     def test_truncated_cube_protocol_matches_render_every_iteration(self):
         proto = cube_recovery_protocol()
@@ -683,7 +664,7 @@ class TestTraceOnce:
                      "--out", "learned"]) == 0
         assert intersect_calls == [2 * 6 * 10 * 2]
 
-    @pytest.mark.parametrize("num_probes", [0, 6])
+    @pytest.mark.parametrize("num_probes", [1, 6])
     def test_grad_check_traces_each_view_once(self, workdir, num_probes, intersect_calls):
         """`sartrace gradcheck` shades its references and probes the same hits."""
         assert main(["gradcheck", "--config", str(workdir / "run.ini"),
@@ -743,11 +724,11 @@ class TestTraceOnce:
         before = params.values.copy()
         views = traced(mesh, [(away, ref)])
         res = learn(params, views, OptimState.create(mesh.num_vertices),
-                    CFG_RAW, iters=3, eval_views=views, stop_patience=10 ** 9)
+                    CFG_RAW, iters=3, stop_patience=10 ** 9)
         assert not res.aborted and res.iterations == len(seen) == 3
         assert all(np.isfinite(g).all() and not g.any() for g in seen)
         assert np.isfinite(res.total_loss).all() and (res.total_loss > 0).all()
-        assert np.isfinite(res.eval_rmse).all()
+        assert np.isfinite(res.view_rmse).all()
         np.testing.assert_array_equal(res.params.values, before)
 
 
@@ -798,16 +779,14 @@ class TestStackedLoss:
                  (other, np.zeros(render(mesh, truth, other)[0].shape)),     # all-zero
                  (dataclasses.replace(radar, seed=4),
                   3.0 * render(mesh, truth, dataclasses.replace(radar, seed=4))[0].intensities)]
-        evals = [(other, render(mesh, truth, other)[0].intensities),
-                 (radar, np.zeros(render(mesh, truth, radar)[0].shape))]
+        train += [(other, render(mesh, truth, other)[0].intensities),
+                  (radar, np.zeros(render(mesh, truth, radar)[0].shape))]
         params = truth.copy()
         params.values[3:, 0] *= 1.6
         params.values[:, 2] += np.arange(mesh.num_vertices)
         cfg = LossConfig(lambda_sim=0.7, lambda_mat=0.0, normalize=normalize)
 
-        views = learn_mod._checked(traced(mesh, train))
-        eval_views = learn_mod._checked(traced(mesh, evals), "eval view")
-        stack = learn_mod._stack(params, views + eval_views, len(views))
+        stack = learn_mod._stack(params, learn_mod._checked(traced(mesh, train)))
         total, sim, tv, grads, rmses = learn_mod._objective(stack, params, cfg)
 
         want_sim, want_grads, want_rmses = 0.0, np.zeros_like(params.values), []
@@ -817,11 +796,9 @@ class TestStackedLoss:
             want_sim += loss_v
             want_grads += backward(ledger, dLdI)
             want_rmses.append(rmse_normalized(image, ref))
-        want_rmses += [rmse_normalized(render(mesh, params, r)[0], ref) for r, ref in evals]
         assert (total, sim, tv) == (want_sim, want_sim, 0.0) and sim > 0.0
         assert rmses.tobytes() == np.array(want_rmses).tobytes()
         assert grads.tobytes() == want_grads.tobytes() and np.abs(grads).max() > 0.0
-        assert learn_mod._objective(stack, params, cfg, loss_only=True) == total
 
 
 def _on_facets(hits, facets):
@@ -855,8 +832,8 @@ class TestStackedObjective:
 
     @pytest.fixture
     def mixed_views(self, learn_setup, wave_hh):
-        """An HH view, a VV view, a view that hits nothing and a second HH
-        view, plus an HH eval view, of the two-facet mesh."""
+        """An HH view, a VV view, a view that hits nothing and two more HH
+        views of the two-facet mesh."""
         mesh, truth, radar = learn_setup
         vv = dataclasses.replace(radar, wave=WaveConfig(9.6e9, "VV", "gaussian"), seed=8)
         away = RadarConfig(wave=wave_hh, start_pos=[100, 50, 5], end_pos=[103, 50, 5],
@@ -864,9 +841,8 @@ class TestStackedObjective:
                            range_res=0.1, azimuth_res=0.75, seed=1)
         truth.values[3:, 2] = 14.0
         hh = dataclasses.replace(radar, end_pos=[2.2, 4.0, 4.0], seed=9)
-        refs = [(r, render(mesh, truth, r)[0].intensities) for r in (radar, vv, away, hh)]
-        eval_radar = dataclasses.replace(radar, seed=radar.seed + 1)
-        eval_refs = [(eval_radar, render(mesh, truth, eval_radar)[0].intensities)]
+        hh2 = dataclasses.replace(radar, seed=radar.seed + 1)
+        refs = [(r, render(mesh, truth, r)[0].intensities) for r in (radar, vv, away, hh, hh2)]
         hits = [trace(mesh, r) for r, _ in refs]
         assert all(_on_facets(h, [0]).any() and _on_facets(h, [1]).any()
                    for h in hits[:2] + hits[3:])
@@ -874,7 +850,7 @@ class TestStackedObjective:
         start = truth.copy()
         start.values[3:, 0] *= 1.6
         start.values[3:, 2] = 10.0
-        return mesh, start, refs, eval_refs
+        return mesh, start, refs
 
     @pytest.mark.parametrize("kwargs, entry_calls", [
         pytest.param(dict(freeze_vertices=[0, 1, 2]), 2, id="frozen-facet"),
@@ -887,14 +863,13 @@ class TestStackedObjective:
         """Histories, final tables and every unknown's gradient are bitwise
         the render-every-iteration oracle's; one BSDF call per wave and
         iteration, plus one per wave on entry for a wholly frozen facet."""
-        mesh, start, refs, eval_refs = mixed_views
+        mesh, start, refs = mixed_views
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
         make_opt = lambda: OptimState.create(mesh.num_vertices, lr=0.05, **kwargs)
         want = []
-        oracle_learn(mesh, start.copy(), refs, make_opt(), cfg, 5, eval_refs, seen=want)
+        oracle_learn(mesh, start.copy(), refs, make_opt(), cfg, 5, seen=want)
         calls = RecordedCalls(monkeypatch)
-        assert_learn_matches_oracle(mesh, start, refs, make_opt, cfg, iters=5,
-                                    eval_refs=eval_refs, calls=calls)
+        assert_learn_matches_oracle(mesh, start, refs, make_opt, cfg, iters=5, calls=calls)
         entries = make_opt().entries
         iterations = calls.iterations()
         assert len(iterations) == len(want) == 5
@@ -951,9 +926,6 @@ class TestStackedObjective:
         message = rf"view 1: bin {bin_pattern} outside profile of {window[1]} bins"
         with pytest.raises(ValueError, match=message):
             learn(params, [good, bad], OptimState.create(mesh.num_vertices), CFG_RAW, iters=2)
-        with pytest.raises(ValueError, match="eval " + message):
-            learn(params, [good], OptimState.create(mesh.num_vertices), CFG_RAW, iters=2,
-                  eval_views=[good, bad])
         with pytest.raises(ValueError, match=message):
             grad_check(params, [good, bad], CFG_RAW, num_probes=2)
         assert calls.events == []
@@ -979,8 +951,6 @@ class TestStackedObjective:
         before = params.values.copy()
         with pytest.raises(ValueError, match="^view 1: traced over a different mesh than view 0$"):
             learn(params, [good, odd], OptimState.create(6), CFG_RAW, iters=1)
-        with pytest.raises(ValueError, match="^eval view 0: traced over a different mesh"):
-            learn(params, [good], OptimState.create(6), CFG_RAW, iters=1, eval_views=[odd])
         with pytest.raises(ValueError, match="^view 1: traced over a different mesh"):
             grad_check(params, [good, odd], CFG_RAW, num_probes=1)
         np.testing.assert_array_equal(params.values, before)
@@ -1018,6 +988,39 @@ class TestGradCheck:
         report = grad_check(params, traced(mesh, [(radar, ref)]), CFG_RAW, num_probes=0)
         assert report.probes == []
         assert report.max_rel_err == 0.0
+
+    def test_negative_probes_rejected(self, learn_setup):
+        mesh, params, radar = learn_setup
+        views = traced(mesh, [(radar, render(mesh, params, radar)[0].intensities)])
+        with pytest.raises(ValueError, match=r"^num_probes must be >= 0, got -3$"):
+            grad_check(params, views, CFG_RAW, num_probes=-3)
+
+    def test_finite_diff_is_learns_loss_difference(self, learn_setup):
+        """Each side of a probe is the total loss of one learn iteration at
+        the stepped table with every vertex free: learn and grad_check
+        evaluate one objective."""
+        mesh, params, radar = learn_setup
+        params.values[:, 0] *= np.linspace(0.8, 1.3, mesh.num_vertices)  # TV term nonzero
+        truth = self.perturbed(params)
+        views = traced(mesh, [(r, render(mesh, truth, r)[0].intensities)
+                              for r in (radar, dataclasses.replace(radar, seed=4))])
+        cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
+        report = grad_check(params, views, cfg, num_probes=12, seed=2)
+
+        def learns_loss(vertex, ci, value):
+            trial = params.copy()
+            trial.values[vertex, ci] = value
+            opt = OptimState.create(mesh.num_vertices)
+            return learn(trial, views, opt, cfg, iters=1).total_loss[0]
+
+        for p in report.probes:
+            ci = PARAM_CHANNELS.index(p.channel)
+            base = params.values[p.vertex, ci]
+            step = max(learn_mod._FD_REL_STEP * abs(base), 1e-8)
+            up = learns_loss(p.vertex, ci, base + step)
+            down = learns_loss(p.vertex, ci, base - step)
+            assert np.float64(p.finite_diff).tobytes() == ((up - down) / (2 * step)).tobytes()
+        assert any(p.finite_diff != 0.0 for p in report.probes)
 
     def test_quadratic_bsdf_exact(self, learn_setup, monkeypatch):
         mesh, params, radar = learn_setup

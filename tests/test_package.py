@@ -72,11 +72,17 @@ def unused_imports(path):
     return sorted(imported - read)
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "sartrace").glob("*.py")
-                                          if p.name != "__init__.py"))
-def test_no_unused_imports(module):
-    """__init__.py re-exports, so it is left out."""
-    assert unused_imports(ROOT / "src" / "sartrace" / module) == []
+PACKAGE = ROOT / "src" / "sartrace"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else p.relative_to(ROOT).as_posix())
+def test_no_unused_imports(path):
+    """The package's modules, tests and scripts; __init__.py re-exports, so
+    it is left out."""
+    assert unused_imports(path) == []
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sartrace.scatter import (SPEED_OF_LIGHT, VALIDITY_CONDITIONS, WaveConfig, bsdf_angles,
+from sartrace.scatter import (VALIDITY_CONDITIONS, WaveConfig, bsdf_angles,
                               eval_bsdf_at, eval_bsdf_batch, validity_mask)
 
 WAVE = WaveConfig(9.6e9, "HH", "gaussian")
