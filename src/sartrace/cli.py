@@ -336,25 +336,16 @@ def _perturbed_reference_params(params: ParamMap) -> ParamMap:
     return ref
 
 
-def cmd_gradcheck(config_path, probes=20, seed=0, corrupt_adjoint=False) -> int:
+def cmd_gradcheck(config_path, probes=20, seed=0) -> int:
     if probes < 1:
         raise ConfigError(f"--probes must be at least 1, got {probes}")
     cfg, _, mesh, params, radars, bvh = _load(config_path)
-    if mesh.num_facets > 10_000:
-        raise ConfigError("gradcheck wants a small scene (<= 10k facets)")
     loss_cfg = _loss_config(cfg)
     ref_params = _perturbed_reference_params(params)
     hitsets = trace_views(mesh, radars, bvh=bvh)
     views = [(hits, image.intensities)
              for hits, (image, _) in zip(hitsets, shade_views(hitsets, ref_params))]
-
-    bsdf_fn = None
-    if corrupt_adjoint:
-        def bsdf_fn(theta, values, wave):
-            sigma, grads = eval_bsdf_batch(theta, values, wave)
-            return sigma, grads * 1.37
-    report = grad_check(params, views, loss_cfg, num_probes=probes, seed=seed,
-                        bsdf_fn=bsdf_fn)
+    report = grad_check(params, views, loss_cfg, num_probes=probes, seed=seed)
     for p in report.probes:
         print(f"vertex {p.vertex:4d} {p.channel:6s} analytic {p.analytic: .6e} "
               f"fd {p.finite_diff: .6e} rel {p.rel_err:.3e}")
@@ -411,8 +402,6 @@ def _parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--config", required=True)
     p_gc.add_argument("--probes", type=int, default=20)
     p_gc.add_argument("--seed", type=int, default=0)
-    p_gc.add_argument("--corrupt-adjoint", action="store_true",
-                      help="negative control: break the adjoint on purpose")
 
     p_sweep = sub.add_parser("sweep", help="backscatter vs incidence angle curves")
     p_sweep.add_argument("--h", type=float, required=True)
@@ -437,8 +426,7 @@ def main(argv=None) -> int:
         if args.command == "learn":
             return cmd_learn(args.config, args.refs, args.out)
         if args.command == "gradcheck":
-            return cmd_gradcheck(args.config, args.probes, args.seed,
-                                 corrupt_adjoint=args.corrupt_adjoint)
+            return cmd_gradcheck(args.config, args.probes, args.seed)
         if args.command == "sweep":
             return cmd_sweep(args.h, args.l, args.eps_r, args.tau, args.frequency,
                              args.polarization, args.psd, args.theta_start,

@@ -20,17 +20,18 @@ pixels are comparable across the image.
 Rendering is two steps, each one batch over the rays of every row of
 a list of views of one mesh.  trace_views does the geometry: ray fans,
 nearest hits, local incidence angles, quadrature weights, range
-coordinates and bins, and the range window, kept per hit in a HitSet
-per view.  shade_views does the parameter-dependent work with the
-kernel that learn uses too: stack_views checks and stacks the views,
-shade_hits interpolates the table at every hit and evaluates the BSDF,
-and one np.bincount per view sums its image.  A HitLedger is a HitSet
-plus each hit's sigma and dsigma.  trace and shade are the one-view
-forms, and render is shade(trace(...)).  Bin assignment is treated as
-non-differentiable and no parameter moves a hit, so a HitSet stays
-valid for every parameter table on its mesh (any mesh of equal facets):
-the inverse loop traces each view once and shades it per iteration.
-Parameter gradients flow through the per-hit intensities only.
+coordinates and bins, and the range window that holds every hit,
+kept per hit in a HitSet per view.  shade_views does the
+parameter-dependent work with the kernel that learn uses too:
+stack_views checks and stacks the views, shade_hits interpolates the
+table at every hit and calls eval_bsdf_at, and one np.bincount per
+view sums its image.  A HitLedger is a HitSet plus each hit's sigma
+and dsigma.  trace and shade are the one-view forms, and render is
+shade(trace(...)).  Bin assignment is treated as non-differentiable
+and no parameter moves a hit, so a HitSet stays valid for every
+parameter table on its mesh (any mesh of equal facets): the inverse
+loop traces each view once and shades it per iteration.  Parameter
+gradients flow through the per-hit intensities only.
 """
 
 from __future__ import annotations
@@ -262,7 +263,8 @@ class HitSet:
     parameter can change.
 
     Hits are in row-major ray order; weights are the angular quadrature
-    weights from the generating fan.
+    weights from the generating fan.  Every range_bin lies in
+    [0, image_shape[1]): trace_views refuses a window that leaves out a hit.
     """
 
     mesh: Mesh
@@ -304,8 +306,8 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
     window when nothing is hit) unless range_windows, one (origin,
     num_bins) or None per radar, pins it (see vertex_range_window).  A
     non-finite origin or a num_bins that is not an integer from 1 to
-    _MAX_RANGE_BINS raises a ValueError before anything is traced; a
-    pinned window that leaves out a hit raises when the view is shaded.
+    _MAX_RANGE_BINS raises a ValueError before anything is traced, and a
+    pinned window that leaves out a hit one that names the view and bin.
     """
     windows = [None] * len(radars) if range_windows is None else list(range_windows)
     if len(windows) != len(radars):
@@ -325,7 +327,7 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
         np.concatenate([fan.directions for fan in fans]), bvh=bvh)
 
     hitsets, start = [], 0
-    for radar, fan, window in zip(radars, fans, windows):
+    for vi, (radar, fan, window) in enumerate(zip(radars, fans, windows)):
         sel = np.flatnonzero(fid[start:start + fan.weights.size] >= 0)
         hit = sel + start
         start += fan.weights.size
@@ -341,11 +343,15 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
         if num_bins > _MAX_RANGE_BINS:
             raise ValueError(
                 f"range window spans {num_bins} bins at range_res={radar.range_res}")
+        bins = range_bin_of(h_r, radar.range_res, origin)
+        bad = bins[(bins < 0) | (bins >= num_bins)]     # only a pinned window leaves some out
+        if bad.size:
+            raise ValueError(f"view {vi}: bin {bad[0]} outside profile of {num_bins} bins")
         hitsets.append(HitSet(
             mesh=mesh, radar=radar, range_origin=origin, image_shape=(radar.num_azimuth, num_bins),
             row=sel // (radar.num_angles * radar.spua), facet_id=fid[hit], m1=m1[hit], m2=m2[hit],
             theta=np.arccos(np.clip(cos_t[hit], 0.0, 1.0)), weight=fan.weights[sel],
-            ranges=h_r, range_bin=range_bin_of(h_r, radar.range_res, origin)))
+            ranges=h_r, range_bin=bins))
     return hitsets
 
 
@@ -355,9 +361,9 @@ def stack_views(hitsets, num_vertices: int):
     view v owns hits starts[v]:starts[v + 1], corners (H, 3) are facet
     corner ids, bary the weights (m1, m2, 1 - m1 - m2) and wave_id (H,)
     each hit's index into the distinct waves.  A ValueError names the view
-    ("view v") whose mesh has another vertex count, whose facets differ
-    from view 0's (equal facets make one mesh) or whose range window
-    leaves out a hit."""
+    ("view v") whose mesh has another vertex count or whose facets differ
+    from view 0's (equal facets make one mesh).  Range bins need no check:
+    trace_views keeps every hit inside its view's image."""
     facets = hitsets[0].mesh.facets
     for vi, hits in enumerate(hitsets):
         if hits.mesh.num_vertices != num_vertices:
@@ -365,10 +371,6 @@ def stack_views(hitsets, num_vertices: int):
                              f"the mesh's {hits.mesh.num_vertices} vertices")
         if hits.mesh.facets is not facets and not np.array_equal(hits.mesh.facets, facets):
             raise ValueError(f"view {vi}: traced over a different mesh than view 0")
-        bins, num_bins = hits.range_bin, hits.image_shape[1]
-        if bins.size and (bins.min() < 0 or bins.max() >= num_bins):
-            bad = bins[(bins < 0) | (bins >= num_bins)][0]
-            raise ValueError(f"view {vi}: bin {bad} outside profile of {num_bins} bins")
     counts = [hits.num_entries for hits in hitsets]
     facet_id, m1, m2, theta = (np.concatenate([getattr(hits, name) for hits in hitsets])
                                for name in ("facet_id", "m1", "m2", "theta"))
@@ -388,15 +390,12 @@ def by_wave(waves, wave_id, theta):
     return [(bsdf_angles(theta[r], waves[w]), r) for w, r in zip(ids, rows)]
 
 
-def shade_hits(params: ParamMap, corners, bary, groups, bsdf_fn=None):
+def shade_hits(params: ParamMap, corners, bary, groups):
     """sigma (h,) and channel-major dsigma (4, h) of hits: one interpolation
-    at their corners (3, h) and barycentric weights (3, h), then one BSDF
-    call per by_wave group.  bsdf_fn, if given, is called in eval_bsdf_at's
-    place with eval_bsdf_batch's arguments."""
+    at their corners (3, h) and barycentric weights (3, h), then one
+    eval_bsdf_at call per by_wave group."""
     values = interpolate(params.values, corners, bary).T      # (h, 4), contiguous channels
-    shaded = [(rows, eval_bsdf_at(angles, values[rows]) if bsdf_fn is None
-               else bsdf_fn(angles.theta, values[rows], angles.wave))
-              for angles, rows in groups]
+    shaded = [(rows, eval_bsdf_at(angles, values[rows])) for angles, rows in groups]
     if len(shaded) == 1:
         sigma, grads = shaded[0][1]
         return sigma, grads.T

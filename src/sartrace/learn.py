@@ -11,15 +11,16 @@ barycentric weights, accumulated per vertex in deterministic order.
 
 learn and grad_check stack their traced views once per call with
 imaging.stack_views, as shade_views does, and add their own: each hit's
-flat pixel and weight, and every view's flattened reference with its
-peak scale per pixel.  A hit is live when its facet touches a vertex
-with an unknown; the others are shaded once, on entry, since Adam never
-writes their vertices.  An iteration then does only the work the table
-changes: imaging.shade_hits (shade_views' kernel) over the live hits,
-one np.bincount for every view's pixels, one difference and one square
-over all of them with one sum per view (its loss and its RMSE), dL/dI
-at the pixels the live hits read, and one np.bincount per channel that
-pulls it back into per-view blocks over the touched vertices.  The
+flat pixel, inside its image, and weight, and every view's flattened
+reference with its peak scale per pixel.  A hit is live when its facet
+touches a vertex with an unknown; the others are shaded once, on entry,
+since Adam never writes their vertices.  An iteration then does only
+the work the table changes: imaging.shade_hits (shade_views' kernel,
+one imaging.eval_bsdf_at call per wave) over the live hits, one
+np.bincount for every view's pixels, one difference and one square over
+all of them with one sum per view (its loss and its RMSE), dL/dI at the
+pixels the live hits read, and one np.bincount per channel that pulls
+it back into per-view blocks over the touched vertices.  The
 blocks are summed in view order, so losses, RMSEs and every unknown's
 gradient are bitwise the one-view-at-a-time loss_sim, rmse_normalized
 and sum of backward(ledger, dLdI).  grad_check's finite differences
@@ -119,8 +120,6 @@ def backward(ledger: HitLedger, dLdI: np.ndarray) -> np.ndarray:
             f"gradient image shape {dLdI.shape} != rendered shape {ledger.image_shape}")
     if ledger.num_entries == 0:
         return np.zeros((mesh.num_vertices, 4))
-    if ledger.range_bin.max() >= dLdI.shape[1] or ledger.row.max() >= dLdI.shape[0]:
-        raise ValueError("ledger pixel index outside the gradient image")
     g_sigma = dLdI[ledger.row, ledger.range_bin] * ledger.weight      # (k,)
     contrib = g_sigma[:, None] * ledger.dsigma                        # (k, 4)
     bary = np.stack([ledger.m1, ledger.m2, 1.0 - ledger.m1 - ledger.m2], axis=1)
@@ -366,12 +365,12 @@ def _stack(params: ParamMap, views, entries=None) -> _Stack:
         slot=slot.ravel(), edges=mesh_edges(views[0][0].mesh))
 
 
-def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig, bsdf_fn=None):
+def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig):
     """One learn iteration: (total, sim, tv, d(total)/d(params), per-view
     RMSE).  Bitwise the per-view loss_sim and rmse_normalized, with views'
     data terms summed in order, then the TV term.  The gradient is exact
     at every vertex with an unknown; elsewhere it holds the TV term only."""
-    sigma, dsigma = shade_hits(params, stack.corners, stack.bary.T, stack.groups, bsdf_fn)
+    sigma, dsigma = shade_hits(params, stack.corners, stack.bary.T, stack.groups)
     intensity = stack.intensity.copy()
     intensity[stack.live] = stack.weight * sigma
     image = np.bincount(stack.pixel, weights=intensity, minlength=stack.spans[-1])
@@ -422,12 +421,11 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
     or inf pixel raises ValueError naming the view and the (row, bin);
     then opt.project runs (a tied group whose members start with
     different values raises ValueError) and the views are stacked, which
-    raises a ValueError naming the view for a table of another size,
-    another mesh or a range window that leaves out a hit: hits that
-    touch no vertex with an unknown are shaded once, and only the others
-    on every iteration.  The gradient handed to adam_step is exact at
-    every vertex with an unknown, so a non-finite partial stops learn
-    only on a hit that reaches one.
+    raises a ValueError naming the view for a table of another size or
+    another mesh: hits that touch no vertex with an unknown are shaded
+    once, and only the others on every iteration.  The gradient handed
+    to adam_step is exact at every vertex with an unknown, so a
+    non-finite partial stops learn only on a hit that reaches one.
     """
     if not views:
         raise ValueError("need at least one reference view")
@@ -504,7 +502,7 @@ class GradCheckReport:
 
 
 def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
-               seed: int = 0, bsdf_fn=None) -> GradCheckReport:
+               seed: int = 0) -> GradCheckReport:
     """Compare learn's gradient with central finite differences of its loss.
 
     views: (HitSet, reference image) pairs, as for learn; every hit is
@@ -513,7 +511,7 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
     is the total loss of one learn iteration at the stepped table.
     Central steps are _FD_REL_STEP * |value| with an absolute floor of
     1e-8.  Probes where both sides vanish report zero error
-    (unilluminated vertices).
+    (unilluminated vertices).  Both sides shade with imaging.eval_bsdf_at.
     """
     if not views:
         raise ValueError("need at least one reference view")
@@ -521,7 +519,7 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
         raise ValueError(f"num_probes must be >= 0, got {num_probes}")
     views = _checked(views)
     stack = _stack(params, views)
-    grads = _objective(stack, params, cfg, bsdf_fn)[3]
+    grads = _objective(stack, params, cfg)[3]
 
     rng = np.random.default_rng(seed)
     probes = []
@@ -532,9 +530,9 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
         step = max(_FD_REL_STEP * abs(base), 1e-8)
         trial = params.copy()
         trial.values[vid, ci] = base + step
-        up = _objective(stack, trial, cfg, bsdf_fn)[0]
+        up = _objective(stack, trial, cfg)[0]
         trial.values[vid, ci] = base - step
-        down = _objective(stack, trial, cfg, bsdf_fn)[0]
+        down = _objective(stack, trial, cfg)[0]
         fd = (up - down) / (2.0 * step)
         analytic = float(grads[vid, ci])
         denom = max(abs(analytic), abs(fd))

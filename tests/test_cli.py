@@ -647,6 +647,13 @@ class TestOneBvhPerCommand:
                      "--probes", "2"]) == 0
         assert len(built) == 1
 
+    def test_gradcheck_over_ten_thousand_facets(self, workdir, built):
+        """gradcheck has no facet cap: a 10,368-facet grid is checked."""
+        write_obj(bumpy_grid(72), workdir / "scene.obj")
+        assert main(["gradcheck", "--config", str(workdir / "run.ini"),
+                     "--probes", "2"]) == 0
+        assert len(built) == 1
+
     def test_small_mesh_builds_none(self, workdir, built):
         refs = TestLearnCommand().render_refs(workdir)
         assert main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs
@@ -661,13 +668,19 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", str(workdir / "run.ini"),
                      "--probes", "8"]) == 0
 
-    def test_corrupted_adjoint_fails(self, workdir):
-        assert main(["gradcheck", "--config", str(workdir / "run.ini"),
-                     "--probes", "8", "--corrupt-adjoint"]) == 1
+    def test_corrupted_adjoint_fails(self, workdir, monkeypatch):
+        """Partials scaled by 1.37 and sigma left alone: the check fails."""
+        eval_bsdf_at = sartrace.imaging.eval_bsdf_at
 
-    @pytest.mark.parametrize("argv", [["--probes", "0"], ["--probes", "-3"],
-                                      ["--probes", "0", "--corrupt-adjoint"]],
-                             ids=["0", "-3", "0-corrupt-adjoint"])
+        def corrupted(angles, values):
+            sigma, grads = eval_bsdf_at(angles, values)
+            return sigma, grads * 1.37
+
+        monkeypatch.setattr(sartrace.imaging, "eval_bsdf_at", corrupted)
+        assert main(["gradcheck", "--config", str(workdir / "run.ini"),
+                     "--probes", "8"]) == 1
+
+    @pytest.mark.parametrize("argv", [["--probes", "0"], ["--probes", "-3"]], ids=["0", "-3"])
     def test_probes_below_one_exit_2(self, workdir, capsys, argv):
         """A check of no probe checks nothing, so it neither passes nor fails."""
         assert main(["gradcheck", "--config", str(workdir / "run.ini")] + argv) == 2

@@ -415,19 +415,18 @@ class TestRender:
                          "eval_bsdf_at": 1, "bincount": 1}
 
     def test_range_window_excluding_hits_names_bin(self, plate_scene, plate_radar):
-        """A pinned window is checked when the view is shaded: the first hit
+        """A pinned window is checked when the view is traced: the first hit
         outside it is named by its bin, past either end."""
         mesh, params = plate_scene
         image, ledger = render(mesh, params, plate_radar)
         for window in ((image.range_origin, int(ledger.range_bin.max())),
                        (image.range_origin - 1.0, image.num_range_bins)):
-            hits = trace(mesh, plate_radar, range_window=window)
-            bins = hits.range_bin
+            bins = range_bin_of(ledger.ranges, plate_radar.range_res, window[0])
             bad = bins[(bins < 0) | (bins >= window[1])]
             assert 0 < bad.size < bins.size
             message = f"^view 0: bin {bad[0]} outside profile of {window[1]} bins$"
             with pytest.raises(ValueError, match=message):
-                shade(hits, params)
+                trace(mesh, plate_radar, range_window=window)
             with pytest.raises(ValueError, match=message):
                 render(mesh, params, plate_radar, range_window=window)
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -13,7 +14,7 @@ import pytest
 
 import sartrace
 from sartrace import experiments
-from sartrace.cli import parse_config
+from sartrace.cli import _parser, parse_config
 
 from conftest import load_script, run_script
 
@@ -53,6 +54,17 @@ def test_readme_lists_every_script():
     section = README.read_text(encoding="utf-8").split("## Experiment scripts", 1)[1]
     listed = re.findall(r"^\* `scripts/([^` ]+)", section.split("\n## ", 1)[0], re.MULTILINE)
     assert sorted(listed) == sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+
+
+def test_readme_command_line_names_every_option():
+    """The README's "Command line" section names exactly the options of
+    the CLI's subcommands: none undocumented, none stale."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section.split("\n## ", 1)[0]))
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in commands.choices.values() for action in sub._actions
+               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    assert (sorted(options - named), sorted(named - options)) == ([], [])   # undocumented, stale
 
 
 def unused_imports(path):
