@@ -4,12 +4,15 @@
 Renders the protocol's reference views at ground truth, re-initializes
 the target's (h, l, eps_r) and recovers them by phased Adam, the plane
 frozen at its true values and the target's vertices tied to one record.
+Each phase runs all its iterations and hands the next its best table,
+the one of least loss it evaluated.
 `cube`: a cube on a plane starts at the plane's values and climbs to
 (75, 0.002, 0.001) in 500 iterations.  `building`: a two-block building
 starts effectively black (eps_r = 1, h = l = 1e-4 m) and climbs to
 (6.885, 0.02, 0.01); Adam runs with eps = 0 so its first steps stay
-lr-sized despite ~1e-30 gradients.  Prints the target after each phase,
-then start, recovered value, truth and error per parameter.
+lr-sized despite ~1e-30 gradients.  Prints the target's best values
+after each phase, then start, recovered value, truth and error per
+parameter.
 """
 
 import argparse

@@ -138,6 +138,8 @@ def parse_config(path) -> SceneConfig:
         raise ConfigError("scene needs either init or init_csv")
     if len(cfg.start) != 3 or len(cfg.end) != 3:
         raise ConfigError("radar.start and radar.end need 3 coordinates")
+    if not cfg.view_azimuths_deg:
+        raise ConfigError("radar.view_azimuths_deg needs at least one azimuth")
     if not cfg.alpha_start_deg < cfg.alpha_stop_deg:
         raise ConfigError("radar.alpha_start_deg must be < radar.alpha_stop_deg")
     if cfg.scene_center is not None and len(cfg.scene_center) != 3:
@@ -318,12 +320,12 @@ def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
         write_raster(image, os.path.join(out, f"final_view_{vi:03d}.sarf"))
         write_pgm(image, os.path.join(out, f"final_view_{vi:03d}.pgm"))
     if result.aborted:
-        print("non-finite loss: stopped early, wrote last finite-loss parameters",
+        print("non-finite loss: stopped early, wrote best finite-loss parameters",
               file=sys.stderr)
         return 1
-    final_rmse = result.view_rmse[-1] if result.view_rmse.size else []
+    best = result.view_rmse[np.argmin(result.total_loss)] if result.iterations else []
     print(f"finished after {result.iterations} iterations; "
-          f"final per-view RMSE: {[f'{r:.4g}' for r in final_rmse]}")
+          f"per-view RMSE of the written table: {[f'{r:.4g}' for r in best]}")
     return 0
 
 

@@ -7,7 +7,8 @@ at the truth is exactly zero and recovery quality measures only the
 optimizer and gradient path.  Every phase minimizes RECOVERY_LOSS (the
 normalized image loss, no material prior) with `RecoveryProtocol.optimizer`:
 tau and the plane's vertices frozen at truth, the target's vertices tied
-to one (h, l, eps_r) record.  `scripts/recover_params.py` runs a protocol.
+to one (h, l, eps_r) record.  Each phase hands the next its best table.
+`scripts/recover_params.py` runs a protocol.
 
 Protocol notes, learned the hard way:
 
@@ -127,14 +128,14 @@ def render_references(proto: RecoveryProtocol):
 
 
 def run_recovery(proto: RecoveryProtocol, refs=None, progress=None):
-    """Run the protocol, each view traced once; returns (params, histories, iterations)."""
+    """Run the protocol, each view traced once and each phase started at the
+    last one's best table; returns (params, histories, iterations)."""
     refs = refs if refs is not None else render_references(proto)
     hitsets = trace_views(proto.mesh, [radar for radar, _ in refs])
     views = [(hits, ref) for hits, (_, ref) in zip(hitsets, refs)]
     params, results, used = proto.init.copy(), [], 0
     for phase in proto.phases:
-        res = learn(params, views, proto.optimizer(phase), RECOVERY_LOSS, iters=phase.iters,
-                    stop_patience=10 ** 9)
+        res = learn(params, views, proto.optimizer(phase), RECOVERY_LOSS, iters=phase.iters)
         used += res.iterations
         results.append(res)
         if progress is not None:

@@ -32,7 +32,8 @@ a tied vertex group (one shared record, gradients summed over the
 group); frozen vertices and channels are none.  It runs in a
 reparameterized space (log for h, l and eps_r so one learning rate
 serves magnitudes from 1e-4 to 1e2; linear for tau) and clips every
-value it writes into the parameter bounds box.
+value it writes into the parameter bounds box.  learn returns the
+evaluated table of least total loss, never Adam's unevaluated last step.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ DEFAULT_UPPER = np.array([1.0, 10.0, 1e4, 1.0])
 
 _NUM_LOG = 3  # h, l and eps_r lead the table and step in log space; tau is linear
 
-_STOP_TOL = 1e-6       # least mean view RMSE gain that resets patience
 _FD_REL_STEP = 1e-4    # grad_check central step, relative to the value
 
 
@@ -274,6 +274,10 @@ def rmse_normalized(image, ref) -> float:
 
 @dataclass
 class LearnResult:
+    """params is the table evaluated at the first finite row of least
+    total_loss (np.argmin when every row is finite), or the entry table if
+    no row is; an aborted run's last row is its non-finite one."""
+
     params: ParamMap
     iterations: int
     aborted: bool
@@ -408,38 +412,38 @@ def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig):
     return sim + tv, sim, tv, grads, rmses
 
 
-def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
-          stop_patience: int = 50) -> LearnResult:
+def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int) -> LearnResult:
     """Multi-view gradient-descent recovery of the parameter table.
 
     views: (HitSet, reference image) pairs from imaging.trace; all enter
     the gradient, and each iteration only re-shades them, since no
-    parameter moves a hit.  Runs at most `iters` steps, stopping early
-    once the mean view RMSE improves by less than _STOP_TOL over
-    stop_patience iterations.  A non-finite loss aborts and returns the
-    last finite-loss table.  On entry, a view whose reference holds a NaN
-    or inf pixel raises ValueError naming the view and the (row, bin);
-    then opt.project runs (a tied group whose members start with
-    different values raises ValueError) and the views are stacked, which
-    raises a ValueError naming the view for a table of another size or
-    another mesh: hits that touch no vertex with an unknown are shaded
-    once, and only the others on every iteration.  The gradient handed
-    to adam_step is exact at every vertex with an unknown, so a
-    non-finite partial stops learn only on a hit that reaches one.
+    parameter moves a hit.  Runs `iters` iterations, each evaluating the
+    table before adam_step moves it, unless a loss is non-finite, which
+    aborts.  Either way params ends at the first evaluated table of
+    least total loss (the entry table when no loss is finite).  A
+    negative iters raises ValueError before anything is stacked.  On
+    entry, a view whose reference holds a NaN or inf pixel raises
+    ValueError naming the view and the (row, bin); then opt.project runs
+    (a tied group whose members start with different values raises
+    ValueError) and the views are stacked, which raises a ValueError
+    naming the view for a table of another size or another mesh: hits
+    that touch no vertex with an unknown are shaded once, and only the
+    others on every iteration.  The gradient handed to adam_step is exact
+    at every vertex with an unknown, so a non-finite partial stops learn
+    only on a hit that reaches one.
     """
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     if not views:
         raise ValueError("need at least one reference view")
     views = _checked(views)
     opt.project(params)
     stack = _stack(params, views, opt.entries)
-    last_good = params.copy()
+    best, best_total = params.copy(), math.inf
 
     total_hist, sim_hist, tv_hist, view_hist = [], [], [], []
-    best_rmse = np.inf
-    since_best = 0
     aborted = False
-
-    for it in range(iters):
+    for _ in range(iters):
         total, sim, tv, grads, rmses = _objective(stack, params, cfg)
 
         total_hist.append(total)
@@ -449,20 +453,12 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int,
 
         if not math.isfinite(total):
             aborted = True
-            params.values[:] = last_good.values
             break
-        last_good.values[:] = params.values
-
+        if total < best_total:
+            best_total = total
+            best.values[:] = params.values
         adam_step(opt, params, grads)
-
-        mean_rmse = float(rmses.mean())
-        if mean_rmse < best_rmse - _STOP_TOL:
-            best_rmse = mean_rmse
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= stop_patience:
-                break
+    params.values[:] = best.values
 
     return LearnResult(
         params=params, iterations=len(total_hist), aborted=aborted,

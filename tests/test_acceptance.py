@@ -253,8 +253,7 @@ def test_08_visibility_and_multiview_benefit():
                                 freeze_channels=("tau",),
                                 freeze_vertices=proto.frozen_ids)
         res = learn(params, [(hits[a], refs[a]) for a in azimuths],
-                    opt, LossConfig(1.0, 1e-4, True), iters=150,
-                    stop_patience=10 ** 6)
+                    opt, LossConfig(1.0, 1e-4, True), iters=150)
         held, _ = render(proto.mesh, params, radars[60])
         return rmse_normalized(held.intensities, refs[60])
 

@@ -113,6 +113,17 @@ class TestConfig:
             with pytest.raises(ConfigError, match=r"outside \[0, 8\)"):
                 make_optimizer(parse_config(path), 8)
 
+    def test_empty_view_azimuths_exit_2(self, workdir, capsys):
+        """No view is no image: simulate would write a manifest of nothing."""
+        path = workdir / "bad.ini"
+        path.write_text(CONFIG.replace("view_azimuths_deg = 0 180", "view_azimuths_deg ="))
+        message = "radar.view_azimuths_deg needs at least one azimuth"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(path)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "out").exists()
+
     def test_init_or_csv_required(self, workdir):
         path = workdir / "bad.ini"
         path.write_text(CONFIG.replace("init = 0.004 0.02 9.0 0.3", ""))
@@ -479,6 +490,36 @@ class TestLearnCommand:
                     + ["--out", "learned"]) == 0
         assert (tmp_path / "learned" / "history.csv").read_text().splitlines() == [
             "iter,total_loss,sim_loss,tv_loss,view_rmse_0,view_rmse_1,view_rmse_2"]
+
+    def test_negative_iters_exits_2_and_writes_nothing(self, workdir, capsys):
+        refs = self.render_refs(workdir)
+        (workdir / "neg.ini").write_text(CONFIG.replace("iters = 4", "iters = -3"))
+        capsys.readouterr()
+        assert main(["learn", "--config", str(workdir / "neg.ini"), "--refs"] + refs
+                    + ["--out", "learned"]) == 2
+        assert capsys.readouterr().err == "error: iters must be >= 0, got -3\n"
+        assert not (workdir / "learned").exists()
+
+    def test_demo_writes_its_init_table(self, tmp_path, monkeypatch, capsys):
+        """The demo's references are renders of its init table, so the table of
+        least loss is the init table: learn runs all 150 iterations, writes that
+        table and reports the RMSE of its history row."""
+        run_script(monkeypatch, "make_demo_scene.py", tmp_path)
+        config = tmp_path / "run.ini"
+        assert main(["simulate", "--config", str(config), "--out", "refs"]) == 0
+        refs = [str(tmp_path / "refs" / f"view_{vi:03d}.sarf") for vi in range(3)]
+        capsys.readouterr()
+        assert main(["learn", "--config", str(config), "--refs"] + refs
+                    + ["--out", "learned"]) == 0
+        _, init, _ = build_scene(parse_config(config), str(tmp_path))
+        got = load_param_map(tmp_path / "learned" / "params_final.csv")
+        assert got.values.tobytes() == init.values.tobytes()
+        history = np.loadtxt(tmp_path / "learned" / "history.csv", delimiter=",", skiprows=1)
+        assert history.shape == (150, 7)
+        best = history[np.argmin(history[:, 1]), 4:]
+        assert capsys.readouterr().out.endswith(
+            "finished after 150 iterations; per-view RMSE of the written table: "
+            f"{[f'{r:.4g}' for r in best]}\n")
 
     def test_learning_writes_history_and_images(self, workdir):
         refs = self.render_refs(workdir)

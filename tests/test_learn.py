@@ -444,7 +444,7 @@ class TestLearn:
         before = params.values.copy()
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
         res = learn(params, [(hits, np.zeros(hits.image_shape))],
-                    OptimState.create(bare.num_vertices), cfg, iters=2, stop_patience=10 ** 9)
+                    OptimState.create(bare.num_vertices), cfg, iters=2)
         assert res.iterations == 2 and not res.aborted
         assert res.total_loss.tolist() == [0.0, 0.0]
         np.testing.assert_array_equal(params.values, before)
@@ -472,8 +472,7 @@ class TestLearn:
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=0.0, normalize=True)
         # 120 iterations leave h mid-oscillation, where it lands by the jitter
         # draw; by 400 it has settled to 0.004 within 1e-7 relative for seeds 0-8
-        res = learn(start, traced(mesh, [(radar, ref.intensities)]), opt, cfg, iters=400,
-                    stop_patience=1000)
+        res = learn(start, traced(mesh, [(radar, ref.intensities)]), opt, cfg, iters=400)
         assert res.params.h[0] == pytest.approx(0.004, rel=1e-3)
 
     def test_unequal_tied_start_rejected(self, learn_setup):
@@ -499,7 +498,7 @@ class TestLearn:
                                              rf"reference shape {shape}$"):
             learn(params, views, OptimState.create(mesh.num_vertices), CFG_RAW, iters=1)
 
-    def test_non_finite_loss_aborts_with_last_good(self, learn_setup):
+    def test_non_finite_first_loss_aborts_with_entry_table(self, learn_setup):
         """A finite reference whose squared error overflows: the loss is inf."""
         mesh, params, radar = learn_setup
         ref, _ = render(mesh, params, radar)
@@ -512,6 +511,52 @@ class TestLearn:
         assert res.aborted
         assert res.iterations == 1
         np.testing.assert_array_equal(res.params.values, before)
+
+    def test_start_at_truth_returns_start_table(self, learn_setup):
+        """A reference stored as float32, as a raster holds it: Adam steps
+        away from the truth, whose loss stays the least, and learn returns
+        the start table bitwise."""
+        mesh, params, radar = learn_setup
+        ref = render(mesh, params, radar)[0].intensities.astype(np.float32)
+        before = params.values.copy()
+        res = learn(params, traced(mesh, [(radar, ref)]),
+                    OptimState.create(mesh.num_vertices, lr=0.05),
+                    LossConfig(lambda_sim=1.0, lambda_mat=0.0, normalize=True), iters=20)
+        assert res.iterations == 20 and not res.aborted
+        assert (res.total_loss[1:] > res.total_loss[0]).all()
+        assert params.values.tobytes() == before.tobytes()
+
+    def test_non_finite_bsdf_aborts_with_least_loss_table(self, learn_setup, monkeypatch):
+        """The loss falls to its least at iteration 4 and rises; a NaN sigma
+        at iteration 7 aborts, and learn returns the table evaluated at
+        iteration 4, not the last finite one (iteration 6)."""
+        mesh, truth, radar = learn_setup
+        refs = [(radar, render(mesh, truth, radar)[0].intensities)]
+        start = truth.copy()
+        start.values[:, 0] *= 1.7
+        start.values[:, 2] -= 3.0
+        calls, tables = [], []
+
+        def nan_after_seven(angles, values):
+            calls.append(None)
+            sigma, grads = eval_bsdf_at(angles, values)
+            return (sigma * np.nan if len(calls) > 7 else sigma), grads
+
+        step = learn_mod.adam_step
+
+        def recorded_step(opt, table, grads):
+            tables.append(table.values.copy())
+            return step(opt, table, grads)
+
+        monkeypatch.setattr(imaging, "eval_bsdf_at", nan_after_seven)
+        monkeypatch.setattr(learn_mod, "adam_step", recorded_step)
+        res = learn(start, traced(mesh, refs), OptimState.create(mesh.num_vertices, lr=0.05),
+                    LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True), iters=20)
+        assert res.aborted and res.iterations == 8 and len(tables) == 7
+        assert np.isfinite(res.total_loss[:7]).all() and np.isnan(res.total_loss[7])
+        assert np.argmin(res.total_loss[:7]) == 4 and res.total_loss[6] > res.total_loss[4]
+        assert res.params.values.tobytes() == tables[4].tobytes()
+        assert not np.array_equal(tables[4], tables[6])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_reference_pixel_rejected_on_entry(self, learn_setup, monkeypatch,
@@ -534,8 +579,9 @@ class TestLearn:
         np.testing.assert_array_equal(params.values, before)
 
     def test_zero_unknowns_records_history_and_keeps_table(self, learn_setup):
-        """With every channel frozen there is nothing to step: the run still
-        scores each iteration and leaves the table bitwise as it was."""
+        """With every channel frozen there is nothing to step and no iteration
+        improves on the first: the run still scores each of its 60 iterations
+        and leaves the table bitwise as it was."""
         mesh, params, radar = learn_setup
         ref, _ = render(mesh, params, radar)
         start = params.copy()
@@ -543,12 +589,20 @@ class TestLearn:
         before = start.values.copy()
         opt = OptimState.create(mesh.num_vertices, freeze_channels=PARAM_CHANNELS)
         assert opt.m.size == 0
-        res = learn(start, traced(mesh, [(radar, ref.intensities)]), opt, CFG_RAW, iters=3)
+        res = learn(start, traced(mesh, [(radar, ref.intensities)]), opt, CFG_RAW, iters=60)
         assert not res.aborted
-        assert res.iterations == 3
-        assert res.view_rmse.shape == (3, 1)
+        assert res.iterations == 60
+        assert res.view_rmse.shape == (60, 1)
         assert np.all(res.sim_loss == res.sim_loss[0]) and res.sim_loss[0] > 0.0
         np.testing.assert_array_equal(res.params.values, before)
+
+    def test_negative_iters_rejected_before_stacking(self, learn_setup, monkeypatch):
+        mesh, params, radar = learn_setup
+        views = traced(mesh, [(radar, render(mesh, params, radar)[0].intensities)])
+        calls = RecordedCalls(monkeypatch)
+        with pytest.raises(ValueError, match=r"^iters must be >= 0, got -1$"):
+            learn(params, views, OptimState.create(mesh.num_vertices), CFG_RAW, iters=-1)
+        assert calls.events == []
 
     def test_history_csv(self, learn_setup, tmp_path):
         mesh, params, radar = learn_setup
@@ -574,10 +628,12 @@ class TestLearn:
 
 
 def oracle_learn(mesh, params, refs, opt, cfg, iters, seen=None):
-    """learn's loop with stopping off, rendering every view on every
-    iteration: (total_loss, view_rmse).  Each full-table gradient handed
-    to adam_step is appended to `seen` when given."""
+    """learn's loop, rendering every view on every iteration:
+    (total_loss, view_rmse), with params left at the first evaluated table
+    of least total loss.  Each full-table gradient handed to adam_step is
+    appended to `seen` when given."""
     total_hist, view_hist = [], []
+    best = params.copy()
     for _ in range(iters):
         sim_total = 0.0
         grads = np.zeros_like(params.values)
@@ -592,9 +648,12 @@ def oracle_learn(mesh, params, refs, opt, cfg, iters, seen=None):
         grads += tv_grad
         total_hist.append(sim_total + tv_val)
         view_hist.append(rmses)
+        if total_hist[-1] < min(total_hist[:-1], default=np.inf):
+            best = params.copy()
         if seen is not None:
             seen.append(grads.copy())
         adam_step(opt, params, grads)
+    params.values[:] = best.values
     return np.array(total_hist), np.array(view_hist)
 
 
@@ -604,8 +663,7 @@ def assert_learn_matches_oracle(mesh, params, refs, make_opt, cfg, iters, calls=
     expect = oracle_learn(mesh, expect_params, refs, make_opt(), cfg, iters)
     if calls is not None:
         calls.events.clear()
-    res = learn(params, traced(mesh, refs), make_opt(), cfg, iters=iters,
-                stop_patience=10 ** 9)
+    res = learn(params, traced(mesh, refs), make_opt(), cfg, iters=iters)
     assert res.iterations == iters and not res.aborted
     for got, want in zip((res.total_loss, res.view_rmse), expect):
         assert got.tobytes() == want.reshape(got.shape).tobytes()
@@ -719,8 +777,7 @@ class TestTraceOnce:
         monkeypatch.setattr(learn_mod, "adam_step", recorded_adam_step)
         before = params.values.copy()
         views = traced(mesh, [(away, ref)])
-        res = learn(params, views, OptimState.create(mesh.num_vertices),
-                    CFG_RAW, iters=3, stop_patience=10 ** 9)
+        res = learn(params, views, OptimState.create(mesh.num_vertices), CFG_RAW, iters=3)
         assert not res.aborted and res.iterations == len(seen) == 3
         assert all(np.isfinite(g).all() and not g.any() for g in seen)
         assert np.isfinite(res.total_loss).all() and (res.total_loss > 0).all()
@@ -818,7 +875,7 @@ class TestStackedObjective:
 
         calls = RecordedCalls(monkeypatch)
         opt = proto.optimizer(proto.phases[0])
-        res = learn(proto.init.copy(), views, opt, RECOVERY_LOSS, iters=3, stop_patience=10 ** 9)
+        res = learn(proto.init.copy(), views, opt, RECOVERY_LOSS, iters=3)
         assert res.iterations == 3 and not res.aborted
         # the plane's hits are shaded once, on entry; each iteration shades the cube's
         thetas = [t for t, _ in calls.iterations()]
@@ -900,7 +957,7 @@ class TestStackedObjective:
                                                  r"channel\(s\) h, l, eps_r, tau"):
                 learn(params, views, opt, CFG_RAW, iters=2)
             return
-        res = learn(params, views, opt, CFG_RAW, iters=2, stop_patience=10 ** 9)
+        res = learn(params, views, opt, CFG_RAW, iters=2)
         assert res.iterations == 2 and not res.aborted
         assert np.isfinite(res.total_loss).all()
         np.testing.assert_array_equal(res.params.values[:3], before[:3])
