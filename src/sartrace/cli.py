@@ -279,10 +279,10 @@ def _loss_config(cfg: SceneConfig) -> LossConfig:
     return LossConfig(cfg.lambda_sim, cfg.lambda_mat, cfg.normalize)
 
 
-def cmd_simulate(config_path, out_dir=None, seed=None) -> int:
-    cfg, base_dir, mesh, params, radars, bvh = _load(config_path, seed)
+def cmd_simulate(args) -> int:
+    cfg, base_dir, mesh, params, radars, bvh = _load(args.config, args.seed)
     rendered = shade_views(trace_views(mesh, radars, bvh=bvh), params)
-    out = os.path.join(base_dir, out_dir or cfg.out_dir)
+    out = os.path.join(base_dir, args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)  # only now: a view that fails to render writes nothing
     outputs = {}
     for vi, (image, _) in enumerate(rendered):
@@ -296,27 +296,28 @@ def cmd_simulate(config_path, out_dir=None, seed=None) -> int:
     return 0
 
 
-def cmd_learn(config_path, ref_paths, out_dir=None) -> int:
-    cfg, base_dir, mesh, params, radars, bvh = _load(config_path)
-    if len(ref_paths) != len(radars):
+def cmd_learn(args) -> int:
+    cfg, base_dir, mesh, params, radars, bvh = _load(args.config)
+    if len(args.refs) != len(radars):
         raise ConfigError(
-            f"{len(ref_paths)} reference rasters for {len(radars)} configured views")
-    rasters = [read_raster(path) for path in ref_paths]
+            f"{len(args.refs)} reference rasters for {len(radars)} configured views")
+    rasters = [read_raster(path) for path in args.refs]
     opt = make_optimizer(cfg, mesh.num_vertices)
     loss_cfg = _loss_config(cfg)
     hitsets = trace_views(mesh, radars, bvh=bvh)
-    for vi, (hits, path, (_, meta)) in enumerate(zip(hitsets, ref_paths, rasters)):
-        for name, want in (("range_res", cfg.range_res), ("range_origin", hits.range_origin)):
+    for vi, (hits, path, (_, meta)) in enumerate(zip(hitsets, args.refs, rasters)):
+        for name, want in (("azimuth_res", cfg.azimuth_res), ("range_res", cfg.range_res),
+                           ("range_origin", hits.range_origin)):
             if meta[name] != want:
                 raise ConfigError(f"view {vi}: reference {path} has {name} {meta[name]!r}, "
                                   f"the configured view has {want!r}")
     views = [(hits, data) for hits, (data, _) in zip(hitsets, rasters)]
-    result = learn(params, views, opt, loss_cfg, iters=cfg.iters)
-    out = os.path.join(base_dir, out_dir or cfg.out_dir)
+    result = learn(params, views, opt, loss_cfg, iters=cfg.iters)   # tunes params in place
+    out = os.path.join(base_dir, args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)  # only now: learn checks the reference shapes on entry
-    save_param_map(result.params, os.path.join(out, "params_final.csv"))
+    save_param_map(params, os.path.join(out, "params_final.csv"))
     write_history_csv(result, os.path.join(out, "history.csv"))
-    for vi, (image, _) in enumerate(shade_views(hitsets, result.params)):
+    for vi, (image, _) in enumerate(shade_views(hitsets, params)):
         write_raster(image, os.path.join(out, f"final_view_{vi:03d}.sarf"))
         write_pgm(image, os.path.join(out, f"final_view_{vi:03d}.pgm"))
     if result.aborted:
@@ -338,16 +339,16 @@ def _perturbed_reference_params(params: ParamMap) -> ParamMap:
     return ref
 
 
-def cmd_gradcheck(config_path, probes=20, seed=0) -> int:
-    if probes < 1:
-        raise ConfigError(f"--probes must be at least 1, got {probes}")
-    cfg, _, mesh, params, radars, bvh = _load(config_path)
+def cmd_gradcheck(args) -> int:
+    if args.probes < 1:
+        raise ConfigError(f"--probes must be at least 1, got {args.probes}")
+    cfg, _, mesh, params, radars, bvh = _load(args.config)
     loss_cfg = _loss_config(cfg)
     ref_params = _perturbed_reference_params(params)
     hitsets = trace_views(mesh, radars, bvh=bvh)
     views = [(hits, image.intensities)
              for hits, (image, _) in zip(hitsets, shade_views(hitsets, ref_params))]
-    report = grad_check(params, views, loss_cfg, num_probes=probes, seed=seed)
+    report = grad_check(params, views, loss_cfg, num_probes=args.probes, seed=args.seed)
     for p in report.probes:
         print(f"vertex {p.vertex:4d} {p.channel:6s} analytic {p.analytic: .6e} "
               f"fd {p.finite_diff: .6e} rel {p.rel_err:.3e}")
@@ -356,14 +357,16 @@ def cmd_gradcheck(config_path, probes=20, seed=0) -> int:
     return 0 if report.max_rel_err <= _GRADCHECK_TOL else 1
 
 
-def cmd_sweep(h, l, eps_r, tau, frequency, polarization, psd,
-              theta_start_deg, theta_stop_deg, num, out_path) -> int:
-    wave = WaveConfig(frequency, polarization, psd)
+def cmd_sweep(args) -> int:
+    if args.num < 1:
+        raise ConfigError(f"--num must be at least 1, got {args.num}")
+    h, l, eps_r, tau = args.h, args.l, args.eps_r, args.tau
+    wave = WaveConfig(args.frequency, args.polarization, args.psd)
     ParamMap.constant(1, h, l, eps_r, tau).validate()
-    for name, deg in (("theta-start", theta_start_deg), ("theta-stop", theta_stop_deg)):
+    for name, deg in (("theta-start", args.theta_start), ("theta-stop", args.theta_stop)):
         if not 0.0 <= deg < 90.0:
             raise ValueError(f"{name} must lie in [0, 90) degrees, got {deg!r}")
-    thetas = np.linspace(math.radians(theta_start_deg), math.radians(theta_stop_deg), num)
+    thetas = np.linspace(math.radians(args.theta_start), math.radians(args.theta_stop), args.num)
     # the diffuse and specular columns are the blend at tau = 0 and tau = 1
     columns = [eval_bsdf_batch(thetas, np.tile([h, l, eps_r, t], (thetas.size, 1)), wave)[0]
                for t in (0.0, 1.0, tau)]
@@ -374,10 +377,10 @@ def cmd_sweep(h, l, eps_r, tau, frequency, polarization, psd,
         lines.append(f"{math.degrees(th)!r},{float(s_spm)!r},{float(s_ka)!r},{float(blend)!r},"
                      f"{int(spm_ok)},{int(ka_ok)}")
     text = "\n".join(lines) + "\n"
-    if out_path == "-":
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0
 
@@ -391,21 +394,25 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="render the configured views")
+    p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--seed", type=int, default=None)
 
     p_learn = sub.add_parser("learn", help="recover parameters from reference rasters")
+    p_learn.set_defaults(run=cmd_learn)
     p_learn.add_argument("--config", required=True)
     p_learn.add_argument("--refs", nargs="+", required=True)
     p_learn.add_argument("--out", default=None)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of the gradient path")
+    p_gc.set_defaults(run=cmd_gradcheck)
     p_gc.add_argument("--config", required=True)
     p_gc.add_argument("--probes", type=int, default=20)
     p_gc.add_argument("--seed", type=int, default=0)
 
     p_sweep = sub.add_parser("sweep", help="backscatter vs incidence angle curves")
+    p_sweep.set_defaults(run=cmd_sweep)
     p_sweep.add_argument("--h", type=float, required=True)
     p_sweep.add_argument("--l", type=float, required=True)
     p_sweep.add_argument("--eps-r", type=float, required=True)
@@ -423,20 +430,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, args.seed)
-        if args.command == "learn":
-            return cmd_learn(args.config, args.refs, args.out)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args.config, args.probes, args.seed)
-        if args.command == "sweep":
-            return cmd_sweep(args.h, args.l, args.eps_r, args.tau, args.frequency,
-                             args.polarization, args.psd, args.theta_start,
-                             args.theta_stop, args.num, args.out)
+        return args.run(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -233,28 +233,26 @@ def vertex_range_window(mesh: Mesh, radar: RadarConfig) -> tuple[float, int]:
     range_window argument of render when images from several runs must
     share a pixel grid.
     """
-    frame = MapFrame.from_radar(radar)
-    h_v = frame.apply(mesh.vertices)[:, 2]
-    origin = float(h_v.max())
-    num_bins = int(math.floor((origin - float(h_v.min())) / radar.range_res)) + 1
-    return origin, num_bins
+    return _range_window(MapFrame.from_radar(radar).apply(mesh.vertices)[:, 2], radar.range_res)
+
+
+def _range_window(coords: np.ndarray, range_res: float) -> tuple[float, int]:
+    """(range_origin, num_bins) spanning [min, max] of range coordinates."""
+    origin = float(coords.max())
+    return origin, int(math.floor((origin - float(coords.min())) / range_res)) + 1
 
 
 @dataclass(frozen=True)
 class SarImage:
     """Azimuth x range intensity raster plus imaging metadata."""
 
-    intensities: np.ndarray   # (num_azimuth, num_range_bins), >= 0
+    intensities: np.ndarray   # (num_azimuth, range bins), >= 0
     radar: RadarConfig
     range_origin: float       # map-frame R coordinate of bin 0
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.intensities.shape
-
-    @property
-    def num_range_bins(self) -> int:
-        return self.intensities.shape[1]
 
 
 @dataclass(frozen=True)
@@ -336,8 +334,7 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
         if window is not None:
             origin, num_bins = window
         elif sel.size:
-            origin = float(h_r.max())
-            num_bins = int(math.floor((origin - float(h_r.min())) / radar.range_res)) + 1
+            origin, num_bins = _range_window(h_r, radar.range_res)
         else:
             origin, num_bins = vertex_range_window(mesh, radar)
         if num_bins > _MAX_RANGE_BINS:

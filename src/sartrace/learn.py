@@ -32,7 +32,7 @@ a tied vertex group (one shared record, gradients summed over the
 group); frozen vertices and channels are none.  It runs in a
 reparameterized space (log for h, l and eps_r so one learning rate
 serves magnitudes from 1e-4 to 1e2; linear for tau) and clips every
-value it writes into the parameter bounds box.  learn returns the
+value it writes into the parameter bounds box.  learn leaves params at the
 evaluated table of least total loss, never Adam's unevaluated last step.
 """
 
@@ -274,11 +274,10 @@ def rmse_normalized(image, ref) -> float:
 
 @dataclass
 class LearnResult:
-    """params is the table evaluated at the first finite row of least
-    total_loss (np.argmin when every row is finite), or the entry table if
-    no row is; an aborted run's last row is its non-finite one."""
+    """Losses per iteration run; learn leaves params at the table of the first
+    finite row of least total_loss (np.argmin when every row is finite), or
+    the entry table if no row is.  An aborted run's last row is non-finite."""
 
-    params: ParamMap
     iterations: int
     aborted: bool
     total_loss: np.ndarray       # (iters,)
@@ -419,8 +418,8 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     the gradient, and each iteration only re-shades them, since no
     parameter moves a hit.  Runs `iters` iterations, each evaluating the
     table before adam_step moves it, unless a loss is non-finite, which
-    aborts.  Either way params ends at the first evaluated table of
-    least total loss (the entry table when no loss is finite).  A
+    aborts.  Either way params ends, in place, at the first evaluated
+    table of least total loss (the entry table when no loss is finite).  A
     negative iters raises ValueError before anything is stacked.  On
     entry, a view whose reference holds a NaN or inf pixel raises
     ValueError naming the view and the (row, bin); then opt.project runs
@@ -461,9 +460,8 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     params.values[:] = best.values
 
     return LearnResult(
-        params=params, iterations=len(total_hist), aborted=aborted,
-        total_loss=np.asarray(total_hist), sim_loss=np.asarray(sim_hist),
-        tv_loss=np.asarray(tv_hist),
+        iterations=len(total_hist), aborted=aborted, total_loss=np.asarray(total_hist),
+        sim_loss=np.asarray(sim_hist), tv_loss=np.asarray(tv_hist),
         view_rmse=np.asarray(view_hist) if view_hist else np.zeros((0, len(views))),
     )
 

@@ -161,22 +161,6 @@ class ParamMap:
     def num_vertices(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def h(self) -> np.ndarray:
-        return self.values[:, 0]
-
-    @property
-    def l(self) -> np.ndarray:
-        return self.values[:, 1]
-
-    @property
-    def eps_r(self) -> np.ndarray:
-        return self.values[:, 2]
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self.values[:, 3]
-
     @staticmethod
     def constant(num_vertices: int, h: float, l: float, eps_r: float, tau: float) -> "ParamMap":
         row = np.array([h, l, eps_r, tau], dtype=np.float64)

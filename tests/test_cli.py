@@ -521,6 +521,20 @@ class TestLearnCommand:
             "finished after 150 iterations; per-view RMSE of the written table: "
             f"{[f'{r:.4g}' for r in best]}\n")
 
+    def test_demo_learns_the_cube(self, tmp_path, monkeypatch):
+        """learn.ini starts the cube off the truth that run.ini renders; the
+        150 iterations bring h, l and eps_r within 2 % of it."""
+        run_script(monkeypatch, "make_demo_scene.py", tmp_path)
+        assert main(["simulate", "--config", str(tmp_path / "run.ini")]) == 0
+        refs = [str(tmp_path / "out" / f"view_{vi:03d}.sarf") for vi in range(3)]
+        start = load_param_map(tmp_path / "start.csv")
+        assert not np.array_equal(start.values[-1], [0.005, 0.01, 25.0, 0.05])
+        assert main(["learn", "--config", str(tmp_path / "learn.ini"), "--refs"] + refs) == 0
+        got = load_param_map(tmp_path / "learned" / "params_final.csv")
+        np.testing.assert_array_equal(got.values[:4], start.values[:4])     # the plane is frozen
+        np.testing.assert_allclose(got.values[4:, :3], np.tile([0.005, 0.01, 25.0], (8, 1)),
+                                   rtol=0.02)
+
     def test_learning_writes_history_and_images(self, workdir):
         refs = self.render_refs(workdir)
         rc = main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs
@@ -590,6 +604,7 @@ class TestLearnCommand:
     @pytest.mark.parametrize("line,other,field", [
         ("seed = 3", "seed = 9", "range_origin"),       # same shape, shifted range grid
         ("range_res = 0.1", "range_res = 0.1000001", "range_res"),
+        ("azimuth_res = 0.6", "azimuth_res = 0.5", "azimuth_res"),   # same pixels and ranges
     ])
     def test_reference_grid_mismatch_writes_nothing(self, workdir, capsys, line, other,
                                                     field):
@@ -600,7 +615,7 @@ class TestLearnCommand:
         mesh, params, radars = build_scene(parse_config(workdir / "run.ini"), str(workdir))
         image, _ = render(mesh, params, radars[0])
         assert data.shape == image.shape            # only the header tells them apart
-        want = {"range_origin": image.range_origin, "range_res": 0.1}[field]
+        want = {"range_origin": image.range_origin, "range_res": 0.1, "azimuth_res": 0.6}[field]
         assert meta[field] != want
         capsys.readouterr()
         rc = main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs
@@ -815,4 +830,12 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         assert main(self.sweep_argv(out, **{flag: value})) == 2
         assert re.search(cause, capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("num", ["0", "-1"])
+    def test_num_below_one_exit_2(self, tmp_path, capsys, num):
+        """A sweep of no angle would write a header and nothing else."""
+        out = tmp_path / "sweep.csv"
+        assert main(self.sweep_argv(out, num=num)) == 2
+        assert capsys.readouterr().err == f"error: --num must be at least 1, got {num}\n"
         assert not out.exists()

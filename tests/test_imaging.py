@@ -420,7 +420,7 @@ class TestRender:
         mesh, params = plate_scene
         image, ledger = render(mesh, params, plate_radar)
         for window in ((image.range_origin, int(ledger.range_bin.max())),
-                       (image.range_origin - 1.0, image.num_range_bins)):
+                       (image.range_origin - 1.0, image.shape[1])):
             bins = range_bin_of(ledger.ranges, plate_radar.range_res, window[0])
             bad = bins[(bins < 0) | (bins >= window[1])]
             assert 0 < bad.size < bins.size
@@ -525,7 +525,7 @@ class TestRender:
         mesh, params = plate_scene
         image, ledger = render(mesh, params, plate_radar)
         assert ledger.image_shape == image.intensities.shape
-        assert ledger.range_bin.max() < image.num_range_bins
+        assert ledger.range_bin.max() < image.shape[1]
         assert ledger.row.max() < image.intensities.shape[0]
 
 

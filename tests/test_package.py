@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -67,24 +68,46 @@ def test_readme_command_line_names_every_option():
     assert (sorted(options - named), sorted(named - options)) == ([], [])   # undocumented, stale
 
 
-def unused_imports(path):
-    """Names a module imports and never reads, except on `# noqa: F401` lines."""
-    source = path.read_text(encoding="utf-8")
-    tree = ast.parse(source)
+def imports(tree, source):
+    """(names bound, marked `# noqa: F401`) for each import of a module
+    but `from __future__`."""
     lines = source.splitlines()
-    imported = set()
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
                 isinstance(node, ast.ImportFrom) and node.module == "__future__"):
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
-        imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        marked = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+        yield [alias.asname or alias.name.split(".")[0] for alias in node.names], marked
+
+
+def unused_imports(path):
+    """Names a module imports and never reads, except on `# noqa: F401` lines."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    imported = {name for names, marked in imports(tree, source) if not marked for name in names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - read)
 
 
 PACKAGE = ROOT / "src" / "sartrace"
+
+
+def test_noqa_imports_are_traced_boundaries():
+    """A `# noqa: F401` import in the package binds only names that the
+    benchmark's tracer (perfbench/tracing.py BOUNDARIES) wraps in that same
+    module, so the marker hides no dead import, and the bindings go when
+    the benchmark stops wrapping them."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = {(module, name) for module, name, _ in tracing.BOUNDARIES}
+    bound = set()
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        for names, marked in imports(ast.parse(source), source):
+            bound.update((f"sartrace.{path.stem}", name) for name in names if marked)
+    assert sorted(bound - wrapped) == []
 
 
 @pytest.mark.parametrize(
