@@ -2,7 +2,12 @@
 
 `build_bvh` builds a median-split BVH one tree level at a time: all
 nodes of a level are split in one numpy step, and nodes are numbered in
-level order, so children come after their parent.
+level order, so children come after their parent.  The step sorts
+integers, not floats: each facet's centroid coordinates are ranked once
+per axis, ties kept, and a level sorts one int64 key per facet that
+packs its node, its rank along the node's axis and its position in the
+node's range.  The keys are unique and ordered as a stable lexsort of
+(node, coordinate) orders the facets, so the tree is that lexsort's.
 
 Intersections solve o + t*d = m1*p1 + m2*p2 + (1-m1-m2)*p3 for
 (t, m1, m2); a hit requires the weights to lie in the simplex and
@@ -169,17 +174,53 @@ def build_bvh(mesh: Mesh) -> Bvh:
     Built one tree level per step.  Each node owns a contiguous range
     of `order`; every node of a level with more than `_LEAF_SIZE` facets
     is split at once: range centroid bounds by `reduceat`, the axis of
-    largest extent (ties to the first axis), one `lexsort` that orders
-    every range along its own axis, stable inside each range, and a
-    split at the facet-count midpoint.  Nodes are numbered in level
-    order, so the children of the j-th inner node are nodes 2j+1 and
-    2j+2.  Leaf boxes are reduced over their ranges and inner boxes are
-    the min/max of their children's, so every box is exact.
-    Deterministic for a given mesh.
+    largest extent (ties to the first axis), one sort that orders every
+    range along its own axis, stable inside each range, and a split at
+    the facet-count midpoint.  The sort is of one int64 key per facet,
+    (node, rank of its centroid along the node's axis, position in the
+    node's range): the ranks keep every tie of the float coordinates,
+    and the position makes each key unique, so the sorted keys give the
+    permutation of a stable lexsort of (node, coordinate).  Nodes are
+    numbered in level order, so the children of the j-th inner node are
+    nodes 2j+1 and 2j+2.  Leaf boxes are reduced over their ranges and
+    inner boxes are the min/max of their children's, so every box is
+    exact.  Deterministic for a given mesh of at most 2**31 facets.
     """
-    # Bvh derives its grandchild table once the build's temporaries, the
-    # (F, 3, 3) corners among them, are freed, so it adds nothing to the peak
+    # Bvh derives its grandchild table once the build's temporaries are freed,
+    # so it adds nothing to the peak
     return Bvh(**_median_split(mesh))
+
+
+def _facet_boxes(mesh: Mesh):
+    """Each facet's (min corner, max corner, centroid), each (F, 3).
+
+    Elementwise over the corners p1, p2 and p3, and bitwise the
+    reductions over axis 1 of the (F, 3, 3) corners: numpy's sum starts
+    from +0.0, and ((+0.0 + p1) + p2) + p3 is (p1 + p2) + p3 except that
+    three -0.0 corners sum to +0.0; the mean divides the sum by 3.
+    """
+    # (3, F, 3): contiguous corners; take, since fancy indexing costs 3-4x more
+    p1, p2, p3 = mesh.vertices.take(mesh.facets.T, axis=0)
+    centroids = p1 + p2
+    centroids += p3
+    centroids += 0.0
+    centroids /= 3.0
+    return (np.minimum(np.minimum(p1, p2), p3), np.maximum(np.maximum(p1, p2), p3),
+            centroids)
+
+
+def _axis_ranks(coords) -> np.ndarray:
+    """Ranks of (3, F) coordinates along each row, flattened to (3 * F,)
+    int64: equal values share a rank, -0.0 and +0.0 among them, as do
+    two infinities of one sign (sorted neighbours compare with !=, not
+    np.diff, whose inf - inf is NaN)."""
+    ranks = np.empty(coords.shape, dtype=np.int64)
+    for row, values in zip(ranks, coords):
+        by_value = np.argsort(values)
+        values = values.take(by_value)
+        row[by_value[0]] = 0
+        row[by_value[1:]] = np.cumsum(values[1:] != values[:-1])
+    return ranks.ravel()
 
 
 def _median_split(mesh: Mesh) -> dict:
@@ -187,9 +228,14 @@ def _median_split(mesh: Mesh) -> dict:
     n = mesh.num_facets
     if n == 0:
         raise ValueError("cannot build a BVH over an empty mesh")
-    # rows are gathered with take on axis 0: fancy indexing of (n, 3) rows costs 3-4x more
-    tri = mesh.vertices.take(mesh.facets, axis=0)     # (F, 3, 3)
-    centroids = tri.mean(axis=1)
+    # a level's key packs a node, a rank and a position in 2 * rank_bits bits:
+    # level L has at most 2**L ranges of at most ceil(n / 2**L) facets each
+    rank_bits = (n - 1).bit_length()
+    if rank_bits > 31:
+        raise ValueError(f"cannot build a BVH over {n} facets: at most 2**31")
+    facet_min, facet_max, centroids = _facet_boxes(mesh)
+    centroids = np.ascontiguousarray(centroids.T)      # (3, F): one row per axis
+    ranks = _axis_ranks(centroids)
     order = np.arange(n, dtype=np.int64)
 
     # (lo, hi) ranges of `order` of the nodes of each level
@@ -200,19 +246,32 @@ def _median_split(mesh: Mesh) -> dict:
             break
         a, b = lo[-1][split], hi[-1][split]
         size = b - a
-        # the split nodes' ranges, back to back
+        # the split nodes' ranges, back to back from `first`; `local` is the
+        # position inside the range
         first = np.cumsum(size) - size
-        seg = np.repeat(np.arange(size.size), size)
-        pos = np.arange(seg.size) + np.repeat(a - first, size)
-        ids = order[pos]
-        c = centroids.take(ids, axis=0)
-        extent = np.maximum.reduceat(c, first) - np.minimum.reduceat(c, first)
-        key = c[np.arange(seg.size), np.argmax(extent, axis=1)[seg]]
-        order[pos] = ids[np.lexsort((key, seg))]
+        base = np.repeat(first, size)
+        local = np.arange(base.size) - base
+        pos = np.repeat(a, size) + local
+        ids = order.take(pos)
+        c = centroids.take(ids, axis=1)
+        extent = np.maximum.reduceat(c, first, axis=1) - np.minimum.reduceat(c, first, axis=1)
+        # one unique key per facet, (node, rank along the node's axis, local);
+        # the node is the top field, so a sorted key stays in its node's range
+        # and its low bits give the range's stable order
+        local_bits = int(size.max() - 1).bit_length()
+        key = ranks.take(np.repeat(np.argmax(extent, axis=0) * n, size) + ids)
+        key |= np.repeat(np.arange(size.size) << rank_bits, size)
+        key <<= local_bits
+        key |= local
+        key.sort()
+        key &= (1 << local_bits) - 1
+        key += base
+        order[pos] = ids.take(key)
         mid = a + size // 2
         # each split node's two children, side by side in the next level
         lo.append(np.array((a, mid)).T.ravel())
         hi.append(np.array((mid, b)).T.ravel())
+    del centroids, ranks        # else they would set the peak at the leaf boxes
 
     level_start = np.cumsum([0] + [x.size for x in lo])
     lo, hi = np.concatenate(lo), np.concatenate(hi)
@@ -226,8 +285,8 @@ def _median_split(mesh: Mesh) -> dict:
     # leaves partition `order`, so one reduceat over the leaves by range start
     leaves = np.flatnonzero(~inner)
     leaves = leaves[np.argsort(lo[leaves])]
-    box_min[leaves] = np.minimum.reduceat(tri.min(axis=1).take(order, axis=0), lo[leaves])
-    box_max[leaves] = np.maximum.reduceat(tri.max(axis=1).take(order, axis=0), lo[leaves])
+    box_min[leaves] = np.minimum.reduceat(facet_min.take(order, axis=0), lo[leaves])
+    box_max[leaves] = np.maximum.reduceat(facet_max.take(order, axis=0), lo[leaves])
     # inner boxes level by level, from the deepest up
     inner_ids = np.flatnonzero(inner)
     cut = np.searchsorted(inner_ids, level_start)

@@ -50,32 +50,62 @@ class Mesh:
 
     @staticmethod
     def from_arrays(vertices, facets) -> "Mesh":
-        """Build a mesh, computing normals and validating the topology."""
+        """Build a mesh, computing normals and validating the topology.
+
+        Each facet's index must be an integer in [0, n_vertices); the
+        first facet that breaks this raises a MeshError naming it.  The
+        normal is the cross product (p2 - p1) x (p3 - p1) over its
+        norm, written out per component: bitwise np.cross and
+        np.linalg.norm, whose sum of squares is (x*x + y*y) + z*z.
+        """
         vertices = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
-        facets = np.ascontiguousarray(np.asarray(facets, dtype=np.int64))
+        facets = np.asarray(facets)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshError(f"vertex array must be (n, 3), got {vertices.shape}")
         if facets.ndim != 2 or facets.shape[1] != 3:
             raise MeshError(f"facet array must be (m, 3), got {facets.shape}")
         if not np.isfinite(vertices).all():
             raise MeshError("non-finite vertex coordinate")
-        n = vertices.shape[0]
-        bad = np.nonzero((facets < 0) | (facets >= n))[0]
-        if bad.size:
-            raise MeshError(
-                f"facet {bad[0]} references vertex outside [0, {n}): "
-                f"{facets[bad[0]].tolist()}"
-            )
-        p1 = vertices[facets[:, 0]]
-        p2 = vertices[facets[:, 1]]
-        p3 = vertices[facets[:, 2]]
-        cross = np.cross(p2 - p1, p3 - p1)
-        norms = np.linalg.norm(cross, axis=1)
-        degenerate = np.nonzero(norms < _DEGENERATE_AREA_EPS)[0]
+        facets = _vertex_indices(facets, vertices.shape[0])
+        # (3, F, 3): contiguous corners; take, since fancy indexing costs 3-4x more
+        p1, p2, p3 = vertices.take(facets.T, axis=0)
+        (ax, ay, az), (bx, by, bz) = (p2 - p1).T, (p3 - p1).T
+        normals = np.empty_like(p1)
+        nx, ny, nz = normals.T
+        np.subtract(ay * bz, az * by, out=nx)
+        np.subtract(az * bx, ax * bz, out=ny)
+        np.subtract(ax * by, ay * bx, out=nz)
+        norms = np.sqrt((nx * nx + ny * ny) + nz * nz)
+        degenerate = np.flatnonzero(norms < _DEGENERATE_AREA_EPS)
         if degenerate.size:
             raise MeshError(f"facet {degenerate[0]} has zero area")
-        normals = cross / norms[:, None]
+        normals /= norms[:, None]
         return Mesh(vertices=vertices, facets=facets, facet_normals=normals)
+
+
+def _vertex_indices(facets: np.ndarray, n: int) -> np.ndarray:
+    """(m, 3) facets as C-contiguous int64.  A MeshError rejects an array
+    of other than numbers, and names the first facet with an index
+    outside [0, n) or not an integer.
+
+    The range is compared in the array's own dtype, so an index beyond
+    int64 is reported, not wrapped, and a float or object index must
+    equal its truncation, which the int64 cast would drop silently.
+    """
+    if facets.dtype.kind not in "biufO":
+        raise MeshError(f"facet indices must be numbers, got dtype {facets.dtype}")
+    outside = (facets < 0) | (facets >= n)
+    bad = outside
+    if facets.dtype.kind not in "biu":
+        value = np.where(outside, 0, facets).astype(np.float64)
+        bad = outside | (value != np.trunc(value))      # NaN too
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        k = rows[0]
+        cause = (f"references vertex outside [0, {n})" if outside[k].any()
+                 else "has a vertex index that is not an integer")
+        raise MeshError(f"facet {k} {cause}: {facets[k].tolist()}")
+    return np.ascontiguousarray(facets, dtype=np.int64)
 
 
 def mesh_edges(mesh: Mesh) -> np.ndarray:

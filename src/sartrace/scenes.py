@@ -49,13 +49,22 @@ def box_mesh(size, center=(0.0, 0.0, 0.0)) -> Mesh:
 
 
 def merge_meshes(meshes) -> Mesh:
-    """Concatenate meshes, offsetting facet indices."""
-    vertices, facets, offset = [], [], 0
+    """Concatenate meshes, offsetting facet indices.
+
+    Every part is a validated Mesh and a facet's normal depends only on
+    its own corners, so the merged mesh reuses the parts' facet normals
+    rather than computing them again.  No mesh raises a ValueError.
+    """
+    vertices, facets, normals, offset = [], [], [], 0
     for mesh in meshes:
         vertices.append(mesh.vertices)
         facets.append(mesh.facets + offset)
+        normals.append(mesh.facet_normals)
         offset += mesh.num_vertices
-    return Mesh.from_arrays(np.concatenate(vertices), np.concatenate(facets))
+    if not vertices:
+        raise ValueError("merge_meshes needs at least one mesh, got none")
+    return Mesh(vertices=np.concatenate(vertices), facets=np.concatenate(facets),
+                facet_normals=np.concatenate(normals))
 
 
 def cube_plane_scene(plane_size: float = 10.0, cube_size: float = 1.0):

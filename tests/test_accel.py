@@ -103,6 +103,13 @@ class TestBvhBuild:
         with pytest.raises(ValueError):
             build_bvh(mesh)
 
+    def test_more_facets_than_the_sort_key_holds_rejected(self):
+        """A level's int64 key packs a node, a rank and a position: 2**31 facets at most."""
+        facets = np.broadcast_to(np.arange(3), (2 ** 31 + 1, 3))     # no memory behind it
+        mesh = Mesh(vertices=np.eye(3), facets=facets, facet_normals=np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=f"over {2 ** 31 + 1} facets: at most 2\\*\\*31"):
+            build_bvh(mesh)
+
 
 def node_ranges(bvh):
     """(lo, hi) range of `order` under every node, children before parents."""
@@ -126,29 +133,37 @@ def node_map(bvh):
 def bvh_test_mesh(rng, n, kind):
     """random: uniform facets; coincident: every centroid at (1, 2, 3), so
     the split axis and every sort key tie; integer: small integer corners,
-    so many keys tie."""
+    so many keys tie; overflow: corners of 0 and +-2**1022 and +-2**1023,
+    so centroids tie at 0.0 through cancellation and at +-inf through
+    overflow, and a range whose centroids are all inf on an axis has a NaN
+    extent there.  (No -0.0 corners: the min of -0.0 and +0.0 depends on
+    the order of reduction, and the oracle's boxes reduce in another.)"""
     if kind == "random":
         return random_triangles(rng, n)
 
     def draw():
         if kind == "integer":
             return rng.integers(-3, 4, (n, 3, 3)).astype(np.float64)
+        if kind == "overflow":
+            return rng.choice([-2.0 ** 1023, -2.0 ** 1022, 0.0, 2.0 ** 1022, 2.0 ** 1023],
+                              (n, 3, 3))
         a, b = rng.integers(-3, 4, (2, n, 3)).astype(np.float64)
         center = np.array([1.0, 2.0, 3.0])
         return np.stack([center + a, center + b, center - a - b], axis=1)
 
     tri = draw()
-    while True:        # redraw zero-area facets, which Mesh rejects
-        flat = np.all(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]) == 0.0, axis=1)
-        if not flat.any():
-            return Mesh.from_arrays(tri.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
-        tri[flat] = draw()[flat]
+    with np.errstate(over="ignore", invalid="ignore"):     # overflow's huge cross products
+        while True:        # redraw zero-area facets, which Mesh rejects
+            flat = np.all(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]) == 0.0, axis=1)
+            if not flat.any():
+                return Mesh.from_arrays(tri.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+            tri[flat] = draw()[flat]
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        n_facets=st.one_of(st.integers(1, 9), st.integers(257, 3000)),
-       kind=st.sampled_from(["random", "coincident", "integer"]))
+       kind=st.sampled_from(["random", "coincident", "integer", "overflow"]))
 def test_build_matches_oracle(seed, n_facets, kind):
     """The level-at-a-time build makes the oracle's tree, numbered in level order."""
     mesh = bvh_test_mesh(np.random.default_rng(seed), n_facets, kind)
@@ -170,6 +185,48 @@ def test_build_matches_oracle(seed, n_facets, kind):
     assert bounds[0] == 0
     np.testing.assert_array_equal(np.diff(bounds), bvh.count[leaves])
     np.testing.assert_array_equal(np.sort(bvh.order), np.arange(mesh.num_facets))
+
+
+@pytest.mark.parametrize("kind", ["random", "integer", "overflow", "negative-zero"])
+def test_facet_boxes_are_bitwise_the_corner_reductions(kind):
+    """The build's facet min, max and centroid are bitwise those of min,
+    max and mean over the (F, 3, 3) corners: infinite sums too, and three
+    -0.0 corners, whose mean is +0.0."""
+    mesh = bvh_test_mesh(np.random.default_rng(5), 600, kind.replace("negative-zero", "integer"))
+    if kind == "negative-zero":
+        mesh = Mesh.from_arrays(np.where(mesh.vertices == 0.0, -0.0, mesh.vertices), mesh.facets)
+    tri = mesh.vertices[mesh.facets]
+    assert kind != "negative-zero" or ((tri == 0.0) & np.signbit(tri)).all(axis=1).any()
+    with np.errstate(over="ignore"):
+        got = accel._facet_boxes(mesh)
+        expect = tri.min(axis=1), tri.max(axis=1), tri.mean(axis=1)
+    for a, b in zip(got, expect):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_axis_ranks_keep_every_float_tie():
+    """Equal coordinates share a rank: -0.0 and +0.0, and infinities of one sign."""
+    row = np.array([0.0, -0.0, np.inf, 1.0, np.inf, -np.inf, -np.inf, -1.0])
+    ranks = accel._axis_ranks(np.stack([row, row[::-1], np.zeros(8)])).reshape(3, 8)
+    expect = [2, 2, 4, 3, 4, 0, 0, 1]
+    np.testing.assert_array_equal(ranks, [expect, expect[::-1], np.zeros(8)])
+
+
+@pytest.mark.parametrize("stage, bytes_per_facet", [("build_bvh", 280), ("from_arrays", 200)])
+def test_setup_peak_memory_per_facet(stage, bytes_per_facet):
+    """The set-up of the 20k-facet grid stays within a tracemalloc peak per
+    facet, so that a faster set-up does not buy its speed with memory."""
+    mesh = grid_mesh(100)
+    run = {"build_bvh": lambda: build_bvh(mesh),
+           "from_arrays": lambda: Mesh.from_arrays(mesh.vertices, mesh.facets)}[stage]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_facets == 20_000
+    assert peak <= bytes_per_facet * mesh.num_facets, f"peak {peak / mesh.num_facets:.1f} B/facet"
 
 
 def stacked_layers(rng, n_copies):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +8,9 @@ from sartrace.imaging import HitLedger
 from sartrace.learn import backward
 from sartrace.scene import (Mesh, MeshError, ParamMap, interpolate, interpolate_at_hits,
                             load_mesh, load_param_map, mesh_edges, save_param_map, write_obj)
-from sartrace.scenes import box_mesh, building_scene, cube_plane_scene
+from sartrace.scenes import box_mesh, building_scene, cube_plane_scene, merge_meshes, plane_mesh
+
+from conftest import grid_mesh
 
 
 def write(tmp_path, text, name="mesh.obj"):
@@ -46,6 +50,12 @@ class TestLoadMesh:
             load_mesh(path)
         assert str(info.value) == f"{path}: {cause}"
 
+    def test_index_beyond_int64_names_file_and_facet(self, tmp_path):
+        path = write(tmp_path, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 9223372036854775809\n")
+        with pytest.raises(MeshError, match=re.escape(
+                f"{path}: facet 1 references vertex outside [0, 3): ")):
+            load_mesh(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_mesh(tmp_path / "absent.obj")
@@ -64,6 +74,62 @@ class TestLoadMesh:
     def test_vertex_order_preserved(self, tmp_path):
         mesh = load_mesh(write(tmp_path, "v 5 0 0\nv 0 7 0\nv 0 0 9\nf 1 2 3\n"))
         np.testing.assert_array_equal(mesh.vertices[1], [0, 7, 0])
+
+
+class TestFromArrays:
+    @pytest.mark.parametrize("facets, cause", [
+        ([[0, 1, 2], [0, 1.7, 2], [0, 5, 2]],
+         "facet 1 has a vertex index that is not an integer: [0.0, 1.7, 2.0]"),
+        ([[0, 1, 2], [2, 1, np.nan]], "facet 1 has a vertex index that is not an integer"),
+        ([[0, 1, 2], [0, 5, 2], [0, 0.5, 1]], "facet 1 references vertex outside [0, 3)"),
+        ([[0, 1, 2], [0, 2 ** 63, 2]], "facet 1 references vertex outside [0, 3)"),
+        ([[0, 1, 2], [0, 2 ** 64, 2]], "facet 1 references vertex outside [0, 3): [0, 18446744073709551616, 2]"),
+        (np.array([[0, 1, 2], [0, 2 ** 63, 2]], dtype=np.uint64),
+         "facet 1 references vertex outside [0, 3): [0, 9223372036854775808, 2]"),
+        ([["0", "1", "2"]], "facet indices must be numbers, got dtype <U1"),
+    ], ids=["fraction", "nan", "outside-before-fraction", "2**63", "2**64", "uint64", "strings"])
+    def test_first_bad_facet_named(self, facets, cause):
+        """An index must be an integer in [0, n): none is truncated or wrapped to fit int64."""
+        with pytest.raises(MeshError, match="^" + re.escape(cause)):
+            Mesh.from_arrays(np.eye(3), facets)
+
+    def test_integral_float_indices_accepted(self):
+        mesh = Mesh.from_arrays(np.eye(3), [[0.0, 1.0, 2.0]])
+        assert mesh.facets.dtype == np.int64
+        np.testing.assert_array_equal(mesh.facets, [[0, 1, 2]])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_normals_are_bitwise_cross_over_norm(self, scale):
+        rng = np.random.default_rng(11)
+        vertices = rng.normal(size=(900, 3)) * scale
+        facets = rng.permutation(900).reshape(300, 3)
+        mesh = Mesh.from_arrays(vertices, facets)
+        p1, p2, p3 = (vertices[facets[:, k]] for k in range(3))
+        cross = np.cross(p2 - p1, p3 - p1)
+        expect = cross / np.linalg.norm(cross, axis=1)[:, None]
+        np.testing.assert_array_equal(mesh.facet_normals.view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("parts", [
+    [plane_mesh(4.0, 4.0), plane_mesh(1.0, 1.0, z=0.5), plane_mesh(2.0, 3.0, z=-0.25)],
+    [box_mesh((1.0, 2.0, 3.0)), box_mesh((0.3, 0.3, 0.3), center=(2.0, -1.0, 0.7))],
+    [grid_mesh(12), box_mesh((1.0, 1.0, 1.0), center=(5.0, 5.0, 0.5))],
+], ids=["planes", "boxes", "grid"])
+def test_merge_meshes_keeps_its_parts_normals(parts):
+    """Bitwise the mesh from_arrays makes of the concatenated arrays."""
+    offsets = np.cumsum([0] + [p.num_vertices for p in parts])
+    expect = Mesh.from_arrays(np.concatenate([p.vertices for p in parts]),
+                              np.concatenate([p.facets + o for p, o in zip(parts, offsets)]))
+    merged = merge_meshes(parts)
+    for name in ("vertices", "facets", "facet_normals"):
+        got, want = getattr(merged, name), getattr(expect, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
+
+
+def test_merge_meshes_of_no_mesh():
+    with pytest.raises(ValueError, match="at least one mesh"):
+        merge_meshes([])
 
 
 class TestMeshEdges:
