@@ -48,12 +48,7 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 
 def _bool(raw: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 def _ini(section: str, key: str, parse=str, default=MISSING):
@@ -128,7 +123,7 @@ def parse_config(path) -> SceneConfig:
         raw = section[key]
         try:
             values[f.name] = parse(raw)
-        except (TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {section.name}.{key}: {raw!r}") from exc
     cfg = SceneConfig(**values)
 
@@ -259,8 +254,25 @@ def _write_manifest(out_dir, cfg: SceneConfig, inputs, outputs) -> None:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _write_views(out, stem, rendered) -> dict:
+    """Write the image of each (SarImage, ledger) in rendered as out/{stem}_NNN.sarf
+    and .pgm; returns {file name: SHA-256 hex digest}.  A non-finite pixel
+    raises a ValueError naming the view, (row, bin) and value before out is made."""
+    for vi, (image, _) in enumerate(rendered):
+        data = image.intensities
+        if not np.isfinite(data).all():
+            row, col = divmod(int(np.flatnonzero(~np.isfinite(data))[0]), data.shape[1])
+            raise ValueError(f"view {vi}: pixel (row {row}, bin {col}) is "
+                             f"{float(data[row, col])}, not a finite intensity")
+    os.makedirs(out, exist_ok=True)
+    return {f"{stem}_{vi:03d}.{ext}": write(image, os.path.join(out, f"{stem}_{vi:03d}.{ext}"))
+            for vi, (image, _) in enumerate(rendered)
+            for ext, write in (("sarf", write_raster), ("pgm", write_pgm))}
+
+
 def _load(config_path, seed=None):
-    """A command's experiment: (cfg, base_dir, mesh, params, radars, bvh).
+    """A command's experiment: (cfg, base_dir, params, hitsets), the
+    configured views traced once.
 
     seed overrides radar.seed; the table is validated, and the BVH is
     built once, when intersect_rays would traverse it.
@@ -272,7 +284,7 @@ def _load(config_path, seed=None):
     mesh, params, radars = build_scene(cfg, base_dir)
     params.validate()
     bvh = build_bvh(mesh) if uses_bvh(mesh) else None
-    return cfg, base_dir, mesh, params, radars, bvh
+    return cfg, base_dir, params, trace_views(mesh, radars, bvh=bvh)
 
 
 def _loss_config(cfg: SceneConfig) -> LossConfig:
@@ -280,31 +292,25 @@ def _loss_config(cfg: SceneConfig) -> LossConfig:
 
 
 def cmd_simulate(args) -> int:
-    cfg, base_dir, mesh, params, radars, bvh = _load(args.config, args.seed)
-    rendered = shade_views(trace_views(mesh, radars, bvh=bvh), params)
-    out = os.path.join(base_dir, args.out or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)  # only now: a view that fails to render writes nothing
-    outputs = {}
+    cfg, base_dir, params, hitsets = _load(args.config, args.seed)
+    rendered = shade_views(hitsets, params)
+    out = args.out or os.path.join(base_dir, cfg.out_dir)
+    outputs = _write_views(out, "view", rendered)
     for vi, (image, _) in enumerate(rendered):
-        raster = os.path.join(out, f"view_{vi:03d}.sarf")
-        pgm = os.path.join(out, f"view_{vi:03d}.pgm")
-        outputs[os.path.basename(raster)] = write_raster(image, raster)
-        outputs[os.path.basename(pgm)] = write_pgm(image, pgm)
-        print(f"view {vi}: {image.shape[0]} x {image.shape[1]} px -> {raster}")
+        print(f"view {vi}: {image.shape[0]} x {image.shape[1]} px -> "
+              f"{os.path.join(out, f'view_{vi:03d}.sarf')}")
     inputs = [os.path.join(base_dir, p) for p in (cfg.mesh_path, cfg.init_csv) if p]
     _write_manifest(out, cfg, inputs, outputs)
     return 0
 
 
 def cmd_learn(args) -> int:
-    cfg, base_dir, mesh, params, radars, bvh = _load(args.config)
-    if len(args.refs) != len(radars):
+    cfg, base_dir, params, hitsets = _load(args.config)
+    if len(args.refs) != len(hitsets):
         raise ConfigError(
-            f"{len(args.refs)} reference rasters for {len(radars)} configured views")
+            f"{len(args.refs)} reference rasters for {len(hitsets)} configured views")
     rasters = [read_raster(path) for path in args.refs]
-    opt = make_optimizer(cfg, mesh.num_vertices)
-    loss_cfg = _loss_config(cfg)
-    hitsets = trace_views(mesh, radars, bvh=bvh)
+    opt = make_optimizer(cfg, params.num_vertices)
     for vi, (hits, path, (_, meta)) in enumerate(zip(hitsets, args.refs, rasters)):
         for name, want in (("azimuth_res", cfg.azimuth_res), ("range_res", cfg.range_res),
                            ("range_origin", hits.range_origin)):
@@ -312,14 +318,11 @@ def cmd_learn(args) -> int:
                 raise ConfigError(f"view {vi}: reference {path} has {name} {meta[name]!r}, "
                                   f"the configured view has {want!r}")
     views = [(hits, data) for hits, (data, _) in zip(hitsets, rasters)]
-    result = learn(params, views, opt, loss_cfg, iters=cfg.iters)   # tunes params in place
-    out = os.path.join(base_dir, args.out or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)  # only now: learn checks the reference shapes on entry
+    result = learn(params, views, opt, _loss_config(cfg), iters=cfg.iters)  # tunes params in place
+    out = args.out or os.path.join(base_dir, cfg.out_dir)
+    _write_views(out, "final_view", shade_views(hitsets, params))
     save_param_map(params, os.path.join(out, "params_final.csv"))
     write_history_csv(result, os.path.join(out, "history.csv"))
-    for vi, (image, _) in enumerate(shade_views(hitsets, params)):
-        write_raster(image, os.path.join(out, f"final_view_{vi:03d}.sarf"))
-        write_pgm(image, os.path.join(out, f"final_view_{vi:03d}.pgm"))
     if result.aborted:
         print("non-finite loss: stopped early, wrote best finite-loss parameters",
               file=sys.stderr)
@@ -342,13 +345,10 @@ def _perturbed_reference_params(params: ParamMap) -> ParamMap:
 def cmd_gradcheck(args) -> int:
     if args.probes < 1:
         raise ConfigError(f"--probes must be at least 1, got {args.probes}")
-    cfg, _, mesh, params, radars, bvh = _load(args.config)
-    loss_cfg = _loss_config(cfg)
-    ref_params = _perturbed_reference_params(params)
-    hitsets = trace_views(mesh, radars, bvh=bvh)
-    views = [(hits, image.intensities)
-             for hits, (image, _) in zip(hitsets, shade_views(hitsets, ref_params))]
-    report = grad_check(params, views, loss_cfg, num_probes=args.probes, seed=args.seed)
+    cfg, _, params, hitsets = _load(args.config)
+    views = [(hits, image.intensities) for hits, (image, _)
+             in zip(hitsets, shade_views(hitsets, _perturbed_reference_params(params)))]
+    report = grad_check(params, views, _loss_config(cfg), num_probes=args.probes, seed=args.seed)
     for p in report.probes:
         print(f"vertex {p.vertex:4d} {p.channel:6s} analytic {p.analytic: .6e} "
               f"fd {p.finite_diff: .6e} rel {p.rel_err:.3e}")

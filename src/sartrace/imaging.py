@@ -23,9 +23,10 @@ nearest hits, local incidence angles, quadrature weights, range
 coordinates and bins, and the range window that holds every hit,
 kept per hit in a HitSet per view.  shade_views does the
 parameter-dependent work with the kernel that learn uses too:
-stack_views checks and stacks the views, shade_hits interpolates the
-table at every hit and calls eval_bsdf_at, and one np.bincount per
-view sums its image.  A HitLedger is a HitSet plus each hit's sigma
+stack_views checks the views and lays them out end to end, hits and
+pixels alike, shade_hits interpolates the table at every hit and calls
+eval_bsdf_at, and one np.bincount over the stack sums every view's
+image.  A HitLedger is a HitSet plus each hit's sigma
 and dsigma.  trace and shade are the one-view forms, and render is
 shade(trace(...)).  Bin assignment is treated as non-differentiable
 and no parameter moves a hit, so a HitSet stays valid for every
@@ -354,13 +355,15 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
 
 def stack_views(hitsets, num_vertices: int):
     """Check traced views for shading with a table of num_vertices rows and
-    stack their hits: (starts, corners, bary, theta, waves, wave_id), where
-    view v owns hits starts[v]:starts[v + 1], corners (H, 3) are facet
-    corner ids, bary the weights (m1, m2, 1 - m1 - m2) and wave_id (H,)
-    each hit's index into the distinct waves.  A ValueError names the view
-    ("view v") whose mesh has another vertex count or whose facets differ
-    from view 0's (equal facets make one mesh).  Range bins need no check:
-    trace_views keeps every hit inside its view's image."""
+    lay them out end to end: (starts, corners, bary, theta, waves, wave_id,
+    pixel, weight, spans).  View v owns hits starts[v]:starts[v + 1] and
+    pixels spans[v]:spans[v + 1], its image flattened row-major.  Per hit,
+    pixel (H,) is its pixel, weight (H,) its quadrature weight, corners
+    (H, 3) its facet's corner ids, bary (H, 3) the row (m1, m2, 1 - m1 - m2)
+    and wave_id (H,) its index into the distinct waves.  A ValueError names the view ("view v") whose
+    mesh has another vertex count or whose facets differ from view 0's
+    (equal facets make one mesh).  Range bins need no check: trace_views
+    keeps every hit inside its view's image."""
     facets = hitsets[0].mesh.facets
     for vi, hits in enumerate(hitsets):
         if hits.mesh.num_vertices != num_vertices:
@@ -368,14 +371,17 @@ def stack_views(hitsets, num_vertices: int):
                              f"the mesh's {hits.mesh.num_vertices} vertices")
         if hits.mesh.facets is not facets and not np.array_equal(hits.mesh.facets, facets):
             raise ValueError(f"view {vi}: traced over a different mesh than view 0")
-    counts = [hits.num_entries for hits in hitsets]
-    facet_id, m1, m2, theta = (np.concatenate([getattr(hits, name) for hits in hitsets])
-                               for name in ("facet_id", "m1", "m2", "theta"))
+    starts = list(itertools.accumulate([hits.num_entries for hits in hitsets], initial=0))
+    spans = list(itertools.accumulate([math.prod(hits.image_shape) for hits in hitsets], initial=0))
+    facet_id, m1, m2, theta, weight = (np.concatenate([getattr(hits, name) for hits in hitsets])
+                                       for name in ("facet_id", "m1", "m2", "theta", "weight"))
+    pixel = np.concatenate([hits.row * hits.image_shape[1] + hits.range_bin + lo
+                            for hits, lo in zip(hitsets, spans)])
     waves = list(dict.fromkeys(hits.radar.wave for hits in hitsets))
     wave_id = np.array([waves.index(hits.radar.wave) for hits in hitsets],
-                       dtype=np.int64).repeat(counts)
-    return (list(itertools.accumulate(counts, initial=0)), facets.take(facet_id, axis=0),
-            (m1, m2, 1.0 - m1 - m2), theta, waves, wave_id)
+                       dtype=np.int64).repeat(np.diff(starts))
+    return (starts, facets.take(facet_id, axis=0), np.stack([m1, m2, 1.0 - m1 - m2], axis=1),
+            theta, waves, wave_id, pixel, weight, spans)
 
 
 def by_wave(waves, wave_id, theta):
@@ -407,23 +413,23 @@ def shade_views(hitsets, params: ParamMap):
     """Shade traced views of one mesh with a table: one (SarImage,
     HitLedger) per HitSet, bitwise what shading each view alone gives.
 
-    stack_views checks and stacks the views, shade_hits shades every hit
-    at once, and one np.bincount per view sums its pixels.
+    stack_views checks the views and lays them out end to end, shade_hits
+    shades every hit at once, and one np.bincount over the stack sums
+    every view's pixels, each pixel's hits in the view's hit order.  A
+    view's intensities are a slice of that one array.
     """
     if not hitsets:
         return []
-    starts, corners, bary, theta, waves, wave_id = stack_views(hitsets, params.num_vertices)
-    sigma, dsigma = shade_hits(params, corners.T, bary, by_wave(waves, wave_id, theta))
-    shaded = []
-    for hits, lo, hi in zip(hitsets, starts, starts[1:]):
-        num_rows, num_bins = hits.image_shape
-        image = np.bincount(hits.row * num_bins + hits.range_bin, hits.weight * sigma[lo:hi],
-                            num_rows * num_bins).astype(np.float64, copy=False)  # int64 if no hit
-        # hits may itself be a ledger: its shading is replaced
-        ledger = HitLedger(**{**vars(hits), "sigma": sigma[lo:hi], "dsigma": dsigma[:, lo:hi].T})
-        shaded.append((SarImage(intensities=image.reshape(num_rows, num_bins), radar=hits.radar,
-                                range_origin=hits.range_origin), ledger))
-    return shaded
+    starts, corners, bary, theta, waves, wave_id, pixel, weight, spans = stack_views(
+        hitsets, params.num_vertices)
+    sigma, dsigma = shade_hits(params, corners.T, bary.T, by_wave(waves, wave_id, theta))
+    # astype: bincount gives int64 when no view has a hit
+    image = np.bincount(pixel, weight * sigma, spans[-1]).astype(np.float64, copy=False)
+    # hits may itself be a ledger: its shading is replaced
+    return [(SarImage(intensities=image[first:last].reshape(hits.image_shape), radar=hits.radar,
+                      range_origin=hits.range_origin),
+             HitLedger(**{**vars(hits), "sigma": sigma[lo:hi], "dsigma": dsigma[:, lo:hi].T}))
+            for hits, lo, hi, first, last in zip(hitsets, starts, starts[1:], spans, spans[1:])]
 
 
 def trace(mesh: Mesh, radar: RadarConfig, bvh: Bvh | None = None,

@@ -9,10 +9,11 @@ The gradient of the data term reaches the parameter table through the
 hits: d(loss)/d(pixel) x quadrature weight x d(sigma)/d(params) x
 barycentric weights, accumulated per vertex in deterministic order.
 
-learn and grad_check stack their traced views once per call with
-imaging.stack_views, as shade_views does, and add their own: each hit's
-flat pixel, inside its image, and weight, and every view's flattened
-reference with its peak scale per pixel.  A hit is live when its facet
+learn and grad_check lay out their traced views once per call with
+imaging.stack_views, as shade_views does: every hit's flat pixel in the
+views' images laid end to end, its weight and each view's pixel span
+come from there, and learn adds every view's flattened reference with
+its peak scale per pixel.  A hit is live when its facet
 touches a vertex with an unknown; the others are shaded once, on entry,
 since Adam never writes their vertices.  An iteration then does only
 the work the table changes: imaging.shade_hits (shade_views' kernel,
@@ -287,8 +288,10 @@ class LearnResult:
 
 
 def _checked(views):
-    """(HitSet, reference array) pairs: each reference the traced shape and
-    finite."""
+    """(HitSet, reference array) pairs, at least one: each reference the
+    traced shape and finite."""
+    if not views:
+        raise ValueError("need at least one reference view")
     checked = []
     for vi, (hits, ref) in enumerate(views):
         ref = _as_array(ref)
@@ -332,13 +335,9 @@ def _stack(params: ParamMap, views, entries=None) -> _Stack:
     entries: the flat table indices v * 4 + c that may move (None: all).
     Hits touching no vertex with an entry are shaded here, once, with params."""
     n = params.num_vertices
-    starts, vids, bary, theta, waves, wave_id = stack_views([hits for hits, _ in views], n)
-    bary = np.stack(bary, axis=1)
+    starts, vids, bary, theta, waves, wave_id, pixel, weight, spans = stack_views(
+        [hits for hits, _ in views], n)
     refs = [ref for _, ref in views]
-    spans = np.cumsum([0] + [ref.size for ref in refs]).tolist()
-    pixel = np.concatenate([hits.row * ref.shape[1] + hits.range_bin + lo
-                            for (hits, ref), lo in zip(views, spans)])
-    weight = np.concatenate([hits.weight for hits, _ in views])
     view_id = np.repeat(np.arange(len(views)), np.diff(starts))
 
     movable = (np.ones(n, dtype=bool) if entries is None
@@ -433,8 +432,6 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
-    if not views:
-        raise ValueError("need at least one reference view")
     views = _checked(views)
     opt.project(params)
     stack = _stack(params, views, opt.entries)
@@ -507,8 +504,6 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
     1e-8.  Probes where both sides vanish report zero error
     (unilluminated vertices).  Both sides shade with imaging.eval_bsdf_at.
     """
-    if not views:
-        raise ValueError("need at least one reference view")
     if num_probes < 0:
         raise ValueError(f"num_probes must be >= 0, got {num_probes}")
     views = _checked(views)

@@ -139,7 +139,10 @@ def run_script(monkeypatch, name, *args):
 
 
 @pytest.fixture
-def workdir(tmp_path):
+def workdir(tmp_path, monkeypatch):
+    """The conftest scene and CONFIG in tmp_path, also the working directory,
+    where a relative --out lands."""
+    monkeypatch.chdir(tmp_path)
     mesh = merge_meshes([plane_mesh(4.0, 4.0, z=0.0), plane_mesh(1.0, 1.0, z=0.5)])
     write_obj(mesh, tmp_path / "scene.obj")
     (tmp_path / "run.ini").write_text(CONFIG)

@@ -14,7 +14,7 @@ import sartrace.cli
 from sartrace.accel import build_bvh, uses_bvh
 from sartrace.cli import (ConfigError, SceneConfig, build_scene, main, make_optimizer,
                           parse_config, serialize_config)
-from sartrace.imaging import read_raster, render
+from sartrace.imaging import read_raster, render, trace_views
 from sartrace.scene import Mesh, ParamMap, load_param_map, save_param_map, write_obj
 from sartrace.scenes import merge_meshes, plane_mesh
 
@@ -123,6 +123,21 @@ class TestConfig:
         assert main(["simulate", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("yes", True), ("true", True), ("on", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("no", False), ("false", False), ("off", False), ("OFF", False)])
+    def test_boolean_words(self, workdir, word, value):
+        """configparser's boolean words, in any case."""
+        path = workdir / "bool.ini"
+        path.write_text(CONFIG.replace("tie = true", f"tie = {word}"))
+        assert parse_config(path).tie is value
+
+    def test_bad_boolean_names_field(self, workdir):
+        path = workdir / "bad.ini"
+        path.write_text(CONFIG.replace("tie = true", "tie = maybe"))
+        with pytest.raises(ConfigError, match=r"^bad value for optim\.tie: 'maybe'$"):
+            parse_config(path)
 
     def test_init_or_csv_required(self, workdir):
         path = workdir / "bad.ini"
@@ -362,6 +377,36 @@ class TestSimulate:
         assert "view 1 failed on purpose" in capsys.readouterr().err
         assert len(calls) == 2 and not (workdir / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_view_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """h = 1e-200 passes ParamMap.validate, but the KA term's 4 h^2 / l^2
+        underflows to 0 and the demo's views come out with NaN pixels: simulate
+        names the first one and writes nothing."""
+        run_script(monkeypatch, "make_demo_scene.py", tmp_path)
+        config = tmp_path / "run.ini"
+        config.write_text(DEMO_CONFIG.replace("init = 0.005 0.01 25.0 0.05",
+                                              "init = 1e-200 0.01 25.0 0.05"))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert re.fullmatch(r"error: view 0: pixel \(row \d+, bin \d+\) is nan, "
+                            r"not a finite intensity\n", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_relative_out_is_taken_from_the_working_directory(self, workdir, monkeypatch):
+        """Run from the config's parent directory: --config and --out are both
+        taken from there, output.dir from the config file's directory."""
+        monkeypatch.chdir(workdir.parent)
+        config = f"{workdir.name}/run.ini"
+        assert main(["simulate", "--config", config, "--out", f"{workdir.name}/x"]) == 0
+        assert main(["simulate", "--config", config]) == 0
+        assert sorted(p.name for p in workdir.iterdir() if p.is_dir()) == ["out", "x"]
+        assert (workdir / "x" / "view_001.sarf").read_bytes() == \
+            (workdir / "out" / "view_001.sarf").read_bytes()
+        refs = [f"{workdir.name}/x/view_{vi:03d}.sarf" for vi in range(2)]
+        assert main(["learn", "--config", config, "--refs"] + refs
+                    + ["--out", f"{workdir.name}/learned"]) == 0
+        assert (workdir / "learned" / "final_view_001.pgm").exists()
+
     def test_parse_error_exit_code(self, workdir):
         path = workdir / "bad.ini"
         path.write_text(CONFIG.replace("alpha_start_deg = 35", "alpha_start_deg = 75"))
@@ -481,6 +526,7 @@ class TestLearnCommand:
                                    np.tile([0.004, 0.02, 9.0, 0.3], (8, 1)))
 
     def test_zero_iterations_on_the_demo_writes_the_full_header(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         run_script(monkeypatch, "make_demo_scene.py", tmp_path)
         config = tmp_path / "run.ini"
         assert main(["simulate", "--config", str(config), "--out", "refs"]) == 0
@@ -504,6 +550,7 @@ class TestLearnCommand:
         """The demo's references are renders of its init table, so the table of
         least loss is the init table: learn runs all 150 iterations, writes that
         table and reports the RMSE of its history row."""
+        monkeypatch.chdir(tmp_path)
         run_script(monkeypatch, "make_demo_scene.py", tmp_path)
         config = tmp_path / "run.ini"
         assert main(["simulate", "--config", str(config), "--out", "refs"]) == 0
@@ -576,11 +623,13 @@ class TestLearnCommand:
         got = load_param_map(out / "params_final.csv")
         np.testing.assert_array_equal(got.values, np.tile([0.004, 0.02, 9.0, 0.3], (8, 1)))
 
-    def test_ref_count_mismatch(self, workdir):
+    def test_ref_count_mismatch(self, workdir, capsys):
         refs = self.render_refs(workdir)
+        capsys.readouterr()
         rc = main(["learn", "--config", str(workdir / "run.ini"),
                    "--refs", refs[0], "--out", "learned"])
         assert rc == 2
+        assert capsys.readouterr().err == "error: 1 reference rasters for 2 configured views\n"
         assert not (workdir / "learned").exists()
 
     def test_bad_raster_magic(self, workdir):
@@ -709,6 +758,22 @@ class TestOneBvhPerCommand:
         assert main(["gradcheck", "--config", str(workdir / "run.ini"),
                      "--probes", "2"]) == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "learn", "gradcheck"])
+    def test_views_traced_once(self, workdir, monkeypatch, command):
+        """Each command traces its configured views in one trace_views call."""
+        argv = ["--probes", "2"] if command == "gradcheck" else []
+        if command == "learn":
+            argv = ["--refs"] + TestLearnCommand().render_refs(workdir) + ["--out", "learned"]
+        calls = []
+
+        def counting_trace_views(*args, **kwargs):
+            calls.append(1)
+            return trace_views(*args, **kwargs)
+
+        monkeypatch.setattr(sartrace.cli, "trace_views", counting_trace_views)
+        assert main([command, "--config", str(workdir / "run.ini")] + argv) == 0
+        assert len(calls) == 1
 
     def test_small_mesh_builds_none(self, workdir, built):
         refs = TestLearnCommand().render_refs(workdir)

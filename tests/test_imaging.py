@@ -593,12 +593,12 @@ class TestViewBatch:
 
     def test_one_call_per_stage(self, scene, monkeypatch):
         """One intersect_rays and one interpolate call for all views, one
-        eval_bsdf_at call per wave and one image bincount per view."""
+        eval_bsdf_at call per wave and one image bincount for every view."""
         mesh, params, bvh, radars = scene
         calls = count_stages(monkeypatch)
         shade_views(trace_views(mesh, radars, bvh=bvh), params)
         assert calls == {"generate_rays": 4, "intersect_rays": 1, "interpolate": 1,
-                         "eval_bsdf_at": 2, "bincount": 4}
+                         "eval_bsdf_at": 2, "bincount": 1}
 
     def test_no_views(self, plate_scene):
         mesh, params = plate_scene

@@ -202,3 +202,44 @@ def test_recover_params_smoke(monkeypatch, capsys, protocol):
     assert rows == {name: [f"{proto.init.values[vid, c]:.4g}", f"{params.values[vid, c]:.6g}",
                            f"{proto.truth.values[vid, c]:.4g}", f"{errors[c] * 100:.2f}%"]
                     for name, c in (("eps_r", 2), ("h (m)", 0), ("l (m)", 1))}
+
+
+SRC_LINES_SAMPLE = '''"""Module docstring,
+over two lines."""
+# a comment line
+
+import os  # a trailing comment
+
+
+def f(x):
+    """Docstring."""
+    s = """a string, not a docstring,
+    over two lines"""
+    return (x +
+            1)
+
+
+class C:
+    \'\'\'Class docstring.\'\'\'
+    pass
+
+
+def g():
+    "only a docstring"
+'''
+
+
+def test_src_lines_counts_code_lines(tmp_path, capsys):
+    """scripts/src_lines.py counts lines holding a token other than a comment
+    or a docstring: import, def f, the string's two lines, return's two,
+    class, pass and def g.  A module missing from a checkout counts 0."""
+    script = load_script("src_lines.py")
+    assert script.code_lines(SRC_LINES_SAMPLE) == 9
+    for side, text in (("parent", SRC_LINES_SAMPLE), ("change", "import os\n")):
+        (tmp_path / side / "src" / "sartrace").mkdir(parents=True)
+        (tmp_path / side / "src" / "sartrace" / "mod.py").write_text(text)
+    (tmp_path / "change" / "src" / "sartrace" / "new.py").write_text("x = 1\n\n# end\n")
+    assert script.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["module", "parent", "change", "delta"], ["mod.py", "9", "1", "-8"],
+        ["new.py", "0", "1", "+1"], ["total", "9", "2", "-7"]]
