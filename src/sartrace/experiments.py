@@ -21,11 +21,12 @@ Protocol notes, learned the hard way:
   normal-incidence Fresnel amplitude pin (h/l, eps_r) independently of
   the diffuse term, which otherwise trades eps_r against l along a
   shallow valley.
-* The building starts effectively black (eps_r = 1, h = l = 1e-4), so
-  the first gradients are ~1e-30.  Adam's epsilon is set to zero there
-  (with a zero-variance guard) so the step size stays lr-scaled no
-  matter how small the gradients are; with tau = 0 there is no specular
-  shortcut for the optimizer to abuse.
+* The building starts effectively black (h = l = 1e-4, eps_r at the
+  parameter box's floor 1 + 1e-6, where eps_r = 1 would give exactly
+  zero gradients), so the first gradients are ~1e-30.  Adam's epsilon
+  is set to zero there (with a zero-variance guard) so the step size
+  stays lr-scaled no matter how small the gradients are; with tau = 0
+  there is no specular shortcut for the optimizer to abuse.
 * Schedules run a constant-lr travel phase before any decay: decaying
   too early strands the slide along the (eps_r, l) valley.
 """
@@ -40,7 +41,7 @@ import numpy as np
 from sartrace.imaging import render, trace_views
 from sartrace.learn import LossConfig, OptimState, learn
 from sartrace.scatter import WaveConfig
-from sartrace.scene import ParamMap
+from sartrace.scene import PARAM_LOWER, ParamMap
 from sartrace.scenes import (building_scene, cube_plane_scene, multiview_radars,
                              side_looking_radar)
 
@@ -112,7 +113,7 @@ def cube_recovery_protocol(seed=7) -> RecoveryProtocol:
 def building_recovery_protocol(seed=11) -> RecoveryProtocol:
     return _protocol(
         building_scene(),
-        truth=(0.02, 0.01, 6.885), init=(0.0001, 0.0001, 1.0), tau=0.0,
+        truth=(0.02, 0.01, 6.885), init=(0.0001, 0.0001, PARAM_LOWER[2]), tau=0.0,
         radar=dict(distance=8.0, track_length=3.5, fan_halfwidth=math.radians(22), num_angles=28),
         seed=seed, eps_adam=0.0, phases=(
             AdamPhase(lr=0.15, iters=120, beta1=0.85, beta2=0.99),

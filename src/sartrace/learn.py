@@ -33,8 +33,9 @@ a tied vertex group (one shared record, gradients summed over the
 group); frozen vertices and channels are none.  It runs in a
 reparameterized space (log for h, l and eps_r so one learning rate
 serves magnitudes from 1e-4 to 1e2; linear for tau) and clips every
-value it writes into the parameter bounds box.  learn leaves params at the
-evaluated table of least total loss, never Adam's unevaluated last step.
+value it writes into scene's parameter box, PARAM_LOWER..PARAM_UPPER.
+learn leaves params at the evaluated table of least total loss, never
+Adam's unevaluated last step.
 """
 
 from __future__ import annotations
@@ -47,12 +48,7 @@ import numpy as np
 from sartrace.imaging import HitLedger, SarImage, by_wave, shade_hits, stack_views
 # the benchmark's traced run wraps this module's `render` by name
 from sartrace.imaging import render  # noqa: F401
-from sartrace.scene import ParamMap, PARAM_CHANNELS, mesh_edges
-
-# wide physical box: positivity for h and l, eps_r nudged inside 1 so
-# the Fresnel contrast (and with it every gradient) never pins to zero
-DEFAULT_LOWER = np.array([1e-7, 1e-7, 1.0 + 1e-6, 0.0])
-DEFAULT_UPPER = np.array([1.0, 10.0, 1e4, 1.0])
+from sartrace.scene import PARAM_CHANNELS, PARAM_LOWER, PARAM_UPPER, ParamMap, mesh_edges
 
 _NUM_LOG = 3  # h, l and eps_r lead the table and step in log space; tau is linear
 
@@ -133,7 +129,8 @@ def backward(ledger: HitLedger, dLdI: np.ndarray) -> np.ndarray:
 @dataclass
 class OptimState:
     """Adam state over the k unknowns, numbered channel by channel, and the
-    map from table entries to unknowns; values clip to DEFAULT_LOWER/UPPER."""
+    map from table entries to unknowns; values clip to scene's
+    PARAM_LOWER..PARAM_UPPER."""
 
     lr: float
     beta1: float
@@ -196,7 +193,7 @@ class OptimState:
 
     def project(self, params: ParamMap) -> None:
         """learn's entry step: reject a tied group whose members start with
-        different values, then clip the table into the bounds box."""
+        different values, then clip the table into the parameter box."""
         first = self.head[self.unknown]
         split = np.flatnonzero((params.values.take(self.entries) != params.values.take(first))
                                & (self.entries != first))
@@ -205,7 +202,7 @@ class OptimState:
             raise ValueError(f"tied vertices {a // 4} and {b // 4} start with different "
                              f"{PARAM_CHANNELS[b % 4]} values "
                              f"({params.values.flat[a]} != {params.values.flat[b]})")
-        np.clip(params.values, DEFAULT_LOWER, DEFAULT_UPPER, out=params.values)
+        np.clip(params.values, PARAM_LOWER, PARAM_UPPER, out=params.values)
 
 
 def _vertex_ids(ids, num_vertices: int, what: str) -> np.ndarray:
@@ -256,7 +253,7 @@ def adam_step(state: OptimState, params: ParamMap, grads: np.ndarray) -> ParamMa
     # untouched unknowns keep their value: log/exp round trips are lossy
     x = np.where(update != 0.0, z, x)
     counts = state.starts[1:] - state.starts[:-1]
-    np.clip(x, DEFAULT_LOWER.repeat(counts), DEFAULT_UPPER.repeat(counts), out=x)
+    np.clip(x, PARAM_LOWER.repeat(counts), PARAM_UPPER.repeat(counts), out=x)
     np.put(params.values, state.entries, x[state.unknown])
     return params
 
@@ -506,6 +503,7 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
     """
     if num_probes < 0:
         raise ValueError(f"num_probes must be >= 0, got {num_probes}")
+    params.validate()
     views = _checked(views)
     stack = _stack(params, views)
     grads = _objective(stack, params, cfg)[3]

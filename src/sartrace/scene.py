@@ -3,10 +3,13 @@
 Geometry is an indexed triangle mesh in meters.  Each vertex carries a
 four-channel scattering parameter record (h, l, eps_r, tau):
 
-    h      RMS surface height [m]
-    l      surface correlation length [m]
-    eps_r  relative permittivity (>= 1)
-    tau    specular/diffuse blend weight in [0, 1]
+    h      RMS surface height [m], in [1e-7, 1]
+    l      surface correlation length [m], in [1e-7, 10]
+    eps_r  relative permittivity, in [1 + 1e-6, 1e4]
+    tau    specular/diffuse blend weight, in [0, 1]
+
+PARAM_LOWER and PARAM_UPPER state this box once: ParamMap.validate
+checks a table against it and learn clips into it.
 
 Parameters at a hit point inside a facet are the convex (barycentric)
 combination of the three vertex records, so interpolated values always
@@ -20,6 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PARAM_CHANNELS = ("h", "l", "eps_r", "tau")
+
+# The box in which every channel shades to a finite sigma and partials.
+# h and l are lengths of at least 1e-7 m, so KA's slope term 4 h^2 / l^2
+# stays a normal float (h = 1e-200 underflows it to 0 and shades NaN);
+# their upper ends, 1 m and 10 m, lie far past either model's validity
+# at microwave bands and keep h^2 and l^2 far from overflow.  eps_r
+# starts just above 1: at 1 the Fresnel contrast, sigma and all four
+# partials are exactly 0, so such a vertex could never move; 1e4 is far
+# above any natural medium (water is about 80).  tau is a blend weight.
+PARAM_LOWER = np.array([1e-7, 1e-7, 1.0 + 1e-6, 0.0])
+PARAM_UPPER = np.array([1.0, 10.0, 1e4, 1.0])
 
 # below this cross-product norm a facet is treated as zero-area and rejected
 _DEGENERATE_AREA_EPS = 1e-20
@@ -200,21 +214,19 @@ class ParamMap:
         return ParamMap(self.values.copy())
 
     def validate(self) -> None:
-        """Check physical bounds: h, l > 0, eps_r >= 1, tau in [0, 1].
+        """Check that every value lies in the box PARAM_LOWER..PARAM_UPPER.
 
-        The error names the first offending vertex and its channel.
+        The error names the first offending vertex, its channel and value,
+        and the channel's interval.
         """
         v = self.values
-        checks = (  # (first channel, offending cells, cause)
-            (0, ~np.isfinite(v), "non-finite parameter value"),
-            (0, v[:, :2] <= 0, "h and l must be positive"),
-            (2, v[:, 2:3] < 1, "eps_r must be >= 1"),
-            (3, (v[:, 3:] < 0) | (v[:, 3:] > 1), "tau must lie in [0, 1]"),
-        )
-        for first, bad, cause in checks:
-            if bad.any():
-                vertex, col = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
-                raise ValueError(f"vertex {vertex}, {PARAM_CHANNELS[first + col]}: {cause}")
+        inside = (v >= PARAM_LOWER) & (v <= PARAM_UPPER)    # False at NaN too
+        if not inside.all():
+            vertex, c = divmod(int(inside.argmin()), 4)     # the first cell outside
+            value = float(v[vertex, c])
+            what = "parameter value" if np.isfinite(value) else "non-finite parameter value"
+            raise ValueError(f"vertex {vertex}, {PARAM_CHANNELS[c]}: {what} {value!r} outside "
+                             f"[{float(PARAM_LOWER[c])!r}, {float(PARAM_UPPER[c])!r}]")
 
 
 def save_param_map(params: ParamMap, path) -> None:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sartrace import accel
 from sartrace.accel import Bvh, build_bvh, intersect_rays
@@ -123,10 +123,11 @@ def node_ranges(bvh):
     return lo, hi
 
 
-def node_map(bvh):
-    """(lo, hi, is_leaf) -> (box_min, box_max) bytes; independent of node numbering."""
+def node_map(bvh, bound=np.ndarray.tobytes):
+    """(lo, hi, is_leaf) -> (box_min, box_max), each as bound makes it: bytes,
+    or a tuple to compare by value; independent of node numbering."""
     lo, hi = node_ranges(bvh)
-    return {(int(a), int(b), bool(c)): (bvh.box_min[k].tobytes(), bvh.box_max[k].tobytes())
+    return {(int(a), int(b), bool(c)): (bound(bvh.box_min[k]), bound(bvh.box_max[k]))
             for k, (a, b, c) in enumerate(zip(lo, hi, bvh.count > 0))}
 
 
@@ -136,14 +137,18 @@ def bvh_test_mesh(rng, n, kind):
     so many keys tie; overflow: corners of 0 and +-2**1022 and +-2**1023,
     so centroids tie at 0.0 through cancellation and at +-inf through
     overflow, and a range whose centroids are all inf on an axis has a NaN
-    extent there.  (No -0.0 corners: the min of -0.0 and +0.0 depends on
-    the order of reduction, and the oracle's boxes reduce in another.)"""
+    extent there; signed-zero: corners of -1, -0.0, +0.0 and 1, so a box
+    bound's zero sign depends on the order of reduction, and the oracle's
+    boxes reduce in another."""
     if kind == "random":
         return random_triangles(rng, n)
 
     def draw():
         if kind == "integer":
             return rng.integers(-3, 4, (n, 3, 3)).astype(np.float64)
+        if kind == "signed-zero":
+            tri = rng.integers(-1, 2, (n, 3, 3)).astype(np.float64)
+            return np.where(rng.random(tri.shape) < 0.5, -tri, tri)    # -0.0 for half the zeros
         if kind == "overflow":
             return rng.choice([-2.0 ** 1023, -2.0 ** 1022, 0.0, 2.0 ** 1022, 2.0 ** 1023],
                               (n, 3, 3))
@@ -163,15 +168,19 @@ def bvh_test_mesh(rng, n, kind):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        n_facets=st.one_of(st.integers(1, 9), st.integers(257, 3000)),
-       kind=st.sampled_from(["random", "coincident", "integer", "overflow"]))
+       kind=st.sampled_from(["random", "coincident", "integer", "overflow", "signed-zero"]))
+@example(seed=0, n_facets=600, kind="signed-zero")
 def test_build_matches_oracle(seed, n_facets, kind):
-    """The level-at-a-time build makes the oracle's tree, numbered in level order."""
+    """The level-at-a-time build makes the oracle's tree, numbered in level
+    order.  Box bounds match bitwise, or by value on a signed-zero mesh,
+    where the two builds may give a zero bound opposite signs."""
     mesh = bvh_test_mesh(np.random.default_rng(seed), n_facets, kind)
     bvh = build_bvh(mesh)
     oracle = oracle_build_bvh(mesh)
     np.testing.assert_array_equal(bvh.order, oracle.order)
     assert bvh.num_nodes == oracle.num_nodes
-    assert node_map(bvh) == node_map(oracle)
+    bound = tuple if kind == "signed-zero" else np.ndarray.tobytes
+    assert node_map(bvh, bound) == node_map(oracle, bound)
 
     inner = np.flatnonzero(bvh.count == 0)
     assert np.all(bvh.left[inner] > inner) and np.all(bvh.right[inner] > inner)

@@ -166,7 +166,7 @@ def test_05_cube_closed_loop_recovery():
 
 
 def test_06_building_closed_loop_recovery():
-    """Building from black init (1, 1e-4, 1e-4): recover (6.885, 0.02, 0.01)."""
+    """Building from black init (1 + 1e-6, 1e-4, 1e-4): recover (6.885, 0.02, 0.01)."""
     t0 = time.perf_counter()
     proto = building_recovery_protocol()
     refs = render_references(proto)

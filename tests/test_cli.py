@@ -377,17 +377,35 @@ class TestSimulate:
         assert "view 1 failed on purpose" in capsys.readouterr().err
         assert len(calls) == 2 and not (workdir / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_view_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        """h = 1e-200 passes ParamMap.validate, but the KA term's 4 h^2 / l^2
-        underflows to 0 and the demo's views come out with NaN pixels: simulate
-        names the first one and writes nothing."""
+    def test_table_that_would_shade_nan_exits_2_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        """h = 1e-200 underflows the KA term's 4 h^2 / l^2 to 0, so it would
+        shade NaN: the demo rejects it at validate, naming vertex and channel,
+        before anything is traced or written."""
         run_script(monkeypatch, "make_demo_scene.py", tmp_path)
         config = tmp_path / "run.ini"
         config.write_text(DEMO_CONFIG.replace("init = 0.005 0.01 25.0 0.05",
                                               "init = 1e-200 0.01 25.0 0.05"))
         capsys.readouterr()
         assert main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: vertex 0, h: parameter value 1e-200 outside [1e-07, 1.0]\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_view_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """A kernel that shades NaN (eval_bsdf_at patched here, as the
+        gradcheck tests patch it) leaves NaN pixels in the demo's views:
+        simulate names the first one and writes nothing."""
+        run_script(monkeypatch, "make_demo_scene.py", tmp_path)
+        eval_bsdf_at = sartrace.imaging.eval_bsdf_at
+
+        def nan_sigma(angles, values):
+            sigma, grads = eval_bsdf_at(angles, values)
+            return sigma * np.nan, grads
+
+        monkeypatch.setattr(sartrace.imaging, "eval_bsdf_at", nan_sigma)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(tmp_path / "run.ini")]) == 2
         assert re.fullmatch(r"error: view 0: pixel \(row \d+, bin \d+\) is nan, "
                             r"not a finite intensity\n", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
@@ -869,10 +887,6 @@ class TestSweepCommand:
                           "spm_ok", "ka_ok"]
         assert rows.shape == (13, 6)
 
-    def test_no_contrast_curves_are_zero(self, tmp_path):
-        _, rows = self.run_sweep(tmp_path, eps_r="1.0")
-        np.testing.assert_allclose(rows[:, 1:4], 0.0, atol=1e-18)
-
     def test_blend_is_convex_combination_of_endpoint_columns(self, tmp_path):
         for tau in ("0.0", "0.25", "0.5", "0.75", "1.0"):
             _, rows = self.run_sweep(tmp_path, tau=tau)
@@ -886,11 +900,16 @@ class TestSweepCommand:
         assert set(np.unique(rows[:, 5])) <= {0.0, 1.0}
 
     @pytest.mark.parametrize("flag,value,cause", [
-        ("tau", "1.5", r"tau must lie in \[0, 1\]"),
-        ("eps_r", "0.5", r"eps_r must be >= 1"),
-        ("h", "0", r"h and l must be positive"),
+        ("tau", "1.5", r"vertex 0, tau: parameter value 1\.5 outside \[0\.0, 1\.0\]"),
+        ("eps_r", "0.5", r"vertex 0, eps_r: parameter value 0\.5 outside \[1\.000001, 10000\.0\]"),
+        ("h", "0", r"vertex 0, h: parameter value 0\.0 outside \[1e-07, 1\.0\]"),
         ("theta_stop", "90", r"theta-stop must lie in \[0, 90\) degrees"),
-    ], ids=["tau", "eps_r", "h", "theta_stop"])
+        # no contrast: sigma and every partial are exactly 0 at eps_r = 1
+        ("eps_r", "1.0", r"vertex 0, eps_r: parameter value 1\.0 outside \[1\.000001, "),
+        ("eps_r", "2e4", r"vertex 0, eps_r: parameter value 20000\.0 outside "),
+        ("h", "1.5", r"vertex 0, h: parameter value 1\.5 outside \[1e-07, 1\.0\]"),
+        ("l", "20", r"vertex 0, l: parameter value 20\.0 outside \[1e-07, 10\.0\]"),
+    ], ids=["tau", "eps_r", "h", "theta_stop", "eps_r_1", "eps_r_above", "h_above", "l_above"])
     def test_rejects_out_of_domain(self, tmp_path, capsys, flag, value, cause):
         out = tmp_path / "sweep.csv"
         assert main(self.sweep_argv(out, **{flag: value})) == 2

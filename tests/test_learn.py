@@ -11,11 +11,10 @@ from sartrace.cli import main
 from sartrace.experiments import (RECOVERY_LOSS, building_recovery_protocol,
                                   cube_recovery_protocol, render_references, run_recovery)
 from sartrace.imaging import HitLedger, RadarConfig, render, trace
-from sartrace.learn import (DEFAULT_LOWER, DEFAULT_UPPER, LossConfig, OptimState, adam_step,
-                            backward, grad_check, learn, loss_sim, loss_tv, rmse_normalized,
-                            write_history_csv)
+from sartrace.learn import (LossConfig, OptimState, adam_step, backward, grad_check, learn,
+                            loss_sim, loss_tv, rmse_normalized, write_history_csv)
 from sartrace.scatter import WaveConfig, eval_bsdf_at
-from sartrace.scene import PARAM_CHANNELS, Mesh, ParamMap, mesh_edges
+from sartrace.scene import PARAM_CHANNELS, PARAM_LOWER, PARAM_UPPER, Mesh, ParamMap, mesh_edges
 from sartrace.scenes import (building_scene, cube_plane_scene, merge_meshes, plane_mesh,
                              side_looking_radar)
 
@@ -287,6 +286,14 @@ class TestAdamStep:
             assert opt.m.shape == opt.v.shape == (3,)
             assert opt.entries.size == 3 * proto.target_ids.size
 
+    @pytest.mark.parametrize("make_protocol",
+                             [cube_recovery_protocol, building_recovery_protocol])
+    def test_protocols_start_and_end_inside_the_box(self, make_protocol):
+        """So learn's entry clip leaves a protocol's start as it is."""
+        proto = make_protocol()
+        proto.init.validate()
+        proto.truth.validate()
+
 
 def oracle_state(n, lr=0.02, beta1=0.9, beta2=0.999, eps_adam=1e-8, lr_decay=1.0,
                  freeze_channels=(), freeze_vertices=None, tie_groups=None):
@@ -334,7 +341,7 @@ def oracle_adam_step(state, values, grads):
     z -= lr_t * update
     z[:, log_channel] = np.exp(z[:, log_channel])
     values[:] = np.where(update != 0.0, z, values)
-    np.clip(values, DEFAULT_LOWER, DEFAULT_UPPER, out=values)
+    np.clip(values, PARAM_LOWER, PARAM_UPPER, out=values)
 
 
 def _zero_some(grads, rng):
@@ -422,7 +429,7 @@ def test_one_clip_matches_per_channel_bounds_outside_the_box(kwargs):
         oracle_adam_step(oracle, want, grads)
         assert params.values[moved].tobytes() == want[moved].tobytes()
         assert params.values[~moved].tobytes() == start[~moved].tobytes()
-    box = np.broadcast_to(DEFAULT_LOWER, (n, 4)), np.broadcast_to(DEFAULT_UPPER, (n, 4))
+    box = np.broadcast_to(PARAM_LOWER, (n, 4)), np.broadcast_to(PARAM_UPPER, (n, 4))
     assert ((params.values >= box[0]) & (params.values <= box[1]))[moved].all()
     assert not ((start >= box[0]) & (start <= box[1])).all(axis=0).any()
 
@@ -1039,6 +1046,15 @@ class TestGradCheck:
         views = traced(mesh, [(radar, render(mesh, params, radar)[0].intensities)])
         with pytest.raises(ValueError, match=r"^num_probes must be >= 0, got -3$"):
             grad_check(params, views, CFG_RAW, num_probes=-3)
+
+    def test_table_outside_the_box_rejected(self, learn_setup):
+        """grad_check neither clips nor steps its table, so it validates it:
+        h = 1e-200 would shade to NaN and report NaN errors."""
+        mesh, params, radar = learn_setup
+        views = traced(mesh, [(radar, render(mesh, params, radar)[0].intensities)])
+        params.values[4, 0] = 1e-200
+        with pytest.raises(ValueError, match=r"^vertex 4, h: parameter value 1e-200 outside "):
+            grad_check(params, views, CFG_RAW, num_probes=1)
 
     def test_finite_diff_is_learns_loss_difference(self, learn_setup):
         """Each side of a probe is the total loss of one learn iteration at

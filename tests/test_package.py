@@ -16,6 +16,7 @@ import pytest
 import sartrace
 from sartrace import experiments
 from sartrace.cli import _parser, parse_config
+from sartrace.scene import PARAM_CHANNELS, PARAM_LOWER, PARAM_UPPER
 
 from conftest import load_script, run_script
 
@@ -66,6 +67,19 @@ def test_readme_command_line_names_every_option():
     options = {opt for sub in commands.choices.values() for action in sub._actions
                for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
     assert (sorted(options - named), sorted(named - options)) == ([], [])   # undocumented, stale
+
+
+def test_readme_states_the_parameter_box():
+    """The README's bounds table and its sweep sentence each give every
+    channel's interval as scene.PARAM_LOWER and PARAM_UPPER hold it."""
+    box = {c: (lo, hi) for c, lo, hi in zip(PARAM_CHANNELS, PARAM_LOWER, PARAM_UPPER)}
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Per-vertex parameters", 1)[1].split("\n\n", 2)[1]
+    sweep = " ".join(text.split("* `sweep`", 1)[1].split("\n\n", 1)[0].split())
+    for stated in (re.findall(r"^\| `(\w+)` .*\| \[([^,\]]+), ([^\]]+)\] +\|$", table, re.M),
+                   re.findall(r"\b(\w+) in \[([^,\]]+), ([^\]]+)\]", sweep)):
+        assert {c: tuple(sum(float(t) for t in end.split("+")) for end in ends)
+                for c, *ends in stated} == box
 
 
 def imports(tree, source):

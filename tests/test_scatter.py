@@ -1,14 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from sartrace.experiments import building_recovery_protocol, cube_recovery_protocol
+from sartrace.imaging import shade_views, trace_views
 from sartrace.scatter import (VALIDITY_CONDITIONS, WaveConfig, bsdf_angles,
                               eval_bsdf_at, eval_bsdf_batch, validity_mask)
+from sartrace.scene import PARAM_LOWER, PARAM_UPPER, ParamMap
 
 WAVE = WaveConfig(9.6e9, "HH", "gaussian")
 K = WAVE.wavenumber
+BOX = [(float(lo), float(hi)) for lo, hi in zip(PARAM_LOWER, PARAM_UPPER)]  # per channel
 
 
 def bsdf(theta, h, l, eps_r, tau, wave=WAVE):
@@ -250,14 +255,46 @@ def test_sigma_nonnegative_and_tau_affine(theta, log_h, log_l, eps_r, tau, pol, 
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(0.0, 1.53), st.floats(1e-7, 1.0), st.floats(1e-7, 10.0),
-       st.floats(1.0, 1e4), st.floats(0.0, 1.0),
+@given(st.floats(0.0, 1.53), st.floats(*BOX[0]), st.floats(*BOX[1]),
+       st.floats(1.0, BOX[2][1]), st.floats(*BOX[3]),
        st.sampled_from(["HH", "VV"]), st.sampled_from(["gaussian", "exponential"]))
 def test_finite_over_parameter_box(theta, h, l, eps_r, tau, pol, kind):
-    """sigma >= 0 and every partial finite, from the box edges to grazing 1.53 rad."""
+    """sigma >= 0 and every partial finite, from the box edges to grazing
+    1.53 rad; eps_r from 1, below the box, where the contrast vanishes."""
     sigma, grads = bsdf(theta, h, l, eps_r, tau, WaveConfig(9.6e9, pol, kind))
     assert math.isfinite(sigma) and sigma >= 0.0
     assert np.all(np.isfinite(grads))
+
+
+@functools.cache
+def protocol_views():
+    """(vertex count, HitSets) of the cube and building protocols' views, traced once."""
+    protocols = (cube_recovery_protocol(), building_recovery_protocol())
+    return [(proto.mesh.num_vertices, trace_views(proto.mesh, proto.radars))
+            for proto in protocols]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), corner_share=st.sampled_from([0.0, 0.5, 1.0]))
+@example(seed=0, corner_share=1.0)
+def test_every_valid_table_shades_finite(seed, corner_share):
+    """A table that ParamMap.validate accepts shades to finite sigma, partials
+    and images on both protocols' views: h, l and eps_r log-uniform over
+    the box, tau uniform, and that share of the cells moved to an end."""
+    rng = np.random.default_rng(seed)
+    lower, upper = np.log(PARAM_LOWER[:3]), np.log(PARAM_UPPER[:3])
+    for num_vertices, hitsets in protocol_views():
+        values = np.column_stack([np.exp(rng.uniform(lower, upper, (num_vertices, 3))),
+                                  rng.uniform(0.0, 1.0, num_vertices)])
+        values = np.clip(values, PARAM_LOWER, PARAM_UPPER)
+        ends = rng.random(values.shape) < corner_share
+        values[ends] = np.where(rng.random(values.shape) < 0.5, PARAM_LOWER, PARAM_UPPER)[ends]
+        params = ParamMap(values)
+        params.validate()
+        for image, ledger in shade_views(hitsets, params):
+            assert ledger.num_entries > 0
+            assert np.isfinite(ledger.sigma).all() and np.isfinite(ledger.dsigma).all()
+            assert np.isfinite(image.intensities).all()
 
 
 def test_no_contrast_near_grazing_partials_finite():

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from sartrace.imaging import HitLedger
 from sartrace.learn import backward
-from sartrace.scene import (Mesh, MeshError, ParamMap, interpolate, interpolate_at_hits,
-                            load_mesh, load_param_map, mesh_edges, save_param_map, write_obj)
+from sartrace.scene import (PARAM_CHANNELS, PARAM_LOWER, PARAM_UPPER, Mesh, MeshError, ParamMap,
+                            interpolate, interpolate_at_hits, load_mesh, load_param_map,
+                            mesh_edges, save_param_map, write_obj)
 from sartrace.scenes import box_mesh, building_scene, cube_plane_scene, merge_meshes, plane_mesh
 
 from conftest import grid_mesh
@@ -280,6 +281,9 @@ def test_interpolate_at_hits_matches_scalar(two_facet_mesh):
         np.testing.assert_allclose(batch[row], ref, rtol=1e-12)
 
 
+VALID_ROW = [0.001, 0.01, 2.0, 0.5]
+
+
 class TestParamMap:
     def test_csv_round_trip(self, tmp_path):
         pm = ParamMap(np.array([[0.001, 0.01, 25.0, 0.0],
@@ -315,24 +319,43 @@ class TestParamMap:
         [0.001, -1.0, 2.0, 0.5],   # l < 0
         [0.001, 0.01, 0.5, 0.5],   # eps_r < 1
         [0.001, 0.01, 2.0, 1.5],   # tau > 1
+    ] + [  # one float outside each end of each channel, then NaN and +-inf in each
+        [np.nextafter(end[c], toward) if i == c else v for i, v in enumerate(VALID_ROW)]
+        for c in range(4) for end, toward in ((PARAM_LOWER, -np.inf), (PARAM_UPPER, np.inf))
+    ] + [
+        [bad if i == c else v for i, v in enumerate(VALID_ROW)]
+        for bad in (np.nan, np.inf, -np.inf) for c in range(4)
     ])
     def test_validate_rejects(self, row):
-        pm = ParamMap(np.array([row]))
-        with pytest.raises(ValueError):
+        """A row of VALID_ROW with one channel outside the box, at vertex 1
+        between the box's two corners, which validate accepts: the error
+        names vertex 1, that channel, the value and the channel's interval."""
+        (c,) = np.flatnonzero(np.array(row) != VALID_ROW)
+        value = float(row[c])
+        what = "parameter value" if np.isfinite(value) else "non-finite parameter value"
+        message = (f"vertex 1, {PARAM_CHANNELS[c]}: {what} {value!r} outside "
+                   f"[{float(PARAM_LOWER[c])!r}, {float(PARAM_UPPER[c])!r}]")
+        pm = ParamMap(np.array([PARAM_LOWER, row, PARAM_UPPER]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pm.validate()
 
     def test_validate_names_first_vertex_and_channel(self):
+        """The first bad cell in table order, whatever its cause."""
         pm = ParamMap.constant(4, 0.001, 0.01, 2.0, 0.5)
         pm.values[3, 0] = np.nan
         pm.values[2, 3] = 1.5
         pm.values[1, 1] = -1.0
-        with pytest.raises(ValueError, match=r"^vertex 3, h: non-finite parameter value$"):
+        pm.values[1, 2] = 0.5
+        with pytest.raises(ValueError, match=r"^vertex 1, l: parameter value -1\.0 outside "
+                                             r"\[1e-07, 10\.0\]$"):
             pm.validate()
-        pm.values[3, 0] = 0.001
-        with pytest.raises(ValueError, match=r"^vertex 1, l: h and l must be positive$"):
+        pm.values[1] = [0.001, 0.01, 2.0, 0.5]
+        with pytest.raises(ValueError, match=r"^vertex 2, tau: parameter value 1\.5 outside "
+                                             r"\[0\.0, 1\.0\]$"):
             pm.validate()
-        pm.values[1, 1] = 0.01
-        with pytest.raises(ValueError, match=r"^vertex 2, tau: tau must lie in \[0, 1\]$"):
+        pm.values[2, 3] = 0.5
+        with pytest.raises(ValueError, match=r"^vertex 3, h: non-finite parameter value nan "
+                                             r"outside \[1e-07, 1\.0\]$"):
             pm.validate()
 
     def test_constant_broadcast(self):
