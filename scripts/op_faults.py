@@ -3,16 +3,18 @@
 
     PYTHONPATH=src python3 scripts/op_faults.py --ops 200
 
-Two operations: one `sartrace simulate` command on the README demo scene
-(as scripts/make_demo_scene.py writes it) and one `learn` iteration of
-the cube recovery protocol.  Each runs WARMUP times first, then --ops
-times, and the script reads the process's `ru_minflt` (all threads) and
-CPU time around every operation.  It prints one line per operation with
-the medians:
+Three operations: one `sartrace simulate` command on the README demo
+scene (as scripts/make_demo_scene.py writes it), one `learn` iteration of
+the cube recovery protocol, and one render of a 256-ray view of a seeded
+20,000-facet heightfield through its BVH (built once, before the
+renders).  Each runs WARMUP times first, then --ops times, and the script
+reads the process's `ru_minflt` (all threads) and CPU time around every
+operation.  It prints one line per operation with the medians:
 
     operation         ops  minflt_p50  cpu_ms_p50
     simulate          200         129       5.098
     learn_iteration   200           0       0.348
+    bvh_render        200           0       1.352
 
 A warm operation that faults tens or hundreds of pages usually frees a
 block of 64 KiB or more: glibc then trims the top of the heap, and the
@@ -23,6 +25,7 @@ time, not the benchmark's calibrated scale.
 import argparse
 import contextlib
 import io
+import math
 import os
 import resource
 import statistics
@@ -31,9 +34,16 @@ import tempfile
 import time
 from dataclasses import replace
 
+import numpy as np
+
 import sartrace.learn
 from sartrace import cli
+from sartrace.accel import build_bvh
 from sartrace.experiments import AdamPhase, cube_recovery_protocol, run_recovery
+from sartrace.imaging import render
+from sartrace.scatter import WaveConfig
+from sartrace.scene import Mesh, ParamMap
+from sartrace.scenes import side_looking_radar
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from make_demo_scene import write_demo  # noqa: E402
@@ -87,6 +97,33 @@ def learn_iteration(ops):
     return _medians(readings[WARMUP:])
 
 
+def bvh_render(ops):
+    """One view of a seeded 100 x 100-cell heightfield, rendered through its BVH."""
+    rng = np.random.default_rng(7)
+    xs = np.linspace(-10.0, 10.0, 101)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    z = (0.4 * np.sin(0.7 * x + rng.uniform(0.0, 6.0)) * np.cos(0.5 * y)
+         + rng.normal(0.0, 0.03, x.shape))
+    corner = np.arange(101 ** 2).reshape(101, 101)[:100, :100].ravel()
+    mesh = Mesh.from_arrays(
+        np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1),
+        np.concatenate([np.stack([corner, corner + 101, corner + 102], axis=1),
+                        np.stack([corner, corner + 102, corner + 1], axis=1)]))
+    params = ParamMap.constant(mesh.num_vertices, 0.004, 0.02, 9.0, 0.05)
+    radar = side_looking_radar(WaveConfig(9.6e9), distance=25.0, incidence=math.radians(40.0),
+                               track_length=12.0, num_azimuth=16,
+                               fan_halfwidth=math.radians(12.0), num_angles=8,
+                               range_res=0.1, spua=2, seed=5)
+    bvh = build_bvh(mesh)
+    for _ in range(WARMUP):
+        render(mesh, params, radar, bvh=bvh)
+    readings = [_reading()]
+    for _ in range(ops):
+        render(mesh, params, radar, bvh=bvh)
+        readings.append(_reading())
+    return _medians(readings)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -95,7 +132,8 @@ def main():
     if args.ops < 1:
         ap.error("--ops must be at least 1")
     print(f"{'operation':<16} {'ops':>4} {'minflt_p50':>11} {'cpu_ms_p50':>11}")
-    for name, op in (("simulate", simulate), ("learn_iteration", learn_iteration)):
+    for name, op in (("simulate", simulate), ("learn_iteration", learn_iteration),
+                     ("bvh_render", bvh_render)):
         faults, cpu_ms = op(args.ops)
         print(f"{name:<16} {args.ops:>4} {faults:>11g} {cpu_ms:>11.3f}")
 

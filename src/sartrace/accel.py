@@ -21,13 +21,17 @@ hits one ray batch at a time, by one of two paths that share `_mt`:
   one origin, such as an azimuth row, as coherent ray tracers share
   them across a packet (Wald, Slusallek, Benthin and Wagner, 2001);
 - a breadth-first BVH traversal (a wavefront): every ray starts paired
-  with the root, and each step slab-tests all live (ray, node) pairs at
-  once, drops the pairs that miss or lie beyond the ray's nearest hit so
-  far, solves the (ray, facet) pairs of the leaves reached, and replaces
-  each inner-node pair by up to four pairs with the node's descendants
-  two levels down (`Bvh.grandchild`), so a step goes down two tree
-  levels.  A step reads the corners of only the facets its leaves
-  reach, not the whole mesh.
+  with the nodes of the root's `Bvh.grandchild` row, and each step
+  slab-tests all live (ray, node) pairs at once, drops the pairs that
+  miss or lie beyond the ray's nearest hit so far (one fused test,
+  tnear > fmin(tfar, t_best)), solves the (ray, facet) pairs of the
+  leaves reached, and replaces each inner-node pair by up to four pairs
+  with the node's descendants two levels down, so a step goes down two
+  tree levels.  The frontier stays sorted by ray, so each ray's nearest
+  hit of a step is a segmented minimum, not a sort.  A leaf pair reads
+  its triangles from `Bvh.corners`, the facets' corners in leaf order,
+  so the facets of one leaf are adjacent rows; the facet ids are read
+  only for the hits.
 
 Both paths keep the smallest (t, facet_id) per ray, whatever the
 traversal order; ties on t resolve to the lowest facet id.  They agree
@@ -62,6 +66,9 @@ _SCAN_PAIRS = 8000
 # rays per BVH traversal batch; bounds the (ray, node) frontier, which a
 # step can grow four-fold
 _TRAVERSE_BATCH = 1024
+
+# facets per block of Bvh.corners filled at once
+_CORNER_BLOCK = 4096
 
 # most facets per BVH leaf
 _LEAF_SIZE = 4
@@ -130,13 +137,16 @@ def _mt(origins, directions, p3, h1, h2):
 class Bvh:
     """Flat binary BVH; leaves hold ranges into the facet permutation.
 
-    Two arrays are derived from the tree.  `grandchild`: the row of an
+    A Bvh answers only for `mesh`, the mesh object it was built over.
+    Three arrays are derived from the tree.  `grandchild`: the row of an
     inner node lists (left's left, left's right, right's left, right's
     right), where a leaf child stands for itself in its pair of slots
     and -1 pads the other; leaf rows are all -1.  `slabs`: the boxes as
     zero-padded (min, max) rows of four, of which `box_min` and
     `box_max` become views; `take` gathers 32-byte rows about twice as
-    fast as 24-byte ones.
+    fast as 24-byte ones.  `corners`: row j holds (p1, p2, p3) of facet
+    `order[j]`, 72 bytes per facet, so a leaf's triangles are adjacent
+    rows.
     """
 
     box_min: np.ndarray    # (n_nodes, 3)
@@ -146,8 +156,10 @@ class Bvh:
     start: np.ndarray      # (n_nodes,) leaf range start into `order`
     count: np.ndarray      # (n_nodes,) leaf facet count, 0 for inner nodes
     order: np.ndarray      # (n_facets,) facet permutation
+    mesh: Mesh = field(repr=False, compare=False)
     grandchild: np.ndarray = field(init=False, repr=False, compare=False)  # (n_nodes, 4)
     slabs: np.ndarray = field(init=False, repr=False, compare=False)       # (2, n_nodes, 4)
+    corners: np.ndarray = field(init=False, repr=False, compare=False)     # (n_facets, 3, 3)
 
     def __post_init__(self):
         slabs = np.zeros((2, self.num_nodes, 4))
@@ -162,6 +174,13 @@ class Bvh:
         table[node] = np.stack([np.where(deep, self.left.take(kids), kids),
                                 np.where(deep, self.right.take(kids), -1)], axis=2)
         object.__setattr__(self, "grandchild", table.reshape(-1, 4))
+        # a block of facets at a time: one take of the whole table would hold
+        # (n_facets, 3) ids beside it and raise build_bvh's peak
+        corners = np.empty((self.order.size, 3, 3))
+        for lo in range(0, self.order.size, _CORNER_BLOCK):
+            ids = self.mesh.facets.take(self.order[lo:lo + _CORNER_BLOCK], axis=0)
+            corners[lo:lo + _CORNER_BLOCK] = self.mesh.vertices.take(ids, axis=0)
+        object.__setattr__(self, "corners", corners)
 
     @property
     def num_nodes(self) -> int:
@@ -186,9 +205,9 @@ def build_bvh(mesh: Mesh) -> Bvh:
     inner boxes are the min/max of their children's, so every box is
     exact.  Deterministic for a given mesh of at most 2**31 facets.
     """
-    # Bvh derives its grandchild table once the build's temporaries are freed,
-    # so it adds nothing to the peak
-    return Bvh(**_median_split(mesh))
+    # Bvh derives its grandchild and corner tables once the build's
+    # temporaries are freed, so they add less than they would inside it
+    return Bvh(**_median_split(mesh), mesh=mesh)
 
 
 def _facet_boxes(mesh: Mesh):
@@ -304,10 +323,9 @@ def uses_bvh(mesh: Mesh) -> bool:
     return mesh.num_facets > BVH_MIN_FACETS
 
 
-def _edges(mesh: Mesh, ids=None):
-    """(p3, p1 - p3, p2 - p3) of the facets ids (default all), each (len(ids), 3)."""
-    f = mesh.facets if ids is None else mesh.facets.take(ids, axis=0)
-    p1, p2, p3 = mesh.vertices.take(f.T, axis=0)     # (3, len(ids), 3): contiguous corners
+def _edges(mesh: Mesh):
+    """(p3, p1 - p3, p2 - p3) of every facet, each (F, 3)."""
+    p1, p2, p3 = mesh.vertices.take(mesh.facets.T, axis=0)    # (3, F, 3): contiguous corners
     return p3, p1 - p3, p2 - p3
 
 
@@ -339,18 +357,26 @@ def _run_length(origins, most: int) -> int:
     return max(d for d in range(1, min(runs, most) + 1) if runs % d == 0)
 
 
-def _traverse(bvh: Bvh, mesh: Mesh, origins, directions):
+def _traverse(bvh: Bvh, origins, directions):
     """Nearest hits of a ray batch through the BVH, two tree levels per step.
 
-    The frontier is a pair of arrays (ray, node); only the facets of the
-    leaves reached are read.  A step replaces each inner-node pair by its
-    pairs with the node's `grandchild` row; a leaf child stays in the
-    frontier as itself.  Skipping the children's slab tests changes no
-    result: an inner box is the exact min/max of its children's boxes and
-    the slab arithmetic is monotone in the bounds, so a grandchild pair
-    survives only where its parent pair would have, and the per-ray
+    The frontier is a pair of arrays (ray, node), sorted by ray.  It
+    starts at the root's `grandchild` row (at the root when the root is a
+    leaf), and a step replaces each inner-node pair by its pairs with the
+    node's `grandchild` row; a leaf child stays in the frontier as
+    itself.  Skipping the root's and the children's slab tests changes
+    no result: an inner box is the exact min/max of its children's boxes
+    and the slab arithmetic is monotone in the bounds, so a grandchild
+    pair survives only where its parent pair would have, and the per-ray
     smallest (t, facet_id) does not depend on the order of the pairs.
-    Returns the same (facet_id, t, m1, m2) as `_scan`.
+    A pair is dropped where tnear > fmin(tfar, t_best), which is
+    (tnear > tfar) | (tnear > t_best), also for a NaN tfar, or where
+    tfar < EPS_T.  Compaction and expansion keep the order of the pairs,
+    so the frontier stays sorted by ray, and so do the (ray, facet) pairs
+    of the leaves reached, which read their corners from `Bvh.corners`:
+    each ray's smallest t of a step, then its lowest facet id at that t,
+    is a minimum over the ray's segment.  Returns the same (facet_id, t,
+    m1, m2) as `_scan`.
     """
     n = origins.shape[0]
     fid = np.full(n, -1, dtype=np.int64)
@@ -363,52 +389,65 @@ def _traverse(bvh: Bvh, mesh: Mesh, origins, directions):
     o_pad, inv_pad = np.zeros((n, 4)), np.ones((n, 4))
     o_pad[:, :3], inv_pad[:, :3] = origins, inv_d
     box_lo, box_hi = bvh.slabs
-    ray = np.arange(n)
-    node = np.zeros(n, dtype=np.int64)
-    # every t_best is inf until the first leaf solve, so tnear > t_best is False
-    solved = False
+    top = bvh.grandchild[0]
+    top = top[top >= 0] if bvh.count[0] == 0 else np.zeros(1, dtype=np.int64)
+    ray, node = np.repeat(np.arange(n), top.size), np.tile(top, n)
     while ray.size:
+        # in place where an operand is used up: fewer allocations, same values
         o, inv = o_pad.take(ray, axis=0), inv_pad.take(ray, axis=0)
+        t1, t2 = box_lo.take(node, axis=0), box_hi.take(node, axis=0)
+        t1 -= o
+        t2 -= o
         with np.errstate(invalid="ignore"):     # 0 * inf: a zero component, origin on a face
-            t1 = (box_lo.take(node, axis=0) - o) * inv
-            t2 = (box_hi.take(node, axis=0) - o) * inv
+            t1 *= inv
+            t2 *= inv
         # elementwise over the three slabs: a length-3 axis reduction is slower;
         # fmax and fmin skip a NaN slab, so the other axes bound that ray
-        near, far = np.minimum(t1, t2), np.maximum(t1, t2)
-        tnear = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
-        tfar = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
-        miss = (tnear > tfar) | (tfar < EPS_T)
-        if solved:
-            miss |= tnear > t_best.take(ray)
-        keep = ~miss
-        ray, node = ray[keep], node[keep]
+        near, far = np.minimum(t1, t2), np.maximum(t1, t2, out=t1)
+        tnear = np.fmax(near[:, 0], near[:, 1])
+        np.fmax(tnear, near[:, 2], out=tnear)
+        tfar = np.fmin(far[:, 0], far[:, 1])
+        np.fmin(tfar, far[:, 2], out=tfar)
+        miss = tfar < EPS_T
+        # tnear > fmin(tfar, t_best) is (tnear > tfar) | (tnear > t_best), NaN tfar too
+        miss |= tnear > np.fmin(tfar, t_best.take(ray), out=tfar)
+        keep = np.flatnonzero(~miss)
+        ray, node = ray.take(keep), node.take(keep)
 
         count = bvh.count.take(node)
         leaf = count > 0
         if leaf.any():
-            solved = True
+            at = np.flatnonzero(leaf)
             # expand each (ray, leaf) pair into its (ray, facet) pairs
-            lcount = count[leaf]
-            pair_ray = np.repeat(ray[leaf], lcount)
-            offset = np.arange(pair_ray.size) - np.repeat(np.cumsum(lcount) - lcount, lcount)
-            ids = bvh.order.take(np.repeat(bvh.start.take(node[leaf]), lcount) + offset)
+            lcount = count.take(at)
+            pair_ray = np.repeat(ray.take(at), lcount)
+            # each pair's row of `order` and `corners`: its leaf's start plus its offset
+            pos = np.repeat(bvh.start.take(node.take(at)) - (np.cumsum(lcount) - lcount), lcount)
+            pos += np.arange(pos.size)
+            p1, p2, p3 = bvh.corners.take(pos, axis=0).transpose(1, 0, 2)
             t, m1, m2 = _mt(origins.take(pair_ray, axis=0), directions.take(pair_ray, axis=0),
-                            *_edges(mesh, ids))
-            hit = np.isfinite(t)
-            pair_ray, ids, t, m1, m2 = pair_ray[hit], ids[hit], t[hit], m1[hit], m2[hit]
-            # each ray's smallest (t, facet_id) of this step, then against its best so far
-            first = np.lexsort((ids, t, pair_ray))
-            first = first[np.diff(pair_ray[first], prepend=-1) != 0]
-            r = pair_ray[first]
-            better = (t[first] < t_best[r]) | ((t[first] == t_best[r]) & (ids[first] < fid[r]))
-            r, first = r[better], first[better]
-            fid[r], t_best[r], m1_best[r], m2_best[r] = ids[first], t[first], m1[first], m2[first]
-
-            inner = ~leaf
-            ray, node = ray[inner], node[inner]
+                            p3, p1 - p3, p2 - p3)
+            hit = np.flatnonzero(t < np.inf)
+            pair_ray, t, ids = pair_ray.take(hit), t.take(hit), bvh.order.take(pos.take(hit))
+            # each ray's smallest t of this step over its segment, then the lowest
+            # id at that t; a (ray, facet) pair occurs once, so one pair wins
+            seg = np.flatnonzero(np.diff(pair_ray, prepend=-1))
+            size = np.diff(seg, append=pair_ray.size)
+            t_min = np.minimum.reduceat(t, seg)
+            ids[t != np.repeat(t_min, size)] = np.iinfo(np.int64).max
+            id_min = np.minimum.reduceat(ids, seg)
+            win = hit.take(np.flatnonzero(ids == np.repeat(id_min, size)))
+            # then against the ray's best so far
+            r = pair_ray.take(seg)
+            better = (t_min < t_best[r]) | ((t_min == t_best[r]) & (id_min < fid[r]))
+            r, win = r[better], win[better]
+            fid[r], t_best[r], m1_best[r], m2_best[r] = (
+                id_min[better], t_min[better], m1.take(win), m2.take(win))
+            inner = np.flatnonzero(~leaf)
+            ray, node = ray.take(inner), node.take(inner)
         node = bvh.grandchild.take(node, axis=0).ravel()
-        live = node >= 0
-        ray, node = np.repeat(ray, 4)[live], node[live]
+        live = np.flatnonzero(node >= 0)
+        ray, node = ray.take(live >> 2), node.take(live)
     return fid, t_best, m1_best, m2_best
 
 
@@ -418,11 +457,11 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     origins and directions are (n, 3) arrays with the same n; anything
     else raises a ValueError naming both shapes.  Returns (facet_ids, t,
     m1, m2, cos_theta) arrays with facet_id = -1 and t = +inf for misses.
-    A BVH built over another number of facets raises a ValueError.
+    A BVH built over another mesh object raises a ValueError.
     t is in units of |d| and cos_theta is |n . d|, the cosine of the
     incidence angle only for unit directions.  With a BVH and a mesh that
     `uses_bvh`, the rays go through the BVH as a breadth-first wavefront
-    in batches of `_TRAVERSE_BATCH`, reading only the facets the leaves
+    in batches of `_TRAVERSE_BATCH`, solving only the facets the leaves
     reach; otherwise a linear scan solves batches of at most
     `_SCAN_PAIRS` (ray, facet) pairs (one ray when it alone needs more)
     in runs of rays with one origin; a ray's result does not depend on its
@@ -435,9 +474,12 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     if origins.ndim != 2 or origins.shape[1] != 3 or directions.shape != origins.shape:
         raise ValueError(f"origins {origins.shape} and directions {directions.shape} "
                          "must be (n, 3) arrays with the same n")
-    if bvh is not None and bvh.order.size != mesh.num_facets:
-        raise ValueError(f"BVH over {bvh.order.size} facets does not fit a mesh of "
-                         f"{mesh.num_facets} facets")
+    if bvh is not None and bvh.mesh is not mesh:
+        if bvh.order.size != mesh.num_facets:
+            raise ValueError(f"BVH over {bvh.order.size} facets does not fit a mesh of "
+                             f"{mesh.num_facets} facets")
+        raise ValueError(f"BVH built over another mesh of {mesh.num_facets} facets "
+                         "does not fit this one")
     n = origins.shape[0]
     fid = np.full(n, -1, dtype=np.int64)
     t_hit = np.full(n, np.inf)
@@ -448,7 +490,7 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
         for lo in range(0, n, _TRAVERSE_BATCH):
             batch = slice(lo, lo + _TRAVERSE_BATCH)
             fid[batch], t_hit[batch], m1_hit[batch], m2_hit[batch] = _traverse(
-                bvh, mesh, origins[batch], directions[batch])
+                bvh, origins[batch], directions[batch])
     elif n and mesh.num_facets:     # a mesh without facets is missed by every ray
         # as many whole runs per batch as _SCAN_PAIRS allows
         rays = max(1, _SCAN_PAIRS // mesh.num_facets)

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sartrace.imaging import render, trace_views
+from sartrace.imaging import render  # noqa: F401 -- the benchmark's tracer wraps it by name
+from sartrace.imaging import shade_views, trace_views
 from sartrace.learn import LossConfig, OptimState, learn
 from sartrace.scatter import WaveConfig
 from sartrace.scene import PARAM_LOWER, ParamMap
@@ -124,8 +125,9 @@ def building_recovery_protocol(seed=11) -> RecoveryProtocol:
 
 
 def render_references(proto: RecoveryProtocol):
-    return [(radar, render(proto.mesh, proto.truth, radar)[0].intensities)
-            for radar in proto.radars]
+    """(radar, truth image) of every view, traced and shaded as one batch."""
+    shaded = shade_views(trace_views(proto.mesh, proto.radars), proto.truth)
+    return [(radar, image.intensities) for radar, (image, _) in zip(proto.radars, shaded)]
 
 
 def run_recovery(proto: RecoveryProtocol, refs=None, progress=None):

@@ -257,4 +257,4 @@ def oracle_build_bvh(mesh):
         box_min=np.asarray(box_min), box_max=np.asarray(box_max),
         left=np.asarray(left, dtype=np.int64), right=np.asarray(right, dtype=np.int64),
         start=np.asarray(start, dtype=np.int64), count=np.asarray(count, dtype=np.int64),
-        order=order)
+        order=order, mesh=mesh)

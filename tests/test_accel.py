@@ -466,7 +466,7 @@ class TestBvhWavefront:
                   box_max=np.array([tri[ids].max(axis=(0, 1)) for ids in spans]),
                   left=np.array([1, -1, 3, -1, -1]), right=np.array([2, -1, 4, -1, -1]),
                   start=np.array([0, 0, 1, 1, 2]), count=np.array([0, 1, 0, 1, len(rest)]),
-                  order=order)
+                  order=order, mesh=mesh)
         fid, t, m1, m2, cos_t = intersect_rays(mesh, origins, directions, bvh=bvh)
         assert np.all(fid == low)
         assert np.all(t == 2.0)
@@ -527,6 +527,27 @@ class TestBvhWavefront:
                   f"{2 * used ** 2} facets")
         with pytest.raises(ValueError, match=f"^{expect}$"):
             intersect_rays(mesh, origins, directions, bvh=bvh)
+
+    @pytest.mark.parametrize("other", ["higher", "same-arrays"])
+    def test_bvh_of_another_mesh_of_as_many_facets_rejected(self, other):
+        """A BVH answers only for the mesh object it was built over: over a
+        grid of 800 facets twice as high, it would trace this grid with the
+        other's boxes and corners; a second Mesh of the same arrays is
+        another mesh object too."""
+        mesh = grid_mesh(20)
+        built = (Mesh.from_arrays(mesh.vertices * [1.0, 1.0, 2.0], mesh.facets)
+                 if other == "higher" else dataclasses.replace(mesh))
+        bvh = build_bvh(built)
+        rng = np.random.default_rng(15)
+        origins = np.column_stack([rng.uniform(1.0, 9.0, (50, 2)), np.full(50, 5.0)])
+        directions = np.tile([0.2, 0.1, -1.0], (50, 1))
+        if other == "higher":
+            assert not np.array_equal(intersect_rays(mesh, origins, directions)[1],
+                                      intersect_rays(built, origins, directions)[1])
+        expect = "BVH built over another mesh of 800 facets does not fit this one"
+        with pytest.raises(ValueError, match=f"^{expect}$"):
+            intersect_rays(mesh, origins, directions, bvh=bvh)
+        assert np.all(intersect_rays(built, origins, directions, bvh=bvh)[0] >= 0)
 
     def test_more_rays_than_one_traversal_batch(self):
         rng = np.random.default_rng(11)

@@ -1,18 +1,21 @@
 """The trace and shade paths against fancy-index and np.cross references.
 
 The package reads rows with `take` on axis 0, which returns exactly the
-rows fancy indexing returns.  The linear scan and the BVH wavefront both
-read corners through `accel._edges` and solve through `accel._mt`, so
-the BVH-vs-scan tests cannot see a change made on both sides.  These
-references gather with fancy indexing in `_edges`, `_traverse`,
-`intersect_rays`, `interpolate_at_hits` and `backward`, and solve with
-the np.cross / np.einsum Moller-Trumbore kernel that `_mt` replaced;
-every output must match them bitwise.  The traversal reference goes down
-one tree level per step, through `left` and `right`, where `_traverse`
-goes down two through `Bvh.grandchild`; it applies the same slab rule
-(+-inf slab times for a zero direction component, NaN skipped), and the
-linear scan pins that rule independently.  The backward reference reads
-the mesh from the ledger, which is a shaded HitSet.
+rows fancy indexing returns.  The linear scan reads corners through
+`accel._edges`, the BVH wavefront from `Bvh.corners`, and both solve
+through `accel._mt`, so the BVH-vs-scan tests cannot see a change made
+to the kernel.  These references gather with fancy indexing from the
+mesh in `_edges`, `_traverse`, `intersect_rays`, `interpolate_at_hits`
+and `backward`, and solve with the np.cross / np.einsum Moller-Trumbore
+kernel that `_mt` replaced; every output must match them bitwise.  The
+traversal reference starts at the root, goes down one tree level per
+step, through `left` and `right`, and keeps each ray's nearest hit of a
+step by a lexsort, where `_traverse` starts at the root's grandchildren,
+goes down two levels through `Bvh.grandchild` and takes a segmented
+minimum; it applies the same slab rule (+-inf slab times for a zero
+direction component, NaN skipped), and the linear scan pins that rule
+independently.  The backward reference reads the mesh from the ledger,
+which is a shaded HitSet.
 """
 
 import math
@@ -323,7 +326,7 @@ def hand_bvh(mesh, tree):
                box_max=np.array([c.max(axis=(0, 1)) for c in corners]),
                left=left, right=np.where(left >= 0, left + 1, -1),
                start=np.where(count > 0, np.cumsum(count) - count, 0), count=count,
-               order=np.concatenate([s for s in queue if not isinstance(s, tuple)]))
+               order=np.concatenate([s for s in queue if not isinstance(s, tuple)]), mesh=mesh)
 
 
 def soup(rng, n):
@@ -402,7 +405,7 @@ def assert_traverse_matches_oracle_and_scan(bvh, mesh, origins, directions):
     """`_traverse` against `fancy_traverse`, and both against the linear
     scan, which pins the oracle's slab rule independently."""
     assert origins.shape[0] <= accel._TRAVERSE_BATCH
-    got = accel._traverse(bvh, mesh, origins, directions)
+    got = accel._traverse(bvh, origins, directions)
     expect = fancy_traverse(bvh, mesh, origins, directions)
     scan = intersect_rays(mesh, origins, directions)
     for name, a, b, c in zip(("fid", "t", "m1", "m2"), got, expect, scan):
@@ -429,13 +432,40 @@ def test_copies_tie_to_the_lowest_id():
     case = {c[0]: c for c in traverse_cases()}
     for name in ("copies-built", "copies-hand"):
         _, mesh, bvh, origins, directions = case[name]
-        fid, t = accel._traverse(bvh, mesh, origins, directions)[:2]
+        fid, t = accel._traverse(bvh, origins, directions)[:2]
         lowest = np.flatnonzero(mesh.vertices[mesh.facets][:, 0, 2] == 3.0)[0]
         assert np.all(fid == lowest) and np.all(t == 2.0), name
 
 
+def test_copies_in_sibling_leaves_across_two_batches():
+    """Three equal-t copies in the four leaves of the root's grandchild row,
+    which the first step reaches together: the highest id and the lowest
+    in sibling leaves, the highest first.  More rays than one traversal
+    batch, so intersect_rays splits them; every ray gets the lowest id,
+    bitwise as the one-level oracle gives it per batch and as the scan."""
+    rng = np.random.default_rng(20_263)
+    mesh, copy_ids = copies(rng, n_facets=300, n_copies=3)
+    rest = np.setdiff1d(np.arange(mesh.num_facets), copy_ids)
+    tree = ((np.r_[copy_ids[2], rest[:40]], np.r_[copy_ids[0], rest[40:80]]),
+            (np.r_[copy_ids[1], rest[80:200]], rest[200:]))
+    bvh = hand_bvh(mesh, tree)
+    assert accel.uses_bvh(mesh) and bvh.num_nodes == 7 and np.all(bvh.grandchild[0] >= 0)
+    n = accel._TRAVERSE_BATCH + 37
+    origins = np.column_stack([0.3 + rng.integers(0, 12, (n, 2)) / 32.0, np.full(n, 5.0)])
+    directions = np.tile([0.0, 0.0, -1.0], (n, 1))
+    got = intersect_rays(mesh, origins, directions, bvh=bvh)
+    batches = (slice(0, accel._TRAVERSE_BATCH), slice(accel._TRAVERSE_BATCH, n))
+    expect = map(np.concatenate, zip(*(fancy_traverse(bvh, mesh, origins[b], directions[b])
+                                       for b in batches)))
+    scan = intersect_rays(mesh, origins, directions)
+    for name, a, b, c in zip(("fid", "t", "m1", "m2"), got, expect, scan):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes() == c.tobytes(), name
+    assert np.all(got[0] == copy_ids[0]) and np.all(got[1] == 2.0)
+
+
 def test_derived_arrays_match_the_tree(traced):
-    """`grandchild` against a loop; `slabs` holds the boxes, zero-padded."""
+    """`grandchild` against a loop; `slabs` holds the boxes, zero-padded;
+    `corners` holds each facet's corners in leaf order."""
     rng = np.random.default_rng(20_262)
     trees = [traced[1], build_bvh(soup(rng, 3000)), build_bvh(soup(rng, 1)),
              build_bvh(soup(rng, 5)), build_bvh(soup(rng, 9))]
@@ -446,3 +476,6 @@ def test_derived_arrays_match_the_tree(traced):
         assert bvh.slabs.shape == (2, bvh.num_nodes, 4) and np.all(bvh.slabs[..., 3] == 0.0)
         assert bvh.box_min.shape == bvh.box_max.shape == (bvh.num_nodes, 3)
         assert np.array_equal(bvh.slabs[..., :3], np.stack([bvh.box_min, bvh.box_max]))
+        expect = bvh.mesh.vertices[bvh.mesh.facets][bvh.order]
+        assert bvh.corners.dtype == np.float64 and bvh.corners.shape == (bvh.order.size, 3, 3)
+        assert bvh.corners.tobytes() == expect.tobytes()

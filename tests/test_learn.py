@@ -744,6 +744,19 @@ class TestTraceOnce:
         assert intersect_calls == [sum(r.num_azimuth * r.num_angles * r.spua
                                        for r in proto.radars)]
 
+    @pytest.mark.parametrize("make", [cube_recovery_protocol, building_recovery_protocol])
+    def test_references_trace_the_views_once(self, make, intersect_calls):
+        """render_references traces every view in one intersect_rays call,
+        and each image is bitwise the view rendered alone."""
+        proto = make()
+        refs = render_references(proto)
+        assert intersect_calls == [sum(r.num_azimuth * r.num_angles * r.spua
+                                       for r in proto.radars)]
+        assert [radar for radar, _ in refs] == proto.radars
+        for radar, image in refs:
+            alone = render(proto.mesh, proto.truth, radar)[0].intensities
+            assert image.dtype == alone.dtype and image.tobytes() == alone.tobytes()
+
     def test_grad_check_analytic_is_learns_first_gradient(self, learn_setup, monkeypatch):
         mesh, params, radar = learn_setup
         params.values[:, 0] *= np.linspace(0.8, 1.3, mesh.num_vertices)  # TV term nonzero
