@@ -3,27 +3,33 @@
 
     PYTHONPATH=src python3 scripts/op_faults.py --ops 200
 
-Three operations: one `sartrace simulate` command on the README demo
+Four operations: one `sartrace simulate` command on the README demo
 scene (as scripts/make_demo_scene.py writes it), one `learn` iteration of
-the cube recovery protocol, and one render of a 256-ray view of a seeded
-20,000-facet heightfield through its BVH (built once, before the
-renders).  Each runs WARMUP times first, then --ops times, and the script
-reads the process's `ru_minflt` (all threads) and CPU time around every
-operation.  It prints one line per operation with the medians:
+the cube recovery protocol, and one render of a 256-ray and of a 16-ray
+view of a seeded 20,000-facet heightfield through its BVH (built once,
+before the renders); the 16-ray view shows a view's cost that does not
+grow with its rays.  Each runs WARMUP times first, then --ops times, and
+the script reads the process's `ru_minflt` (all threads) and CPU time
+around every operation.  It prints one line per operation with the medians, here from
+a 2-core Xeon VM (numpy 2.4.6, glibc 2.36):
 
     operation         ops  minflt_p50  cpu_ms_p50
-    simulate          200         129       5.098
-    learn_iteration   200           0       0.348
-    bvh_render        200           0       1.352
+    simulate          200         150       4.549
+    learn_iteration   200           0       0.308
+    bvh_render        200           0       1.279
+    bvh_render_16     200           0       0.677
 
-A warm operation that faults tens or hundreds of pages usually frees a
-block of 64 KiB or more: glibc then trims the top of the heap, and the
-next operation faults the pages back in.  CPU ms are raw process CPU
+The simulate fault count depends on the host and on the run: eight runs
+on that VM read 147 to 161, and earlier builds read 129 to 321.  A warm
+operation that faults tens or hundreds of pages usually frees a block
+of 64 KiB or more: glibc then trims the top of the heap, and the next
+operation faults the pages back in.  CPU ms are raw process CPU
 time, not the benchmark's calibrated scale.
 """
 
 import argparse
 import contextlib
+import functools
 import io
 import math
 import os
@@ -97,8 +103,9 @@ def learn_iteration(ops):
     return _medians(readings[WARMUP:])
 
 
-def bvh_render(ops):
-    """One view of a seeded 100 x 100-cell heightfield, rendered through its BVH."""
+def bvh_render(ops, num_azimuth=16):
+    """One view of num_azimuth rows of 16 rays of a seeded 100 x 100-cell
+    heightfield, rendered through its BVH."""
     rng = np.random.default_rng(7)
     xs = np.linspace(-10.0, 10.0, 101)
     x, y = np.meshgrid(xs, xs, indexing="ij")
@@ -111,7 +118,7 @@ def bvh_render(ops):
                         np.stack([corner, corner + 102, corner + 1], axis=1)]))
     params = ParamMap.constant(mesh.num_vertices, 0.004, 0.02, 9.0, 0.05)
     radar = side_looking_radar(WaveConfig(9.6e9), distance=25.0, incidence=math.radians(40.0),
-                               track_length=12.0, num_azimuth=16,
+                               track_length=12.0, num_azimuth=num_azimuth,
                                fan_halfwidth=math.radians(12.0), num_angles=8,
                                range_res=0.1, spua=2, seed=5)
     bvh = build_bvh(mesh)
@@ -133,7 +140,8 @@ def main():
         ap.error("--ops must be at least 1")
     print(f"{'operation':<16} {'ops':>4} {'minflt_p50':>11} {'cpu_ms_p50':>11}")
     for name, op in (("simulate", simulate), ("learn_iteration", learn_iteration),
-                     ("bvh_render", bvh_render)):
+                     ("bvh_render", bvh_render),
+                     ("bvh_render_16", functools.partial(bvh_render, num_azimuth=1))):
         faults, cpu_ms = op(args.ops)
         print(f"{name:<16} {args.ops:>4} {faults:>11g} {cpu_ms:>11.3f}")
 

@@ -28,10 +28,15 @@ hits one ray batch at a time, by one of two paths that share `_mt`:
   leaves reached, and replaces each inner-node pair by up to four pairs
   with the node's descendants two levels down, so a step goes down two
   tree levels.  The frontier stays sorted by ray, so each ray's nearest
-  hit of a step is a segmented minimum, not a sort.  A leaf pair reads
-  its triangles from `Bvh.corners`, the facets' corners in leaf order,
-  so the facets of one leaf are adjacent rows; the facet ids are read
-  only for the hits.
+  hit of a step is a segmented minimum, not a sort.  A step does only
+  what its tree level needs, known from `Bvh.leaf_depth`, the depth of
+  the shallowest leaf: a step whose nodes lie above it looks for no
+  leaves; one whose nodes' children lie above it too expands every pair
+  four-fold, with no -1 padding to drop; and until a step has solved
+  leaves, every t_best is +inf and none is read.  A leaf pair reads its
+  triangle from `Bvh.corners`, each facet's (p3, p1 - p3, p2 - p3) in
+  leaf order, so the facets of one leaf are adjacent rows and no view
+  forms the edges again; the facet ids are read only for the hits.
 
 Both paths keep the smallest (t, facet_id) per ray, whatever the
 traversal order; ties on t resolve to the lowest facet id.  They agree
@@ -58,7 +63,7 @@ from sartrace.scene import Mesh
 EPS_T = 1e-6
 
 # (ray, facet) pairs per linear-scan batch: `_mt` keeps at most about ten
-# (R, F) float64 temporaries alive at once, with R * F at most this.  Each
+# (F, R) float64 temporaries alive at once, with R * F at most this.  Each
 # stays under 64 KiB (8 * 8000 bytes): freeing a chunk of 64 KiB or more lets
 # glibc trim the heap top, and the next batch faults those pages back in
 _SCAN_PAIRS = 8000
@@ -86,13 +91,15 @@ def _mt(origins, directions, p3, h1, h2):
     """Moller-Trumbore solve over broadcast rays and triangles, one
     coordinate plane at a time.
 
-    Triangles come as (p3, p1 - p3, p2 - p3) from `_edges`.  Returns
-    (t, m1, m2) of the broadcast leading shape, with t = +inf marking
-    misses.  The linear scan passes (F, 3) triangles, (G, 1, 1, 3)
-    origins and (G, L, 1, 3) directions, G runs of L rays with one
-    origin: h = o - p3, f2 = h x h1 and t's numerator f2 . h2 are then
-    (G, 1, F), and only the terms that read d are (G, L, F).  The BVH
-    leaves pass (P, 3) pairs and every product is (P,).  Every value
+    Triangles come as (p3, p1 - p3, p2 - p3), from `_edges` or as rows
+    of `Bvh.corners`.  Returns (t, m1, m2) of the broadcast leading
+    shape, with t = +inf marking misses.  The linear scan passes
+    (F, 1, 1, 3) triangles, (1, G, 1, 3) origins and (1, G, L, 3)
+    directions, G runs of L rays with one origin: h = o - p3, f2 = h x h1
+    and t's numerator f2 . h2 are then (F, G, 1), and only the terms that
+    read d are (F, G, L).  The facet axis comes first, so numpy's inner
+    loops run over a run's rays, not over a small mesh's few facets.  The
+    BVH leaves pass (P, 3) pairs and every product is (P,).  Every value
     comes from the same elementwise arithmetic in any layout.
 
     The cross and dot products are written out on the (..., 3) arrays'
@@ -138,15 +145,18 @@ class Bvh:
     """Flat binary BVH; leaves hold ranges into the facet permutation.
 
     A Bvh answers only for `mesh`, the mesh object it was built over.
-    Three arrays are derived from the tree.  `grandchild`: the row of an
+    Four things are derived from the tree.  `grandchild`: the row of an
     inner node lists (left's left, left's right, right's left, right's
     right), where a leaf child stands for itself in its pair of slots
     and -1 pads the other; leaf rows are all -1.  `slabs`: the boxes as
     zero-padded (min, max) rows of four, of which `box_min` and
     `box_max` become views; `take` gathers 32-byte rows about twice as
-    fast as 24-byte ones.  `corners`: row j holds (p1, p2, p3) of facet
-    `order[j]`, 72 bytes per facet, so a leaf's triangles are adjacent
-    rows.
+    fast as 24-byte ones.  `corners`: row j holds facet `order[j]` in
+    the form `_mt` reads, (p3, p1 - p3, p2 - p3), 72 bytes per facet, so
+    a leaf's triangles are adjacent rows and no view subtracts them
+    again.  `leaf_depth`: the depth of the shallowest leaf (the root is
+    at depth 0), so no node above it is a leaf; `build_bvh` splits at
+    the facet-count median, so its leaves lie at one or two depths.
     """
 
     box_min: np.ndarray    # (n_nodes, 3)
@@ -160,6 +170,7 @@ class Bvh:
     grandchild: np.ndarray = field(init=False, repr=False, compare=False)  # (n_nodes, 4)
     slabs: np.ndarray = field(init=False, repr=False, compare=False)       # (2, n_nodes, 4)
     corners: np.ndarray = field(init=False, repr=False, compare=False)     # (n_facets, 3, 3)
+    leaf_depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         slabs = np.zeros((2, self.num_nodes, 4))
@@ -177,10 +188,17 @@ class Bvh:
         # a block of facets at a time: one take of the whole table would hold
         # (n_facets, 3) ids beside it and raise build_bvh's peak
         corners = np.empty((self.order.size, 3, 3))
-        for lo in range(0, self.order.size, _CORNER_BLOCK):
-            ids = self.mesh.facets.take(self.order[lo:lo + _CORNER_BLOCK], axis=0)
-            corners[lo:lo + _CORNER_BLOCK] = self.mesh.vertices.take(ids, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):     # edges of +-1e308 corners
+            for lo in range(0, self.order.size, _CORNER_BLOCK):
+                rows = corners[lo:lo + _CORNER_BLOCK]
+                ids = self.mesh.facets.take(self.order[lo:lo + _CORNER_BLOCK], axis=0)
+                rows[:, 0], rows[:, 1], rows[:, 2] = _edges(self.mesh.vertices, ids)
         object.__setattr__(self, "corners", corners)
+        level, depth = np.zeros(1, dtype=np.int64), 0
+        while not self.count.take(level).any():
+            level = np.concatenate([self.left.take(level), self.right.take(level)])
+            depth += 1
+        object.__setattr__(self, "leaf_depth", depth)
 
     @property
     def num_nodes(self) -> int:
@@ -323,9 +341,9 @@ def uses_bvh(mesh: Mesh) -> bool:
     return mesh.num_facets > BVH_MIN_FACETS
 
 
-def _edges(mesh: Mesh):
-    """(p3, p1 - p3, p2 - p3) of every facet, each (F, 3)."""
-    p1, p2, p3 = mesh.vertices.take(mesh.facets.T, axis=0)    # (3, F, 3): contiguous corners
+def _edges(vertices, facets):
+    """(p3, p1 - p3, p2 - p3) of each (F, 3) facet row, each (F, 3)."""
+    p1, p2, p3 = vertices.take(facets.T, axis=0)    # (3, F, 3): contiguous corners
     return p3, p1 - p3, p2 - p3
 
 
@@ -336,11 +354,12 @@ def _scan(p3, h1, h2, origins, directions):
     rays of each run.  Returns (facet_id, t, m1, m2) of the G * L rays in
     order, with facet_id = -1 and t = +inf for misses.
     """
-    t, m1, m2 = _mt(origins[:, None, None, :], directions[:, :, None, :], p3, h1, h2)
-    t, m1, m2 = (a.reshape(-1, a.shape[-1]) for a in (t, m1, m2))
-    j = np.argmin(t, axis=1)          # first occurrence = lowest facet id
-    # the winning column of each (R, F) row, as one flat take
-    flat = np.arange(0, t.size, t.shape[1]) + j
+    t, m1, m2 = _mt(origins[None, :, None, :], directions[None], p3[:, None, None, :],
+                    h1[:, None, None, :], h2[:, None, None, :])
+    t, m1, m2 = (a.reshape(a.shape[0], -1) for a in (t, m1, m2))
+    j = np.argmin(t, axis=0)          # first occurrence = lowest facet id
+    # the winning row of each (F, R) column, as one flat take
+    flat = j * t.shape[1] + np.arange(t.shape[1])
     tj = t.take(flat)
     hit = np.isfinite(tj)
     return (np.where(hit, j, -1), tj,
@@ -364,19 +383,28 @@ def _traverse(bvh: Bvh, origins, directions):
     starts at the root's `grandchild` row (at the root when the root is a
     leaf), and a step replaces each inner-node pair by its pairs with the
     node's `grandchild` row; a leaf child stays in the frontier as
-    itself.  Skipping the root's and the children's slab tests changes
-    no result: an inner box is the exact min/max of its children's boxes
-    and the slab arithmetic is monotone in the bounds, so a grandchild
-    pair survives only where its parent pair would have, and the per-ray
-    smallest (t, facet_id) does not depend on the order of the pairs.
-    A pair is dropped where tnear > fmin(tfar, t_best), which is
-    (tnear > tfar) | (tnear > t_best), also for a NaN tfar, or where
-    tfar < EPS_T.  Compaction and expansion keep the order of the pairs,
-    so the frontier stays sorted by ray, and so do the (ray, facet) pairs
-    of the leaves reached, which read their corners from `Bvh.corners`:
-    each ray's smallest t of a step, then its lowest facet id at that t,
-    is a minimum over the ray's segment.  Returns the same (facet_id, t,
-    m1, m2) as `_scan`.
+    itself.  So a step's frontier holds nodes at depth d (d = 2, 4, ...,
+    or d = 0 at a leaf root) and leaves at depth d - 1.  Skipping the
+    root's and the children's slab tests changes no result: an inner box
+    is the exact min/max of its children's boxes and the slab arithmetic
+    is monotone in the bounds, so a grandchild pair survives only where
+    its parent pair would have, and the per-ray smallest (t, facet_id)
+    does not depend on the order of the pairs.  A pair is dropped where
+    tnear > fmin(tfar, t_best), which is (tnear > tfar) | (tnear >
+    t_best), also for a NaN tfar, or where tfar < EPS_T.  Compaction and
+    expansion keep the order of the pairs, so the frontier stays sorted
+    by ray, and so do the (ray, facet) pairs of the leaves reached, which
+    read their triangles from `Bvh.corners`: each ray's smallest t of a
+    step, then its lowest facet id at that t, is a minimum over the ray's
+    segment.
+
+    A step does only the work its depth needs, from D = `leaf_depth`:
+    while d < D the frontier holds no leaf, so the step does not look for
+    one; while d + 1 < D no child of a frontier node is a leaf, so no
+    `grandchild` row holds -1 padding and every pair becomes four by
+    `repeat`; and until a step with leaves has run every t_best is +inf,
+    where tnear > fmin(tfar, inf) is tnear > tfar, so the step reads no
+    t_best.  Returns the same (facet_id, t, m1, m2) as `_scan`.
     """
     n = origins.shape[0]
     fid = np.full(n, -1, dtype=np.int64)
@@ -388,66 +416,75 @@ def _traverse(bvh: Bvh, origins, directions):
     # rows of four like `slabs`: the padding column's t is (0 - 0) * 1
     o_pad, inv_pad = np.zeros((n, 4)), np.ones((n, 4))
     o_pad[:, :3], inv_pad[:, :3] = origins, inv_d
-    box_lo, box_hi = bvh.slabs
-    top = bvh.grandchild[0]
-    top = top[top >= 0] if bvh.count[0] == 0 else np.zeros(1, dtype=np.int64)
+    depth = bvh.leaf_depth
+    if depth == 0:
+        d, top = 0, np.zeros(1, dtype=np.int64)
+    else:
+        d, top = 2, bvh.grandchild[0]
+        top = top[top >= 0]
     ray, node = np.repeat(np.arange(n), top.size), np.tile(top, n)
-    while ray.size:
-        # in place where an operand is used up: fewer allocations, same values
-        o, inv = o_pad.take(ray, axis=0), inv_pad.take(ray, axis=0)
-        t1, t2 = box_lo.take(node, axis=0), box_hi.take(node, axis=0)
-        t1 -= o
-        t2 -= o
-        with np.errstate(invalid="ignore"):     # 0 * inf: a zero component, origin on a face
-            t1 *= inv
-            t2 *= inv
-        # elementwise over the three slabs: a length-3 axis reduction is slower;
-        # fmax and fmin skip a NaN slab, so the other axes bound that ray
-        near, far = np.minimum(t1, t2), np.maximum(t1, t2, out=t1)
-        tnear = np.fmax(near[:, 0], near[:, 1])
-        np.fmax(tnear, near[:, 2], out=tnear)
-        tfar = np.fmin(far[:, 0], far[:, 1])
-        np.fmin(tfar, far[:, 2], out=tfar)
-        miss = tfar < EPS_T
-        # tnear > fmin(tfar, t_best) is (tnear > tfar) | (tnear > t_best), NaN tfar too
-        miss |= tnear > np.fmin(tfar, t_best.take(ray), out=tfar)
-        keep = np.flatnonzero(~miss)
-        ray, node = ray.take(keep), node.take(keep)
+    # 0 * inf in the slab test: a zero direction component, origin on a face
+    with np.errstate(invalid="ignore"):
+        while ray.size:
+            # (2, P, 4) min and max rows, in place where an operand is used up
+            slab = bvh.slabs.take(node, axis=1)
+            slab -= o_pad.take(ray, axis=0)
+            slab *= inv_pad.take(ray, axis=0)
+            # elementwise over the three slabs: a length-3 axis reduction is slower;
+            # fmax and fmin skip a NaN slab, so the other axes bound that ray
+            near, far = np.minimum(slab[0], slab[1]), np.maximum(slab[0], slab[1], out=slab[0])
+            tnear = np.fmax(near[:, 0], near[:, 1])
+            np.fmax(tnear, near[:, 2], out=tnear)
+            tfar = np.fmin(far[:, 0], far[:, 1])
+            np.fmin(tfar, far[:, 2], out=tfar)
+            miss = tfar < EPS_T
+            if d >= depth + 2:      # a step with leaves has run
+                np.fmin(tfar, t_best.take(ray), out=tfar)
+            miss |= tnear > tfar
+            keep = np.flatnonzero(~miss)
+            ray, node = ray.take(keep), node.take(keep)
 
-        count = bvh.count.take(node)
-        leaf = count > 0
-        if leaf.any():
-            at = np.flatnonzero(leaf)
-            # expand each (ray, leaf) pair into its (ray, facet) pairs
-            lcount = count.take(at)
-            pair_ray = np.repeat(ray.take(at), lcount)
-            # each pair's row of `order` and `corners`: its leaf's start plus its offset
-            pos = np.repeat(bvh.start.take(node.take(at)) - (np.cumsum(lcount) - lcount), lcount)
-            pos += np.arange(pos.size)
-            p1, p2, p3 = bvh.corners.take(pos, axis=0).transpose(1, 0, 2)
-            t, m1, m2 = _mt(origins.take(pair_ray, axis=0), directions.take(pair_ray, axis=0),
-                            p3, p1 - p3, p2 - p3)
-            hit = np.flatnonzero(t < np.inf)
-            pair_ray, t, ids = pair_ray.take(hit), t.take(hit), bvh.order.take(pos.take(hit))
-            # each ray's smallest t of this step over its segment, then the lowest
-            # id at that t; a (ray, facet) pair occurs once, so one pair wins
-            seg = np.flatnonzero(np.diff(pair_ray, prepend=-1))
-            size = np.diff(seg, append=pair_ray.size)
-            t_min = np.minimum.reduceat(t, seg)
-            ids[t != np.repeat(t_min, size)] = np.iinfo(np.int64).max
-            id_min = np.minimum.reduceat(ids, seg)
-            win = hit.take(np.flatnonzero(ids == np.repeat(id_min, size)))
-            # then against the ray's best so far
-            r = pair_ray.take(seg)
-            better = (t_min < t_best[r]) | ((t_min == t_best[r]) & (id_min < fid[r]))
-            r, win = r[better], win[better]
-            fid[r], t_best[r], m1_best[r], m2_best[r] = (
-                id_min[better], t_min[better], m1.take(win), m2.take(win))
-            inner = np.flatnonzero(~leaf)
-            ray, node = ray.take(inner), node.take(inner)
-        node = bvh.grandchild.take(node, axis=0).ravel()
-        live = np.flatnonzero(node >= 0)
-        ray, node = ray.take(live >> 2), node.take(live)
+            if d >= depth:
+                count = bvh.count.take(node)
+                leaf = count > 0
+                if leaf.any():
+                    at = np.flatnonzero(leaf)
+                    # expand each (ray, leaf) pair into its (ray, facet) pairs
+                    lcount = count.take(at)
+                    pair_ray = np.repeat(ray.take(at), lcount)
+                    # each pair's row of `order` and `corners`: its leaf's start plus its offset
+                    pos = np.repeat(bvh.start.take(node.take(at)) - (np.cumsum(lcount) - lcount),
+                                    lcount)
+                    pos += np.arange(pos.size)
+                    t, m1, m2 = _mt(origins.take(pair_ray, axis=0),
+                                    directions.take(pair_ray, axis=0),
+                                    *bvh.corners.take(pos, axis=0).transpose(1, 0, 2))
+                    hit = np.flatnonzero(t < np.inf)
+                    pair_ray, t = pair_ray.take(hit), t.take(hit)
+                    ids = bvh.order.take(pos.take(hit))
+                    # each ray's smallest t of this step over its segment, then the lowest
+                    # id at that t; a (ray, facet) pair occurs once, so one pair wins
+                    seg = np.flatnonzero(np.diff(pair_ray, prepend=-1))
+                    size = np.diff(seg, append=pair_ray.size)
+                    t_min = np.minimum.reduceat(t, seg)
+                    ids[t != np.repeat(t_min, size)] = np.iinfo(np.int64).max
+                    id_min = np.minimum.reduceat(ids, seg)
+                    win = hit.take(np.flatnonzero(ids == np.repeat(id_min, size)))
+                    # then against the ray's best so far
+                    r = pair_ray.take(seg)
+                    better = (t_min < t_best[r]) | ((t_min == t_best[r]) & (id_min < fid[r]))
+                    r, win = r[better], win[better]
+                    fid[r], t_best[r], m1_best[r], m2_best[r] = (
+                        id_min[better], t_min[better], m1.take(win), m2.take(win))
+                    inner = np.flatnonzero(~leaf)
+                    ray, node = ray.take(inner), node.take(inner)
+            node = bvh.grandchild.take(node, axis=0).ravel()
+            if d + 1 < depth:       # no -1 padding
+                ray = ray.repeat(4)
+            else:
+                live = np.flatnonzero(node >= 0)
+                ray, node = ray.take(live >> 2), node.take(live)
+            d += 2
     return fid, t_best, m1_best, m2_best
 
 
@@ -496,7 +533,7 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
         rays = max(1, _SCAN_PAIRS // mesh.num_facets)
         run = _run_length(origins, rays)
         step = rays // run * run
-        edges = _edges(mesh)        # once per call, not per batch
+        edges = _edges(mesh.vertices, mesh.facets)      # once per call, not per batch
         for lo in range(0, n, step):
             batch = slice(lo, lo + step)
             fid[batch], t_hit[batch], m1_hit[batch], m2_hit[batch] = _scan(

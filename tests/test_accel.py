@@ -614,7 +614,7 @@ class TestScanRuns:
             assert a[order].tobytes() == b.tobytes(), name
 
     def test_scan_temporaries_stay_under_64_kib(self):
-        """A (G, L, F) float64 temporary of a full batch is one request of at
+        """A (F, G, L) float64 temporary of a full batch is one request of at
         most 8 * _SCAN_PAIRS bytes.  glibc's chunk for a request of up to
         65,512 bytes (plus its 8-byte header, rounded to 16) is under 64 KiB,
         the size whose free consolidates and trims the heap."""

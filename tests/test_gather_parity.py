@@ -1,7 +1,7 @@
 """The trace and shade paths against fancy-index and np.cross references.
 
 The package reads rows with `take` on axis 0, which returns exactly the
-rows fancy indexing returns.  The linear scan reads corners through
+rows fancy indexing returns.  The linear scan reads its triangles through
 `accel._edges`, the BVH wavefront from `Bvh.corners`, and both solve
 through `accel._mt`, so the BVH-vs-scan tests cannot see a change made
 to the kernel.  These references gather with fancy indexing from the
@@ -217,7 +217,7 @@ def test_shade_gathers_match_fancy(traced):
 
 
 def assert_mt_matches_cross(origins, directions, triangles):
-    """`_mt` against `cross_mt` on the scan's (R, 1, 3) x (F, 3) layout and on
+    """`_mt` against `cross_mt` on the scan's (F, 1, 3) x (R, 3) layout and on
     the BVH leaves' (P, 3) pair layout of every (ray, facet) pair: t bitwise
     everywhere, m1 and m2 bitwise wherever t is finite.  Returns the (R, F) t."""
     p3 = triangles[:, 2]
@@ -225,7 +225,7 @@ def assert_mt_matches_cross(origins, directions, triangles):
     r, f = origins.shape[0], triangles.shape[0]
     pair_ray, pair_facet = np.repeat(np.arange(r), f), np.tile(np.arange(f), r)
     layouts = [
-        ((origins[:, None, :], directions[:, None, :]) + edges, (r, f)),
+        ((origins, directions) + tuple(e[:, None, :] for e in edges), (f, r)),
         ((origins[pair_ray], directions[pair_ray]) + tuple(e[pair_facet] for e in edges),
          (r * f,)),
     ]
@@ -373,12 +373,30 @@ def split(ids, sizes):
     return np.split(np.asarray(ids, dtype=np.int64), np.cumsum(sizes)[:-1])
 
 
-# leaves at depths 1, 2 and 3, in either order under the root
+def balanced(parts):
+    """A tree over the leaves `parts`, halved at each level."""
+    half = len(parts) // 2
+    return parts[0] if len(parts) == 1 else (balanced(parts[:half]), balanced(parts[half:]))
+
+
+# Leaves at depths 1, 2 and 3, in either order under the root; then trees
+# for the steps `_traverse` plans from the shallowest leaf's depth D: a
+# root leaf (D = 0); D = 2, whose leaves the first step reaches, with -1
+# padding in the rows of its last expansion; D = 3, odd, so the step at
+# depth 2 is the last before a leaf step and its rows hold -1 padding;
+# and D = 4, even, after an expansion without padding, with a deeper leaf.
 HAND_SHAPES = {
     "depths-1-2-3": lambda ids: (lambda a, b, c, d: (a, (b, (c, d))))(*split(ids, [3, 5, 4, 8])),
     "depths-3-2-1": lambda ids: (lambda a, b, c, d: (((a, b), c), d))(*split(ids, [6, 2, 7, 5])),
     "depths-3-2-3": lambda ids: (lambda a, b, c, d, e, f, g: (((a, b), c), ((d, e), (f, g))))(
         *split(ids, [2, 3, 4, 3, 2, 3, 3])),
+    "root-leaf": lambda ids: ids,
+    "depths-2-3": lambda ids: (lambda a, b, c, d, e, f: ((a, b), ((c, d), (e, f))))(
+        *split(ids, [3, 4, 3, 3, 4, 3])),
+    "depths-3-4": lambda ids: (lambda a, b, c, d, e, f, g, h, i: (
+        ((a, b), (c, (d, e))), ((f, g), (h, i))))(*split(ids, [2, 2, 3, 2, 2, 2, 3, 2, 2])),
+    "depths-4-5": lambda ids: (lambda parts: balanced(parts[:5] + [tuple(parts[5:7])]
+                                                      + parts[7:]))(np.array_split(ids, 17)),
 }
 
 
@@ -463,9 +481,22 @@ def test_copies_in_sibling_leaves_across_two_batches():
     assert np.all(got[0] == copy_ids[0]) and np.all(got[1] == 2.0)
 
 
+def leaf_depth_oracle(bvh):
+    """The depth of the shallowest leaf, by a walk from the root."""
+    depth, stack = [], [(0, 0)]
+    while stack:
+        node, d = stack.pop()
+        if bvh.count[node] > 0:
+            depth.append(d)
+        else:
+            stack += [(bvh.left[node], d + 1), (bvh.right[node], d + 1)]
+    return min(depth)
+
+
 def test_derived_arrays_match_the_tree(traced):
     """`grandchild` against a loop; `slabs` holds the boxes, zero-padded;
-    `corners` holds each facet's corners in leaf order."""
+    `corners` holds each facet's (p3, p1 - p3, p2 - p3) in leaf order;
+    `leaf_depth` is the shallowest leaf's depth."""
     rng = np.random.default_rng(20_262)
     trees = [traced[1], build_bvh(soup(rng, 3000)), build_bvh(soup(rng, 1)),
              build_bvh(soup(rng, 5)), build_bvh(soup(rng, 9))]
@@ -476,6 +507,12 @@ def test_derived_arrays_match_the_tree(traced):
         assert bvh.slabs.shape == (2, bvh.num_nodes, 4) and np.all(bvh.slabs[..., 3] == 0.0)
         assert bvh.box_min.shape == bvh.box_max.shape == (bvh.num_nodes, 3)
         assert np.array_equal(bvh.slabs[..., :3], np.stack([bvh.box_min, bvh.box_max]))
-        expect = bvh.mesh.vertices[bvh.mesh.facets][bvh.order]
+        p1, p2, p3 = bvh.mesh.vertices[bvh.mesh.facets][bvh.order].transpose(1, 0, 2)
+        expect = np.stack([p3, p1 - p3, p2 - p3], axis=1)
         assert bvh.corners.dtype == np.float64 and bvh.corners.shape == (bvh.order.size, 3, 3)
         assert bvh.corners.tobytes() == expect.tobytes()
+        assert bvh.leaf_depth == leaf_depth_oracle(bvh)
+    depths = {case[0]: case[2].leaf_depth for case in traverse_cases()}
+    assert depths["root-leaf"] == 0 and depths["depths-2-3"] == 2
+    assert depths["depths-3-4"] == 3 and depths["depths-4-5"] == 4
+    assert traced[1].leaf_depth == 12
