@@ -14,17 +14,19 @@ around every operation.  It prints one line per operation with the medians, here
 a 2-core Xeon VM (numpy 2.4.6, glibc 2.36):
 
     operation         ops  minflt_p50  cpu_ms_p50
-    simulate          200         150       4.549
-    learn_iteration   200           0       0.308
-    bvh_render        200           0       1.279
-    bvh_render_16     200           0       0.677
+    simulate          200         102       4.241
+    learn_iteration   200           0       0.268
+    bvh_render        200           0       1.191
+    bvh_render_16     200           0       0.662
 
-The simulate fault count depends on the host and on the run: eight runs
-on that VM read 147 to 161, and earlier builds read 129 to 321.  A warm
+The simulate fault count depends on the host, on the run and on the
+code's layout: on that VM this code read 102-103 in nine runs, the same
+shading code with other set-up lines and comments read 171 in fourteen
+of sixteen and 98 in two, and earlier builds read 129 to 321.  A warm
 operation that faults tens or hundreds of pages usually frees a block
 of 64 KiB or more: glibc then trims the top of the heap, and the next
-operation faults the pages back in.  CPU ms are raw process CPU
-time, not the benchmark's calibrated scale.
+operation faults the pages back in.  CPU ms are raw process CPU time,
+not the benchmark's calibrated scale.
 """
 
 import argparse

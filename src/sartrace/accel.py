@@ -157,6 +157,13 @@ class Bvh:
     again.  `leaf_depth`: the depth of the shallowest leaf (the root is
     at depth 0), so no node above it is a leaf; `build_bvh` splits at
     the facet-count median, so its leaves lie at one or two depths.
+
+    A tree must hold each facet in exactly one leaf: `order` a
+    permutation of the facets whose positions the leaves' [start, start +
+    count) ranges cover once each.  Otherwise construction raises a
+    ValueError naming the first facet listed twice or never, since a ray
+    that reached two copies of a facet in one step would break the
+    traversal's per-ray bookkeeping.
     """
 
     box_min: np.ndarray    # (n_nodes, 3)
@@ -173,6 +180,15 @@ class Bvh:
     leaf_depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n, m, leaf = self.mesh.num_facets, self.order.size, self.left < 0
+        lo, hi = self.start[leaf], self.start[leaf] + self.count[leaf]
+        if ((self.order < 0) | (self.order >= n)).any() or (lo < 0).any() or (hi > m).any():
+            raise ValueError(f"Bvh: a facet id or leaf range lies outside the {n} facets")
+        cover = np.cumsum(np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1))
+        listed = np.bincount(self.order, cover[:m], n)
+        wrong = np.flatnonzero(listed != 1)
+        if wrong.size:
+            raise ValueError(f"Bvh: the leaves list facet {wrong[0]} {listed[wrong[0]]:.0f} times")
         slabs = np.zeros((2, self.num_nodes, 4))
         slabs[0, :, :3], slabs[1, :, :3] = self.box_min, self.box_max
         object.__setattr__(self, "slabs", slabs)

@@ -20,13 +20,14 @@ the work the table changes: imaging.shade_hits (shade_views' kernel,
 one imaging.eval_bsdf_at call per wave) over the live hits, one
 np.bincount for every view's pixels, one difference and one square over
 all of them with one sum per view (its loss and its RMSE), dL/dI at the
-pixels the live hits read, and one np.bincount per channel that pulls
-it back into per-view blocks over the touched vertices.  The
-blocks are summed in view order, so losses, RMSEs and every unknown's
-gradient are bitwise the one-view-at-a-time loss_sim, rmse_normalized
-and sum of backward(ledger, dLdI).  grad_check's finite differences
-take the total of this same objective, so the gradient it checks is
-the one learn steps with.
+pixels the live hits read, and one np.bincount per channel with an
+unknown that pulls it back into per-view blocks over the touched
+vertices; a channel that every vertex freezes (tau in every protocol) is
+not assembled.  The blocks are summed in view order, so losses, RMSEs
+and every unknown's gradient are bitwise the one-view-at-a-time
+loss_sim, rmse_normalized and sum of backward(ledger, dLdI).
+grad_check's finite differences take the total of this same objective,
+so the gradient it checks is the one learn steps with.
 
 Adam steps a vector of unknowns: one per channel of a free vertex or of
 a tied vertex group (one shared record, gradients summed over the
@@ -324,6 +325,8 @@ class _Stack:
     live_counts: np.ndarray       # (views,) how many live hits each view has
     touched: np.ndarray           # (T,) vertices with unknowns that live hits reach
     slot: np.ndarray              # (L * 3,) adjoint bin view * T + touched of each corner
+    channels: np.ndarray          # (C,) the channels with an unknown, ascending
+    product: np.ndarray           # (L, 3) the adjoint's buffer: bary rows x one partial
     edges: np.ndarray             # (E, 2) the mesh's edges, the TV term's pairs
 
 
@@ -337,8 +340,11 @@ def _stack(params: ParamMap, views, entries=None) -> _Stack:
     refs = [ref for _, ref in views]
     view_id = np.repeat(np.arange(len(views)), np.diff(starts))
 
-    movable = (np.ones(n, dtype=bool) if entries is None
-               else np.bincount(np.asarray(entries) // 4, minlength=n) > 0)
+    entries = np.arange(4 * n) if entries is None else np.asarray(entries)
+    movable = np.bincount(entries // 4, minlength=n) > 0
+    # np.bincount, not np.unique, whose hash table of the entries raised the
+    # cube recovery's peak memory by about 1 MB
+    channels = np.flatnonzero(np.bincount(entries % 4, minlength=4))
     reach = movable.take(vids)                       # (H, 3)
     is_live = reach.any(axis=1)
     live, frozen = np.flatnonzero(is_live), np.flatnonzero(~is_live)
@@ -361,14 +367,17 @@ def _stack(params: ParamMap, views, entries=None) -> _Stack:
         corners=np.ascontiguousarray(corner.T), bary=bary[live], weight=weight[live],
         groups=by_wave(waves, wave_id[live], theta[live]), live_pixel=pixel[live],
         live_counts=np.bincount(view_id[live], minlength=len(views)), touched=touched,
-        slot=slot.ravel(), edges=mesh_edges(views[0][0].mesh))
+        slot=slot.ravel(), channels=channels, product=np.empty((live.size, 3)),
+        edges=mesh_edges(views[0][0].mesh))
 
 
 def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig):
     """One learn iteration: (total, sim, tv, d(total)/d(params), per-view
     RMSE).  Bitwise the per-view loss_sim and rmse_normalized, with views'
     data terms summed in order, then the TV term.  The gradient is exact
-    at every vertex with an unknown; elsewhere it holds the TV term only."""
+    at every entry with an unknown: the adjoint runs over the stack's
+    channels only, one product into stack.product and one np.bincount
+    each.  Elsewhere it holds the TV term only."""
     sigma, dsigma = shade_hits(params, stack.corners, stack.bary.T, stack.groups)
     intensity = stack.intensity.copy()
     intensity[stack.live] = stack.weight * sigma
@@ -396,14 +405,16 @@ def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig):
     dLdI = np.repeat(coef, stack.live_counts) * (scaled if cfg.normalize else diff).take(pixel)
     if cfg.normalize:
         dLdI /= stack.scale.take(pixel)
-    g_sigma = dLdI * stack.weight
+    partial = (dLdI * stack.weight) * dsigma.take(stack.channels, axis=0)   # (C, L)
     size = stack.touched.size
-    blocks = np.stack([np.bincount(stack.slot, (stack.bary * (g_sigma * d)[:, None]).ravel(),
-                                   num_views * size + 1) for d in dsigma])
-    adjoint = np.zeros((4, size))
+    blocks = np.empty((partial.shape[0], num_views * size + 1))
+    for block, d in zip(blocks, partial):
+        np.multiply(stack.bary, d[:, None], out=stack.product)
+        block[:] = np.bincount(stack.slot, stack.product.ravel(), block.size)
+    adjoint = np.zeros((partial.shape[0], size))
     for vi in range(num_views):                 # the views' sums in order, as one view at a time
         adjoint += blocks[:, vi * size:(vi + 1) * size]
-    grads[stack.touched] += adjoint.T
+    grads[stack.touched[:, None], stack.channels] += adjoint.T
     return sim + tv, sim, tv, grads, rmses
 
 
@@ -424,8 +435,8 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     naming the view for a table of another size or another mesh: hits
     that touch no vertex with an unknown are shaded once, and only the
     others on every iteration.  The gradient handed to adam_step is exact
-    at every vertex with an unknown, so a non-finite partial stops learn
-    only on a hit that reaches one.
+    at every entry with an unknown, so a non-finite partial stops learn
+    only in a channel of an unknown, on a hit that reaches one.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")

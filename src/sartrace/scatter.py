@@ -30,6 +30,13 @@ frequency q = 2 k sin(theta) and its factor in dlog(W)/dl, tan^2 and the
 SPM prefactor 8 k^4 cos^4.  eval_bsdf_at evaluates sigma and its
 partials from a record and the parameter rows.  A caller that shades
 fixed hits under many parameter tables (learn) builds the record once.
+eval_bsdf_at computes each term the formulas share once (1 - tau, l^2,
+the SPM prefactor times W, the Fresnel denominators, 1 + sqrt(eps_r),
+tan^2 / a) and writes a temporary in place (out=, *=) once one of its
+operands is used up.  Every output keeps the bits of the formulas as
+written: their operations in their order, up to exact rewrites (x / 2
+as x * 0.5, -x / 4 as x * -0.25, a sign moved from one factor or
+dividend to another, which can change only a NaN's sign bit).
 
 Each branch holds only inside its own roughness region.  validity_mask
 reports these seven conditions per hit, one column each in this order
@@ -144,67 +151,77 @@ def eval_bsdf_batch(theta, values, wave: WaveConfig):
 def eval_bsdf_at(angles: BsdfAngles, values):
     """eval_bsdf_batch's parameter part: (sigma (n,), grads (n, 4)) of the
     hits whose angle terms are `angles`, at parameter rows values (n, 4).
-    grads is the transpose of a (4, n) array: each channel is contiguous."""
+    grads is the transpose of a (4, n) array: each channel is contiguous.
+    values and the angle arrays are only read."""
     values = np.asarray(values, dtype=np.float64)
-    h = values[:, 0]
-    l = values[:, 1]
-    eps = values[:, 2]
-    tau = values[:, 3]
-    ct, c4, q, qq, pref = angles.ct, angles.c4, angles.q, angles.qq, angles.pref
+    h, l, eps, tau = values[:, 0], values[:, 1], values[:, 2], values[:, 3]
+    ct, c4, q, qq, pref, tan2 = angles.ct, angles.c4, angles.q, angles.qq, angles.pref, angles.tan2
+    grads = np.empty((4, h.size))
 
     # --- SPM branch ------------------------------------------------
+    w = h * h * l
+    w *= l
+    ql2 = np.square(q * l)
     if angles.wave.psd_kind == "gaussian":
-        w = (h * h * l * l / (4.0 * math.pi)) * np.exp(-(q * l) ** 2 / 4.0)
-        dw_dl_over_w = 2.0 / l - qq * l / 2.0
+        w /= 4.0 * math.pi
+        w *= np.exp(np.multiply(ql2, -0.25, out=ql2), out=ql2)     # -(q l)^2 / 4, exactly
+        dw_dl_over_w = qq * l * 0.5
     else:
-        denom = 1.0 + (q * l) ** 2
-        w = h * h * l * l / (math.pi ** 2 * denom)
-        dw_dl_over_w = 2.0 / l - qq * l / denom
+        ql2 += 1.0                                                  # the PSD's denominator
+        dw_dl_over_w = qq * l / ql2
+        w /= np.multiply(ql2, math.pi ** 2, out=ql2)
+    np.subtract(2.0 / l, dw_dl_over_w, out=dw_dl_over_w)
 
     # eps - sin^2 written as (eps - 1) + cos^2: exactly cos(theta) at eps = 1,
     # where eps - s2 rounds to 0 within ~1e-9 of grazing
-    root = np.sqrt((eps - 1.0) + angles.cc)
+    em1 = eps - 1.0
+    root = np.sqrt(em1 + angles.cc)
     if angles.wave.polarization == "HH":
-        r = (ct - root) / (ct + root)
-        f = r * r
+        ctr = ct + root
+        f = (ct - root) / ctr                                       # r
         # dr/deps = -ct / (root (ct + root)^2)
-        df_deps = 2.0 * r * (-ct / (root * (ct + root) ** 2))
+        df_deps = -2.0 * f * (ct / (root * np.multiply(ctr, ctr, out=ctr)))
+        f *= f
     else:
         s2 = angles.s2
-        a_num = (eps - 1.0) * (s2 - eps * ct * ct)
-        b_den = (eps * ct + root) ** 2
-        g = a_num / b_den
-        f = g * g
+        ect = eps * ct
+        b_den = ect + root
+        db = 2.0 * b_den * (ct + 1.0 / (2.0 * root))
+        a_num = em1 * (s2 - np.multiply(ect, ct, out=ect))
+        b_den *= b_den
+        f = a_num / b_den                                           # g
         da = s2 - (2.0 * eps - 1.0) * ct * ct
-        db = 2.0 * (eps * ct + root) * (ct + 1.0 / (2.0 * root))
-        df_deps = 2.0 * g * (da * b_den - a_num * db) / b_den ** 2
+        df_deps = 2.0 * f * (da * b_den - a_num * db)
+        df_deps /= np.multiply(b_den, b_den, out=b_den)
+        f *= f
 
-    sig_s = pref * w * f
+    pw = pref * w
+    sig_s = np.multiply(pw, f, out=f)
     ds_dh = 2.0 * sig_s / h
-    ds_dl = sig_s * dw_dl_over_w
-    ds_deps = pref * w * df_deps
+    ds_dl = np.multiply(sig_s, dw_dl_over_w, out=dw_dl_over_w)
+    ds_deps = np.multiply(pw, df_deps, out=df_deps)
 
     # --- KA branch (Gaussian correlation slope) --------------------
-    a = 4.0 * h * h / (l * l)            # 2 * mean-square slope
+    ll = l * l
+    a = 4.0 * h * h / ll                 # 2 * mean-square slope
     rt = np.sqrt(eps)
-    r0 = (1.0 - rt) / (1.0 + rt)
-    tan2 = angles.tan2
-    g_geom = np.exp(-tan2 / a) / (c4 * a)
+    opr = 1.0 + rt
+    r0 = (1.0 - rt) / opr
+    ta = tan2 / a
+    g_geom = np.exp(-ta) / (c4 * a)
     sig_k = r0 * r0 * g_geom
-    dk_da = sig_k * (tan2 / a - 1.0) / a
-    dk_dh = dk_da * 8.0 * h / (l * l)
+    np.subtract(sig_k, sig_s, out=grads[3])
+    dk_da = sig_k * (ta - 1.0) / a
+    dk_dh = dk_da * 8.0 * h / ll
     dk_dl = dk_da * (-8.0 * h * h / l ** 3)
-    dr0_deps = -1.0 / (rt * (1.0 + rt) ** 2)
+    dr0_deps = -1.0 / (rt * np.multiply(opr, opr, out=opr))
     dk_deps = 2.0 * r0 * dr0_deps * g_geom
 
     # --- tau blend --------------------------------------------------
-    sigma = (1.0 - tau) * sig_s + tau * sig_k
-    grads = np.stack([
-        (1.0 - tau) * ds_dh + tau * dk_dh,
-        (1.0 - tau) * ds_dl + tau * dk_dl,
-        (1.0 - tau) * ds_deps + tau * dk_deps,
-        sig_k - sig_s,
-    ])
+    omt = 1.0 - tau
+    sigma = omt * sig_s + np.multiply(tau, sig_k, out=sig_k)
+    for row, ds, dk in zip(grads, (ds_dh, ds_dl, ds_deps), (dk_dh, dk_dl, dk_deps)):
+        np.add(np.multiply(omt, ds, out=ds), np.multiply(tau, dk, out=dk), out=row)
     return sigma, grads.T
 
 

@@ -481,6 +481,35 @@ def test_copies_in_sibling_leaves_across_two_batches():
     assert np.all(got[0] == copy_ids[0]) and np.all(got[1] == 2.0)
 
 
+def test_tree_listing_a_facet_twice_or_never_is_rejected():
+    """Bvh checks that `order` is a permutation of the facets and that the
+    leaves' ranges cover each of its positions once, and names the first
+    facet listed twice or never.  Two leaves that shared a facet used to
+    pass, and a ray reaching both in one step raised an IndexError deep in
+    `_traverse`."""
+    mesh = soup(np.random.default_rng(20_264), 20)
+    ids = np.arange(20)
+    with pytest.raises(ValueError, match=r"^Bvh: the leaves list facet 0 2 times$"):
+        hand_bvh(mesh, ((ids[:6], ids[6:12]), (ids[12:20], ids[:3])))
+    with pytest.raises(ValueError, match=r"^Bvh: the leaves list facet 19 0 times$"):
+        hand_bvh(mesh, ((ids[:6], ids[6:12]), ids[12:19]))
+    tree = hand_bvh(mesh, ((ids[:6], ids[6:12]), ids[12:]))     # leaves at 8, 14 and 0
+    fields = {name: getattr(tree, name).copy()
+              for name in ("box_min", "box_max", "left", "right", "start", "count", "order")}
+    for count, facet, times in ((7, 6, 2), (5, 5, 0)):     # the leaf at 8 overlaps or falls short
+        fields["count"][3] = count
+        with pytest.raises(ValueError, match=rf"^Bvh: the leaves list facet {facet} {times} "):
+            Bvh(**fields, mesh=mesh)
+    fields["count"][3] = 6
+    for name, at, bad in (("order", 0, 20), ("order", 0, -1), ("start", 4, 15)):
+        kept = fields[name][at]
+        fields[name][at] = bad
+        with pytest.raises(ValueError, match=r"^Bvh: a facet id or leaf range lies outside"):
+            Bvh(**fields, mesh=mesh)
+        fields[name][at] = kept
+    assert Bvh(**fields, mesh=mesh).leaf_depth == 1
+
+
 def leaf_depth_oracle(bvh):
     """The depth of the shallowest leaf, by a walk from the root."""
     depth, stack = [], [(0, 0)]

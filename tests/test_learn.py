@@ -983,6 +983,58 @@ class TestStackedObjective:
         np.testing.assert_array_equal(params.values[:3], before[:3])
         assert not np.array_equal(params.values[3:], before[3:])
 
+    @pytest.mark.parametrize("nan_channel", [3, 1])
+    def test_adjoint_assembles_only_the_channels_with_an_unknown(
+            self, learn_setup, monkeypatch, nan_channel):
+        """With tau frozen, a NaN tau partial on every live hit is never
+        assembled and learn steps; a NaN l partial still stops learn,
+        naming l alone, by the rule that a partial reaches adam_step only
+        through an unknown."""
+        mesh, params, radar = learn_setup
+        ref = render(mesh, params, radar)[0].intensities * 1.1
+
+        def nan_partials(angles, values):
+            sigma, grads = eval_bsdf_at(angles, values)
+            grads[:, nan_channel] = np.nan
+            return sigma, grads
+
+        monkeypatch.setattr(imaging, "eval_bsdf_at", nan_partials)
+        opt = OptimState.create(mesh.num_vertices, freeze_channels=("tau",))
+        before = params.values.copy()
+        views = traced(mesh, [(radar, ref)])
+        if nan_channel != 3:
+            with pytest.raises(ValueError, match=r"non-finite gradient at vertex \d+, "
+                                                 r"channel\(s\) l; step rejected"):
+                learn(params, views, opt, CFG_RAW, iters=2)
+            return
+        res = learn(params, views, opt, CFG_RAW, iters=2)
+        assert res.iterations == 2 and not res.aborted
+        assert np.isfinite(res.total_loss).all()
+        np.testing.assert_array_equal(params.values[:, 3], before[:, 3])
+        assert not np.array_equal(params.values[:, :3], before[:, :3])
+
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param(dict(freeze_channels=("tau",)), id="tau-frozen"),
+        pytest.param(dict(freeze_channels=("h", "eps_r"), freeze_vertices=[0]), id="l-tau"),
+        pytest.param(dict(freeze_vertices=[0, 1], tie_groups=[[3, 4]],
+                          freeze_channels=("l",)), id="tied"),
+        pytest.param({}, id="all-free"),
+    ])
+    def test_gradient_at_every_entry_matches_the_all_channel_stack(self, mixed_views, kwargs):
+        """A stack built with the optimizer's entries assembles only their
+        channels, yet its objective is bitwise the one of a stack built
+        with entries=None (grad_check's) at every entry: losses, RMSEs and
+        each entry's gradient."""
+        mesh, start, refs = mixed_views
+        cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
+        views = learn_mod._checked(traced(mesh, refs))
+        entries = OptimState.create(mesh.num_vertices, **kwargs).entries
+        full = learn_mod._objective(learn_mod._stack(start, views), start, cfg)
+        part = learn_mod._objective(learn_mod._stack(start, views, entries), start, cfg)
+        assert part[:3] == full[:3] and part[4].tobytes() == full[4].tobytes()
+        assert part[3].take(entries).tobytes() == full[3].take(entries).tobytes()
+        assert np.abs(part[3].take(entries)).max() > 0.0
+
     @pytest.mark.parametrize("shift, num_bins, bin_pattern", [
         (0.0, 2, r"\d+"), (-1.0, None, r"-\d+")])
     def test_range_window_leaving_out_a_hit_raises_on_entry(

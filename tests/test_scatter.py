@@ -425,3 +425,108 @@ def test_angle_record_serves_many_tables_and_any_split(seed, n, pol, kind):
             assert part_sigma.tobytes() == sigma[part].tobytes()
             assert part_grads.tobytes() == grads[part].tobytes()
     assert all(getattr(angles, name).tobytes() == v.tobytes() for name, v in before.items())
+
+
+def frozen_eval_bsdf_at(angles, values):
+    """eval_bsdf_at as it was before it shared subterms and wrote in place:
+    one fresh array per operation, each formula written out once per use.
+    Kept verbatim as the oracle that pins the kernel's bits."""
+    values = np.asarray(values, dtype=np.float64)
+    h = values[:, 0]
+    l = values[:, 1]
+    eps = values[:, 2]
+    tau = values[:, 3]
+    ct, c4, q, qq, pref = angles.ct, angles.c4, angles.q, angles.qq, angles.pref
+
+    # --- SPM branch ------------------------------------------------
+    if angles.wave.psd_kind == "gaussian":
+        w = (h * h * l * l / (4.0 * math.pi)) * np.exp(-(q * l) ** 2 / 4.0)
+        dw_dl_over_w = 2.0 / l - qq * l / 2.0
+    else:
+        denom = 1.0 + (q * l) ** 2
+        w = h * h * l * l / (math.pi ** 2 * denom)
+        dw_dl_over_w = 2.0 / l - qq * l / denom
+
+    root = np.sqrt((eps - 1.0) + angles.cc)
+    if angles.wave.polarization == "HH":
+        r = (ct - root) / (ct + root)
+        f = r * r
+        df_deps = 2.0 * r * (-ct / (root * (ct + root) ** 2))
+    else:
+        s2 = angles.s2
+        a_num = (eps - 1.0) * (s2 - eps * ct * ct)
+        b_den = (eps * ct + root) ** 2
+        g = a_num / b_den
+        f = g * g
+        da = s2 - (2.0 * eps - 1.0) * ct * ct
+        db = 2.0 * (eps * ct + root) * (ct + 1.0 / (2.0 * root))
+        df_deps = 2.0 * g * (da * b_den - a_num * db) / b_den ** 2
+
+    sig_s = pref * w * f
+    ds_dh = 2.0 * sig_s / h
+    ds_dl = sig_s * dw_dl_over_w
+    ds_deps = pref * w * df_deps
+
+    # --- KA branch (Gaussian correlation slope) --------------------
+    a = 4.0 * h * h / (l * l)
+    rt = np.sqrt(eps)
+    r0 = (1.0 - rt) / (1.0 + rt)
+    tan2 = angles.tan2
+    g_geom = np.exp(-tan2 / a) / (c4 * a)
+    sig_k = r0 * r0 * g_geom
+    dk_da = sig_k * (tan2 / a - 1.0) / a
+    dk_dh = dk_da * 8.0 * h / (l * l)
+    dk_dl = dk_da * (-8.0 * h * h / l ** 3)
+    dr0_deps = -1.0 / (rt * (1.0 + rt) ** 2)
+    dk_deps = 2.0 * r0 * dr0_deps * g_geom
+
+    # --- tau blend --------------------------------------------------
+    sigma = (1.0 - tau) * sig_s + tau * sig_k
+    grads = np.stack([
+        (1.0 - tau) * ds_dh + tau * dk_dh,
+        (1.0 - tau) * ds_dl + tau * dk_dl,
+        (1.0 - tau) * ds_deps + tau * dk_deps,
+        sig_k - sig_s,
+    ])
+    return sigma, grads.T
+
+
+@pytest.mark.parametrize("pol", ["HH", "VV"])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+def test_kernel_is_bitwise_the_frozen_oracle(pol, kind):
+    """sigma and every partial carry the frozen oracle's bits, with NaN at
+    the same positions, over random rows in the box and beyond it, the
+    box's corners, theta from 0 to grazing and eps_r at its floor; values
+    and the angle record are only read, and the gradient table is
+    writable.  A NaN's sign bit may differ: the KA exponent is computed
+    as -(tan^2 / a), the oracle's as (-tan^2) / a, equal for every number."""
+    rng = np.random.default_rng(3401)
+    wave = WaveConfig(9.6e9, pol, kind)
+    n = 2000
+    theta = rng.uniform(0.0, 1.5, n)
+    theta[:40] = rng.uniform(0.0, 1e-3, 40)
+    theta[40:80] = rng.uniform(math.pi / 2 - 1e-3, math.pi / 2, 40)
+    theta[80] = math.pi / 2
+    values = np.column_stack([10.0 ** rng.uniform(-7, 0, n), 10.0 ** rng.uniform(-7, 1, n),
+                              1.0 + 10.0 ** rng.uniform(-6, 4, n), rng.random(n)])
+    values[100:116] = np.array(np.meshgrid(*BOX)).reshape(4, -1).T      # the 16 corners
+    values[200:400] = rng.uniform(PARAM_LOWER, PARAM_UPPER, (200, 4))
+    values[400:420, 2] = PARAM_LOWER[2]                                 # eps_r = 1 + 1e-6
+    values[500:510] = rng.uniform(-1.0, 20.0, (10, 4))                  # outside the box
+    values[510 + np.arange(4), np.arange(4)] = np.nan                   # one channel each
+    values = values[rng.permutation(n)]
+    angles = bsdf_angles(theta, wave)
+    before = {name: getattr(angles, name).tobytes() for name in angles._fields if name != "wave"}
+    kept = values.tobytes()
+    with np.errstate(all="ignore"):
+        want_sigma, want_grads = frozen_eval_bsdf_at(angles, values)
+        sigma, grads = eval_bsdf_at(angles, values)
+    assert np.isnan(want_grads).any() and np.isfinite(want_sigma).sum() > n - 100
+    for got, want in ((sigma, want_sigma), (grads, want_grads)):
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert values.tobytes() == kept
+    assert all(getattr(angles, name).tobytes() == v for name, v in before.items())
+    grads[0] = np.nan
+    assert grads.shape == (n, 4) and grads.T.flags.c_contiguous
