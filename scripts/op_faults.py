@@ -3,30 +3,36 @@
 
     PYTHONPATH=src python3 scripts/op_faults.py --ops 200
 
-Four operations: one `sartrace simulate` command on the README demo
+Five operations: one `sartrace simulate` command on the README demo
 scene (as scripts/make_demo_scene.py writes it), one `learn` iteration of
-the cube recovery protocol, and one render of a 256-ray and of a 16-ray
-view of a seeded 20,000-facet heightfield through its BVH (built once,
-before the renders); the 16-ray view shows a view's cost that does not
-grow with its rays.  Each runs WARMUP times first, then --ops times, and
-the script reads the process's `ru_minflt` (all threads) and CPU time
-around every operation.  It prints one line per operation with the medians, here from
-a 2-core Xeon VM (numpy 2.4.6, glibc 2.36):
+the cube recovery protocol, one `learn` iteration on a seeded
+20,000-facet heightfield (every vertex tied, tau frozen, lambda_mat =
+1e-3, three 256-ray views at azimuths 0, 120 and 240 degrees), and one
+render of a 256-ray and of a 16-ray view of that heightfield through its
+BVH (built once, before the renders); the 16-ray view shows a view's
+cost that does not grow with its rays.  Each runs WARMUP times first,
+then --ops times, and the script reads the process's `ru_minflt` (all
+threads) and CPU time around every operation.  It prints one line per
+operation with the medians, here from a 2-core Xeon VM (numpy 2.4.6,
+glibc 2.36):
 
-    operation         ops  minflt_p50  cpu_ms_p50
-    simulate          200         102       4.241
-    learn_iteration   200           0       0.268
-    bvh_render        200           0       1.191
-    bvh_render_16     200           0       0.662
+    operation                 ops  minflt_p50  cpu_ms_p50
+    simulate                  200          96       4.170
+    learn_iteration           200           0       0.239
+    terrain_learn_iteration   200           0       0.313
+    bvh_render                200           0       1.197
+    bvh_render_16             200           0       0.651
 
-The simulate fault count depends on the host, on the run and on the
-code's layout: on that VM this code read 102-103 in nine runs, the same
-shading code with other set-up lines and comments read 171 in fourteen
-of sixteen and 98 in two, and earlier builds read 129 to 321.  A warm
-operation that faults tens or hundreds of pages usually frees a block
-of 64 KiB or more: glibc then trims the top of the heap, and the next
-operation faults the pages back in.  CPU ms are raw process CPU time,
-not the benchmark's calibrated scale.
+Shading the heightfield's three views takes about 0.19 ms.  When learn
+handed adam_step an (n, 4) gradient table and summed the TV term over
+every edge, its heightfield iteration read 692 to 1,147 faults and 2.9
+to 3.1 ms.  The
+simulate fault count depends on the host, on the run and on the code's
+layout: on that VM it has read 96 to 321 for the same shading code.  A
+warm operation that faults tens or hundreds of pages usually frees a
+block of 64 KiB or more: glibc then trims the top of the heap, and the
+next operation faults the pages back in.  CPU ms are raw process CPU
+time, not the benchmark's calibrated scale.
 """
 
 import argparse
@@ -48,10 +54,11 @@ import sartrace.learn
 from sartrace import cli
 from sartrace.accel import build_bvh
 from sartrace.experiments import AdamPhase, cube_recovery_protocol, run_recovery
-from sartrace.imaging import render
+from sartrace.imaging import render, shade_views, trace_views
+from sartrace.learn import LossConfig, OptimState, learn
 from sartrace.scatter import WaveConfig
 from sartrace.scene import Mesh, ParamMap
-from sartrace.scenes import side_looking_radar
+from sartrace.scenes import multiview_radars, side_looking_radar
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from make_demo_scene import write_demo  # noqa: E402
@@ -87,10 +94,9 @@ def simulate(ops):
     return _medians(readings)
 
 
-def learn_iteration(ops):
-    """One iteration is the span between consecutive adam_step calls."""
-    proto = cube_recovery_protocol()
-    proto = replace(proto, phases=(AdamPhase(lr=0.10, iters=WARMUP + ops + 1, beta2=0.99),))
+def _adam_steps(run):
+    """Readings at every adam_step call while run() learns: an iteration is
+    the span between consecutive calls.  Medians after the first WARMUP."""
     readings, adam_step = [], sartrace.learn.adam_step
 
     def timed(*args):
@@ -99,15 +105,22 @@ def learn_iteration(ops):
 
     sartrace.learn.adam_step = timed
     try:
-        run_recovery(proto)
+        run()
     finally:
         sartrace.learn.adam_step = adam_step
     return _medians(readings[WARMUP:])
 
 
-def bvh_render(ops, num_azimuth=16):
-    """One view of num_azimuth rows of 16 rays of a seeded 100 x 100-cell
-    heightfield, rendered through its BVH."""
+def learn_iteration(ops):
+    """One iteration of the cube recovery protocol's first phase."""
+    proto = cube_recovery_protocol()
+    proto = replace(proto, phases=(AdamPhase(lr=0.10, iters=WARMUP + ops + 1, beta2=0.99),))
+    return _adam_steps(lambda: run_recovery(proto))
+
+
+def heightfield(num_azimuth=16):
+    """A seeded 100 x 100-cell heightfield, its table and a radar of
+    num_azimuth rows of 16 rays."""
     rng = np.random.default_rng(7)
     xs = np.linspace(-10.0, 10.0, 101)
     x, y = np.meshgrid(xs, xs, indexing="ij")
@@ -123,6 +136,28 @@ def bvh_render(ops, num_azimuth=16):
                                track_length=12.0, num_azimuth=num_azimuth,
                                fan_halfwidth=math.radians(12.0), num_angles=8,
                                range_res=0.1, spua=2, seed=5)
+    return mesh, params, radar
+
+
+def terrain_learn_iteration(ops):
+    """One learn iteration on the heightfield, every vertex tied, tau
+    frozen, lambda_mat = 1e-3, from three 256-ray views at azimuths 0, 120
+    and 240 degrees."""
+    mesh, truth, radar = heightfield()
+    bvh = build_bvh(mesh)
+    hitsets = trace_views(mesh, multiview_radars(radar, (0.0, 120.0, 240.0)), bvh=bvh)
+    views = [(hits, image.intensities) for hits, (image, _) in zip(
+        hitsets, shade_views(hitsets, truth))]
+    start = ParamMap.constant(mesh.num_vertices, 0.005, 0.015, 12.0, 0.05)
+    opt = OptimState.create(mesh.num_vertices, lr=0.05, freeze_channels=("tau",),
+                            tie_groups=[np.arange(mesh.num_vertices)])
+    return _adam_steps(lambda: learn(start, views, opt, LossConfig(lambda_mat=1e-3),
+                                     iters=WARMUP + ops + 1))
+
+
+def bvh_render(ops, num_azimuth=16):
+    """One view of the heightfield, rendered through its BVH."""
+    mesh, params, radar = heightfield(num_azimuth)
     bvh = build_bvh(mesh)
     for _ in range(WARMUP):
         render(mesh, params, radar, bvh=bvh)
@@ -140,12 +175,13 @@ def main():
     args = ap.parse_args()
     if args.ops < 1:
         ap.error("--ops must be at least 1")
-    print(f"{'operation':<16} {'ops':>4} {'minflt_p50':>11} {'cpu_ms_p50':>11}")
+    print(f"{'operation':<24} {'ops':>4} {'minflt_p50':>11} {'cpu_ms_p50':>11}")
     for name, op in (("simulate", simulate), ("learn_iteration", learn_iteration),
+                     ("terrain_learn_iteration", terrain_learn_iteration),
                      ("bvh_render", bvh_render),
                      ("bvh_render_16", functools.partial(bvh_render, num_azimuth=1))):
         faults, cpu_ms = op(args.ops)
-        print(f"{name:<16} {args.ops:>4} {faults:>11g} {cpu_ms:>11.3f}")
+        print(f"{name:<24} {args.ops:>4} {faults:>11g} {cpu_ms:>11.3f}")
 
 
 if __name__ == "__main__":

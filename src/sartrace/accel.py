@@ -163,7 +163,9 @@ class Bvh:
     count) ranges cover once each.  Otherwise construction raises a
     ValueError naming the first facet listed twice or never, since a ray
     that reached two copies of a facet in one step would break the
-    traversal's per-ray bookkeeping.
+    traversal's per-ray bookkeeping.  Every leaf holds a facet: the
+    derived tables tell leaves by their count, so a ValueError names the
+    first leaf with none.
     """
 
     box_min: np.ndarray    # (n_nodes, 3)
@@ -184,6 +186,9 @@ class Bvh:
         lo, hi = self.start[leaf], self.start[leaf] + self.count[leaf]
         if ((self.order < 0) | (self.order >= n)).any() or (lo < 0).any() or (hi > m).any():
             raise ValueError(f"Bvh: a facet id or leaf range lies outside the {n} facets")
+        empty = np.flatnonzero(leaf & (self.count == 0))
+        if empty.size:
+            raise ValueError(f"Bvh: leaf node {empty[0]} holds no facets")
         cover = np.cumsum(np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1))
         listed = np.bincount(self.order, cover[:m], n)
         wrong = np.flatnonzero(listed != 1)

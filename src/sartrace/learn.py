@@ -15,19 +15,28 @@ views' images laid end to end, its weight and each view's pixel span
 come from there, and learn adds every view's flattened reference with
 its peak scale per pixel.  A hit is live when its facet
 touches a vertex with an unknown; the others are shaded once, on entry,
-since Adam never writes their vertices.  An iteration then does only
-the work the table changes: imaging.shade_hits (shade_views' kernel,
-one imaging.eval_bsdf_at call per wave) over the live hits, one
-np.bincount for every view's pixels, one difference and one square over
-all of them with one sum per view (its loss and its RMSE), dL/dI at the
-pixels the live hits read, and one np.bincount per channel with an
+since Adam never writes their vertices.  The TV term's (edge, channel)
+pairs are sorted once too: a pair with no unknown at either end is a
+constant, summed on entry; one whose ends are entries of one unknown (a
+tied group's values are always equal) is dropped; the rest are live.
+An iteration then does only the work the table changes, in arrays sized
+by the live hits, the live pairs and the k unknowns, never by the
+table: imaging.shade_hits (shade_views' kernel, one
+imaging.eval_bsdf_at call per wave) over the live hits, one np.bincount
+for every view's pixels, one difference and one square over all of
+them with one sum per view (its loss and its RMSE), dL/dI at the pixels
+the live hits read, and one np.bincount over every channel with an
 unknown that pulls it back into per-view blocks over the touched
 vertices; a channel that every vertex freezes (tau in every protocol) is
-not assembled.  The blocks are summed in view order, so losses, RMSEs
-and every unknown's gradient are bitwise the one-view-at-a-time
-loss_sim, rmse_normalized and sum of backward(ledger, dLdI).
-grad_check's finite differences take the total of this same objective,
-so the gradient it checks is the one learn steps with.
+not assembled.  The blocks are summed in view order, each live entry
+adds its live pairs' TV subgradient, and one np.bincount over the live
+entries, in table order, gives the k unknowns' gradient.  So losses,
+RMSEs and that gradient are bitwise the one-view-at-a-time loss_sim,
+rmse_normalized and the per-unknown sums of backward(ledger, dLdI) and
+loss_tv's subgradient; only the TV loss can move, in its last bits,
+since its pairs are summed in another order.  grad_check's finite differences
+take the total of this same objective, so the gradient it checks is the
+one learn steps with.
 
 Adam steps a vector of unknowns: one per channel of a free vertex or of
 a tied vertex group (one shared record, gradients summed over the
@@ -130,8 +139,8 @@ def backward(ledger: HitLedger, dLdI: np.ndarray) -> np.ndarray:
 @dataclass
 class OptimState:
     """Adam state over the k unknowns, numbered channel by channel, and the
-    map from table entries to unknowns; values clip to scene's
-    PARAM_LOWER..PARAM_UPPER."""
+    map from table entries to unknowns; each unknown clips to its
+    channel's PARAM_LOWER..PARAM_UPPER."""
 
     lr: float
     beta1: float
@@ -143,8 +152,10 @@ class OptimState:
     v: np.ndarray                       # (k,) second moments
     entries: np.ndarray = field(repr=False)  # (e,) flat indices v * 4 + c that move, ascending
     unknown: np.ndarray = field(repr=False)  # (e,) the unknown of each entry
-    head: np.ndarray = field(repr=False)     # (k,) one entry per unknown
+    head: np.ndarray = field(repr=False)     # (k,) one entry per unknown, its least
     starts: np.ndarray = field(repr=False)   # (5,) channel c owns unknowns starts[c]:starts[c+1]
+    bounds: np.ndarray = field(repr=False)   # (2, k) each unknown's lower and upper bound
+    buffer: np.ndarray = field(repr=False)   # (e,) adam_step's values for the entries
 
     def __post_init__(self):
         for name, ok, rule in (("lr", 0 < self.lr < math.inf, "(0, inf)"),
@@ -190,7 +201,9 @@ class OptimState:
             lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam, lr_decay=lr_decay,
             step=0, m=np.zeros(key.size), v=np.zeros(key.size),
             entries=entries, unknown=unknown, head=vertex * 4 + channel,
-            starts=np.searchsorted(channel, np.arange(5)))
+            starts=np.searchsorted(channel, np.arange(5)),
+            bounds=np.stack([PARAM_LOWER, PARAM_UPPER]).take(channel, axis=1),
+            buffer=np.empty(entries.size))
 
     def project(self, params: ParamMap) -> None:
         """learn's entry step: reject a tied group whose members start with
@@ -214,29 +227,33 @@ def _vertex_ids(ids, num_vertices: int, what: str) -> np.ndarray:
     return ids
 
 
-def adam_step(state: OptimState, params: ParamMap, grads: np.ndarray) -> ParamMap:
+def adam_step(state: OptimState, params: ParamMap, g: np.ndarray) -> ParamMap:
     """One projected Adam update of the unknowns, in place.
 
-    An unknown's gradient sums its entries of the (n, 4) table in table
-    order and is chain-ruled into the optimization space (dL/d log p =
-    p dL/dp for log channels).  Its clipped new value goes to all of its
-    entries, so a tied group stays one record.  Frozen entries are not
-    touched: they are clipped only when learn projects on entry.
+    g holds the k unknowns' gradients, each the sum of its entries'
+    partials in table order (learn's _objective assembles them so).  A
+    non-finite value rejects the step before anything moves, naming the
+    least vertex among the bad unknowns' head entries and its channels.
+    Each gradient is chain-ruled into the optimization space (dL/d log p
+    = p dL/dp for log channels), and the clipped new value goes to all
+    of the unknown's entries through state.buffer, so a tied group stays
+    one record.  Frozen entries are not touched: they are clipped only
+    when learn projects on entry.
     """
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.shape != params.values.shape:
-        raise ValueError("gradient shape does not match the parameter table")
-    if not np.isfinite(grads).all():
-        bad = ~np.isfinite(grads)
-        vertex = int(np.flatnonzero(bad.any(axis=1))[0])
-        names = ", ".join(PARAM_CHANNELS[i] for i in np.flatnonzero(bad[vertex]))
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != state.m.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match the {state.m.size} unknowns")
+    if not np.isfinite(g).all():
+        bad = state.head[~np.isfinite(g)]
+        vertex = int(bad.min()) // 4
+        # unknowns run channel by channel, so a vertex's bad heads are in channel order
+        names = ", ".join(PARAM_CHANNELS[c] for c in bad[bad // 4 == vertex] % 4)
         raise ValueError(f"non-finite gradient at vertex {vertex}, channel(s) {names}; "
                          "step rejected")
 
     x = params.values.take(state.head)
     log = slice(0, state.starts[_NUM_LOG])
-    g_opt = np.bincount(state.unknown, weights=grads.take(state.entries),
-                        minlength=x.size).astype(np.float64, copy=False)  # int64 when k = 0
+    g_opt = g.copy()
     g_opt[log] *= x[log]
 
     state.step += 1
@@ -253,10 +270,17 @@ def adam_step(state: OptimState, params: ParamMap, grads: np.ndarray) -> ParamMa
     z[log] = np.exp(np.log(x[log]) - lr_t * update[log])
     # untouched unknowns keep their value: log/exp round trips are lossy
     x = np.where(update != 0.0, z, x)
-    counts = state.starts[1:] - state.starts[:-1]
-    np.clip(x, PARAM_LOWER.repeat(counts), PARAM_UPPER.repeat(counts), out=x)
-    np.put(params.values, state.entries, x[state.unknown])
+    np.clip(x, *state.bounds, out=x)
+    _write(params, state, x)
     return params
+
+
+def _write(params: ParamMap, state: OptimState, x: np.ndarray) -> None:
+    """Give every entry its unknown's value from x.  A ParamMap's table is
+    C-contiguous, so reshape(-1) is a view, and its fancy assignment runs
+    about 3x faster than np.put; take's mode="clip" (unknowns are always
+    in range) writes into state.buffer without an intermediate copy."""
+    params.values.reshape(-1)[state.entries] = x.take(state.unknown, out=state.buffer, mode="clip")
 
 
 def rmse_normalized(image, ref) -> float:
@@ -309,43 +333,54 @@ class _Stack:
     """Every view's hits concatenated, with the per-hit operators that no
     parameter changes.  Live hits, whose facet touches a vertex with an
     unknown, are shaded per iteration; the others keep the intensity
-    shaded when the stack was built."""
+    shaded when the stack was built.  A live entry is a table entry with
+    an unknown that a live hit or a live TV pair reaches; the gradient
+    is assembled over those alone."""
 
     ref: np.ndarray               # (P,) every view's reference, flattened, end to end
     scale: np.ndarray             # (P,) its view's reference peak, 1 where the peak is <= 0
     spans: list                   # views + 1 ints: view v owns pixels spans[v]:spans[v + 1]
     pixel: np.ndarray             # (H,) flat pixel of every hit
-    intensity: np.ndarray         # (H,) weight * sigma, filled in for the frozen hits
+    intensity: np.ndarray         # (H,) weight * sigma: the frozen hits' set here, the live ones'
+                                  #   written by every iteration
     live: np.ndarray              # (L,) positions of the live hits
     corners: np.ndarray           # (3, L) their facet corners' vertex ids
-    bary: np.ndarray              # (L, 3) their barycentric rows (m1, m2, 1 - m1 - m2)
+    bary: np.ndarray              # (3, L) their barycentric weights m1, m2, 1 - m1 - m2
     weight: np.ndarray            # (L,)
     groups: list                  # (BsdfAngles, live rows) per distinct wave
     live_pixel: np.ndarray        # (L,) pixel of each live hit
     live_counts: np.ndarray       # (views,) how many live hits each view has
-    touched: np.ndarray           # (T,) vertices with unknowns that live hits reach
-    slot: np.ndarray              # (L * 3,) adjoint bin view * T + touched of each corner
     channels: np.ndarray          # (C,) the channels with an unknown, ascending
-    product: np.ndarray           # (L, 3) the adjoint's buffer: bary rows x one partial
-    edges: np.ndarray             # (E, 2) the mesh's edges, the TV term's pairs
+    product: np.ndarray           # (C, L, 3) the adjoint's buffer: bary rows x each partial
+    slot: np.ndarray              # (C * L * 3,) each product's bin (view, channel, touched
+                                  #   vertex); one bin past the others for a corner without one
+    block: int                    # C * T bins per view, T the touched vertices
+    adjoint_at: np.ndarray        # (M,) each live entry's bin in a view's block, block if none
+    unknown: np.ndarray           # (M,) each live entry's unknown, entries ascending
+    num_unknowns: int
+    tv_const: float               # sum |v_j - v_i| over the pairs with no unknown at either end
+    tv_ends: np.ndarray           # (2, Q) flat table entries (i, j) of each live TV pair
+    tv_at: np.ndarray             # (2, Q) their live entry positions, M where frozen
 
 
-def _stack(params: ParamMap, views, entries=None) -> _Stack:
-    """Stack _checked views with imaging.stack_views.
-    entries: the flat table indices v * 4 + c that may move (None: all).
-    Hits touching no vertex with an entry are shaded here, once, with params."""
+def _stack(params: ParamMap, views, opt: OptimState) -> _Stack:
+    """Stack _checked views with imaging.stack_views over opt's unknowns.
+    Hits touching no vertex with an unknown are shaded here, once, with
+    params, and the TV term's (edge, channel) pairs are sorted once: a
+    pair with no unknown at either end is a constant, one whose ends are
+    entries of one unknown (a tied group's, always equal) is dropped, and
+    the rest are live."""
     n = params.num_vertices
     starts, vids, bary, theta, waves, wave_id, pixel, weight, spans = stack_views(
         [hits for hits, _ in views], n)
     refs = [ref for _, ref in views]
     view_id = np.repeat(np.arange(len(views)), np.diff(starts))
 
-    entries = np.arange(4 * n) if entries is None else np.asarray(entries)
-    movable = np.bincount(entries // 4, minlength=n) > 0
-    # np.bincount, not np.unique, whose hash table of the entries raised the
-    # cube recovery's peak memory by about 1 MB
-    channels = np.flatnonzero(np.bincount(entries % 4, minlength=4))
-    reach = movable.take(vids)                       # (H, 3)
+    of = np.full((n, 4), -1)                          # each table entry's unknown, -1 if frozen
+    of.flat[opt.entries] = opt.unknown
+    has = of >= 0
+    channels = np.flatnonzero(has.any(axis=0))
+    reach = has.any(axis=1).take(vids)               # (H, 3)
     is_live = reach.any(axis=1)
     live, frozen = np.flatnonzero(is_live), np.flatnonzero(~is_live)
     intensity = np.zeros(pixel.size)
@@ -358,28 +393,44 @@ def _stack(params: ParamMap, views, entries=None) -> _Stack:
     mark = np.zeros(n, dtype=bool)
     mark[corner[reached]] = True
     touched = np.flatnonzero(mark)
-    slot = np.where(reached, view_id[live, None] * touched.size
-                    + np.searchsorted(touched, corner), len(views) * touched.size)
+    block = channels.size * touched.size
+    bins = np.full((n, 4), block)        # each entry's bin in a view's block, block if none
+    bins[touched[:, None], channels] = np.arange(block).reshape(channels.size, touched.size).T
+    slot = np.where(reached, bins.T.take(channels, axis=0)[:, corner]
+                    + view_id[live, None] * block, len(views) * block)        # (C, L, 3)
+
+    edges = mesh_edges(views[0][0].mesh)
+    ends = of.take(edges[:, 0], axis=0), of.take(edges[:, 1], axis=0)      # (E, 4) unknowns
+    diff = params.values.take(edges[:, 1], axis=0) - params.values.take(edges[:, 0], axis=0)
+    edge, channel = np.divmod(np.flatnonzero(ends[0] != ends[1]), 4)
+    tv_ends = edges.T[:, edge] * 4 + channel                 # (2, Q), (edge, channel) order
+    used = has & mark[:, None]
+    used.flat[tv_ends] = has.flat[tv_ends]
+    at = np.flatnonzero(used)                                 # (M,) the live entries
     return _Stack(
         ref=np.concatenate([ref.ravel() for ref in refs]),
         scale=np.repeat([ref.max(initial=0.0) or 1.0 for ref in refs], np.diff(spans)),
         spans=spans, pixel=pixel, intensity=intensity, live=live,
-        corners=np.ascontiguousarray(corner.T), bary=bary[live], weight=weight[live],
-        groups=by_wave(waves, wave_id[live], theta[live]), live_pixel=pixel[live],
-        live_counts=np.bincount(view_id[live], minlength=len(views)), touched=touched,
-        slot=slot.ravel(), channels=channels, product=np.empty((live.size, 3)),
-        edges=mesh_edges(views[0][0].mesh))
+        corners=np.ascontiguousarray(corner.T), bary=np.ascontiguousarray(bary[live].T),
+        weight=weight[live], groups=by_wave(waves, wave_id[live], theta[live]),
+        live_pixel=pixel[live], live_counts=np.bincount(view_id[live], minlength=len(views)),
+        channels=channels, product=np.empty((channels.size, live.size, 3)), slot=slot.ravel(),
+        block=block, adjoint_at=bins.ravel().take(at), unknown=of.ravel().take(at),
+        num_unknowns=opt.m.size, tv_const=float(np.abs(diff[(ends[0] < 0) & (ends[1] < 0)]).sum()),
+        tv_ends=tv_ends, tv_at=np.where(has.ravel().take(tv_ends), np.searchsorted(at, tv_ends),
+                                        at.size))
 
 
 def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig):
-    """One learn iteration: (total, sim, tv, d(total)/d(params), per-view
-    RMSE).  Bitwise the per-view loss_sim and rmse_normalized, with views'
-    data terms summed in order, then the TV term.  The gradient is exact
-    at every entry with an unknown: the adjoint runs over the stack's
-    channels only, one product into stack.product and one np.bincount
-    each.  Elsewhere it holds the TV term only."""
-    sigma, dsigma = shade_hits(params, stack.corners, stack.bary.T, stack.groups)
-    intensity = stack.intensity.copy()
+    """One learn iteration: (total, sim, tv, d(total)/d(unknowns) (k,),
+    per-view RMSE).  Bitwise the per-view loss_sim and rmse_normalized,
+    with views' data terms summed in order, then the TV term over the
+    stack's constant and live pairs.  Each live entry's partial is its
+    TV subgradient plus its adjoint, the views' blocks summed in order,
+    and an unknown's gradient sums its entries' in table order, as a
+    sum of the full table's entries would."""
+    sigma, dsigma = shade_hits(params, stack.corners, stack.bary, stack.groups)
+    intensity = stack.intensity
     intensity[stack.live] = stack.weight * sigma
     image = np.bincount(stack.pixel, weights=intensity, minlength=stack.spans[-1])
 
@@ -397,25 +448,32 @@ def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig):
         norm = cfg.lambda_sim / (num_views * (hi - lo))
         sim += norm * float(total if cfg.normalize else np.add.reduce(diff[lo:hi] * diff[lo:hi]))
         coef.append(2.0 * norm)
-    tv, grads = loss_tv(params.values, stack.edges, cfg.lambda_mat)
 
-    # dL/dI at the pixels the live hits read, then backward over those
-    # hits, each view into its own block
+    # dL/dI at the pixels the live hits read, then every channel's
+    # products, hit-major, filled one corner's row at a time, in one
+    # np.bincount into one block per view
     pixel = stack.live_pixel
     dLdI = np.repeat(coef, stack.live_counts) * (scaled if cfg.normalize else diff).take(pixel)
     if cfg.normalize:
         dLdI /= stack.scale.take(pixel)
     partial = (dLdI * stack.weight) * dsigma.take(stack.channels, axis=0)   # (C, L)
-    size = stack.touched.size
-    blocks = np.empty((partial.shape[0], num_views * size + 1))
-    for block, d in zip(blocks, partial):
-        np.multiply(stack.bary, d[:, None], out=stack.product)
-        block[:] = np.bincount(stack.slot, stack.product.ravel(), block.size)
-    adjoint = np.zeros((partial.shape[0], size))
-    for vi in range(num_views):                 # the views' sums in order, as one view at a time
-        adjoint += blocks[:, vi * size:(vi + 1) * size]
-    grads[stack.touched[:, None], stack.channels] += adjoint.T
-    return sim + tv, sim, tv, grads, rmses
+    for corner, row in enumerate(stack.bary):
+        np.multiply(row, partial, out=stack.product[:, :, corner])
+    size = stack.block
+    blocks = np.bincount(stack.slot, stack.product.ravel(), num_views * size + 1)
+    adjoint = np.zeros(size + 1)              # its last bin stays 0, for the entries of no block
+    for vi in range(num_views):               # the views' sums in order, as one view at a time
+        adjoint[:size] += blocks[vi * size:(vi + 1) * size]
+    grad = adjoint.take(stack.adjoint_at)
+    tv = 0.0
+    if cfg.lambda_mat:
+        lo, hi = params.values.take(stack.tv_ends)
+        step = hi - lo
+        tv = cfg.lambda_mat * float(stack.tv_const + np.abs(step).sum())
+        sign, m = cfg.lambda_mat * np.sign(step), grad.size
+        grad = (np.bincount(stack.tv_at[1], sign, m + 1)[:m]
+                - np.bincount(stack.tv_at[0], sign, m + 1)[:m]) + grad
+    return sim + tv, sim, tv, np.bincount(stack.unknown, grad, stack.num_unknowns), rmses
 
 
 def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int) -> LearnResult:
@@ -426,24 +484,26 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     parameter moves a hit.  Runs `iters` iterations, each evaluating the
     table before adam_step moves it, unless a loss is non-finite, which
     aborts.  Either way params ends, in place, at the first evaluated
-    table of least total loss (the entry table when no loss is finite).  A
-    negative iters raises ValueError before anything is stacked.  On
+    table of least total loss (the entry table when no loss is finite):
+    learn keeps that iterate's k unknowns and writes them back on exit.
+    A negative iters raises ValueError before anything is stacked.  On
     entry, a view whose reference holds a NaN or inf pixel raises
     ValueError naming the view and the (row, bin); then opt.project runs
     (a tied group whose members start with different values raises
     ValueError) and the views are stacked, which raises a ValueError
     naming the view for a table of another size or another mesh: hits
     that touch no vertex with an unknown are shaded once, and only the
-    others on every iteration.  The gradient handed to adam_step is exact
-    at every entry with an unknown, so a non-finite partial stops learn
-    only in a channel of an unknown, on a hit that reaches one.
+    others on every iteration, and TV pairs with no unknown at either
+    end are summed once.  adam_step gets the k unknowns' gradients, so a
+    non-finite partial stops learn only in a channel of an unknown, on a
+    hit that reaches one.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
     views = _checked(views)
     opt.project(params)
-    stack = _stack(params, views, opt.entries)
-    best, best_total = params.copy(), math.inf
+    stack = _stack(params, views, opt)
+    best, best_total = None, math.inf
 
     total_hist, sim_hist, tv_hist, view_hist = [], [], [], []
     aborted = False
@@ -460,9 +520,10 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
             break
         if total < best_total:
             best_total = total
-            best.values[:] = params.values
+            best = params.values.take(opt.head)
         adam_step(opt, params, grads)
-    params.values[:] = best.values
+    if best is not None:
+        _write(params, opt, best)
 
     return LearnResult(
         iterations=len(total_hist), aborted=aborted, total_loss=np.asarray(total_hist),
@@ -504,8 +565,10 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
                seed: int = 0) -> GradCheckReport:
     """Compare learn's gradient with central finite differences of its loss.
 
-    views: (HitSet, reference image) pairs, as for learn; every hit is
-    live, and one stack serves the gradient and every probe.  Probes
+    views: (HitSet, reference image) pairs, as for learn.  One stack
+    over an untied optimizer with every entry its own unknown (k = 4n)
+    serves the gradient and every probe: every hit and every TV pair is
+    live, and the (n, 4) table the probes read is its k values.  Probes
     num_probes >= 0 random (vertex, channel) pairs; each side of a probe
     is the total loss of one learn iteration at the stepped table.
     Central steps are _FD_REL_STEP * |value| with an absolute floor of
@@ -516,8 +579,9 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
         raise ValueError(f"num_probes must be >= 0, got {num_probes}")
     params.validate()
     views = _checked(views)
-    stack = _stack(params, views)
-    grads = _objective(stack, params, cfg)[3]
+    opt = OptimState.create(params.num_vertices)        # untied: one unknown per entry
+    stack = _stack(params, views, opt)
+    grads = _objective(stack, params, cfg)[3].take(opt.unknown).reshape(-1, 4)
 
     rng = np.random.default_rng(seed)
     probes = []

@@ -322,8 +322,9 @@ def hand_bvh(mesh, tree):
     count = np.array([0 if isinstance(s, tuple) else len(s) for s in queue])
     tri = mesh.vertices[mesh.facets]
     corners = [tri[np.asarray(below(s), dtype=np.int64)] for s in queue]
-    return Bvh(box_min=np.array([c.min(axis=(0, 1)) for c in corners]),
-               box_max=np.array([c.max(axis=(0, 1)) for c in corners]),
+    # an empty leaf gets the empty box (inf, -inf)
+    return Bvh(box_min=np.array([c.min(axis=(0, 1), initial=np.inf) for c in corners]),
+               box_max=np.array([c.max(axis=(0, 1), initial=-np.inf) for c in corners]),
                left=left, right=np.where(left >= 0, left + 1, -1),
                start=np.where(count > 0, np.cumsum(count) - count, 0), count=count,
                order=np.concatenate([s for s in queue if not isinstance(s, tuple)]), mesh=mesh)
@@ -508,6 +509,30 @@ def test_tree_listing_a_facet_twice_or_never_is_rejected():
             Bvh(**fields, mesh=mesh)
         fields[name][at] = kept
     assert Bvh(**fields, mesh=mesh).leaf_depth == 1
+
+
+def test_leaf_without_facets_is_rejected():
+    """Bvh tells leaves by their facet count in its derived tables, so a
+    leaf with none (left = right = -1, count = 0) is refused, naming the
+    node.  One above the other leaves' depth used to pass: its parent's
+    -1 padding survived the repeat(4) expansion, wrapped to the last node,
+    and `_traverse` raised an IndexError.  One at the deepest level is
+    refused too."""
+    mesh = soup(np.random.default_rng(20_265), 40)
+    ids = np.arange(40)
+    parts = np.array_split(ids, 15)
+
+    def shape(first, last):
+        """29 nodes: `first` a leaf at depth 3, fourteen leaves at depth 4,
+        the last of them `last`."""
+        rest = parts[1:14] + [last]
+        return balanced([first] + [tuple(rest[2 * i:2 * i + 2]) for i in range(7)])
+
+    assert hand_bvh(mesh, shape(parts[0], parts[14])).leaf_depth == 3
+    for tree, node in ((shape(ids[:0], np.concatenate(parts[::14])), 7),
+                       (shape(np.concatenate(parts[::14]), ids[:0]), 28)):
+        with pytest.raises(ValueError, match=rf"^Bvh: leaf node {node} holds no facets$"):
+            hand_bvh(mesh, tree)
 
 
 def leaf_depth_oracle(bvh):

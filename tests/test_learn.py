@@ -15,8 +15,8 @@ from sartrace.learn import (LossConfig, OptimState, adam_step, backward, grad_ch
                             loss_sim, loss_tv, rmse_normalized, write_history_csv)
 from sartrace.scatter import WaveConfig, eval_bsdf_at
 from sartrace.scene import PARAM_CHANNELS, PARAM_LOWER, PARAM_UPPER, Mesh, ParamMap, mesh_edges
-from sartrace.scenes import (building_scene, cube_plane_scene, merge_meshes, plane_mesh,
-                             side_looking_radar)
+from sartrace.scenes import (building_scene, cube_plane_scene, merge_meshes, multiview_radars,
+                             plane_mesh, side_looking_radar)
 
 from conftest import CONFIG
 
@@ -26,6 +26,19 @@ CFG_RAW = LossConfig(lambda_sim=1.0, lambda_mat=0.0, normalize=False)
 def traced(mesh, refs):
     """(HitSet, reference) views of (RadarConfig, reference) pairs."""
     return [(trace(mesh, radar), ref) for radar, ref in refs]
+
+
+def unknowns(opt, table):
+    """An (n, 4) gradient table as the (k,) vector adam_step takes: each
+    unknown's entries summed in table order, as learn assembles them."""
+    return np.bincount(opt.unknown, table.take(opt.entries), opt.m.size).astype(np.float64)
+
+
+def table_of(opt, g):
+    """The (k,) gradient of an untied optimizer over every entry (k = 4n)
+    as its (n, 4) table."""
+    assert opt.entries.size == opt.head.size == np.size(g)
+    return np.asarray(g).take(opt.unknown).reshape(-1, 4)
 
 
 class TestLossSim:
@@ -176,31 +189,35 @@ class TestAdamStep:
     def make_state(self, n=3, **kw):
         return OptimState.create(n, **kw)
 
+    def step(self, state, params, grads):
+        """adam_step with an (n, 4) gradient table, summed per unknown."""
+        return adam_step(state, params, unknowns(state, grads))
+
     def test_zero_gradient_leaves_params_bitwise(self):
         params = ParamMap.constant(3, 0.004, 0.02, 9.0, 0.3)
         before = params.values.copy()
-        adam_step(self.make_state(lr=0.1), params, np.zeros((3, 4)))
+        self.step(self.make_state(lr=0.1), params, np.zeros((3, 4)))
         np.testing.assert_array_equal(params.values, before)
 
     def test_first_step_magnitude_linear_channel(self):
         params = ParamMap.constant(1, 0.004, 0.02, 9.0, 0.5)
         grads = np.zeros((1, 4))
         grads[0, 3] = 2.5          # tau is the linear channel
-        adam_step(self.make_state(n=1, lr=0.05), params, grads)
+        self.step(self.make_state(n=1, lr=0.05), params, grads)
         assert params.values[0, 3] == pytest.approx(0.45, rel=1e-6)
 
     def test_first_step_magnitude_log_channel(self):
         params = ParamMap.constant(1, 0.004, 0.02, 9.0, 0.5)
         grads = np.zeros((1, 4))
         grads[0, 0] = -1.0       # push h up
-        adam_step(self.make_state(n=1, lr=0.05), params, grads)
+        self.step(self.make_state(n=1, lr=0.05), params, grads)
         assert params.values[0, 0] == pytest.approx(0.004 * math.exp(0.05), rel=1e-6)
 
     def test_projection_keeps_bounds(self):
         params = ParamMap.constant(1, 0.004, 0.02, 9.0, 0.0)
         grads = np.zeros((1, 4))
         grads[0, 3] = 5.0          # push tau below 0
-        adam_step(self.make_state(n=1, lr=0.3), params, grads)
+        self.step(self.make_state(n=1, lr=0.3), params, grads)
         assert params.values[0, 3] == 0.0
 
     def test_tied_group_stays_equal(self):
@@ -208,7 +225,7 @@ class TestAdamStep:
         state = self.make_state(n=4, lr=0.05, tie_groups=[[1, 2, 3]])
         grads = np.random.default_rng(0).normal(size=(4, 4))
         for _ in range(5):
-            adam_step(state, params, grads)
+            self.step(state, params, grads)
         assert np.array_equal(params.values[1], params.values[2])
         assert np.array_equal(params.values[2], params.values[3])
         assert not np.array_equal(params.values[0], params.values[1])
@@ -219,7 +236,7 @@ class TestAdamStep:
         state = self.make_state(n=2, lr=0.1, freeze_channels=("tau",),
                                 freeze_vertices=[0])
         grads = np.ones((2, 4))
-        adam_step(state, params, grads)
+        self.step(state, params, grads)
         np.testing.assert_array_equal(params.values[0], before[0])
         assert params.values[1, 3] == before[1, 3]
         assert params.values[1, 0] != before[1, 0]
@@ -233,15 +250,27 @@ class TestAdamStep:
         grads[2, 0] = -np.inf
         with pytest.raises(ValueError, match=r"non-finite gradient at vertex 1, "
                                              r"channel\(s\) l, tau; step rejected"):
-            adam_step(self.make_state(n=3), params, grads)
+            self.step(self.make_state(n=3), params, grads)
         np.testing.assert_array_equal(params.values, before)
+
+    def test_gradient_holds_one_value_per_unknown(self):
+        """adam_step takes the k unknowns' gradients, not an (n, 4) table,
+        and refuses anything else before it moves."""
+        params = ParamMap.constant(3, 0.004, 0.02, 9.0, 0.5)
+        state = self.make_state(n=3, freeze_channels=("tau",), tie_groups=[[0, 2]])
+        assert state.m.size == 6
+        for grads, shape in ((np.zeros((3, 4)), r"\(3, 4\)"), (np.zeros(7), r"\(7,\)")):
+            with pytest.raises(ValueError, match=rf"^gradient shape {shape} does not match "
+                                                 r"the 6 unknowns$"):
+                adam_step(state, params, grads)
+        assert state.step == 0
 
     def test_eps_adam_zero_moves_on_tiny_gradients(self):
         params = ParamMap.constant(1, 0.004, 0.02, 9.0, 0.5)
         state = self.make_state(n=1, lr=0.05, eps_adam=0.0)
         grads = np.zeros((1, 4))
         grads[0, 0] = -1e-150
-        adam_step(state, params, grads)
+        self.step(state, params, grads)
         assert params.values[0, 0] == pytest.approx(0.004 * math.exp(0.05), rel=1e-6)
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -393,7 +422,7 @@ def test_adam_step_matches_full_table_oracle(kwargs, tweak):
         grads = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-3, 3, (n, 4))
         if tweak is not None:
             grads = tweak(grads, rng)
-        adam_step(state, params, grads)
+        adam_step(state, params, unknowns(state, grads))
         oracle_adam_step(oracle, want, grads)
         assert params.values.tobytes() == want.tobytes()
     assert not np.array_equal(params.values, start)
@@ -425,7 +454,7 @@ def test_one_clip_matches_per_channel_bounds_outside_the_box(kwargs):
     for _ in range(5):
         grads = rng.normal(size=(n, 4))
         grads[rng.random((n, 4)) < 0.3] = 0.0
-        adam_step(state, params, grads)
+        adam_step(state, params, unknowns(state, grads))
         oracle_adam_step(oracle, want, grads)
         assert params.values[moved].tobytes() == want[moved].tobytes()
         assert params.values[~moved].tobytes() == start[~moved].tobytes()
@@ -634,32 +663,39 @@ class TestLearn:
             "iter,total_loss,sim_loss,tv_loss,view_rmse_0,view_rmse_1,view_rmse_2"]
 
 
+def oracle_objective(mesh, params, refs, cfg):
+    """The full-table objective: (total, sim, tv, (n, 4) gradient, view
+    RMSEs), each view rendered and pulled back alone with loss_sim,
+    rmse_normalized and backward, then loss_tv over every mesh edge and
+    channel.  learn sums this table's entries per unknown."""
+    sim, grads, rmses = 0.0, np.zeros_like(params.values), []
+    for radar, ref in refs:
+        image, ledger = render(mesh, params, radar)
+        loss_v, dLdI = loss_sim(image, ref, cfg, num_views=len(refs))
+        sim += loss_v
+        grads += backward(ledger, dLdI)
+        rmses.append(rmse_normalized(image, ref))
+    tv, tv_grad = loss_tv(params.values, mesh_edges(mesh), cfg.lambda_mat)
+    grads += tv_grad
+    return sim + tv, sim, tv, grads, np.array(rmses)
+
+
 def oracle_learn(mesh, params, refs, opt, cfg, iters, seen=None):
     """learn's loop, rendering every view on every iteration:
     (total_loss, view_rmse), with params left at the first evaluated table
-    of least total loss.  Each full-table gradient handed to adam_step is
-    appended to `seen` when given."""
+    of least total loss.  Each full-table gradient is appended to `seen`
+    when given; adam_step gets its sum per unknown."""
     total_hist, view_hist = [], []
     best = params.copy()
     for _ in range(iters):
-        sim_total = 0.0
-        grads = np.zeros_like(params.values)
-        rmses = np.zeros(len(refs))
-        for vi, (radar, ref) in enumerate(refs):
-            image, ledger = render(mesh, params, radar)
-            loss_v, dLdI = loss_sim(image, ref, cfg, num_views=len(refs))
-            sim_total += loss_v
-            grads += backward(ledger, dLdI)
-            rmses[vi] = rmse_normalized(image, ref)
-        tv_val, tv_grad = loss_tv(params.values, mesh_edges(mesh), cfg.lambda_mat)
-        grads += tv_grad
-        total_hist.append(sim_total + tv_val)
+        total, _, _, grads, rmses = oracle_objective(mesh, params, refs, cfg)
+        total_hist.append(total)
         view_hist.append(rmses)
         if total_hist[-1] < min(total_hist[:-1], default=np.inf):
             best = params.copy()
         if seen is not None:
             seen.append(grads.copy())
-        adam_step(opt, params, grads)
+        adam_step(opt, params, unknowns(opt, grads))
     params.values[:] = best.values
     return np.array(total_hist), np.array(view_hist)
 
@@ -765,10 +801,10 @@ class TestTraceOnce:
         views = traced(mesh, [(r, render(mesh, truth, r)[0].intensities)
                               for r in (radar, dataclasses.replace(radar, seed=4))])
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
-        seen = []
+        seen, opt = [], OptimState.create(mesh.num_vertices)
         monkeypatch.setattr(learn_mod, "adam_step",
-                            lambda opt, table, grads: seen.append(grads.copy()))
-        learn(params.copy(), views, OptimState.create(mesh.num_vertices), cfg, iters=1)
+                            lambda opt, table, grads: seen.append(table_of(opt, grads)))
+        learn(params.copy(), views, opt, cfg, iters=1)
         report = grad_check(params, views, cfg, num_probes=16, seed=1)
         assert len(seen) == 1 and np.abs(seen[0]).max() > 0.0
         for p in report.probes:
@@ -859,18 +895,14 @@ class TestStackedLoss:
         params.values[:, 2] += np.arange(mesh.num_vertices)
         cfg = LossConfig(lambda_sim=0.7, lambda_mat=0.0, normalize=normalize)
 
-        stack = learn_mod._stack(params, learn_mod._checked(traced(mesh, train)))
+        opt = OptimState.create(mesh.num_vertices)
+        stack = learn_mod._stack(params, learn_mod._checked(traced(mesh, train)), opt)
         total, sim, tv, grads, rmses = learn_mod._objective(stack, params, cfg)
+        grads = table_of(opt, grads)
 
-        want_sim, want_grads, want_rmses = 0.0, np.zeros_like(params.values), []
-        for r, ref in train:
-            image, ledger = render(mesh, params, r)
-            loss_v, dLdI = loss_sim(image, ref, cfg, num_views=len(train))
-            want_sim += loss_v
-            want_grads += backward(ledger, dLdI)
-            want_rmses.append(rmse_normalized(image, ref))
-        assert (total, sim, tv) == (want_sim, want_sim, 0.0) and sim > 0.0
-        assert rmses.tobytes() == np.array(want_rmses).tobytes()
+        want_total, want_sim, _, want_grads, want_rmses = oracle_objective(mesh, params, train, cfg)
+        assert (total, sim, tv) == (want_sim, want_sim, 0.0) == (want_total, sim, 0.0)
+        assert sim > 0.0 and rmses.tobytes() == want_rmses.tobytes()
         assert grads.tobytes() == want_grads.tobytes() and np.abs(grads).max() > 0.0
 
 
@@ -943,13 +975,13 @@ class TestStackedObjective:
         oracle_learn(mesh, start.copy(), refs, make_opt(), cfg, 5, seen=want)
         calls = RecordedCalls(monkeypatch)
         assert_learn_matches_oracle(mesh, start, refs, make_opt, cfg, iters=5, calls=calls)
-        entries = make_opt().entries
+        opt = make_opt()
         iterations = calls.iterations()
         assert len(iterations) == len(want) == 5
         assert [len(t) for t, _ in iterations] == [entry_calls + 2] + [2] * 4   # HH, VV
         for (_, got), expect in zip(iterations, want):
-            assert got.take(entries).tobytes() == expect.take(entries).tobytes()
-            assert np.abs(got.take(entries)).max() > 0.0
+            assert got.tobytes() == unknowns(opt, expect).tobytes()
+            assert np.abs(got).max() > 0.0
 
     @pytest.mark.parametrize("nan_facet, raises", [(0, False), (1, True)])
     def test_non_finite_partial_reaches_adam_only_through_an_unknown(
@@ -1021,19 +1053,19 @@ class TestStackedObjective:
         pytest.param({}, id="all-free"),
     ])
     def test_gradient_at_every_entry_matches_the_all_channel_stack(self, mixed_views, kwargs):
-        """A stack built with the optimizer's entries assembles only their
-        channels, yet its objective is bitwise the one of a stack built
-        with entries=None (grad_check's) at every entry: losses, RMSEs and
-        each entry's gradient."""
+        """A stack built with the optimizer's unknowns assembles only their
+        channels and live entries, yet its objective is bitwise the one of
+        an untied all-entry stack (grad_check's): losses, RMSEs and each
+        unknown's gradient, the sum of that table's entries."""
         mesh, start, refs = mixed_views
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
         views = learn_mod._checked(traced(mesh, refs))
-        entries = OptimState.create(mesh.num_vertices, **kwargs).entries
-        full = learn_mod._objective(learn_mod._stack(start, views), start, cfg)
-        part = learn_mod._objective(learn_mod._stack(start, views, entries), start, cfg)
+        every, opt = (OptimState.create(mesh.num_vertices, **kw) for kw in ({}, kwargs))
+        full = learn_mod._objective(learn_mod._stack(start, views, every), start, cfg)
+        part = learn_mod._objective(learn_mod._stack(start, views, opt), start, cfg)
         assert part[:3] == full[:3] and part[4].tobytes() == full[4].tobytes()
-        assert part[3].take(entries).tobytes() == full[3].take(entries).tobytes()
-        assert np.abs(part[3].take(entries)).max() > 0.0
+        assert part[3].tobytes() == unknowns(opt, table_of(every, full[3])).tobytes()
+        assert np.abs(part[3]).max() > 0.0
 
     @pytest.mark.parametrize("shift, num_bins, bin_pattern", [
         (0.0, 2, r"\d+"), (-1.0, None, r"-\d+")])
@@ -1076,6 +1108,143 @@ class TestStackedObjective:
         res = learn(params, [good, (trace(same, radar), ref)], OptimState.create(6), CFG_RAW,
                     iters=1)
         assert res.iterations == 1
+
+def grid_scene():
+    """A 9 x 9-vertex heightfield split by vertex row into two tied groups
+    (rows 0-2 and 3-4), frozen rows 5-6 and a free block (rows 7-8), with
+    a truth table, a start whose groups hold one value each, and three
+    views that reach every part."""
+    side, rng = 9, np.random.default_rng(4)
+    xs = np.linspace(-2.0, 2.0, side)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    z = 0.15 * np.sin(1.3 * x) * np.cos(0.9 * y) + rng.normal(0.0, 0.01, x.shape)
+    c = np.arange(side * side).reshape(side, side)[:-1, :-1].ravel()
+    facets = np.concatenate([np.stack([c, c + side, c + side + 1], axis=1),
+                             np.stack([c, c + side + 1, c + 1], axis=1)])
+    mesh = Mesh.from_arrays(np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1), facets)
+    n, row = mesh.num_vertices, np.arange(mesh.num_vertices) // side
+    parts = [np.flatnonzero((row >= lo) & (row < hi))
+             for lo, hi in ((0, 3), (3, 5), (5, 7), (7, 9))]
+    truth = ParamMap(np.column_stack([rng.uniform(0.002, 0.006, n), rng.uniform(0.01, 0.03, n),
+                                      rng.uniform(4.0, 20.0, n), rng.uniform(0.0, 0.2, n)]))
+    start = truth.copy()
+    for group in parts[:2]:
+        start.values[group] = start.values[group[0]] * [1.3, 0.8, 1.2, 1.0]
+    radar = side_looking_radar(WaveConfig(9.6e9, "HH", "exponential"), distance=6.0,
+                               incidence=math.radians(45), track_length=4.0, num_azimuth=8,
+                               fan_halfwidth=math.radians(25), num_angles=12, range_res=0.1,
+                               spua=2, seed=3)
+    refs = [(r, render(mesh, truth, r)[0].intensities)
+            for r in multiview_radars(radar, (0.0, 120.0, 240.0))]
+    return mesh, parts, start, refs
+
+
+class TestUnknownGradient:
+    """learn assembles the gradient of its k unknowns over the live hits
+    and the live TV pairs only; the full-table oracle summed per unknown
+    pins it."""
+
+    @pytest.mark.parametrize("lambda_mat", [0.0, 1e-3])
+    def test_matches_the_full_table_oracle(self, lambda_mat, monkeypatch):
+        """Two tied groups, frozen vertices, a free block and tau frozen:
+        the (k,) gradient is bitwise np.bincount(opt.unknown,
+        oracle.take(opt.entries)), the data term and RMSEs bitwise the
+        oracle's, and the TV term the all-edge sum within 1e-12 relative
+        (bitwise 0 at lambda_mat = 0).  Over five learn iterations every
+        gradient handed to adam_step and the final table stay bitwise."""
+        mesh, (a, b, frozen, free), start, refs = grid_scene()
+        cfg = LossConfig(lambda_sim=1.0, lambda_mat=lambda_mat, normalize=True)
+        make_opt = lambda: OptimState.create(mesh.num_vertices, lr=0.05, freeze_channels=("tau",),
+                                             freeze_vertices=frozen, tie_groups=[a, b])
+        opt = make_opt()
+        assert opt.m.size == 3 * (2 + free.size)
+        # all three views reach every free vertex, the second alone does not
+        for views in (refs, refs[1:2]):
+            stack = learn_mod._stack(start, learn_mod._checked(traced(mesh, views)), opt)
+            total, sim, tv, g, rmses = learn_mod._objective(stack, start, cfg)
+            want = oracle_objective(mesh, start, views, cfg)
+            assert g.tobytes() == unknowns(opt, want[3]).tobytes() and np.abs(g).max() > 0.0
+            assert sim == want[1] and rmses.tobytes() == want[4].tobytes() and total == sim + tv
+            assert tv == pytest.approx(want[2], rel=1e-12, abs=0.0)
+            assert (tv > 0.0) if lambda_mat else (tv == 0.0 and total == want[0])
+        # live entries that only TV pairs reach, in no view's block
+        assert (stack.adjoint_at == stack.block).any()
+
+        # the stack's TV pairs are the (edge, channel) pairs of neither class
+        # it sets aside: no unknown at either end, or one unknown at both
+        of = np.full(4 * mesh.num_vertices, -1)
+        of[opt.entries] = opt.unknown
+        ends = of[mesh_edges(mesh)[:, :, None] * 4 + np.arange(4)]        # (E, 2, 4)
+        constant = (ends < 0).all(axis=1)
+        dropped = (ends[:, 0] == ends[:, 1]) & ~constant
+        assert constant.any() and dropped.any()
+        assert stack.tv_ends.shape[1] == (~constant & ~dropped).sum() > 0
+
+        seen, params = [], start.copy()
+        oracle_learn(mesh, start, refs, make_opt(), cfg, 5, seen=seen)
+        calls = RecordedCalls(monkeypatch)
+        res = learn(params, traced(mesh, refs), make_opt(), cfg, iters=5)
+        got = [grads for _, grads in calls.iterations()]
+        assert len(got) == len(seen) == 5
+        assert all(a.tobytes() == unknowns(opt, b).tobytes() for a, b in zip(got, seen))
+        assert params.values.tobytes() == start.values.tobytes()
+
+
+class TestLearnRobustness:
+    def test_nan_partial_in_a_tied_group_stops_before_adam_moves(self, learn_setup,
+                                                                 monkeypatch):
+        """A NaN l partial on the hits of facet 1, whose vertices are one
+        tied group: learn raises on the first step, naming a member vertex
+        and the channel, before Adam moves its state or the table."""
+        mesh, params, radar = learn_setup
+        params.values[3:, 3] = 0.05              # facet 1's vertices, told apart by tau
+        ref = render(mesh, params, radar)[0].intensities * 1.1
+
+        def nan_partials(angles, values):
+            sigma, grads = eval_bsdf_at(angles, values)
+            grads[values[:, 3] < 0.2, 1] = np.nan
+            return sigma, grads
+
+        monkeypatch.setattr(imaging, "eval_bsdf_at", nan_partials)
+        opt = OptimState.create(mesh.num_vertices, tie_groups=[[3, 4, 5]])
+        before = params.values.copy()
+        with pytest.raises(ValueError, match=r"^non-finite gradient at vertex [345], "
+                                             r"channel\(s\) l; step rejected$"):
+            learn(params, traced(mesh, [(radar, ref)]), opt, CFG_RAW, iters=3)
+        assert opt.step == 0 and not opt.m.any() and not opt.v.any()
+        assert params.values.tobytes() == before.tobytes()
+
+    def test_written_back_table_is_the_first_least_loss_iterate(self, learn_setup,
+                                                               monkeypatch):
+        """learn keeps its best iterate as k values and writes it back: the
+        final table equals, entry for entry, the first table of least loss
+        handed to adam_step (not the last), and the frozen entries that
+        started outside the box hold their projected values."""
+        mesh, truth, radar = learn_setup
+        ref = render(mesh, truth, radar)[0].intensities
+        start = truth.copy()
+        start.values[3:, 0] *= 1.7
+        start.values[0] = [2.0, 1e-9, 0.5, 1.5]          # vertex 0 frozen, outside the box
+        start.values[1:, 3] = [-0.5, 0.0, 0.3, 0.3, 2.0]  # tau frozen, two outside the box
+        projected = np.clip(start.values, PARAM_LOWER, PARAM_UPPER)
+        tables, step = [], learn_mod.adam_step
+
+        def recorded_step(opt, table, grads):
+            tables.append(table.values.copy())
+            return step(opt, table, grads)
+
+        monkeypatch.setattr(learn_mod, "adam_step", recorded_step)
+        opt = OptimState.create(mesh.num_vertices, lr=0.5, freeze_channels=("tau",),
+                                freeze_vertices=[0], tie_groups=[[3, 4]])
+        res = learn(start, traced(mesh, [(radar, ref)]), opt, CFG_RAW, iters=12)
+        best = int(np.argmin(res.total_loss))
+        assert len(tables) == 12 and 0 < best < 11 and res.total_loss[-1] > res.total_loss[best]
+        assert start.values.tobytes() == tables[best].tobytes()
+        assert not np.array_equal(tables[best], tables[-1])
+        frozen = ~np.isin(np.arange(4 * mesh.num_vertices), opt.entries).reshape(-1, 4)
+        assert start.values[frozen].tobytes() == projected[frozen].tobytes()
+        assert (projected != truth.values)[frozen].sum() >= 4
+
 
 class TestGradCheck:
     def perturbed(self, params):
