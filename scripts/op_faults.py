@@ -3,32 +3,38 @@
 
     PYTHONPATH=src python3 scripts/op_faults.py --ops 200
 
-Five operations: one `sartrace simulate` command on the README demo
+Six operations: one `sartrace simulate` command on the README demo
 scene (as scripts/make_demo_scene.py writes it), one `learn` iteration of
 the cube recovery protocol, one `learn` iteration on a seeded
 20,000-facet heightfield (every vertex tied, tau frozen, lambda_mat =
 1e-3, three 256-ray views at azimuths 0, 120 and 240 degrees), and one
 render of a 256-ray and of a 16-ray view of that heightfield through its
 BVH (built once, before the renders); the 16-ray view shows a view's
-cost that does not grow with its rays.  Each runs WARMUP times first,
+cost that does not grow with its rays.  The last row renders the
+256-ray view again, with a linear scan of four rays over the whole mesh
+before each view and outside its reading, as the benchmark checks its
+views: a warm loop keeps the BVH's tables in cache, which the
+benchmark's views do not find there.  Each runs WARMUP times first,
 then --ops times, and the script reads the process's `ru_minflt` (all
 threads) and CPU time around every operation.  It prints one line per
 operation with the medians, here from a 2-core Xeon VM (numpy 2.4.6,
-glibc 2.36):
+glibc 2.36), pinned to one core:
 
     operation                 ops  minflt_p50  cpu_ms_p50
-    simulate                  200          96       4.170
-    learn_iteration           200           0       0.239
-    terrain_learn_iteration   200           0       0.313
-    bvh_render                200           0       1.197
-    bvh_render_16             200           0       0.651
+    simulate                  200         102       4.632
+    learn_iteration           200           0       0.253
+    terrain_learn_iteration   200           0       0.270
+    bvh_render                200           0       1.326
+    bvh_render_16             200           0       0.749
+    bvh_render_scanned        200           0       1.475
 
 Shading the heightfield's three views takes about 0.19 ms.  When learn
 handed adam_step an (n, 4) gradient table and summed the TV term over
 every edge, its heightfield iteration read 692 to 1,147 faults and 2.9
-to 3.1 ms.  The
-simulate fault count depends on the host, on the run and on the code's
-layout: on that VM it has read 96 to 321 for the same shading code.  A
+to 3.1 ms; while adam_step wrote every tied entry each step, 0.33 to
+0.48 ms.  The simulate fault count depends on the host, on the run and
+on the code's layout: on that VM it has read 96 to 321 for the same
+shading code.  A
 warm operation that faults tens or hundreds of pages usually frees a
 block of 64 KiB or more: glibc then trims the top of the heap, and the
 next operation faults the pages back in.  CPU ms are raw process CPU
@@ -52,9 +58,9 @@ import numpy as np
 
 import sartrace.learn
 from sartrace import cli
-from sartrace.accel import build_bvh
+from sartrace.accel import build_bvh, intersect_rays
 from sartrace.experiments import AdamPhase, cube_recovery_protocol, run_recovery
-from sartrace.imaging import render, shade_views, trace_views
+from sartrace.imaging import generate_rays, render, shade_views, trace_views
 from sartrace.learn import LossConfig, OptimState, learn
 from sartrace.scatter import WaveConfig
 from sartrace.scene import Mesh, ParamMap
@@ -73,8 +79,14 @@ def _reading():
 
 def _medians(readings):
     """(median faults, median CPU ms) between consecutive readings."""
-    faults = [b[0] - a[0] for a, b in zip(readings, readings[1:])]
-    cpu_ms = [1e3 * (b[1] - a[1]) for a, b in zip(readings, readings[1:])]
+    return _span_medians(zip(readings, readings[1:]))
+
+
+def _span_medians(spans):
+    """(median faults, median CPU ms) over (before, after) reading pairs."""
+    spans = list(spans)
+    faults = [b[0] - a[0] for a, b in spans]
+    cpu_ms = [1e3 * (b[1] - a[1]) for a, b in spans]
     return statistics.median(faults), statistics.median(cpu_ms)
 
 
@@ -155,17 +167,24 @@ def terrain_learn_iteration(ops):
                                      iters=WARMUP + ops + 1))
 
 
-def bvh_render(ops, num_azimuth=16):
-    """One view of the heightfield, rendered through its BVH."""
+def bvh_render(ops, num_azimuth=16, scan_between=False):
+    """One view of the heightfield, rendered through its BVH.  With
+    scan_between, a linear scan of four of the view's rays over the whole
+    mesh runs before each view, outside the reading, as the benchmark's
+    brute-force check does between its views."""
     mesh, params, radar = heightfield(num_azimuth)
     bvh = build_bvh(mesh)
+    fan = generate_rays(radar, np.arange(radar.num_azimuth))
     for _ in range(WARMUP):
         render(mesh, params, radar, bvh=bvh)
-    readings = [_reading()]
+    spans = []
     for _ in range(ops):
+        if scan_between:
+            intersect_rays(mesh, fan.origins[:4], fan.directions[:4])
+        before = _reading()
         render(mesh, params, radar, bvh=bvh)
-        readings.append(_reading())
-    return _medians(readings)
+        spans.append((before, _reading()))
+    return _span_medians(spans)
 
 
 def main():
@@ -179,7 +198,8 @@ def main():
     for name, op in (("simulate", simulate), ("learn_iteration", learn_iteration),
                      ("terrain_learn_iteration", terrain_learn_iteration),
                      ("bvh_render", bvh_render),
-                     ("bvh_render_16", functools.partial(bvh_render, num_azimuth=1))):
+                     ("bvh_render_16", functools.partial(bvh_render, num_azimuth=1)),
+                     ("bvh_render_scanned", functools.partial(bvh_render, scan_between=True))):
         faults, cpu_ms = op(args.ops)
         print(f"{name:<24} {args.ops:>4} {faults:>11g} {cpu_ms:>11.3f}")
 

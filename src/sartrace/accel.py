@@ -20,35 +20,56 @@ hits one ray batch at a time, by one of two paths that share `_mt`:
   terms of (origin, facet) alone are solved once per run of rays with
   one origin, such as an azimuth row, as coherent ray tracers share
   them across a packet (Wald, Slusallek, Benthin and Wagner, 2001);
-- a breadth-first BVH traversal (a wavefront): every ray starts paired
-  with the nodes of the root's `Bvh.grandchild` row, and each step
-  slab-tests all live (ray, node) pairs at once, drops the pairs that
-  miss or lie beyond the ray's nearest hit so far (one fused test,
-  tnear > fmin(tfar, t_best)), solves the (ray, facet) pairs of the
-  leaves reached, and replaces each inner-node pair by up to four pairs
-  with the node's descendants two levels down, so a step goes down two
-  tree levels.  The frontier stays sorted by ray, so each ray's nearest
-  hit of a step is a segmented minimum, not a sort.  A step does only
-  what its tree level needs, known from `Bvh.leaf_depth`, the depth of
-  the shallowest leaf: a step whose nodes lie above it looks for no
-  leaves; one whose nodes' children lie above it too expands every pair
-  four-fold, with no -1 padding to drop; and until a step has solved
-  leaves, every t_best is +inf and none is read.  A leaf pair reads its
-  triangle from `Bvh.corners`, each facet's (p3, p1 - p3, p2 - p3) in
-  leaf order, so the facets of one leaf are adjacent rows and no view
-  forms the edges again; the facet ids are read only for the hits.
+- a breadth-first BVH traversal (a wavefront) over four-wide rows, as a
+  shallow BVH's nodes hold four boxes (Dammertz, Hanika and Keller,
+  "Shallow Bounding Volume Hierarchies for Fast SIMD Ray Tracing of
+  Incoherent Rays", 2008).  The root and every inner node at even depth
+  own a row of `Bvh.rows`: the boxes of the node's descendants two
+  levels down, where a leaf child stands for itself.  Every ray starts
+  paired with the root's row, and each step slab-tests the four boxes of
+  every live (ray, row) pair at once, drops the boxes that the ray
+  misses or enters beyond its nearest hit so far, solves the (ray,
+  facet) pairs of the leaves reached, and pairs the ray with the rows
+  of the inner nodes reached, so a step goes down two tree levels.  The
+  frontier stays sorted by ray, so each ray's nearest hit of a step is a
+  segmented minimum, not a sort.  A step does only what its tree level
+  needs, known from `Bvh.leaf_depth`, the depth of the shallowest leaf:
+  a step whose boxes lie above it looks for no leaves, and until a step
+  has solved leaves no ray has a nearest hit to cut at.  A leaf pair
+  reads its triangle from `Bvh.corners`, each facet's (p3, p1 - p3,
+  p2 - p3) in leaf order, so the facets of one leaf are adjacent rows
+  and no view forms the edges again; the facet ids are read only for
+  the hits.
+
+The slab test is float32 and conservative (Ize, "Robust BVH Ray
+Traversal", JCGT 2013): it never drops a box that the exact ray enters
+past EPS_T and before its nearest hit.  The rows hold the exact float64
+`box_min` and `box_max` padded by `_MARGIN` of the root box's magnitude
+and rounded outward, and each origin is moved out by `_MARGIN` of its
+own magnitude, then rounded up where it meets a min plane and down
+where it meets a max plane, so b - o never errs toward the box but by
+the float32 subtraction.  The three roundings of (b - o) * (1 / d) move
+a slab time by at most a factor (1 + u)**3, u = 2**-24, and tfar and
+the nearest hit are widened by `_WIDEN`, which covers them and its own
+rounding.  Finite bounds stay within about +-2**126 (beyond, they round
+outward to +-inf) and a ray whose origin lies beyond +-2**125 is
+bounded by no axis, so no difference overflows.  A zero direction component gives +-inf slab times, or NaN,
+which the test skips, where the origin lies on a face plane: a ray in a
+face plane (a track on a grid's lines) is bounded by its other axes.
+An axis whose 1 / d float32 holds to no relative u (a nonzero component
+below 2**-126 or from 2**126 up) bounds nothing.  The test thus only ever
+keeps extra pairs, and the leaves solve them in float64 with `_mt`, as
+the scan does.
 
 Both paths keep the smallest (t, facet_id) per ray, whatever the
-traversal order; ties on t resolve to the lowest facet id.  They agree
-bitwise on every pair both solve.  A zero direction component gives
-+-inf slab times, or NaN, which the slab test skips, where the origin
-lies on a face plane: a ray in a face plane (a track on a grid's lines)
-is bounded by its other axes.  Rounding can still cull a box whose face
-passes through the hit point, and then the BVH facet differs from the
-scan's.  `uses_bvh` says on which meshes a BVH is traversed.
-
-Watertightness is not claimed: rays grazing a shared edge may report
-either adjacent facet.
+traversal order; ties on t resolve to the lowest facet id.  So the
+BVH's nearest hit is the scan's, bitwise, wherever `_mt` places it on
+its facet to within the margins (2**-30 of the magnitudes across,
+about 5e-7 t along the ray).  What still leaks is `_mt`'s own rounding at
+edges and vertices: a ray through a shared edge may hit either adjacent
+facet or neither, on both paths alike, and a grazing ray's hit may fall
+far enough outside its facet's box to be culled.  Watertightness is not claimed.  `uses_bvh` says on which
+meshes a BVH is traversed.
 """
 
 from __future__ import annotations
@@ -80,6 +101,40 @@ _LEAF_SIZE = 4
 
 # meshes of at most this many facets are scanned even when a BVH is given
 BVH_MIN_FACETS = 256
+
+# finite float32 bounds lie within about +-2**126 and origins within
+# +-2**125, so the difference of two cannot overflow
+_BIG32 = 2.0 ** 126
+
+# a slab time (b - o) * (1 / d) takes three float32 roundings, each of
+# relative error at most u = 2**-24 (Ize's gamma_3), and widening it one
+# more: (1 + u)**3 <= _WIDEN * (1 - u)**4
+_WIDEN = np.float32(1.0 + 2.0 ** -21)
+
+# an unbounded axis: origin at +inf for min planes and -inf for max ones, 1 / d = 1
+_UNBOUNDED = np.array([np.inf, -np.inf, 1.0], dtype=np.float32)[:, None, None]
+
+# the rows pad each box by this much of the root box's magnitude, and the
+# slab test moves each origin out by this much of its own: `_mt` rounds a
+# hit point by a few float64 steps of them, which can put it outside its
+# facet's box, and a near-parallel axis turns that small distance into a
+# long time
+_MARGIN = 2.0 ** -30
+
+
+def _round_up32(a):
+    """A float32 above each value of float64 `a`: the next one above its
+    nearest float32, so a value that float32 holds exactly gets a margin
+    of one float32 step too, far wider than the float64 rounding of the
+    points `_mt` hits.  A value above 2**126 goes to +inf and one below
+    -2**126 counts as -2**126, so finite results lie within about
+    +-2**126.  NaN stays NaN.  -_round_up32(-a) rounds down."""
+    a = np.where(a > _BIG32, np.inf, np.maximum(a, -_BIG32))
+    return np.nextafter(a.astype(np.float32), np.float32(np.inf))
+
+
+# the self-intersection guard, rounded down
+_EPS_T32 = -_round_up32(np.array(-EPS_T))[()]
 
 
 def _xyz(a):
@@ -145,15 +200,20 @@ class Bvh:
     """Flat binary BVH; leaves hold ranges into the facet permutation.
 
     A Bvh answers only for `mesh`, the mesh object it was built over.
-    Four things are derived from the tree.  `grandchild`: the row of an
-    inner node lists (left's left, left's right, right's left, right's
-    right), where a leaf child stands for itself in its pair of slots
-    and -1 pads the other; leaf rows are all -1.  `slabs`: the boxes as
-    zero-padded (min, max) rows of four, of which `box_min` and
-    `box_max` become views; `take` gathers 32-byte rows about twice as
-    fast as 24-byte ones.  `corners`: row j holds facet `order[j]` in
-    the form `_mt` reads, (p3, p1 - p3, p2 - p3), 72 bytes per facet, so
-    a leaf's triangles are adjacent rows and no view subtracts them
+    `box_min` and `box_max` stay the exact float64 boxes.  Four things
+    are derived from the tree for the traversal.  `rows`: one float32
+    row for each node a wavefront step can hold, the root and the inner
+    nodes at even depth, as component planes (min/max, axis, row,
+    slot).  A row's four slots hold the node's grandchildren (left's
+    left, left's right, right's left, right's right), where a leaf child
+    stands for itself in its pair of slots and the other is empty; a
+    leaf root stands for itself in the root's row.  Each box is padded
+    by `_MARGIN` of the root box's magnitude and rounded outward to
+    float32, and an empty slot's box is the point at +inf.  A (ray, row) pair reads its row's 96 bytes with one gather.
+    `slots`: what each slot holds, the row of an inner node, -2 - node
+    for a leaf or -1 for none.  `corners`: row j holds facet `order[j]`
+    in the form `_mt` reads, (p3, p1 - p3, p2 - p3), 72 bytes per facet,
+    so a leaf's triangles are adjacent rows and no view subtracts them
     again.  `leaf_depth`: the depth of the shallowest leaf (the root is
     at depth 0), so no node above it is a leaf; `build_bvh` splits at
     the facet-count median, so its leaves lie at one or two depths.
@@ -176,9 +236,9 @@ class Bvh:
     count: np.ndarray      # (n_nodes,) leaf facet count, 0 for inner nodes
     order: np.ndarray      # (n_facets,) facet permutation
     mesh: Mesh = field(repr=False, compare=False)
-    grandchild: np.ndarray = field(init=False, repr=False, compare=False)  # (n_nodes, 4)
-    slabs: np.ndarray = field(init=False, repr=False, compare=False)       # (2, n_nodes, 4)
-    corners: np.ndarray = field(init=False, repr=False, compare=False)     # (n_facets, 3, 3)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)     # (2, 3, n_rows, 4)
+    slots: np.ndarray = field(init=False, repr=False, compare=False)    # (n_rows, 4)
+    corners: np.ndarray = field(init=False, repr=False, compare=False)  # (n_facets, 3, 3)
     leaf_depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -194,26 +254,48 @@ class Bvh:
         wrong = np.flatnonzero(listed != 1)
         if wrong.size:
             raise ValueError(f"Bvh: the leaves list facet {wrong[0]} {listed[wrong[0]]:.0f} times")
-        slabs = np.zeros((2, self.num_nodes, 4))
-        slabs[0, :, :3], slabs[1, :, :3] = self.box_min, self.box_max
-        object.__setattr__(self, "slabs", slabs)
-        object.__setattr__(self, "box_min", slabs[0, :, :3])
-        object.__setattr__(self, "box_max", slabs[1, :, :3])
+        # each inner node's grandchildren, a leaf child standing for itself in
+        # its pair of slots and -1 padding the other
         node = np.flatnonzero(self.count == 0)
         kids = np.stack([self.left.take(node), self.right.take(node)], axis=1)
         deep = self.count.take(kids) == 0
-        table = np.full((self.num_nodes, 2, 2), -1, dtype=np.int64)
-        table[node] = np.stack([np.where(deep, self.left.take(kids), kids),
-                                np.where(deep, self.right.take(kids), -1)], axis=2)
-        object.__setattr__(self, "grandchild", table.reshape(-1, 4))
+        grandchild = np.full((self.num_nodes, 2, 2), -1, dtype=np.int64)
+        grandchild[node] = np.stack([np.where(deep, self.left.take(kids), kids),
+                                     np.where(deep, self.right.take(kids), -1)], axis=2)
+        grandchild = grandchild.reshape(-1, 4)
+        # the nodes that get a row, two levels at a time: the root, then the
+        # inner nodes among the last ones' grandchildren
+        level, levels = np.zeros(1, dtype=np.int64), []
+        while level.size:
+            levels.append(level)
+            kids = grandchild.take(level, axis=0).ravel()
+            kids = kids[kids >= 0]
+            level = kids[self.count.take(kids) == 0]
+        row_node = np.concatenate(levels)
+        row_of = np.zeros(self.num_nodes, dtype=np.int64)
+        row_of[row_node] = np.arange(row_node.size)
+        kids = grandchild.take(row_node, axis=0)
+        if self.count[0]:           # a leaf root stands for itself in its row
+            kids[0, 0] = 0
+        object.__setattr__(self, "slots", np.where(
+            kids < 0, -1, np.where(self.count.take(kids) > 0, -2 - kids, row_of.take(kids))))
+        # the slots' boxes padded and rounded outward; an empty slot's (kid
+        # -1) at +inf
+        pad = _MARGIN * np.abs([self.box_min[0], self.box_max[0]]).max()
+        rows = np.empty((2, 3, row_node.size, 4), dtype=np.float32)
+        for side, box, sign in ((0, self.box_min, -1.0), (1, self.box_max, 1.0)):
+            bound = np.empty((self.num_nodes + 1, 3), dtype=np.float32)
+            bound[:-1], bound[-1] = sign * _round_up32(sign * box + pad), np.inf
+            rows[side] = bound.take(kids, axis=0).transpose(2, 0, 1)
+        object.__setattr__(self, "rows", rows)
         # a block of facets at a time: one take of the whole table would hold
         # (n_facets, 3) ids beside it and raise build_bvh's peak
         corners = np.empty((self.order.size, 3, 3))
         with np.errstate(over="ignore", invalid="ignore"):     # edges of +-1e308 corners
             for lo in range(0, self.order.size, _CORNER_BLOCK):
-                rows = corners[lo:lo + _CORNER_BLOCK]
+                block = corners[lo:lo + _CORNER_BLOCK]
                 ids = self.mesh.facets.take(self.order[lo:lo + _CORNER_BLOCK], axis=0)
-                rows[:, 0], rows[:, 1], rows[:, 2] = _edges(self.mesh.vertices, ids)
+                block[:, 0], block[:, 1], block[:, 2] = _edges(self.mesh.vertices, ids)
         object.__setattr__(self, "corners", corners)
         level, depth = np.zeros(1, dtype=np.int64), 0
         while not self.count.take(level).any():
@@ -244,7 +326,7 @@ def build_bvh(mesh: Mesh) -> Bvh:
     inner boxes are the min/max of their children's, so every box is
     exact.  Deterministic for a given mesh of at most 2**31 facets.
     """
-    # Bvh derives its grandchild and corner tables once the build's
+    # Bvh derives its row and corner tables once the build's
     # temporaries are freed, so they add less than they would inside it
     return Bvh(**_median_split(mesh), mesh=mesh)
 
@@ -400,82 +482,89 @@ def _run_length(origins, most: int) -> int:
 def _traverse(bvh: Bvh, origins, directions):
     """Nearest hits of a ray batch through the BVH, two tree levels per step.
 
-    The frontier is a pair of arrays (ray, node), sorted by ray.  It
-    starts at the root's `grandchild` row (at the root when the root is a
-    leaf), and a step replaces each inner-node pair by its pairs with the
-    node's `grandchild` row; a leaf child stays in the frontier as
-    itself.  So a step's frontier holds nodes at depth d (d = 2, 4, ...,
-    or d = 0 at a leaf root) and leaves at depth d - 1.  Skipping the
-    root's and the children's slab tests changes no result: an inner box
-    is the exact min/max of its children's boxes and the slab arithmetic
-    is monotone in the bounds, so a grandchild pair survives only where
-    its parent pair would have, and the per-ray smallest (t, facet_id)
-    does not depend on the order of the pairs.  A pair is dropped where
-    tnear > fmin(tfar, t_best), which is (tnear > tfar) | (tnear >
-    t_best), also for a NaN tfar, or where tfar < EPS_T.  Compaction and
-    expansion keep the order of the pairs, so the frontier stays sorted
-    by ray, and so do the (ray, facet) pairs of the leaves reached, which
-    read their triangles from `Bvh.corners`: each ray's smallest t of a
-    step, then its lowest facet id at that t, is a minimum over the ray's
-    segment.
+    The frontier is a pair of arrays (ray, row), sorted by ray.  It
+    starts at the root's row, and a step tests each pair's four slots:
+    the (ray, facet) pairs of the leaves that pass are solved, and each
+    inner node that passes gives the ray's pair with its row.  So a step
+    at depth d (0, 2, 4, ...) tests boxes at depth d + 2 and leaves at
+    depth d + 1.  Skipping the root's and the children's slab tests
+    changes no result: an inner box holds its children's boxes, so the
+    ray's hits beneath them lie in the grandchild boxes tested, and the
+    per-ray smallest (t, facet_id) does not depend on the order of the
+    pairs.  A slot is dropped where max(tnear, EPS_T) > fmin(tfar,
+    t_best) * `_WIDEN` in float32, which holds for no slot whose box the
+    exact ray enters between EPS_T and t_best (see the module
+    docstring); an empty slot's box at +inf is dropped by most rays, and
+    the others drop it by its slot code.  A slot that is NaN on every
+    axis, as only a zero direction or a NaN origin makes it, may go
+    either way: `_mt` hits nothing with those.  Compaction keeps the
+    order of the pairs, so the frontier stays sorted by ray, and so do
+    the (ray, facet) pairs of the leaves reached, which read their
+    triangles from `Bvh.corners`: each ray's smallest t of a step, then
+    its lowest facet id at that t, is a minimum over the ray's segment.
 
     A step does only the work its depth needs, from D = `leaf_depth`:
-    while d < D the frontier holds no leaf, so the step does not look for
-    one; while d + 1 < D no child of a frontier node is a leaf, so no
-    `grandchild` row holds -1 padding and every pair becomes four by
-    `repeat`; and until a step with leaves has run every t_best is +inf,
-    where tnear > fmin(tfar, inf) is tnear > tfar, so the step reads no
-    t_best.  Returns the same (facet_id, t, m1, m2) as `_scan`.
+    while d + 2 < D no slot holds a leaf or is empty, so every slot that
+    passes is a row; and until a step with leaves has run, every t_best
+    is +inf, so the step reads none.  Returns the same (facet_id, t, m1,
+    m2) as `_scan`.
     """
     n = origins.shape[0]
     fid = np.full(n, -1, dtype=np.int64)
     t_best = np.full(n, np.inf)
     m1_best = np.zeros(n)
     m2_best = np.zeros(n)
-    with np.errstate(divide="ignore"):
-        inv_d = 1.0 / directions
-    # rows of four like `slabs`: the padding column's t is (0 - 0) * 1
-    o_pad, inv_pad = np.zeros((n, 4)), np.ones((n, 4))
-    o_pad[:, :3], inv_pad[:, :3] = origins, inv_d
+    # per ray, as rows of four like a pair's slots: the origin moved out by
+    # the margin and rounded up (for min planes) and down (for max planes),
+    # 1 / d and the nearest hit so far
+    mag = np.abs(origins.T)
+    margin = np.maximum(np.maximum(mag[0], mag[1]), mag[2])
+    huge = margin > _BIG32 / 2.0
+    margin *= _MARGIN
+    per_ray = np.empty((10, n), dtype=np.float32)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        per_ray[:3], per_ray[3:6] = origins.T + margin, margin - origins.T
+        per_ray[6:9], per_ray[9] = 1.0 / directions.T, np.inf
+    np.nextafter(per_ray[:6], np.float32(np.inf), out=per_ray[:6])
+    np.negative(per_ray[3:6], out=per_ray[3:6])
+    # an axis whose 1 / d float32 holds neither exactly (d = 0) nor to a
+    # relative u (a normal number: |d| in [2**-126, 2**126)) bounds nothing,
+    # and so does every axis of a ray whose origin lies beyond +-2**125
+    loose = (np.frexp(directions.T)[1] + 125).view(np.uint32) > 251
+    loose |= huge
+    np.copyto(per_ray[:9].reshape(3, 3, n), _UNBOUNDED, where=loose)
+    at_ray = per_ray.repeat(4, axis=1).reshape(10, n, 4)
     depth = bvh.leaf_depth
-    if depth == 0:
-        d, top = 0, np.zeros(1, dtype=np.int64)
-    else:
-        d, top = 2, bvh.grandchild[0]
-        top = top[top >= 0]
-    ray, node = np.repeat(np.arange(n), top.size), np.tile(top, n)
+    d, ray, row = 0, np.arange(n), np.zeros(n, dtype=np.int64)
     # 0 * inf in the slab test: a zero direction component, origin on a face
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         while ray.size:
-            # (2, P, 4) min and max rows, in place where an operand is used up
-            slab = bvh.slabs.take(node, axis=1)
-            slab -= o_pad.take(ray, axis=0)
-            slab *= inv_pad.take(ray, axis=0)
-            # elementwise over the three slabs: a length-3 axis reduction is slower;
+            # (2, 3, P, 4): min and max planes of each pair's four slots
+            box = bvh.rows.take(row, axis=2)
+            pair = at_ray.take(ray, axis=1)
+            box -= pair[:6].reshape(box.shape)
+            box *= pair[6:9]
             # fmax and fmin skip a NaN slab, so the other axes bound that ray
-            near, far = np.minimum(slab[0], slab[1]), np.maximum(slab[0], slab[1], out=slab[0])
-            tnear = np.fmax(near[:, 0], near[:, 1])
-            np.fmax(tnear, near[:, 2], out=tnear)
-            tfar = np.fmin(far[:, 0], far[:, 1])
-            np.fmin(tfar, far[:, 2], out=tfar)
-            miss = tfar < EPS_T
-            if d >= depth + 2:      # a step with leaves has run
-                np.fmin(tfar, t_best.take(ray), out=tfar)
-            miss |= tnear > tfar
-            keep = np.flatnonzero(~miss)
-            ray, node = ray.take(keep), node.take(keep)
-
-            if d >= depth:
-                count = bvh.count.take(node)
-                leaf = count > 0
-                if leaf.any():
-                    at = np.flatnonzero(leaf)
+            near, far = np.minimum(box[0], box[1]), np.maximum(box[0], box[1], out=box[0])
+            tnear = np.fmax.reduce(near, axis=0, initial=_EPS_T32)
+            tfar = np.fmin.reduce(far, axis=0)
+            if d >= depth:          # a step with leaves has run
+                np.fmin(tfar, pair[9], out=tfar)
+            tfar *= _WIDEN
+            keep = np.flatnonzero(tnear <= tfar)
+            ray = ray.take(keep >> 2)
+            code = bvh.slots.take(row, axis=0).ravel().take(keep)
+            if d + 2 < depth:       # every slot an inner node
+                row = code
+            else:
+                at = np.flatnonzero(code < -1)
+                if at.size:
+                    node = -2 - code.take(at)
                     # expand each (ray, leaf) pair into its (ray, facet) pairs
-                    lcount = count.take(at)
+                    lcount = bvh.count.take(node)
                     pair_ray = np.repeat(ray.take(at), lcount)
                     # each pair's row of `order` and `corners`: its leaf's start plus its offset
-                    pos = np.repeat(bvh.start.take(node.take(at)) - (np.cumsum(lcount) - lcount),
-                                    lcount)
+                    pos = np.repeat(bvh.start.take(node) - (np.cumsum(lcount) - lcount), lcount)
                     pos += np.arange(pos.size)
                     t, m1, m2 = _mt(origins.take(pair_ray, axis=0),
                                     directions.take(pair_ray, axis=0),
@@ -497,14 +586,9 @@ def _traverse(bvh: Bvh, origins, directions):
                     r, win = r[better], win[better]
                     fid[r], t_best[r], m1_best[r], m2_best[r] = (
                         id_min[better], t_min[better], m1.take(win), m2.take(win))
-                    inner = np.flatnonzero(~leaf)
-                    ray, node = ray.take(inner), node.take(inner)
-            node = bvh.grandchild.take(node, axis=0).ravel()
-            if d + 1 < depth:       # no -1 padding
-                ray = ray.repeat(4)
-            else:
-                live = np.flatnonzero(node >= 0)
-                ray, node = ray.take(live >> 2), node.take(live)
+                    at_ray[9, r] = t_best[r][:, None]
+                inner = np.flatnonzero(code >= 0)
+                ray, row = ray.take(inner), code.take(inner)
             d += 2
     return fid, t_best, m1_best, m2_best
 
@@ -523,9 +607,9 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
     reach; otherwise a linear scan solves batches of at most
     `_SCAN_PAIRS` (ray, facet) pairs (one ray when it alone needs more)
     in runs of rays with one origin; a ray's result does not depend on its
-    run or batch.  Both paths give bitwise identical results, except where
-    rounding culls a box whose face passes through the hit point (see the
-    module docstring).
+    run or batch.  Both paths give bitwise identical results, up to
+    `_mt`'s own rounding at a facet's edges and vertices (see the module
+    docstring).
     """
     origins = np.asarray(origins, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)

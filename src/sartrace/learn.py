@@ -155,7 +155,12 @@ class OptimState:
     head: np.ndarray = field(repr=False)     # (k,) one entry per unknown, its least
     starts: np.ndarray = field(repr=False)   # (5,) channel c owns unknowns starts[c]:starts[c+1]
     bounds: np.ndarray = field(repr=False)   # (2, k) each unknown's lower and upper bound
-    buffer: np.ndarray = field(repr=False)   # (e,) adam_step's values for the entries
+    # (k,) the unknowns' current values: adam_step's last, or learn's on entry;
+    # None until one of them reads them from the table
+    values: np.ndarray | None = field(default=None, repr=False)
+    # (entries, their unknowns) that adam_step writes: learn's live entries
+    # during its run, every entry when None
+    live: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name, ok, rule in (("lr", 0 < self.lr < math.inf, "(0, inf)"),
@@ -202,8 +207,7 @@ class OptimState:
             step=0, m=np.zeros(key.size), v=np.zeros(key.size),
             entries=entries, unknown=unknown, head=vertex * 4 + channel,
             starts=np.searchsorted(channel, np.arange(5)),
-            bounds=np.stack([PARAM_LOWER, PARAM_UPPER]).take(channel, axis=1),
-            buffer=np.empty(entries.size))
+            bounds=np.stack([PARAM_LOWER, PARAM_UPPER]).take(channel, axis=1))
 
     def project(self, params: ParamMap) -> None:
         """learn's entry step: reject a tied group whose members start with
@@ -234,11 +238,15 @@ def adam_step(state: OptimState, params: ParamMap, g: np.ndarray) -> ParamMap:
     partials in table order (learn's _objective assembles them so).  A
     non-finite value rejects the step before anything moves, naming the
     least vertex among the bad unknowns' head entries and its channels.
-    Each gradient is chain-ruled into the optimization space (dL/d log p
-    = p dL/dp for log channels), and the clipped new value goes to all
-    of the unknown's entries through state.buffer, so a tied group stays
-    one record.  Frozen entries are not touched: they are clipped only
-    when learn projects on entry.
+    Each step starts from state.values, the values it wrote last (read
+    from the table's head entries when None, and set by learn on entry),
+    so it never reads the table back.  Each gradient is chain-ruled into
+    the optimization space (dL/d log p = p dL/dp for log channels), and
+    the clipped new values replace state.values and go to the entries
+    of state.live, learn's live entries, or to every entry of every
+    unknown when it is None, so a tied group stays one record.  Frozen
+    entries are not touched: they are clipped only when learn projects
+    on entry.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != state.m.shape:
@@ -251,7 +259,7 @@ def adam_step(state: OptimState, params: ParamMap, g: np.ndarray) -> ParamMap:
         raise ValueError(f"non-finite gradient at vertex {vertex}, channel(s) {names}; "
                          "step rejected")
 
-    x = params.values.take(state.head)
+    x = params.values.take(state.head) if state.values is None else state.values
     log = slice(0, state.starts[_NUM_LOG])
     g_opt = g.copy()
     g_opt[log] *= x[log]
@@ -271,16 +279,16 @@ def adam_step(state: OptimState, params: ParamMap, g: np.ndarray) -> ParamMap:
     # untouched unknowns keep their value: log/exp round trips are lossy
     x = np.where(update != 0.0, z, x)
     np.clip(x, *state.bounds, out=x)
-    _write(params, state, x)
+    state.values = x
+    _write(params, *(state.live or (state.entries, state.unknown)), x)
     return params
 
 
-def _write(params: ParamMap, state: OptimState, x: np.ndarray) -> None:
-    """Give every entry its unknown's value from x.  A ParamMap's table is
-    C-contiguous, so reshape(-1) is a view, and its fancy assignment runs
-    about 3x faster than np.put; take's mode="clip" (unknowns are always
-    in range) writes into state.buffer without an intermediate copy."""
-    params.values.reshape(-1)[state.entries] = x.take(state.unknown, out=state.buffer, mode="clip")
+def _write(params: ParamMap, entries: np.ndarray, unknown: np.ndarray, x: np.ndarray) -> None:
+    """Give each of the flat table `entries` its unknown's value from x.  A
+    ParamMap's table is C-contiguous, so reshape(-1) is a view, and its
+    fancy assignment runs about 3x faster than np.put."""
+    params.values.reshape(-1)[entries] = x.take(unknown)
 
 
 def rmse_normalized(image, ref) -> float:
@@ -355,8 +363,9 @@ class _Stack:
     slot: np.ndarray              # (C * L * 3,) each product's bin (view, channel, touched
                                   #   vertex); one bin past the others for a corner without one
     block: int                    # C * T bins per view, T the touched vertices
+    entries: np.ndarray           # (M,) the live entries' flat table indices, ascending
     adjoint_at: np.ndarray        # (M,) each live entry's bin in a view's block, block if none
-    unknown: np.ndarray           # (M,) each live entry's unknown, entries ascending
+    unknown: np.ndarray           # (M,) each live entry's unknown
     num_unknowns: int
     tv_const: float               # sum |v_j - v_i| over the pairs with no unknown at either end
     tv_ends: np.ndarray           # (2, Q) flat table entries (i, j) of each live TV pair
@@ -415,7 +424,7 @@ def _stack(params: ParamMap, views, opt: OptimState) -> _Stack:
         weight=weight[live], groups=by_wave(waves, wave_id[live], theta[live]),
         live_pixel=pixel[live], live_counts=np.bincount(view_id[live], minlength=len(views)),
         channels=channels, product=np.empty((channels.size, live.size, 3)), slot=slot.ravel(),
-        block=block, adjoint_at=bins.ravel().take(at), unknown=of.ravel().take(at),
+        block=block, entries=at, adjoint_at=bins.ravel().take(at), unknown=of.ravel().take(at),
         num_unknowns=opt.m.size, tv_const=float(np.abs(diff[(ends[0] < 0) & (ends[1] < 0)]).sum()),
         tv_ends=tv_ends, tv_at=np.where(has.ravel().take(tv_ends), np.searchsorted(at, tv_ends),
                                         at.size))
@@ -486,6 +495,9 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     aborts.  Either way params ends, in place, at the first evaluated
     table of least total loss (the entry table when no loss is finite):
     learn keeps that iterate's k unknowns and writes them back on exit.
+    In between, adam_step writes only the live entries, those the next
+    iteration reads; an exception after a step gives every entry its
+    unknown's last value before it propagates.
     A negative iters raises ValueError before anything is stacked.  On
     entry, a view whose reference holds a NaN or inf pixel raises
     ValueError naming the view and the (row, bin); then opt.project runs
@@ -504,26 +516,34 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     opt.project(params)
     stack = _stack(params, views, opt)
     best, best_total = None, math.inf
+    # adam_step steps from opt.values and writes only the live entries
+    opt.values, opt.live = params.values.take(opt.head), (stack.entries, stack.unknown)
+    first, done = opt.step, False
 
     total_hist, sim_hist, tv_hist, view_hist = [], [], [], []
     aborted = False
-    for _ in range(iters):
-        total, sim, tv, grads, rmses = _objective(stack, params, cfg)
+    try:
+        for _ in range(iters):
+            total, sim, tv, grads, rmses = _objective(stack, params, cfg)
 
-        total_hist.append(total)
-        sim_hist.append(sim)
-        tv_hist.append(tv)
-        view_hist.append(rmses)
+            total_hist.append(total)
+            sim_hist.append(sim)
+            tv_hist.append(tv)
+            view_hist.append(rmses)
 
-        if not math.isfinite(total):
-            aborted = True
-            break
-        if total < best_total:
-            best_total = total
-            best = params.values.take(opt.head)
-        adam_step(opt, params, grads)
-    if best is not None:
-        _write(params, opt, best)
+            if not math.isfinite(total):
+                aborted = True
+                break
+            if total < best_total:
+                best_total, best = total, opt.values      # adam_step replaces, never writes, it
+            adam_step(opt, params, grads)
+        done = True
+    finally:
+        opt.live = None
+        if opt.step > first:        # every entry to the best iterate, or to the last on an error
+            if done:
+                opt.values = best
+            _write(params, opt.entries, opt.unknown, opt.values)
 
     return LearnResult(
         iterations=len(total_hist), aborted=aborted, total_loss=np.asarray(total_hist),

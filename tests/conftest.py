@@ -244,7 +244,8 @@ def oracle_build_bvh(mesh):
             count[node] = hi - lo
             continue
         c = centroids[ids]
-        axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
+        with np.errstate(invalid="ignore"):     # inf - inf: centroids that overflowed
+            axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
         order[lo:hi] = ids[np.argsort(c[:, axis], kind="stable")]
         mid = lo + (hi - lo) // 2
         for side, child_lo, child_hi in ((left, lo, mid), (right, mid, hi)):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 import tracemalloc
 
@@ -405,6 +406,69 @@ def test_bvh_matches_scan_on_rays_in_face_planes(seed, n):
     fid = assert_bvh_matches_scan(mesh, np.concatenate([track_o, box_o]),
                                   np.concatenate([track_d, box_d]))[0]
     assert (fid >= 0).sum() >= 20
+
+
+@functools.lru_cache(maxsize=None)
+def aimed_scene(name):
+    """(mesh, bvh): `flat`, a grid_mesh(40) flattened to z = 0, so that
+    box faces pass through every vertex; `rippled`, grid_mesh(40); and
+    `huge`, a grid_mesh(16) scaled by 1e60 beside facets with corners at
+    0 and +-1e308, far beyond float32's range."""
+    grid = grid_mesh(16 if name == "huge" else 40)
+    vertices, facets = grid.vertices.copy(), grid.facets
+    if name == "flat":
+        vertices[:, 2] = 0.0
+    elif name == "huge":
+        vertices *= 1e60
+        corners = np.array([[1e308, 0.0, 0.0], [0.0, 1e308, 0.0], [0.0, 0.0, -1e308],
+                            [-1e308, 0.0, 1.0], [0.0, -1e308, 1.0]])
+        facets = np.concatenate([facets, len(vertices) + np.array([[0, 1, 2], [3, 4, 2]])])
+        vertices = np.concatenate([vertices, corners])
+    with np.errstate(over="ignore", invalid="ignore"):     # products of +-1e308 corners
+        mesh = Mesh.from_arrays(vertices, facets)
+        return mesh, build_bvh(mesh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), name=st.sampled_from(["flat", "rippled", "huge"]),
+       aim=st.sampled_from(["vertex", "edge"]),
+       kind=st.sampled_from(["slanted", "down", "tiny", "far"]))
+@example(seed=0, name="flat", aim="vertex", kind="slanted")
+def test_bvh_equals_scan_on_rays_aimed_at_vertices_and_edges(seed, name, aim, kind):
+    """Rays aimed at vertices and edge midpoints, where a box face passes
+    through the hit point: the BVH gives the scan's (facet id, t, m1, m2,
+    cos_theta), bitwise.  slanted: from random points above; down: d = (0,
+    0, -1), whose zero components put the origin in box face planes;
+    tiny: x and y components of 1e-45 to 1e-25 (or 0), whose reciprocals
+    overflow float32 below about 1e-38; far: straight down from z =
+    1e300.  A slab test that rounds to nearest, without widening, culls
+    some boxes that hold such hits."""
+    mesh, bvh = aimed_scene(name)
+    rng = np.random.default_rng(seed)
+    n, scale = 48, 1e60 if name == "huge" else 1.0
+    if aim == "vertex":
+        target = mesh.vertices[rng.integers(len(mesh.vertices) - 5 * (name == "huge"), size=n)]
+    else:
+        ends = mesh.facets[rng.integers(mesh.num_facets - 2 * (name == "huge"), size=n)]
+        k = rng.integers(3, size=n)
+        target = (mesh.vertices[ends[np.arange(n), k]]
+                  + mesh.vertices[ends[np.arange(n), (k + 1) % 3]]) / 2.0
+    down = np.tile([0.0, 0.0, -1.0], (n, 1))
+    if kind == "slanted":
+        origins = target + rng.uniform(-3.0, 3.0, (n, 3)) * scale + [0.0, 0.0, 4.0 * scale]
+        directions = target - origins
+    elif kind == "far":
+        origins, directions = target * [1.0, 1.0, 0.0] + [0.0, 0.0, 1e300], down
+    else:
+        origins, directions = target + [0.0, 0.0, 2.0 * scale], down
+        if kind == "tiny":
+            tiny = 10.0 ** rng.uniform(-45.0, -25.0, (n, 2)) * rng.choice([-1.0, 0.0, 1.0], (n, 2))
+            directions = np.column_stack([tiny, down[:, 2]])
+    with np.errstate(over="ignore", invalid="ignore"):     # products of +-1e308 corners
+        scan = intersect_rays(mesh, origins, directions)
+        wave = intersect_rays(mesh, origins, directions, bvh=bvh)
+    for label, a, b in zip(("fid", "t", "m1", "m2", "cos_theta"), scan, wave):
+        assert a.tobytes() == b.tobytes(), f"{label}: {np.flatnonzero(a != b)[:8]}"
 
 
 class TestBvhWavefront:

@@ -10,10 +10,11 @@ and `backward`, and solve with the np.cross / np.einsum Moller-Trumbore
 kernel that `_mt` replaced; every output must match them bitwise.  The
 traversal reference starts at the root, goes down one tree level per
 step, through `left` and `right`, and keeps each ray's nearest hit of a
-step by a lexsort, where `_traverse` starts at the root's grandchildren,
-goes down two levels through `Bvh.grandchild` and takes a segmented
-minimum; it applies the same slab rule (+-inf slab times for a zero
-direction component, NaN skipped), and the linear scan pins that rule
+step by a lexsort, where `_traverse` starts at the root's row, goes down
+two levels through `Bvh.rows` and `Bvh.slots` and takes a segmented
+minimum.  The reference slab-tests the exact float64 boxes (+-inf slab
+times for a zero direction component, NaN skipped), where `_traverse`
+runs a conservative float32 test, and the linear scan pins both
 independently.  The backward reference reads the mesh from the ledger,
 which is a shaded HitSet.
 """
@@ -292,7 +293,8 @@ def test_mt_matches_cross_on_edge_cases():
 
 
 def grandchild_oracle(bvh):
-    """Bvh.grandchild by a loop over the nodes."""
+    """Each node's grandchildren as the rows of `Bvh.slots` list them (a
+    leaf child for itself, -1 padding), by a loop over the nodes."""
     rows = []
     for j in range(bvh.num_nodes):
         row = []
@@ -468,7 +470,7 @@ def test_copies_in_sibling_leaves_across_two_batches():
     tree = ((np.r_[copy_ids[2], rest[:40]], np.r_[copy_ids[0], rest[40:80]]),
             (np.r_[copy_ids[1], rest[80:200]], rest[200:]))
     bvh = hand_bvh(mesh, tree)
-    assert accel.uses_bvh(mesh) and bvh.num_nodes == 7 and np.all(bvh.grandchild[0] >= 0)
+    assert accel.uses_bvh(mesh) and bvh.num_nodes == 7 and np.all(bvh.slots[0] < -1)
     n = accel._TRAVERSE_BATCH + 37
     origins = np.column_stack([0.3 + rng.integers(0, 12, (n, 2)) / 32.0, np.full(n, 5.0)])
     directions = np.tile([0.0, 0.0, -1.0], (n, 1))
@@ -547,20 +549,60 @@ def leaf_depth_oracle(bvh):
     return min(depth)
 
 
+def assert_rows_match_the_tree(bvh):
+    """`slots` and `rows` row by row from the root's, against
+    `grandchild_oracle`: a row per node a step can hold (the root and the
+    inner nodes at even depth, each once), each slot's box its node's
+    padded by `_MARGIN` of the root box's magnitude and rounded outward to
+    float32 (+inf for an empty slot), and a leaf root standing for itself
+    in the root's row."""
+    kids = grandchild_oracle(bvh)
+    if bvh.count[0]:
+        kids[0] = [0, -1, -1, -1]
+    pad = accel._MARGIN * np.abs([bvh.box_min[0], bvh.box_max[0]]).max()
+    node_of = {0: 0}
+    assert bvh.slots.dtype == np.int64 and bvh.slots.shape[1] == 4
+    assert bvh.rows.dtype == np.float32 and bvh.rows.shape == (2, 3, len(bvh.slots), 4)
+    for row, codes in enumerate(bvh.slots):
+        node = node_of[row]
+        for slot, (code, kid) in enumerate(zip(codes, kids[node])):
+            lo, hi = bvh.rows[0, :, row, slot], bvh.rows[1, :, row, slot]
+            if kid < 0:
+                assert code == -1 and np.all(lo == np.inf) and np.all(hi == np.inf)
+                continue
+            if bvh.count[kid]:
+                assert code == -2 - kid
+            else:
+                assert code > row and code not in node_of
+                node_of[code] = kid
+            # outside the box padded by the margin, by at most two float32 steps
+            for bound, edge, out in ((lo, bvh.box_min[kid] - pad, -np.inf),
+                                     (hi, bvh.box_max[kid] + pad, np.inf)):
+                inward = np.nextafter(np.nextafter(bound, -out), np.float32(-out))
+                assert np.all(bound * np.sign(out) >= edge * np.sign(out))
+                assert np.all(inward * np.sign(out) < edge * np.sign(out))
+    even, stack = {0}, [(0, 0)]
+    while stack:
+        node, d = stack.pop()
+        if bvh.count[node] == 0:
+            even |= {node} if d % 2 == 0 else set()
+            stack += [(bvh.left[node], d + 1), (bvh.right[node], d + 1)]
+    assert sorted(node_of.values()) == sorted(even) and len(node_of) == len(bvh.slots)
+
+
 def test_derived_arrays_match_the_tree(traced):
-    """`grandchild` against a loop; `slabs` holds the boxes, zero-padded;
-    `corners` holds each facet's (p3, p1 - p3, p2 - p3) in leaf order;
-    `leaf_depth` is the shallowest leaf's depth."""
+    """`rows` and `slots` against the tree's grandchildren; `box_min` and
+    `box_max` stay the exact float64 boxes; `corners` holds each facet's
+    (p3, p1 - p3, p2 - p3) in leaf order; `leaf_depth` is the shallowest
+    leaf's depth."""
     rng = np.random.default_rng(20_262)
     trees = [traced[1], build_bvh(soup(rng, 3000)), build_bvh(soup(rng, 1)),
              build_bvh(soup(rng, 5)), build_bvh(soup(rng, 9))]
     trees += [case[2] for case in traverse_cases()]
     for bvh in trees:
-        assert bvh.grandchild.dtype == np.int64 and bvh.grandchild.shape == (bvh.num_nodes, 4)
-        assert np.array_equal(bvh.grandchild, grandchild_oracle(bvh))
-        assert bvh.slabs.shape == (2, bvh.num_nodes, 4) and np.all(bvh.slabs[..., 3] == 0.0)
+        assert_rows_match_the_tree(bvh)
+        assert bvh.box_min.dtype == bvh.box_max.dtype == np.float64
         assert bvh.box_min.shape == bvh.box_max.shape == (bvh.num_nodes, 3)
-        assert np.array_equal(bvh.slabs[..., :3], np.stack([bvh.box_min, bvh.box_max]))
         p1, p2, p3 = bvh.mesh.vertices[bvh.mesh.facets][bvh.order].transpose(1, 0, 2)
         expect = np.stack([p3, p1 - p3, p2 - p3], axis=1)
         assert bvh.corners.dtype == np.float64 and bvh.corners.shape == (bvh.order.size, 3, 3)

@@ -841,6 +841,45 @@ class TestTraceOnce:
         np.testing.assert_array_equal(params.values, before)
 
 
+@pytest.mark.parametrize("fail", [False, True], ids=["best-on-exit", "last-on-error"])
+def test_steps_write_live_entries_and_learn_every_entry_on_exit(small_radar, monkeypatch, fail):
+    """adam_step writes only the entries the next iteration reads: vertices
+    6-8, tied with the lit vertex 0 on a facet no ray reaches (so their TV
+    pairs join entries of one unknown and drop out), keep their values
+    through the run.  On exit learn gives them the group's value: the
+    best iterate, or the last step's when a step raises."""
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [1.2, 0.0, 0.0], [2.2, 0.0, 0.0], [1.2, 1.0, 0.0],
+                         [50.0, 0.0, 0.0], [51.0, 0.0, 0.0], [50.0, 1.0, 0.0]])
+    mesh = Mesh.from_arrays(vertices, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    params = ParamMap.constant(9, 0.004, 0.02, 9.0, 0.3)
+    truth = params.copy()
+    truth.values[:, 2] = 12.0
+    views = traced(mesh, [(small_radar, render(mesh, truth, small_radar)[0].intensities)])
+    opt = OptimState.create(9, lr=0.05, freeze_channels=("tau",), tie_groups=[[0, 6, 7, 8]])
+    start, seen = params.values.copy(), []
+
+    def step(opt, table, grads):
+        if fail and len(seen) == 3:
+            raise ValueError("stop")
+        adam_step(opt, table, grads)
+        seen.append(table.values.copy())
+
+    monkeypatch.setattr(learn_mod, "adam_step", step)
+    if fail:
+        with pytest.raises(ValueError, match="^stop$"):
+            learn(params, views, opt, LossConfig(lambda_mat=0.0), iters=6)
+    else:
+        learn(params, views, opt, LossConfig(lambda_mat=0.0), iters=6)
+    assert len(seen) == (3 if fail else 6)
+    assert all(table[6:].tobytes() == start[6:].tobytes() for table in seen)
+    assert not np.array_equal(seen[-1][0], start[0])
+    assert params.values[6:].tobytes() == np.tile(params.values[0], (3, 1)).tobytes()
+    assert opt.live is None and opt.values.tobytes() == params.values.take(opt.head).tobytes()
+    if fail:
+        assert params.values[:6].tobytes() == seen[-1][:6].tobytes()
+
+
 class RecordedCalls:
     """Wraps the shading kernel's BSDF (imaging's eval_bsdf_at) and learn's
     adam_step with recorders: events lists ("bsdf", theta of the angle

@@ -183,8 +183,8 @@ def test_op_faults_smoke(monkeypatch, capsys):
     assert lines[0].split() == ["operation", "ops", "minflt_p50", "cpu_ms_p50"]
     rows = {name: (int(ops), float(faults), float(cpu_ms))
             for name, ops, faults, cpu_ms in (line.split() for line in lines[1:])}
-    assert sorted(rows) == ["bvh_render", "bvh_render_16", "learn_iteration", "simulate",
-                            "terrain_learn_iteration"]
+    assert sorted(rows) == ["bvh_render", "bvh_render_16", "bvh_render_scanned",
+                            "learn_iteration", "simulate", "terrain_learn_iteration"]
     for ops, faults, cpu_ms in rows.values():
         assert ops == 3 and faults >= 0 and cpu_ms > 0
 
