@@ -21,14 +21,17 @@ operation with the medians, here from a 2-core Xeon VM (numpy 2.4.6,
 glibc 2.36), pinned to one core:
 
     operation                 ops  minflt_p50  cpu_ms_p50
-    simulate                  200         102       4.632
-    learn_iteration           200           0       0.253
-    terrain_learn_iteration   200           0       0.270
-    bvh_render                200           0       1.326
-    bvh_render_16             200           0       0.749
-    bvh_render_scanned        200           0       1.475
+    simulate                  200          97       4.580
+    learn_iteration           200           0       0.231
+    terrain_learn_iteration   200           0       0.246
+    bvh_render                200           0       1.369
+    bvh_render_16             200           0       0.765
+    bvh_render_scanned        200           0       1.462
 
-Shading the heightfield's three views takes about 0.19 ms.  When learn
+Shading the heightfield's three views takes about 0.19 ms.  While an
+iteration rebuilt its loss factors, copied the gradient rows of the
+channels with an unknown and interpolated every channel, the two learn
+rows read 0.242 to 0.257 and 0.264 to 0.269 ms on that VM.  When learn
 handed adam_step an (n, 4) gradient table and summed the TV term over
 every edge, its heightfield iteration read 692 to 1,147 faults and 2.9
 to 3.1 ms; while adam_step wrote every tied entry each step, 0.33 to

@@ -341,8 +341,9 @@ def _facet_boxes(mesh: Mesh):
     """
     # (3, F, 3): contiguous corners; take, since fancy indexing costs 3-4x more
     p1, p2, p3 = mesh.vertices.take(mesh.facets.T, axis=0)
-    centroids = p1 + p2
-    centroids += p3
+    with np.errstate(over="ignore", invalid="ignore"):      # centroids of +-1e308 corners
+        centroids = p1 + p2
+        centroids += p3
     centroids += 0.0
     centroids /= 3.0
     return (np.minimum(np.minimum(p1, p2), p3), np.maximum(np.maximum(p1, p2), p3),
@@ -394,7 +395,9 @@ def _median_split(mesh: Mesh) -> dict:
         pos = np.repeat(a, size) + local
         ids = order.take(pos)
         c = centroids.take(ids, axis=1)
-        extent = np.maximum.reduceat(c, first, axis=1) - np.minimum.reduceat(c, first, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):     # centroids near +-1e308, or inf
+            extent = (np.maximum.reduceat(c, first, axis=1)
+                      - np.minimum.reduceat(c, first, axis=1))
         # one unique key per facet, (node, rank along the node's axis, local);
         # the node is the top field, so a sorted key stays in its node's range
         # and its low bits give the range's stable order

@@ -395,9 +395,15 @@ def by_wave(waves, wave_id, theta):
 
 def shade_hits(params: ParamMap, corners, bary, groups):
     """sigma (h,) and channel-major dsigma (4, h) of hits: one interpolation
-    at their corners (3, h) and barycentric weights (3, h), then one
-    eval_bsdf_at call per by_wave group."""
-    values = interpolate(params.values, corners, bary).T      # (h, 4), contiguous channels
+    at their corners (3, h) and barycentric weights (3, h), then
+    shade_rows."""
+    return shade_rows(interpolate(params.values, corners, bary).T, groups)
+
+
+def shade_rows(values, groups):
+    """sigma (h,) and channel-major dsigma (4, h) of hits with parameter rows
+    values (h, 4), each channel contiguous: one eval_bsdf_at call per
+    by_wave group."""
     shaded = [(rows, eval_bsdf_at(angles, values[rows])) for angles, rows in groups]
     if len(shaded) == 1:
         sigma, grads = shaded[0][1]

@@ -15,28 +15,32 @@ views' images laid end to end, its weight and each view's pixel span
 come from there, and learn adds every view's flattened reference with
 its peak scale per pixel.  A hit is live when its facet
 touches a vertex with an unknown; the others are shaded once, on entry,
-since Adam never writes their vertices.  The TV term's (edge, channel)
-pairs are sorted once too: a pair with no unknown at either end is a
+since Adam never writes their vertices.  The stack is built for one
+LossConfig, so each live hit's loss factor (2 lambda_sim over the views
+and its view's pixels) and its pixel's peak scale are laid out on entry
+too.  So are the TV term's (edge, channel) pairs, unless lambda_mat is
+0, when there are none: a pair with no unknown at either end is a
 constant, summed on entry; one whose ends are entries of one unknown (a
 tied group's values are always equal) is dropped; the rest are live.
 An iteration then does only the work the table changes, in arrays sized
 by the live hits, the live pairs and the k unknowns, never by the
-table: imaging.shade_hits (shade_views' kernel, one
-imaging.eval_bsdf_at call per wave) over the live hits, one np.bincount
-for every view's pixels, one difference and one square over all of
-them with one sum per view (its loss and its RMSE), dL/dI at the pixels
-the live hits read, and one np.bincount over every channel with an
-unknown that pulls it back into per-view blocks over the touched
-vertices; a channel that every vertex freezes (tau in every protocol) is
-not assembled.  The blocks are summed in view order, each live entry
-adds its live pairs' TV subgradient, and one np.bincount over the live
-entries, in table order, gives the k unknowns' gradient.  So losses,
-RMSEs and that gradient are bitwise the one-view-at-a-time loss_sim,
-rmse_normalized and the per-unknown sums of backward(ledger, dLdI) and
-loss_tv's subgradient; only the TV loss can move, in its last bits,
-since its pairs are summed in another order.  grad_check's finite differences
-take the total of this same objective, so the gradient it checks is the
-one learn steps with.
+table: the live hits' parameters interpolated in the channels with an
+unknown (a channel that every vertex freezes, tau in every protocol, is
+interpolated on entry), imaging.shade_rows (shade_views' kernel, one
+imaging.eval_bsdf_at call per wave) over them, one np.bincount for
+every view's pixels, one difference and one square over all of them
+with one sum per view (its loss and its RMSE), dL/dI at the pixels the
+live hits read, and one np.bincount over every channel with an unknown
+that pulls it back into per-view blocks over the touched vertices; a
+frozen channel's partials are not assembled.  The blocks are summed in
+view order, each live entry adds its live pairs' TV subgradient, and
+one np.bincount over the live entries, in table order, gives the k
+unknowns' gradient.  So losses, RMSEs and that gradient are bitwise the
+one-view-at-a-time loss_sim, rmse_normalized and the per-unknown sums
+of backward(ledger, dLdI) and loss_tv's subgradient; only the TV loss
+can move, in its last bits, since its pairs are summed in another
+order.  grad_check's finite differences take the total of this same
+objective, so the gradient it checks is the one learn steps with.
 
 Adam steps a vector of unknowns: one per channel of a free vertex or of
 a tied vertex group (one shared record, gradients summed over the
@@ -55,10 +59,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sartrace.imaging import HitLedger, SarImage, by_wave, shade_hits, stack_views
+from sartrace.imaging import (HitLedger, SarImage, by_wave, shade_hits, shade_rows,
+                              stack_views)
 # the benchmark's traced run wraps this module's `render` by name
 from sartrace.imaging import render  # noqa: F401
-from sartrace.scene import PARAM_CHANNELS, PARAM_LOWER, PARAM_UPPER, ParamMap, mesh_edges
+from sartrace.scene import (PARAM_CHANNELS, PARAM_LOWER, PARAM_UPPER, ParamMap, interpolate,
+                            mesh_edges)
 
 _NUM_LOG = 3  # h, l and eps_r lead the table and step in log space; tau is linear
 
@@ -248,11 +254,12 @@ def adam_step(state: OptimState, params: ParamMap, g: np.ndarray) -> ParamMap:
     entries are not touched: they are clipped only when learn projects
     on entry.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != state.m.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match the {state.m.size} unknowns")
-    if not np.isfinite(g).all():
-        bad = state.head[~np.isfinite(g)]
+    g_opt = np.array(g, dtype=np.float64)      # a copy: the log slice is scaled in place
+    if g_opt.shape != state.m.shape:
+        raise ValueError(f"gradient shape {g_opt.shape} does not match the "
+                         f"{state.m.size} unknowns")
+    if not np.isfinite(g_opt).all():
+        bad = state.head[~np.isfinite(g_opt)]
         vertex = int(bad.min()) // 4
         # unknowns run channel by channel, so a vertex's bad heads are in channel order
         names = ", ".join(PARAM_CHANNELS[c] for c in bad[bad // 4 == vertex] % 4)
@@ -261,26 +268,37 @@ def adam_step(state: OptimState, params: ParamMap, g: np.ndarray) -> ParamMap:
 
     x = params.values.take(state.head) if state.values is None else state.values
     log = slice(0, state.starts[_NUM_LOG])
-    g_opt = g.copy()
     g_opt[log] *= x[log]
 
+    # the textbook update, each operation in its order, in place where an
+    # operand is used up
     state.step += 1
     t = state.step
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g_opt
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g_opt * g_opt
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g_opt
+    square = (1.0 - state.beta2) * g_opt
+    square *= g_opt
+    state.v *= state.beta2
+    state.v += square
     m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    lr_t = state.lr * state.lr_decay ** (t - 1)
-    denom = np.sqrt(v_hat) + state.eps_adam
-    update = np.where(denom > 0.0, m_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
-
-    z = x - lr_t * update
-    z[log] = np.exp(np.log(x[log]) - lr_t * update[log])
+    denom = state.v / (1.0 - state.beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps_adam
+    update = np.divide(m_hat, denom, out=np.zeros(m_hat.size), where=denom > 0.0)
     # untouched unknowns keep their value: log/exp round trips are lossy
-    x = np.where(update != 0.0, z, x)
-    np.clip(x, *state.bounds, out=x)
-    state.values = x
-    _write(params, *(state.live or (state.entries, state.unknown)), x)
+    still = update == 0.0
+    update *= state.lr * state.lr_decay ** (t - 1)
+
+    z = x - update
+    z_log = z[log]                            # a view: the log channels step in log space
+    np.log(x[log], out=z_log)
+    z_log -= update[log]
+    np.exp(z_log, out=z_log)
+    np.copyto(z, x, where=still)
+    np.maximum(z, state.bounds[0], out=z)
+    np.minimum(z, state.bounds[1], out=z)
+    state.values = z                          # a new array: learn keeps the old as its best
+    _write(params, *(state.live or (state.entries, state.unknown)), z)
     return params
 
 
@@ -339,26 +357,34 @@ def _checked(views):
 @dataclass
 class _Stack:
     """Every view's hits concatenated, with the per-hit operators that no
-    parameter changes.  Live hits, whose facet touches a vertex with an
-    unknown, are shaded per iteration; the others keep the intensity
-    shaded when the stack was built.  A live entry is a table entry with
+    parameter changes and the loss factors of one LossConfig.  Live hits,
+    whose facet touches a vertex with an unknown, are shaded per
+    iteration; the others keep the intensity shaded when the stack was
+    built.  A live entry is a table entry with
     an unknown that a live hit or a live TV pair reaches; the gradient
     is assembled over those alone."""
 
+    cfg: LossConfig               # the loss the stack's factors were built for
     ref: np.ndarray               # (P,) every view's reference, flattened, end to end
     scale: np.ndarray             # (P,) its view's reference peak, 1 where the peak is <= 0
     spans: list                   # views + 1 ints: view v owns pixels spans[v]:spans[v + 1]
+    norms: list                   # per view, lambda_sim / (views x its pixels)
     pixel: np.ndarray             # (H,) flat pixel of every hit
     intensity: np.ndarray         # (H,) weight * sigma: the frozen hits' set here, the live ones'
                                   #   written by every iteration
     live: np.ndarray              # (L,) positions of the live hits
-    corners: np.ndarray           # (3, L) their facet corners' vertex ids
+    gather: np.ndarray            # (3, C, L) flat table entries of their facet corners, in the
+                                  #   channels with an unknown
     bary: np.ndarray              # (3, L) their barycentric weights m1, m2, 1 - m1 - m2
+    values: np.ndarray            # (4, L) their interpolated parameters: the channels with no
+                                  #   unknown set here, the others written by every iteration
     weight: np.ndarray            # (L,)
     groups: list                  # (BsdfAngles, live rows) per distinct wave
     live_pixel: np.ndarray        # (L,) pixel of each live hit
-    live_counts: np.ndarray       # (views,) how many live hits each view has
-    channels: np.ndarray          # (C,) the channels with an unknown, ascending
+    factor: np.ndarray            # (L,) 2 x its view's norm: dL/dI per (scaled) difference
+    live_scale: np.ndarray        # (L,) its pixel's scale
+    channels: np.ndarray | slice  # the channels with an unknown, ascending: a slice when they
+                                  #   lead the table, so that dsigma[channels] is a view
     product: np.ndarray           # (C, L, 3) the adjoint's buffer: bary rows x each partial
     slot: np.ndarray              # (C * L * 3,) each product's bin (view, channel, touched
                                   #   vertex); one bin past the others for a corner without one
@@ -372,18 +398,22 @@ class _Stack:
     tv_at: np.ndarray             # (2, Q) their live entry positions, M where frozen
 
 
-def _stack(params: ParamMap, views, opt: OptimState) -> _Stack:
-    """Stack _checked views with imaging.stack_views over opt's unknowns.
-    Hits touching no vertex with an unknown are shaded here, once, with
-    params, and the TV term's (edge, channel) pairs are sorted once: a
-    pair with no unknown at either end is a constant, one whose ends are
+def _stack(params: ParamMap, views, opt: OptimState, cfg: LossConfig) -> _Stack:
+    """Stack _checked views with imaging.stack_views over opt's unknowns,
+    for the loss cfg.  Hits touching no vertex with an unknown are shaded
+    here, once, with params, and each live hit's loss factor and peak
+    scale are laid out.  When cfg.lambda_mat is 0 there is no TV pair;
+    otherwise the TV term's (edge, channel) pairs are sorted once: a pair
+    with no unknown at either end is a constant, one whose ends are
     entries of one unknown (a tied group's, always equal) is dropped, and
     the rest are live."""
-    n = params.num_vertices
+    n, num_views = params.num_vertices, len(views)
     starts, vids, bary, theta, waves, wave_id, pixel, weight, spans = stack_views(
         [hits for hits, _ in views], n)
     refs = [ref for _, ref in views]
-    view_id = np.repeat(np.arange(len(views)), np.diff(starts))
+    view_id = np.repeat(np.arange(num_views), np.diff(starts))
+    norms = [cfg.lambda_sim / (num_views * (hi - lo)) for lo, hi in zip(spans, spans[1:])]
+    scale = np.repeat([ref.max(initial=0.0) or 1.0 for ref in refs], np.diff(spans))
 
     of = np.full((n, 4), -1)                          # each table entry's unknown, -1 if frozen
     of.flat[opt.entries] = opt.unknown
@@ -406,39 +436,56 @@ def _stack(params: ParamMap, views, opt: OptimState) -> _Stack:
     bins = np.full((n, 4), block)        # each entry's bin in a view's block, block if none
     bins[touched[:, None], channels] = np.arange(block).reshape(channels.size, touched.size).T
     slot = np.where(reached, bins.T.take(channels, axis=0)[:, corner]
-                    + view_id[live, None] * block, len(views) * block)        # (C, L, 3)
+                    + view_id[live, None] * block, num_views * block)        # (C, L, 3)
 
-    edges = mesh_edges(views[0][0].mesh)
-    ends = of.take(edges[:, 0], axis=0), of.take(edges[:, 1], axis=0)      # (E, 4) unknowns
-    diff = params.values.take(edges[:, 1], axis=0) - params.values.take(edges[:, 0], axis=0)
-    edge, channel = np.divmod(np.flatnonzero(ends[0] != ends[1]), 4)
-    tv_ends = edges.T[:, edge] * 4 + channel                 # (2, Q), (edge, channel) order
     used = has & mark[:, None]
-    used.flat[tv_ends] = has.flat[tv_ends]
+    tv_ends, tv_const = np.zeros((2, 0), dtype=np.int64), 0.0
+    if cfg.lambda_mat:
+        edges = mesh_edges(views[0][0].mesh)
+        ends = of.take(edges[:, 0], axis=0), of.take(edges[:, 1], axis=0)      # (E, 4) unknowns
+        diff = params.values.take(edges[:, 1], axis=0) - params.values.take(edges[:, 0], axis=0)
+        tv_const = float(np.abs(diff[(ends[0] < 0) & (ends[1] < 0)]).sum())
+        edge, channel = np.divmod(np.flatnonzero(ends[0] != ends[1]), 4)
+        tv_ends = edges.T[:, edge] * 4 + channel             # (2, Q), (edge, channel) order
+        used.flat[tv_ends] = has.flat[tv_ends]
     at = np.flatnonzero(used)                                 # (M,) the live entries
+    live_pixel = pixel[live]
+    corners, live_bary = np.ascontiguousarray(corner.T), np.ascontiguousarray(bary[live].T)
+    # ascending and distinct, so they lead the table when the last is C - 1
+    leading = channels.size == 0 or channels[-1] == channels.size - 1
     return _Stack(
-        ref=np.concatenate([ref.ravel() for ref in refs]),
-        scale=np.repeat([ref.max(initial=0.0) or 1.0 for ref in refs], np.diff(spans)),
-        spans=spans, pixel=pixel, intensity=intensity, live=live,
-        corners=np.ascontiguousarray(corner.T), bary=np.ascontiguousarray(bary[live].T),
-        weight=weight[live], groups=by_wave(waves, wave_id[live], theta[live]),
-        live_pixel=pixel[live], live_counts=np.bincount(view_id[live], minlength=len(views)),
-        channels=channels, product=np.empty((channels.size, live.size, 3)), slot=slot.ravel(),
+        cfg=cfg, ref=np.concatenate([ref.ravel() for ref in refs]), scale=scale, spans=spans,
+        norms=norms, pixel=pixel, intensity=intensity, live=live,
+        gather=corners[:, None] * 4 + channels[:, None], bary=live_bary,
+        values=interpolate(params.values, corners, live_bary), weight=weight[live],
+        groups=by_wave(waves, wave_id[live], theta[live]), live_pixel=live_pixel,
+        factor=np.repeat([2.0 * norm for norm in norms],
+                         np.bincount(view_id[live], minlength=num_views)),
+        live_scale=scale.take(live_pixel), channels=slice(0, channels.size) if leading else channels,
+        product=np.empty((channels.size, live.size, 3)), slot=slot.ravel(),
         block=block, entries=at, adjoint_at=bins.ravel().take(at), unknown=of.ravel().take(at),
-        num_unknowns=opt.m.size, tv_const=float(np.abs(diff[(ends[0] < 0) & (ends[1] < 0)]).sum()),
-        tv_ends=tv_ends, tv_at=np.where(has.ravel().take(tv_ends), np.searchsorted(at, tv_ends),
-                                        at.size))
+        num_unknowns=opt.m.size, tv_const=tv_const, tv_ends=tv_ends,
+        tv_at=np.where(has.ravel().take(tv_ends), np.searchsorted(at, tv_ends), at.size))
 
 
-def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig):
-    """One learn iteration: (total, sim, tv, d(total)/d(unknowns) (k,),
-    per-view RMSE).  Bitwise the per-view loss_sim and rmse_normalized,
-    with views' data terms summed in order, then the TV term over the
-    stack's constant and live pairs.  Each live entry's partial is its
-    TV subgradient plus its adjoint, the views' blocks summed in order,
-    and an unknown's gradient sums its entries' in table order, as a
-    sum of the full table's entries would."""
-    sigma, dsigma = shade_hits(params, stack.corners, stack.bary, stack.groups)
+def _objective(stack: _Stack, params: ParamMap):
+    """One learn iteration under stack.cfg: (total, sim, tv,
+    d(total)/d(unknowns) (k,), per-view RMSE).  params is read in the
+    channels with an unknown; the others, like the frozen hits, keep the
+    stacked table's values.  Bitwise the per-view loss_sim and
+    rmse_normalized, with views' data terms summed in order, then the TV
+    term over the stack's constant and live pairs.  Each live entry's
+    partial is its TV subgradient plus its adjoint, the views' blocks
+    summed in order, and an unknown's gradient sums its entries' in
+    table order, as a sum of the full table's entries would."""
+    cfg = stack.cfg
+    # the channels with an unknown, interpolated as scene.interpolate does
+    v0, v1, v2 = params.values.reshape(-1).take(stack.gather)       # (C, L) each
+    rows = np.multiply(stack.bary[0], v0)
+    rows += np.multiply(stack.bary[1], v1)
+    rows += np.multiply(stack.bary[2], v2)
+    stack.values[stack.channels] = rows
+    sigma, dsigma = shade_rows(stack.values.T, stack.groups)
     intensity = stack.intensity
     intensity[stack.live] = stack.weight * sigma
     image = np.bincount(stack.pixel, weights=intensity, minlength=stack.spans[-1])
@@ -450,22 +497,19 @@ def _objective(stack: _Stack, params: ParamMap, cfg: LossConfig):
     diff = image - stack.ref
     scaled = diff / stack.scale
     square = scaled * scaled
-    rmses, sim, coef = np.empty(num_views), 0.0, []
-    for vi, (lo, hi) in enumerate(zip(spans, spans[1:])):
+    rmses, sim = np.empty(num_views), 0.0
+    for vi, (lo, hi, norm) in enumerate(zip(spans, spans[1:], stack.norms)):
         total = np.add.reduce(square[lo:hi])
         rmses[vi] = math.sqrt(total / (hi - lo))
-        norm = cfg.lambda_sim / (num_views * (hi - lo))
         sim += norm * float(total if cfg.normalize else np.add.reduce(diff[lo:hi] * diff[lo:hi]))
-        coef.append(2.0 * norm)
 
     # dL/dI at the pixels the live hits read, then every channel's
     # products, hit-major, filled one corner's row at a time, in one
     # np.bincount into one block per view
-    pixel = stack.live_pixel
-    dLdI = np.repeat(coef, stack.live_counts) * (scaled if cfg.normalize else diff).take(pixel)
+    dLdI = stack.factor * (scaled if cfg.normalize else diff).take(stack.live_pixel)
     if cfg.normalize:
-        dLdI /= stack.scale.take(pixel)
-    partial = (dLdI * stack.weight) * dsigma.take(stack.channels, axis=0)   # (C, L)
+        dLdI /= stack.live_scale
+    partial = (dLdI * stack.weight) * dsigma[stack.channels]   # (C, L)
     for corner, row in enumerate(stack.bary):
         np.multiply(row, partial, out=stack.product[:, :, corner])
     size = stack.block
@@ -514,7 +558,7 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
         raise ValueError(f"iters must be >= 0, got {iters}")
     views = _checked(views)
     opt.project(params)
-    stack = _stack(params, views, opt)
+    stack = _stack(params, views, opt, cfg)
     best, best_total = None, math.inf
     # adam_step steps from opt.values and writes only the live entries
     opt.values, opt.live = params.values.take(opt.head), (stack.entries, stack.unknown)
@@ -524,7 +568,7 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     aborted = False
     try:
         for _ in range(iters):
-            total, sim, tv, grads, rmses = _objective(stack, params, cfg)
+            total, sim, tv, grads, rmses = _objective(stack, params)
 
             total_hist.append(total)
             sim_hist.append(sim)
@@ -600,8 +644,8 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
     params.validate()
     views = _checked(views)
     opt = OptimState.create(params.num_vertices)        # untied: one unknown per entry
-    stack = _stack(params, views, opt)
-    grads = _objective(stack, params, cfg)[3].take(opt.unknown).reshape(-1, 4)
+    stack = _stack(params, views, opt, cfg)
+    grads = _objective(stack, params)[3].take(opt.unknown).reshape(-1, 4)
 
     rng = np.random.default_rng(seed)
     probes = []
@@ -612,9 +656,9 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
         step = max(_FD_REL_STEP * abs(base), 1e-8)
         trial = params.copy()
         trial.values[vid, ci] = base + step
-        up = _objective(stack, trial, cfg)[0]
+        up = _objective(stack, trial)[0]
         trial.values[vid, ci] = base - step
-        down = _objective(stack, trial, cfg)[0]
+        down = _objective(stack, trial)[0]
         fd = (up - down) / (2.0 * step)
         analytic = float(grads[vid, ci])
         denom = max(abs(analytic), abs(fd))

@@ -229,7 +229,8 @@ def oracle_build_bvh(mesh):
     tri = mesh.vertices[mesh.facets]
     fmin = tri.min(axis=1)
     fmax = tri.max(axis=1)
-    centroids = tri.mean(axis=1)
+    with np.errstate(over="ignore"):            # centroids of +-1e308 corners
+        centroids = tri.mean(axis=1)
 
     order = np.arange(mesh.num_facets, dtype=np.int64)
     box_min, box_max, left, right, start, count = [None], [None], [-1], [-1], [0], [0]
@@ -244,7 +245,7 @@ def oracle_build_bvh(mesh):
             count[node] = hi - lo
             continue
         c = centroids[ids]
-        with np.errstate(invalid="ignore"):     # inf - inf: centroids that overflowed
+        with np.errstate(over="ignore", invalid="ignore"):     # centroids near +-1e308, or inf
             axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
         order[lo:hi] = ids[np.argsort(c[:, axis], kind="stable")]
         mid = lo + (hi - lo) // 2

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,19 @@ def test_build_matches_oracle(seed, n_facets, kind):
     assert bounds[0] == 0
     np.testing.assert_array_equal(np.diff(bounds), bvh.count[leaves])
     np.testing.assert_array_equal(np.sort(bvh.order), np.arange(mesh.num_facets))
+
+
+@pytest.mark.parametrize("n_facets", [9, 600])
+def test_overflow_mesh_builds_without_warnings(n_facets):
+    """Corners of +-2**1023 overflow the centroid sums, and a split takes
+    inf - inf extents: the build is silent about both."""
+    mesh = bvh_test_mesh(np.random.default_rng(3), n_facets, "overflow")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        centroids = accel._facet_boxes(mesh)[2]
+        bvh = build_bvh(mesh)
+    assert np.isinf(centroids).any(axis=0).all()
+    assert bvh.num_nodes > 1 and np.array_equal(np.sort(bvh.order), np.arange(n_facets))
 
 
 @pytest.mark.parametrize("kind", ["random", "integer", "overflow", "negative-zero"])

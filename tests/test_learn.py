@@ -919,8 +919,13 @@ class TestStackedLoss:
     loss_sim and rmse_normalized, and loss_sim's gradient pulled back
     through backward."""
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_matches_per_view_loss_sim_and_rmse(self, learn_setup, normalize):
+    @pytest.mark.parametrize("normalize, lambda_sim", [
+        pytest.param(True, 1.0, id="True"), pytest.param(False, 1.0, id="False"),
+        pytest.param(True, 0.5, id="True-0.5"), pytest.param(False, 0.5, id="False-0.5")])
+    def test_matches_per_view_loss_sim_and_rmse(self, learn_setup, normalize, lambda_sim):
+        """Every LossConfig branch of the stack's loss factors; and a stack
+        evaluated at another table, as grad_check's probes evaluate it, is
+        bitwise a stack built at that table."""
         mesh, truth, radar = learn_setup
         other = dataclasses.replace(radar, end_pos=[2.2, 4.0, 4.0], seed=9)
         train = [(radar, render(mesh, truth, radar)[0].intensities),
@@ -932,17 +937,26 @@ class TestStackedLoss:
         params = truth.copy()
         params.values[3:, 0] *= 1.6
         params.values[:, 2] += np.arange(mesh.num_vertices)
-        cfg = LossConfig(lambda_sim=0.7, lambda_mat=0.0, normalize=normalize)
+        cfg = LossConfig(lambda_sim=lambda_sim, lambda_mat=0.0, normalize=normalize)
 
         opt = OptimState.create(mesh.num_vertices)
-        stack = learn_mod._stack(params, learn_mod._checked(traced(mesh, train)), opt)
-        total, sim, tv, grads, rmses = learn_mod._objective(stack, params, cfg)
+        views = learn_mod._checked(traced(mesh, train))
+        stack = learn_mod._stack(params, views, opt, cfg)
+        total, sim, tv, grads, rmses = learn_mod._objective(stack, params)
         grads = table_of(opt, grads)
 
         want_total, want_sim, _, want_grads, want_rmses = oracle_objective(mesh, params, train, cfg)
         assert (total, sim, tv) == (want_sim, want_sim, 0.0) == (want_total, sim, 0.0)
         assert sim > 0.0 and rmses.tobytes() == want_rmses.tobytes()
         assert grads.tobytes() == want_grads.tobytes() and np.abs(grads).max() > 0.0
+
+        trial = params.copy()
+        trial.values[3:, 1] *= 0.8
+        trial.values[0, 2] += 1.5
+        reused = learn_mod._objective(stack, trial)
+        fresh = learn_mod._objective(learn_mod._stack(trial, views, opt, cfg), trial)
+        assert reused[:3] == fresh[:3] and reused[0] != total
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(reused[3:], fresh[3:]))
 
 
 def _on_facets(hits, facets):
@@ -1100,8 +1114,8 @@ class TestStackedObjective:
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
         views = learn_mod._checked(traced(mesh, refs))
         every, opt = (OptimState.create(mesh.num_vertices, **kw) for kw in ({}, kwargs))
-        full = learn_mod._objective(learn_mod._stack(start, views, every), start, cfg)
-        part = learn_mod._objective(learn_mod._stack(start, views, opt), start, cfg)
+        full = learn_mod._objective(learn_mod._stack(start, views, every, cfg), start)
+        part = learn_mod._objective(learn_mod._stack(start, views, opt, cfg), start)
         assert part[:3] == full[:3] and part[4].tobytes() == full[4].tobytes()
         assert part[3].tobytes() == unknowns(opt, table_of(every, full[3])).tobytes()
         assert np.abs(part[3]).max() > 0.0
@@ -1189,8 +1203,10 @@ class TestUnknownGradient:
         the (k,) gradient is bitwise np.bincount(opt.unknown,
         oracle.take(opt.entries)), the data term and RMSEs bitwise the
         oracle's, and the TV term the all-edge sum within 1e-12 relative
-        (bitwise 0 at lambda_mat = 0).  Over five learn iterations every
-        gradient handed to adam_step and the final table stay bitwise."""
+        (bitwise 0 at lambda_mat = 0, where the stack keeps no TV pair and
+        only the hits reach live entries).  Over five learn iterations
+        every gradient handed to adam_step and the final table stay
+        bitwise."""
         mesh, (a, b, frozen, free), start, refs = grid_scene()
         cfg = LossConfig(lambda_sim=1.0, lambda_mat=lambda_mat, normalize=True)
         make_opt = lambda: OptimState.create(mesh.num_vertices, lr=0.05, freeze_channels=("tau",),
@@ -1199,25 +1215,29 @@ class TestUnknownGradient:
         assert opt.m.size == 3 * (2 + free.size)
         # all three views reach every free vertex, the second alone does not
         for views in (refs, refs[1:2]):
-            stack = learn_mod._stack(start, learn_mod._checked(traced(mesh, views)), opt)
-            total, sim, tv, g, rmses = learn_mod._objective(stack, start, cfg)
+            stack = learn_mod._stack(start, learn_mod._checked(traced(mesh, views)), opt, cfg)
+            total, sim, tv, g, rmses = learn_mod._objective(stack, start)
             want = oracle_objective(mesh, start, views, cfg)
             assert g.tobytes() == unknowns(opt, want[3]).tobytes() and np.abs(g).max() > 0.0
             assert sim == want[1] and rmses.tobytes() == want[4].tobytes() and total == sim + tv
             assert tv == pytest.approx(want[2], rel=1e-12, abs=0.0)
             assert (tv > 0.0) if lambda_mat else (tv == 0.0 and total == want[0])
-        # live entries that only TV pairs reach, in no view's block
-        assert (stack.adjoint_at == stack.block).any()
+        if not lambda_mat:
+            # no TV pair, and every live entry in a view's block
+            assert stack.tv_ends.shape[1] == 0 and (stack.adjoint_at < stack.block).all()
+        else:
+            # live entries that only TV pairs reach, in no view's block
+            assert (stack.adjoint_at == stack.block).any()
 
-        # the stack's TV pairs are the (edge, channel) pairs of neither class
-        # it sets aside: no unknown at either end, or one unknown at both
-        of = np.full(4 * mesh.num_vertices, -1)
-        of[opt.entries] = opt.unknown
-        ends = of[mesh_edges(mesh)[:, :, None] * 4 + np.arange(4)]        # (E, 2, 4)
-        constant = (ends < 0).all(axis=1)
-        dropped = (ends[:, 0] == ends[:, 1]) & ~constant
-        assert constant.any() and dropped.any()
-        assert stack.tv_ends.shape[1] == (~constant & ~dropped).sum() > 0
+            # the stack's TV pairs are the (edge, channel) pairs of neither
+            # class it sets aside: no unknown at either end, or one unknown at both
+            of = np.full(4 * mesh.num_vertices, -1)
+            of[opt.entries] = opt.unknown
+            ends = of[mesh_edges(mesh)[:, :, None] * 4 + np.arange(4)]        # (E, 2, 4)
+            constant = (ends < 0).all(axis=1)
+            dropped = (ends[:, 0] == ends[:, 1]) & ~constant
+            assert constant.any() and dropped.any()
+            assert stack.tv_ends.shape[1] == (~constant & ~dropped).sum() > 0
 
         seen, params = [], start.copy()
         oracle_learn(mesh, start, refs, make_opt(), cfg, 5, seen=seen)
