@@ -21,13 +21,21 @@ operation with the medians, here from a 2-core Xeon VM (numpy 2.4.6,
 glibc 2.36), pinned to one core:
 
     operation                 ops  minflt_p50  cpu_ms_p50
-    simulate                  200          97       4.580
-    learn_iteration           200           0       0.231
-    terrain_learn_iteration   200           0       0.246
-    bvh_render                200           0       1.369
-    bvh_render_16             200           0       0.765
-    bvh_render_scanned        200           0       1.462
+    simulate                  200          93       4.928
+    learn_iteration           200           0       0.249
+    terrain_learn_iteration   200           0       0.271
+    bvh_render                200           0       1.303
+    bvh_render_16             200           0       0.658
+    bvh_render_scanned        200           0       1.631
 
+The 16-ray view, 0.66 ms, is the intercept of a view's time over its
+rays: the 240 rays more of the 256-ray view add another 0.65 ms.  While
+the view path called numpy's Python-level wrappers (np.flatnonzero,
+np.repeat, np.diff, np.clip, np.stack and others, about 40 calls a
+view) and its first leaf step compared its hits with the +inf nearest
+hits, the two BVH rows read 1.36 to 1.41 and 0.76 to 0.78 ms on that
+VM; over twelve alternating sessions of the two versions on a loaded
+host their medians went from 1.70 to 1.49 and from 0.98 to 0.82 ms.
 Shading the heightfield's three views takes about 0.19 ms.  While an
 iteration rebuilt its loss factors, copied the gradient rows of the
 channels with an unknown and interpolated every channel, the two learn
@@ -36,8 +44,9 @@ handed adam_step an (n, 4) gradient table and summed the TV term over
 every edge, its heightfield iteration read 692 to 1,147 faults and 2.9
 to 3.1 ms; while adam_step wrote every tied entry each step, 0.33 to
 0.48 ms.  The simulate fault count depends on the host, on the run and
-on the code's layout: on that VM it has read 96 to 321 for the same
-shading code.  A
+on the code's layout: on that VM it has read 84 to 321 for the same
+shading code (93 in the twelve sessions above, 84 or 93 for the
+version before).  A
 warm operation that faults tens or hundreds of pages usually frees a
 block of 64 KiB or more: glibc then trims the top of the heap, and the
 next operation faults the pages back in.  CPU ms are raw process CPU

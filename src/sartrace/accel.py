@@ -136,6 +136,9 @@ def _round_up32(a):
 # the self-intersection guard, rounded down
 _EPS_T32 = -_round_up32(np.array(-EPS_T))[()]
 
+# the facet id that no facet has, for the candidates that lose on t
+_NO_ID = np.iinfo(np.int64).max
+
 
 def _xyz(a):
     """The x, y and z views of a (..., 3) array, without np.moveaxis's overhead."""
@@ -463,7 +466,7 @@ def _scan(p3, h1, h2, origins, directions):
     t, m1, m2 = _mt(origins[None, :, None, :], directions[None], p3[:, None, None, :],
                     h1[:, None, None, :], h2[:, None, None, :])
     t, m1, m2 = (a.reshape(a.shape[0], -1) for a in (t, m1, m2))
-    j = np.argmin(t, axis=0)          # first occurrence = lowest facet id
+    j = t.argmin(axis=0)              # first occurrence = lowest facet id
     # the winning row of each (F, R) column, as one flat take
     flat = j * t.shape[1] + np.arange(t.shape[1])
     tj = t.take(flat)
@@ -477,8 +480,9 @@ def _run_length(origins, most: int) -> int:
     consecutive rays with bit-identical origins: a divisor of the gcd of
     the maximal runs' lengths.  +0.0 and -0.0 never share a run."""
     bits = origins.view(np.int64)
-    starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
-    runs = int(np.gcd.reduce(np.diff(starts, prepend=0, append=origins.shape[0])))
+    starts = (bits[1:] != bits[:-1]).any(axis=1).nonzero()[0] + 1
+    # the runs' lengths are the differences of 0, the starts and n: they share their gcd
+    runs = int(np.gcd.reduce(starts, initial=origins.shape[0]))
     return max(d for d in range(1, min(runs, most) + 1) if runs % d == 0)
 
 
@@ -509,8 +513,11 @@ def _traverse(bvh: Bvh, origins, directions):
     A step does only the work its depth needs, from D = `leaf_depth`:
     while d + 2 < D no slot holds a leaf or is empty, so every slot that
     passes is a row; and until a step with leaves has run, every t_best
-    is +inf, so the step reads none.  Returns the same (facet_id, t, m1,
-    m2) as `_scan`.
+    is +inf, so the step reads none, and the first step with leaves (d <
+    D) assigns each ray's nearest hit of the step without comparing it.
+    A step writes the nearest hits into the per-ray rows only when inner
+    pairs remain for a later step to cut at them.  Returns the same
+    (facet_id, t, m1, m2) as `_scan`.
     """
     n = origins.shape[0]
     fid = np.full(n, -1, dtype=np.int64)
@@ -554,43 +561,48 @@ def _traverse(bvh: Bvh, origins, directions):
             if d >= depth:          # a step with leaves has run
                 np.fmin(tfar, pair[9], out=tfar)
             tfar *= _WIDEN
-            keep = np.flatnonzero(tnear <= tfar)
+            keep = (tnear <= tfar).ravel().nonzero()[0]
             ray = ray.take(keep >> 2)
             code = bvh.slots.take(row, axis=0).ravel().take(keep)
             if d + 2 < depth:       # every slot an inner node
                 row = code
             else:
-                at = np.flatnonzero(code < -1)
+                at = (code < -1).nonzero()[0]
+                inner = (code >= 0).nonzero()[0]
                 if at.size:
                     node = -2 - code.take(at)
                     # expand each (ray, leaf) pair into its (ray, facet) pairs
                     lcount = bvh.count.take(node)
-                    pair_ray = np.repeat(ray.take(at), lcount)
+                    pair_ray = ray.take(at).repeat(lcount)
                     # each pair's row of `order` and `corners`: its leaf's start plus its offset
-                    pos = np.repeat(bvh.start.take(node) - (np.cumsum(lcount) - lcount), lcount)
+                    pos = (bvh.start.take(node) - (lcount.cumsum() - lcount)).repeat(lcount)
                     pos += np.arange(pos.size)
                     t, m1, m2 = _mt(origins.take(pair_ray, axis=0),
                                     directions.take(pair_ray, axis=0),
                                     *bvh.corners.take(pos, axis=0).transpose(1, 0, 2))
-                    hit = np.flatnonzero(t < np.inf)
+                    hit = (t < np.inf).nonzero()[0]
                     pair_ray, t = pair_ray.take(hit), t.take(hit)
                     ids = bvh.order.take(pos.take(hit))
                     # each ray's smallest t of this step over its segment, then the lowest
-                    # id at that t; a (ray, facet) pair occurs once, so one pair wins
-                    seg = np.flatnonzero(np.diff(pair_ray, prepend=-1))
-                    size = np.diff(seg, append=pair_ray.size)
+                    # id at that t; a (ray, facet) pair occurs once, so one pair wins.
+                    # `edge` holds each segment's start, then the pairs' count
+                    edge = np.empty(pair_ray.size + 1, dtype=bool)
+                    edge[0] = edge[-1] = True
+                    np.not_equal(pair_ray[1:], pair_ray[:-1], out=edge[1:-1])
+                    edge = edge.nonzero()[0]
+                    seg, size = edge[:-1], edge[1:] - edge[:-1]
                     t_min = np.minimum.reduceat(t, seg)
-                    ids[t != np.repeat(t_min, size)] = np.iinfo(np.int64).max
+                    ids[t != t_min.repeat(size)] = _NO_ID
                     id_min = np.minimum.reduceat(ids, seg)
-                    win = hit.take(np.flatnonzero(ids == np.repeat(id_min, size)))
-                    # then against the ray's best so far
+                    win = hit.take((ids == id_min.repeat(size)).nonzero()[0])
                     r = pair_ray.take(seg)
-                    better = (t_min < t_best[r]) | ((t_min == t_best[r]) & (id_min < fid[r]))
-                    r, win = r[better], win[better]
-                    fid[r], t_best[r], m1_best[r], m2_best[r] = (
-                        id_min[better], t_min[better], m1.take(win), m2.take(win))
-                    at_ray[9, r] = t_best[r][:, None]
-                inner = np.flatnonzero(code >= 0)
+                    if d >= depth:      # then against the ray's best so far, once there is one
+                        better = (t_min < t_best[r]) | ((t_min == t_best[r]) & (id_min < fid[r]))
+                        r, win, id_min, t_min = (a[better] for a in (r, win, id_min, t_min))
+                    fid[r], t_best[r] = id_min, t_min
+                    m1_best[r], m2_best[r] = m1.take(win), m2.take(win)
+                    if inner.size:      # a later step cuts at them
+                        at_ray[9, r] = t_min[:, None]
                 ray, row = ray.take(inner), code.take(inner)
             d += 2
     return fid, t_best, m1_best, m2_best
@@ -648,8 +660,7 @@ def intersect_rays(mesh: Mesh, origins, directions, bvh: Bvh | None = None):
                 *edges, origins[batch][::run], directions[batch].reshape(-1, run, 3))
 
     cos_theta = np.zeros(n)
-    hit = fid >= 0
-    if hit.any():
-        cos_theta[hit] = np.abs(
-            np.einsum("nk,nk->n", mesh.facet_normals.take(fid[hit], axis=0), directions[hit]))
+    hit = (fid >= 0).nonzero()[0]
+    cos_theta[hit] = np.abs(np.einsum("nk,nk->n", mesh.facet_normals.take(fid.take(hit), axis=0),
+                                      directions.take(hit, axis=0)))
     return fid, t_hit, m1_hit, m2_hit, cos_theta

@@ -116,10 +116,17 @@ class RadarConfig:
         return np.linspace(self.start_pos, self.end_pos, self.num_azimuth)
 
     def ray_directions(self, alphas) -> np.ndarray:
-        """Unit directions for incidence angles (rad from vertical)."""
-        alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
-        return (np.sin(alphas)[:, None] * self.side_dir[None, :]
-                - np.cos(alphas)[:, None] * _WORLD_UP[None, :])
+        """Unit directions (n, 3) for n incidence angles (rad from vertical),
+        a scalar or a 1-D array; any other shape raises a ValueError naming
+        it.  sin(a) side_dir - cos(a) up, with up's zero components not
+        multiplied: x - (+0) is x, so for angles of non-negative cosine, as
+        every fan angle is, the directions are bitwise the product form's."""
+        alphas = np.asarray(alphas, dtype=np.float64)
+        if alphas.ndim > 1:
+            raise ValueError(f"incidence angles of shape {alphas.shape}, not a scalar or 1-D")
+        directions = np.multiply.outer(np.sin(alphas), self.side_dir).reshape(-1, 3)
+        directions[:, 2] -= np.cos(alphas)
+        return directions
 
 
 @dataclass(frozen=True)
@@ -141,13 +148,13 @@ class MapFrame:
         """
         r_axis = radar.ray_directions(radar.alpha1)[0]
         track = radar.track_dir
-        u_axis = track - np.dot(track, r_axis) * r_axis
-        n = np.linalg.norm(u_axis)
+        u_axis = track - track.dot(r_axis) * r_axis
+        n = math.sqrt(u_axis.dot(u_axis))      # np.linalg.norm of a 1-D vector
         if n < 1e-12:
             raise ValueError("track direction is parallel to the fan-top ray")
         u_axis = -u_axis / n
         v_axis = _cross(r_axis, u_axis)
-        rot = np.stack([u_axis, v_axis, r_axis])
+        rot = np.array([u_axis, v_axis, r_axis])
         return MapFrame(rotation=rot, translation=-rot @ radar.start_pos)
 
     def apply(self, points) -> np.ndarray:
@@ -188,7 +195,7 @@ def generate_rays(radar: RadarConfig, azimuth_index) -> RayFan:
         offsets = (np.arange(spua) + jitter.take(rows, axis=0)) / spua
     angles = (radar.alpha0 + width * (np.arange(n_bins)[:, None] + offsets)).ravel()
     directions = radar.ray_directions(angles)
-    origins = np.repeat(radar.platform_positions()[rows], n_bins * spua, axis=0)
+    origins = radar.platform_positions().take(rows, axis=0).repeat(n_bins * spua, axis=0)
     weights = np.full(angles.shape, width / spua)
     return RayFan(origins=origins, directions=directions, weights=weights, angles=angles)
 
@@ -327,10 +334,11 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
 
     hitsets, start = [], 0
     for vi, (radar, fan, window) in enumerate(zip(radars, fans, windows)):
-        sel = np.flatnonzero(fid[start:start + fan.weights.size] >= 0)
+        sel = (fid[start:start + fan.weights.size] >= 0).nonzero()[0]
         hit = sel + start
         start += fan.weights.size
-        points = fan.origins.take(sel, axis=0) + t[hit, None] * fan.directions.take(sel, axis=0)
+        points = (fan.origins.take(sel, axis=0)
+                  + t.take(hit)[:, None] * fan.directions.take(sel, axis=0))
         h_r = MapFrame.from_radar(radar).apply(points)[:, 2]
         if window is not None:
             origin, num_bins = window
@@ -342,14 +350,18 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
             raise ValueError(
                 f"range window spans {num_bins} bins at range_res={radar.range_res}")
         bins = range_bin_of(h_r, radar.range_res, origin)
-        bad = bins[(bins < 0) | (bins >= num_bins)]     # only a pinned window leaves some out
-        if bad.size:
-            raise ValueError(f"view {vi}: bin {bad[0]} outside profile of {num_bins} bins")
+        # the hits' own window spans their bins, by the same floor, so only a
+        # pinned one can leave some out
+        if window is not None:
+            bad = bins[(bins < 0) | (bins >= num_bins)]
+            if bad.size:
+                raise ValueError(f"view {vi}: bin {bad[0]} outside profile of {num_bins} bins")
+        # cos_t is an absolute value, so only the upper clip can act
         hitsets.append(HitSet(
             mesh=mesh, radar=radar, range_origin=origin, image_shape=(radar.num_azimuth, num_bins),
-            row=sel // (radar.num_angles * radar.spua), facet_id=fid[hit], m1=m1[hit], m2=m2[hit],
-            theta=np.arccos(np.clip(cos_t[hit], 0.0, 1.0)), weight=fan.weights[sel],
-            ranges=h_r, range_bin=bins))
+            row=sel // (radar.num_angles * radar.spua), facet_id=fid.take(hit), m1=m1.take(hit),
+            m2=m2.take(hit), theta=np.arccos(np.minimum(cos_t.take(hit), 1.0)),
+            weight=fan.weights.take(sel), ranges=h_r, range_bin=bins))
     return hitsets
 
 
@@ -379,9 +391,11 @@ def stack_views(hitsets, num_vertices: int):
                             for hits, lo in zip(hitsets, spans)])
     waves = list(dict.fromkeys(hits.radar.wave for hits in hitsets))
     wave_id = np.array([waves.index(hits.radar.wave) for hits in hitsets],
-                       dtype=np.int64).repeat(np.diff(starts))
-    return (starts, facets.take(facet_id, axis=0), np.stack([m1, m2, 1.0 - m1 - m2], axis=1),
-            theta, waves, wave_id, pixel, weight, spans)
+                       dtype=np.int64).repeat([hits.num_entries for hits in hitsets])
+    bary = np.empty((facet_id.size, 3))
+    bary[:, 0], bary[:, 1] = m1, m2
+    np.subtract(1.0 - m1, m2, out=bary[:, 2])
+    return starts, facets.take(facet_id, axis=0), bary, theta, waves, wave_id, pixel, weight, spans
 
 
 def by_wave(waves, wave_id, theta):
@@ -389,7 +403,7 @@ def by_wave(waves, wave_id, theta):
     ids = np.bincount(wave_id, minlength=len(waves)).nonzero()[0]
     if ids.size == 1:
         return [(bsdf_angles(theta, waves[ids[0]]), slice(None))]
-    rows = [np.flatnonzero(wave_id == w) for w in ids]
+    rows = [(wave_id == w).nonzero()[0] for w in ids]
     return [(bsdf_angles(theta[r], waves[w]), r) for w, r in zip(ids, rows)]
 
 

@@ -484,6 +484,58 @@ def test_copies_in_sibling_leaves_across_two_batches():
     assert np.all(got[0] == copy_ids[0]) and np.all(got[1] == 2.0)
 
 
+def two_step_mesh():
+    """Nine facets for downward rays in four unit cells along x, each cell
+    a case of a ray's hit in the first leaf step (a facet at z = 1 in the
+    shallow leaf) met by one in the next step (in a deep leaf):
+    - cell 0, nearer: facet 5 at z = 2;
+    - cell 2, farther: facet 6 at z = 0.5, with facet 7, a vertical
+      triangle at x = 3 that the rays miss, raising the leaf's box to
+      z = 2, so the ray enters it before its first hit;
+    - cell 4, a tie at equal t with a lower id: facet 0, a copy of 3;
+    - cell 6, a tie at equal t with a higher id: facet 8, a copy of 4.
+    The shallow leaf holds facets 1-4, one per cell."""
+    def cell(x0, z):
+        return [[x0, 0.0, z], [x0 + 1.0, 0.0, z], [x0, 1.0, z]]
+
+    tri = [cell(4.0, 1.0), cell(0.0, 1.0), cell(2.0, 1.0), cell(4.0, 1.0), cell(6.0, 1.0),
+           cell(0.0, 2.0), cell(2.0, 0.5), [[3.0, 0.0, 0.0], [3.0, 1.0, 0.0], [3.0, 0.5, 2.0]],
+           cell(6.0, 1.0)]
+    return Mesh.from_arrays(np.reshape(tri, (-1, 3)), np.arange(27).reshape(9, 3))
+
+
+# (tree, leaf_depth): the shallow leaves at depth 1 or 2, the deep ones at
+# depth 3, so the first leaf step is at d = 0 and the next one at d = 2
+TWO_STEP_TREES = {
+    "depths-1-3": (lambda shallow, deep: (shallow, balanced(deep)), 1),
+    "depths-3-1": (lambda shallow, deep: (balanced(deep), shallow), 1),
+    "depths-2-3": (lambda shallow, deep: (tuple(split(shallow, [2, 2])), balanced(deep)), 2),
+}
+
+
+@pytest.mark.parametrize("shape", TWO_STEP_TREES)
+def test_second_leaf_step_compares_with_the_first_steps_hit(shape):
+    """The first step with leaves takes each ray's nearest hit of the step
+    as its best, with no comparison, as every best is still +inf there;
+    a later step compares.  Against a first-step hit at t = 4 the next
+    step's hit wins when it is nearer (cell 0) or ties with a lower id
+    (cell 4), and loses when it is farther (cell 2) or ties with a higher
+    id (cell 6), bitwise as the scan and the one-level oracle give it."""
+    mesh = two_step_mesh()
+    deep = [np.array(ids) for ids in ([5], [6, 7], [0], [8])]
+    tree, leaf_depth = TWO_STEP_TREES[shape]
+    bvh = hand_bvh(mesh, tree(np.arange(1, 5), deep))
+    assert bvh.leaf_depth == leaf_depth
+    spots = np.array([[0.25, 0.25], [0.5, 0.2], [0.1, 0.6]])
+    x0 = np.repeat([0.0, 2.0, 4.0, 6.0], len(spots))
+    origins = np.column_stack([x0 + np.tile(spots[:, 0], 4), np.tile(spots[:, 1], 4),
+                               np.full(x0.size, 5.0)])
+    directions = np.tile([0.0, 0.0, -1.0], (x0.size, 1))
+    fid, t = assert_traverse_matches_oracle_and_scan(bvh, mesh, origins, directions)[:2]
+    assert fid.tolist() == np.repeat([5, 2, 0, 4], len(spots)).tolist()
+    assert t.tolist() == np.repeat([3.0, 4.0, 4.0, 4.0], len(spots)).tolist()
+
+
 def test_tree_listing_a_facet_twice_or_never_is_rejected():
     """Bvh checks that `order` is a permutation of the facets and that the
     leaves' ranges cover each of its positions once, and names the first

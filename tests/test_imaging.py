@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import re
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sartrace.imaging as imaging
+from sartrace import cli
 from sartrace.accel import build_bvh, uses_bvh
 from sartrace.imaging import (HitSet, MapFrame, RadarConfig, _cross, bin_ranges_fast,
                               generate_rays, range_bin_of, read_raster, render,
@@ -16,7 +18,7 @@ from sartrace.scatter import WaveConfig
 from sartrace.scene import Mesh, ParamMap
 from sartrace.scenes import plane_mesh, merge_meshes, rotate_radar, side_looking_radar
 
-from conftest import grid_mesh, map_frame_from_angles, rotated_radar
+from conftest import grid_mesh, load_script, map_frame_from_angles, rotated_radar
 
 
 def count_stages(monkeypatch):
@@ -201,6 +203,24 @@ class TestRadarConfig:
         radar = dataclasses.replace(small_radar, spua=spua, seed=np.uint64(2 ** 63))
         assert generate_rays(radar, 0).origins.shape == (10 * spua, 3)
 
+    @pytest.mark.parametrize("alphas, shape", [(0.5, (1, 3)), (np.float64(0.5), (1, 3)),
+                                               (np.array(0.5), (1, 3)), ([0.4, 0.5, 0.6], (3, 3)),
+                                               (np.zeros(0), (0, 3))],
+                             ids=["float", "float64", "0-d", "1-d", "empty"])
+    def test_ray_directions_of_a_scalar_or_1d_array(self, small_radar, alphas, shape):
+        directions = small_radar.ray_directions(alphas)
+        assert directions.shape == shape and directions.dtype == np.float64
+        np.testing.assert_allclose(np.linalg.norm(directions, axis=1), 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (1, 1, 3)], ids=["2x1", "2x2", "1x1x3"])
+    def test_ray_directions_name_any_other_shape(self, small_radar, shape):
+        """A (2, 2) angle array used to fail in numpy's broadcasting, with
+        the shapes (2,1,2) (1,3) of its products, and a (2, 1) one to give
+        (2, 1, 3) directions."""
+        with pytest.raises(ValueError, match=rf"^incidence angles of shape {re.escape(str(shape))}, "
+                                             "not a scalar or 1-D$"):
+            small_radar.ray_directions(np.full(shape, 0.5))
+
     def test_cross_is_np_cross_bitwise(self):
         rng = np.random.default_rng(21)
         vectors = rng.normal(size=(500, 2, 3)) * 10.0 ** rng.uniform(-8, 8, (500, 2, 1))
@@ -226,6 +246,81 @@ class TestRadarConfig:
         np.testing.assert_allclose(pos[-1], small_radar.end_pos)
         steps = np.diff(pos, axis=0)
         np.testing.assert_allclose(steps, np.tile(steps[0], (len(steps), 1)), atol=1e-12)
+
+
+def product_form_directions(radar, alphas):
+    """The form of RadarConfig.ray_directions that multiplied by every
+    component of up: sin(a) side - cos(a) up, angles made at least 1-D."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
+    up = np.array([0.0, 0.0, 1.0])
+    return np.sin(alphas)[:, None] * radar.side_dir[None, :] - np.cos(alphas)[:, None] * up[None, :]
+
+
+def stacked_frame(radar):
+    """MapFrame.from_radar's rotation and translation by np.linalg.norm,
+    np.cross and np.stack, from the product-form fan-top ray."""
+    r_axis = product_form_directions(radar, radar.alpha1)[0]
+    track = radar.track_dir
+    u_axis = track - np.dot(track, r_axis) * r_axis
+    u_axis = -u_axis / np.linalg.norm(u_axis)
+    rotation = np.stack([u_axis, np.cross(r_axis, u_axis), r_axis])
+    return rotation, -rotation @ radar.start_pos
+
+
+class TestRayGenerationOracles:
+    """Ray generation, the mapping frame and the traced incidence angles,
+    bitwise the broadcast products, np.linalg.norm, np.stack, np.repeat of
+    fancy-indexed rows and np.clip they were computed with, on tracks
+    rotated so that side_dir has x and y components."""
+
+    @pytest.fixture(params=[(spua, azimuth) for spua in (1, 2) for azimuth in (0, 120, 240)],
+                    ids=lambda p: f"spua{p[0]}-az{p[1]}")
+    def radar(self, request, small_radar):
+        spua, azimuth = request.param
+        radar = rotate_radar(dataclasses.replace(small_radar, spua=spua), math.radians(azimuth))
+        assert (radar.side_dir[:2] != 0.0).all() or azimuth == 0
+        return radar
+
+    def test_directions(self, radar):
+        fan = generate_rays(radar, np.arange(radar.num_azimuth))
+        assert_bitwise(fan.directions, product_form_directions(radar, fan.angles))
+        for alpha in (radar.alpha1, np.float64(radar.alpha0), np.array(0.61), [0.61]):
+            assert_bitwise(radar.ray_directions(alpha), product_form_directions(radar, alpha))
+
+    def test_origins(self, radar):
+        rays = radar.num_angles * radar.spua
+        for rows in (np.arange(radar.num_azimuth), np.array([3, 0, 3]), 4):
+            expect = np.repeat(radar.platform_positions()[np.atleast_1d(rows)], rays, axis=0)
+            assert_bitwise(generate_rays(radar, rows).origins, expect)
+
+    def test_frame(self, radar):
+        frame, (rotation, translation) = MapFrame.from_radar(radar), stacked_frame(radar)
+        assert_bitwise(frame.rotation, rotation)
+        assert_bitwise(frame.translation, translation)
+
+    @pytest.mark.parametrize("path", ["scan", "bvh"])
+    def test_traced_theta(self, radar, path, monkeypatch):
+        """theta is arccos of the clipped cos_theta of each hit, also where
+        cos_theta is set to 1 + 2**-52, 1, 0 or NaN."""
+        grid = grid_mesh(12)
+        mesh = Mesh.from_arrays(grid.vertices - [5.0, 5.0, 0.0], grid.facets)
+        bvh = build_bvh(mesh) if path == "bvh" else None
+        assert uses_bvh(mesh)
+        seen, intersect_rays = [], imaging.intersect_rays
+
+        def edited(*args, **kwargs):
+            out = intersect_rays(*args, **kwargs)
+            hit = np.flatnonzero(out[0] >= 0)
+            out[4][hit[:4]] = [1.0 + 2.0 ** -52, 1.0, 0.0, np.nan]
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(imaging, "intersect_rays", edited)
+        hits = trace(mesh, radar, bvh=bvh)
+        fid, cos_theta = seen[0][0], seen[0][4]
+        assert hits.num_entries > 4
+        assert_bitwise(hits.theta, np.arccos(np.clip(cos_theta[fid >= 0], 0.0, 1.0)))
+        assert hits.theta[0] == hits.theta[1] == 0.0 and np.isnan(hits.theta[3])
 
 
 radar_poses = st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.5, 1.5),
@@ -591,6 +686,20 @@ class TestViewBatch:
             for name in HIT_ARRAYS + ("sigma", "dsigma"):
                 assert_bitwise(getattr(ledger, name), getattr(one_ledger, name))
 
+    def test_unpinned_window_spans_the_hits_bins(self, scene):
+        """A window trace_views takes from the hits is [min, max] of their
+        ranges under the same floor as their bins, so every bin lies in
+        [0, num_bins): the nearest hit's bin is 0 and the farthest one's
+        num_bins - 1.  trace_views checks the bins of pinned windows only."""
+        mesh, _, bvh, radars = scene
+        traced = [hits for hits in trace_views(mesh, radars, bvh=bvh) if hits.num_entries]
+        assert len(traced) == 3
+        for hits in traced:
+            bins, num_bins = hits.range_bin, hits.image_shape[1]
+            assert bins.min() >= 0 and bins.max() < num_bins
+            assert bins[np.argmax(hits.ranges)] == 0
+            assert bins[np.argmin(hits.ranges)] == num_bins - 1
+
     def test_one_call_per_stage(self, scene, monkeypatch):
         """One intersect_rays and one interpolate call for all views, one
         eval_bsdf_at call per wave and one image bincount for every view."""
@@ -720,3 +829,49 @@ class TestImageFiles:
         assert len(blob) == len(header) + rows * cols * 2
         pixels = np.frombuffer(blob[len(header):], dtype=">u2").reshape(rows, cols)
         assert pixels.max() == 65535
+
+
+# numpy functions that run Python-level code around their C work
+NUMPY_WRAPPERS = ("flatnonzero", "diff", "clip", "stack", "cumsum", "atleast_1d", "iinfo")
+
+
+def test_a_view_calls_no_numpy_python_wrappers(monkeypatch, tmp_path, wave_hh):
+    """Render one BVH view of a 40 x 40 grid and one scanned view of the
+    demo scene with the numpy functions that wrap their C work in Python
+    (NUMPY_WRAPPERS and np.linalg.norm) replaced by counting ones: the
+    view path calls none of them.  Each such call costs 2-8 us, on a path
+    whose fixed cost, the intercept of a view's time over its rays, is
+    about 0.6 ms; the ndarray methods and ufuncs the path calls instead
+    compute the same values, bitwise."""
+    config, _ = load_script("make_demo_scene.py").write_demo(tmp_path)
+    demo_mesh, demo_params, demo_radars = cli.build_scene(cli.parse_config(config), tmp_path)
+    grid = grid_mesh(40)
+    assert uses_bvh(grid) and not uses_bvh(demo_mesh)
+    grid_params = ParamMap.constant(grid.num_vertices, 0.004, 0.02, 9.0, 0.1)
+    grid_radar = side_looking_radar(wave_hh, distance=8.0, incidence=math.radians(40),
+                                    track_length=4.0, num_azimuth=16, center=(5.0, 5.0, 0.0),
+                                    fan_halfwidth=math.radians(10), num_angles=8,
+                                    range_res=0.1, spua=2, seed=3)
+    bvh = build_bvh(grid)
+
+    def views():
+        return [render(grid, grid_params, grid_radar, bvh=bvh),
+                render(demo_mesh, demo_params, demo_radars[0])]
+
+    views()         # numpy imports some modules on first use, which call iinfo
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in NUMPY_WRAPPERS:
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    monkeypatch.setattr(np.linalg, "norm", counted("linalg.norm", np.linalg.norm))
+    rendered = views()
+    assert not calls
+    assert all(ledger.num_entries > 200 for _, ledger in rendered)
+    np.diff(np.arange(3))           # the counters count
+    assert calls == {"diff": 1}
