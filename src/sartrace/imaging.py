@@ -24,8 +24,9 @@ coordinates and bins, and the range window that holds every hit,
 kept per hit in a HitSet per view.  shade_views does the
 parameter-dependent work with the kernel that learn uses too:
 stack_views checks the views and lays them out end to end, hits and
-pixels alike, shade_hits interpolates the table at every hit and calls
-eval_bsdf_at, and one np.bincount over the stack sums every view's
+pixels alike, scene.interpolate gives the table at every hit, shade_rows
+calls eval_bsdf_at once per wave (learn's iterations call it on their
+live hits), and one np.bincount over the stack sums every view's
 image.  A HitLedger is a HitSet plus each hit's sigma
 and dsigma.  trace and shade are the one-view forms, and render is
 shade(trace(...)).  Bin assignment is treated as non-differentiable
@@ -312,8 +313,9 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
     window when nothing is hit) unless range_windows, one (origin,
     num_bins) or None per radar, pins it (see vertex_range_window).  A
     non-finite origin or a num_bins that is not an integer from 1 to
-    _MAX_RANGE_BINS raises a ValueError before anything is traced, and a
-    pinned window that leaves out a hit one that names the view and bin.
+    _MAX_RANGE_BINS (a bool is not one) raises a ValueError before
+    anything is traced, and a pinned window that leaves out a hit one
+    that names the view and bin.
     """
     windows = [None] * len(radars) if range_windows is None else list(range_windows)
     if len(windows) != len(radars):
@@ -322,7 +324,8 @@ def trace_views(mesh: Mesh, radars, bvh: Bvh | None = None,
         origin, num_bins = window
         if not math.isfinite(origin):
             raise ValueError(f"range_window origin {origin!r} is not finite")
-        if not (isinstance(num_bins, numbers.Integral) and 1 <= num_bins <= _MAX_RANGE_BINS):
+        if (isinstance(num_bins, bool) or not isinstance(num_bins, numbers.Integral)
+                or not 1 <= num_bins <= _MAX_RANGE_BINS):
             raise ValueError(f"range_window num_bins {num_bins!r} is not an integer "
                              f"from 1 to {_MAX_RANGE_BINS}")
     if not radars:
@@ -407,13 +410,6 @@ def by_wave(waves, wave_id, theta):
     return [(bsdf_angles(theta[r], waves[w]), r) for w, r in zip(ids, rows)]
 
 
-def shade_hits(params: ParamMap, corners, bary, groups):
-    """sigma (h,) and channel-major dsigma (4, h) of hits: one interpolation
-    at their corners (3, h) and barycentric weights (3, h), then
-    shade_rows."""
-    return shade_rows(interpolate(params.values, corners, bary).T, groups)
-
-
 def shade_rows(values, groups):
     """sigma (h,) and channel-major dsigma (4, h) of hits with parameter rows
     values (h, 4), each channel contiguous: one eval_bsdf_at call per
@@ -433,8 +429,9 @@ def shade_views(hitsets, params: ParamMap):
     """Shade traced views of one mesh with a table: one (SarImage,
     HitLedger) per HitSet, bitwise what shading each view alone gives.
 
-    stack_views checks the views and lays them out end to end, shade_hits
-    shades every hit at once, and one np.bincount over the stack sums
+    stack_views checks the views and lays them out end to end, one
+    scene.interpolate and shade_rows shade every hit at once (one
+    eval_bsdf_at call per wave), and one np.bincount over the stack sums
     every view's pixels, each pixel's hits in the view's hit order.  A
     view's intensities are a slice of that one array.
     """
@@ -442,7 +439,8 @@ def shade_views(hitsets, params: ParamMap):
         return []
     starts, corners, bary, theta, waves, wave_id, pixel, weight, spans = stack_views(
         hitsets, params.num_vertices)
-    sigma, dsigma = shade_hits(params, corners.T, bary.T, by_wave(waves, wave_id, theta))
+    sigma, dsigma = shade_rows(interpolate(params.values, corners.T, bary.T).T,
+                               by_wave(waves, wave_id, theta))
     # astype: bincount gives int64 when no view has a hit
     image = np.bincount(pixel, weight * sigma, spans[-1]).astype(np.float64, copy=False)
     # hits may itself be a ledger: its shading is replaced
@@ -517,7 +515,9 @@ def read_raster(path):
     """Read a raster written by write_raster.
 
     Returns (intensities float64 (rows, cols), header dict).  A malformed
-    header raises a ValueError naming the file and the field.
+    header raises a ValueError naming the file and the field, and a
+    payload other than the header's rows x cols x 4 bytes one naming the
+    file and both sizes.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
@@ -534,7 +534,8 @@ def read_raster(path):
             meta[name] = value
         rows, cols = meta.pop("rows"), meta.pop("cols")
         size, left = rows * cols * 4, os.fstat(fh.fileno()).st_size - fh.tell()
-        if size > left:
-            raise ValueError(f"{path}: truncated raster payload: needs {size} bytes, has {left}")
+        if size != left:
+            problem = "truncated raster payload" if size > left else "raster payload too long"
+            raise ValueError(f"{path}: {problem}: needs {size} bytes, has {left}")
         data = np.frombuffer(fh.read(size), dtype="<f4").reshape(rows, cols).astype(np.float64)
     return data, meta

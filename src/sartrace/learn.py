@@ -22,6 +22,8 @@ too.  So are the TV term's (edge, channel) pairs, unless lambda_mat is
 0, when there are none: a pair with no unknown at either end is a
 constant, summed on entry; one whose ends are entries of one unknown (a
 tied group's values are always equal) is dropped; the rest are live.
+An unknown is one channel of one vertex group, so the live pairs are
+found per edge, from its two ends' groups, and not per channel.
 An iteration then does only the work the table changes, in arrays sized
 by the live hits, the live pairs and the k unknowns, never by the
 table: the live hits' parameters interpolated in the channels with an
@@ -42,6 +44,11 @@ can move, in its last bits, since its pairs are summed in another
 order.  grad_check's finite differences take the total of this same
 objective, so the gradient it checks is the one learn steps with.
 
+learn states each iteration's results once, as one row of its history
+table: (total, sim, tv, then each view's RMSE).  LearnResult's losses
+and RMSEs are that table's columns, and its iteration count and abort
+flag are read from its rows.
+
 Adam steps a vector of unknowns: one per channel of a free vertex or of
 a tied vertex group (one shared record, gradients summed over the
 group); frozen vertices and channels are none.  It runs in a
@@ -59,8 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sartrace.imaging import (HitLedger, SarImage, by_wave, shade_hits, shade_rows,
-                              stack_views)
+from sartrace.imaging import HitLedger, SarImage, by_wave, shade_rows, stack_views
 # the benchmark's traced run wraps this module's `render` by name
 from sartrace.imaging import render  # noqa: F401
 from sartrace.scene import (PARAM_CHANNELS, PARAM_LOWER, PARAM_UPPER, ParamMap, interpolate,
@@ -323,16 +329,20 @@ def rmse_normalized(image, ref) -> float:
 
 @dataclass
 class LearnResult:
-    """Losses per iteration run; learn leaves params at the table of the first
-    finite row of least total_loss (np.argmin when every row is finite), or
-    the entry table if no row is.  An aborted run's last row is non-finite."""
+    """learn's history, one row per iteration run: (total, sim, tv, then
+    each view's RMSE).  learn leaves params at the table of the first
+    finite row of least total_loss (np.argmin when every row is finite),
+    or the entry table if no row is.  An aborted run's last row, and only
+    its last, is non-finite."""
 
-    iterations: int
-    aborted: bool
-    total_loss: np.ndarray       # (iters,)
-    sim_loss: np.ndarray
-    tv_loss: np.ndarray
-    view_rmse: np.ndarray        # (iters, num_views)
+    history: np.ndarray          # (iters, 3 + num_views)
+
+    iterations = property(lambda self: len(self.history))
+    aborted = property(lambda self: not np.isfinite(self.history[-1:, 0]).all())
+    total_loss = property(lambda self: self.history[:, 0])
+    sim_loss = property(lambda self: self.history[:, 1])
+    tv_loss = property(lambda self: self.history[:, 2])
+    view_rmse = property(lambda self: self.history[:, 3:])    # (iters, num_views)
 
 
 def _checked(views):
@@ -418,15 +428,15 @@ def _stack(params: ParamMap, views, opt: OptimState, cfg: LossConfig) -> _Stack:
     of = np.full((n, 4), -1)                          # each table entry's unknown, -1 if frozen
     of.flat[opt.entries] = opt.unknown
     has = of >= 0
-    channels = np.flatnonzero(has.any(axis=0))
+    moving = has.any(axis=0)                          # (4,) the channels with an unknown
+    channels = np.flatnonzero(moving)
     reach = has.any(axis=1).take(vids)               # (H, 3)
     is_live = reach.any(axis=1)
     live, frozen = np.flatnonzero(is_live), np.flatnonzero(~is_live)
     intensity = np.zeros(pixel.size)
-    if frozen.size:
-        intensity[frozen] = weight[frozen] * shade_hits(
-            params, vids[frozen].T, bary[frozen].T,
-            by_wave(waves, wave_id[frozen], theta[frozen]))[0]
+    intensity[frozen] = weight[frozen] * shade_rows(
+        interpolate(params.values, vids[frozen].T, bary[frozen].T).T,
+        by_wave(waves, wave_id[frozen], theta[frozen]))[0]
 
     corner, reached = vids[live], reach[live]
     mark = np.zeros(n, dtype=bool)
@@ -442,11 +452,17 @@ def _stack(params: ParamMap, views, opt: OptimState, cfg: LossConfig) -> _Stack:
     tv_ends, tv_const = np.zeros((2, 0), dtype=np.int64), 0.0
     if cfg.lambda_mat:
         edges = mesh_edges(views[0][0].mesh)
-        ends = of.take(edges[:, 0], axis=0), of.take(edges[:, 1], axis=0)      # (E, 4) unknowns
         diff = params.values.take(edges[:, 1], axis=0) - params.values.take(edges[:, 0], axis=0)
-        tv_const = float(np.abs(diff[(ends[0] < 0) & (ends[1] < 0)]).sum())
-        edge, channel = np.divmod(np.flatnonzero(ends[0] != ends[1]), 4)
-        tv_ends = edges.T[:, edge] * 4 + channel             # (2, Q), (edge, channel) order
+        ends = has.take(edges.T, axis=0)                      # (2, E, 4)
+        tv_const = float(np.abs(diff[~(ends[0] | ends[1])]).sum())
+        # an unknown is one channel of one vertex group (OptimState.create), so
+        # a vertex's unknown in the first channel with one names its group, -1
+        # for a frozen vertex (and in every channel when none has an unknown):
+        # a pair is live when its channel has an unknown and its edge joins
+        # two groups
+        group = of[:, moving.argmax()].take(edges.T)          # (2, E)
+        cut = np.flatnonzero(group[0] != group[1])
+        tv_ends = (edges.T[:, cut, None] * 4 + channels).reshape(2, -1)  # (2, Q), (edge, channel)
         used.flat[tv_ends] = has.flat[tv_ends]
     at = np.flatnonzero(used)                                 # (M,) the live entries
     live_pixel = pixel[live]
@@ -536,9 +552,10 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     the gradient, and each iteration only re-shades them, since no
     parameter moves a hit.  Runs `iters` iterations, each evaluating the
     table before adam_step moves it, unless a loss is non-finite, which
-    aborts.  Either way params ends, in place, at the first evaluated
-    table of least total loss (the entry table when no loss is finite):
-    learn keeps that iterate's k unknowns and writes them back on exit.
+    aborts, and returns one history row per iteration run.  Either way
+    params ends, in place, at the first evaluated table of least total
+    loss (the entry table when no loss is finite): learn keeps that
+    iterate's k unknowns and writes them back on exit.
     In between, adam_step writes only the live entries, those the next
     iteration reads; an exception after a step gives every entry its
     unknown's last value before it propagates.
@@ -564,19 +581,12 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
     opt.values, opt.live = params.values.take(opt.head), (stack.entries, stack.unknown)
     first, done = opt.step, False
 
-    total_hist, sim_hist, tv_hist, view_hist = [], [], [], []
-    aborted = False
+    history = []
     try:
         for _ in range(iters):
             total, sim, tv, grads, rmses = _objective(stack, params)
-
-            total_hist.append(total)
-            sim_hist.append(sim)
-            tv_hist.append(tv)
-            view_hist.append(rmses)
-
+            history.append((total, sim, tv, *rmses.tolist()))
             if not math.isfinite(total):
-                aborted = True
                 break
             if total < best_total:
                 best_total, best = total, opt.values      # adam_step replaces, never writes, it
@@ -589,24 +599,17 @@ def learn(params: ParamMap, views, opt: OptimState, cfg: LossConfig, iters: int)
                 opt.values = best
             _write(params, opt.entries, opt.unknown, opt.values)
 
-    return LearnResult(
-        iterations=len(total_hist), aborted=aborted, total_loss=np.asarray(total_hist),
-        sim_loss=np.asarray(sim_hist), tv_loss=np.asarray(tv_hist),
-        view_rmse=np.asarray(view_hist) if view_hist else np.zeros((0, len(views))),
-    )
+    return LearnResult(np.reshape(history, (-1, 3 + len(views))))
 
 
 def write_history_csv(result: LearnResult, path) -> None:
-    """iter,total_loss,sim_loss,tv_loss,view_rmse_* rows."""
+    """iter,total_loss,sim_loss,tv_loss,view_rmse_* rows: the history's rows, numbered."""
     cols = ["iter", "total_loss", "sim_loss", "tv_loss"]
     cols += [f"view_rmse_{i}" for i in range(result.view_rmse.shape[1])]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for it in range(result.iterations):
-            row = [str(it), repr(float(result.total_loss[it])),
-                   repr(float(result.sim_loss[it])), repr(float(result.tv_loss[it]))]
-            row += [repr(float(v)) for v in result.view_rmse[it]]
-            fh.write(",".join(row) + "\n")
+        for it, row in enumerate(result.history.tolist()):
+            fh.write(",".join([str(it), *map(repr, row)]) + "\n")
 
 
 @dataclass
@@ -665,9 +668,6 @@ def grad_check(params: ParamMap, views, cfg: LossConfig, num_probes: int,
         rel = 0.0 if denom < 1e-14 else abs(analytic - fd) / denom
         probes.append(GradCheckProbe(vertex=vid, channel=PARAM_CHANNELS[ci],
                                      analytic=analytic, finite_diff=fd, rel_err=rel))
-    rels = np.array([p.rel_err for p in probes]) if probes else np.zeros(0)
-    return GradCheckReport(
-        probes=probes,
-        max_rel_err=float(rels.max()) if rels.size else 0.0,
-        median_rel_err=float(np.median(rels)) if rels.size else 0.0,
-    )
+    rels = np.array([p.rel_err for p in probes] or [0.0])
+    return GradCheckReport(probes=probes, max_rel_err=float(rels.max()),
+                           median_rel_err=float(np.median(rels)))

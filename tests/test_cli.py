@@ -668,6 +668,17 @@ class TestLearnCommand:
         assert f"{huge}: truncated raster payload" in capsys.readouterr().err
         assert not (workdir / "learned").exists()
 
+    def test_raster_with_trailing_bytes_exits_2(self, workdir, capsys):
+        refs = self.render_refs(workdir)
+        with open(refs[1], "ab") as fh:
+            fh.write(b"\x00" * 4)
+        capsys.readouterr()
+        rc = main(["learn", "--config", str(workdir / "run.ini"), "--refs"] + refs
+                  + ["--out", "learned"])
+        assert rc == 2
+        assert f"{refs[1]}: raster payload too long: needs " in capsys.readouterr().err
+        assert not (workdir / "learned").exists()
+
     @pytest.mark.parametrize("line,other,field", [
         ("seed = 3", "seed = 9", "range_origin"),       # same shape, shifted range grid
         ("range_res = 0.1", "range_res = 0.1000001", "range_res"),

@@ -527,10 +527,11 @@ class TestRender:
 
     @pytest.mark.parametrize("field, bad", [("origin", math.nan), ("origin", math.inf),
                                             ("num_bins", 2.5), ("num_bins", 0),
-                                            ("num_bins", -1), ("num_bins", None)])
+                                            ("num_bins", -1), ("num_bins", None),
+                                            ("num_bins", True)])
     def test_bad_range_window_named_up_front(self, plate_scene, plate_radar, field, bad):
         """trace names range_window and the bad field before it traces;
-        bad=None is a valid np.int64 count."""
+        bad=None is a valid np.int64 count, and a bool is no count."""
         mesh, _ = plate_scene
         origin, num_bins = vertex_range_window(mesh, plate_radar)
         if bad is None:
@@ -788,6 +789,21 @@ class TestImageFiles:
         path.write_bytes(b"SARF1 2 3 0.1 0.1 0.0\n" + b"\x00" * 8)
         with pytest.raises(ValueError, match="truncated"):
             read_raster(path)
+
+    def test_raster_rejects_trailing_bytes(self, plate_scene, plate_radar, tmp_path):
+        """A whole raster with 4 bytes appended is named by file and both
+        payload sizes, as a truncated one is."""
+        mesh, params = plate_scene
+        image, _ = render(mesh, params, plate_radar)
+        path = tmp_path / "long.sarf"
+        write_raster(image, path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 4)
+        size = image.intensities.size * 4
+        with pytest.raises(ValueError) as info:
+            read_raster(path)
+        assert str(info.value) == (
+            f"{path}: raster payload too long: needs {size} bytes, has {size + 4}")
 
     def test_raster_rejects_payload_larger_than_file(self, tmp_path):
         """The payload size is checked against the file before any read, so a

@@ -640,16 +640,47 @@ class TestLearn:
             learn(params, views, OptimState.create(mesh.num_vertices), CFG_RAW, iters=-1)
         assert calls.events == []
 
-    def test_history_csv(self, learn_setup, tmp_path):
+    def test_history_csv(self, learn_setup, tmp_path, monkeypatch):
+        """Every written value parses back to its LearnResult value (NaN
+        where NaN) and rows are numbered 0..n-1: one view; two views under
+        a TV weight; a run whose squared error overflows (its last row inf);
+        and one whose BSDF turns NaN on the third call (its last row NaN)."""
         mesh, params, radar = learn_setup
-        ref, _ = render(mesh, params, radar)
-        res = learn(params.copy(), traced(mesh, [(radar, ref.intensities)]),
-                    OptimState.create(mesh.num_vertices), CFG_RAW, iters=3)
-        path = tmp_path / "history.csv"
-        write_history_csv(res, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iter,total_loss,sim_loss,tv_loss,view_rmse_0"
-        assert len(lines) == 1 + res.iterations
+        ref = render(mesh, params, radar)[0].intensities
+        start = params.copy()
+        start.values[0, :3] *= 1.5                  # a TV step along vertex 0's edges
+        overflow = ref.copy()
+        overflow[0, 0] = 1e300
+        tv = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
+        calls = []
+
+        def nan_from_third(angles, values):
+            calls.append(None)
+            sigma, grads = eval_bsdf_at(angles, values)
+            return (sigma * np.nan if len(calls) >= 3 else sigma), grads
+
+        for refs, cfg, rows, last in (([ref], CFG_RAW, 3, math.isfinite),
+                                      ([ref, 0.9 * ref], tv, 3, math.isfinite),
+                                      ([overflow], CFG_RAW, 1, math.isinf),
+                                      ([ref], tv, 3, math.isnan)):
+            if last is math.isnan:
+                monkeypatch.setattr(imaging, "eval_bsdf_at", nan_from_third)
+            with np.errstate(over="ignore"):
+                res = learn(start.copy(), traced(mesh, [(radar, r) for r in refs]),
+                            OptimState.create(mesh.num_vertices), cfg, iters=3)
+            assert res.iterations == rows and last(res.total_loss[-1])
+            assert res.aborted == (last is not math.isfinite)
+            assert (res.tv_loss[:-1] > 0.0).all() if cfg is tv else (res.tv_loss == 0.0).all()
+            path = tmp_path / "history.csv"
+            write_history_csv(res, path)
+            header, *lines = path.read_text().splitlines()
+            assert header.split(",") == ["iter", "total_loss", "sim_loss", "tv_loss",
+                                         *(f"view_rmse_{i}" for i in range(len(refs)))]
+            table = np.array([[float(v) for v in line.split(",")] for line in lines])
+            assert table[:, 0].tolist() == list(range(rows))
+            want = np.column_stack([res.total_loss, res.sim_loss, res.tv_loss, res.view_rmse])
+            assert table[:, 1:].shape == want.shape
+            np.testing.assert_array_equal(table[:, 1:], want)     # NaN where NaN
 
     def test_history_csv_header_without_iterations(self, learn_setup, tmp_path):
         mesh, params, radar = learn_setup
@@ -1247,6 +1278,37 @@ class TestUnknownGradient:
         assert len(got) == len(seen) == 5
         assert all(a.tobytes() == unknowns(opt, b).tobytes() for a, b in zip(got, seen))
         assert params.values.tobytes() == start.values.tobytes()
+
+
+    @pytest.mark.parametrize("channels", [("h",), ("h", "l"), ("l", "tau"), PARAM_CHANNELS])
+    def test_live_pairs_follow_the_vertex_groups(self, channels):
+        """The stack finds its live TV pairs from each edge's two vertex
+        groups, read from the first channel with an unknown; with the
+        leading channels frozen as well as the grid's frozen rows, they are
+        still the (edge, channel) pairs whose ends hold two different
+        unknowns (or one and none), in (edge, channel) order, its constant
+        sums the pairs with no unknown at either end in that order, and the
+        gradient and data term are bitwise the full-table oracle's."""
+        mesh, (a, b, frozen, free), start, refs = grid_scene()
+        cfg = LossConfig(lambda_sim=1.0, lambda_mat=1e-3, normalize=True)
+        opt = OptimState.create(mesh.num_vertices, freeze_channels=channels,
+                                freeze_vertices=frozen, tie_groups=[a, b])
+        stack = learn_mod._stack(start, learn_mod._checked(traced(mesh, refs)), opt, cfg)
+        of = np.full(4 * mesh.num_vertices, -1)
+        of[opt.entries] = opt.unknown
+        edges = mesh_edges(mesh)
+        pairs = edges[:, :, None] * 4 + np.arange(4)                   # (E, 2, 4) entries
+        ends = of[pairs]
+        live = ends[:, 0] != ends[:, 1]
+        assert live.any() == (opt.m.size > 0)
+        assert stack.tv_ends.tolist() == [pairs[:, 0][live].tolist(), pairs[:, 1][live].tolist()]
+        diff = start.values.take(edges[:, 1], axis=0) - start.values.take(edges[:, 0], axis=0)
+        assert stack.tv_const == float(np.abs(diff[(ends < 0).all(axis=1)]).sum())
+        total, sim, tv, g, rmses = learn_mod._objective(stack, start)
+        want = oracle_objective(mesh, start, refs, cfg)
+        assert g.tobytes() == unknowns(opt, want[3]).tobytes()
+        assert sim == want[1] and rmses.tobytes() == want[4].tobytes()
+        assert tv == pytest.approx(want[2], rel=1e-12, abs=0.0)
 
 
 class TestLearnRobustness:
